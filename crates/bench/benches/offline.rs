@@ -1,13 +1,19 @@
 //! Offline-path benchmarks: ingestion, the Eq. 12 interval intersection,
-//! and RVAQ versus the baselines on a movie catalog.
+//! RVAQ versus the baselines on a movie catalog, and RVAQ on 1200- and
+//! 2400-clip catalogs of the svqbench corpus — TBClip's bookkeeping must
+//! stay linear in its table accesses, so the larger sizes must not cost
+//! more per access than the small one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use svq_core::offline::{ingest, FaTopK, PqTraverse, Rvaq, RvaqOptions};
 use svq_core::online::OnlineConfig;
 use svq_eval::workloads::movies_workload;
 use svq_storage::SequenceSet;
-use svq_types::{ClipId, ClipInterval, Interval, PaperScoring};
+use svq_types::{
+    ActionClass, ActionQuery, ClipId, ClipInterval, Interval, ObjectClass, PaperScoring, VideoId,
+};
 use svq_vision::models::ModelSuite;
+use svq_vision::synth::{ObjectSpec, ScenarioSpec};
 
 fn bench_offline(c: &mut Criterion) {
     let movies = movies_workload(0.1, 7);
@@ -28,6 +34,28 @@ fn bench_offline(c: &mut Criterion) {
     c.bench_function("fa_top5", |b| {
         b.iter(|| FaTopK::run(&catalog, &case.query, &PaperScoring, 5))
     });
+
+    // svqbench's video 0 (`crates/svqbench/src/gen.rs`) at 60 000 and
+    // 120 000 frames, its costliest statement shape, K = 3.
+    let query = ActionQuery::named("jumping", &["car", "person"]);
+    for (frames, clips) in [(60_000, 1200), (120_000, 2400)] {
+        let oracle = ScenarioSpec::activitynet(
+            VideoId::new(0),
+            frames,
+            ActionClass::named("jumping"),
+            vec![
+                ObjectSpec::correlated(ObjectClass::named("car")),
+                ObjectSpec::scene(ObjectClass::named("person")),
+            ],
+            20_230_403,
+        )
+        .generate()
+        .oracle(ModelSuite::accurate());
+        let catalog = ingest(&oracle, &PaperScoring, &OnlineConfig::default());
+        c.bench_function(&format!("rvaq_top3_{clips}_clips"), |b| {
+            b.iter(|| Rvaq::run(&catalog, &query, &PaperScoring, RvaqOptions::new(3)))
+        });
+    }
 
     // Eq. 12 interval sweep on synthetic interval sets.
     let mk = |offset: u64, step: u64, len: u64, n: u64| {

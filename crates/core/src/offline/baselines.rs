@@ -20,8 +20,8 @@
 //!   convenience wrapper.
 
 use super::rvaq::{RankedSequence, RvaqOptions, TopKResult};
+use super::tbclip::{SeenClips, Worklist};
 use super::Rvaq;
-use std::collections::{BTreeMap, BTreeSet};
 use svq_storage::IngestedVideo;
 use svq_types::{ActionQuery, ClipId, Clock, ScoringFunctions};
 use svq_vision::WallClock;
@@ -138,11 +138,9 @@ impl FaTopK {
         let mut remaining: u64 = pq.clip_count();
         let mut seq_scores: Vec<f64> = vec![scoring.f_identity(); pq.len()];
 
-        // BTree collections: FA's candidate scan iterates these, and the
-        // winner among score ties falls to iteration order — which must be
-        // stable for byte-identical results.
-        let mut seen: Vec<BTreeSet<ClipId>> = vec![BTreeSet::new(); tables.len()];
-        let mut produced: BTreeSet<ClipId> = BTreeSet::new();
+        // Winners among score ties are chosen by clip id, never by the
+        // order clips became candidates.
+        let mut seen = SeenClips::new(tables.len(), catalog.clip_count as usize);
         let mut stamp = 0usize;
         let mut iterations = 0u64;
 
@@ -151,17 +149,11 @@ impl FaTopK {
             // Sorted access in parallel until a fresh fully-seen clip
             // exists.
             let mut any_row = true;
-            loop {
-                let has_candidate = seen[0]
-                    .iter()
-                    .any(|c| seen[1..].iter().all(|s| s.contains(c)) && !produced.contains(c));
-                if has_candidate {
-                    break;
-                }
+            while !seen.has_fresh(|_| false) {
                 any_row = false;
                 for (i, t) in tables.iter().enumerate() {
-                    if let Some((cid, _)) = t.sorted_row(stamp) {
-                        seen[i].insert(cid);
+                    if let Some((cid, s)) = t.sorted_row(stamp) {
+                        seen.observe(i, cid, s);
                         any_row = true;
                     }
                 }
@@ -177,28 +169,24 @@ impl FaTopK {
             // fully-seen, unproduced clips — re-fetched each production
             // round (no memoisation across rounds: the baseline has no
             // bound state to justify caching against).
-            let mut scores: BTreeMap<ClipId, f64> = BTreeMap::new();
             let mut candidate: Option<(ClipId, f64)> = None;
-            for c in seen[0].iter() {
-                if produced.contains(c)
-                    || scores.contains_key(c)
-                    || !seen[1..].iter().all(|s| s.contains(c))
-                {
-                    continue;
-                }
-                let object_scores: Vec<f64> = tables[..n_objects]
-                    .iter()
-                    .map(|t| t.random_score(*c))
-                    .collect();
-                let action_score = tables[n_objects].random_score(*c);
-                let s = scoring.g(&object_scores, action_score);
-                scores.insert(*c, s);
-                if candidate.is_none_or(|(_, best)| s > best) {
-                    candidate = Some((*c, s));
-                }
-            }
+            seen.for_each_fresh(
+                Worklist::Full,
+                |_| false,
+                |c, _| {
+                    let object_scores: Vec<f64> = tables[..n_objects]
+                        .iter()
+                        .map(|t| t.random_score(c))
+                        .collect();
+                    let action_score = tables[n_objects].random_score(c);
+                    let s = scoring.g(&object_scores, action_score);
+                    if candidate.is_none_or(|(bc, best)| s > best || (s == best && c < bc)) {
+                        candidate = Some((c, s));
+                    }
+                },
+            );
             let Some((c, s)) = candidate else { break };
-            produced.insert(c);
+            seen.retire(c);
             if let Some(i) = pq.find_index(c) {
                 seq_scores[i] = scoring.f_combine(seq_scores[i], s);
                 remaining -= 1;

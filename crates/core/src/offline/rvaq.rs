@@ -13,12 +13,20 @@
 //!    in. Either way their clips join `C_skip` and stop costing accesses
 //!    (the *skip mechanism* — disabled in the `RVAQ-noSkip` baseline).
 //!
-//! Implementation note on the priority queues: Eq. 13 re-estimates the
-//! upper bound of *every* sequence whenever `c_top` advances, so incremental
+//! Implementation note on cost. The paper's cost model is table accesses,
+//! and a run's bookkeeping is kept linear in them:
+//! `O(accesses + calls · |live| · tables)` inside [`TbClip`] (`live` = the
+//! clips sorted access has shown that can still be delivered) plus
+//! `O(calls · |P_q| log |P_q|)` here. The iterator never rescans its seen
+//! sets: it keeps dense per-clip state and prunes its worklists lazily,
+//! which is sound because of two monotonicity invariants this loop
+//! upholds — a clip delivered by a side stays delivered, and `C_skip` only
+//! grows (a sequence resolved in or out is skipped for good; nothing is
+//! ever un-skipped). On the priority queues: Eq. 13 re-estimates the upper
+//! bound of *every* sequence whenever `c_top` advances, so incremental
 //! heaps would be rebuilt wholesale each iteration anyway; we keep the PQ
 //! *semantics* (top-K by lower bound, max of the rest by upper bound) with
-//! a selection scan per iteration, which is `O(|P_q|)` — result-sequence
-//! counts are tens, not millions.
+//! a sort per iteration — result-sequence counts are tens, not millions.
 
 use super::bounds::SequenceBounds;
 use super::skip::SkipSet;
@@ -129,16 +137,16 @@ impl Rvaq {
         let pq = catalog.result_sequences(query);
         let total_sequences = pq.len();
         let k = options.k.min(total_sequences);
-        let mut skip = if options.use_skip {
-            SkipSet::new(pq.clone())
-        } else {
-            SkipSet::disabled(pq.clone())
-        };
         let mut bounds: Vec<SequenceBounds> = pq
             .intervals()
             .iter()
             .map(|iv| SequenceBounds::new(*iv, scoring))
             .collect();
+        let mut skip = if options.use_skip {
+            SkipSet::new(pq)
+        } else {
+            SkipSet::disabled(pq)
+        };
         let mut tb = TbClip::new(catalog, query, scoring);
         let mut absorbed: BTreeSet<ClipId> = BTreeSet::new();
         let mut iterations = 0u64;
@@ -153,7 +161,7 @@ impl Rvaq {
                 for delivered in [step.top, step.bottom].into_iter().flatten() {
                     let (clip, score) = delivered;
                     if absorbed.insert(clip) {
-                        if let Some(i) = pq.find_index(clip) {
+                        if let Some(i) = skip.sequence_of(clip) {
                             bounds[i].absorb(score, scoring);
                         }
                     }

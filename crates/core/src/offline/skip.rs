@@ -4,16 +4,26 @@
 //! (initialised at query start), plus the clips of sequences that become
 //! conclusively ranked as RVAQ's bounds tighten. Because skips always
 //! arrive as whole sequences of `P_q`, membership is tracked per sequence —
-//! a bitmap over `P_q`'s intervals — rather than per clip.
+//! a bitmap over `P_q`'s intervals — rather than per clip; a dense
+//! clip → sequence index built once per query makes the lookup the TBClip
+//! iterator performs per candidate a pair of loads instead of a binary
+//! search. Sequences can be skipped but never un-skipped: `C_skip` only
+//! grows, which the iterator's lazy pruning relies on.
 
 use svq_storage::SequenceSet;
 use svq_types::ClipId;
+
+/// `sequence_of` entry of a clip outside `P_q`.
+const OUTSIDE: u32 = u32::MAX;
 
 /// Dynamic skip set over the result sequences of one query.
 #[derive(Debug, Clone)]
 pub struct SkipSet {
     /// The query's result sequences `P_q` (sorted, disjoint).
     pq: SequenceSet,
+    /// Index into `pq.intervals()` of the sequence holding each clip up to
+    /// the end of `P_q`, [`OUTSIDE`] in the gaps.
+    sequence_of: Vec<u32>,
     /// Per-sequence skip flags, indexed like `pq.intervals()`.
     skipped: Vec<bool>,
     /// When set, nothing is skipped (the noSkip baseline).
@@ -24,23 +34,27 @@ impl SkipSet {
     /// Initialise from `P_q`: every clip outside `P_q` is already skipped
     /// (Algorithm 4 line 2, `C_skip = C(X) \ C(P_q)`).
     pub fn new(pq: SequenceSet) -> Self {
-        let skipped = vec![false; pq.len()];
-        Self {
-            pq,
-            skipped,
-            disabled: false,
-        }
+        Self::build(pq, false)
     }
 
     /// A skip set with the whole mechanism disabled — nothing is ever
     /// skipped, not even clips outside `P_q` (the RVAQ-noSkip baseline:
     /// "without activating the skip mechanism").
     pub fn disabled(pq: SequenceSet) -> Self {
-        let skipped = vec![false; pq.len()];
+        Self::build(pq, true)
+    }
+
+    fn build(pq: SequenceSet, disabled: bool) -> Self {
+        let span = pq.intervals().last().map_or(0, |iv| iv.end.index() + 1);
+        let mut sequence_of = vec![OUTSIDE; span];
+        for (i, iv) in pq.intervals().iter().enumerate() {
+            sequence_of[iv.start.index()..=iv.end.index()].fill(i as u32);
+        }
         Self {
+            skipped: vec![false; pq.len()],
             pq,
-            skipped,
-            disabled: true,
+            sequence_of,
+            disabled,
         }
     }
 
@@ -59,13 +73,21 @@ impl SkipSet {
         self.skipped[index]
     }
 
+    /// Index into `P_q` of the sequence holding `clip`, skipped or not.
+    pub fn sequence_of(&self, clip: ClipId) -> Option<usize> {
+        match self.sequence_of.get(clip.index()) {
+            Some(&i) if i != OUTSIDE => Some(i as usize),
+            _ => None,
+        }
+    }
+
     /// Whether the iterator should skip this clip: outside `P_q`, or inside
     /// a conclusively ranked sequence.
     pub fn contains(&self, clip: ClipId) -> bool {
         if self.disabled {
             return false;
         }
-        match self.pq.find_index(clip) {
+        match self.sequence_of(clip) {
             None => true,
             Some(i) => self.skipped[i],
         }
@@ -73,7 +95,7 @@ impl SkipSet {
 
     /// Index of the sequence holding `clip`, if it is an active member.
     pub fn active_sequence(&self, clip: ClipId) -> Option<usize> {
-        self.pq.find_index(clip).filter(|&i| !self.skipped[i])
+        self.sequence_of(clip).filter(|&i| !self.skipped[i])
     }
 
     /// Number of sequences not yet skipped.
@@ -112,6 +134,16 @@ mod tests {
         assert_eq!(skip.active_count(), 1);
         assert_eq!(skip.active_sequence(ClipId::new(3)), None);
         assert_eq!(skip.active_sequence(ClipId::new(9)), Some(1));
+    }
+
+    #[test]
+    fn dense_index_agrees_with_binary_search() {
+        let pq = SequenceSet::new(vec![iv(0, 0), iv(2, 4), iv(8, 9), iv(11, 11)]);
+        let skip = SkipSet::new(pq.clone());
+        for c in 0..15 {
+            let c = ClipId::new(c);
+            assert_eq!(skip.sequence_of(c), pq.find_index(c), "{c:?}");
+        }
     }
 
     #[test]

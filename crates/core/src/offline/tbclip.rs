@@ -25,9 +25,34 @@
 //! frontier) can beat the best fully-scored candidate of the call. `g` is
 //! monotone, so the bound is sound and the delivered clip is still the true
 //! maximum.
+//!
+//! # Cost
+//!
+//! The paper counts table accesses, and the bookkeeping here is kept
+//! linear in them: `O(accesses + calls · |live| · tables)` for a whole
+//! run, where `live` is the set of clips seen by sorted access and still
+//! deliverable. Per-side state is dense, indexed by clip id
+//! ([`SeenClips`]): the score seen in each table, how many tables have
+//! shown the clip, and whether it has been delivered. Two worklists ride
+//! on top — `full` (seen in every table) answers step 1's "is there a
+//! fresh clip in the intersection?" in amortised `O(1)` per sorted access,
+//! `live` (seen in any table) is step 2's candidate set — and both are
+//! pruned *lazily*: a dead entry is dropped when a scan next meets it,
+//! never searched for. That is sound because of two monotonicity
+//! invariants:
+//!
+//! 1. a side's processed set only grows — a delivered clip is never
+//!    un-delivered;
+//! 2. `C_skip` only grows — [`SkipSet`] has no way to un-skip a sequence,
+//!    and one iterator must be driven with one skip set.
+//!
+//! So a clip found dead once is dead for the rest of the run, and dropping
+//! it from a worklist can never hide a future candidate. Worklist order is
+//! insertion order (sorted-access order), never hash order, and every
+//! choice among candidates is made by an explicit `(bound, clip)` or
+//! `(score, clip)` comparison, so results do not depend on it.
 
 use super::skip::SkipSet;
-use std::collections::{BTreeMap, BTreeSet};
 use svq_storage::{ClipScoreTable, IngestedVideo};
 use svq_types::{ActionQuery, ClipId, ScoringFunctions};
 
@@ -40,26 +65,216 @@ pub struct TbClipStep {
     pub bottom: Option<(ClipId, f64)>,
 }
 
+/// The two worklists of [`SeenClips`].
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Worklist {
+    /// Clips seen in every table.
+    Full,
+    /// Clips seen in at least one table.
+    Live,
+}
+
+/// What sorted access in one direction has shown so far, dense by clip id,
+/// plus the `full` / `live` worklists described in the module docs. Shared
+/// with the FA baseline, which needs the same "fresh clip seen in every
+/// table" question answered without rescanning.
+pub(super) struct SeenClips {
+    tables: usize,
+    /// Score seen for `(clip, table)`, clip-major; NaN = not yet seen
+    /// (table scores are finite: `ClipScoreTable` keeps only `s > 0`).
+    scores: Vec<f64>,
+    /// In how many tables each clip has been seen.
+    seen_in: Vec<u32>,
+    /// Clips the caller has delivered (processed / produced).
+    retired: Vec<bool>,
+    /// Clips seen in every table, in the order they got there.
+    full: Vec<ClipId>,
+    /// Clips seen in at least one table, in first-seen order.
+    live: Vec<ClipId>,
+}
+
+impl SeenClips {
+    /// Empty state for `tables` tables over clip ids `0..clips`; ids past
+    /// that (hand-built catalogs) grow the arrays on first sight.
+    pub(super) fn new(tables: usize, clips: usize) -> Self {
+        Self {
+            tables,
+            scores: vec![f64::NAN; clips * tables],
+            seen_in: vec![0; clips],
+            retired: vec![false; clips],
+            full: Vec::new(),
+            live: Vec::new(),
+        }
+    }
+
+    /// Record that sorted access on `table` delivered `(clip, score)`.
+    pub(super) fn observe(&mut self, table: usize, clip: ClipId, score: f64) {
+        let c = clip.index();
+        if c >= self.retired.len() {
+            self.scores.resize((c + 1) * self.tables, f64::NAN);
+            self.seen_in.resize(c + 1, 0);
+            self.retired.resize(c + 1, false);
+        }
+        let cell = &mut self.scores[c * self.tables + table];
+        let first_sight = cell.is_nan();
+        *cell = score;
+        if first_sight {
+            self.seen_in[c] += 1;
+            if self.seen_in[c] == 1 {
+                self.live.push(clip);
+            }
+            if self.seen_in[c] as usize == self.tables {
+                self.full.push(clip);
+            }
+        }
+    }
+
+    /// Mark a seen clip as delivered; it leaves both worklists lazily.
+    pub(super) fn retire(&mut self, clip: ClipId) {
+        self.retired[clip.index()] = true;
+    }
+
+    /// Whether some clip seen in every table is neither retired nor
+    /// `skipped`. Dead entries are popped off the tail of `full` until a
+    /// fresh one shows, so the cost is amortised against `observe`.
+    pub(super) fn has_fresh(&mut self, skipped: impl Fn(ClipId) -> bool) -> bool {
+        while let Some(&c) = self.full.last() {
+            if !self.retired[c.index()] && !skipped(c) {
+                return true;
+            }
+            self.full.pop();
+        }
+        false
+    }
+
+    /// Visit every clip of a worklist that is neither retired nor
+    /// `skipped`, with its per-table seen scores (NaN where unseen), and
+    /// drop the dead entries met on the way.
+    pub(super) fn for_each_fresh(
+        &mut self,
+        of: Worklist,
+        skipped: impl Fn(ClipId) -> bool,
+        mut visit: impl FnMut(ClipId, &[f64]),
+    ) {
+        let (tables, scores, retired) = (self.tables, &self.scores, &self.retired);
+        let worklist = match of {
+            Worklist::Full => &mut self.full,
+            Worklist::Live => &mut self.live,
+        };
+        worklist.retain(|&clip| {
+            let c = clip.index();
+            if retired[c] || skipped(clip) {
+                return false;
+            }
+            visit(clip, &scores[c * tables..(c + 1) * tables]);
+            true
+        });
+    }
+}
+
+/// Which end of the score order a [`Side`] reads from.
+#[derive(Debug, Clone, Copy)]
+enum End {
+    Top,
+    Bottom,
+}
+
+/// One access direction of the iterator.
+struct Side {
+    end: End,
+    /// Next row of every table to read.
+    stamp: usize,
+    /// Score of the last row read from each table.
+    frontier: Vec<f64>,
+    seen: SeenClips,
+}
+
+impl Side {
+    fn new(end: End, tables: usize, clips: usize) -> Self {
+        let no_row_yet = match end {
+            End::Top => f64::INFINITY,
+            End::Bottom => 0.0,
+        };
+        Self {
+            end,
+            stamp: 0,
+            frontier: vec![no_row_yet; tables],
+            seen: SeenClips::new(tables, clips),
+        }
+    }
+
+    /// Steps 1 / 3: sorted access in parallel until the *intersection* of
+    /// the seen sets holds a fresh, unskipped clip — FA's guarantee that
+    /// the extremum of the remaining clips is among the clips seen so far.
+    /// `false` once every table is exhausted first: the side has nothing
+    /// left to deliver. (The two row reads are spelled out as method calls,
+    /// not passed in as a function value, so `svq-lint`'s call graph still
+    /// sees the disk meter's lock under whatever the caller holds.)
+    fn read_until_fresh(&mut self, tables: &[&ClipScoreTable], skip: &SkipSet) -> bool {
+        while !self.seen.has_fresh(|c| skip.contains(c)) {
+            let mut any_row = false;
+            for (i, t) in tables.iter().enumerate() {
+                let row = match self.end {
+                    End::Top => t.sorted_row(self.stamp),
+                    End::Bottom => t.reverse_row(self.stamp),
+                };
+                if let Some((cid, s)) = row {
+                    self.seen.observe(i, cid, s);
+                    self.frontier[i] = s;
+                    any_row = true;
+                }
+            }
+            self.stamp += 1;
+            if !any_row {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Steps 2 / 4, first half: the *union* of seen clips, minus delivered
+    /// and skipped ones, each with `g` over its seen coordinates and the
+    /// table's frontier where unseen — an optimistic bound from the top, a
+    /// pessimistic one from the bottom, `g` being monotone. Every frontier
+    /// is a real row score here: [`Self::read_until_fresh`] returned
+    /// `true`, so some clip has been seen in every table.
+    fn candidates(
+        &mut self,
+        skip: &SkipSet,
+        scoring: &dyn ScoringFunctions,
+        n_objects: usize,
+    ) -> Vec<(ClipId, f64)> {
+        let Self { frontier, seen, .. } = self;
+        let mut candidates = Vec::new();
+        let mut coords = vec![0.0f64; frontier.len()];
+        seen.for_each_fresh(
+            Worklist::Live,
+            |c| skip.contains(c),
+            |c, row| {
+                for (slot, (&seen, &unseen)) in coords.iter_mut().zip(row.iter().zip(&*frontier)) {
+                    *slot = if seen.is_nan() { unseen } else { seen };
+                }
+                candidates.push((c, scoring.g(&coords[..n_objects], coords[n_objects])));
+            },
+        );
+        candidates
+    }
+}
+
 /// Algorithm 5, operating over the tables of one query.
+///
+/// Drive one iterator with one [`SkipSet`]: the lazy pruning relies on
+/// `C_skip` only growing between calls.
 pub struct TbClip<'a> {
     tables: Vec<&'a ClipScoreTable>,
     scoring: &'a dyn ScoringFunctions,
     /// How many object tables precede the action table in `tables`.
     n_objects: usize,
-    // --- top-side state. BTree collections throughout: the candidate
-    // scans iterate them, and stable iteration order is part of the
-    // byte-identical-results contract enforced by svq-lint.
-    stamp_top: usize,
-    seen_top: Vec<BTreeMap<ClipId, f64>>,
-    frontier_top: Vec<f64>,
-    processed_top: BTreeSet<ClipId>,
-    // --- bottom-side state.
-    stamp_btm: usize,
-    seen_btm: Vec<BTreeMap<ClipId, f64>>,
-    frontier_btm: Vec<f64>,
-    processed_btm: BTreeSet<ClipId>,
-    /// Memoised complete clip scores (g over all queried tables).
-    scores: BTreeMap<ClipId, f64>,
+    top: Side,
+    btm: Side,
+    /// Memoised complete clip scores (g over all queried tables), by clip
+    /// id.
+    scores: Vec<Option<f64>>,
 }
 
 impl<'a> TbClip<'a> {
@@ -76,26 +291,22 @@ impl<'a> TbClip<'a> {
             .collect();
         tables.push(catalog.action_table(query.action));
         let n = tables.len();
+        let clips = catalog.clip_count as usize;
         Self {
             tables,
             scoring,
             n_objects: query.objects.len(),
-            stamp_top: 0,
-            seen_top: vec![BTreeMap::new(); n],
-            frontier_top: vec![f64::INFINITY; n],
-            processed_top: BTreeSet::new(),
-            stamp_btm: 0,
-            seen_btm: vec![BTreeMap::new(); n],
-            frontier_btm: vec![0.0; n],
-            processed_btm: BTreeSet::new(),
-            scores: BTreeMap::new(),
+            top: Side::new(End::Top, n, clips),
+            btm: Side::new(End::Bottom, n, clips),
+            scores: vec![None; clips],
         }
     }
 
     /// The memoised complete score of a clip: random-accesses each queried
     /// table once, ever.
     pub fn score_of(&mut self, clip: ClipId) -> f64 {
-        if let Some(&s) = self.scores.get(&clip) {
+        let c = clip.index();
+        if let Some(&Some(s)) = self.scores.get(c) {
             return s;
         }
         let mut object_scores = Vec::with_capacity(self.n_objects);
@@ -104,79 +315,30 @@ impl<'a> TbClip<'a> {
         }
         let action_score = self.tables[self.n_objects].random_score(clip);
         let s = self.scoring.g(&object_scores, action_score);
-        self.scores.insert(clip, s);
+        if c >= self.scores.len() {
+            self.scores.resize(c + 1, None);
+        }
+        self.scores[c] = Some(s);
         s
     }
 
     /// Whether a clip's score has already been memoised (no access charge).
     pub fn score_cached(&self, clip: ClipId) -> bool {
-        self.scores.contains_key(&clip)
+        matches!(self.scores.get(clip.index()), Some(Some(_)))
     }
 
     /// Advance the top side: sorted access in parallel until a new
     /// non-skipped candidate appears in all tables (step 1), then return
     /// the max-scoring candidate (step 2).
     fn next_top(&mut self, skip: &SkipSet) -> Option<(ClipId, f64)> {
-        // Step 1 (loop guard): sorted access until the *intersection*
-        // `C_∩^top` of the seen sets holds a fresh, unskipped clip — FA's
-        // guarantee that the true maximum of the remaining clips is among
-        // the clips seen so far.
-        loop {
-            let has_fresh_intersection = self.seen_top[0].keys().any(|c| {
-                self.seen_top[1..].iter().all(|s| s.contains_key(c))
-                    && !self.processed_top.contains(c)
-                    && !skip.contains(*c)
-            });
-            if has_fresh_intersection {
-                break;
-            }
-            // Parallel sorted access on row `stamp_top` of every table.
-            let mut any_row = false;
-            for (i, t) in self.tables.iter().enumerate() {
-                if let Some((cid, s)) = t.sorted_row(self.stamp_top) {
-                    self.seen_top[i].insert(cid, s);
-                    self.frontier_top[i] = s;
-                    any_row = true;
-                }
-            }
-            self.stamp_top += 1;
-            if !any_row {
-                // Every table exhausted: no further top clips exist.
-                return None;
-            }
+        if !self.top.read_until_fresh(&self.tables, skip) {
+            return None;
         }
-        // Step 2: candidates are the *union* `C_∪^top` of seen clips (minus
-        // processed and skipped). TA refinement: score candidates in
-        // decreasing optimistic-bound order and stop once the bound cannot
-        // beat the best completed score.
-        let mut candidates: Vec<(ClipId, f64)> = Vec::new();
-        let mut bound_scratch = vec![0.0f64; self.tables.len()];
-        for (i, seen) in self.seen_top.iter().enumerate() {
-            for (&c, &s) in seen {
-                if self.processed_top.contains(&c) || skip.contains(c) {
-                    continue;
-                }
-                if i > 0 && self.seen_top[..i].iter().any(|m| m.contains_key(&c)) {
-                    continue; // already contributed by an earlier table
-                }
-                // Optimistic bound: seen coordinates, frontier elsewhere.
-                for (j, slot) in bound_scratch.iter_mut().enumerate() {
-                    *slot = self.seen_top[j].get(&c).copied().unwrap_or_else(|| {
-                        if self.frontier_top[j].is_finite() {
-                            self.frontier_top[j]
-                        } else {
-                            s // no frontier yet: fall back to own coordinate
-                        }
-                    });
-                }
-                let bound = self.scoring.g(
-                    &bound_scratch[..self.n_objects],
-                    bound_scratch[self.n_objects],
-                );
-                candidates.push((c, bound));
-            }
-        }
-        candidates.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        // Step 2, TA refinement: score candidates in decreasing
+        // optimistic-bound order and stop once the bound cannot beat the
+        // best completed score.
+        let mut candidates = self.top.candidates(skip, self.scoring, self.n_objects);
+        candidates.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let mut best: Option<(ClipId, f64)> = None;
         for (c, bound) in candidates {
             if let Some((_, bs)) = best {
@@ -184,8 +346,7 @@ impl<'a> TbClip<'a> {
                     break; // no remaining candidate can beat the best
                 }
             }
-            let s = if self.scores.contains_key(&c)
-                || bound > best.map_or(f64::NEG_INFINITY, |(_, bs)| bs)
+            let s = if self.score_cached(c) || bound > best.map_or(f64::NEG_INFINITY, |(_, bs)| bs)
             {
                 self.score_of(c)
             } else {
@@ -196,62 +357,19 @@ impl<'a> TbClip<'a> {
             }
         }
         let best = best?;
-        self.processed_top.insert(best.0);
+        self.top.seen.retire(best.0);
         Some(best)
     }
 
     /// Mirror of [`Self::next_top`] from the bottom (steps 3-4).
     fn next_bottom(&mut self, skip: &SkipSet) -> Option<(ClipId, f64)> {
-        loop {
-            let has_fresh_intersection = self.seen_btm[0].keys().any(|c| {
-                self.seen_btm[1..].iter().all(|s| s.contains_key(c))
-                    && !self.processed_btm.contains(c)
-                    && !skip.contains(*c)
-            });
-            if has_fresh_intersection {
-                break;
-            }
-            let mut any_row = false;
-            for (i, t) in self.tables.iter().enumerate() {
-                if let Some((cid, s)) = t.reverse_row(self.stamp_btm) {
-                    self.seen_btm[i].insert(cid, s);
-                    self.frontier_btm[i] = s;
-                    any_row = true;
-                }
-            }
-            self.stamp_btm += 1;
-            if !any_row {
-                return None;
-            }
+        if !self.btm.read_until_fresh(&self.tables, skip) {
+            return None;
         }
-        // Mirror of the top side: pessimistic (lower) bounds — a clip's
-        // unseen coordinates are at least the bottom frontier; clips whose
-        // lower bound already exceeds the best minimum cannot win.
-        let mut candidates: Vec<(ClipId, f64)> = Vec::new();
-        let mut bound_scratch = vec![0.0f64; self.tables.len()];
-        for (i, seen) in self.seen_btm.iter().enumerate() {
-            for (&c, &s) in seen {
-                if self.processed_btm.contains(&c) || skip.contains(c) {
-                    continue;
-                }
-                if i > 0 && self.seen_btm[..i].iter().any(|m| m.contains_key(&c)) {
-                    continue;
-                }
-                let _ = s;
-                for (j, slot) in bound_scratch.iter_mut().enumerate() {
-                    *slot = self.seen_btm[j]
-                        .get(&c)
-                        .copied()
-                        .unwrap_or(self.frontier_btm[j]);
-                }
-                let bound = self.scoring.g(
-                    &bound_scratch[..self.n_objects],
-                    bound_scratch[self.n_objects],
-                );
-                candidates.push((c, bound));
-            }
-        }
-        candidates.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        // Mirror of the top side: clips whose pessimistic bound already
+        // exceeds the best minimum cannot win.
+        let mut candidates = self.btm.candidates(skip, self.scoring, self.n_objects);
+        candidates.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
         let mut best: Option<(ClipId, f64)> = None;
         for (c, bound) in candidates {
             if let Some((_, bs)) = best {
@@ -265,7 +383,7 @@ impl<'a> TbClip<'a> {
             }
         }
         let best = best?;
-        self.processed_btm.insert(best.0);
+        self.btm.seen.retire(best.0);
         Some(best)
     }
 
@@ -276,21 +394,12 @@ impl<'a> TbClip<'a> {
             bottom: self.next_bottom(skip),
         }
     }
-
-    /// The set of clips processed from the top (`C_top`).
-    pub fn processed_top(&self) -> &BTreeSet<ClipId> {
-        &self.processed_top
-    }
-
-    /// The set of clips processed from the bottom (`C_btm`).
-    pub fn processed_bottom(&self) -> &BTreeSet<ClipId> {
-        &self.processed_btm
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use svq_storage::{SequenceSet, SimulatedDisk};
     use svq_types::{
         ActionClass, ClipInterval, Interval, ObjectClass, PaperScoring, VideoGeometry, VideoId,

@@ -89,7 +89,13 @@ impl WorkerPool {
         // Closing the channel ends each worker's `rx.iter()` once drained.
         self.tx.take();
         for handle in self.workers.drain(..) {
-            let _ = handle.join();
+            // A job may own the last reference to whatever owns the pool,
+            // so this can run on a worker. That worker cannot join itself:
+            // its handle is dropped (detached) and the thread exits on its
+            // own once the job returns to the closed channel.
+            if !handle.is_current() {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -142,6 +148,33 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.jobs_executed, 11);
         assert_eq!(snap.jobs_panicked, 1);
+    }
+
+    #[test]
+    fn dropping_the_pool_from_one_of_its_own_jobs_does_not_self_join() {
+        let metrics = ExecMetrics::new();
+        let pool = Arc::new(WorkerPool::new(2, 4, metrics.clone()));
+        let held = pool.clone();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        pool.submit(Box::new(move || {
+            // Outlive the submitter's reference, then drop the last one:
+            // `WorkerPool::drop` runs here, on a worker of that pool.
+            while Arc::strong_count(&held) > 1 {
+                std::thread::yield_now();
+            }
+            drop(held);
+            let _ = done_tx.send(());
+        }));
+        drop(pool);
+        // A self-join panics inside the job ("Resource deadlock avoided"),
+        // which drops `done_tx` unsent and counts a panicked job.
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the job finished dropping its own pool");
+        while metrics.snapshot().jobs_executed < 1 {
+            std::thread::yield_now();
+        }
+        assert_eq!(metrics.snapshot().jobs_panicked, 0);
     }
 
     #[test]

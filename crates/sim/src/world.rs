@@ -508,6 +508,10 @@ impl SimOps for TaskOps {
             self.block("task.join");
         }
     }
+
+    fn current_task(&self) -> u64 {
+        self.id as u64
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

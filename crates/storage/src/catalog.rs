@@ -117,11 +117,32 @@ impl IngestedVideo {
         Ok(())
     }
 
+    /// A catalog read from outside must keep every clip id it mentions
+    /// inside `0..clip_count`: query processing sizes dense per-clip state
+    /// by `clip_count` and indexes it by clip id.
+    fn check_clip_range(&self) -> SvqResult<()> {
+        let tables = self.object_tables.iter().chain(&self.action_tables);
+        let sequences = self.object_sequences.iter().chain(&self.action_sequences);
+        let last = tables
+            .filter_map(ClipScoreTable::max_clip)
+            .chain(sequences.filter_map(|s| s.intervals().last().map(|iv| iv.end)))
+            .max();
+        match last {
+            Some(clip) if clip.raw() >= self.clip_count => Err(SvqError::Storage(format!(
+                "catalog of {} clips mentions clip {}",
+                self.clip_count,
+                clip.raw()
+            ))),
+            _ => Ok(()),
+        }
+    }
+
     /// Load from a JSON file, attaching a fresh disk meter.
     pub fn load(path: impl AsRef<Path>) -> SvqResult<Self> {
         let json = std::fs::read_to_string(path)?;
         let mut catalog: IngestedVideo = serde_json::from_str(&json)
             .map_err(|e| SvqError::Storage(format!("deserialise: {e}")))?;
+        catalog.check_clip_range()?;
         let disk = SimulatedDisk::new();
         for t in catalog
             .object_tables
@@ -224,6 +245,25 @@ mod tests {
         // Fresh disk meter is attached and shared.
         loaded.object_table(car).random_score(ClipId::new(2));
         assert_eq!(loaded.disk().stats().random_accesses, 1);
+    }
+
+    #[test]
+    fn load_rejects_clips_past_clip_count() {
+        // `sample()` mentions clips up to 7: a file claiming 7 clips
+        // (ids 0..=6) is corrupt, one claiming 8 is fine.
+        let dir = std::env::temp_dir();
+        for (clip_count, ok) in [(7u64, false), (8, true)] {
+            let mut cat = sample();
+            cat.clip_count = clip_count;
+            let path = dir.join(format!("svq_catalog_range_{clip_count}.json"));
+            cat.save(&path).unwrap();
+            let loaded = IngestedVideo::load(&path);
+            std::fs::remove_file(&path).ok();
+            assert_eq!(loaded.is_ok(), ok, "clip_count {clip_count}");
+            if let Err(e) = loaded {
+                assert!(e.to_string().contains("mentions clip 7"), "{e}");
+            }
+        }
     }
 
     #[test]

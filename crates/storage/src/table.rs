@@ -62,6 +62,12 @@ impl ClipScoreTable {
         self.rows.is_empty()
     }
 
+    /// The largest clip id any row carries (unmetered: catalog validation,
+    /// not query processing).
+    pub fn max_clip(&self) -> Option<ClipId> {
+        self.rows.iter().map(|(c, _)| *c).max()
+    }
+
     /// Sorted access: the row with the i-th highest score.
     pub fn sorted_row(&self, i: usize) -> Option<(ClipId, f64)> {
         let row = self.rows.get(i).copied();
