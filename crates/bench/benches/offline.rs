@@ -1,14 +1,15 @@
 //! Offline-path benchmarks: ingestion, the Eq. 12 interval intersection,
-//! RVAQ versus the baselines on a movie catalog, and RVAQ on 1200- and
+//! RVAQ versus the baselines on a movie catalog, RVAQ on 1200- and
 //! 2400-clip catalogs of the svqbench corpus — TBClip's bookkeeping must
 //! stay linear in its table accesses, so the larger sizes must not cost
-//! more per access than the small one.
+//! more per access than the small one — and the catalog file codec on the
+//! 360-clip catalogs svqbench's `topk_cold` decodes once per cache miss.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use svq_core::offline::{ingest, FaTopK, PqTraverse, Rvaq, RvaqOptions};
 use svq_core::online::OnlineConfig;
 use svq_eval::workloads::movies_workload;
-use svq_storage::SequenceSet;
+use svq_storage::{IngestedVideo, SequenceSet};
 use svq_types::{
     ActionClass, ActionQuery, ClipId, ClipInterval, Interval, ObjectClass, PaperScoring, VideoId,
 };
@@ -38,7 +39,7 @@ fn bench_offline(c: &mut Criterion) {
     // svqbench's video 0 (`crates/svqbench/src/gen.rs`) at 60 000 and
     // 120 000 frames, its costliest statement shape, K = 3.
     let query = ActionQuery::named("jumping", &["car", "person"]);
-    for (frames, clips) in [(60_000, 1200), (120_000, 2400)] {
+    let svqbench_catalog = |frames: u64| {
         let oracle = ScenarioSpec::activitynet(
             VideoId::new(0),
             frames,
@@ -51,9 +52,24 @@ fn bench_offline(c: &mut Criterion) {
         )
         .generate()
         .oracle(ModelSuite::accurate());
-        let catalog = ingest(&oracle, &PaperScoring, &OnlineConfig::default());
+        ingest(&oracle, &PaperScoring, &OnlineConfig::default())
+    };
+    for (frames, clips) in [(60_000, 1200), (120_000, 2400)] {
+        let catalog = svqbench_catalog(frames);
         c.bench_function(&format!("rvaq_top3_{clips}_clips"), |b| {
             b.iter(|| Rvaq::run(&catalog, &query, &PaperScoring, RvaqOptions::new(3)))
+        });
+    }
+
+    // The catalog file: `topk_cold` spills 18 000-frame videos.
+    for (frames, clips) in [(18_000, 360), (60_000, 1200)] {
+        let catalog = svqbench_catalog(frames);
+        let bytes = catalog.encode().expect("synth clip ids fit u32");
+        if clips == 360 {
+            c.bench_function("catalog_encode_360_clips", |b| b.iter(|| catalog.encode()));
+        }
+        c.bench_function(&format!("catalog_decode_{clips}_clips"), |b| {
+            b.iter(|| IngestedVideo::decode(&bytes))
         });
     }
 

@@ -10,40 +10,52 @@
 
 use svq_bench::experiments::{ExpContext, EXPERIMENTS};
 
+/// Usage and the experiment list on stderr, exit 2: a typo must not look
+/// like a run that produced nothing (ci.sh's byte-identity slices depend on
+/// the experiment name being spelled right).
+fn usage(problem: &str) -> ! {
+    eprintln!("repro: {problem}");
+    eprintln!("usage: repro <experiment|all> [--scale S] [--seed N] [--out DIR]");
+    eprintln!(
+        "experiments: {}",
+        EXPERIMENTS
+            .iter()
+            .map(|(n, _)| *n)
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ctx = ExpContext::default();
     let mut targets: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{arg} takes a value")))
+        };
+        match arg.as_str() {
             "--scale" => {
-                i += 1;
-                ctx.scale = args[i].parse().expect("--scale takes a number");
+                ctx.scale = value()
+                    .parse()
+                    .unwrap_or_else(|_| usage("--scale takes a number"))
             }
             "--seed" => {
-                i += 1;
-                ctx.seed = args[i].parse().expect("--seed takes an integer");
+                ctx.seed = value()
+                    .parse()
+                    .unwrap_or_else(|_| usage("--seed takes an integer"))
             }
-            "--out" => {
-                i += 1;
-                ctx.out_dir = args[i].clone().into();
+            "--out" => ctx.out_dir = value().into(),
+            name if name == "all" || EXPERIMENTS.iter().any(|(n, _)| *n == name) => {
+                targets.push(arg)
             }
-            other => targets.push(other.to_string()),
+            unknown => usage(&format!("unknown experiment {unknown:?}")),
         }
-        i += 1;
     }
     if targets.is_empty() {
-        eprintln!("usage: repro <experiment|all> [--scale S] [--seed N] [--out DIR]");
-        eprintln!(
-            "experiments: {}",
-            EXPERIMENTS
-                .iter()
-                .map(|(n, _)| *n)
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        std::process::exit(2);
+        usage("no experiment named");
     }
     let run_all = targets.iter().any(|t| t == "all");
     for (name, run) in EXPERIMENTS {

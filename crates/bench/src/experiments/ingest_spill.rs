@@ -8,8 +8,8 @@
 //! * **MemorySink** — today's behaviour: merge into an in-RAM
 //!   [`svq_storage::VideoRepository`] (then persisted once with
 //!   `save_dir` so the disk artifacts are comparable).
-//! * **JsonDirSink** — write-optimised spill: each catalog goes straight
-//!   to `video-<id>.json` (temp-file + rename) the moment its worker
+//! * **DirSink** — write-optimised spill: each catalog goes straight
+//!   to `video-<id>.svqc` (temp-file + rename) the moment its worker
 //!   finishes, with an append-only crash-safe manifest.
 //!
 //! For workers {1, 2, 4, 8} (smoke: {1, 2}) the sweep reports catalogs/sec,
@@ -28,7 +28,7 @@ use std::path::Path;
 use std::sync::Arc;
 use svq_core::online::OnlineConfig;
 use svq_exec::{parallel_ingest_into, ExecMetrics};
-use svq_storage::{read_manifest, JsonDirSink, MemorySink};
+use svq_storage::{read_manifest, DirSink, MemorySink};
 use svq_types::{ActionClass, ObjectClass, PaperScoring, ScoringFunctions, VideoId};
 use svq_vision::models::{DetectionOracle, ModelSuite};
 use svq_vision::synth::{ObjectSpec, ScenarioSpec};
@@ -112,7 +112,7 @@ pub fn run(ctx: &ExpContext) {
             OnlineConfig::default(),
             workers,
             metrics.clone(),
-            JsonDirSink::create(&spill_dir).expect("create spill dir"),
+            DirSink::create(&spill_dir).expect("create spill dir"),
         )
         .expect("spill ingest");
         let spill_wall = started.elapsed().as_secs_f64();

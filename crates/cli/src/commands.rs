@@ -87,16 +87,16 @@ pub fn synth(flags: &Flags) -> CliResult {
 /// materialise catalogs.
 ///
 /// One scene with the defaults keeps the classic shape: a single catalog
-/// JSON at `--out`. With `--scenes a.json,b.json`, `--workers N`, or
+/// file at `--out`. With `--scenes a.json,b.json`, `--workers N`, or
 /// `--sink spill|mem`, ingestion fans out on the svq-exec pool and `--out`
 /// names a *directory*: `spill` streams every finished catalog straight to
-/// disk through a [`svq_storage::JsonDirSink`] (bounded memory), `mem`
+/// disk through a [`svq_storage::DirSink`] (bounded memory), `mem`
 /// builds the in-RAM repository first and saves it — both produce
 /// byte-identical directories loadable with `VideoRepository::open_dir`.
 pub fn ingest(flags: &Flags) -> CliResult {
     use std::sync::Arc;
     use svq_exec::{parallel_ingest_into, ExecMetrics};
-    use svq_storage::{JsonDirSink, MemorySink};
+    use svq_storage::{DirSink, MemorySink};
     use svq_types::ScoringFunctions;
 
     let suite = suite_named(flags.get("models").unwrap_or("accurate"))?;
@@ -148,7 +148,7 @@ pub fn ingest(flags: &Flags) -> CliResult {
             config,
             workers,
             metrics.clone(),
-            JsonDirSink::create(out)?,
+            DirSink::create(out)?,
         )?,
         "mem" => {
             let repo = parallel_ingest_into(
@@ -395,7 +395,7 @@ pub fn mux(flags: &Flags) -> CliResult {
 
 /// `svqact serve` — run the TCP query service until a wire `shutdown`.
 ///
-/// Serves offline `query` requests from `--catalog` (a single catalog JSON
+/// Serves offline `query` requests from `--catalog` (a single catalog file
 /// or an ingested directory, loaded lazily) and online `stream` requests
 /// from `--scene`/`--scenes` synthetic scenes; `stats` and `shutdown`
 /// always work. The bound address (which resolves a `:0` ephemeral port)
@@ -965,7 +965,7 @@ mod tests {
         let dir = std::env::temp_dir().join("svqact_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let scene = dir.join("scene.json");
-        let catalog = dir.join("catalog.json");
+        let catalog = dir.join("catalog.svqc");
 
         synth(&flags(&[
             ("minutes", "2"),
@@ -1045,9 +1045,9 @@ mod tests {
         // Both sinks spell the same bytes onto disk.
         for name in [
             "manifest.json",
-            "video-20.json",
-            "video-21.json",
-            "video-22.json",
+            "video-20.svqc",
+            "video-21.svqc",
+            "video-22.svqc",
         ] {
             let a = std::fs::read(spill.join(name)).expect(name);
             let b = std::fs::read(mem.join(name)).expect(name);
@@ -1132,7 +1132,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let scene = dir.join("scene.json");
-        let catalog = dir.join("catalog.json");
+        let catalog = dir.join("catalog.svqc");
         synth(&flags(&[
             ("minutes", "0.5"),
             ("action", "archery"),

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! svqact synth   --minutes 5 --action volleyball --objects tree --seed 7 --out scene.json
-//! svqact ingest  --scene scene.json --models accurate --out catalog.json
+//! svqact ingest  --scene scene.json --models accurate --out catalog.svqc
 //! svqact ingest  --scenes a.json,b.json --workers 4 --sink spill --out catalogs/
-//! svqact query   --catalog catalog.json --sql "SELECT … ORDER BY RANK(act,obj) LIMIT 3"
+//! svqact query   --catalog catalog.svqc --sql "SELECT … ORDER BY RANK(act,obj) LIMIT 3"
 //! svqact query   --scene scene.json --sql "SELECT … WHERE act='…'"
 //! svqact mux     --sql "SELECT … WHERE act='…'" --streams 8 --workers 4
 //! svqact serve   --catalog catalogs/ --scene scene.json --addr 127.0.0.1:7741
@@ -70,10 +70,10 @@ fn print_usage() {
          commands:\n\
          \u{20}  synth   --minutes M --action NAME [--objects a,b] [--seed N] \
          [--occupancy F] --out scene.json\n\
-         \u{20}  ingest  --scene scene.json [--models accurate|fast|ideal] --out catalog.json\n\
+         \u{20}  ingest  --scene scene.json [--models accurate|fast|ideal] --out catalog.svqc\n\
          \u{20}  ingest  --scenes a.json,b.json [--workers N] [--sink spill|mem] \
          [--models …] --out DIR\n\
-         \u{20}  query   (--catalog catalog.json | --scene scene.json) --sql STATEMENT\n\
+         \u{20}  query   (--catalog catalog.svqc | --scene scene.json) --sql STATEMENT\n\
          \u{20}  mux     --sql \"STMT[; STMT…]\" [--streams K] [--workers N] \
          [--shards S] [--drain-batch B] [--minutes M] \
          [--policy block|drop-oldest] [--metrics-every SECS]\n\

@@ -7,7 +7,7 @@
 //! holes:
 //!
 //! * **Determinism.** The sink decides the merge: [`MemorySink`] keys by
-//!   [`svq_types::VideoId`] and [`svq_storage::JsonDirSink`] canonicalises
+//!   [`svq_types::VideoId`] and [`svq_storage::DirSink`] canonicalises
 //!   its manifest at finish, so the output is identical to a sequential
 //!   ingest no matter how workers interleaved.
 //! * **Memory.** Workers hand each finished [`svq_storage::IngestedVideo`]
@@ -130,7 +130,7 @@ pub fn parallel_ingest(
 mod tests {
     use super::*;
     use svq_core::PaperScoring;
-    use svq_storage::JsonDirSink;
+    use svq_storage::DirSink;
     use svq_types::{ActionClass, ObjectClass, VideoId};
     use svq_vision::models::ModelSuite;
     use svq_vision::synth::{ObjectSpec, ScenarioSpec};
@@ -151,9 +151,9 @@ mod tests {
     }
 
     /// Byte-identical repository comparison via the persistence format.
-    fn fingerprint(repo: &VideoRepository) -> Vec<String> {
+    fn fingerprint(repo: &VideoRepository) -> Vec<Vec<u8>> {
         repo.catalogs()
-            .map(|v| serde_json::to_string(&*v.unwrap()).unwrap())
+            .map(|v| v.unwrap().encode().unwrap())
             .collect()
     }
 
@@ -196,7 +196,7 @@ mod tests {
             config,
             workers,
             metrics.clone(),
-            JsonDirSink::create(&dir).unwrap(),
+            DirSink::create(&dir).unwrap(),
         )
         .unwrap();
         assert_eq!(report.videos, 6);

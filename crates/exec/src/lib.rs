@@ -20,7 +20,7 @@
 //! * [`ingest::parallel_ingest_into`] — one job per video fanning into a
 //!   pluggable [`svq_storage::CatalogSink`] through a bounded hand-off (at
 //!   most `workers + 1` finished catalogs resident): `MemorySink` keeps
-//!   today's in-RAM repository, `JsonDirSink` streams every catalog
+//!   today's in-RAM repository, `DirSink` streams every catalog
 //!   straight to disk so repository scale is bounded by storage, not RAM.
 //!   [`ingest::parallel_ingest`] is the memory-sink shorthand.
 //! * [`metrics::ExecMetrics`] — atomics-only counter registry (clips/sec

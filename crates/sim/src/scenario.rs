@@ -40,7 +40,7 @@ use svq_serve::{
     MemTransport, Request, Response, RouteConfig, Router, ServeConfig, Server, Transport,
     VideoScope,
 };
-use svq_storage::{FailingSink, JsonDirSink, VideoRepository};
+use svq_storage::{DirSink, FailingSink, VideoRepository};
 use svq_types::{
     ActionClass, ActionQuery, BBox, ClipId, FrameId, Interval, ObjectClass, PaperScoring,
     RejectReason, ScoringFunctions, TrackId, VideoGeometry, VideoId,
@@ -1601,7 +1601,7 @@ fn cluster_router(ctx: ScenarioCtx) {
 // Scenario: ingest_crash
 // ---------------------------------------------------------------------------
 
-/// Parallel ingestion spilling through [`JsonDirSink`], killed mid-stream
+/// Parallel ingestion spilling through [`DirSink`], killed mid-stream
 /// and restarted. Faults: `crash_sink` makes the sink die after a
 /// seed-chosen number of accepts (the process "crashes" with some catalogs
 /// durable and some not); `torn_manifest` additionally tears bytes off the
@@ -1619,18 +1619,20 @@ fn ingest_crash(ctx: ScenarioCtx) {
     let workers = 1 + rng.below(2);
 
     // Reference bytes, computed without any sink or pool: per-video catalog
-    // JSON plus the manifest `finish()` must leave behind (VideoId order).
+    // file plus the manifest `finish()` must leave behind (VideoId order).
     let mut expected = Vec::new();
     let mut want_manifest = String::new();
     for v in 0..n_videos {
         let catalog = ingest(&oracles[v as usize], &PaperScoring, &config);
-        let json = serde_json::to_string(&catalog).expect("catalogs always encode");
+        let bytes = catalog
+            .encode()
+            .expect("synth clip ids fit the file's columns");
         want_manifest.push_str(&format!(
-            "{{\"video\":{v},\"file\":\"video-{v}.json\",\"clips\":{},\"bytes\":{}}}\n",
+            "{{\"video\":{v},\"file\":\"video-{v}.svqc\",\"clips\":{},\"bytes\":{}}}\n",
             catalog.clip_count,
-            json.len()
+            bytes.len()
         ));
-        expected.push((format!("video-{v}.json"), json));
+        expected.push((format!("video-{v}.svqc"), bytes));
     }
 
     let dir = std::env::temp_dir().join(format!(
@@ -1652,7 +1654,7 @@ fn ingest_crash(ctx: ScenarioCtx) {
             workers,
             ExecMetrics::new(),
             FailingSink::new(
-                JsonDirSink::create(&dir).expect("spill dir creates"),
+                DirSink::create(&dir).expect("spill dir creates"),
                 fail_after,
             ),
         );
@@ -1664,7 +1666,7 @@ fn ingest_crash(ctx: ScenarioCtx) {
             config,
             workers,
             ExecMetrics::new(),
-            JsonDirSink::create(&dir).expect("spill dir creates"),
+            DirSink::create(&dir).expect("spill dir creates"),
         )
         .expect("uninterrupted ingest completes");
         assert_eq!(report.videos, n_videos, "every video spilled");
@@ -1684,7 +1686,7 @@ fn ingest_crash(ctx: ScenarioCtx) {
     // the rest. (Without faults this is a no-op resume over a complete
     // directory — it must still converge to the same bytes.)
     if ctx.faults.crash_sink || ctx.faults.torn_manifest {
-        let resumed = JsonDirSink::resume(&dir).expect("resume reads the manifest");
+        let resumed = DirSink::resume(&dir).expect("resume reads the manifest");
         let durable: Vec<u64> = resumed.recovered().iter().map(|e| e.video.raw()).collect();
         let remaining: Vec<Arc<DetectionOracle>> = oracles
             .iter()
@@ -1711,7 +1713,7 @@ fn ingest_crash(ctx: ScenarioCtx) {
     let got = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest readable");
     assert_eq!(got, want_manifest, "manifest drifted from reference bytes");
     for (name, want) in &expected {
-        let got = std::fs::read_to_string(dir.join(name)).expect("catalog file readable");
+        let got = std::fs::read(dir.join(name)).expect("catalog file readable");
         assert_eq!(&got, want, "{name} drifted from reference bytes");
     }
     std::fs::remove_dir_all(&dir).ok();

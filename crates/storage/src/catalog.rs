@@ -3,24 +3,26 @@
 //! [`IngestedVideo`] bundles, per class supported by the deployed models,
 //! the clip score table and the individual-sequence set, plus the video's
 //! geometry. It is produced once by `svq-core::offline::ingest` (the
-//! paper's ingestion phase), optionally persisted to JSON, and then serves
-//! any number of ad-hoc queries. Repositories with several videos are
-//! simply collections of `IngestedVideo`s — the paper associates a video
-//! identifier with each clip id, which our per-video catalogs make
+//! paper's ingestion phase), optionally persisted as one columnar binary
+//! catalog file (layout and loader checks: `catalog/codec.rs`), and then
+//! serves any number of ad-hoc queries. Repositories with several videos
+//! are simply collections of `IngestedVideo`s — the paper associates a
+//! video identifier with each clip id, which our per-video catalogs make
 //! implicit.
 
 use crate::disk::SimulatedDisk;
 use crate::seqset::SequenceSet;
 use crate::table::ClipScoreTable;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 use svq_types::{
     ActionClass, ActionQuery, ClipInterval, Interval, ObjectClass, SvqError, SvqResult,
     VideoGeometry, VideoId, Vocabulary,
 };
 
+mod codec;
+
 /// All offline metadata for one video.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IngestedVideo {
     pub video: VideoId,
     pub geometry: VideoGeometry,
@@ -33,7 +35,6 @@ pub struct IngestedVideo {
     object_sequences: Vec<SequenceSet>,
     /// Individual sequences `P_{a_j}` per action class.
     action_sequences: Vec<SequenceSet>,
-    #[serde(skip)]
     disk: SimulatedDisk,
 }
 
@@ -109,12 +110,32 @@ impl IngestedVideo {
         })
     }
 
-    /// Persist to a JSON file.
+    /// The catalog file's bytes (layout: `catalog/codec.rs`). Errs only for a clip
+    /// id or row count too large for the file's `u32` columns.
+    pub fn encode(&self) -> SvqResult<Vec<u8>> {
+        codec::encode(self)
+    }
+
+    /// Rebuild a catalog from a catalog file's bytes, attaching a fresh
+    /// disk meter. This is where a file enters the program: anything but a
+    /// well-formed catalog is a typed [`SvqError::Storage`].
+    pub fn decode(bytes: &[u8]) -> SvqResult<Self> {
+        codec::decode(bytes)
+    }
+
+    /// Persist as a catalog file.
     pub fn save(&self, path: impl AsRef<Path>) -> SvqResult<()> {
-        let json = serde_json::to_string(self)
-            .map_err(|e| SvqError::Storage(format!("serialise: {e}")))?;
-        std::fs::write(path, json)?;
+        std::fs::write(path, self.encode()?)?;
         Ok(())
+    }
+
+    /// Load a catalog file.
+    pub fn load(path: impl AsRef<Path>) -> SvqResult<Self> {
+        let path = path.as_ref();
+        Self::decode(&std::fs::read(path)?).map_err(|e| match e {
+            SvqError::Storage(msg) => SvqError::Storage(format!("{}: {msg}", path.display())),
+            other => other,
+        })
     }
 
     /// A catalog read from outside must keep every clip id it mentions
@@ -136,24 +157,6 @@ impl IngestedVideo {
             _ => Ok(()),
         }
     }
-
-    /// Load from a JSON file, attaching a fresh disk meter.
-    pub fn load(path: impl AsRef<Path>) -> SvqResult<Self> {
-        let json = std::fs::read_to_string(path)?;
-        let mut catalog: IngestedVideo = serde_json::from_str(&json)
-            .map_err(|e| SvqError::Storage(format!("deserialise: {e}")))?;
-        catalog.check_clip_range()?;
-        let disk = SimulatedDisk::new();
-        for t in catalog
-            .object_tables
-            .iter_mut()
-            .chain(catalog.action_tables.iter_mut())
-        {
-            t.attach_disk(disk.clone());
-        }
-        catalog.disk = disk;
-        Ok(catalog)
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +168,7 @@ mod tests {
         Interval::new(ClipId::new(s), ClipId::new(e))
     }
 
-    fn sample() -> IngestedVideo {
+    pub(super) fn sample() -> IngestedVideo {
         let disk = SimulatedDisk::new();
         let mut object_tables: Vec<ClipScoreTable> = (0..ObjectClass::cardinality())
             .map(|_| ClipScoreTable::new(vec![], disk.clone()))
@@ -233,7 +236,7 @@ mod tests {
     #[test]
     fn save_load_round_trip() {
         let cat = sample();
-        let path = std::env::temp_dir().join("svq_catalog_test.json");
+        let path = std::env::temp_dir().join("svq_catalog_test.svqc");
         cat.save(&path).unwrap();
         let loaded = IngestedVideo::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -248,22 +251,24 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_clips_past_clip_count() {
-        // `sample()` mentions clips up to 7: a file claiming 7 clips
-        // (ids 0..=6) is corrupt, one claiming 8 is fine.
-        let dir = std::env::temp_dir();
-        for (clip_count, ok) in [(7u64, false), (8, true)] {
-            let mut cat = sample();
-            cat.clip_count = clip_count;
-            let path = dir.join(format!("svq_catalog_range_{clip_count}.json"));
-            cat.save(&path).unwrap();
-            let loaded = IngestedVideo::load(&path);
-            std::fs::remove_file(&path).ok();
-            assert_eq!(loaded.is_ok(), ok, "clip_count {clip_count}");
-            if let Err(e) = loaded {
-                assert!(e.to_string().contains("mentions clip 7"), "{e}");
-            }
-        }
+    fn load_names_the_file_it_refused() {
+        let path = std::env::temp_dir().join("svq_catalog_refused.svqc");
+        let mut bytes = sample().encode().unwrap();
+        bytes.truncate(bytes.len() - 1);
+        std::fs::write(&path, bytes).unwrap();
+        let err = IngestedVideo::load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, SvqError::Storage(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("svq_catalog_refused.svqc") && msg.contains("truncated"),
+            "{msg}"
+        );
+        // A missing file stays an I/O error, not a storage one.
+        assert!(!matches!(
+            IngestedVideo::load(&path),
+            Err(SvqError::Storage(_))
+        ));
     }
 
     #[test]

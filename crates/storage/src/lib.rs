@@ -20,7 +20,7 @@
 //!   pre-processing contract).
 //! * [`sink`] — [`sink::CatalogSink`], the streaming fan-in of parallel
 //!   ingestion: [`sink::MemorySink`] keeps catalogs resident,
-//!   [`sink::JsonDirSink`] spills each straight to disk (temp-file +
+//!   [`sink::DirSink`] spills each straight to disk (temp-file +
 //!   rename, append-only manifest) so repository scale is bounded by disk,
 //!   not RAM.
 //! * [`repository`] — [`repository::VideoRepository`], catalogs keyed by
@@ -44,7 +44,8 @@ pub use catalog::IngestedVideo;
 pub use disk::{DiskCostProfile, DiskStats, SimulatedDisk};
 pub use repository::VideoRepository;
 pub use seqset::SequenceSet;
+pub use sink::DirSink as JsonDirSink; // svqbench's name for it, until a benchmark-only PR drops it
 pub use sink::{
-    read_manifest, CatalogSink, FailingSink, JsonDirSink, ManifestEntry, MemorySink, SpillReport,
+    read_manifest, CatalogSink, DirSink, FailingSink, ManifestEntry, MemorySink, SpillReport,
 };
 pub use table::ClipScoreTable;

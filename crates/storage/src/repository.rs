@@ -16,7 +16,7 @@
 //! every video up front.
 
 use crate::catalog::IngestedVideo;
-use crate::sink::{read_manifest, CatalogSink, JsonDirSink, SpillReport};
+use crate::sink::{read_manifest, CatalogSink, DirSink, SpillReport, MANIFEST_FILE};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -303,36 +303,16 @@ impl VideoRepository {
             .count()
     }
 
-    /// Persist every catalog to `dir/video-<id>.json` plus a
-    /// `manifest.json`, through the same [`JsonDirSink`] streaming
+    /// Persist every catalog to `dir/video-<id>.svqc` plus a
+    /// `manifest.json`, through the same [`DirSink`] streaming
     /// ingestion uses — the directory contents are byte-identical to a
     /// spilled ingest of the same catalogs.
     pub fn save_dir(&self, dir: impl AsRef<Path>) -> SvqResult<SpillReport> {
-        let mut sink = JsonDirSink::create(dir)?;
+        let mut sink = DirSink::create(dir)?;
         for catalog in self.catalogs() {
             sink.accept((*catalog?).clone())?;
         }
         sink.finish()
-    }
-
-    /// Eagerly load every `video-*.json` under `dir` (manifest optional —
-    /// the catalog files are self-describing).
-    pub fn load_dir(dir: impl AsRef<Path>) -> SvqResult<Self> {
-        let mut repo = Self::new();
-        for entry in std::fs::read_dir(dir.as_ref())? {
-            let path = entry?.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with("video-") && name.ends_with(".json") {
-                repo.add(IngestedVideo::load(&path)?);
-            }
-        }
-        if repo.is_empty() {
-            return Err(SvqError::MissingMetadata(format!(
-                "no video-*.json catalogs under {}",
-                dir.as_ref().display()
-            )));
-        }
-        Ok(repo)
     }
 
     /// Open a spilled directory lazily: read only `manifest.json`, defer
@@ -340,6 +320,12 @@ impl VideoRepository {
     /// [`VideoRepository::catalogs`] step) that touches it.
     pub fn open_dir(dir: impl AsRef<Path>) -> SvqResult<Self> {
         let dir = dir.as_ref();
+        if !dir.join(MANIFEST_FILE).is_file() {
+            return Err(SvqError::MissingMetadata(format!(
+                "no {MANIFEST_FILE} under {} — re-ingest into it",
+                dir.display()
+            )));
+        }
         let entries = read_manifest(dir)?;
         if entries.is_empty() {
             return Err(SvqError::MissingMetadata(format!(
@@ -367,21 +353,16 @@ impl VideoRepository {
 
     /// Open whatever catalog artifact `path` names:
     ///
-    /// * a directory with a `manifest.json` → lazy [`Self::open_dir`];
-    /// * a directory without one → eager [`Self::load_dir`] (pre-manifest
-    ///   layouts remain servable);
-    /// * a single `*.json` catalog file → a one-video repository.
+    /// * a directory → lazy [`Self::open_dir`] (it must hold a
+    ///   `manifest.json`);
+    /// * a single catalog file → a one-video repository.
     ///
     /// This is the service layer's entry point: `svqact serve --catalog`
-    /// accepts any of the shapes the ingestion commands produce.
+    /// accepts either shape the ingestion commands produce.
     pub fn open_path(path: impl AsRef<Path>) -> SvqResult<Self> {
         let path = path.as_ref();
         if path.is_dir() {
-            if path.join("manifest.json").is_file() {
-                Self::open_dir(path)
-            } else {
-                Self::load_dir(path)
-            }
+            Self::open_dir(path)
         } else if path.is_file() {
             let mut repo = Self::new();
             repo.add(IngestedVideo::load(path)?);
@@ -438,23 +419,6 @@ mod tests {
         assert!(repo.add(empty_catalog(2, 25)).is_some());
         assert_eq!(repo.total_clips(), 25);
         assert_eq!(repo.loaded_count(), 1);
-    }
-
-    #[test]
-    fn directory_round_trip_eager() {
-        let mut repo = VideoRepository::new();
-        repo.add(empty_catalog(7, 5));
-        repo.add(empty_catalog(8, 6));
-        let dir = std::env::temp_dir().join("svq_repo_test");
-        std::fs::remove_dir_all(&dir).ok();
-        let report = repo.save_dir(&dir).unwrap();
-        assert_eq!(report.videos, 2);
-        assert_eq!(report.clips, 11);
-        let loaded = VideoRepository::load_dir(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.total_clips(), 11);
-        assert_eq!(loaded.loaded_count(), 2, "load_dir is eager");
     }
 
     #[test]
@@ -566,7 +530,7 @@ mod tests {
         let dir = std::env::temp_dir().join("svq_repo_missing_test");
         std::fs::remove_dir_all(&dir).ok();
         repo.save_dir(&dir).unwrap();
-        std::fs::remove_file(dir.join("video-1.json")).unwrap();
+        std::fs::remove_file(dir.join("video-1.svqc")).unwrap();
         let lazy = VideoRepository::open_dir(&dir).unwrap();
         // The manifest promised a file that is gone: get errs, membership
         // and clip counts still answer.
@@ -589,27 +553,22 @@ mod tests {
         assert_eq!(lazy.total_clips(), 7);
         assert_eq!(lazy.loaded_count(), 0);
 
-        // Directory without manifest → eager fallback.
-        std::fs::remove_file(dir.join("manifest.json")).unwrap();
-        let eager = VideoRepository::open_path(&dir).unwrap();
-        assert_eq!(eager.total_clips(), 7);
-        assert_eq!(eager.loaded_count(), 2);
-
         // Single catalog file → one-video repository.
-        let single = VideoRepository::open_path(dir.join("video-12.json")).unwrap();
+        let single = VideoRepository::open_path(dir.join("video-12.svqc")).unwrap();
         assert_eq!(single.len(), 1);
         assert_eq!(single.clip_count(VideoId::new(12)), Some(4));
 
-        // Nothing there → typed error.
+        // Nothing there, or a directory without its manifest → error.
         assert!(VideoRepository::open_path(dir.join("absent")).is_err());
+        std::fs::remove_file(dir.join("manifest.json")).unwrap();
+        assert!(VideoRepository::open_path(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn loading_empty_dir_errors() {
+    fn opening_empty_dir_errors() {
         let dir = std::env::temp_dir().join("svq_repo_empty_test");
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(VideoRepository::load_dir(&dir).is_err());
         assert!(VideoRepository::open_dir(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

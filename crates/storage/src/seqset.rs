@@ -5,11 +5,10 @@
 //! and the query result `P_q` formed by the `⊗` intersection (Eq. 12) via a
 //! single-pass interval sweep.
 
-use serde::{Deserialize, Serialize};
-use svq_types::{ClipId, ClipInterval};
+use svq_types::{ClipId, ClipInterval, SvqError, SvqResult};
 
 /// Disjoint, sorted clip intervals.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SequenceSet {
     intervals: Vec<ClipInterval>,
 }
@@ -34,6 +33,30 @@ impl SequenceSet {
         // the maximal-run invariant Eq. 4 relies on).
         debug_assert!(intervals.windows(2).all(|w| w[0].end.next() < w[1].start));
         Self { intervals }
+    }
+
+    /// Rebuild a set from intervals read out of a catalog file. Nothing is
+    /// repaired: they must already be well-formed, sorted, disjoint and
+    /// non-adjacent — what [`SequenceSet::from_sorted`] only debug-asserts —
+    /// or the file is refused.
+    pub(crate) fn from_file(intervals: Vec<ClipInterval>) -> SvqResult<Self> {
+        if let Some(iv) = intervals.iter().find(|iv| iv.start > iv.end) {
+            return Err(SvqError::Storage(format!(
+                "sequence [{}, {}] is inverted",
+                iv.start.raw(),
+                iv.end.raw()
+            )));
+        }
+        if let Some(w) = intervals.windows(2).find(|w| w[0].end.next() >= w[1].start) {
+            return Err(SvqError::Storage(format!(
+                "sequences [{}, {}] and [{}, {}] are unsorted, overlapping or adjacent",
+                w[0].start.raw(),
+                w[0].end.raw(),
+                w[1].start.raw(),
+                w[1].end.raw()
+            )));
+        }
+        Ok(Self { intervals })
     }
 
     /// The intervals, sorted by start.
@@ -208,10 +231,24 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let s = SequenceSet::new(vec![iv(3, 7)]);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: SequenceSet = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
+    fn from_file_refuses_what_new_would_have_repaired() {
+        let good = vec![iv(0, 2), iv(4, 4), iv(9, 12)];
+        assert_eq!(
+            SequenceSet::from_file(good.clone()).unwrap(),
+            SequenceSet::new(good)
+        );
+        let refused = |intervals: Vec<ClipInterval>, needle: &str| {
+            let err = SequenceSet::from_file(intervals).unwrap_err();
+            assert!(matches!(err, SvqError::Storage(_)), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        };
+        let inverted = Interval {
+            start: ClipId::new(5),
+            end: ClipId::new(3),
+        };
+        refused(vec![inverted], "inverted");
+        refused(vec![iv(4, 6), iv(0, 2)], "unsorted");
+        refused(vec![iv(0, 4), iv(3, 6)], "overlapping");
+        refused(vec![iv(0, 4), iv(5, 6)], "adjacent");
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! * [`MemorySink`] keeps every catalog resident and finishes into a
 //!   [`VideoRepository`] — the historical `Vec`-collect behaviour.
-//! * [`JsonDirSink`] streams each catalog straight to disk as
-//!   `video-<id>.json` (crash-safe: temp file + rename) and records it in
+//! * [`DirSink`] streams each catalog straight to disk as
+//!   `video-<id>.svqc` (crash-safe: temp file + rename) and records it in
 //!   an append-only `manifest.json`, so repository scale is bounded by
 //!   disk, not RAM. [`VideoRepository::open_dir`] reads the manifest back
 //!   and loads catalogs lazily on first access.
@@ -17,7 +17,9 @@
 //! ## Manifest format
 //!
 //! `manifest.json` is a JSON-lines file: one object per ingested video,
-//! `{"video":<id>,"file":"video-<id>.json","clips":<n>,"bytes":<len>}`.
+//! `{"video":<id>,"file":"video-<id>.svqc","clips":<n>,"bytes":<len>}`.
+//! `file` must be a bare file name: the manifest is read from disk, and an
+//! entry that names anything outside its own directory is refused.
 //! During ingestion it is strictly append-only — a line is appended (and
 //! flushed) only *after* the catalog file was durably renamed into place,
 //! so a crash mid-ingest leaves a manifest that lists exactly the videos
@@ -40,7 +42,7 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 pub struct ManifestEntry {
     /// The video the catalog describes.
     pub video: VideoId,
-    /// Catalog file name relative to the directory (`video-<id>.json`).
+    /// Catalog file name inside the directory (`video-<id>.svqc`).
     pub file: String,
     /// Clip count of the catalog (queryable without loading it).
     pub clips: u64,
@@ -62,30 +64,14 @@ impl ManifestEntry {
     }
 }
 
-/// Read and parse `dir/manifest.json`.
-pub fn read_manifest(dir: impl AsRef<Path>) -> SvqResult<Vec<ManifestEntry>> {
-    let path = dir.as_ref().join(MANIFEST_FILE);
-    let text = std::fs::read_to_string(&path)?;
-    let mut entries = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        entries.push(
-            serde_json::from_str::<ManifestEntry>(line)
-                .map_err(|e| SvqError::Storage(format!("manifest line {line:?}: {e}")))?,
-        );
-    }
-    Ok(entries)
-}
-
-/// Read `dir/manifest.json` as a crash-recovery would: a *final* line that
+/// Parse `dir/manifest.json` — the one place a manifest enters the
+/// program. Every reader goes on to `dir.join(entry.file)`, so an entry
+/// whose `file` is not a bare file name (`../x`, `/abs`, `a/b`) is refused
+/// here. With `forgive_torn_tail` (crash recovery) a *final* line that
 /// fails to parse is the torn tail of an interrupted append and is dropped;
-/// a malformed line anywhere earlier is real corruption and errors.
-fn read_manifest_tolerant(dir: &Path) -> SvqResult<Vec<ManifestEntry>> {
-    let path = dir.join(MANIFEST_FILE);
-    let text = std::fs::read_to_string(&path)?;
+/// a malformed line anywhere else is real corruption and errors.
+fn parse_manifest(dir: &Path, forgive_torn_tail: bool) -> SvqResult<Vec<ManifestEntry>> {
+    let text = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
     let lines: Vec<&str> = text
         .lines()
         .map(str::trim)
@@ -93,17 +79,26 @@ fn read_manifest_tolerant(dir: &Path) -> SvqResult<Vec<ManifestEntry>> {
         .collect();
     let mut entries = Vec::new();
     for (at, line) in lines.iter().enumerate() {
-        match serde_json::from_str::<ManifestEntry>(line) {
-            Ok(entry) => entries.push(entry),
-            Err(_) if at + 1 == lines.len() => break, // torn final append
-            Err(e) => {
-                return Err(SvqError::Storage(format!(
-                    "manifest line {line:?} is corrupt mid-file: {e}"
-                )))
-            }
+        let entry = match serde_json::from_str::<ManifestEntry>(line) {
+            Ok(entry) => entry,
+            Err(_) if forgive_torn_tail && at + 1 == lines.len() => break,
+            Err(e) => return Err(SvqError::Storage(format!("manifest line {line:?}: {e}"))),
+        };
+        if Path::new(&entry.file).file_name() != Some(std::ffi::OsStr::new(&entry.file)) {
+            return Err(SvqError::Storage(format!(
+                "manifest entry for video {} names {:?}, which is not a bare file name",
+                entry.video.raw(),
+                entry.file
+            )));
         }
+        entries.push(entry);
     }
     Ok(entries)
+}
+
+/// Read and parse `dir/manifest.json`.
+pub fn read_manifest(dir: impl AsRef<Path>) -> SvqResult<Vec<ManifestEntry>> {
+    parse_manifest(dir.as_ref(), false)
 }
 
 /// Where finished catalogs go as ingestion workers complete them.
@@ -154,7 +149,7 @@ impl CatalogSink for MemorySink {
     }
 }
 
-/// Summary returned by [`JsonDirSink::finish`].
+/// Summary returned by [`DirSink::finish`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpillReport {
     /// The directory the catalogs were written to.
@@ -167,14 +162,14 @@ pub struct SpillReport {
     pub bytes_written: u64,
 }
 
-/// Stream every catalog straight to `dir/video-<id>.json`.
+/// Stream every catalog straight to `dir/video-<id>.svqc`.
 ///
-/// Crash-safety contract: each catalog is serialised to a hidden temp file
+/// Crash-safety contract: each catalog is encoded to a hidden temp file
 /// and atomically renamed into place, and only then recorded in the
 /// append-only manifest (flushed per entry). At any instant the manifest
 /// lists exactly the catalogs that are durably complete.
 #[derive(Debug)]
-pub struct JsonDirSink {
+pub struct DirSink {
     dir: PathBuf,
     manifest: std::fs::File,
     entries: Vec<ManifestEntry>,
@@ -182,7 +177,7 @@ pub struct JsonDirSink {
     clips: u64,
 }
 
-impl JsonDirSink {
+impl DirSink {
     /// Create `dir` (if needed) and start a fresh manifest. Any manifest
     /// from a previous run is truncated; catalog files are overwritten as
     /// their videos are re-ingested.
@@ -213,18 +208,18 @@ impl JsonDirSink {
     /// has the wrong length are discarded. The recovered manifest is then
     /// rewritten atomically (temp file + rename) before appends resume, so
     /// the directory is immediately back under the crash-safety contract.
-    /// [`JsonDirSink::recovered`] lists what survived, letting the caller
+    /// [`DirSink::recovered`] lists what survived, letting the caller
     /// skip videos that are already durable.
     ///
     /// A directory with no manifest resumes into an empty sink —
-    /// equivalent to [`JsonDirSink::create`].
+    /// equivalent to [`DirSink::create`].
     pub fn resume(dir: impl AsRef<Path>) -> SvqResult<Self> {
         let dir = dir.as_ref().to_path_buf();
         if !dir.join(MANIFEST_FILE).exists() {
             return Self::create(&dir);
         }
         let mut entries = Vec::new();
-        for entry in read_manifest_tolerant(&dir)? {
+        for entry in parse_manifest(&dir, true)? {
             let durable = std::fs::metadata(dir.join(&entry.file))
                 .map(|m| m.len() == entry.bytes)
                 .unwrap_or(false);
@@ -256,8 +251,8 @@ impl JsonDirSink {
         })
     }
 
-    /// Entries recovered by [`JsonDirSink::resume`] (empty after
-    /// [`JsonDirSink::create`]): videos already durable in the directory.
+    /// Entries recovered by [`DirSink::resume`] (empty after
+    /// [`DirSink::create`]): videos already durable in the directory.
     pub fn recovered(&self) -> &[ManifestEntry] {
         &self.entries
     }
@@ -308,25 +303,24 @@ impl<S: CatalogSink> CatalogSink for FailingSink<S> {
     }
 }
 
-impl CatalogSink for JsonDirSink {
+impl CatalogSink for DirSink {
     type Output = SpillReport;
 
     fn accept(&mut self, catalog: IngestedVideo) -> SvqResult<()> {
         let id = catalog.video;
         let clips = catalog.clip_count;
-        let json = serde_json::to_string(&catalog)
-            .map_err(|e| SvqError::Storage(format!("serialise video {}: {e}", id.raw())))?;
+        let bytes = catalog.encode()?;
         drop(catalog); // the catalog's memory is released before the write
-        let file = format!("video-{}.json", id.raw());
+        let file = format!("video-{}.svqc", id.raw());
         let tmp = self.dir.join(format!(".{file}.tmp"));
         let path = self.dir.join(&file);
-        std::fs::write(&tmp, &json)?;
+        std::fs::write(&tmp, &bytes)?;
         std::fs::rename(&tmp, &path)?;
         let entry = ManifestEntry {
             video: id,
             file,
             clips,
-            bytes: json.len() as u64,
+            bytes: bytes.len() as u64,
         };
         writeln!(self.manifest, "{}", entry.to_line())?;
         self.manifest.flush()?;
@@ -406,17 +400,17 @@ mod tests {
     }
 
     #[test]
-    fn json_dir_sink_writes_catalogs_and_manifest() {
+    fn dir_sink_writes_catalogs_and_manifest() {
         let dir = tmp_dir("svq_sink_basic");
-        let mut sink = JsonDirSink::create(&dir).unwrap();
+        let mut sink = DirSink::create(&dir).unwrap();
         sink.accept(catalog(9, 4)).unwrap();
         sink.accept(catalog(2, 6)).unwrap();
         assert!(sink.bytes_written() > 0);
         let report = sink.finish().unwrap();
         assert_eq!(report.videos, 2);
         assert_eq!(report.clips, 10);
-        assert!(dir.join("video-2.json").exists());
-        assert!(dir.join("video-9.json").exists());
+        assert!(dir.join("video-2.svqc").exists());
+        assert!(dir.join("video-9.svqc").exists());
         let entries = read_manifest(&dir).unwrap();
         // Compacted into VideoId order regardless of arrival order.
         assert_eq!(entries.len(), 2);
@@ -425,7 +419,7 @@ mod tests {
         assert_eq!(entries[1].video, VideoId::new(9));
         assert_eq!(
             entries[1].bytes,
-            std::fs::metadata(dir.join("video-9.json")).unwrap().len()
+            std::fs::metadata(dir.join("video-9.svqc")).unwrap().len()
         );
         // No temp files linger.
         for entry in std::fs::read_dir(&dir).unwrap() {
@@ -441,7 +435,7 @@ mod tests {
     #[test]
     fn manifest_is_append_only_until_finish() {
         let dir = tmp_dir("svq_sink_append");
-        let mut sink = JsonDirSink::create(&dir).unwrap();
+        let mut sink = DirSink::create(&dir).unwrap();
         sink.accept(catalog(5, 3)).unwrap();
         // Pre-finish (crash window): the manifest already lists video 5.
         let entries = read_manifest(&dir).unwrap();
@@ -459,7 +453,7 @@ mod tests {
     #[test]
     fn re_ingesting_a_video_replaces_its_entry() {
         let dir = tmp_dir("svq_sink_replace");
-        let mut sink = JsonDirSink::create(&dir).unwrap();
+        let mut sink = DirSink::create(&dir).unwrap();
         sink.accept(catalog(4, 3)).unwrap();
         sink.accept(catalog(4, 8)).unwrap();
         let report = sink.finish().unwrap();
@@ -473,7 +467,7 @@ mod tests {
     #[test]
     fn resume_drops_a_torn_final_line_and_continues() {
         let dir = tmp_dir("svq_sink_resume_torn");
-        let mut sink = JsonDirSink::create(&dir).unwrap();
+        let mut sink = DirSink::create(&dir).unwrap();
         sink.accept(catalog(1, 3)).unwrap();
         sink.accept(catalog(2, 4)).unwrap();
         drop(sink); // crash: no finish()
@@ -485,7 +479,7 @@ mod tests {
         let torn_at = second_start + (text.len() - second_start) / 2;
         std::fs::write(&path, &text.as_bytes()[..torn_at]).unwrap();
 
-        let mut resumed = JsonDirSink::resume(&dir).unwrap();
+        let mut resumed = DirSink::resume(&dir).unwrap();
         let recovered: Vec<u64> = resumed.recovered().iter().map(|e| e.video.raw()).collect();
         assert_eq!(recovered, vec![1], "torn line dropped, durable line kept");
         resumed.accept(catalog(2, 4)).unwrap();
@@ -499,12 +493,12 @@ mod tests {
     #[test]
     fn resume_discards_entries_whose_file_is_missing() {
         let dir = tmp_dir("svq_sink_resume_missing");
-        let mut sink = JsonDirSink::create(&dir).unwrap();
+        let mut sink = DirSink::create(&dir).unwrap();
         sink.accept(catalog(7, 2)).unwrap();
         sink.accept(catalog(8, 2)).unwrap();
         drop(sink);
-        std::fs::remove_file(dir.join("video-8.json")).unwrap();
-        let resumed = JsonDirSink::resume(&dir).unwrap();
+        std::fs::remove_file(dir.join("video-8.svqc")).unwrap();
+        let resumed = DirSink::resume(&dir).unwrap();
         let recovered: Vec<u64> = resumed.recovered().iter().map(|e| e.video.raw()).collect();
         assert_eq!(recovered, vec![7]);
         // The rewritten manifest no longer lists the lost file.
@@ -516,7 +510,7 @@ mod tests {
     #[test]
     fn resume_of_a_fresh_directory_is_create() {
         let dir = tmp_dir("svq_sink_resume_fresh");
-        let mut sink = JsonDirSink::resume(&dir).unwrap();
+        let mut sink = DirSink::resume(&dir).unwrap();
         assert!(sink.recovered().is_empty());
         sink.accept(catalog(1, 1)).unwrap();
         assert_eq!(sink.finish().unwrap().videos, 1);
@@ -526,13 +520,35 @@ mod tests {
     #[test]
     fn failing_sink_crashes_on_schedule() {
         let dir = tmp_dir("svq_sink_failing");
-        let mut sink = FailingSink::new(JsonDirSink::create(&dir).unwrap(), 1);
+        let mut sink = FailingSink::new(DirSink::create(&dir).unwrap(), 1);
         sink.accept(catalog(1, 2)).unwrap();
         let err = sink.accept(catalog(2, 2)).unwrap_err();
         assert!(err.to_string().contains("injected sink crash"), "{err}");
         // The first catalog is durable despite the crash.
-        let resumed = JsonDirSink::resume(&dir).unwrap();
+        let resumed = DirSink::resume(&dir).unwrap();
         assert_eq!(resumed.recovered().len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_entries_must_name_bare_files() {
+        let dir = tmp_dir("svq_sink_escape");
+        std::fs::create_dir_all(&dir).unwrap();
+        for file in ["../x", "..", "/abs", "a/b", ""] {
+            let line = format!("{{\"video\":3,\"file\":{file:?},\"clips\":1,\"bytes\":1}}\n");
+            std::fs::write(dir.join(MANIFEST_FILE), &line).unwrap();
+            // Strict and crash-recovery readers both refuse it — in final
+            // position too: the line parsed, so it is not a torn tail.
+            for result in [
+                read_manifest(&dir).map(drop),
+                DirSink::resume(&dir).map(drop),
+                VideoRepository::open_dir(&dir).map(drop),
+            ] {
+                let err = result.unwrap_err();
+                assert!(matches!(err, SvqError::Storage(_)), "{file:?}: {err}");
+                assert!(err.to_string().contains("bare file name"), "{err}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -540,14 +556,14 @@ mod tests {
     fn manifest_lines_round_trip() {
         let entry = ManifestEntry {
             video: VideoId::new(17),
-            file: "video-17.json".into(),
+            file: "video-17.svqc".into(),
             clips: 42,
             bytes: 9001,
         };
         let line = entry.to_line();
         assert_eq!(
             line,
-            "{\"video\":17,\"file\":\"video-17.json\",\"clips\":42,\"bytes\":9001}"
+            "{\"video\":17,\"file\":\"video-17.svqc\",\"clips\":42,\"bytes\":9001}"
         );
         let back: ManifestEntry = serde_json::from_str(&line).unwrap();
         assert_eq!(back, entry);

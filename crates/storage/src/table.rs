@@ -12,20 +12,24 @@
 //!   clips absent from the table (the class scored nothing there).
 
 use crate::disk::SimulatedDisk;
-use serde::{Deserialize, Serialize};
-use svq_types::ClipId;
+use svq_types::{ClipId, SvqError, SvqResult};
 
 /// A per-class clip score table, sorted by score descending.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClipScoreTable {
     /// Rows ordered by score descending (ties broken by clip id for
     /// determinism).
     rows: Vec<(ClipId, f64)>,
-    /// Clip-id-ordered mirror for O(log n) random access.
+    /// Clip-id-ordered mirror for O(log n) random access. Derived from
+    /// `rows`, never persisted.
     by_clip: Vec<(ClipId, f64)>,
     /// Access meter; not persisted.
-    #[serde(skip)]
     disk: SimulatedDisk,
+}
+
+/// Row order: score descending, ties broken by clip id ascending.
+fn row_order(a: &(ClipId, f64), b: &(ClipId, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
 impl ClipScoreTable {
@@ -38,7 +42,7 @@ impl ClipScoreTable {
         by_clip.dedup_by_key(|(c, _)| *c);
         assert_eq!(by_clip.len(), entries.len(), "duplicate clip id in table");
         let mut rows = entries;
-        rows.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        rows.sort_by(row_order);
         Self {
             rows,
             by_clip,
@@ -46,10 +50,42 @@ impl ClipScoreTable {
         }
     }
 
-    /// Attach a (possibly different) disk meter — used after
-    /// deserialisation.
-    pub fn attach_disk(&mut self, disk: SimulatedDisk) {
-        self.disk = disk;
+    /// Rebuild a table from rows read out of a catalog file. Nothing is
+    /// repaired: the rows must already satisfy what [`ClipScoreTable::new`]
+    /// establishes — every score positive, `(score desc, clip asc)` order,
+    /// no clip twice — or the file is refused.
+    pub(crate) fn from_sorted_rows(
+        rows: Vec<(ClipId, f64)>,
+        disk: SimulatedDisk,
+    ) -> SvqResult<Self> {
+        if let Some((clip, score)) = rows.iter().find(|(_, s)| s.is_nan() || *s <= 0.0) {
+            return Err(SvqError::Storage(format!(
+                "score table holds non-positive score {score} for clip {}",
+                clip.raw()
+            )));
+        }
+        if let Some(at) = rows
+            .windows(2)
+            .position(|w| row_order(&w[0], &w[1]).is_ge())
+        {
+            return Err(SvqError::Storage(format!(
+                "score table rows {at} and {} are out of (score desc, clip asc) order",
+                at + 1
+            )));
+        }
+        let mut by_clip = rows.clone();
+        by_clip.sort_unstable_by_key(|(c, _)| *c);
+        if let Some(w) = by_clip.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(SvqError::Storage(format!(
+                "score table lists clip {} twice",
+                w[0].0.raw()
+            )));
+        }
+        Ok(Self {
+            rows,
+            by_clip,
+            disk,
+        })
     }
 
     /// Number of rows.
@@ -65,7 +101,7 @@ impl ClipScoreTable {
     /// The largest clip id any row carries (unmetered: catalog validation,
     /// not query processing).
     pub fn max_clip(&self) -> Option<ClipId> {
-        self.rows.iter().map(|(c, _)| *c).max()
+        self.by_clip.last().map(|(c, _)| *c)
     }
 
     /// Sorted access: the row with the i-th highest score.
@@ -181,14 +217,27 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_rows() {
+    fn from_sorted_rows_accepts_only_what_new_would_build() {
         let disk = SimulatedDisk::new();
         let t = table(&disk);
-        let json = serde_json::to_string(&t).unwrap();
-        let mut back: ClipScoreTable = serde_json::from_str(&json).unwrap();
-        back.attach_disk(disk.clone());
-        assert_eq!(back.len(), t.len());
-        assert_eq!(back.sorted_row(0), Some((c(1), 5.0)));
+        let rows: Vec<_> = t.iter_sorted().collect();
+        let back = ClipScoreTable::from_sorted_rows(rows.clone(), disk.clone()).unwrap();
+        assert_eq!(back.iter_sorted().collect::<Vec<_>>(), rows);
+        assert_eq!(back.peek_score(c(9)), 3.0);
+        assert_eq!(back.max_clip(), Some(c(9)));
+
+        let refused = |rows: Vec<(ClipId, f64)>, needle: &str| {
+            let err = ClipScoreTable::from_sorted_rows(rows, SimulatedDisk::new()).unwrap_err();
+            assert!(matches!(err, SvqError::Storage(_)), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        };
+        refused(vec![(c(1), 0.0)], "non-positive");
+        refused(vec![(c(1), -2.0)], "non-positive");
+        refused(vec![(c(1), f64::NAN)], "non-positive");
+        refused(vec![(c(1), 1.0), (c(2), 2.0)], "out of");
+        refused(vec![(c(9), 3.0), (c(7), 3.0)], "out of"); // tie, ids descending
+        refused(vec![(c(4), 3.0), (c(4), 3.0)], "out of"); // same row twice
+        refused(vec![(c(4), 3.0), (c(5), 2.0), (c(4), 1.0)], "twice");
     }
 
     #[test]

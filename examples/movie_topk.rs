@@ -40,7 +40,7 @@ fn main() {
     );
 
     // --- 3. Catalogs persist: ingest once, query forever.
-    let path = std::env::temp_dir().join("svq_movie_catalog.json");
+    let path = std::env::temp_dir().join("svq_movie_catalog.svqc");
     catalog.save(&path).expect("persist catalog");
     let catalog = IngestedVideo::load(&path).expect("reload catalog");
     println!("catalog persisted and reloaded from {}\n", path.display());

@@ -85,8 +85,8 @@ rm -rf "$SERVE_DIR" && mkdir -p "$SERVE_DIR"
 cargo run -q --release -p svqact -- synth --minutes 2 --action archery \
   --objects person --seed 7 --out "$SERVE_DIR/scene.json"
 cargo run -q --release -p svqact -- ingest --scene "$SERVE_DIR/scene.json" \
-  --models ideal --out "$SERVE_DIR/catalog.json"
-cargo run -q --release -p svqact -- serve --catalog "$SERVE_DIR/catalog.json" \
+  --models ideal --out "$SERVE_DIR/catalog.svqc"
+cargo run -q --release -p svqact -- serve --catalog "$SERVE_DIR/catalog.svqc" \
   --scene "$SERVE_DIR/scene.json" --models ideal \
   --addr-file "$SERVE_DIR/addr" --drain-timeout-ms 10000 &
 SERVE_PID=$!
@@ -142,12 +142,12 @@ wait "$SUB_SERVE_PID"
 echo "== svqact route round trip (2 hash-sliced shards behind one router, wire shutdown)"
 CLUSTER_DIR=target/ci-cluster
 rm -rf "$CLUSTER_DIR" && mkdir -p "$CLUSTER_DIR"
-cargo run -q --release -p svqact -- serve --catalog "$SERVE_DIR/catalog.json" \
+cargo run -q --release -p svqact -- serve --catalog "$SERVE_DIR/catalog.svqc" \
   --scene "$SERVE_DIR/scene.json" --models ideal \
   --shard-index 0 --shard-count 2 \
   --addr-file "$CLUSTER_DIR/shard0.addr" --drain-timeout-ms 10000 &
 SHARD0_PID=$!
-cargo run -q --release -p svqact -- serve --catalog "$SERVE_DIR/catalog.json" \
+cargo run -q --release -p svqact -- serve --catalog "$SERVE_DIR/catalog.svqc" \
   --scene "$SERVE_DIR/scene.json" --models ideal \
   --shard-index 1 --shard-count 2 \
   --addr-file "$CLUSTER_DIR/shard1.addr" --drain-timeout-ms 10000 &

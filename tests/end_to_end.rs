@@ -135,7 +135,7 @@ fn catalog_persistence_preserves_query_results() {
         RvaqOptions::new(3).with_exact_scores(),
     );
 
-    let path = std::env::temp_dir().join("svq_e2e_catalog.json");
+    let path = std::env::temp_dir().join("svq_e2e_catalog.svqc");
     catalog.save(&path).unwrap();
     let reloaded = IngestedVideo::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
@@ -220,9 +220,9 @@ fn repository_global_topk_end_to_end() {
     // Persist the repository and re-query.
     let dir = std::env::temp_dir().join("svq_e2e_repo");
     repo.save_dir(&dir).unwrap();
-    let reloaded = VideoRepository::load_dir(&dir).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
+    let reloaded = VideoRepository::open_dir(&dir).unwrap();
     let again = RepositoryRvaq::run(&reloaded, &query, &PaperScoring, 4).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(top.ranked.len(), again.ranked.len());
     for (a, b) in top.ranked.iter().zip(&again.ranked) {
         assert_eq!((a.video, a.interval), (b.video, b.interval));

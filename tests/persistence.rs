@@ -1,7 +1,7 @@
-//! Persistence round-trips for the PR 4 sink redesign: `save_dir` →
-//! `load_dir`/`open_dir` must reproduce the repository byte-for-byte, and
-//! the streaming `JsonDirSink` must spell the same bytes onto disk as
-//! `MemorySink` + `save_dir` at any worker count.
+//! Persistence round-trips: `save_dir` → `open_dir` (or each member file
+//! on its own) must reproduce the repository byte-for-byte, and the
+//! streaming `DirSink` must spell the same bytes onto disk as `MemorySink`
+//! + `save_dir` at any worker count.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -9,7 +9,7 @@ use std::sync::Arc;
 use svq_core::offline::ingest;
 use svq_core::online::OnlineConfig;
 use svq_exec::{parallel_ingest, parallel_ingest_into, ExecMetrics};
-use svq_storage::{read_manifest, FailingSink, JsonDirSink, VideoRepository};
+use svq_storage::{read_manifest, DirSink, FailingSink, IngestedVideo, VideoRepository};
 use svq_types::{ActionClass, ObjectClass, PaperScoring, ScoringFunctions, VideoId};
 use svq_vision::models::{DetectionOracle, ModelSuite};
 use svq_vision::synth::{ObjectSpec, ScenarioSpec};
@@ -26,11 +26,11 @@ fn oracle(video: u64, frames: u64, seed: u64) -> DetectionOracle {
     .oracle(ModelSuite::accurate())
 }
 
-/// Canonical byte-level view of a repository: every catalog's JSON, in
-/// `VideoId` order.
-fn fingerprint(repo: &VideoRepository) -> Vec<String> {
+/// Canonical byte-level view of a repository: every catalog's encoded
+/// file, in `VideoId` order.
+fn fingerprint(repo: &VideoRepository) -> Vec<Vec<u8>> {
     repo.catalogs()
-        .map(|c| serde_json::to_string(&*c.unwrap()).unwrap())
+        .map(|c| c.unwrap().encode().unwrap())
         .collect()
 }
 
@@ -39,9 +39,10 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 proptest! {
-    /// `save_dir` → `load_dir` (eager) and `open_dir` (lazy) both
-    /// reconstruct the repository byte-identically, and re-saving the
-    /// reloaded repository reproduces the directory file-for-file.
+    /// `save_dir` → every member file loaded up front (eager) and
+    /// `open_dir` (lazy) both reconstruct the repository byte-identically,
+    /// and re-saving the reloaded repository reproduces the directory
+    /// file-for-file.
     #[test]
     fn save_dir_round_trips_eagerly_and_lazily(
         specs in prop::collection::vec((400..1200u64, 0..1000u64), 1..4),
@@ -58,8 +59,11 @@ proptest! {
         let report = repo.save_dir(&dir).unwrap();
         prop_assert_eq!(report.videos as usize, specs.len());
 
-        // Eager reload.
-        let eager = VideoRepository::load_dir(&dir).unwrap();
+        // Eager reload: each member file on its own, no manifest involved.
+        let eager = VideoRepository::from_catalogs(
+            (0..specs.len()).map(|i| IngestedVideo::load(dir.join(format!("video-{i}.svqc"))).unwrap()),
+        );
+        prop_assert_eq!(eager.loaded_count(), specs.len());
         prop_assert_eq!(&fingerprint(&eager), &want);
 
         // Lazy reload: nothing resident until read, same bytes after.
@@ -110,7 +114,7 @@ proptest! {
         std::fs::remove_dir_all(&ref_dir).ok();
         parallel_ingest_into(
             &oracles, scoring.clone(), config, workers,
-            ExecMetrics::new(), JsonDirSink::create(&ref_dir).unwrap(),
+            ExecMetrics::new(), DirSink::create(&ref_dir).unwrap(),
         ).unwrap();
 
         // Crashing run: the sink dies after `fail_after` accepts.
@@ -119,7 +123,7 @@ proptest! {
         let crashed = parallel_ingest_into(
             &oracles, scoring.clone(), config, workers,
             ExecMetrics::new(),
-            FailingSink::new(JsonDirSink::create(&dir).unwrap(), fail_after),
+            FailingSink::new(DirSink::create(&dir).unwrap(), fail_after),
         );
         prop_assert_eq!(
             crashed.is_err(),
@@ -137,7 +141,7 @@ proptest! {
         }
 
         // Restart: resume the directory, skip what already survived.
-        let resumed = JsonDirSink::resume(&dir).unwrap();
+        let resumed = DirSink::resume(&dir).unwrap();
         let durable: Vec<u64> =
             resumed.recovered().iter().map(|e| e.video.raw()).collect();
         let remaining: Vec<Arc<DetectionOracle>> = oracles
@@ -188,7 +192,7 @@ fn json_dir_sink_matches_memory_sink_bytes() {
             config,
             workers,
             ExecMetrics::new(),
-            JsonDirSink::create(&spill_dir).unwrap(),
+            DirSink::create(&spill_dir).unwrap(),
         )
         .unwrap();
         assert_eq!(report.videos, 5, "workers={workers}");
