@@ -18,9 +18,11 @@
 
 use crate::online::{OnlineConfig, SequenceMerger};
 use svq_scanstats::{CriticalValueTable, KernelEstimator, ScanConfig};
-use svq_types::{ActionQuery, ClipInterval, Predicate, VideoGeometry};
+use svq_types::{
+    ActionClass, ActionQuery, ActionScore, ClipInterval, Predicate, TrackedDetection, VideoGeometry,
+};
 use svq_vision::stream::ClipAccess;
-use svq_vision::VideoStream;
+use svq_vision::{Rows, VideoStream};
 
 /// A query in conjunctive normal form: every clause must hold on a clip;
 /// a clause holds when at least one of its predicates does.
@@ -142,69 +144,57 @@ impl ExprSvaqd {
         }
     }
 
-    /// Count positive occurrence units for one predicate on one clip.
-    fn count(
-        p: &Predicate,
-        frames: &[svq_vision::stream::FrameData],
-        shots: &[svq_vision::stream::ShotData],
-        config: &OnlineConfig,
-    ) -> u32 {
-        match p {
-            Predicate::Object(class) => frames
+    /// Count positive frames for one frame-level predicate on one clip.
+    fn count_frames(p: &Predicate, frames: Rows<'_, TrackedDetection>, t_obj: f64) -> u32 {
+        let holds = |detections: &[TrackedDetection]| match p {
+            Predicate::Object(class) => detections
                 .iter()
-                .filter(|f| {
-                    f.detections
-                        .iter()
-                        .any(|d| d.detection.class == *class && d.detection.score >= config.t_obj)
-                })
-                .count() as u32,
-            Predicate::Action(class) => shots
-                .iter()
-                .filter(|s| {
-                    s.actions
-                        .iter()
-                        .any(|a| a.class == *class && a.score >= config.t_act)
-                })
-                .count() as u32,
-            Predicate::LeftOf(left, right) => frames
-                .iter()
-                .filter(|f| {
-                    f.detections.iter().any(|l| {
-                        l.detection.class == *left
-                            && l.detection.score >= config.t_obj
-                            && f.detections.iter().any(|r| {
-                                r.detection.class == *right
-                                    && r.detection.score >= config.t_obj
-                                    && l.detection.bbox.left_of(&r.detection.bbox)
-                            })
+                .any(|d| d.detection.class == *class && d.detection.score >= t_obj),
+            Predicate::LeftOf(left, right) => detections.iter().any(|l| {
+                l.detection.class == *left
+                    && l.detection.score >= t_obj
+                    && detections.iter().any(|r| {
+                        r.detection.class == *right
+                            && r.detection.score >= t_obj
+                            && l.detection.bbox.left_of(&r.detection.bbox)
                     })
-                })
-                .count() as u32,
-        }
+            }),
+            Predicate::Action(_) => false,
+        };
+        frames.filter(|detections| holds(detections)).count() as u32
+    }
+
+    /// Count positive shots for one action class on one clip.
+    fn count_shots(class: ActionClass, shots: Rows<'_, ActionScore>, t_act: f64) -> u32 {
+        shots
+            .filter(|actions| actions.iter().any(|a| a.class == class && a.score >= t_act))
+            .count() as u32
     }
 
     /// Process the next clip; returns a closed sequence if any.
     pub fn push_clip<C: ClipAccess>(&mut self, view: &mut C) -> Option<ClipInterval> {
         let clip = view.clip();
-        let needs_frames = self.predicates.iter().any(is_frame_level);
-        let needs_shots = self.predicates.iter().any(|p| !is_frame_level(p));
-        let frames = if needs_frames {
-            view.object_frames()
-        } else {
-            Vec::new()
-        };
-        let shots = if needs_shots {
-            view.action_shots()
-        } else {
-            Vec::new()
-        };
 
-        // Per-predicate counts and indicators.
-        let counts: Vec<u32> = self
-            .predicates
-            .iter()
-            .map(|p| Self::count(p, &frames, &shots, &self.config))
-            .collect();
+        // Per-predicate counts: one detector pass over the clip's frames
+        // (if any predicate reads frames), then one recognizer pass over
+        // its shots (if any reads shots) — the order the ledger is charged.
+        let mut counts = vec![0u32; self.predicates.len()];
+        if self.predicates.iter().any(is_frame_level) {
+            let frames = view.object_rows();
+            for (count, p) in counts.iter_mut().zip(&self.predicates) {
+                if is_frame_level(p) {
+                    *count = Self::count_frames(p, frames, self.config.t_obj);
+                }
+            }
+        }
+        if self.predicates.iter().any(|p| !is_frame_level(p)) {
+            let shots = view.action_rows();
+            for (count, p) in counts.iter_mut().zip(&self.predicates) {
+                if let Predicate::Action(class) = p {
+                    *count = Self::count_shots(*class, shots, self.config.t_act);
+                }
+            }
+        }
         let indicators: Vec<bool> = counts
             .iter()
             .zip(&self.criticals)

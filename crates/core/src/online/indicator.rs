@@ -11,6 +11,7 @@
 use super::config::OnlineConfig;
 use svq_types::{ActionQuery, ClipId};
 use svq_vision::stream::ClipAccess;
+use svq_vision::Rows;
 
 /// Per-predicate critical values for one query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,18 +86,17 @@ pub fn evaluate_clip_ordered<C: ClipAccess>(
 
     // One detector pass yields every class's detections for the clip.
     let frames = if query.objects.is_empty() {
-        Vec::new()
+        Rows::empty()
     } else {
-        view.object_frames()
+        view.object_rows()
     };
 
     for &i in order {
         let class = query.objects[i];
         // Σ_{v ∈ V(c)} 𝟙_{o_i}^{(v)} with 𝟙 = [maxS ≥ T_obj].
         let count = frames
-            .iter()
-            .filter(|f| {
-                f.detections
+            .filter(|detections| {
+                detections
                     .iter()
                     .any(|d| d.detection.class == class && d.detection.score >= config.t_obj)
             })
@@ -115,11 +115,10 @@ pub fn evaluate_clip_ordered<C: ClipAccess>(
     }
 
     // All object predicates held — run the action recognizer.
-    let shots = view.action_shots();
-    let action_count = shots
-        .iter()
-        .filter(|s| {
-            s.actions
+    let action_count = view
+        .action_rows()
+        .filter(|actions| {
+            actions
                 .iter()
                 .any(|a| a.class == query.action && a.score >= config.t_act)
         })

@@ -88,14 +88,49 @@ pub fn cdf(k: i64, n: u64, p: f64) -> f64 {
     acc.min(1.0)
 }
 
+/// Window lengths up to which [`quantile`] reads `ln Γ(i + 1)` from
+/// [`ln_factorials`] instead of re-evaluating the Lanczos series.
+const LN_FACTORIALS: usize = 512;
+
+/// `ln Γ(i + 1)` for `i = 0..=LN_FACTORIALS`, built once per process from
+/// the very [`ln_gamma`] calls [`ln_choose`] makes, so every entry is
+/// bit-identical to the value it replaces.
+fn ln_factorials() -> &'static [f64] {
+    static TABLE: std::sync::OnceLock<Vec<f64>> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        (0..=LN_FACTORIALS)
+            .map(|i| ln_gamma(i as f64 + 1.0))
+            .collect()
+    })
+}
+
 /// The smallest `k` with `F(k; n, p) ≥ q` — the binomial quantile used by
 /// the censored background estimators ("counts beyond the (1−α) noise
 /// quantile are truncated to the quantile").
+///
+/// Every SVAQD background update calls this. For `0 < p < 1` and
+/// `n ≤ LN_FACTORIALS` each term is [`pmf`]'s own expression with its two
+/// logarithms hoisted and its log-gammas read from a table — the same
+/// floating-point operations in the same order, hence the same bits.
 pub fn quantile(q: f64, n: u64, p: f64) -> u64 {
     assert!((0.0..=1.0).contains(&q));
+    let table = (p > 0.0 && p < 1.0)
+        .then(ln_factorials)
+        .filter(|t| n < t.len() as u64);
+    let (ln_p, ln_q) = (p.ln(), (1.0 - p).ln());
     let mut acc = 0.0;
     for k in 0..=n {
-        acc += pmf(k, n, p);
+        acc += match table {
+            Some(ln_fact) => {
+                let ln_choose = if k == 0 || k == n {
+                    0.0
+                } else {
+                    ln_fact[n as usize] - ln_fact[k as usize] - ln_fact[(n - k) as usize]
+                };
+                (ln_choose + k as f64 * ln_p + (n - k) as f64 * ln_q).exp()
+            }
+            None => pmf(k, n, p),
+        };
         if acc >= q {
             return k;
         }
@@ -254,6 +289,49 @@ mod tests {
         }
         assert_eq!(quantile(0.99, 5, 0.0), 0);
         assert_eq!(quantile(0.5, 5, 1.0), 5);
+    }
+
+    /// The pre-table [`quantile`]: a fresh [`pmf`] (three Lanczos
+    /// log-gammas and two logarithms) per term. The reference the fast
+    /// path must reproduce bit for bit.
+    fn quantile_reference(q: f64, n: u64, p: f64) -> u64 {
+        assert!((0.0..=1.0).contains(&q));
+        let mut acc = 0.0;
+        for k in 0..=n {
+            acc += pmf(k, n, p);
+            if acc >= q {
+                return k;
+            }
+        }
+        n
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn quantile_equals_the_per_term_pmf_sum(n in 1u64..301, e in -12.0f64..0.0) {
+            // p from 1e-12 up to 1 − 1e-12 on a log scale, plus both
+            // boundaries (which take the untabled loop).
+            for p in [10f64.powf(e), 1.0 - 10f64.powf(e), 0.0, 1.0] {
+                for q in [0.5, 0.9, 0.99, 1.0] {
+                    prop_assert_eq!(
+                        quantile(q, n, p),
+                        quantile_reference(q, n, p),
+                        "n={} p={} q={}", n, p, q
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantile_falls_back_beyond_the_table() {
+        for n in [LN_FACTORIALS as u64, LN_FACTORIALS as u64 + 1, 900] {
+            for p in [1e-6, 0.03, 0.5] {
+                assert_eq!(quantile(0.99, n, p), quantile_reference(0.99, n, p));
+            }
+        }
     }
 
     #[test]

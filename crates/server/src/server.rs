@@ -34,11 +34,12 @@
 //!
 //! Offline `query` requests execute on pool workers against a shared
 //! lazily-loaded [`VideoRepository`] (optionally residency-bounded — see
-//! [`VideoRepository::with_cache_capacity`]); `stream` requests register a
-//! session in the shared [`SessionMux`] and complete through
-//! [`SessionMux::on_result`] callbacks instead of a blocking wait, so wire
-//! results reuse the exact in-process [`QueryOutcome`] envelopes (see
-//! `protocol`) without a request ever pinning a thread.
+//! [`VideoRepository::with_cache_capacity`]). A `stream` request is one
+//! pool job too: the whole stream runs to completion through
+//! [`execute_online`], the in-process reference path, so wire results are
+//! the exact in-process [`QueryOutcome`] envelopes (see `protocol`) by
+//! construction. The [`SessionMux`]'s per-clip sessions serve standing
+//! queries (`subscribe`), whose clips arrive over time.
 
 use crate::protocol::{
     encode_line, encode_response_line, parse_request_frame, read_bounded_line, LineEvent, Request,
@@ -54,17 +55,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use svq_core::expr::ExprSvaqd;
-use svq_core::online::{OnlineConfig, Svaqd};
-use svq_exec::{Backpressure, ExecMetrics, MuxOptions, SessionEngine, SessionId, SessionMux};
-use svq_query::plan::PlannedPredicate;
+use svq_core::online::OnlineConfig;
+use svq_exec::{ExecMetrics, MuxOptions, SessionMux};
 use svq_query::{
-    execute_offline, execute_offline_all_with, parse, LogicalPlan, QueryMode, QueryOutcome,
-    QueryResults,
+    execute_offline, execute_offline_all_with, execute_online, parse, LogicalPlan, QueryMode,
+    QueryOutcome,
 };
-use svq_storage::{DiskStats, VideoRepository};
+use svq_storage::VideoRepository;
 use svq_types::{PaperScoring, RejectReason, SvqError, SvqResult, VideoId};
 use svq_vision::models::DetectionOracle;
+use svq_vision::VideoStream;
 
 /// Construction knobs for [`Server::start`], built (and validated) by
 /// [`ServeConfig::builder`].
@@ -163,7 +163,8 @@ impl ServeConfig {
         self.shards
     }
 
-    /// Per-session mailbox capacity for `stream` requests.
+    /// Per-session mailbox capacity for standing-query (`subscribe`)
+    /// sessions. `stream` requests run as single pool jobs and use none.
     pub fn mailbox(&self) -> usize {
         self.mailbox
     }
@@ -244,7 +245,8 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Per-session mailbox capacity for `stream` requests.
+    /// Per-session mailbox capacity for standing-query (`subscribe`)
+    /// sessions; `stream` requests run as single pool jobs and use none.
     pub fn mailbox(mut self, mailbox: usize) -> Self {
         self.config.mailbox = mailbox;
         self
@@ -549,7 +551,6 @@ impl Server {
             mux,
             subs,
             metrics: metrics.clone(),
-            mailbox: config.mailbox.max(1),
         });
         backend.subs.start_driver(&backend)?;
         Self::start_with_backend(transport, config, backend, metrics)
@@ -1268,7 +1269,6 @@ pub(crate) struct LocalBackend {
     /// Standing-query registry (empty, but answerable, without a source).
     pub(crate) subs: SubscriptionRegistry,
     metrics: ExecMetrics,
-    mailbox: usize,
 }
 
 impl Backend for LocalBackend {
@@ -1305,57 +1305,48 @@ impl LocalBackend {
     fn dispatch_query(self: Arc<Self>, pending: Pending, sql: String, video: VideoScope) {
         let me = self.clone();
         self.mux.submit(Box::new(move || {
-            // An acquired in-flight slot must always produce a response, or
-            // drain would wait on it forever: a panicking execution answers
-            // `internal` instead of propagating into the pool's catch-all.
-            let response = match catch_unwind(AssertUnwindSafe(|| me.do_query(&sql, video))) {
-                Ok(Ok(outcome)) => Response::Outcome(outcome),
-                Ok(Err((reason, message))) => Response::Error { reason, message },
-                Err(_) => Response::Error {
-                    reason: RejectReason::Internal,
-                    message: "query execution panicked".into(),
-                },
-            };
-            pending.complete(response);
+            pending.complete(guarded("query", || me.do_query(&sql, video)));
         }));
     }
 
-    /// Validate and register a `stream` request, then complete through the
-    /// mux's result callback — no thread blocks waiting on the session.
+    /// Validate a `stream` request, then run the whole stream as one pool
+    /// job — the in-process reference path, [`execute_online`], so the
+    /// wire outcome is that execution's by construction. While it runs the
+    /// job holds a metrics session line, which also carries its clips into
+    /// `total_clips`.
     fn dispatch_stream(
-        self: Arc<Self>,
+        &self,
         conn_id: u64,
         reqno: u64,
         sql: String,
         video: Option<u64>,
         pending: Pending,
     ) {
-        match self.prepare_stream(conn_id, reqno, &sql, video) {
-            Err((reason, message)) => pending.complete(Response::Error { reason, message }),
-            Ok(session) => {
-                let me = self.clone();
-                let started = pending.started;
-                self.mux.on_result(session, move |result| {
-                    me.mux.release(session);
-                    let response = match result {
-                        Ok(done) => Response::Outcome(QueryOutcome {
-                            results: QueryResults::Online {
-                                sequences: done.sequences,
-                                cost: done.cost,
-                            },
-                            disk: DiskStats::default(),
-                            wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                        }),
-                        Err(e) => Response::Error {
-                            reason: RejectReason::Internal,
-                            message: e.to_string(),
-                        },
-                    };
-                    pending.complete(response);
-                });
-                self.mux.feed_stream(session);
+        let (plan, oracle) = match self.prepare_stream(&sql, video) {
+            Ok(prepared) => prepared,
+            Err((reason, message)) => {
+                return pending.complete(Response::Error { reason, message });
             }
-        }
+        };
+        let metrics = self.metrics.clone();
+        self.mux.submit(Box::new(move || {
+            let session = metrics.register_session(format!("conn{conn_id}/r{reqno}"));
+            let response = guarded("stream", || {
+                execute_online(
+                    &plan,
+                    &mut VideoStream::new(&oracle),
+                    OnlineConfig::default(),
+                )
+                .map_err(|e| (reject_of(&e), e.to_string()))
+            });
+            if let Response::Outcome(_) = response {
+                session
+                    .clips_processed
+                    .fetch_add(oracle.clip_count(), Ordering::Relaxed);
+            }
+            metrics.retire_session(&session);
+            pending.complete(response);
+        }));
     }
 
     /// Validate the v2 requirement and hand a `subscribe` to the registry.
@@ -1471,14 +1462,12 @@ impl LocalBackend {
     }
 
     /// The synchronous half of a `stream` request: validate the statement
-    /// and register its session. Feeding and completion are asynchronous.
+    /// and resolve its live stream.
     fn prepare_stream(
         &self,
-        conn_id: u64,
-        reqno: u64,
         sql: &str,
         video: Option<u64>,
-    ) -> Result<SessionId, (RejectReason, String)> {
+    ) -> Result<(LogicalPlan, Arc<DetectionOracle>), (RejectReason, String)> {
         if self.oracles.is_empty() {
             return Err((
                 RejectReason::BadRequest,
@@ -1499,30 +1488,7 @@ impl LocalBackend {
                 format!("video {id:?} is not among the served live streams"),
             )
         })?;
-        let geometry = oracle.truth().geometry;
-        let engine = match &plan.predicate {
-            PlannedPredicate::Simple(q) => SessionEngine::Svaqd(Svaqd::new(
-                q.clone(),
-                geometry,
-                OnlineConfig::default(),
-                1e-4,
-                1e-4,
-            )),
-            PlannedPredicate::Cnf(q) => SessionEngine::Expr(ExprSvaqd::new(
-                q.clone(),
-                geometry,
-                OnlineConfig::default(),
-                1e-4,
-                1e-4,
-            )),
-        };
-        Ok(self.mux.register(
-            format!("conn{conn_id}/r{reqno}"),
-            oracle.clone(),
-            engine,
-            Backpressure::Block,
-            self.mailbox.max(1),
-        ))
+        Ok((plan, oracle.clone()))
     }
 
     fn stats(&self) -> StatsFrame {
@@ -1550,6 +1516,24 @@ fn record_request(shared: &Shared, kind: &'static str, elapsed: Duration) {
     };
     counter.fetch_add(1, Ordering::Relaxed);
     srv.latency.record(elapsed);
+}
+
+/// Run one pool job's execution and turn it into its response. An acquired
+/// in-flight slot must always produce a response, or drain would wait on it
+/// forever: a panicking execution answers `internal` instead of
+/// propagating into the pool's catch-all.
+fn guarded(
+    kind: &str,
+    execute: impl FnOnce() -> Result<QueryOutcome, (RejectReason, String)>,
+) -> Response {
+    match catch_unwind(AssertUnwindSafe(execute)) {
+        Ok(Ok(outcome)) => Response::Outcome(outcome),
+        Ok(Err((reason, message))) => Response::Error { reason, message },
+        Err(_) => Response::Error {
+            reason: RejectReason::Internal,
+            message: format!("{kind} execution panicked"),
+        },
+    }
 }
 
 /// Classify an execution-layer error for the wire: anything the client

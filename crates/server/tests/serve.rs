@@ -145,6 +145,33 @@ fn wire_results_are_byte_identical_to_in_process_execution() {
         other => panic!("expected stats, got {other:?}"),
     }
 
+    // Every other online statement shape: two objects, a CNF disjunction
+    // (the expression engine), and a spatial relationship.
+    for predicate in [
+        "obj.include('car', 'person')",
+        "(obj.include('car') OR obj.include('person'))",
+        "leftOf('car','person')",
+    ] {
+        let sql = format!(
+            "SELECT MERGE(clipID) AS Sequence FROM (PROCESS inputVideo PRODUCE clipID) \
+             WHERE act='jumping' AND {predicate}"
+        );
+        let served = client
+            .expect_outcome(&Request::Stream {
+                sql: sql.clone(),
+                video: None,
+            })
+            .expect("stream answers");
+        let mut stream = VideoStream::new(&reference_oracle);
+        let plan = LogicalPlan::from_statement(&parse(&sql).expect("parses")).expect("plans");
+        let local = execute_online(&plan, &mut stream, OnlineConfig::default()).expect("executes");
+        assert_eq!(
+            canonical_json(&served),
+            canonical_json(&local),
+            "served `{predicate}` result must be byte-identical to in-process"
+        );
+    }
+
     // Wire shutdown: acknowledged, then the server drains.
     match client
         .request(&Request::Shutdown)
@@ -156,7 +183,7 @@ fn wire_results_are_byte_identical_to_in_process_execution() {
     let report = handle.wait();
     assert!(report.drained_in_deadline);
     assert_eq!(report.forced_closes, 0);
-    assert_eq!(report.requests, 4);
+    assert_eq!(report.requests, 7);
     // wait() is idempotent: the same latched report.
     assert_eq!(handle.wait(), report);
 }
@@ -218,14 +245,16 @@ fn over_limit_connections_get_a_busy_frame_and_a_clean_close() {
 
 #[test]
 fn graceful_drain_finishes_in_flight_work_and_refuses_new_connects() {
-    // 3 000 clips: long enough that the stream request is reliably still
-    // executing when the drain triggers.
+    // 60 000 clips: long enough that the stream request is reliably still
+    // executing when the drain triggers. A stream is one pool job at about
+    // a microsecond per clip, so this is tens of milliseconds; 3 000 clips
+    // finished in about 3 ms, short enough for the poll below to miss.
     let handle = start(
         ServeConfig::builder()
             .drain_timeout(Duration::from_secs(30))
             .build()
             .expect("config is valid"),
-        150_000,
+        3_000_000,
     );
     let addr = handle.local_addr();
 

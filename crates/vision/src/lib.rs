@@ -25,7 +25,7 @@
 //!   milliseconds, so the runtime experiments can reproduce the paper's
 //!   ">98 % of online latency is model inference" decomposition;
 //! * [`stream`] — [`VideoStream`], the clip-at-a-time source the online
-//!   algorithms consume, and the batch accessors ingestion uses.
+//!   algorithms consume, lending each clip's rows as borrowed [`Rows`].
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +40,7 @@ pub mod truth;
 
 pub use clock::WallClock;
 pub use cost::{CostLedger, CostModel};
-pub use models::{ActionRecognizer, ModelSuite, ObjectDetector};
-pub use stream::{ClipAccess, ClipData, FrameData, OwnedClipView, ShotData, VideoStream};
+pub use models::{ActionRecognizer, ModelSuite, ObjectDetector, Rows};
+pub use stream::{ClipAccess, OwnedClipView, VideoStream};
 pub use synth::{MovieSpec, ScenarioSpec, SyntheticVideo};
 pub use truth::{ActionSpan, GroundTruth, ObjectTrack};

@@ -127,6 +127,55 @@ impl<T> Csr<T> {
     fn rows(&self) -> usize {
         self.offsets.len() - 1
     }
+
+    /// Rows `range`, borrowed in place.
+    fn rows_in(&self, range: std::ops::Range<u64>) -> Rows<'_, T> {
+        Rows {
+            items: &self.items,
+            offsets: &self.offsets[range.start as usize..=range.end as usize],
+        }
+    }
+}
+
+/// A run of consecutive oracle rows (one per frame or shot), borrowed
+/// without copying: iterates the rows in order as slices. `Copy`, so a
+/// consumer can walk the same clip's rows once per predicate.
+pub struct Rows<'a, T> {
+    items: &'a [T],
+    /// `offsets[i]..offsets[i + 1]` bounds row `i` within `items`.
+    offsets: &'a [u32],
+}
+
+impl<T> Rows<'_, T> {
+    /// No rows at all.
+    pub fn empty() -> Self {
+        Rows {
+            items: &[],
+            offsets: &[],
+        }
+    }
+}
+
+impl<T> Clone for Rows<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Rows<'_, T> {}
+
+impl<'a, T> Iterator for Rows<'a, T> {
+    type Item = &'a [T];
+
+    fn next(&mut self) -> Option<&'a [T]> {
+        match *self.offsets {
+            [lo, hi, ..] => {
+                self.offsets = &self.offsets[1..];
+                Some(&self.items[lo as usize..hi as usize])
+            }
+            _ => None,
+        }
+    }
 }
 
 struct CsrBuilder<T> {
@@ -441,6 +490,16 @@ impl DetectionOracle {
     /// Number of shots simulated.
     pub fn shot_count(&self) -> u64 {
         self.shots.rows() as u64
+    }
+
+    /// Detections on frames `frames`, one row per frame, borrowed in place.
+    pub(crate) fn frame_rows(&self, frames: std::ops::Range<u64>) -> Rows<'_, TrackedDetection> {
+        self.frames.rows_in(frames)
+    }
+
+    /// Action scores on shots `shots`, one row per shot, borrowed in place.
+    pub(crate) fn shot_rows(&self, shots: std::ops::Range<u64>) -> Rows<'_, ActionScore> {
+        self.shots.rows_in(shots)
     }
 }
 

@@ -1,55 +1,62 @@
 //! Clip-at-a-time video streaming.
 //!
 //! [`VideoStream`] is the `X.next()` of Algorithm 1: it walks a
-//! [`DetectionOracle`] clip by clip, packaging the per-frame detections and
-//! per-shot action scores of each clip into a [`ClipData`], and charging
-//! simulated inference cost to a [`CostLedger`] *only for the occurrence
-//! units the consumer actually requests* — which is how Algorithm 2's
-//! predicate short-circuiting translates into saved inference.
+//! [`DetectionOracle`] clip by clip, lending each clip's per-frame
+//! detections and per-shot action scores straight out of the oracle, and
+//! charging simulated inference cost to a [`CostLedger`] *only for the
+//! occurrence units the consumer actually requests* — which is how
+//! Algorithm 2's predicate short-circuiting translates into saved inference.
 
 use crate::cost::{CostLedger, CostModel};
-use crate::models::{ActionRecognizer, DetectionOracle, ObjectDetector};
+use crate::models::{DetectionOracle, Rows};
 use std::sync::Arc;
-use svq_types::{ActionScore, ClipId, FrameId, ShotId, TrackedDetection, VideoGeometry};
-
-/// Model outputs for one frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameData {
-    pub frame: FrameId,
-    pub detections: Vec<TrackedDetection>,
-}
-
-/// Model outputs for one shot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShotData {
-    pub shot: ShotId,
-    pub actions: Vec<ActionScore>,
-}
-
-/// One clip's worth of (lazily charged) model outputs.
-///
-/// Frame detections and shot scores are fetched — and their inference cost
-/// charged — on demand through [`ClipView`]; consuming only the object
-/// predicates of a clip never pays for its action recognition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClipData {
-    pub clip: ClipId,
-    pub frames: Vec<FrameData>,
-    pub shots: Vec<ShotData>,
-}
+use svq_types::{ActionScore, ClipId, TrackedDetection};
 
 /// Cost-charging access to one clip's model outputs — the surface the
 /// online evaluators (`evaluate_clip` and the SVAQ/SVAQD push loops)
 /// actually consume. Implemented by the borrowing [`ClipView`]
 /// (single-threaded streaming) and the owning [`OwnedClipView`] (clip
 /// tickets handed across threads by the exec layer).
+///
+/// Rows are borrowed from the oracle, never copied; the charge is paid
+/// when a row run is requested, whether or not every row is then read.
 pub trait ClipAccess {
     /// The clip id.
     fn clip(&self) -> ClipId;
-    /// Detections on every frame of the clip (charges detector passes).
-    fn object_frames(&mut self) -> Vec<FrameData>;
-    /// Action scores on every shot of the clip (charges recognizer passes).
-    fn action_shots(&mut self) -> Vec<ShotData>;
+    /// Detections on every frame of the clip, one row per frame (charges
+    /// one detector pass per frame).
+    fn object_rows(&mut self) -> Rows<'_, TrackedDetection>;
+    /// Action scores on every shot of the clip, one row per shot (charges
+    /// one recognizer pass per shot).
+    fn action_rows(&mut self) -> Rows<'_, ActionScore>;
+}
+
+/// Charge one detector pass per frame of `clip` and lend its rows.
+fn object_rows<'o>(
+    oracle: &'o DetectionOracle,
+    cost_model: &CostModel,
+    ledger: &mut CostLedger,
+    clip: ClipId,
+) -> Rows<'o, TrackedDetection> {
+    let frames = oracle.truth().geometry.frames_of_clip(clip);
+    for _ in frames.clone() {
+        ledger.charge_object_frame(cost_model);
+    }
+    oracle.frame_rows(frames)
+}
+
+/// Charge one recognizer pass per shot of `clip` and lend its rows.
+fn action_rows<'o>(
+    oracle: &'o DetectionOracle,
+    cost_model: &CostModel,
+    ledger: &mut CostLedger,
+    clip: ClipId,
+) -> Rows<'o, ActionScore> {
+    let shots = oracle.truth().geometry.shots_of_clip(clip);
+    for _ in shots.clone() {
+        ledger.charge_action_shot(cost_model);
+    }
+    oracle.shot_rows(shots)
 }
 
 /// A borrowed, cost-charging view over one clip of the oracle.
@@ -58,76 +65,19 @@ pub struct ClipView<'a> {
     cost_model: CostModel,
     ledger: &'a mut CostLedger,
     clip: ClipId,
-    geometry: VideoGeometry,
-}
-
-impl<'a> ClipView<'a> {
-    /// The clip id.
-    pub fn clip(&self) -> ClipId {
-        self.clip
-    }
-
-    /// Detections on every frame of the clip; charges one object-detector
-    /// pass per frame.
-    pub fn object_frames(&mut self) -> Vec<FrameData> {
-        self.geometry
-            .frames_of_clip(self.clip)
-            .map(|f| {
-                self.ledger.charge_object_frame(&self.cost_model);
-                FrameData {
-                    frame: FrameId::new(f),
-                    detections: self.oracle.detect(FrameId::new(f)).to_vec(),
-                }
-            })
-            .collect()
-    }
-
-    /// Detections on one frame of the clip (charged once per call).
-    pub fn detections(&mut self, frame: FrameId) -> &[TrackedDetection] {
-        debug_assert!(self
-            .geometry
-            .frames_of_clip(self.clip)
-            .contains(&frame.raw()));
-        self.ledger.charge_object_frame(&self.cost_model);
-        self.oracle.detect(frame)
-    }
-
-    /// Action scores on every shot of the clip; charges one recognizer pass
-    /// per shot.
-    pub fn action_shots(&mut self) -> Vec<ShotData> {
-        self.geometry
-            .shots_of_clip(self.clip)
-            .map(|s| {
-                self.ledger.charge_action_shot(&self.cost_model);
-                ShotData {
-                    shot: ShotId::new(s),
-                    actions: self.oracle.recognize(ShotId::new(s)).to_vec(),
-                }
-            })
-            .collect()
-    }
-
-    /// Materialise the whole clip (pays for every frame and shot).
-    pub fn materialise(&mut self) -> ClipData {
-        ClipData {
-            clip: self.clip,
-            frames: self.object_frames(),
-            shots: self.action_shots(),
-        }
-    }
 }
 
 impl ClipAccess for ClipView<'_> {
     fn clip(&self) -> ClipId {
-        ClipView::clip(self)
+        self.clip
     }
 
-    fn object_frames(&mut self) -> Vec<FrameData> {
-        ClipView::object_frames(self)
+    fn object_rows(&mut self) -> Rows<'_, TrackedDetection> {
+        object_rows(self.oracle, &self.cost_model, self.ledger, self.clip)
     }
 
-    fn action_shots(&mut self) -> Vec<ShotData> {
-        ClipView::action_shots(self)
+    fn action_rows(&mut self) -> Rows<'_, ActionScore> {
+        action_rows(self.oracle, &self.cost_model, self.ledger, self.clip)
     }
 }
 
@@ -143,18 +93,15 @@ pub struct OwnedClipView {
     cost_model: CostModel,
     ledger: CostLedger,
     clip: ClipId,
-    geometry: VideoGeometry,
 }
 
 impl OwnedClipView {
     /// View `clip` of `oracle`'s video with a fresh ledger.
     pub fn new(oracle: Arc<DetectionOracle>, clip: ClipId) -> Self {
-        let geometry = oracle.truth().geometry;
         Self {
             cost_model: CostModel::from_suite(oracle.suite()),
             ledger: CostLedger::default(),
             clip,
-            geometry,
             oracle,
         }
     }
@@ -170,30 +117,12 @@ impl ClipAccess for OwnedClipView {
         self.clip
     }
 
-    fn object_frames(&mut self) -> Vec<FrameData> {
-        self.geometry
-            .frames_of_clip(self.clip)
-            .map(|f| {
-                self.ledger.charge_object_frame(&self.cost_model);
-                FrameData {
-                    frame: FrameId::new(f),
-                    detections: self.oracle.detect(FrameId::new(f)).to_vec(),
-                }
-            })
-            .collect()
+    fn object_rows(&mut self) -> Rows<'_, TrackedDetection> {
+        object_rows(&self.oracle, &self.cost_model, &mut self.ledger, self.clip)
     }
 
-    fn action_shots(&mut self) -> Vec<ShotData> {
-        self.geometry
-            .shots_of_clip(self.clip)
-            .map(|s| {
-                self.ledger.charge_action_shot(&self.cost_model);
-                ShotData {
-                    shot: ShotId::new(s),
-                    actions: self.oracle.recognize(ShotId::new(s)).to_vec(),
-                }
-            })
-            .collect()
+    fn action_rows(&mut self) -> Rows<'_, ActionScore> {
+        action_rows(&self.oracle, &self.cost_model, &mut self.ledger, self.clip)
     }
 }
 
@@ -209,19 +138,17 @@ pub struct VideoStream<'a> {
 impl<'a> VideoStream<'a> {
     /// Open a stream over the oracle's video.
     pub fn new(oracle: &'a DetectionOracle) -> Self {
-        let truth = oracle.truth();
-        let clip_count = truth.geometry.clip_count(truth.total_frames);
         Self {
             oracle,
             cost_model: CostModel::from_suite(oracle.suite()),
             ledger: CostLedger::default(),
             next_clip: 0,
-            clip_count,
+            clip_count: oracle.clip_count(),
         }
     }
 
     /// Geometry of the underlying video.
-    pub fn geometry(&self) -> VideoGeometry {
+    pub fn geometry(&self) -> svq_types::VideoGeometry {
         self.oracle.truth().geometry
     }
 
@@ -248,7 +175,6 @@ impl<'a> VideoStream<'a> {
             cost_model: self.cost_model,
             ledger: &mut self.ledger,
             clip,
-            geometry: self.oracle.truth().geometry,
         })
     }
 
@@ -266,10 +192,11 @@ impl<'a> VideoStream<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{ModelSuite, SceneConfusion};
-    use crate::truth::GroundTruth;
-    use std::sync::Arc;
-    use svq_types::{VideoGeometry, VideoId};
+    use crate::models::{ActionRecognizer, ModelSuite, ObjectDetector, SceneConfusion};
+    use crate::truth::{ActionSpan, GroundTruth, ObjectTrack};
+    use svq_types::{
+        ActionClass, BBox, FrameId, Interval, ObjectClass, ShotId, TrackId, VideoGeometry, VideoId,
+    };
 
     fn small_oracle() -> DetectionOracle {
         let gt = GroundTruth::new(VideoId::new(0), VideoGeometry::default(), 500);
@@ -301,28 +228,26 @@ mod tests {
         let mut stream = VideoStream::new(&oracle);
         {
             let mut view = stream.next_clip().unwrap();
-            let frames = view.object_frames();
-            assert_eq!(frames.len(), 50);
+            assert_eq!(view.object_rows().count(), 50);
             // Action shots never requested for this clip.
         }
         assert_eq!(stream.ledger().object_frames, 50);
         assert_eq!(stream.ledger().action_shots, 0);
         {
             let mut view = stream.next_clip().unwrap();
-            let shots = view.action_shots();
-            assert_eq!(shots.len(), 5);
+            assert_eq!(view.action_rows().count(), 5);
         }
         assert_eq!(stream.ledger().object_frames, 50);
         assert_eq!(stream.ledger().action_shots, 5);
     }
 
     #[test]
-    fn materialise_pays_for_everything() {
+    fn both_row_runs_pay_for_everything() {
         let oracle = small_oracle();
         let mut stream = VideoStream::new(&oracle);
-        let data = stream.next_clip().unwrap().materialise();
-        assert_eq!(data.frames.len(), 50);
-        assert_eq!(data.shots.len(), 5);
+        let mut view = stream.next_clip().unwrap();
+        assert_eq!(view.object_rows().count(), 50);
+        assert_eq!(view.action_rows().count(), 5);
         assert_eq!(stream.ledger().object_frames, 50);
         assert_eq!(stream.ledger().action_shots, 5);
         let expected_ms = 50.0 * (75.0 + 18.0) + 5.0 * 140.0;
@@ -330,12 +255,75 @@ mod tests {
     }
 
     #[test]
-    fn frame_ids_are_absolute() {
+    fn rows_are_the_clips_own_frames_and_shots() {
         let oracle = small_oracle();
         let mut stream = VideoStream::new(&oracle);
         let _ = stream.next_clip().unwrap(); // clip 0
-        let data = stream.next_clip().unwrap().materialise(); // clip 1
-        assert_eq!(data.frames[0].frame, FrameId::new(50));
-        assert_eq!(data.shots[0].shot, ShotId::new(5));
+        let mut view = stream.next_clip().unwrap(); // clip 1
+        for (i, row) in view.object_rows().enumerate() {
+            assert_eq!(row, oracle.detect(FrameId::new(50 + i as u64)));
+        }
+        for (i, row) in view.action_rows().enumerate() {
+            assert_eq!(row, oracle.recognize(ShotId::new(5 + i as u64)));
+        }
+        assert_eq!(Rows::<ActionScore>::empty().count(), 0);
+    }
+
+    /// The exec layer's thread-crossing view and the streaming view are
+    /// interchangeable: for every clip, under every access pattern, they
+    /// lend the same rows and charge the same ledger.
+    #[test]
+    fn owned_and_borrowed_views_agree_on_rows_and_ledgers() {
+        let mut gt = GroundTruth::new(VideoId::new(4), VideoGeometry::default(), 1_000);
+        gt.tracks.push(ObjectTrack {
+            class: ObjectClass::named("car"),
+            track: TrackId::new(1),
+            frames: Interval::new(FrameId::new(100), FrameId::new(699)),
+            visibility: 1.0,
+            bbox: BBox::FULL,
+        });
+        gt.actions.push(ActionSpan {
+            class: ActionClass::named("jumping"),
+            frames: Interval::new(FrameId::new(300), FrameId::new(599)),
+            salience: 1.0,
+        });
+        let confusion = SceneConfusion {
+            objects: vec![(ObjectClass::named("car"), 1.0)],
+            actions: vec![(ActionClass::named("jumping"), 1.0)],
+        };
+        let oracle = Arc::new(DetectionOracle::new(
+            Arc::new(gt),
+            ModelSuite::accurate(),
+            &confusion,
+            9,
+        ));
+        let mut stream = VideoStream::new(&oracle);
+        let mut merged = CostLedger::default();
+        while let Some(mut view) = stream.next_clip() {
+            let clip = view.clip();
+            let mut owned = OwnedClipView::new(oracle.clone(), clip);
+            assert_eq!(owned.clip(), clip);
+            // Objects only, actions only, both, neither.
+            let (objects, actions) = match clip.raw() % 4 {
+                0 => (true, false),
+                1 => (false, true),
+                2 => (true, true),
+                _ => (false, false),
+            };
+            if objects {
+                let a: Vec<&[TrackedDetection]> = view.object_rows().collect();
+                let b: Vec<&[TrackedDetection]> = owned.object_rows().collect();
+                assert_eq!(a, b, "clip {clip:?} detections");
+            }
+            if actions {
+                let a: Vec<&[ActionScore]> = view.action_rows().collect();
+                let b: Vec<&[ActionScore]> = owned.action_rows().collect();
+                assert_eq!(a, b, "clip {clip:?} action scores");
+            }
+            merged.merge(owned.ledger());
+            assert_eq!(*stream.ledger(), merged, "clip {clip:?} ledger");
+        }
+        assert_eq!(stream.ledger().object_frames, 10 * 50);
+        assert_eq!(stream.ledger().action_shots, 10 * 5);
     }
 }

@@ -66,6 +66,18 @@ cargo run -q --release -p svq-bench --bin repro -- monitor-fanout \
   --scale 0.02 --out target/ci-results
 grep -q '"accounting_closed": true' target/ci-results/monitor-fanout.json
 
+echo "== svqbench --quick (the four gated workloads: every response verified, none failed)"
+# Each run builds its system, drives it for about a second and checks every
+# response against in-process execution; the last stdout line is the
+# result. A wrong answer or a failed operation fails CI, not just the gate.
+for WORKLOAD in topk_hot topk_cold routed_burst stream_online; do
+  RESULT=$(cargo run -q --release -p svqbench -- --workload "$WORKLOAD" --quick --trace 0 | tail -n 1)
+  case "$RESULT" in
+    *'"correct": true'*'"failed": 0,'*) echo "   $WORKLOAD: correct, 0 failed" ;;
+    *) echo "svqbench $WORKLOAD is not correct or has failures: $RESULT"; exit 1 ;;
+  esac
+done
+
 echo "== sim smoke (deterministic simulation, \${SIM_SCHEDULES:-40} schedules/scenario)"
 # Fixed base seed + bounded schedule count keeps this slice to seconds of
 # wall time (virtual time does the waiting). A failing schedule prints a
