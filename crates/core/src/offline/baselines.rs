@@ -22,7 +22,7 @@
 use super::rvaq::{RankedSequence, RvaqOptions, TopKResult};
 use super::tbclip::{SeenClips, Worklist};
 use super::Rvaq;
-use svq_storage::IngestedVideo;
+use svq_storage::{DiskCostProfile, DiskStats, IngestedVideo};
 use svq_types::{ActionQuery, ClipId, Clock, ScoringFunctions};
 use svq_vision::WallClock;
 
@@ -49,7 +49,7 @@ impl PqTraverse {
         clock: &dyn Clock,
     ) -> TopKResult {
         let start = clock.now_nanos();
-        let disk_before = catalog.disk().stats();
+        let mut disk = DiskStats::default();
         let pq = catalog.result_sequences(query);
 
         let object_tables: Vec<_> = query
@@ -65,9 +65,11 @@ impl PqTraverse {
             .map(|iv| {
                 let mut acc = scoring.f_identity();
                 for clip in iv.iter() {
-                    let object_scores: Vec<f64> =
-                        object_tables.iter().map(|t| t.random_score(clip)).collect();
-                    let action_score = action_table.random_score(clip);
+                    let object_scores: Vec<f64> = object_tables
+                        .iter()
+                        .map(|t| t.random_score(clip, &mut disk))
+                        .collect();
+                    let action_score = action_table.random_score(clip, &mut disk);
                     acc = scoring.f_combine(acc, scoring.g(&object_scores, action_score));
                 }
                 RankedSequence {
@@ -87,12 +89,11 @@ impl PqTraverse {
         let total_sequences = scored.len();
         scored.truncate(k.min(total_sequences));
 
-        let disk = catalog.disk().since(disk_before);
         TopKResult {
             ranked: scored,
             disk,
             wall_ms: clock.nanos_since(start) as f64 / 1e6,
-            io_ms: catalog.disk().simulated_ms_of(disk),
+            io_ms: DiskCostProfile::default().ms_of(disk),
             iterations: 0,
             total_sequences,
         }
@@ -123,7 +124,7 @@ impl FaTopK {
         clock: &dyn Clock,
     ) -> TopKResult {
         let start = clock.now_nanos();
-        let disk_before = catalog.disk().stats();
+        let mut disk = DiskStats::default();
         let pq = catalog.result_sequences(query);
 
         let mut tables: Vec<_> = query
@@ -152,7 +153,7 @@ impl FaTopK {
             while !seen.has_fresh(|_| false) {
                 any_row = false;
                 for (i, t) in tables.iter().enumerate() {
-                    if let Some((cid, s)) = t.sorted_row(stamp) {
+                    if let Some((cid, s)) = t.sorted_row(stamp, &mut disk) {
                         seen.observe(i, cid, s);
                         any_row = true;
                     }
@@ -176,9 +177,9 @@ impl FaTopK {
                 |c, _| {
                     let object_scores: Vec<f64> = tables[..n_objects]
                         .iter()
-                        .map(|t| t.random_score(c))
+                        .map(|t| t.random_score(c, &mut disk))
                         .collect();
-                    let action_score = tables[n_objects].random_score(c);
+                    let action_score = tables[n_objects].random_score(c, &mut disk);
                     let s = scoring.g(&object_scores, action_score);
                     if candidate.is_none_or(|(bc, best)| s > best || (s == best && c < bc)) {
                         candidate = Some((c, s));
@@ -213,12 +214,11 @@ impl FaTopK {
         let total_sequences = ranked.len();
         ranked.truncate(k.min(total_sequences));
 
-        let disk = catalog.disk().since(disk_before);
         TopKResult {
             ranked,
             disk,
             wall_ms: clock.nanos_since(start) as f64 / 1e6,
-            io_ms: catalog.disk().simulated_ms_of(disk),
+            io_ms: DiskCostProfile::default().ms_of(disk),
             iterations,
             total_sequences,
         }

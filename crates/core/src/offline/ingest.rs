@@ -17,7 +17,7 @@
 
 use crate::online::{BackgroundUpdate, OnlineConfig, SequenceMerger};
 use svq_scanstats::{CriticalValueTable, KernelEstimator, ScanConfig};
-use svq_storage::{ClipScoreTable, IngestedVideo, SequenceSet, SimulatedDisk};
+use svq_storage::{ClipScoreTable, IngestedVideo, SequenceSet};
 use svq_types::{ActionClass, ClipId, ObjectClass, ScoringFunctions, Vocabulary};
 use svq_vision::models::DetectionOracle;
 
@@ -105,7 +105,6 @@ pub fn ingest(
     let clip_count = geometry.clip_count(truth.total_frames);
     let n_obj = ObjectClass::cardinality();
     let n_act = ActionClass::cardinality();
-    let disk = SimulatedDisk::new();
 
     let mut object_table_sweep = CriticalValueTable::new(ScanConfig::new(
         geometry.frames_per_clip(),
@@ -219,14 +218,10 @@ pub fn ingest(
         }
     }
 
-    let object_tables: Vec<ClipScoreTable> = obj_rows
-        .into_iter()
-        .map(|rows| ClipScoreTable::new(rows, disk.clone()))
-        .collect();
-    let action_tables: Vec<ClipScoreTable> = act_rows
-        .into_iter()
-        .map(|rows| ClipScoreTable::new(rows, disk.clone()))
-        .collect();
+    let object_tables: Vec<ClipScoreTable> =
+        obj_rows.into_iter().map(ClipScoreTable::new).collect();
+    let action_tables: Vec<ClipScoreTable> =
+        act_rows.into_iter().map(ClipScoreTable::new).collect();
     let object_sequences: Vec<SequenceSet> =
         obj_trackers.into_iter().map(ClassTracker::finish).collect();
     let action_sequences: Vec<SequenceSet> =
@@ -240,7 +235,6 @@ pub fn ingest(
         action_tables,
         object_sequences,
         action_sequences,
-        disk,
     )
 }
 

@@ -33,7 +33,7 @@ use super::skip::SkipSet;
 use super::tbclip::TbClip;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use svq_storage::{DiskStats, IngestedVideo};
+use svq_storage::{DiskCostProfile, DiskStats, IngestedVideo};
 use svq_types::{ActionQuery, ClipId, ClipInterval, Clock, ScoringFunctions};
 use svq_vision::WallClock;
 
@@ -132,7 +132,6 @@ impl Rvaq {
         clock: &dyn Clock,
     ) -> TopKResult {
         let start = clock.now_nanos();
-        let disk_before = catalog.disk().stats();
 
         let pq = catalog.result_sequences(query);
         let total_sequences = pq.len();
@@ -258,12 +257,12 @@ impl Rvaq {
             })
             .collect();
 
-        let disk = catalog.disk().since(disk_before);
+        let disk = tb.disk();
         TopKResult {
             ranked,
             disk,
             wall_ms: clock.nanos_since(start) as f64 / 1e6,
-            io_ms: catalog.disk().simulated_ms_of(disk),
+            io_ms: DiskCostProfile::default().ms_of(disk),
             iterations,
             total_sequences,
         }
@@ -297,27 +296,22 @@ pub(crate) mod tests {
     /// A catalog whose P_q splits into several sequences, by restricting
     /// the car sequences.
     fn split_catalog() -> IngestedVideo {
-        use svq_storage::{SequenceSet, SimulatedDisk};
+        use svq_storage::SequenceSet;
         use svq_types::{ObjectClass, VideoGeometry, VideoId, Vocabulary};
         let base = catalog();
         // Rebuild with fragmented car sequences: [0,1], [3,5], [7,9].
-        let disk = SimulatedDisk::new();
         let car = ObjectClass::named("car");
         let jumping = svq_types::ActionClass::named("jumping");
         let mut object_tables: Vec<_> = (0..ObjectClass::cardinality())
-            .map(|_| svq_storage::ClipScoreTable::new(vec![], disk.clone()))
+            .map(|_| svq_storage::ClipScoreTable::new(vec![]))
             .collect();
         let mut action_tables: Vec<_> = (0..svq_types::ActionClass::cardinality())
-            .map(|_| svq_storage::ClipScoreTable::new(vec![], disk.clone()))
+            .map(|_| svq_storage::ClipScoreTable::new(vec![]))
             .collect();
-        object_tables[car.index()] = svq_storage::ClipScoreTable::new(
-            base.object_table(car).iter_sorted().collect(),
-            disk.clone(),
-        );
-        action_tables[jumping.index()] = svq_storage::ClipScoreTable::new(
-            base.action_table(jumping).iter_sorted().collect(),
-            disk.clone(),
-        );
+        object_tables[car.index()] =
+            svq_storage::ClipScoreTable::new(base.object_table(car).iter_sorted().collect());
+        action_tables[jumping.index()] =
+            svq_storage::ClipScoreTable::new(base.action_table(jumping).iter_sorted().collect());
         let mut object_sequences = vec![SequenceSet::empty(); ObjectClass::cardinality()];
         let mut action_sequences =
             vec![SequenceSet::empty(); svq_types::ActionClass::cardinality()];
@@ -331,7 +325,6 @@ pub(crate) mod tests {
             action_tables,
             object_sequences,
             action_sequences,
-            disk,
         )
     }
 

@@ -1,13 +1,14 @@
 //! The `BTreeMap`/`BTreeSet` implementation of the TBClip iterator that
 //! `svq_core::offline::TbClip` replaced, kept verbatim (bar imports, the
-//! struct name and two unused accessors) as the oracle of
+//! struct name, two unused accessors, and its own access ledger, charged
+//! by every table access exactly as `TbClip` charges its) as the oracle of
 //! `tests/tbclip_differential.rs`: it re-derives the fresh intersection
 //! and the candidate union from scratch on every step, so it cannot share
 //! a bookkeeping bug with the dense, lazily pruned state of the real one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use svq_core::offline::{SkipSet, TbClipStep};
-use svq_storage::{ClipScoreTable, IngestedVideo};
+use svq_storage::{ClipScoreTable, DiskStats, IngestedVideo};
 use svq_types::{ActionQuery, ClipId, ScoringFunctions};
 
 /// Algorithm 5, operating over the tables of one query.
@@ -30,6 +31,8 @@ pub struct BTreeTbClip<'a> {
     processed_btm: BTreeSet<ClipId>,
     /// Memoised complete clip scores (g over all queried tables).
     scores: BTreeMap<ClipId, f64>,
+    /// Accesses this iterator has made.
+    disk: DiskStats,
 }
 
 impl<'a> BTreeTbClip<'a> {
@@ -59,7 +62,13 @@ impl<'a> BTreeTbClip<'a> {
             frontier_btm: vec![0.0; n],
             processed_btm: BTreeSet::new(),
             scores: BTreeMap::new(),
+            disk: DiskStats::default(),
         }
+    }
+
+    /// The accesses this iterator has charged so far.
+    pub fn disk(&self) -> DiskStats {
+        self.disk
     }
 
     /// The memoised complete score of a clip: random-accesses each queried
@@ -70,9 +79,9 @@ impl<'a> BTreeTbClip<'a> {
         }
         let mut object_scores = Vec::with_capacity(self.n_objects);
         for t in &self.tables[..self.n_objects] {
-            object_scores.push(t.random_score(clip));
+            object_scores.push(t.random_score(clip, &mut self.disk));
         }
-        let action_score = self.tables[self.n_objects].random_score(clip);
+        let action_score = self.tables[self.n_objects].random_score(clip, &mut self.disk);
         let s = self.scoring.g(&object_scores, action_score);
         self.scores.insert(clip, s);
         s
@@ -103,7 +112,7 @@ impl<'a> BTreeTbClip<'a> {
             // Parallel sorted access on row `stamp_top` of every table.
             let mut any_row = false;
             for (i, t) in self.tables.iter().enumerate() {
-                if let Some((cid, s)) = t.sorted_row(self.stamp_top) {
+                if let Some((cid, s)) = t.sorted_row(self.stamp_top, &mut self.disk) {
                     self.seen_top[i].insert(cid, s);
                     self.frontier_top[i] = s;
                     any_row = true;
@@ -183,7 +192,7 @@ impl<'a> BTreeTbClip<'a> {
             }
             let mut any_row = false;
             for (i, t) in self.tables.iter().enumerate() {
-                if let Some((cid, s)) = t.reverse_row(self.stamp_btm) {
+                if let Some((cid, s)) = t.reverse_row(self.stamp_btm, &mut self.disk) {
                     self.seen_btm[i].insert(cid, s);
                     self.frontier_btm[i] = s;
                     any_row = true;

@@ -3,7 +3,8 @@
 //!
 //! Both iterators are driven over the same random catalog with the same
 //! skip schedule; after every call the delivered [`TbClipStep`] and the
-//! sorted / random accesses charged for it must be identical. The catalogs
+//! sorted / random accesses each iterator charged to its own ledger for it
+//! must be identical. The catalogs
 //! are built to hit what the lazy pruning and the dense indexing could get
 //! wrong: heavy score ties, empty tables, clips missing from some tables,
 //! clip ids past `clip_count`, one to four tables, sequences skipped
@@ -17,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reference::BTreeTbClip;
 use svq_core::offline::{SkipSet, TbClip};
-use svq_storage::{ClipScoreTable, DiskStats, IngestedVideo, SequenceSet, SimulatedDisk};
+use svq_storage::{ClipScoreTable, DiskStats, IngestedVideo, SequenceSet};
 use svq_types::{
     ActionClass, ActionQuery, ClipId, Interval, MaxScoring, ObjectClass, PaperScoring,
     ScoringFunctions, VideoGeometry, VideoId, Vocabulary,
@@ -53,9 +54,9 @@ impl ScoringFunctions for AdditiveScoring {
 /// the end): empty one time in eight, otherwise each clip present with a
 /// per-table probability and scored from a handful of values or a
 /// continuum.
-fn random_table(rng: &mut StdRng, clips: u64, disk: &SimulatedDisk) -> ClipScoreTable {
+fn random_table(rng: &mut StdRng, clips: u64) -> ClipScoreTable {
     if rng.gen_range(0..8) == 0 {
-        return ClipScoreTable::new(Vec::new(), disk.clone());
+        return ClipScoreTable::new(Vec::new());
     }
     let present = [0.3, 0.7, 1.0][rng.gen_range(0..3usize)];
     let tied = rng.gen_bool(0.6);
@@ -70,20 +71,19 @@ fn random_table(rng: &mut StdRng, clips: u64, disk: &SimulatedDisk) -> ClipScore
             rng.gen_bool(present).then_some((ClipId::new(c), score))
         })
         .collect();
-    ClipScoreTable::new(rows, disk.clone())
+    ClipScoreTable::new(rows)
 }
 
 /// A catalog whose tables for `query` are random and whose other tables
 /// are empty. `TbClip` never reads the catalog's sequence sets.
 fn random_catalog(rng: &mut StdRng, clips: u64, query: &ActionQuery) -> IngestedVideo {
-    let disk = SimulatedDisk::new();
-    let empty = || ClipScoreTable::new(Vec::new(), disk.clone());
+    let empty = || ClipScoreTable::new(Vec::new());
     let mut object_tables: Vec<_> = (0..ObjectClass::cardinality()).map(|_| empty()).collect();
     let mut action_tables: Vec<_> = (0..ActionClass::cardinality()).map(|_| empty()).collect();
     for o in &query.objects {
-        object_tables[o.index()] = random_table(rng, clips, &disk);
+        object_tables[o.index()] = random_table(rng, clips);
     }
-    action_tables[query.action.index()] = random_table(rng, clips, &disk);
+    action_tables[query.action.index()] = random_table(rng, clips);
     IngestedVideo::new(
         VideoId::new(0),
         VideoGeometry::default(),
@@ -92,7 +92,6 @@ fn random_catalog(rng: &mut StdRng, clips: u64, query: &ActionQuery) -> Ingested
         action_tables,
         vec![SequenceSet::empty(); ObjectClass::cardinality()],
         vec![SequenceSet::empty(); ActionClass::cardinality()],
-        disk,
     )
 }
 
@@ -109,9 +108,13 @@ fn random_pq(rng: &mut StdRng, clips: u64) -> SequenceSet {
     SequenceSet::new(intervals)
 }
 
-fn charged(disk: &SimulatedDisk, before: &mut DiskStats) -> DiskStats {
-    let delta = disk.since(*before);
-    *before = disk.stats();
+/// What a ledger gained since `before`, which then moves up to it.
+fn charged(ledger: DiskStats, before: &mut DiskStats) -> DiskStats {
+    let delta = DiskStats {
+        sorted_accesses: ledger.sorted_accesses - before.sorted_accesses,
+        random_accesses: ledger.random_accesses - before.random_accesses,
+    };
+    *before = ledger;
     delta
 }
 
@@ -140,8 +143,7 @@ fn run_case(seed: u64) {
 
     let mut dense = TbClip::new(&catalog, &query, scoring);
     let mut btree = BTreeTbClip::new(&catalog, &query, scoring);
-    let disk = catalog.disk();
-    let mut mark = disk.stats();
+    let (mut dense_mark, mut btree_mark) = (DiskStats::default(), DiskStats::default());
     for call in 0..2 * clips + 8 {
         // Between calls: sometimes conclude a sequence (C_skip only grows),
         // sometimes ask for a clip's exact score as RVAQ's exact pass does.
@@ -152,9 +154,9 @@ fn run_case(seed: u64) {
             let clip = ClipId::new(rng.gen_range(0..clips + 6));
             assert_eq!(dense.score_cached(clip), btree.score_cached(clip));
             let got = dense.score_of(clip);
-            let got_cost = charged(disk, &mut mark);
+            let got_cost = charged(dense.disk(), &mut dense_mark);
             let want = btree.score_of(clip);
-            let want_cost = charged(disk, &mut mark);
+            let want_cost = charged(btree.disk(), &mut btree_mark);
             assert_eq!(
                 (got.to_bits(), got_cost),
                 (want.to_bits(), want_cost),
@@ -162,9 +164,9 @@ fn run_case(seed: u64) {
             );
         }
         let got = dense.next(&skip);
-        let got_cost = charged(disk, &mut mark);
+        let got_cost = charged(dense.disk(), &mut dense_mark);
         let want = btree.next(&skip);
-        let want_cost = charged(disk, &mut mark);
+        let want_cost = charged(btree.disk(), &mut btree_mark);
         assert_eq!(got, want, "seed {seed} call {call}: step");
         assert_eq!(got_cost, want_cost, "seed {seed} call {call}: accesses");
         if got.top.is_none() && got.bottom.is_none() && rng.gen_bool(0.5) {

@@ -9,8 +9,9 @@
 //!    `server`, `crate` → the caller's crate) normalised first.
 //! 2. **Method calls** — resolved through the receiver type when known
 //!    (`self.m()` → the impl owner; `session.m()` → a local/param type
-//!    hint), else accepted only when the method name is unique in the
-//!    whole workspace.
+//!    hint; `self.writer.m()` → the declared type of the field), else
+//!    accepted only when the method name is unique in the whole
+//!    workspace.
 //! 3. Everything else is **unresolved** and logged as such — the
 //!    conservative fallback the summary statistics surface, so precision
 //!    loss is visible rather than silent.
@@ -306,7 +307,7 @@ mod tests {
         let events: Vec<Vec<Event>> = ir
             .fns
             .iter()
-            .map(|f| guards::function_events(&ir.files[f.file], f, &units[f.file].scanned.tokens))
+            .map(|f| guards::function_events(ir, f, &units[f.file].scanned.tokens))
             .collect();
         resolve(ir, &events)
     }
@@ -357,6 +358,27 @@ mod tests {
         assert_eq!(
             callee_names(&ir, &g, "exec::mux::drive"),
             ["exec::session::Session::push"]
+        );
+    }
+
+    #[test]
+    fn field_receivers_resolve_through_the_declared_type() {
+        let (units, ir) = workspace(&[
+            (
+                "crates/server/src/server.rs",
+                "struct Pending { writer: Arc<ConnWriter> } \
+                 impl Pending { fn complete(self) { self.writer.enqueue(); } } \
+                 impl ConnWriter { fn enqueue(&self) {} }",
+            ),
+            (
+                "crates/exec/src/ingress.rs",
+                "impl Ingress { fn enqueue(&self) {} }",
+            ),
+        ]);
+        let g = resolve_all(&units, &ir);
+        assert_eq!(
+            callee_names(&ir, &g, "server::server::Pending::complete"),
+            ["server::server::ConnWriter::enqueue"]
         );
     }
 

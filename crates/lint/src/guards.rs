@@ -11,7 +11,7 @@
 //! `;` terminates it, as in `for c in m.lock().iter() { … }` — which is
 //! exactly the shape that must stay visible as held).
 
-use crate::ir::{FileIr, FnIr};
+use crate::ir::{FileIr, FnIr, WorkspaceIr};
 use crate::scanner::{Token, TokenKind};
 use std::collections::BTreeMap;
 
@@ -40,7 +40,8 @@ pub struct CallRef {
     /// method calls.
     pub receiver: Vec<String>,
     /// Best-effort receiver type: the impl owner for `self.m()`, a local
-    /// or parameter type hint for `session.m()`.
+    /// or parameter type hint for `session.m()`, then each field step's
+    /// declared type for `self.writer.m()` / `session.state.m()`.
     pub receiver_type: Option<String>,
     pub line: u32,
 }
@@ -115,11 +116,12 @@ struct Slot {
     temp: bool,
 }
 
-/// Extract the event sequence of one function.
-pub fn function_events(file: &FileIr, f: &FnIr, tokens: &[Token]) -> Vec<Event> {
-    let mut events = Walker {
+/// Extract the event sequence of one function of `ws`.
+pub fn function_events(ws: &WorkspaceIr, f: &FnIr, tokens: &[Token]) -> Vec<Event> {
+    Walker {
         t: tokens,
-        file,
+        file: &ws.files[f.file],
+        fields: &ws.fields,
         locals: f.locals.clone(),
         owner: f.owner.clone(),
         krate: f.krate.clone(),
@@ -128,46 +130,7 @@ pub fn function_events(file: &FileIr, f: &FnIr, tokens: &[Token]) -> Vec<Event> 
         pending_let: None,
         events: Vec::new(),
     }
-    .run(f.body.0, f.body.1.min(tokens.len()));
-    apply_escapes(file, &mut events);
-    events
-}
-
-/// Apply `svq-lint: guard-escapes(callee)` pragmas: a guard acquired in a
-/// closure's tail position escapes into the enclosing call, which holds
-/// it across its own work — a region the brace-depth walker cannot see
-/// (the call token precedes the acquisition, and the closure's `}` ends
-/// the lexical region). The pragma names the callee; every call to it in
-/// the same function gets the escaped guard added to its held set, so the
-/// fixpoint pairs the acquisition site with everything the callee
-/// reaches.
-fn apply_escapes(file: &FileIr, events: &mut [Event]) {
-    for (&line, callee) in &file.escapes {
-        // Like `allow(..)`, the pragma covers its own line and the next.
-        let Some(guard) = events.iter().find_map(|ev| match &ev.kind {
-            EventKind::Acquire {
-                lock,
-                line: l,
-                blocking,
-            } if *l == line || *l == line + 1 => Some(HeldGuard {
-                lock: lock.clone(),
-                sites: vec![*l],
-                blocking: *blocking,
-            }),
-            _ => None,
-        }) else {
-            continue;
-        };
-        for ev in events.iter_mut() {
-            if let EventKind::Call(call) = &ev.kind {
-                if call.segments.last().is_some_and(|s| s == callee)
-                    && !ev.held.iter().any(|g| g.lock == guard.lock)
-                {
-                    ev.held.push(guard.clone());
-                }
-            }
-        }
-    }
+    .run(f.body.0, f.body.1.min(tokens.len()))
 }
 
 struct PendingLet {
@@ -179,6 +142,7 @@ struct PendingLet {
 struct Walker<'a> {
     t: &'a [Token],
     file: &'a FileIr,
+    fields: &'a BTreeMap<(String, String), String>,
     locals: BTreeMap<String, String>,
     owner: Option<String>,
     krate: String,
@@ -465,19 +429,12 @@ impl<'a> Walker<'a> {
         }
 
         // Plain method call.
-        let receiver_type = if chain == ["self"] {
-            self.owner.clone()
-        } else if chain.len() == 1 {
-            self.locals.get(&chain[0]).cloned()
-        } else {
-            None
-        };
         self.events.push(Event {
             kind: EventKind::Call(CallRef {
                 segments: vec![name],
                 method: true,
+                receiver_type: self.chain_type(&chain),
                 receiver: chain,
-                receiver_type,
                 line,
             }),
             held: self.held(),
@@ -576,6 +533,22 @@ impl<'a> Walker<'a> {
                 _ => return Binding::Temp,
             }
         }
+    }
+
+    /// Best-effort type of a receiver chain: `self` is the impl owner, a
+    /// bare name its local or parameter hint, and every later segment the
+    /// declared type of that field. `None` as soon as a step is unknown.
+    fn chain_type(&self, chain: &[String]) -> Option<String> {
+        let (first, rest) = chain.split_first()?;
+        let mut ty = if first == "self" {
+            self.owner.clone()
+        } else {
+            self.locals.get(first).cloned()
+        }?;
+        for field in rest {
+            ty = self.fields.get(&(ty, field.clone()))?.clone();
+        }
+        Some(ty)
     }
 
     /// Normalised lock identity from a receiver chain: strip `self`
@@ -698,7 +671,7 @@ mod tests {
         }];
         let ws = ir::build(&units);
         let f = ws.fns.first().expect("one fn");
-        function_events(&ws.files[f.file], f, &units[f.file].scanned.tokens)
+        function_events(&ws, f, &units[f.file].scanned.tokens)
     }
 
     #[test]
@@ -718,29 +691,6 @@ mod tests {
             .expect("sleep event");
         assert_eq!(block.held.len(), 1);
         assert_eq!(block.held[0].lock, "exec:Mux.state");
-    }
-
-    #[test]
-    fn guard_escapes_pragma_widens_the_enclosing_call() {
-        let src = r#"
-            impl Backend {
-                fn f(&self) {
-                    sweep_all(|id| {
-                        // svq-lint: guard-escapes(sweep_all)
-                        self.gates.get(&id).map(|g| g.lock())
-                    });
-                }
-            }
-        "#;
-        let ev = events_of(src);
-        let call = ev
-            .iter()
-            .find(|e| {
-                matches!(&e.kind, EventKind::Call(c) if c.segments.last().is_some_and(|s| s == "sweep_all"))
-            })
-            .expect("sweep_all call event");
-        assert_eq!(call.held.len(), 1, "{call:?}");
-        assert_eq!(call.held[0].lock, "exec:g");
     }
 
     #[test]

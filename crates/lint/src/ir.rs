@@ -1,6 +1,7 @@
 //! Syntactic IR over the token scanner: function items with their impl
-//! owners and module paths, plus per-file facts the concurrency passes
-//! need (test masks, bounded-channel binding names).
+//! owners and module paths, struct field type hints, plus per-file facts
+//! the concurrency passes need (test masks, bounded-channel binding
+//! names).
 //!
 //! This is deliberately *syntactic*: no type checking, no trait solving.
 //! Function identity is a qualified path (`crate::module::Type::name`)
@@ -36,9 +37,6 @@ pub struct FileIr {
     /// Names destructured from `let (tx, rx) = bounded(..)`: sends and
     /// receives through these can block on capacity.
     pub bounded: BTreeSet<String>,
-    /// `svq-lint: guard-escapes(callee)` pragmas: acquisition line → the
-    /// callee that holds the escaping guard across its own work.
-    pub escapes: BTreeMap<u32, String>,
 }
 
 /// One function item.
@@ -69,6 +67,11 @@ pub struct FnIr {
 pub struct WorkspaceIr {
     pub files: Vec<FileIr>,
     pub fns: Vec<FnIr>,
+    /// Field type hints: `(struct, field)` → last identifier of the
+    /// field's declared type (`writer: Arc<ConnWriter>` → `ConnWriter`),
+    /// so a receiver such as `self.writer` types its method calls. A field
+    /// declared with different types by same-named structs has no hint.
+    pub fields: BTreeMap<(String, String), String>,
 }
 
 /// Build the IR for every function in every unit.
@@ -76,7 +79,9 @@ pub fn build(units: &[SourceUnit]) -> WorkspaceIr {
     let mut ir = WorkspaceIr {
         files: Vec::new(),
         fns: Vec::new(),
+        fields: BTreeMap::new(),
     };
+    let mut ambiguous = BTreeSet::new();
     for (file_idx, unit) in units.iter().enumerate() {
         let tokens = &unit.scanned.tokens;
         let krate = unit
@@ -92,8 +97,13 @@ pub fn build(units: &[SourceUnit]) -> WorkspaceIr {
             test_file: unit.ctx.test_file,
             test_mask: test_mask.clone(),
             bounded: bounded_names(tokens),
-            escapes: unit.scanned.escapes.clone(),
         });
+        for (key, ty) in struct_fields(tokens) {
+            if ir.fields.get(&key).is_some_and(|known| *known != ty) {
+                ambiguous.insert(key.clone());
+            }
+            ir.fields.insert(key, ty);
+        }
         extract_fns(
             tokens,
             &test_mask,
@@ -103,6 +113,9 @@ pub fn build(units: &[SourceUnit]) -> WorkspaceIr {
             &file_mods,
             &mut ir.fns,
         );
+    }
+    for key in &ambiguous {
+        ir.fields.remove(key);
     }
     ir
 }
@@ -157,6 +170,36 @@ fn bounded_names(t: &[Token]) -> BTreeSet<String> {
         }
     }
     names
+}
+
+/// `(struct, field) → type hint` for every named-field struct in a file:
+/// `struct Name [<..>] { [#[..]] [pub[(..)]] field: Type, … }`.
+fn struct_fields(t: &[Token]) -> Vec<((String, String), String)> {
+    let mut out = Vec::new();
+    for i in 0..t.len() {
+        if !(t[i].is_ident("struct") && t.get(i + 1).is_some_and(|n| n.kind == TokenKind::Ident)) {
+            continue;
+        }
+        let mut open = i + 2;
+        if t.get(open).is_some_and(|n| n.is_op("<")) {
+            let Some(after) = skip_angles(t, open) else {
+                continue;
+            };
+            open = after;
+        }
+        // Tuple and unit structs have no named fields.
+        if !t.get(open).is_some_and(|n| n.is_op("{")) {
+            continue;
+        }
+        let Some(close) = skip_group(t, open, "{", "}") else {
+            continue;
+        };
+        let name = &t[i + 1].text;
+        for (field, ty) in param_types(&t[open + 1..close]) {
+            out.push(((name.clone(), field), ty));
+        }
+    }
+    out
 }
 
 /// What a `{`/`}` pair on the item-structure walk belongs to.
@@ -365,7 +408,7 @@ fn fn_signature(t: &[Token], mut j: usize) -> Option<(BTreeMap<String, String>, 
     if !t.get(j).is_some_and(|n| n.is_op("(")) {
         return None;
     }
-    let close = skip_parens(t, j)?;
+    let close = skip_group(t, j, "(", ")")?;
     let locals = param_types(&t[j + 1..close]);
     // Return type / where clause: no braces occur before the body's `{`.
     let mut k = close + 1;
@@ -390,14 +433,14 @@ fn fn_signature(t: &[Token], mut j: usize) -> Option<(BTreeMap<String, String>, 
     None
 }
 
-/// Index of the `)` matching the `(` at `j`.
-fn skip_parens(t: &[Token], j: usize) -> Option<usize> {
+/// Index of the `close` matching the `open` at `j`.
+fn skip_group(t: &[Token], j: usize, open: &str, close: &str) -> Option<usize> {
     let mut depth = 0i32;
     let mut k = j;
     while k < t.len() {
-        if t[k].is_op("(") {
+        if t[k].is_op(open) {
             depth += 1;
-        } else if t[k].is_op(")") {
+        } else if t[k].is_op(close) {
             depth -= 1;
             if depth == 0 {
                 return Some(k);
@@ -408,26 +451,26 @@ fn skip_parens(t: &[Token], j: usize) -> Option<usize> {
     None
 }
 
-/// `name: Type` hints from a parameter list slice: the hint is the last
-/// identifier of the type (`&Arc<Session>` → `Session`), good enough to
-/// key method resolution and lock identity.
+/// `name: Type` hints from a parameter list or a struct body: the hint is
+/// the last identifier of the type (`&Arc<Session>` → `Session`), good
+/// enough to key method resolution and lock identity.
 fn param_types(params: &[Token]) -> BTreeMap<String, String> {
     let mut out = BTreeMap::new();
     let mut depth = 0i32;
     let mut start = 0;
     let param_of = |seg: &[Token], out: &mut BTreeMap<String, String>| {
-        // `[mut] name : Type…`
-        let mut k = 0;
-        while seg.get(k).is_some_and(|n| n.is_ident("mut")) {
-            k += 1;
-        }
-        let Some(name) = seg.get(k).filter(|n| n.kind == TokenKind::Ident) else {
+        // `[mut] name: Type…`, or a field's `[#[..]] [pub[(..)]] name: Type…`
+        let Some(colon) = seg.iter().position(|n| n.is_op(":")) else {
             return;
         };
-        if name.text == "self" || !seg.get(k + 1).is_some_and(|n| n.is_op(":")) {
+        let Some(name) = colon
+            .checked_sub(1)
+            .map(|k| &seg[k])
+            .filter(|n| n.kind == TokenKind::Ident && n.text != "self")
+        else {
             return;
-        }
-        let ty = seg[k + 2..]
+        };
+        let ty = seg[colon + 1..]
             .iter()
             .rfind(|n| n.kind == TokenKind::Ident && n.text != "mut" && n.text != "dyn");
         if let Some(ty) = ty {
@@ -509,6 +552,37 @@ mod tests {
         let names: Vec<&str> = ir.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["done"]);
         assert_eq!(ir.fns[0].owner.as_deref(), Some("Sink"));
+    }
+
+    #[test]
+    fn struct_fields_carry_type_hints() {
+        let src = r#"
+            pub(crate) struct Pending<T> {
+                /// Where the answer goes.
+                #[allow(dead_code)]
+                pub(crate) writer: Arc<ConnWriter>,
+                id: Option<u64>,
+                pub tx: Sender<T>,
+            }
+            struct Tuple(Arc<Other>);
+            struct Twice { x: A }
+            mod other { struct Twice { x: B } }
+        "#;
+        let units = vec![unit("crates/server/src/server.rs", src)];
+        let ir = build(&units);
+        let hint = |s: &str, f: &str| {
+            ir.fields
+                .get(&(s.to_string(), f.to_string()))
+                .map(String::as_str)
+        };
+        assert_eq!(hint("Pending", "writer"), Some("ConnWriter"));
+        assert_eq!(hint("Pending", "id"), Some("u64"));
+        assert_eq!(hint("Pending", "tx"), Some("T"));
+        assert_eq!(
+            ir.fields.len(),
+            3,
+            "tuple fields and ambiguous names carry no hint"
+        );
     }
 
     #[test]

@@ -114,7 +114,7 @@ fn analyze_units(units: &[ir::SourceUnit]) -> (Vec<Finding>, StaticLockGraph) {
     let events: Vec<Vec<guards::Event>> = ws
         .fns
         .iter()
-        .map(|f| guards::function_events(&ws.files[f.file], f, &units[f.file].scanned.tokens))
+        .map(|f| guards::function_events(&ws, f, &units[f.file].scanned.tokens))
         .collect();
     lockgraph::analyze(units, &ws, &events)
 }

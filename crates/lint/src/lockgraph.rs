@@ -103,7 +103,7 @@ struct Summary {
     /// lock identity → every reachable acquisition site (each with one
     /// witness chain). All sites matter: the runtime cross-check compares
     /// site pairs, and a lock acquired at several places (e.g. every
-    /// method of `SimulatedDisk` takes `inner`) must admit each of them.
+    /// method of `ConnWriter` takes `state`) must admit each of them.
     acquires: BTreeMap<String, Vec<Via>>,
     /// dedup key → blocking-operation witness.
     blocks: BTreeMap<String, BlockVia>,

@@ -66,12 +66,6 @@ pub struct ScannedFile {
     /// Rule names suppressed per line (`"all"` suppresses every rule). A
     /// suppression on line `l` covers findings on `l` and `l + 1`.
     pub suppressions: BTreeMap<u32, BTreeSet<String>>,
-    /// `svq-lint: guard-escapes(callee)` declarations, keyed by line: the
-    /// guard acquired on that line escapes (via a closure's return value)
-    /// into the named callee, which holds it across its own work. The
-    /// guard walker widens that call's held set accordingly — the one
-    /// guard-region shape brace-depth tracking cannot see.
-    pub escapes: BTreeMap<u32, String>,
 }
 
 impl ScannedFile {
@@ -169,7 +163,6 @@ impl<'a> Scanner<'a> {
         }
         let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap_or("");
         record_suppression(text, line, &mut self.out.suppressions);
-        record_escape(text, line, &mut self.out.escapes);
     }
 
     fn block_comment(&mut self) {
@@ -400,22 +393,6 @@ fn record_suppression(comment: &str, line: u32, out: &mut BTreeMap<u32, BTreeSet
         .map(|r| r.trim().to_string())
         .filter(|r| !r.is_empty());
     out.entry(line).or_default().extend(rules);
-}
-
-/// Parse `svq-lint: guard-escapes(callee)` out of a line comment.
-fn record_escape(comment: &str, line: u32, out: &mut BTreeMap<u32, String>) {
-    const MARKER: &str = "svq-lint: guard-escapes(";
-    let Some(at) = comment.find(MARKER) else {
-        return;
-    };
-    let rest = &comment[at + MARKER.len()..];
-    let Some(close) = rest.find(')') else {
-        return;
-    };
-    let callee = rest[..close].trim();
-    if !callee.is_empty() {
-        out.insert(line, callee.to_string());
-    }
 }
 
 #[cfg(test)]

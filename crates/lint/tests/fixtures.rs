@@ -37,10 +37,18 @@ fn every_rule_fires_on_the_seeded_fixture() {
         "daemon stderr logging must not fire: {findings:#?}"
     );
     assert_eq!(count(&findings, Rule::ForbidUnsafe), 1, "{findings:#?}");
-    // The concurrency passes: one ABBA cycle (the reverse acquisition one
-    // call hop from the forward one), two blocking-under-lock seeds (a
+    // The concurrency passes: two ABBA cycles (the reverse acquisition one
+    // call hop from the forward one; and one whose forward half is a call
+    // through a field-typed receiver), two blocking-under-lock seeds (a
     // sleep one call away, a direct sleep).
-    assert_eq!(count(&findings, Rule::LockCycle), 1, "{findings:#?}");
+    assert_eq!(count(&findings, Rule::LockCycle), 2, "{findings:#?}");
+    assert!(
+        findings.iter().any(|f| f.rule == Rule::LockCycle
+            && f.witness
+                .iter()
+                .any(|step| step.contains("locks::conn::Writer::enqueue"))),
+        "the cycle through `self.writer.enqueue(..)` needs the field's type: {findings:#?}"
+    );
     assert_eq!(
         count(&findings, Rule::BlockingUnderLock),
         2,
@@ -53,7 +61,7 @@ fn lock_cycle_findings_carry_file_line_witnesses() {
     let findings = lint_workspace(&fixture("bad_ws")).expect("fixture walks");
     let cycle = findings
         .iter()
-        .find(|f| f.rule == Rule::LockCycle)
+        .find(|f| f.rule == Rule::LockCycle && f.message.contains("Pair.a"))
         .expect("the ABBA seed fires");
     assert!(
         !cycle.witness.is_empty(),

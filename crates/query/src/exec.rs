@@ -267,17 +267,15 @@ pub fn execute_offline_all(
     execute_offline_all_with(plan, repo, scoring, |_, _| ())
 }
 
-/// [`execute_offline_all`] with a per-video hook: called after each
-/// catalog fetch with `(video, cache_hit)`, and whatever it returns (e.g.
-/// a per-video execution gate's guard) is held across that video's
-/// execution. `svq-serve` hooks its hit/miss counters and query gates in
-/// here, so the served cluster path *is* the library path — byte identity
-/// by construction rather than by parallel implementation.
-pub fn execute_offline_all_with<G>(
+/// [`execute_offline_all`] with a per-video hook, called after each
+/// catalog fetch with `(video, cache_hit)`. `svq-serve` hooks its hit/miss
+/// counters in here, so the served cluster path *is* the library path —
+/// byte identity by construction rather than by parallel implementation.
+pub fn execute_offline_all_with(
     plan: &LogicalPlan,
     repo: &VideoRepository,
     scoring: &dyn ScoringFunctions,
-    mut per_video: impl FnMut(VideoId, bool) -> G,
+    mut per_video: impl FnMut(VideoId, bool),
 ) -> SvqResult<QueryOutcome> {
     let k = match plan.mode {
         QueryMode::Offline { k } => k,
@@ -294,7 +292,7 @@ pub fn execute_offline_all_with<G>(
         let Some((catalog, hit)) = repo.fetch(video)? else {
             continue;
         };
-        let _guard = per_video(video, hit);
+        per_video(video, hit);
         let outcome = execute_offline(plan, &catalog, scoring)?;
         let topk = outcome
             .offline()

@@ -533,11 +533,6 @@ impl Server {
             MuxOptions::new(config.workers.max(1)).with_shards(config.shards.max(1)),
             metrics.clone(),
         );
-        let query_gates = repo
-            .iter()
-            .flat_map(|r| r.video_ids())
-            .map(|id| (id, Mutex::new(())))
-            .collect();
         let oracles = oracles.into_iter().map(|o| (o.truth().video, o)).collect();
         let live = match source {
             Some(config) => Some(config.build()?),
@@ -547,7 +542,6 @@ impl Server {
         let backend = Arc::new(LocalBackend {
             repo,
             oracles,
-            query_gates,
             mux,
             subs,
             metrics: metrics.clone(),
@@ -1259,12 +1253,13 @@ fn handle_conn(
 /// streams a single `svq-serve` instance owns. The cluster router swaps
 /// this for `crate::router`'s forwarding backend behind the same
 /// [`Backend`] seam.
+///
+/// Catalogs are immutable and every offline run owns its access ledger, so
+/// any number of queries on one video run at once, one per pool worker,
+/// and each outcome's `disk` counts exactly that run's accesses.
 pub(crate) struct LocalBackend {
     repo: Option<Arc<VideoRepository>>,
     oracles: BTreeMap<VideoId, Arc<DetectionOracle>>,
-    /// Per-catalog gates serializing offline queries so the simulated-disk
-    /// delta in one outcome never absorbs a concurrent query's accesses.
-    query_gates: BTreeMap<VideoId, Mutex<()>>,
     pub(crate) mux: SessionMux,
     /// Standing-query registry (empty, but answerable, without a source).
     pub(crate) subs: SubscriptionRegistry,
@@ -1423,9 +1418,6 @@ impl LocalBackend {
                 )
             })?;
         self.count_fetch(hit);
-        // Serialize per catalog: the simulated-disk delta in the outcome
-        // must not absorb a concurrent query's accesses.
-        let _gate = self.query_gates.get(&id).map(|g| g.lock());
         execute_offline(plan, &catalog, &PaperScoring).map_err(|e| (reject_of(&e), e.to_string()))
     }
 
@@ -1433,23 +1425,14 @@ impl LocalBackend {
     /// Routed through [`execute_offline_all_with`] so the served path *is*
     /// the library path (a router merging per-shard answers is therefore
     /// byte-identical by construction); the per-video hook threads this
-    /// backend's fetch counters and query gates into the shared sweep.
+    /// backend's fetch counters into the shared sweep.
     fn query_all(
         &self,
         plan: &LogicalPlan,
         repo: &VideoRepository,
     ) -> Result<QueryOutcome, (RejectReason, String)> {
-        // guard-escapes below widens the gate over the whole sweep, which
-        // statically also covers the *next* video's catalog read; at
-        // runtime the guard drops at the end of each video's iteration,
-        // so no file I/O happens under it. svq-lint: allow(blocking-under-lock)
-        execute_offline_all_with(plan, repo, &PaperScoring, |id, hit| {
-            self.count_fetch(hit);
-            // The guard escapes: the sweep holds it across that video's
-            // execution. svq-lint: guard-escapes(execute_offline_all_with)
-            self.query_gates.get(&id).map(|g| g.lock())
-        })
-        .map_err(|e| (reject_of(&e), e.to_string()))
+        execute_offline_all_with(plan, repo, &PaperScoring, |_, hit| self.count_fetch(hit))
+            .map_err(|e| (reject_of(&e), e.to_string()))
     }
 
     fn count_fetch(&self, hit: bool) {

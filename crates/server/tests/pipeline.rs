@@ -157,6 +157,84 @@ fn pipelined_queries_match_in_process_execution_by_id() {
     assert!(report.drained_in_deadline);
 }
 
+/// A pipelined burst of different top-K statements, all on one video, on
+/// four workers: the runs share the catalog and overlap, and each response
+/// must still be byte-identical, `disk` included, to its own statement run
+/// in process.
+#[test]
+fn pipelined_same_video_burst_matches_in_process_execution_by_id() {
+    const FRAMES: u64 = 30_000;
+    let handle = start(
+        ServeConfig::builder()
+            .workers(4)
+            .pipeline_depth(16)
+            .build()
+            .expect("config is valid"),
+        FRAMES,
+    );
+    let statements: Vec<String> = [1, 3, 10]
+        .iter()
+        .flat_map(|k| {
+            ["'car'", "'car', 'person'"].map(|objects| {
+                format!(
+                    "SELECT MERGE(clipID) AS Sequence, RANK(act, obj) \
+                     FROM (PROCESS inputVideo PRODUCE clipID) \
+                     WHERE act='jumping' AND obj.include({objects}) \
+                     ORDER BY RANK(act, obj) LIMIT {k}"
+                )
+            })
+        })
+        .collect();
+    let reference_oracle = oracle(0, 42, FRAMES);
+    let catalog = ingest(&reference_oracle, &PaperScoring, &OnlineConfig::default());
+    let want: Vec<String> = statements
+        .iter()
+        .map(|sql| {
+            let plan = LogicalPlan::from_statement(&parse(sql).expect("parses")).expect("plans");
+            canonical_json(&execute_offline(&plan, &catalog, &PaperScoring).expect("executes"))
+        })
+        .collect();
+
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    const N: u64 = 48;
+    for id in 0..N {
+        client
+            .send(
+                &Request::Query {
+                    sql: statements[id as usize % statements.len()].clone(),
+                    video: VideoScope::One(0),
+                },
+                Some(id),
+            )
+            .expect("pipelined send");
+    }
+    let mut seen = BTreeMap::new();
+    for _ in 0..N {
+        let (id, response) = client.read_tagged().expect("tagged response");
+        let id = id.expect("v2 responses echo the request id");
+        match response {
+            Response::Outcome(outcome) => {
+                assert_eq!(
+                    canonical_json(&outcome),
+                    want[id as usize % statements.len()],
+                    "pipelined result {id} must be byte-identical to its in-process run"
+                );
+                assert!(
+                    seen.insert(id, ()).is_none(),
+                    "response id {id} answered twice"
+                );
+            }
+            other => panic!("expected an outcome for id {id}, got {other:?}"),
+        }
+    }
+    assert_eq!(seen.len() as u64, N, "every request answered exactly once");
+
+    handle.shutdown();
+    let report = handle.wait();
+    assert_eq!(report.requests, N);
+    assert!(report.drained_in_deadline);
+}
+
 #[test]
 fn v2_responses_complete_out_of_order_while_v1_keeps_strict_order() {
     let handle = start(ServeConfig::default(), 150_000);

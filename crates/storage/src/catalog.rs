@@ -10,7 +10,6 @@
 //! video identifier with each clip id, which our per-video catalogs make
 //! implicit.
 
-use crate::disk::SimulatedDisk;
 use crate::seqset::SequenceSet;
 use crate::table::ClipScoreTable;
 use std::path::Path;
@@ -35,7 +34,6 @@ pub struct IngestedVideo {
     object_sequences: Vec<SequenceSet>,
     /// Individual sequences `P_{a_j}` per action class.
     action_sequences: Vec<SequenceSet>,
-    disk: SimulatedDisk,
 }
 
 impl IngestedVideo {
@@ -50,7 +48,6 @@ impl IngestedVideo {
         action_tables: Vec<ClipScoreTable>,
         object_sequences: Vec<SequenceSet>,
         action_sequences: Vec<SequenceSet>,
-        disk: SimulatedDisk,
     ) -> Self {
         assert_eq!(object_tables.len(), ObjectClass::cardinality());
         assert_eq!(action_tables.len(), ActionClass::cardinality());
@@ -64,13 +61,7 @@ impl IngestedVideo {
             action_tables,
             object_sequences,
             action_sequences,
-            disk,
         }
-    }
-
-    /// The shared disk meter.
-    pub fn disk(&self) -> &SimulatedDisk {
-        &self.disk
     }
 
     /// The clip score table of an object class.
@@ -116,9 +107,9 @@ impl IngestedVideo {
         codec::encode(self)
     }
 
-    /// Rebuild a catalog from a catalog file's bytes, attaching a fresh
-    /// disk meter. This is where a file enters the program: anything but a
-    /// well-formed catalog is a typed [`SvqError::Storage`].
+    /// Rebuild a catalog from a catalog file's bytes. This is where a file
+    /// enters the program: anything but a well-formed catalog is a typed
+    /// [`SvqError::Storage`].
     pub fn decode(bytes: &[u8]) -> SvqResult<Self> {
         codec::decode(bytes)
     }
@@ -169,30 +160,24 @@ mod tests {
     }
 
     pub(super) fn sample() -> IngestedVideo {
-        let disk = SimulatedDisk::new();
         let mut object_tables: Vec<ClipScoreTable> = (0..ObjectClass::cardinality())
-            .map(|_| ClipScoreTable::new(vec![], disk.clone()))
+            .map(|_| ClipScoreTable::new(vec![]))
             .collect();
         let mut action_tables: Vec<ClipScoreTable> = (0..ActionClass::cardinality())
-            .map(|_| ClipScoreTable::new(vec![], disk.clone()))
+            .map(|_| ClipScoreTable::new(vec![]))
             .collect();
         let mut object_sequences = vec![SequenceSet::empty(); ObjectClass::cardinality()];
         let mut action_sequences = vec![SequenceSet::empty(); ActionClass::cardinality()];
 
         let car = ObjectClass::named("car");
         let jumping = ActionClass::named("jumping");
-        object_tables[car.index()] = ClipScoreTable::new(
-            vec![
-                (ClipId::new(2), 3.0),
-                (ClipId::new(3), 5.0),
-                (ClipId::new(7), 1.0),
-            ],
-            disk.clone(),
-        );
-        action_tables[jumping.index()] = ClipScoreTable::new(
-            vec![(ClipId::new(3), 2.0), (ClipId::new(4), 4.0)],
-            disk.clone(),
-        );
+        object_tables[car.index()] = ClipScoreTable::new(vec![
+            (ClipId::new(2), 3.0),
+            (ClipId::new(3), 5.0),
+            (ClipId::new(7), 1.0),
+        ]);
+        action_tables[jumping.index()] =
+            ClipScoreTable::new(vec![(ClipId::new(3), 2.0), (ClipId::new(4), 4.0)]);
         object_sequences[car.index()] = SequenceSet::new(vec![iv(2, 3), iv(7, 7)]);
         action_sequences[jumping.index()] = SequenceSet::new(vec![iv(3, 4)]);
 
@@ -204,7 +189,6 @@ mod tests {
             action_tables,
             object_sequences,
             action_sequences,
-            disk,
         )
     }
 
@@ -222,18 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn tables_are_wired_to_one_disk() {
-        let cat = sample();
-        cat.object_table(ObjectClass::named("car"))
-            .random_score(ClipId::new(2));
-        cat.action_table(ActionClass::named("jumping"))
-            .sorted_row(0);
-        let stats = cat.disk().stats();
-        assert_eq!(stats.random_accesses, 1);
-        assert_eq!(stats.sorted_accesses, 1);
-    }
-
-    #[test]
     fn save_load_round_trip() {
         let cat = sample();
         let path = std::env::temp_dir().join("svq_catalog_test.svqc");
@@ -245,9 +217,7 @@ mod tests {
         let car = ObjectClass::named("car");
         assert_eq!(loaded.object_table(car).len(), 3);
         assert_eq!(loaded.object_sequences(car), cat.object_sequences(car));
-        // Fresh disk meter is attached and shared.
-        loaded.object_table(car).random_score(ClipId::new(2));
-        assert_eq!(loaded.disk().stats().random_accesses, 1);
+        assert_eq!(loaded.object_table(car).peek_score(ClipId::new(2)), 3.0);
     }
 
     #[test]

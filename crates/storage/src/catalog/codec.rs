@@ -32,7 +32,6 @@
 //! silently wrong table.
 
 use super::IngestedVideo;
-use crate::disk::SimulatedDisk;
 use crate::seqset::SequenceSet;
 use crate::table::ClipScoreTable;
 use svq_types::{
@@ -151,7 +150,7 @@ impl<'a> Reader<'a> {
         self.take(len, what)
     }
 
-    fn table(&mut self, disk: &SimulatedDisk) -> SvqResult<ClipScoreTable> {
+    fn table(&mut self) -> SvqResult<ClipScoreTable> {
         let rows = self.u32("row count")?;
         let clips = self.column(rows, 4, "clip-id column")?;
         let scores = self.column(rows, 8, "score column")?;
@@ -160,7 +159,7 @@ impl<'a> Reader<'a> {
             .zip(scores.chunks_exact(8))
             .map(|(c, s)| (ClipId::new(le_u32(c).into()), f64::from_bits(le_u64(s))))
             .collect();
-        ClipScoreTable::from_sorted_rows(rows, disk.clone())
+        ClipScoreTable::from_sorted_rows(rows)
     }
 
     fn sequences(&mut self) -> SvqResult<SequenceSet> {
@@ -212,8 +211,7 @@ pub(super) fn decode(bytes: &[u8]) -> SvqResult<IngestedVideo> {
         )));
     }
 
-    let disk = SimulatedDisk::new();
-    let mut tables = |n: usize| -> SvqResult<Vec<_>> { (0..n).map(|_| r.table(&disk)).collect() };
+    let mut tables = |n: usize| -> SvqResult<Vec<_>> { (0..n).map(|_| r.table()).collect() };
     let object_tables = tables(objects)?;
     let action_tables = tables(actions)?;
     let mut sequences = |n: usize| -> SvqResult<Vec<_>> { (0..n).map(|_| r.sequences()).collect() };
@@ -234,7 +232,6 @@ pub(super) fn decode(bytes: &[u8]) -> SvqResult<IngestedVideo> {
         action_tables,
         object_sequences,
         action_sequences,
-        disk,
     };
     catalog.check_clip_range()?;
     Ok(catalog)
@@ -463,7 +460,7 @@ mod tests {
         let mut cat = sample();
         let wide = ClipId::new(u64::from(u32::MAX) + 1);
         cat.clip_count = wide.raw() + 1;
-        cat.object_tables[CAR] = ClipScoreTable::new(vec![(wide, 1.0)], cat.disk.clone());
+        cat.object_tables[CAR] = ClipScoreTable::new(vec![(wide, 1.0)]);
         match encode(&cat) {
             Err(SvqError::Storage(msg)) => assert!(msg.contains("does not fit"), "{msg}"),
             other => unreachable!("expected a storage error, got {other:?}"),

@@ -4,13 +4,13 @@
 //! currencies: wall-clock runtime and the *number of random disk accesses*
 //! to the clip score tables. The access counts are a property of the
 //! algorithms alone; the runtime additionally reflects the storage medium.
-//! [`SimulatedDisk`] counts both access kinds and converts them to
-//! simulated latency through a [`DiskCostProfile`], so experiments report
-//! `(runtime, #accesses)` pairs with the same structure as the paper's.
+//! [`DiskStats`] is one query run's access ledger: the run owns it and the
+//! table accessors add their charge to it, so concurrent runs over one
+//! catalog never share a counter. A [`DiskCostProfile`] converts a ledger
+//! to simulated latency, so experiments report `(runtime, #accesses)` pairs
+//! with the same structure as the paper's.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Latency charged per access, milliseconds.
 ///
@@ -35,6 +35,14 @@ impl Default for DiskCostProfile {
     }
 }
 
+impl DiskCostProfile {
+    /// Simulated I/O latency of a run's accesses, milliseconds.
+    pub fn ms_of(&self, stats: DiskStats) -> f64 {
+        stats.sorted_accesses as f64 * self.sorted_ms
+            + stats.random_accesses as f64 * self.random_ms
+    }
+}
+
 /// Access counters for one query execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiskStats {
@@ -49,168 +57,22 @@ impl DiskStats {
     }
 }
 
-/// A shared, thread-safe access meter standing in for the storage device.
-///
-/// Tables hold a handle and report every access; algorithms snapshot the
-/// stats before/after a query to attribute cost.
-#[derive(Debug, Clone, Default)]
-pub struct SimulatedDisk {
-    inner: Arc<Mutex<DiskStats>>,
-    profile: DiskCostProfile,
-}
-
-impl SimulatedDisk {
-    /// A fresh disk with the default cost profile.
-    pub fn new() -> Self {
-        Self::with_profile(DiskCostProfile::default())
-    }
-
-    /// A fresh disk with an explicit cost profile.
-    pub fn with_profile(profile: DiskCostProfile) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(DiskStats::default())),
-            profile,
-        }
-    }
-
-    /// Record one sorted (sequential) access.
-    pub fn charge_sorted(&self) {
-        self.inner.lock().sorted_accesses += 1;
-    }
-
-    /// Record one random access.
-    pub fn charge_random(&self) {
-        self.inner.lock().random_accesses += 1;
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> DiskStats {
-        *self.inner.lock()
-    }
-
-    /// Reset the counters (e.g. between queries over the same tables).
-    pub fn reset(&self) {
-        *self.inner.lock() = DiskStats::default();
-    }
-
-    /// Counters accumulated since a snapshot. Saturates at zero: a
-    /// [`SimulatedDisk::reset`] between the snapshot and now leaves the
-    /// live counters *behind* the snapshot, and the delta of interest is
-    /// then "accesses since the reset floor", never a negative (which
-    /// previously underflowed — debug panic, release wrap).
-    pub fn since(&self, snapshot: DiskStats) -> DiskStats {
-        let now = self.stats();
-        DiskStats {
-            sorted_accesses: now.sorted_accesses.saturating_sub(snapshot.sorted_accesses),
-            random_accesses: now.random_accesses.saturating_sub(snapshot.random_accesses),
-        }
-    }
-
-    /// Simulated I/O latency of the current counters, milliseconds.
-    pub fn simulated_ms(&self) -> f64 {
-        let s = self.stats();
-        s.sorted_accesses as f64 * self.profile.sorted_ms
-            + s.random_accesses as f64 * self.profile.random_ms
-    }
-
-    /// Simulated I/O latency of a stats delta, milliseconds.
-    pub fn simulated_ms_of(&self, stats: DiskStats) -> f64 {
-        stats.sorted_accesses as f64 * self.profile.sorted_ms
-            + stats.random_accesses as f64 * self.profile.random_ms
-    }
-
-    /// The cost profile in force.
-    pub fn profile(&self) -> DiskCostProfile {
-        self.profile
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn charges_accumulate_and_reset() {
-        let disk = SimulatedDisk::new();
-        disk.charge_sorted();
-        disk.charge_sorted();
-        disk.charge_random();
-        assert_eq!(
-            disk.stats(),
-            DiskStats {
-                sorted_accesses: 2,
-                random_accesses: 1
-            }
-        );
-        assert_eq!(disk.stats().total(), 3);
-        disk.reset();
-        assert_eq!(disk.stats(), DiskStats::default());
-    }
-
-    #[test]
-    fn clones_share_counters() {
-        let disk = SimulatedDisk::new();
-        let clone = disk.clone();
-        clone.charge_random();
-        assert_eq!(disk.stats().random_accesses, 1);
-    }
-
-    #[test]
-    fn since_reports_delta() {
-        let disk = SimulatedDisk::new();
-        disk.charge_sorted();
-        let snap = disk.stats();
-        disk.charge_random();
-        disk.charge_random();
-        let delta = disk.since(snap);
-        assert_eq!(
-            delta,
-            DiskStats {
-                sorted_accesses: 0,
-                random_accesses: 2
-            }
-        );
-    }
-
-    #[test]
-    fn since_saturates_across_reset() {
-        let disk = SimulatedDisk::new();
-        disk.charge_random();
-        disk.charge_random();
-        disk.charge_sorted();
-        let snap = disk.stats();
-        // A reset after the snapshot must not underflow the delta.
-        disk.reset();
-        assert_eq!(disk.since(snap), DiskStats::default());
-        // Accesses after the reset surface once they pass the snapshot
-        // floor component-wise.
-        disk.charge_sorted();
-        disk.charge_sorted();
-        let delta = disk.since(snap);
-        assert_eq!(delta.random_accesses, 0);
-        assert_eq!(delta.sorted_accesses, 1);
-    }
-
-    #[test]
     fn latency_model() {
-        let disk = SimulatedDisk::with_profile(DiskCostProfile {
+        let profile = DiskCostProfile {
             sorted_ms: 0.1,
             random_ms: 2.0,
-        });
-        for _ in 0..10 {
-            disk.charge_sorted();
-        }
-        for _ in 0..5 {
-            disk.charge_random();
-        }
-        assert!((disk.simulated_ms() - 11.0).abs() < 1e-9);
-        assert!(
-            (disk.simulated_ms_of(DiskStats {
-                sorted_accesses: 0,
-                random_accesses: 3
-            }) - 6.0)
-                .abs()
-                < 1e-9
-        );
+        };
+        let stats = DiskStats {
+            sorted_accesses: 10,
+            random_accesses: 5,
+        };
+        assert_eq!(stats.total(), 15);
+        assert!((profile.ms_of(stats) - 11.0).abs() < 1e-9);
+        assert!((DiskCostProfile::default().ms_of(stats) - 25.2).abs() < 1e-9);
     }
 }

@@ -379,26 +379,23 @@ impl VideoRepository {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::SimulatedDisk;
     use crate::seqset::SequenceSet;
     use crate::table::ClipScoreTable;
     use svq_types::{ActionClass, ObjectClass, VideoGeometry, Vocabulary};
 
     fn empty_catalog(id: u64, clips: u64) -> IngestedVideo {
-        let disk = SimulatedDisk::new();
         IngestedVideo::new(
             VideoId::new(id),
             VideoGeometry::default(),
             clips,
             (0..ObjectClass::cardinality())
-                .map(|_| ClipScoreTable::new(vec![], disk.clone()))
+                .map(|_| ClipScoreTable::new(vec![]))
                 .collect(),
             (0..ActionClass::cardinality())
-                .map(|_| ClipScoreTable::new(vec![], disk.clone()))
+                .map(|_| ClipScoreTable::new(vec![]))
                 .collect(),
             vec![SequenceSet::empty(); ObjectClass::cardinality()],
             vec![SequenceSet::empty(); ActionClass::cardinality()],
-            disk,
         )
     }
 

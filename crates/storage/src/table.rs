@@ -1,8 +1,8 @@
 //! Clip score tables — the `table_{o_i}` / `table_{a_j}` of §4.2.
 //!
 //! One table per class per video: rows `(cid, Score)` with `Score > 0`,
-//! ordered by score descending. Three access paths, each metered through
-//! the [`SimulatedDisk`]:
+//! ordered by score descending. Three access paths, each charged to the
+//! [`DiskStats`] ledger of the query run that makes it:
 //!
 //! * **sorted access** — the i-th highest-scoring row (TBClip's forward
 //!   pass, Algorithm 5 step 1);
@@ -11,7 +11,7 @@
 //! * **random access** — the score of a given clip id (step 2/4), `0` for
 //!   clips absent from the table (the class scored nothing there).
 
-use crate::disk::SimulatedDisk;
+use crate::disk::DiskStats;
 use svq_types::{ClipId, SvqError, SvqResult};
 
 /// A per-class clip score table, sorted by score descending.
@@ -23,8 +23,6 @@ pub struct ClipScoreTable {
     /// Clip-id-ordered mirror for O(log n) random access. Derived from
     /// `rows`, never persisted.
     by_clip: Vec<(ClipId, f64)>,
-    /// Access meter; not persisted.
-    disk: SimulatedDisk,
 }
 
 /// Row order: score descending, ties broken by clip id ascending.
@@ -35,7 +33,7 @@ fn row_order(a: &(ClipId, f64), b: &(ClipId, f64)) -> std::cmp::Ordering {
 impl ClipScoreTable {
     /// Build from unordered `(clip, score)` pairs; zero/negative scores are
     /// dropped (absent rows mean "score 0" by convention).
-    pub fn new(mut entries: Vec<(ClipId, f64)>, disk: SimulatedDisk) -> Self {
+    pub fn new(mut entries: Vec<(ClipId, f64)>) -> Self {
         entries.retain(|(_, s)| *s > 0.0);
         let mut by_clip = entries.clone();
         by_clip.sort_by_key(|(c, _)| *c);
@@ -43,21 +41,14 @@ impl ClipScoreTable {
         assert_eq!(by_clip.len(), entries.len(), "duplicate clip id in table");
         let mut rows = entries;
         rows.sort_by(row_order);
-        Self {
-            rows,
-            by_clip,
-            disk,
-        }
+        Self { rows, by_clip }
     }
 
     /// Rebuild a table from rows read out of a catalog file. Nothing is
     /// repaired: the rows must already satisfy what [`ClipScoreTable::new`]
     /// establishes — every score positive, `(score desc, clip asc)` order,
     /// no clip twice — or the file is refused.
-    pub(crate) fn from_sorted_rows(
-        rows: Vec<(ClipId, f64)>,
-        disk: SimulatedDisk,
-    ) -> SvqResult<Self> {
+    pub(crate) fn from_sorted_rows(rows: Vec<(ClipId, f64)>) -> SvqResult<Self> {
         if let Some((clip, score)) = rows.iter().find(|(_, s)| s.is_nan() || *s <= 0.0) {
             return Err(SvqError::Storage(format!(
                 "score table holds non-positive score {score} for clip {}",
@@ -81,11 +72,7 @@ impl ClipScoreTable {
                 w[0].0.raw()
             )));
         }
-        Ok(Self {
-            rows,
-            by_clip,
-            disk,
-        })
+        Ok(Self { rows, by_clip })
     }
 
     /// Number of rows.
@@ -104,28 +91,30 @@ impl ClipScoreTable {
         self.by_clip.last().map(|(c, _)| *c)
     }
 
-    /// Sorted access: the row with the i-th highest score.
-    pub fn sorted_row(&self, i: usize) -> Option<(ClipId, f64)> {
+    /// Sorted access: the row with the i-th highest score, charged to
+    /// `disk` when it exists.
+    pub fn sorted_row(&self, i: usize, disk: &mut DiskStats) -> Option<(ClipId, f64)> {
         let row = self.rows.get(i).copied();
         if row.is_some() {
-            self.disk.charge_sorted();
+            disk.sorted_accesses += 1;
         }
         row
     }
 
-    /// Reverse access: the row with the i-th lowest score.
-    pub fn reverse_row(&self, i: usize) -> Option<(ClipId, f64)> {
+    /// Reverse access: the row with the i-th lowest score, charged to
+    /// `disk` as a sorted access when it exists.
+    pub fn reverse_row(&self, i: usize, disk: &mut DiskStats) -> Option<(ClipId, f64)> {
         if i >= self.rows.len() {
             return None;
         }
-        self.disk.charge_sorted();
+        disk.sorted_accesses += 1;
         Some(self.rows[self.rows.len() - 1 - i])
     }
 
     /// Random access: the score of `clip`, `0.0` if absent. Always charges
-    /// one random access — absence is only known after looking.
-    pub fn random_score(&self, clip: ClipId) -> f64 {
-        self.disk.charge_random();
+    /// `disk` one random access — absence is only known after looking.
+    pub fn random_score(&self, clip: ClipId, disk: &mut DiskStats) -> f64 {
+        disk.random_accesses += 1;
         match self.by_clip.binary_search_by_key(&clip, |(c, _)| *c) {
             Ok(i) => self.by_clip[i].1,
             Err(_) => 0.0,
@@ -156,78 +145,73 @@ mod tests {
         ClipId::new(i)
     }
 
-    fn table(disk: &SimulatedDisk) -> ClipScoreTable {
-        ClipScoreTable::new(
-            vec![
-                (c(3), 1.0),
-                (c(1), 5.0),
-                (c(7), 3.0),
-                (c(4), 0.0),
-                (c(9), 3.0),
-            ],
-            disk.clone(),
-        )
+    fn table() -> ClipScoreTable {
+        ClipScoreTable::new(vec![
+            (c(3), 1.0),
+            (c(1), 5.0),
+            (c(7), 3.0),
+            (c(4), 0.0),
+            (c(9), 3.0),
+        ])
     }
 
     #[test]
     fn rows_sorted_by_score_desc_with_id_ties() {
-        let disk = SimulatedDisk::new();
-        let t = table(&disk);
+        let mut disk = DiskStats::default();
+        let t = table();
         assert_eq!(t.len(), 4); // zero-score row dropped
-        assert_eq!(t.sorted_row(0), Some((c(1), 5.0)));
-        assert_eq!(t.sorted_row(1), Some((c(7), 3.0))); // tie: lower id first
-        assert_eq!(t.sorted_row(2), Some((c(9), 3.0)));
-        assert_eq!(t.sorted_row(3), Some((c(3), 1.0)));
-        assert_eq!(t.sorted_row(4), None);
+        assert_eq!(t.sorted_row(0, &mut disk), Some((c(1), 5.0)));
+        assert_eq!(t.sorted_row(1, &mut disk), Some((c(7), 3.0))); // tie: lower id first
+        assert_eq!(t.sorted_row(2, &mut disk), Some((c(9), 3.0)));
+        assert_eq!(t.sorted_row(3, &mut disk), Some((c(3), 1.0)));
+        assert_eq!(t.sorted_row(4, &mut disk), None);
     }
 
     #[test]
     fn reverse_access_walks_from_bottom() {
-        let disk = SimulatedDisk::new();
-        let t = table(&disk);
-        assert_eq!(t.reverse_row(0), Some((c(3), 1.0)));
-        assert_eq!(t.reverse_row(3), Some((c(1), 5.0)));
-        assert_eq!(t.reverse_row(4), None);
+        let mut disk = DiskStats::default();
+        let t = table();
+        assert_eq!(t.reverse_row(0, &mut disk), Some((c(3), 1.0)));
+        assert_eq!(t.reverse_row(3, &mut disk), Some((c(1), 5.0)));
+        assert_eq!(t.reverse_row(4, &mut disk), None);
     }
 
     #[test]
     fn random_access_returns_zero_for_absent() {
-        let disk = SimulatedDisk::new();
-        let t = table(&disk);
-        assert_eq!(t.random_score(c(7)), 3.0);
-        assert_eq!(t.random_score(c(4)), 0.0); // dropped zero-score row
-        assert_eq!(t.random_score(c(100)), 0.0);
+        let mut disk = DiskStats::default();
+        let t = table();
+        assert_eq!(t.random_score(c(7), &mut disk), 3.0);
+        assert_eq!(t.random_score(c(4), &mut disk), 0.0); // dropped zero-score row
+        assert_eq!(t.random_score(c(100), &mut disk), 0.0);
     }
 
     #[test]
     fn accesses_are_metered() {
-        let disk = SimulatedDisk::new();
-        let t = table(&disk);
-        t.sorted_row(0);
-        t.sorted_row(1);
-        t.reverse_row(0);
-        t.random_score(c(1));
-        t.sorted_row(99); // out of range: no charge
-        let stats = disk.stats();
-        assert_eq!(stats.sorted_accesses, 3);
-        assert_eq!(stats.random_accesses, 1);
+        let mut disk = DiskStats::default();
+        let t = table();
+        t.sorted_row(0, &mut disk);
+        t.sorted_row(1, &mut disk);
+        t.reverse_row(0, &mut disk);
+        t.random_score(c(1), &mut disk);
+        t.sorted_row(99, &mut disk); // out of range: no charge
+        assert_eq!(disk.sorted_accesses, 3);
+        assert_eq!(disk.random_accesses, 1);
         // peek is unmetered.
         t.peek_score(c(1));
-        assert_eq!(disk.stats().random_accesses, 1);
+        assert_eq!(disk.random_accesses, 1);
     }
 
     #[test]
     fn from_sorted_rows_accepts_only_what_new_would_build() {
-        let disk = SimulatedDisk::new();
-        let t = table(&disk);
+        let t = table();
         let rows: Vec<_> = t.iter_sorted().collect();
-        let back = ClipScoreTable::from_sorted_rows(rows.clone(), disk.clone()).unwrap();
+        let back = ClipScoreTable::from_sorted_rows(rows.clone()).unwrap();
         assert_eq!(back.iter_sorted().collect::<Vec<_>>(), rows);
         assert_eq!(back.peek_score(c(9)), 3.0);
         assert_eq!(back.max_clip(), Some(c(9)));
 
         let refused = |rows: Vec<(ClipId, f64)>, needle: &str| {
-            let err = ClipScoreTable::from_sorted_rows(rows, SimulatedDisk::new()).unwrap_err();
+            let err = ClipScoreTable::from_sorted_rows(rows).unwrap_err();
             assert!(matches!(err, SvqError::Storage(_)), "{err}");
             assert!(err.to_string().contains(needle), "{err}");
         };
@@ -243,6 +227,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate clip id")]
     fn duplicate_clip_rejected() {
-        ClipScoreTable::new(vec![(c(1), 1.0), (c(1), 2.0)], SimulatedDisk::new());
+        ClipScoreTable::new(vec![(c(1), 1.0), (c(1), 2.0)]);
     }
 }

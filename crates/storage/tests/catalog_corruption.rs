@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use svq_storage::{ClipScoreTable, IngestedVideo, SequenceSet, SimulatedDisk};
+use svq_storage::{ClipScoreTable, IngestedVideo, SequenceSet};
 use svq_types::{
     ActionClass, ClipId, Interval, ObjectClass, SvqError, VideoGeometry, VideoId, Vocabulary,
 };
@@ -29,7 +29,6 @@ const AWKWARD: [f64; 8] = [
 /// tables and sequences drawn from `rows`; every other class is empty, as
 /// in an ingested video.
 fn catalog(rows: &[(u64, u64, usize)], filled: usize) -> IngestedVideo {
-    let disk = SimulatedDisk::new();
     let table = |class: usize| {
         // Keyed by clip so ids stay unique; the last row guarantees the
         // table is never empty.
@@ -44,7 +43,7 @@ fn catalog(rows: &[(u64, u64, usize)], filled: usize) -> IngestedVideo {
             }
         }
         entries.insert(ClipId::new(CLIPS - 1 - class as u64), 1.5);
-        ClipScoreTable::new(entries.into_iter().collect(), disk.clone())
+        ClipScoreTable::new(entries.into_iter().collect())
     };
     let sequences = |class: usize| {
         SequenceSet::new(
@@ -57,7 +56,7 @@ fn catalog(rows: &[(u64, u64, usize)], filled: usize) -> IngestedVideo {
                 .collect(),
         )
     };
-    let empty_table = || ClipScoreTable::new(vec![], disk.clone());
+    let empty_table = || ClipScoreTable::new(vec![]);
     let tables = |n: usize, shift: usize| -> Vec<ClipScoreTable> {
         (0..n)
             .map(|i| {
@@ -88,7 +87,6 @@ fn catalog(rows: &[(u64, u64, usize)], filled: usize) -> IngestedVideo {
         tables(ActionClass::cardinality(), 7),
         sets(ObjectClass::cardinality(), 0),
         sets(ActionClass::cardinality(), 7),
-        disk.clone(),
     )
 }
 

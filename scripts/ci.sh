@@ -12,6 +12,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q"
 cargo test --workspace -q
 
+echo "== movie_topk example (ingest, persist, top-K queries reading each run's own accesses)"
+cargo run -q --release --example movie_topk
+
 echo "== svq-lint --check (workspace invariants + static lock graph vs lint-baseline.txt)"
 # Hard gate: token rules plus the workspace concurrency passes
 # (lock-cycle, blocking-under-lock). Any finding beyond the committed

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use svq_act::prelude::*;
-use svq_storage::{ClipScoreTable, SimulatedDisk};
+use svq_storage::{ClipScoreTable, DiskStats};
 use svq_types::scoring::MaxScoring;
 
 fn iv(s: u64, e: u64) -> ClipInterval {
@@ -109,27 +109,30 @@ proptest! {
             .filter(|(c, _)| seen.insert(*c))
             .map(|(c, s)| (ClipId::new(c), s))
             .collect();
-        let disk = SimulatedDisk::new();
-        let table = ClipScoreTable::new(entries.clone(), disk);
+        let table = ClipScoreTable::new(entries.clone());
+        let mut disk = DiskStats::default();
         prop_assert_eq!(table.len(), entries.len());
         // Sorted access is non-increasing and a permutation of the input.
         let mut last = f64::INFINITY;
         let mut total = 0usize;
         for i in 0..table.len() {
-            let (cid, s) = table.sorted_row(i).unwrap();
+            let (cid, s) = table.sorted_row(i, &mut disk).unwrap();
             prop_assert!(s <= last);
             last = s;
             total += 1;
             // Random access agrees.
-            prop_assert!((table.random_score(cid) - s).abs() < 1e-12);
+            prop_assert!((table.random_score(cid, &mut disk) - s).abs() < 1e-12);
         }
         prop_assert_eq!(total, entries.len());
         // Reverse access mirrors sorted access.
         for i in 0..table.len() {
-            let a = table.sorted_row(table.len() - 1 - i).unwrap();
-            let b = table.reverse_row(i).unwrap();
+            let a = table.sorted_row(table.len() - 1 - i, &mut disk).unwrap();
+            let b = table.reverse_row(i, &mut disk).unwrap();
             prop_assert_eq!(a, b);
         }
+        // Every access above landed in the caller's ledger.
+        prop_assert_eq!(disk.sorted_accesses, 3 * entries.len() as u64);
+        prop_assert_eq!(disk.random_accesses, entries.len() as u64);
     }
 
     #[test]
