@@ -17,16 +17,27 @@
 //! and a run's bookkeeping is kept linear in them:
 //! `O(accesses + calls · |live| · tables)` inside [`TbClip`] (`live` = the
 //! clips sorted access has shown that can still be delivered) plus
-//! `O(calls · |P_q| log |P_q|)` here. The iterator never rescans its seen
-//! sets: it keeps dense per-clip state and prunes its worklists lazily,
-//! which is sound because of two monotonicity invariants this loop
-//! upholds — a clip delivered by a side stays delivered, and `C_skip` only
-//! grows (a sequence resolved in or out is skipped for good; nothing is
-//! ever un-skipped). On the priority queues: Eq. 13 re-estimates the upper
+//! `O(calls · |P_q| log |P_q|)` here. Per call the iterator bounds every
+//! live clip, `O(|live| · tables)`, then sorts only the few candidates that
+//! can still change its delivery or cost a random access. A clip whose
+//! score is memoised ranks by that score from the top, which never exceeds
+//! its optimistic bound, and by `max(bound, score)` from the bottom, where
+//! a clip absent from a table scores 0 below the frontier its bound used;
+//! everything ranked past the best memoised key is dropped unsorted. Two
+//! tie rules keep each delivery identical to a walk in bound order: at
+//! equal keys a memoised clip whose key moved off its bound ranks first,
+//! and among clips tied at the best score the smallest id the bound-ordered
+//! walk reaches wins (see the `tbclip` module docs). The iterator never
+//! rescans its seen sets: it keeps dense per-clip state and prunes its
+//! worklists lazily, which is sound because of two monotonicity invariants
+//! this loop upholds — a clip delivered by a side stays delivered, and
+//! `C_skip` only grows (a sequence resolved in or out is skipped for good;
+//! nothing is ever un-skipped). On the priority queues: Eq. 13 re-estimates the upper
 //! bound of *every* sequence whenever `c_top` advances, so incremental
 //! heaps would be rebuilt wholesale each iteration anyway; we keep the PQ
 //! *semantics* (top-K by lower bound, max of the rest by upper bound) with
-//! a sort per iteration — result-sequence counts are tens, not millions.
+//! a sort per iteration of one reused `order` buffer, whose first K entries
+//! are `PQ_lo^K` — result-sequence counts are tens, not millions.
 
 use super::bounds::SequenceBounds;
 use super::skip::SkipSet;
@@ -148,6 +159,7 @@ impl Rvaq {
         };
         let mut tb = TbClip::new(catalog, query, scoring);
         let mut absorbed: BTreeSet<ClipId> = BTreeSet::new();
+        let mut order: Vec<usize> = Vec::with_capacity(bounds.len());
         let mut iterations = 0u64;
 
         if k > 0 {
@@ -177,12 +189,10 @@ impl Rvaq {
                 }
 
                 // PQ_lo^K / PQ_up^¬K: split non-excluded sequences by lower
-                // bound.
-                let mut order: Vec<usize> = (0..bounds.len())
-                    .filter(|&i| !bounds[i].resolved_out)
-                    .collect();
+                // bound; the first `k` of `order` are PQ_lo^K.
+                order.clear();
+                order.extend((0..bounds.len()).filter(|&i| !bounds[i].resolved_out));
                 order.sort_by(|&a, &b| bounds[b].b_lo.total_cmp(&bounds[a].b_lo).then(a.cmp(&b)));
-                let in_k: BTreeSet<usize> = order.iter().take(k).copied().collect();
                 let b_lo_k = order
                     .get(k - 1)
                     .map_or(f64::NEG_INFINITY, |&i| bounds[i].b_lo);
@@ -202,7 +212,7 @@ impl Rvaq {
                     }
                 }
                 // Conclusive inclusion (lines 19-20).
-                for &i in &in_k {
+                for &i in order.iter().take(k) {
                     if bounds[i].active() && bounds[i].b_lo > b_up_not_k {
                         bounds[i].resolved_in = true;
                         if options.use_skip && !options.exact_scores {
@@ -219,9 +229,8 @@ impl Rvaq {
         }
 
         // Select the final top-K by lower bound.
-        let mut order: Vec<usize> = (0..bounds.len())
-            .filter(|&i| !bounds[i].resolved_out)
-            .collect();
+        order.clear();
+        order.extend((0..bounds.len()).filter(|&i| !bounds[i].resolved_out));
         order.sort_by(|&a, &b| bounds[b].b_lo.total_cmp(&bounds[a].b_lo).then(a.cmp(&b)));
         order.truncate(k);
 

@@ -30,12 +30,47 @@
 //! monotone, so the bound is sound and the delivered clip is still the true
 //! maximum.
 //!
+//! Algorithm 5 walks candidates in bound order. Here a clip whose score is
+//! memoised ranks by a key derived from that score instead, the worse of
+//! its bound and its score from that side:
+//!
+//! - from the top, the score itself, which never exceeds the optimistic
+//!   bound (`g` is monotone and the frontier tops every unseen coordinate);
+//! - from the bottom, `max(bound, score)`: a clip absent from a table
+//!   random-accesses as 0 while its unseen coordinate took the frontier,
+//!   so its pessimistic bound can exceed its score.
+//!
+//! A bound-ordered walk scores an unscored clip unless some clip ahead of
+//! it already scored at least as well as its bound. Such a clip ranks ahead
+//! of it by key exactly when it did by bound, so walking by key random-
+//! accesses the same clips and finds the same best score, and everything
+//! ranked past the best memoised key can be dropped unsorted. Two tie rules
+//! keep each delivery identical to the bound-ordered walk:
+//!
+//! 1. at equal keys, a memoised clip whose key moved off its bound ranks
+//!    ahead of the rest, as its bound did; otherwise the walk would
+//!    random-access an unscored clip with a smaller id that the
+//!    bound-ordered walk never reached;
+//! 2. among clips tied at the best score, the winner is the smallest id a
+//!    bound-ordered walk reaches: the first tied clip in bound order and
+//!    every tied clip whose bound still beats the score. From the top these
+//!    are the tied clips whose bound exceeds the score, or all of them if
+//!    none does.
+//!
+//! `crates/core/tests/tbclip_differential.rs` holds these to the
+//! bound-ordered reference step for step.
+//!
 //! # Cost
 //!
 //! The paper counts table accesses, and the bookkeeping here is kept
-//! linear in them: `O(accesses + calls · |live| · tables)` for a whole
-//! run, where `live` is the set of clips seen by sorted access and still
-//! deliverable. Per-side state is dense, indexed by clip id
+//! linear in them. A call bounds every live clip, `O(|live| · tables)`,
+//! then sorts only the candidates ranked no worse than the best memoised
+//! key — typically a handful, the only ones that can still change the
+//! delivery or cost a random access. A whole run costs
+//! `O(accesses + calls · |live| · tables)` plus those small sorts, where
+//! `live` is the set of clips seen by sorted access and still deliverable;
+//! each side reuses one candidate buffer across calls. Per-side state is
+//! dense, indexed by clip id
 //! ([`SeenClips`]): the score seen in each table, how many tables have
 //! shown the clip, and whether it has been delivered. Two worklists ride
 //! on top — `full` (seen in every table) answers step 1's "is there a
@@ -53,10 +88,11 @@
 //! So a clip found dead once is dead for the rest of the run, and dropping
 //! it from a worklist can never hide a future candidate. Worklist order is
 //! insertion order (sorted-access order), never hash order, and every
-//! choice among candidates is made by an explicit `(bound, clip)` or
-//! `(score, clip)` comparison, so results do not depend on it.
+//! choice among candidates is made by an explicit `(key, moved, clip)` or
+//! `(bound, clip)` comparison, so results do not depend on it.
 
 use super::skip::SkipSet;
+use std::cmp::Ordering;
 use svq_storage::{ClipScoreTable, DiskStats, IngestedVideo};
 use svq_types::{ActionQuery, ClipId, ScoringFunctions};
 
@@ -183,6 +219,53 @@ enum End {
     Bottom,
 }
 
+impl End {
+    /// Whether `a` is strictly better than `b` from this end: higher from
+    /// the top, lower from the bottom.
+    fn beats(self, a: f64, b: f64) -> bool {
+        match self {
+            End::Top => a > b,
+            End::Bottom => a < b,
+        }
+    }
+
+    /// Best-first order of two values from this end.
+    fn rank(self, a: f64, b: f64) -> Ordering {
+        match self {
+            End::Top => b.total_cmp(&a),
+            End::Bottom => a.total_cmp(&b),
+        }
+    }
+
+    /// The ranking key of a clip whose exact score is memoised: the worse
+    /// of its bound and its score from this end (see the module docs). From
+    /// the top that is always the score.
+    fn memo_key(self, bound: f64, score: f64) -> f64 {
+        match self {
+            End::Top => score,
+            End::Bottom => bound.max(score),
+        }
+    }
+}
+
+/// A step 2 / 4 candidate: a live clip, its bound, and the key it ranks by.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    clip: ClipId,
+    /// `g` over the seen coordinates and the frontier where unseen.
+    bound: f64,
+    /// [`End::memo_key`] if the clip's score is memoised, else `bound`.
+    key: f64,
+}
+
+impl Candidate {
+    /// Whether the key moved off the bound (only a memoised clip's can):
+    /// such a clip ranks ahead of the rest at an equal key.
+    fn moved(&self) -> bool {
+        self.key != self.bound
+    }
+}
+
 /// One access direction of the iterator.
 struct Side {
     end: End,
@@ -191,6 +274,8 @@ struct Side {
     /// Score of the last row read from each table.
     frontier: Vec<f64>,
     seen: SeenClips,
+    /// Scratch reused across calls: this call's ranked candidates.
+    candidates: Vec<Candidate>,
 }
 
 impl Side {
@@ -204,6 +289,7 @@ impl Side {
             stamp: 0,
             frontier: vec![no_row_yet; tables],
             seen: SeenClips::new(tables, clips),
+            candidates: Vec::new(),
         }
     }
 
@@ -239,32 +325,65 @@ impl Side {
         true
     }
 
-    /// Steps 2 / 4, first half: the *union* of seen clips, minus delivered
-    /// and skipped ones, each with `g` over its seen coordinates and the
-    /// table's frontier where unseen — an optimistic bound from the top, a
-    /// pessimistic one from the bottom, `g` being monotone. Every frontier
-    /// is a real row score here: [`Self::read_until_fresh`] returned
-    /// `true`, so some clip has been seen in every table.
-    fn candidates(
+    /// Steps 2 / 4, first half: fill [`Self::candidates`] with the *union*
+    /// of seen clips, minus delivered and skipped ones, each with `g` over
+    /// its seen coordinates and the table's frontier where unseen — an
+    /// optimistic bound from the top, a pessimistic one from the bottom,
+    /// `g` being monotone. Every frontier is a real row score here:
+    /// [`Self::read_until_fresh`] returned `true`, so some clip has been
+    /// seen in every table.
+    ///
+    /// Only the candidates that rank no worse than the best memoised key
+    /// are kept, in walk order: key best-first, then a moved clip ahead
+    /// of the rest, then clip id. The walk cannot pass the best memoised
+    /// clip, so nothing ranked after it could be scored or win.
+    fn rank_candidates(
         &mut self,
         skip: &SkipSet,
         scoring: &dyn ScoringFunctions,
         n_objects: usize,
-    ) -> Vec<(ClipId, f64)> {
-        let Self { frontier, seen, .. } = self;
-        let mut candidates = Vec::new();
+        memo: &[Option<f64>],
+    ) {
+        let Self {
+            end,
+            frontier,
+            seen,
+            candidates,
+            ..
+        } = self;
+        let end = *end;
+        candidates.clear();
         let mut coords = vec![0.0f64; frontier.len()];
+        let mut cut: Option<f64> = None;
         seen.for_each_fresh(
             Worklist::Live,
             |c| skip.contains(c),
-            |c, row| {
+            |clip, row| {
                 for (slot, (&seen, &unseen)) in coords.iter_mut().zip(row.iter().zip(&*frontier)) {
                     *slot = if seen.is_nan() { unseen } else { seen };
                 }
-                candidates.push((c, scoring.g(&coords[..n_objects], coords[n_objects])));
+                let bound = scoring.g(&coords[..n_objects], coords[n_objects]);
+                let key = match memo.get(clip.index()) {
+                    Some(&Some(score)) => {
+                        let key = end.memo_key(bound, score);
+                        if cut.is_none_or(|cut| end.beats(key, cut)) {
+                            cut = Some(key);
+                        }
+                        key
+                    }
+                    _ => bound,
+                };
+                candidates.push(Candidate { clip, bound, key });
             },
         );
-        candidates
+        if let Some(cut) = cut {
+            candidates.retain(|c| !end.beats(cut, c.key));
+        }
+        candidates.sort_unstable_by(|a, b| {
+            end.rank(a.key, b.key)
+                .then(b.moved().cmp(&a.moved()))
+                .then(a.clip.cmp(&b.clip))
+        });
     }
 }
 
@@ -342,77 +461,69 @@ impl<'a> TbClip<'a> {
         matches!(self.scores.get(clip.index()), Some(Some(_)))
     }
 
-    /// Advance the top side: sorted access in parallel until a new
-    /// non-skipped candidate appears in all tables (step 1), then return
-    /// the max-scoring candidate (step 2).
-    fn next_top(&mut self, skip: &SkipSet) -> Option<(ClipId, f64)> {
-        if !self
-            .top
-            .read_until_fresh(&self.tables, skip, &mut self.disk)
-        {
-            return None;
+    /// The state of one access direction.
+    fn side(&mut self, end: End) -> &mut Side {
+        match end {
+            End::Top => &mut self.top,
+            End::Bottom => &mut self.btm,
         }
-        // Step 2, TA refinement: score candidates in decreasing
-        // optimistic-bound order and stop once the bound cannot beat the
-        // best completed score.
-        let mut candidates = self.top.candidates(skip, self.scoring, self.n_objects);
-        candidates.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let mut best: Option<(ClipId, f64)> = None;
-        for (c, bound) in candidates {
-            if let Some((_, bs)) = best {
-                if bound <= bs {
-                    break; // no remaining candidate can beat the best
-                }
-            }
-            let s = if self.score_cached(c) || bound > best.map_or(f64::NEG_INFINITY, |(_, bs)| bs)
-            {
-                self.score_of(c)
-            } else {
-                continue;
-            };
-            if best.is_none_or(|(bc, bs)| s > bs || (s == bs && c < bc)) {
-                best = Some((c, s));
-            }
-        }
-        let best = best?;
-        self.top.seen.retire(best.0);
-        Some(best)
     }
 
-    /// Mirror of [`Self::next_top`] from the bottom (steps 3-4).
-    fn next_bottom(&mut self, skip: &SkipSet) -> Option<(ClipId, f64)> {
-        if !self
-            .btm
-            .read_until_fresh(&self.tables, skip, &mut self.disk)
-        {
+    /// Advance one side: sorted access in parallel until a new non-skipped
+    /// candidate appears in all tables (steps 1 / 3), then return the
+    /// best-scoring candidate (steps 2 / 4).
+    fn next_from(&mut self, end: End, skip: &SkipSet) -> Option<(ClipId, f64)> {
+        let side = match end {
+            End::Top => &mut self.top,
+            End::Bottom => &mut self.btm,
+        };
+        if !side.read_until_fresh(&self.tables, skip, &mut self.disk) {
             return None;
         }
-        // Mirror of the top side: clips whose pessimistic bound already
-        // exceeds the best minimum cannot win.
-        let mut candidates = self.btm.candidates(skip, self.scoring, self.n_objects);
-        candidates.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        let mut best: Option<(ClipId, f64)> = None;
-        for (c, bound) in candidates {
-            if let Some((_, bs)) = best {
-                if bound >= bs {
-                    break;
-                }
+        side.rank_candidates(skip, self.scoring, self.n_objects, &self.scores);
+        let candidates = std::mem::take(&mut side.candidates);
+        // TA refinement: score candidates in key order and stop once a key
+        // cannot beat the best completed score.
+        let mut best: Option<f64> = None;
+        for c in &candidates {
+            if best.is_some_and(|bs| !end.beats(c.key, bs)) {
+                break;
             }
-            let s = self.score_of(c);
-            if best.is_none_or(|(bc, bs)| s < bs || (s == bs && c < bc)) {
-                best = Some((c, s));
+            let s = self.score_of(c.clip);
+            if best.is_none_or(|bs| end.beats(s, bs)) {
+                best = Some(s);
             }
         }
-        let best = best?;
-        self.btm.seen.retire(best.0);
-        Some(best)
+        // Tie rule 2: a bound-ordered walk reaches the first clip tied at
+        // `best` in bound order, then every tied clip whose bound still
+        // beats `best`; the smallest id it reaches wins. When any bound
+        // beats `best`, the first tied clip's does too.
+        let winner = best.and_then(|best| {
+            let tied = candidates
+                .iter()
+                .filter(|t| self.scores.get(t.clip.index()) == Some(&Some(best)));
+            let first = tied
+                .clone()
+                .min_by(|a, b| end.rank(a.bound, b.bound).then(a.clip.cmp(&b.clip)))?;
+            let beating = tied
+                .filter(|t| end.beats(t.bound, best))
+                .map(|t| t.clip)
+                .min();
+            Some((beating.unwrap_or(first.clip), best))
+        });
+        let side = self.side(end);
+        side.candidates = candidates;
+        if let Some((clip, _)) = winner {
+            side.seen.retire(clip);
+        }
+        winner
     }
 
     /// One invocation of the iterator: the next top and bottom clips.
     pub fn next(&mut self, skip: &SkipSet) -> TbClipStep {
         TbClipStep {
-            top: self.next_top(skip),
-            bottom: self.next_bottom(skip),
+            top: self.next_from(End::Top, skip),
+            bottom: self.next_from(End::Bottom, skip),
         }
     }
 }

@@ -175,6 +175,25 @@ fn run_case(seed: u64) {
     }
 }
 
+/// Catalogs that broke step 2 / 4 rankings keyed by memoised scores, kept
+/// so every run covers them whatever the property draws. The first needs a
+/// memoised clip whose key moved off its bound to rank ahead of an unscored
+/// clip at an equal key, and the winner among clips tied at the best score
+/// to be the smallest id a bound-ordered walk reaches; the second needs the
+/// bottom side's key to be `max(bound, score)`, not the bare score; the
+/// third fails a winner taken as the smallest tied id the key-ordered walk
+/// happened to score.
+#[test]
+fn tie_and_key_corners_match_the_btree_reference() {
+    for seed in [
+        10_499_185_409_087_727_473,
+        11_053_443_083_976_518_240,
+        14_208_915_743_331_490_756,
+    ] {
+        run_case(seed);
+    }
+}
+
 proptest! {
     #[test]
     fn dense_tbclip_matches_the_btree_reference_step_for_step(seed in any::<u64>()) {

@@ -12,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q"
 cargo test --workspace -q
 
+echo "== TBClip differential oracle, deep (PROPTEST_CASES=2000)"
+# TBClip ranks step 2 / 4 candidates by memoised-score keys with two tie
+# rules; it is correct only while it matches the bound-ordered BTree
+# reference step for step, so run the oracle far past the default 64 cases.
+PROPTEST_CASES=2000 cargo test --release -q -p svq-core --test tbclip_differential
+
 echo "== movie_topk example (ingest, persist, top-K queries reading each run's own accesses)"
 cargo run -q --release --example movie_topk
 
