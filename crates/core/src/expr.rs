@@ -19,7 +19,7 @@
 use crate::online::{OnlineConfig, SequenceMerger};
 use svq_scanstats::{CriticalValueTable, KernelEstimator, ScanConfig};
 use svq_types::{
-    ActionClass, ActionQuery, ActionScore, ClipInterval, Predicate, TrackedDetection, VideoGeometry,
+    ActionQuery, ClipInterval, ObjectClass, Predicate, TrackedDetection, VideoGeometry,
 };
 use svq_vision::stream::ClipAccess;
 use svq_vision::{Rows, VideoStream};
@@ -79,7 +79,8 @@ fn is_frame_level(p: &Predicate) -> bool {
 /// value per distinct predicate.
 #[derive(Debug)]
 pub struct ExprSvaqd {
-    query: CnfQuery,
+    /// Each clause as indices into `predicates`.
+    clauses: Vec<Vec<usize>>,
     predicates: Vec<Predicate>,
     config: OnlineConfig,
     geometry: VideoGeometry,
@@ -88,6 +89,9 @@ pub struct ExprSvaqd {
     shot_table: CriticalValueTable,
     criticals: Vec<u32>,
     merger: SequenceMerger,
+    /// This clip's count and indicator per predicate, reused across clips.
+    counts: Vec<u32>,
+    indicators: Vec<bool>,
 }
 
 impl ExprSvaqd {
@@ -131,8 +135,24 @@ impl ExprSvaqd {
                 }
             })
             .collect();
+        let clauses = query
+            .clauses
+            .iter()
+            .map(|clause| {
+                clause
+                    .iter()
+                    .map(|p| {
+                        predicates
+                            .iter()
+                            .position(|q| q == p)
+                            .expect("predicates() lists every clause predicate")
+                    })
+                    .collect()
+            })
+            .collect();
+        let n = predicates.len();
         Self {
-            query,
+            clauses,
             predicates,
             config,
             geometry,
@@ -141,82 +161,83 @@ impl ExprSvaqd {
             shot_table,
             criticals,
             merger: SequenceMerger::new(),
+            counts: vec![0; n],
+            indicators: vec![false; n],
         }
     }
 
-    /// Count positive frames for one frame-level predicate on one clip.
-    fn count_frames(p: &Predicate, frames: Rows<'_, TrackedDetection>, t_obj: f64) -> u32 {
-        let holds = |detections: &[TrackedDetection]| match p {
-            Predicate::Object(class) => detections
-                .iter()
-                .any(|d| d.detection.class == *class && d.detection.score >= t_obj),
-            Predicate::LeftOf(left, right) => detections.iter().any(|l| {
-                l.detection.class == *left
-                    && l.detection.score >= t_obj
-                    && detections.iter().any(|r| {
-                        r.detection.class == *right
-                            && r.detection.score >= t_obj
-                            && l.detection.bbox.left_of(&r.detection.bbox)
-                    })
-            }),
-            Predicate::Action(_) => false,
-        };
-        frames.filter(|detections| holds(detections)).count() as u32
-    }
-
-    /// Count positive shots for one action class on one clip.
-    fn count_shots(class: ActionClass, shots: Rows<'_, ActionScore>, t_act: f64) -> u32 {
-        shots
-            .filter(|actions| actions.iter().any(|a| a.class == class && a.score >= t_act))
+    /// Frames of one clip holding `left` left of `right`, both at
+    /// `score ≥ t_obj` — the one predicate that reads boxes, so rows.
+    fn count_left_of(
+        frames: Rows<'_, TrackedDetection>,
+        left: ObjectClass,
+        right: ObjectClass,
+        t_obj: f64,
+    ) -> u32 {
+        frames
+            .filter(|detections| {
+                detections.iter().any(|l| {
+                    l.detection.class == left
+                        && l.detection.score >= t_obj
+                        && detections.iter().any(|r| {
+                            r.detection.class == right
+                                && r.detection.score >= t_obj
+                                && l.detection.bbox.left_of(&r.detection.bbox)
+                        })
+                })
+            })
             .count() as u32
     }
 
     /// Process the next clip; returns a closed sequence if any.
     pub fn push_clip<C: ClipAccess>(&mut self, view: &mut C) -> Option<ClipInterval> {
         let clip = view.clip();
+        let (t_obj, t_act) = (self.config.t_obj, self.config.t_act);
 
         // Per-predicate counts: one detector pass over the clip's frames
         // (if any predicate reads frames), then one recognizer pass over
         // its shots (if any reads shots) — the order the ledger is charged.
-        let mut counts = vec![0u32; self.predicates.len()];
         if self.predicates.iter().any(is_frame_level) {
-            let frames = view.object_rows();
-            for (count, p) in counts.iter_mut().zip(&self.predicates) {
-                if is_frame_level(p) {
-                    *count = Self::count_frames(p, frames, self.config.t_obj);
+            let frames = view.frames();
+            for (count, p) in self.counts.iter_mut().zip(&self.predicates) {
+                match *p {
+                    Predicate::Object(class) => *count = frames.count(class, t_obj),
+                    Predicate::LeftOf(left, right) => {
+                        *count = Self::count_left_of(frames.rows(), left, right, t_obj)
+                    }
+                    Predicate::Action(_) => {}
                 }
             }
         }
         if self.predicates.iter().any(|p| !is_frame_level(p)) {
-            let shots = view.action_rows();
-            for (count, p) in counts.iter_mut().zip(&self.predicates) {
-                if let Predicate::Action(class) = p {
-                    *count = Self::count_shots(*class, shots, self.config.t_act);
+            let shots = view.shots();
+            for (count, p) in self.counts.iter_mut().zip(&self.predicates) {
+                if let Predicate::Action(class) = *p {
+                    *count = shots.count(class, t_act);
                 }
             }
         }
-        let indicators: Vec<bool> = counts
-            .iter()
+        for ((ind, &c), &k) in self
+            .indicators
+            .iter_mut()
+            .zip(&self.counts)
             .zip(&self.criticals)
-            .map(|(&c, &k)| c >= k)
-            .collect();
+        {
+            *ind = c >= k;
+        }
 
         // CNF evaluation.
-        let positive = self.query.clauses.iter().all(|clause| {
-            clause.iter().any(|p| {
-                self.predicates
-                    .iter()
-                    .position(|q| q == p)
-                    .is_some_and(|idx| indicators[idx])
-            })
-        });
+        let positive = self
+            .clauses
+            .iter()
+            .all(|clause| clause.iter().any(|&i| self.indicators[i]));
 
         // Background updates (NegativeClips semantics per predicate).
         for ((p, est), (&count, &ind)) in self
             .predicates
             .iter()
             .zip(self.estimators.iter_mut())
-            .zip(counts.iter().zip(indicators.iter()))
+            .zip(self.counts.iter().zip(&self.indicators))
         {
             let update = match self.config.update {
                 crate::online::BackgroundUpdate::NegativeClips => !ind,

@@ -11,7 +11,6 @@
 use super::config::OnlineConfig;
 use svq_types::{ActionQuery, ClipId};
 use svq_vision::stream::ClipAccess;
-use svq_vision::Rows;
 
 /// Per-predicate critical values for one query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,20 +51,20 @@ impl ClipEvaluation {
 /// Evaluate Algorithm 2 on one clip (predicates in query order).
 ///
 /// Object predicates are evaluated first, in query order, then the action —
-/// matching the listing. Each object predicate charges one detector pass
-/// over the clip's frames only on the *first* object predicate (real
-/// detectors emit all classes in one pass; subsequent predicates reuse the
-/// same detections at zero extra inference). The action predicate charges
-/// the recognizer over the clip's shots only if every object predicate
-/// held.
+/// matching the listing. The clip's frames are charged once, before the
+/// first object predicate (real detectors emit all classes in one pass;
+/// subsequent predicates reuse the same detections at zero extra
+/// inference). The action predicate charges the recognizer over the clip's
+/// shots only if every object predicate held. Counts are read from the
+/// oracle's occurrence memo through [`svq_vision::ClipFrames::count`] and
+/// [`svq_vision::ClipShots::count`].
 pub fn evaluate_clip<C: ClipAccess>(
     view: &mut C,
     query: &ActionQuery,
     criticals: &CriticalValues,
     config: &OnlineConfig,
 ) -> ClipEvaluation {
-    let identity: Vec<usize> = (0..query.objects.len()).collect();
-    evaluate_clip_ordered(view, query, criticals, config, &identity)
+    evaluate(view, query, criticals, config, 0..query.objects.len())
 }
 
 /// Evaluate Algorithm 2 with an explicit object-predicate evaluation order
@@ -79,50 +78,43 @@ pub fn evaluate_clip_ordered<C: ClipAccess>(
     config: &OnlineConfig,
     order: &[usize],
 ) -> ClipEvaluation {
-    debug_assert_eq!(criticals.objects.len(), query.objects.len());
     debug_assert_eq!(order.len(), query.objects.len());
+    evaluate(view, query, criticals, config, order.iter().copied())
+}
+
+fn evaluate<C: ClipAccess>(
+    view: &mut C,
+    query: &ActionQuery,
+    criticals: &CriticalValues,
+    config: &OnlineConfig,
+    order: impl Iterator<Item = usize>,
+) -> ClipEvaluation {
+    debug_assert_eq!(criticals.objects.len(), query.objects.len());
     let clip = view.clip();
     let mut object_counts: Vec<Option<u32>> = vec![None; query.objects.len()];
 
-    // One detector pass yields every class's detections for the clip.
-    let frames = if query.objects.is_empty() {
-        Rows::empty()
-    } else {
-        view.object_rows()
-    };
-
-    for &i in order {
-        let class = query.objects[i];
-        // Σ_{v ∈ V(c)} 𝟙_{o_i}^{(v)} with 𝟙 = [maxS ≥ T_obj].
-        let count = frames
-            .filter(|detections| {
-                detections
-                    .iter()
-                    .any(|d| d.detection.class == class && d.detection.score >= config.t_obj)
-            })
-            .count() as u32;
-        object_counts[i] = Some(count);
-        if count < criticals.objects[i] {
-            // Short-circuit: remaining predicates unevaluated.
-            return ClipEvaluation {
-                clip,
-                positive: false,
-                object_counts,
-                action_count: None,
-                criticals: criticals.clone(),
-            };
+    if !query.objects.is_empty() {
+        // One detector pass yields every class's detections for the clip.
+        let frames = view.frames();
+        for i in order {
+            // Σ_{v ∈ V(c)} 𝟙_{o_i}^{(v)} with 𝟙 = [maxS ≥ T_obj].
+            let count = frames.count(query.objects[i], config.t_obj);
+            object_counts[i] = Some(count);
+            if count < criticals.objects[i] {
+                // Short-circuit: remaining predicates unevaluated.
+                return ClipEvaluation {
+                    clip,
+                    positive: false,
+                    object_counts,
+                    action_count: None,
+                    criticals: criticals.clone(),
+                };
+            }
         }
     }
 
     // All object predicates held — run the action recognizer.
-    let action_count = view
-        .action_rows()
-        .filter(|actions| {
-            actions
-                .iter()
-                .any(|a| a.class == query.action && a.score >= config.t_act)
-        })
-        .count() as u32;
+    let action_count = view.shots().count(query.action, config.t_act);
     let positive = action_count >= criticals.action;
     ClipEvaluation {
         clip,

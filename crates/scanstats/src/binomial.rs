@@ -108,11 +108,20 @@ fn ln_factorials() -> &'static [f64] {
 /// the censored background estimators ("counts beyond the (1−α) noise
 /// quantile are truncated to the quantile").
 ///
-/// Every SVAQD background update calls this. For `0 < p < 1` and
+/// Every SVAQD background update reads it, through [`quantile_at_most`].
+/// For `0 < p < 1` and
 /// `n ≤ LN_FACTORIALS` each term is [`pmf`]'s own expression with its two
 /// logarithms hoisted and its log-gammas read from a table — the same
 /// floating-point operations in the same order, hence the same bits.
 pub fn quantile(q: f64, n: u64, p: f64) -> u64 {
+    quantile_at_most(q, n, p, n)
+}
+
+/// `quantile(q, n, p).min(limit)`, stopping the search at `k == limit`:
+/// the same loop as [`quantile`], so every term it does sum is the same
+/// bits. A caller that only needs the quantile up to a bound skips the
+/// terms above it.
+pub fn quantile_at_most(q: f64, n: u64, p: f64, limit: u64) -> u64 {
     assert!((0.0..=1.0).contains(&q));
     let table = (p > 0.0 && p < 1.0)
         .then(ln_factorials)
@@ -120,6 +129,9 @@ pub fn quantile(q: f64, n: u64, p: f64) -> u64 {
     let (ln_p, ln_q) = (p.ln(), (1.0 - p).ln());
     let mut acc = 0.0;
     for k in 0..=n {
+        if k == limit {
+            return limit;
+        }
         acc += match table {
             Some(ln_fact) => {
                 let ln_choose = if k == 0 || k == n {
@@ -320,6 +332,27 @@ mod tests {
                         quantile_reference(q, n, p),
                         "n={} p={} q={}", n, p, q
                     );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn quantile_at_most_is_the_capped_quantile(
+            n in 1u64..301,
+            e in -12.0f64..0.0,
+            limit in 0u64..320,
+        ) {
+            for p in [10f64.powf(e), 1.0 - 10f64.powf(e), 0.0, 1.0] {
+                for q in [0.5, 0.9, 0.99, 1.0] {
+                    for limit in [limit, limit % (n + 1), n, n + 1] {
+                        prop_assert_eq!(
+                            quantile_at_most(q, n, p, limit),
+                            quantile_reference(q, n, p).min(limit),
+                            "n={} p={} q={} limit={}", n, p, q, limit
+                        );
+                    }
                 }
             }
         }

@@ -25,7 +25,9 @@
 //!   milliseconds, so the runtime experiments can reproduce the paper's
 //!   ">98 % of online latency is model inference" decomposition;
 //! * [`stream`] — [`VideoStream`], the clip-at-a-time source the online
-//!   algorithms consume, lending each clip's rows as borrowed [`Rows`].
+//!   algorithms consume: each clip's frames and shots are charged when
+//!   requested and answer Algorithm 2's occurrence counts from the
+//!   oracle's per-class memo, or lend their rows as borrowed [`Rows`].
 
 #![forbid(unsafe_code)]
 
@@ -41,6 +43,6 @@ pub mod truth;
 pub use clock::WallClock;
 pub use cost::{CostLedger, CostModel};
 pub use models::{ActionRecognizer, ModelSuite, ObjectDetector, Rows};
-pub use stream::{ClipAccess, OwnedClipView, VideoStream};
+pub use stream::{ClipAccess, ClipFrames, ClipShots, OwnedClipView, VideoStream};
 pub use synth::{MovieSpec, ScenarioSpec, SyntheticVideo};
 pub use truth::{ActionSpan, GroundTruth, ObjectTrack};

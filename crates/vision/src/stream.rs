@@ -1,62 +1,105 @@
 //! Clip-at-a-time video streaming.
 //!
 //! [`VideoStream`] is the `X.next()` of Algorithm 1: it walks a
-//! [`DetectionOracle`] clip by clip, lending each clip's per-frame
-//! detections and per-shot action scores straight out of the oracle, and
-//! charging simulated inference cost to a [`CostLedger`] *only for the
-//! occurrence units the consumer actually requests* — which is how
-//! Algorithm 2's predicate short-circuiting translates into saved inference.
+//! [`DetectionOracle`] clip by clip and charges simulated inference cost to
+//! a [`CostLedger`] *only for the occurrence units the consumer actually
+//! requests* — which is how Algorithm 2's predicate short-circuiting
+//! translates into saved inference.
+//!
+//! A consumer requests a clip's frames or shots through [`ClipAccess`] and
+//! gets a [`ClipFrames`] / [`ClipShots`] handle back. Requesting is what
+//! costs: one detector pass per frame, one recognizer pass per shot,
+//! charged one unit at a time in the order requested, so the ledger's
+//! millisecond fields are the same repeated sums whatever the handle is
+//! then asked. A handle answers Algorithm 2's occurrence counts from the
+//! oracle's per-class memo ([`DetectionOracle::object_count`]) and lends
+//! the rows themselves, borrowed from the oracle, for predicates a count
+//! cannot answer (`leftOf` reads boxes).
 
 use crate::cost::{CostLedger, CostModel};
 use crate::models::{DetectionOracle, Rows};
 use std::sync::Arc;
-use svq_types::{ActionScore, ClipId, TrackedDetection};
+use svq_types::{ActionClass, ActionScore, ClipId, ObjectClass, TrackedDetection};
 
 /// Cost-charging access to one clip's model outputs — the surface the
 /// online evaluators (`evaluate_clip` and the SVAQ/SVAQD push loops)
 /// actually consume. Implemented by the borrowing [`ClipView`]
 /// (single-threaded streaming) and the owning [`OwnedClipView`] (clip
-/// tickets handed across threads by the exec layer).
+/// tickets handed across threads by the exec layer, standing queries).
 ///
-/// Rows are borrowed from the oracle, never copied; the charge is paid
-/// when a row run is requested, whether or not every row is then read.
+/// Each call charges the whole clip, whether or not the handle is then
+/// read; a consumer that needs several predicates of one kind asks once.
 pub trait ClipAccess {
     /// The clip id.
     fn clip(&self) -> ClipId;
-    /// Detections on every frame of the clip, one row per frame (charges
-    /// one detector pass per frame).
-    fn object_rows(&mut self) -> Rows<'_, TrackedDetection>;
-    /// Action scores on every shot of the clip, one row per shot (charges
-    /// one recognizer pass per shot).
-    fn action_rows(&mut self) -> Rows<'_, ActionScore>;
+    /// The clip's frames (charges one detector pass per frame).
+    fn frames(&mut self) -> ClipFrames<'_>;
+    /// The clip's shots (charges one recognizer pass per shot).
+    fn shots(&mut self) -> ClipShots<'_>;
 }
 
-/// Charge one detector pass per frame of `clip` and lend its rows.
-fn object_rows<'o>(
+/// One clip's frames, already paid for.
+#[derive(Clone, Copy)]
+pub struct ClipFrames<'o> {
+    oracle: &'o DetectionOracle,
+    clip: ClipId,
+}
+
+impl<'o> ClipFrames<'o> {
+    /// Frames holding `class` at `score ≥ t_obj` (Eq. 1's count).
+    pub fn count(&self, class: ObjectClass, t_obj: f64) -> u32 {
+        self.oracle.object_count(self.clip, class, t_obj)
+    }
+
+    /// Detections on every frame, one row per frame.
+    pub fn rows(&self) -> Rows<'o, TrackedDetection> {
+        self.oracle.clip_frame_rows(self.clip)
+    }
+}
+
+/// One clip's shots, already paid for.
+#[derive(Clone, Copy)]
+pub struct ClipShots<'o> {
+    oracle: &'o DetectionOracle,
+    clip: ClipId,
+}
+
+impl<'o> ClipShots<'o> {
+    /// Shots holding `class` at `score ≥ t_act` (Eq. 2's count).
+    pub fn count(&self, class: ActionClass, t_act: f64) -> u32 {
+        self.oracle.action_count(self.clip, class, t_act)
+    }
+
+    /// Action scores on every shot, one row per shot.
+    pub fn rows(&self) -> Rows<'o, ActionScore> {
+        self.oracle.clip_shot_rows(self.clip)
+    }
+}
+
+/// Charge one detector pass per frame of `clip` and hand out its frames.
+fn frames<'o>(
     oracle: &'o DetectionOracle,
     cost_model: &CostModel,
     ledger: &mut CostLedger,
     clip: ClipId,
-) -> Rows<'o, TrackedDetection> {
-    let frames = oracle.truth().geometry.frames_of_clip(clip);
-    for _ in frames.clone() {
+) -> ClipFrames<'o> {
+    for _ in oracle.truth().geometry.frames_of_clip(clip) {
         ledger.charge_object_frame(cost_model);
     }
-    oracle.frame_rows(frames)
+    ClipFrames { oracle, clip }
 }
 
-/// Charge one recognizer pass per shot of `clip` and lend its rows.
-fn action_rows<'o>(
+/// Charge one recognizer pass per shot of `clip` and hand out its shots.
+fn shots<'o>(
     oracle: &'o DetectionOracle,
     cost_model: &CostModel,
     ledger: &mut CostLedger,
     clip: ClipId,
-) -> Rows<'o, ActionScore> {
-    let shots = oracle.truth().geometry.shots_of_clip(clip);
-    for _ in shots.clone() {
+) -> ClipShots<'o> {
+    for _ in oracle.truth().geometry.shots_of_clip(clip) {
         ledger.charge_action_shot(cost_model);
     }
-    oracle.shot_rows(shots)
+    ClipShots { oracle, clip }
 }
 
 /// A borrowed, cost-charging view over one clip of the oracle.
@@ -72,12 +115,12 @@ impl ClipAccess for ClipView<'_> {
         self.clip
     }
 
-    fn object_rows(&mut self) -> Rows<'_, TrackedDetection> {
-        object_rows(self.oracle, &self.cost_model, self.ledger, self.clip)
+    fn frames(&mut self) -> ClipFrames<'_> {
+        frames(self.oracle, &self.cost_model, self.ledger, self.clip)
     }
 
-    fn action_rows(&mut self) -> Rows<'_, ActionScore> {
-        action_rows(self.oracle, &self.cost_model, self.ledger, self.clip)
+    fn shots(&mut self) -> ClipShots<'_> {
+        shots(self.oracle, &self.cost_model, self.ledger, self.clip)
     }
 }
 
@@ -117,12 +160,12 @@ impl ClipAccess for OwnedClipView {
         self.clip
     }
 
-    fn object_rows(&mut self) -> Rows<'_, TrackedDetection> {
-        object_rows(&self.oracle, &self.cost_model, &mut self.ledger, self.clip)
+    fn frames(&mut self) -> ClipFrames<'_> {
+        frames(&self.oracle, &self.cost_model, &mut self.ledger, self.clip)
     }
 
-    fn action_rows(&mut self) -> Rows<'_, ActionScore> {
-        action_rows(&self.oracle, &self.cost_model, &mut self.ledger, self.clip)
+    fn shots(&mut self) -> ClipShots<'_> {
+        shots(&self.oracle, &self.cost_model, &mut self.ledger, self.clip)
     }
 }
 
@@ -228,14 +271,14 @@ mod tests {
         let mut stream = VideoStream::new(&oracle);
         {
             let mut view = stream.next_clip().unwrap();
-            assert_eq!(view.object_rows().count(), 50);
+            assert_eq!(view.frames().rows().count(), 50);
             // Action shots never requested for this clip.
         }
         assert_eq!(stream.ledger().object_frames, 50);
         assert_eq!(stream.ledger().action_shots, 0);
         {
             let mut view = stream.next_clip().unwrap();
-            assert_eq!(view.action_rows().count(), 5);
+            assert_eq!(view.shots().rows().count(), 5);
         }
         assert_eq!(stream.ledger().object_frames, 50);
         assert_eq!(stream.ledger().action_shots, 5);
@@ -246,8 +289,8 @@ mod tests {
         let oracle = small_oracle();
         let mut stream = VideoStream::new(&oracle);
         let mut view = stream.next_clip().unwrap();
-        assert_eq!(view.object_rows().count(), 50);
-        assert_eq!(view.action_rows().count(), 5);
+        assert_eq!(view.frames().rows().count(), 50);
+        assert_eq!(view.shots().rows().count(), 5);
         assert_eq!(stream.ledger().object_frames, 50);
         assert_eq!(stream.ledger().action_shots, 5);
         let expected_ms = 50.0 * (75.0 + 18.0) + 5.0 * 140.0;
@@ -260,13 +303,12 @@ mod tests {
         let mut stream = VideoStream::new(&oracle);
         let _ = stream.next_clip().unwrap(); // clip 0
         let mut view = stream.next_clip().unwrap(); // clip 1
-        for (i, row) in view.object_rows().enumerate() {
+        for (i, row) in view.frames().rows().enumerate() {
             assert_eq!(row, oracle.detect(FrameId::new(50 + i as u64)));
         }
-        for (i, row) in view.action_rows().enumerate() {
+        for (i, row) in view.shots().rows().enumerate() {
             assert_eq!(row, oracle.recognize(ShotId::new(5 + i as u64)));
         }
-        assert_eq!(Rows::<ActionScore>::empty().count(), 0);
     }
 
     /// The exec layer's thread-crossing view and the streaming view are
@@ -311,13 +353,13 @@ mod tests {
                 _ => (false, false),
             };
             if objects {
-                let a: Vec<&[TrackedDetection]> = view.object_rows().collect();
-                let b: Vec<&[TrackedDetection]> = owned.object_rows().collect();
+                let a: Vec<&[TrackedDetection]> = view.frames().rows().collect();
+                let b: Vec<&[TrackedDetection]> = owned.frames().rows().collect();
                 assert_eq!(a, b, "clip {clip:?} detections");
             }
             if actions {
-                let a: Vec<&[ActionScore]> = view.action_rows().collect();
-                let b: Vec<&[ActionScore]> = owned.action_rows().collect();
+                let a: Vec<&[ActionScore]> = view.shots().rows().collect();
+                let b: Vec<&[ActionScore]> = owned.shots().rows().collect();
                 assert_eq!(a, b, "clip {clip:?} action scores");
             }
             merged.merge(owned.ledger());
