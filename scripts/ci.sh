@@ -18,6 +18,14 @@ echo "== TBClip differential oracle, deep (PROPTEST_CASES=2000)"
 # reference step for step, so run the oracle far past the default 64 cases.
 PROPTEST_CASES=2000 cargo test --release -q -p svq-core --test tbclip_differential
 
+echo "== occurrence memo and censoring cap, deep (PROPTEST_CASES=2000)"
+# The online engines read Algorithm 2's counts from the oracle's per-class
+# memo and SVAQD stops its censoring quantile at ceil(count/2); both are
+# correct only while they equal their definitions (the row scan, the
+# capped quantile), so run both properties far past the default 64 cases.
+PROPTEST_CASES=2000 cargo test --release -q -p svq-vision --test occurrence_memo
+PROPTEST_CASES=2000 cargo test --release -q -p svq-scanstats --lib quantile_at_most
+
 echo "== movie_topk example (ingest, persist, top-K queries reading each run's own accesses)"
 cargo run -q --release --example movie_topk
 
