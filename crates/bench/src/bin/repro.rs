@@ -4,9 +4,7 @@
 //! repro <experiment|all> [--scale S] [--seed N] [--out DIR]
 //! ```
 //!
-//! Experiments: fig2 fig3 table3 table4 table5 fig4 fig5 runtime table6
-//! table7 table8 rvaq-accuracy ablation mux-throughput mux-ingress
-//! ingest-spill.
+//! Run with no arguments to print the experiment list.
 
 use svq_bench::experiments::{ExpContext, EXPERIMENTS};
 

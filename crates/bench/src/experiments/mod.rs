@@ -1,18 +1,13 @@
 //! One module per reproduced table/figure.
 
 pub mod ablation;
-pub mod cluster_throughput;
 pub mod fig2;
 pub mod fig3;
 pub mod fig45;
 pub mod ingest_spill;
-pub mod monitor_fanout;
-pub mod mux_ingress;
-pub mod mux_throughput;
 pub mod offline_tables;
 pub mod runtime;
 pub mod rvaq_accuracy;
-pub mod serve_throughput;
 pub mod sim;
 pub mod table3;
 pub mod table4;
@@ -70,11 +65,6 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("table8", offline_tables::run_table8),
     ("rvaq-accuracy", rvaq_accuracy::run),
     ("ablation", ablation::run),
-    ("mux-throughput", mux_throughput::run),
-    ("mux-ingress", mux_ingress::run),
     ("ingest-spill", ingest_spill::run),
-    ("serve-throughput", serve_throughput::run),
-    ("cluster-throughput", cluster_throughput::run),
-    ("monitor-fanout", monitor_fanout::run),
     ("sim", sim::run),
 ];

@@ -116,8 +116,8 @@ impl Drop for Ingress {
 /// avalanches the raw id so the consecutive ids synthetic workloads use
 /// spread across shards instead of marching through them in lockstep.
 ///
-/// Public so operators (and the `mux-ingress` benchmark) can predict which
-/// streams share a feeder thread — co-sharded streams contend for delivery;
+/// Public so operators (and `tests/ingress.rs`) can predict which streams
+/// share a feeder thread — co-sharded streams contend for delivery;
 /// streams on different shards cannot stall each other.
 pub fn shard_index(video: VideoId, shards: usize) -> usize {
     let mut x = video.raw().wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -88,7 +88,7 @@ impl QueryOutcome {
     /// `topk.wall_ms` measure the host machine. Comparing canonical forms
     /// (e.g. their serialized JSON) therefore proves two executions were
     /// byte-identical where identity is meaningful — the anchor the
-    /// serve-throughput bench and the server tests rely on.
+    /// server tests and svqbench's response checks rely on.
     pub fn canonical(&self) -> QueryOutcome {
         let mut out = self.clone();
         out.wall_ms = 0.0;

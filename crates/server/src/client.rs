@@ -4,8 +4,8 @@
 //! the classic v1 shape — one request/response exchange per call, strictly
 //! ordered — and [`Client::send`] / [`Client::read_tagged`] expose raw
 //! protocol-v2 pipelining where the caller matches responses to requests
-//! by id. The hardening tests and the serve-throughput load generator
-//! deliberately stay at this level to exercise the wire.
+//! by id. The hardening and pipelining tests deliberately stay at this
+//! level to exercise the wire.
 //!
 //! [`Caller`] is the typed pipelined API on top: it owns id allocation
 //! and out-of-order matching behind a demux thread, so concurrent users

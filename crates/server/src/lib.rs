@@ -12,7 +12,8 @@
 //!   [`svq_query::QueryOutcome`] envelope the in-process executors return;
 //!   after [`svq_query::QueryOutcome::canonical`] zeroes the wall-clock
 //!   fields, a served result is byte-identical to a local one — asserted
-//!   by the `serve-throughput` bench on every response.
+//!   by `tests/serve.rs` and `tests/pipeline.rs`, and by svqbench on every
+//!   response.
 //! * **Pipelining.** Protocol v2 frames carry a client-chosen `id`; a
 //!   connection may keep many requests in flight (executed on the shared
 //!   `svq-exec` worker pool) and responses echo the id, completing out of

@@ -32,7 +32,8 @@
 //! `outcome` frames embed the exact [`QueryOutcome`] envelope the
 //! in-process executors return, so a wire result is byte-identical (in its
 //! canonical form) to calling `execute_offline` / `execute_online`
-//! directly — the determinism anchor the serve-throughput bench asserts.
+//! directly — the determinism anchor `tests/serve.rs` and
+//! `tests/pipeline.rs` assert.
 //! Error frames carry a stable [`RejectReason`] code; prose rides
 //! separately in `message` and is never part of the contract.
 //!

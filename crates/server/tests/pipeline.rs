@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use svq_core::offline::ingest;
 use svq_core::online::OnlineConfig;
-use svq_query::{execute_offline, parse, LogicalPlan, QueryOutcome};
+use svq_query::{execute_offline, execute_online, parse, LogicalPlan, QueryOutcome};
 use svq_serve::{
     Client, Conn, MemTransport, Request, Response, ServeConfig, Server, ServerHandle, Transport,
     VideoScope,
@@ -29,6 +29,7 @@ use svq_types::{
 };
 use svq_vision::models::{DetectionOracle, ModelSuite, SceneConfusion};
 use svq_vision::truth::{ActionSpan, GroundTruth, ObjectTrack};
+use svq_vision::VideoStream;
 
 const OFFLINE_SQL: &str = "SELECT MERGE(clipID) AS Sequence, RANK(act, obj) \
      FROM (PROCESS inputVideo PRODUCE clipID, obj USING ObjectTracker, \
@@ -299,6 +300,129 @@ fn v2_responses_complete_out_of_order_while_v1_keeps_strict_order() {
     handle.shutdown();
     let report = handle.wait();
     assert_eq!(report.requests, 4);
+    assert!(report.drained_in_deadline, "{report:?}");
+}
+
+/// Round `r` of every client: the kind cycles `query`/`stream`/`stats` and
+/// the video shifts each cycle, so each client issues every (kind, video)
+/// pair once, each in its own order.
+fn mixed_request(client: u64, round: u64) -> (Request, usize, u64) {
+    let kind = (round % 3) as usize;
+    let video = (client + round / 3) % 3;
+    let request = match kind {
+        0 => Request::Query {
+            sql: OFFLINE_SQL.into(),
+            video: VideoScope::One(video),
+        },
+        1 => Request::Stream {
+            sql: ONLINE_SQL.into(),
+            video: Some(video),
+        },
+        _ => Request::Stats,
+    };
+    (request, kind, video)
+}
+
+/// `expected[video]` holds the canonical in-process `[query, stream]`
+/// outcomes.
+fn verify(response: Response, kind: usize, video: u64, expected: &[[String; 2]]) {
+    match (kind, response) {
+        (0 | 1, Response::Outcome(outcome)) => assert_eq!(
+            canonical_json(&outcome),
+            expected[video as usize][kind],
+            "wire outcome diverged from in-process (kind {kind}, video {video})"
+        ),
+        (2, Response::Stats(_)) => {}
+        (_, other) => panic!("unexpected response to kind {kind}: {other:?}"),
+    }
+}
+
+/// Two serial v1 clients and two pipelined v2 clients at once, mixing
+/// `query`, `stream` and `stats` over three videos: every outcome stays
+/// byte-identical to in-process execution, and the server's closing
+/// report accounts for exactly the requests issued.
+#[test]
+fn concurrent_serial_and_pipelined_clients_close_the_servers_books() {
+    const ROUNDS: u64 = 9;
+    const FRAMES: u64 = 2_000;
+    let oracles: Vec<_> = (0..3).map(|v| oracle(v, 42 + v, FRAMES)).collect();
+    let offline = LogicalPlan::from_statement(&parse(OFFLINE_SQL).expect("parses")).expect("plans");
+    let online = LogicalPlan::from_statement(&parse(ONLINE_SQL).expect("parses")).expect("plans");
+    let expected: Arc<Vec<[String; 2]>> = Arc::new(
+        oracles
+            .iter()
+            .map(|o| {
+                let catalog = ingest(o, &PaperScoring, &OnlineConfig::default());
+                let query = execute_offline(&offline, &catalog, &PaperScoring).expect("executes");
+                let mut stream = VideoStream::new(o);
+                let streamed = execute_online(&online, &mut stream, OnlineConfig::default())
+                    .expect("executes");
+                [canonical_json(&query), canonical_json(&streamed)]
+            })
+            .collect(),
+    );
+    let repo = Arc::new(VideoRepository::from_catalogs(
+        oracles
+            .iter()
+            .map(|o| ingest(o, &PaperScoring, &OnlineConfig::default())),
+    ));
+    let handle = Server::start(
+        ServeConfig::builder()
+            .workers(4)
+            .build()
+            .expect("config is valid"),
+        Some(repo),
+        oracles,
+        svq_exec::ExecMetrics::new(),
+    )
+    .expect("server binds an ephemeral port");
+    let addr = handle.local_addr();
+
+    let clients: Vec<_> = (0..4u64)
+        .map(|c| {
+            let expected = expected.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("client connects");
+                if c < 2 {
+                    for r in 0..ROUNDS {
+                        let (request, kind, video) = mixed_request(c, r);
+                        let response = client.request(&request).expect("exchange completes");
+                        verify(response, kind, video, &expected);
+                    }
+                } else {
+                    for r in 0..ROUNDS {
+                        let (request, _, _) = mixed_request(c, r);
+                        client.send(&request, Some(r)).expect("pipelined send");
+                    }
+                    let mut seen = BTreeMap::new();
+                    for _ in 0..ROUNDS {
+                        let (id, response) = client.read_tagged().expect("tagged response");
+                        let id = id.expect("v2 responses echo the request id");
+                        assert!(seen.insert(id, ()).is_none(), "id {id} answered twice");
+                        let (_, kind, video) = mixed_request(c, id);
+                        verify(response, kind, video, &expected);
+                    }
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+
+    handle.shutdown();
+    let report = handle.wait();
+    assert_eq!(
+        report.requests,
+        4 * ROUNDS,
+        "the server answered every request"
+    );
+    assert_eq!(
+        report.rejected_busy, 0,
+        "admission never spilled: {report:?}"
+    );
+    assert_eq!(report.malformed, 0, "every frame parsed: {report:?}");
+    assert_eq!(report.forced_closes, 0, "{report:?}");
     assert!(report.drained_in_deadline, "{report:?}");
 }
 

@@ -10,7 +10,8 @@ use svq_core::online::OnlineConfig;
 use svq_exec::shard_index;
 use svq_query::QueryOutcome;
 use svq_serve::{
-    Client, Request, Response, RouteConfig, Router, ServeConfig, Server, ServerHandle, VideoScope,
+    Client, Request, Response, RouteConfig, Router, ServeConfig, ServeReport, Server, ServerHandle,
+    VideoScope,
 };
 use svq_storage::VideoRepository;
 use svq_types::{
@@ -107,13 +108,15 @@ fn canonical_json(outcome: &QueryOutcome) -> String {
     serde_json::to_string(&outcome.canonical()).expect("outcome encodes")
 }
 
-fn shutdown_all(router: ServerHandle, shards: Vec<ServerHandle>) {
+/// Drain the router, then its shards; returns the router's report.
+fn shutdown_all(router: ServerHandle, shards: Vec<ServerHandle>) -> ServeReport {
     router.shutdown();
-    router.wait();
+    let report = router.wait();
     for shard in shards {
         shard.shutdown();
         shard.wait();
     }
+    report
 }
 
 #[test]
@@ -188,7 +191,10 @@ fn cluster_outcomes_are_byte_identical_to_a_single_server() {
             other => panic!("expected stats, got {other:?}"),
         }
 
-        shutdown_all(router, shards);
+        let report = shutdown_all(router, shards);
+        assert!(report.drained_in_deadline, "{report:?}");
+        assert_eq!(report.forced_closes, 0, "{report:?}");
+        assert_eq!(report.malformed, 0, "{report:?}");
     }
     single.shutdown();
     single.wait();
