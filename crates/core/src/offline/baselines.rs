@@ -20,7 +20,7 @@
 //!   convenience wrapper.
 
 use super::rvaq::{RankedSequence, RvaqOptions, TopKResult};
-use super::tbclip::{SeenClips, Worklist};
+use super::tbclip::SeenClips;
 use super::Rvaq;
 use svq_storage::{DiskCostProfile, DiskStats, IngestedVideo};
 use svq_types::{ActionQuery, ClipId, Clock, ScoringFunctions};
@@ -172,9 +172,8 @@ impl FaTopK {
             // bound state to justify caching against).
             let mut candidate: Option<(ClipId, f64)> = None;
             seen.for_each_fresh(
-                Worklist::Full,
                 |_| false,
-                |c, _| {
+                |c| {
                     let object_scores: Vec<f64> = tables[..n_objects]
                         .iter()
                         .map(|t| t.random_score(c, &mut disk))

@@ -14,27 +14,29 @@
 //!    (the *skip mechanism* — disabled in the `RVAQ-noSkip` baseline).
 //!
 //! Implementation note on cost. The paper's cost model is table accesses,
-//! and a run's bookkeeping is kept linear in them:
-//! `O(accesses + calls · |live| · tables)` inside [`TbClip`] (`live` = the
-//! clips sorted access has shown that can still be delivered) plus
-//! `O(calls · |P_q| log |P_q|)` here. Per call the iterator bounds every
-//! live clip, `O(|live| · tables)`, then sorts only the few candidates that
-//! can still change its delivery or cost a random access. A clip whose
-//! score is memoised ranks by that score from the top, which never exceeds
-//! its optimistic bound, and by `max(bound, score)` from the bottom, where
-//! a clip absent from a table scores 0 below the frontier its bound used;
-//! everything ranked past the best memoised key is dropped unsorted. Two
-//! tie rules keep each delivery identical to a walk in bound order: at
-//! equal keys a memoised clip whose key moved off its bound ranks first,
-//! and among clips tied at the best score the smallest id the bound-ordered
-//! walk reaches wins (see the `tbclip` module docs). The iterator never
-//! rescans its seen sets: it keeps dense per-clip state and prunes its
-//! worklists lazily, which is sound because of two monotonicity invariants
-//! this loop upholds — a clip delivered by a side stays delivered, and
-//! `C_skip` only grows (a sequence resolved in or out is skipped for good;
-//! nothing is ever un-skipped). On the priority queues: Eq. 13 re-estimates the upper
-//! bound of *every* sequence whenever `c_top` advances, so incremental
-//! heaps would be rebuilt wholesale each iteration anyway; we keep the PQ
+//! and a run's bookkeeping is kept close to linear in them. Per call the
+//! iterator re-keys only the live clips (seen by sorted access, still
+//! deliverable) that can still lead, off a queue per side whose stored
+//! keys never rank ahead of a clip's current one: a frontier only moves
+//! away from its end, and memoising a score only moves a key back. On
+//! svqbench's `topk_hot` that is 11.7 clips keyed per call where bounding
+//! every live clip was 126; here the loop adds `O(calls · |P_q| log |P_q|)`.
+//! A clip whose score is memoised ranks by that score from the top, which
+//! never exceeds its optimistic bound, and by `max(bound, score)` from the
+//! bottom, where a clip absent from a table scores 0 below the frontier
+//! its bound used; the queue stops at the best memoised key. Two tie rules
+//! keep each delivery identical to a walk in bound order: at equal keys a
+//! memoised clip whose key moved off its bound ranks first, and among
+//! clips tied at the best score the smallest id the bound-ordered walk
+//! reaches wins (see the `tbclip` module docs). The iterator never rescans
+//! its seen sets: it keeps dense per-clip state and drops dead clips
+//! lazily, which is sound because of two monotonicity invariants this loop
+//! upholds — a clip delivered by a side stays delivered, and `C_skip` only
+//! grows (a sequence resolved in or out is skipped for good; nothing is
+//! ever un-skipped). On this loop's own priority queues: Eq. 13
+//! re-estimates the upper bound of *every* sequence whenever `c_top`
+//! advances, so incremental heaps would be rebuilt wholesale each
+//! iteration anyway; we keep the PQ
 //! *semantics* (top-K by lower bound, max of the rest by upper bound) with
 //! a sort per iteration of one reused `order` buffer, whose first K entries
 //! are `PQ_lo^K` — result-sequence counts are tens, not millions.
@@ -43,7 +45,6 @@ use super::bounds::SequenceBounds;
 use super::skip::SkipSet;
 use super::tbclip::TbClip;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use svq_storage::{DiskCostProfile, DiskStats, IngestedVideo};
 use svq_types::{ActionQuery, ClipId, ClipInterval, Clock, ScoringFunctions};
 use svq_vision::WallClock;
@@ -158,7 +159,7 @@ impl Rvaq {
             SkipSet::disabled(pq)
         };
         let mut tb = TbClip::new(catalog, query, scoring);
-        let mut absorbed: BTreeSet<ClipId> = BTreeSet::new();
+        let mut absorbed = vec![false; catalog.clip_count as usize];
         let mut order: Vec<usize> = Vec::with_capacity(bounds.len());
         let mut iterations = 0u64;
 
@@ -171,7 +172,7 @@ impl Rvaq {
                 // Absorb delivered clips into their sequences.
                 for delivered in [step.top, step.bottom].into_iter().flatten() {
                     let (clip, score) = delivered;
-                    if absorbed.insert(clip) {
+                    if absorb_once(&mut absorbed, clip) {
                         if let Some(i) = skip.sequence_of(clip) {
                             bounds[i].absorb(score, scoring);
                         }
@@ -239,7 +240,7 @@ impl Rvaq {
             for &i in &order {
                 let interval = bounds[i].interval;
                 for clip in interval.iter() {
-                    if absorbed.insert(clip) {
+                    if absorb_once(&mut absorbed, clip) {
                         let s = tb.score_of(clip);
                         bounds[i].absorb(s, scoring);
                     }
@@ -276,6 +277,17 @@ impl Rvaq {
             total_sequences,
         }
     }
+}
+
+/// Mark a clip absorbed into its sequence's bounds; `false` if it already
+/// was. Dense by clip id, like `SeenClips`; ids past the catalog (hand-built
+/// `P_q`s may reach them) grow the array.
+fn absorb_once(absorbed: &mut Vec<bool>, clip: ClipId) -> bool {
+    let c = clip.index();
+    if c >= absorbed.len() {
+        absorbed.resize(c + 1, false);
+    }
+    !std::mem::replace(&mut absorbed[c], true)
 }
 
 #[cfg(test)]

@@ -43,8 +43,8 @@
 //! A bound-ordered walk scores an unscored clip unless some clip ahead of
 //! it already scored at least as well as its bound. Such a clip ranks ahead
 //! of it by key exactly when it did by bound, so walking by key random-
-//! accesses the same clips and finds the same best score, and everything
-//! ranked past the best memoised key can be dropped unsorted. Two tie rules
+//! accesses the same clips and finds the same best score, and nothing
+//! ranked past the best memoised key need be ranked at all. Two tie rules
 //! keep each delivery identical to the bound-ordered walk:
 //!
 //! 1. at equal keys, a memoised clip whose key moved off its bound ranks
@@ -63,22 +63,34 @@
 //! # Cost
 //!
 //! The paper counts table accesses, and the bookkeeping here is kept
-//! linear in them. A call bounds every live clip, `O(|live| · tables)`,
-//! then sorts only the candidates ranked no worse than the best memoised
-//! key — typically a handful, the only ones that can still change the
-//! delivery or cost a random access. A whole run costs
-//! `O(accesses + calls · |live| · tables)` plus those small sorts, where
-//! `live` is the set of clips seen by sorted access and still deliverable;
-//! each side reuses one candidate buffer across calls. Per-side state is
-//! dense, indexed by clip id
+//! linear in them. Per-side state is dense, indexed by clip id
 //! ([`SeenClips`]): the score seen in each table, how many tables have
-//! shown the clip, and whether it has been delivered. Two worklists ride
-//! on top — `full` (seen in every table) answers step 1's "is there a
-//! fresh clip in the intersection?" in amortised `O(1)` per sorted access,
-//! `live` (seen in any table) is step 2's candidate set — and both are
-//! pruned *lazily*: a dead entry is dropped when a scan next meets it,
-//! never searched for. That is sound because of two monotonicity
-//! invariants:
+//! shown the clip, and whether it has been delivered. The `full` worklist
+//! (seen in every table) answers step 1's "is there a fresh clip in the
+//! intersection?" in amortised `O(1)` per sorted access.
+//!
+//! Step 2's candidates come from a queue per side holding each live clip
+//! — seen in any table, still deliverable — once, under the
+//! `(key, moved, clip)` tuple last computed for it. A call re-keys only
+//! the clips that can still lead, not every live clip. This is exact
+//! because of one invariant: **a clip's tuple never ranks ahead of its
+//! stored one**. Keys only get worse between calls:
+//!
+//! - a top frontier never rises, so a clip's coordinates, and with `g`
+//!   monotone its bound, never rise; a clip first seen in a table trades
+//!   the frontier for its own score there, which is no higher;
+//! - memoising a score moves a key from the bound to `score ≤ bound`;
+//! - the bottom side mirrors both, and its memoised key
+//!   `max(bound, score)` is never below the bound.
+//!
+//! So a popped clip whose current tuple still ranks ahead of the next
+//! stored one is the true next candidate, and any other goes back in. The
+//! first memoised candidate sets the cut, and popping stops once the next
+//! stored key is beaten by it. The queue thus yields, in walk order, the
+//! same candidates a pass bounding every live clip would keep. Newly seen
+//! clips are keyed once when they arrive. A delivered or skipped clip is
+//! dropped when it is popped, never searched for. That is sound because
+//! of two more monotonicity invariants:
 //!
 //! 1. a side's processed set only grows — a delivered clip is never
 //!    un-delivered;
@@ -86,13 +98,19 @@
 //!    and one iterator must be driven with one skip set.
 //!
 //! So a clip found dead once is dead for the rest of the run, and dropping
-//! it from a worklist can never hide a future candidate. Worklist order is
-//! insertion order (sorted-access order), never hash order, and every
-//! choice among candidates is made by an explicit `(key, moved, clip)` or
-//! `(bound, clip)` comparison, so results do not depend on it.
+//! it can never hide a future candidate. Keying a clip costs `O(tables)`
+//! and a queue operation `O(log |live|)`, paid per newly seen clip, per
+//! re-key and per candidate rather than per live clip per call. On
+//! svqbench's `topk_hot` a call keys 11.7 clips — 8.3 re-keyed and 3.4
+//! newly seen — where bounding every live clip meant 126. The `full`
+//! worklist keeps insertion (sorted-access) order, never hash order, and
+//! every choice among candidates is made by an explicit
+//! `(key, moved, clip)` or `(bound, clip)` comparison, so results do not
+//! depend on either structure's layout.
 
 use super::skip::SkipSet;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use svq_storage::{ClipScoreTable, DiskStats, IngestedVideo};
 use svq_types::{ActionQuery, ClipId, ScoringFunctions};
 
@@ -105,19 +123,10 @@ pub struct TbClipStep {
     pub bottom: Option<(ClipId, f64)>,
 }
 
-/// The two worklists of [`SeenClips`].
-#[derive(Debug, Clone, Copy)]
-pub(super) enum Worklist {
-    /// Clips seen in every table.
-    Full,
-    /// Clips seen in at least one table.
-    Live,
-}
-
 /// What sorted access in one direction has shown so far, dense by clip id,
-/// plus the `full` / `live` worklists described in the module docs. Shared
-/// with the FA baseline, which needs the same "fresh clip seen in every
-/// table" question answered without rescanning.
+/// plus the `full` worklist described in the module docs. Shared with the
+/// FA baseline, which needs the same "fresh clip seen in every table"
+/// question answered without rescanning.
 pub(super) struct SeenClips {
     tables: usize,
     /// Score seen for `(clip, table)`, clip-major; NaN = not yet seen
@@ -129,8 +138,6 @@ pub(super) struct SeenClips {
     retired: Vec<bool>,
     /// Clips seen in every table, in the order they got there.
     full: Vec<ClipId>,
-    /// Clips seen in at least one table, in first-seen order.
-    live: Vec<ClipId>,
 }
 
 impl SeenClips {
@@ -143,12 +150,12 @@ impl SeenClips {
             seen_in: vec![0; clips],
             retired: vec![false; clips],
             full: Vec::new(),
-            live: Vec::new(),
         }
     }
 
-    /// Record that sorted access on `table` delivered `(clip, score)`.
-    pub(super) fn observe(&mut self, table: usize, clip: ClipId, score: f64) {
+    /// Record that sorted access on `table` delivered `(clip, score)`;
+    /// `true` if no table had shown the clip before.
+    pub(super) fn observe(&mut self, table: usize, clip: ClipId, score: f64) -> bool {
         let c = clip.index();
         if c >= self.retired.len() {
             self.scores.resize((c + 1) * self.tables, f64::NAN);
@@ -158,20 +165,30 @@ impl SeenClips {
         let cell = &mut self.scores[c * self.tables + table];
         let first_sight = cell.is_nan();
         *cell = score;
-        if first_sight {
-            self.seen_in[c] += 1;
-            if self.seen_in[c] == 1 {
-                self.live.push(clip);
-            }
-            if self.seen_in[c] as usize == self.tables {
-                self.full.push(clip);
-            }
+        if !first_sight {
+            return false;
         }
+        self.seen_in[c] += 1;
+        if self.seen_in[c] as usize == self.tables {
+            self.full.push(clip);
+        }
+        self.seen_in[c] == 1
     }
 
-    /// Mark a seen clip as delivered; it leaves both worklists lazily.
+    /// Mark a seen clip as delivered; it leaves the worklist lazily.
     pub(super) fn retire(&mut self, clip: ClipId) {
         self.retired[clip.index()] = true;
+    }
+
+    /// Whether a seen clip has been delivered.
+    fn is_retired(&self, clip: ClipId) -> bool {
+        self.retired[clip.index()]
+    }
+
+    /// A seen clip's per-table scores, NaN where unseen.
+    fn row(&self, clip: ClipId) -> &[f64] {
+        let c = clip.index();
+        &self.scores[c * self.tables..(c + 1) * self.tables]
     }
 
     /// Whether some clip seen in every table is neither retired nor
@@ -187,26 +204,19 @@ impl SeenClips {
         false
     }
 
-    /// Visit every clip of a worklist that is neither retired nor
-    /// `skipped`, with its per-table seen scores (NaN where unseen), and
-    /// drop the dead entries met on the way.
+    /// Visit every clip seen in every table that is neither retired nor
+    /// `skipped`, and drop the dead entries met on the way.
     pub(super) fn for_each_fresh(
         &mut self,
-        of: Worklist,
         skipped: impl Fn(ClipId) -> bool,
-        mut visit: impl FnMut(ClipId, &[f64]),
+        mut visit: impl FnMut(ClipId),
     ) {
-        let (tables, scores, retired) = (self.tables, &self.scores, &self.retired);
-        let worklist = match of {
-            Worklist::Full => &mut self.full,
-            Worklist::Live => &mut self.live,
-        };
-        worklist.retain(|&clip| {
-            let c = clip.index();
-            if retired[c] || skipped(clip) {
+        let retired = &self.retired;
+        self.full.retain(|&clip| {
+            if retired[clip.index()] || skipped(clip) {
                 return false;
             }
-            visit(clip, &scores[c * tables..(c + 1) * tables]);
+            visit(clip);
             true
         });
     }
@@ -235,6 +245,32 @@ impl End {
             End::Top => b.total_cmp(&a),
             End::Bottom => a.total_cmp(&b),
         }
+    }
+
+    /// `key` as an integer that grows as the key gets better from this end,
+    /// in [`f64::total_cmp`] order (the sign bit flips positives above
+    /// negatives, and a negative's other bits flip so larger magnitudes
+    /// sort lower).
+    fn merit(self, key: f64) -> u64 {
+        let bits = key.to_bits();
+        let up = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        match self {
+            End::Top => up,
+            End::Bottom => !up,
+        }
+    }
+
+    /// The key a merit was made from: the inverse of [`End::merit`].
+    fn key_of(self, merit: u64) -> f64 {
+        let up = match self {
+            End::Top => merit,
+            End::Bottom => !merit,
+        };
+        f64::from_bits(if up >> 63 == 1 { up & !(1 << 63) } else { !up })
     }
 
     /// The ranking key of a clip whose exact score is memoised: the worse
@@ -266,6 +302,27 @@ impl Candidate {
     }
 }
 
+/// A clip's place in its side's walk order, as plain integers so the queue
+/// compares them cheaply: key best-first ([`End::merit`]), then a moved key
+/// ahead of the rest, then the smaller clip id. The greatest place walks
+/// first, and no two clips share one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Place {
+    merit: u64,
+    moved: bool,
+    clip: Reverse<ClipId>,
+}
+
+impl Place {
+    fn of(end: End, c: &Candidate) -> Self {
+        Self {
+            merit: end.merit(c.key),
+            moved: c.moved(),
+            clip: Reverse(c.clip),
+        }
+    }
+}
+
 /// One access direction of the iterator.
 struct Side {
     end: End,
@@ -274,6 +331,12 @@ struct Side {
     /// Score of the last row read from each table.
     frontier: Vec<f64>,
     seen: SeenClips,
+    /// Clips sorted access showed for the first time since the last call.
+    arrived: Vec<ClipId>,
+    /// Every seen clip not yet dropped, bar this call's arrivals and
+    /// candidates, once each, under the place last computed for it: never
+    /// ahead of its current one.
+    queue: BinaryHeap<Place>,
     /// Scratch reused across calls: this call's ranked candidates.
     candidates: Vec<Candidate>,
 }
@@ -289,6 +352,8 @@ impl Side {
             stamp: 0,
             frontier: vec![no_row_yet; tables],
             seen: SeenClips::new(tables, clips),
+            arrived: Vec::new(),
+            queue: BinaryHeap::new(),
             candidates: Vec::new(),
         }
     }
@@ -312,7 +377,9 @@ impl Side {
                     End::Bottom => t.reverse_row(self.stamp, disk),
                 };
                 if let Some((cid, s)) = row {
-                    self.seen.observe(i, cid, s);
+                    if self.seen.observe(i, cid, s) {
+                        self.arrived.push(cid);
+                    }
                     self.frontier[i] = s;
                     any_row = true;
                 }
@@ -325,65 +392,101 @@ impl Side {
         true
     }
 
-    /// Steps 2 / 4, first half: fill [`Self::candidates`] with the *union*
-    /// of seen clips, minus delivered and skipped ones, each with `g` over
-    /// its seen coordinates and the table's frontier where unseen — an
-    /// optimistic bound from the top, a pessimistic one from the bottom,
-    /// `g` being monotone. Every frontier is a real row score here:
-    /// [`Self::read_until_fresh`] returned `true`, so some clip has been
-    /// seen in every table.
+    /// Steps 2 / 4, first half: fill [`Self::candidates`], in walk order,
+    /// with the live clips — the *union* of seen clips, minus delivered and
+    /// skipped ones — that rank no worse than the best memoised key (the
+    /// cut). Each carries `g` over its seen coordinates and the table's
+    /// frontier where unseen — an optimistic bound from the top, a
+    /// pessimistic one from the bottom, `g` being monotone. Every frontier
+    /// is a real row score here: [`Self::read_until_fresh`] returned
+    /// `true`, so some clip has been seen in every table. The walk cannot
+    /// pass the best memoised clip, so nothing ranked after it could be
+    /// scored or win.
     ///
-    /// Only the candidates that rank no worse than the best memoised key
-    /// are kept, in walk order: key best-first, then a moved clip ahead
-    /// of the rest, then clip id. The walk cannot pass the best memoised
-    /// clip, so nothing ranked after it could be scored or win.
+    /// Candidates come off [`Self::queue`] re-keyed: a popped clip whose
+    /// current tuple still ranks ahead of the next stored one is the true
+    /// next candidate, as no stored tuple ranks behind its clip's current
+    /// one; any other goes back in. The first memoised candidate sets the
+    /// cut, and popping stops once the next stored key is beaten by it.
+    /// `coords` is scratch with one slot per table.
     fn rank_candidates(
         &mut self,
         skip: &SkipSet,
         scoring: &dyn ScoringFunctions,
         n_objects: usize,
         memo: &[Option<f64>],
+        coords: &mut [f64],
     ) {
         let Self {
             end,
             frontier,
             seen,
+            arrived,
+            queue,
             candidates,
             ..
         } = self;
         let end = *end;
-        candidates.clear();
-        let mut coords = vec![0.0f64; frontier.len()];
-        let mut cut: Option<f64> = None;
-        seen.for_each_fresh(
-            Worklist::Live,
-            |c| skip.contains(c),
-            |clip, row| {
-                for (slot, (&seen, &unseen)) in coords.iter_mut().zip(row.iter().zip(&*frontier)) {
-                    *slot = if seen.is_nan() { unseen } else { seen };
-                }
-                let bound = scoring.g(&coords[..n_objects], coords[n_objects]);
-                let key = match memo.get(clip.index()) {
-                    Some(&Some(score)) => {
-                        let key = end.memo_key(bound, score);
-                        if cut.is_none_or(|cut| end.beats(key, cut)) {
-                            cut = Some(key);
-                        }
-                        key
-                    }
-                    _ => bound,
-                };
-                candidates.push(Candidate { clip, bound, key });
-            },
-        );
-        if let Some(cut) = cut {
-            candidates.retain(|c| !end.beats(cut, c.key));
+        let memoised = |clip: ClipId| matches!(memo.get(clip.index()), Some(Some(_)));
+        let mut rekey = |clip: ClipId| {
+            for (slot, (&seen, &unseen)) in
+                coords.iter_mut().zip(seen.row(clip).iter().zip(&*frontier))
+            {
+                *slot = if seen.is_nan() { unseen } else { seen };
+            }
+            let bound = scoring.g(&coords[..n_objects], coords[n_objects]);
+            let key = match memo.get(clip.index()) {
+                Some(&Some(score)) => end.memo_key(bound, score),
+                _ => bound,
+            };
+            Candidate { clip, bound, key }
+        };
+        for clip in arrived.drain(..) {
+            if !skip.contains(clip) {
+                queue.push(Place::of(end, &rekey(clip)));
+            }
         }
-        candidates.sort_unstable_by(|a, b| {
-            end.rank(a.key, b.key)
-                .then(b.moved().cmp(&a.moved()))
-                .then(a.clip.cmp(&b.clip))
-        });
+        candidates.clear();
+        let mut cut: Option<f64> = None;
+        while let Some(&stored) = queue.peek() {
+            if cut.is_some_and(|cut| end.beats(cut, end.key_of(stored.merit))) {
+                break;
+            }
+            queue.pop();
+            let clip = stored.clip.0;
+            if seen.is_retired(clip) || skip.contains(clip) {
+                continue;
+            }
+            let current = rekey(clip);
+            let place = Place::of(end, &current);
+            debug_assert!(
+                place <= stored,
+                "a re-keyed clip ranks ahead of its stored place: {place:?} > {stored:?}"
+            );
+            let leads = queue.peek().is_none_or(|next| place > *next);
+            if !leads || cut.is_some_and(|cut| end.beats(cut, current.key)) {
+                queue.push(place);
+                continue;
+            }
+            if cut.is_none() && memoised(clip) {
+                cut = Some(current.key);
+            }
+            candidates.push(current);
+        }
+    }
+
+    /// Return this call's candidates to the queue, bar the delivered clip,
+    /// which retires. Their tuples predate the walk's memoising, which only
+    /// moves a key back, so each still ranks no worse than its clip's.
+    fn requeue(&mut self, delivered: Option<ClipId>) {
+        for c in self.candidates.drain(..) {
+            if Some(c.clip) != delivered {
+                self.queue.push(Place::of(self.end, &c));
+            }
+        }
+        if let Some(clip) = delivered {
+            self.seen.retire(clip);
+        }
     }
 }
 
@@ -401,6 +504,8 @@ pub struct TbClip<'a> {
     /// Memoised complete clip scores (g over all queried tables), by clip
     /// id.
     scores: Vec<Option<f64>>,
+    /// Scratch with one slot per table: a clip's coordinates for `g`.
+    coords: Vec<f64>,
     /// Accesses this iterator has made.
     disk: DiskStats,
 }
@@ -427,6 +532,7 @@ impl<'a> TbClip<'a> {
             top: Side::new(End::Top, n, clips),
             btm: Side::new(End::Bottom, n, clips),
             scores: vec![None; clips],
+            coords: vec![0.0; n],
             disk: DiskStats::default(),
         }
     }
@@ -443,12 +549,13 @@ impl<'a> TbClip<'a> {
         if let Some(&Some(s)) = self.scores.get(c) {
             return s;
         }
-        let mut object_scores = Vec::with_capacity(self.n_objects);
-        for t in &self.tables[..self.n_objects] {
-            object_scores.push(t.random_score(clip, &mut self.disk));
+        // Object tables first, then the action table.
+        for (slot, t) in self.coords.iter_mut().zip(&self.tables) {
+            *slot = t.random_score(clip, &mut self.disk);
         }
-        let action_score = self.tables[self.n_objects].random_score(clip, &mut self.disk);
-        let s = self.scoring.g(&object_scores, action_score);
+        let s = self
+            .scoring
+            .g(&self.coords[..self.n_objects], self.coords[self.n_objects]);
         if c >= self.scores.len() {
             self.scores.resize(c + 1, None);
         }
@@ -480,7 +587,13 @@ impl<'a> TbClip<'a> {
         if !side.read_until_fresh(&self.tables, skip, &mut self.disk) {
             return None;
         }
-        side.rank_candidates(skip, self.scoring, self.n_objects, &self.scores);
+        side.rank_candidates(
+            skip,
+            self.scoring,
+            self.n_objects,
+            &self.scores,
+            &mut self.coords,
+        );
         let candidates = std::mem::take(&mut side.candidates);
         // TA refinement: score candidates in key order and stop once a key
         // cannot beat the best completed score.
@@ -513,9 +626,7 @@ impl<'a> TbClip<'a> {
         });
         let side = self.side(end);
         side.candidates = candidates;
-        if let Some((clip, _)) = winner {
-            side.seen.retire(clip);
-        }
+        side.requeue(winner.map(|(clip, _)| clip));
         winner
     }
 
@@ -666,6 +777,28 @@ pub(crate) mod tests {
         // 10 clips x 2 tables = at most 20 random accesses ever.
         assert!(tb.disk().random_accesses <= 20);
         assert!(tb.score_cached(ClipId::new(4)));
+    }
+
+    #[test]
+    fn merit_orders_keys_best_first_and_inverts() {
+        let keys = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            1e-300,
+            2.0,
+            30.0,
+            f64::INFINITY,
+        ];
+        for end in [End::Top, End::Bottom] {
+            for a in keys {
+                assert_eq!(end.key_of(end.merit(a)).to_bits(), a.to_bits());
+                for b in keys {
+                    assert_eq!(end.merit(a).cmp(&end.merit(b)), end.rank(b, a));
+                }
+            }
+        }
     }
 
     #[test]

@@ -911,10 +911,13 @@ mod tests {
 
     #[test]
     fn drop_oldest_sheds_and_counts() {
-        // One worker, tiny mailbox, eager feeder: drops must occur and be
-        // counted, and the session must still finish cleanly.
+        // One worker and a mailbox of 2. The consumer holds on a gate after
+        // clip 0, so the other 39 clips all reach a full mailbox: exactly
+        // the 37 oldest are shed and counted, and the session still
+        // finishes cleanly on the two that survive.
         let mux = SessionMux::new(1, ExecMetrics::new());
         let o = oracle(0, 7);
+        let clips = o.clip_count();
         let id = mux.register(
             "lossy".into(),
             o.clone(),
@@ -922,15 +925,41 @@ mod tests {
             Backpressure::DropOldest,
             2,
         );
-        for c in 0..200u64 {
-            mux.feed(id, ClipId::new(c % 40)).unwrap();
+        let gate = Arc::new(std::sync::RwLock::new(()));
+        let closed = gate.write().expect("gate starts closed");
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let observer_gate = gate.clone();
+        mux.set_observer(id, move |notice| {
+            let _ = held_tx.send(notice.clips_processed);
+            // A poisoned gate means the test already failed: let the
+            // worker through either way.
+            let _held = observer_gate.read();
+        });
+        mux.feed(id, ClipId::new(0)).unwrap();
+        assert_eq!(
+            held_rx.recv_timeout(Duration::from_secs(30)),
+            Ok(1),
+            "the worker evaluates clip 0, then holds"
+        );
+        for c in 1..clips {
+            mux.feed(id, ClipId::new(c)).unwrap();
         }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while mux.metrics().snapshot().shards[0].delivered < clips {
+            assert!(Instant::now() < deadline, "the feeder never delivered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let shed = clips - 1 - 2;
+        assert_eq!(mux.metrics().snapshot().sessions[0].dropped, shed);
+
+        drop(closed);
         mux.finish_session(id);
         let result = mux.wait(id).unwrap();
-        assert_eq!(result.clips_processed + result.dropped, 200);
-        assert!(result.dropped > 0, "tiny mailbox must shed load");
+        assert_eq!(result.dropped, shed);
+        assert_eq!(result.clips_processed, 3, "clip 0 and the last two");
         let snap = mux.metrics().snapshot();
-        assert_eq!(snap.sessions[0].dropped, result.dropped);
+        assert_eq!(snap.sessions[0].dropped, shed);
+        assert_eq!(snap.sessions[0].queue_depth, 0);
         mux.shutdown();
     }
 

@@ -12,11 +12,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q"
 cargo test --workspace -q
 
-echo "== TBClip differential oracle, deep (PROPTEST_CASES=2000)"
+echo "== TBClip differential oracle, deep (PROPTEST_CASES=2000, debug assertions on)"
 # TBClip ranks step 2 / 4 candidates by memoised-score keys with two tie
-# rules; it is correct only while it matches the bound-ordered BTree
-# reference step for step, so run the oracle far past the default 64 cases.
-PROPTEST_CASES=2000 cargo test --release -q -p svq-core --test tbclip_differential
+# rules, re-keying lazily off a queue whose stored keys must never rank
+# ahead of a clip's current one; it is correct only while it matches the
+# bound-ordered BTree reference step for step, so run the oracle far past
+# the default 64 cases with that invariant's debug_assert compiled in. Its
+# own target directory keeps the plain release build from being rebuilt.
+PROPTEST_CASES=2000 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
+  CARGO_TARGET_DIR=target/debug-assertions \
+  cargo test --release -q -p svq-core --test tbclip_differential
 
 echo "== occurrence memo and censoring cap, deep (PROPTEST_CASES=2000)"
 # The online engines read Algorithm 2's counts from the oracle's per-class
