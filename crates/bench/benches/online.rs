@@ -7,13 +7,13 @@
 //! iteration and read by the rest.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use svq_core::online::{OnlineConfig, Svaq, Svaqd};
+use svq_core::online::{OnlineConfig, Svaqd};
 use svq_eval::workloads::youtube_query_set;
 use svq_query::{execute_online, parse, LogicalPlan};
 use svq_types::{ActionClass, ObjectClass, VideoId};
 use svq_vision::models::ModelSuite;
 use svq_vision::synth::{ObjectSpec, ScenarioSpec};
-use svq_vision::VideoStream;
+use svq_vision::{VideoStream, WallClock};
 
 fn bench_online(c: &mut Criterion) {
     let set = youtube_query_set(1, 0.1, 7);
@@ -26,13 +26,14 @@ fn bench_online(c: &mut Criterion) {
     group.bench_function("svaq_full_video", |b| {
         b.iter(|| {
             let mut stream = VideoStream::new(&oracle);
-            Svaq::run(
+            Svaqd::svaq(
                 set.query.clone(),
-                &mut stream,
+                stream.geometry(),
                 OnlineConfig::default(),
                 1e-2,
                 1e-2,
             )
+            .run_over(&mut stream, &WallClock::new())
         })
     });
     group.bench_function("svaqd_full_video", |b| {

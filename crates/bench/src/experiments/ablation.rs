@@ -87,6 +87,7 @@ pub fn run(ctx: &ExpContext) {
     // clips; the learned order short-circuits on the rare predicate.
     let q3 = youtube_query_set(2, ctx.scale, ctx.seed); // walking the dog
     let ordered_query = svq_types::ActionQuery::named("walking the dog", &["tree", "zebra"]);
+    let objects = ordered_query.objects.len();
     let mut t = Table::new(&["ordering", "avg object predicates evaluated/clip"]);
     for (name, adaptive) in [
         ("query order (user)", false),
@@ -116,7 +117,7 @@ pub fn run(ctx: &ExpContext) {
             clips += evals.len() as u64;
             evaluated += evals
                 .iter()
-                .map(|e| e.object_counts.iter().flatten().count() as u64)
+                .map(|e| e.counts[..objects].iter().flatten().count() as u64)
                 .sum::<u64>();
         }
         t.row(vec![

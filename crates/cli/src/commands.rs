@@ -248,10 +248,8 @@ pub fn query(flags: &Flags) -> CliResult {
 /// concurrently on the svq-exec session multiplexer.
 pub fn mux(flags: &Flags) -> CliResult {
     use std::sync::Arc;
-    use svq_core::expr::ExprSvaqd;
     use svq_core::online::Svaqd;
     use svq_exec::{Backpressure, ExecMetrics, MuxOptions, SessionEngine, SessionMux};
-    use svq_query::plan::PlannedPredicate;
 
     let streams: u64 = flags.get_parsed("streams", 4)?;
     let workers: usize = flags.get_parsed("workers", 4)?;
@@ -338,14 +336,8 @@ pub fn mux(flags: &Flags) -> CliResult {
     let mut ids = Vec::new();
     for (i, oracle) in oracles.iter().enumerate() {
         for (j, plan) in plans.iter().enumerate() {
-            let engine = match &plan.predicate {
-                PlannedPredicate::Simple(q) => {
-                    SessionEngine::Svaqd(Svaqd::new(q.clone(), geometry, config, 1e-4, 1e-4))
-                }
-                PlannedPredicate::Cnf(q) => {
-                    SessionEngine::Expr(ExprSvaqd::new(q.clone(), geometry, config, 1e-4, 1e-4))
-                }
-            };
+            let engine =
+                SessionEngine::Svaqd(Svaqd::new(&plan.predicate, geometry, config, 1e-4, 1e-4));
             let id = mux.register(
                 format!("q{j}/v{i}"),
                 oracle.clone(),

@@ -15,70 +15,40 @@
 //! The output [`IngestedVideo`] is all the offline engine ever touches at
 //! query time.
 
-use crate::online::{censor, BackgroundUpdate, OnlineConfig, SequenceMerger};
-use svq_scanstats::{CriticalValueTable, KernelEstimator, ScanConfig};
+use crate::online::{OnlineConfig, PredicateState, SequenceMerger};
+use svq_scanstats::{CriticalValueTable, ScanConfig};
 use svq_storage::{ClipScoreTable, IngestedVideo, SequenceSet};
 use svq_types::{ActionClass, ClipId, ObjectClass, ScoringFunctions, Vocabulary};
 use svq_vision::models::DetectionOracle;
 
-/// Per-class SVAQD-lite used during ingestion: estimator + critical value +
-/// merger, fed with per-clip counts.
+/// One class's individual sequences: the online engine's per-predicate
+/// state (clamp, vicinity guard, censoring, warm-up) with the class as its
+/// own one-predicate query, fed with per-clip counts.
+#[derive(Clone)]
 struct ClassTracker {
-    estimator: KernelEstimator,
-    critical: u32,
-    window: u32,
+    state: PredicateState,
     merger: SequenceMerger,
-    prev_positive: bool,
-    clips_seen: u32,
-}
-
-/// Clamp a critical value to `[2, w−1]` (see `Svaqd`).
-fn clamp_critical(k: u32, window: u32) -> u32 {
-    k.clamp(2, (window - 1).max(2))
 }
 
 impl ClassTracker {
     fn new(bandwidth: f64, prior: f64, window: u32, table: &mut CriticalValueTable) -> Self {
-        let estimator = KernelEstimator::new(bandwidth, prior);
-        let critical = clamp_critical(table.critical_value(estimator.estimate()), window);
         Self {
-            estimator,
-            critical,
-            window,
+            state: PredicateState::new(bandwidth, prior, window, table),
             merger: SequenceMerger::new(),
-            prev_positive: false,
-            clips_seen: 0,
         }
     }
 
-    /// Feed one clip's positive-OU count; returns nothing — sequences are
-    /// collected at the end.
     fn push(
         &mut self,
         clip: ClipId,
-        units: u64,
         count: u32,
         config: &OnlineConfig,
-        table: &mut CriticalValueTable,
+        t: &mut CriticalValueTable,
     ) {
-        let positive = count >= self.critical;
-        let in_warmup = self.clips_seen < config.warmup_clips;
-        self.clips_seen += 1;
-        let update = in_warmup
-            || match config.update {
-                BackgroundUpdate::NegativeClips => !positive && !self.prev_positive,
-                BackgroundUpdate::AllClips => true,
-                BackgroundUpdate::PositiveClips => positive,
-            };
-        if update {
-            // Censored at twice the binomial 99 % noise quantile, as in
-            // the online engine (see `Svaqd`).
-            let censored = censor(count, units, self.estimator.estimate());
-            self.estimator.observe_run(units, censored as u64);
-            self.critical =
-                clamp_critical(table.critical_value(self.estimator.estimate()), self.window);
-        }
-        self.prev_positive = positive;
+        let positive = count >= self.state.critical();
+        let in_warmup = clip.raw() < u64::from(config.warmup_clips);
+        self.state
+            .observe(Some(count), positive, in_warmup, config, t);
         self.merger.push(clip, positive);
     }
 
@@ -104,40 +74,29 @@ pub fn ingest(
     let n_obj = ObjectClass::cardinality();
     let n_act = ActionClass::cardinality();
 
-    let mut object_table_sweep = CriticalValueTable::new(ScanConfig::new(
-        geometry.frames_per_clip(),
-        config.horizon_windows,
-        config.alpha,
-    ));
-    let mut action_table_sweep = CriticalValueTable::new(ScanConfig::new(
-        geometry.shots_per_clip,
-        config.horizon_windows,
-        config.alpha,
-    ));
+    let table =
+        |w| CriticalValueTable::new(ScanConfig::new(w, config.horizon_windows, config.alpha));
+    let mut object_table_sweep = table(geometry.frames_per_clip());
+    let mut action_table_sweep = table(geometry.shots_per_clip);
 
     // Ingestion is query-independent: no prior knowledge of any class's
     // noise rate, so every class starts from the same uninformative prior.
     let prior = 0.01;
-    let mut obj_trackers: Vec<ClassTracker> = (0..n_obj)
-        .map(|_| {
-            ClassTracker::new(
-                config.bandwidth_frames,
-                prior,
-                geometry.frames_per_clip(),
-                &mut object_table_sweep,
-            )
-        })
-        .collect();
-    let mut act_trackers: Vec<ClassTracker> = (0..n_act)
-        .map(|_| {
-            ClassTracker::new(
-                config.bandwidth_shots,
-                prior,
-                geometry.shots_per_clip,
-                &mut action_table_sweep,
-            )
-        })
-        .collect();
+    let (w_obj, w_act) = (geometry.frames_per_clip(), geometry.shots_per_clip);
+    let obj_tracker = ClassTracker::new(
+        config.bandwidth_frames,
+        prior,
+        w_obj,
+        &mut object_table_sweep,
+    );
+    let act_tracker = ClassTracker::new(
+        config.bandwidth_shots,
+        prior,
+        w_act,
+        &mut action_table_sweep,
+    );
+    let mut obj_trackers = vec![obj_tracker; n_obj];
+    let mut act_trackers = vec![act_tracker; n_act];
 
     let mut obj_rows: Vec<Vec<(ClipId, f64)>> = vec![Vec::new(); n_obj];
     let mut act_rows: Vec<Vec<(ClipId, f64)>> = vec![Vec::new(); n_act];
@@ -180,8 +139,6 @@ pub fn ingest(
             }
         }
         // --- fold into tables and trackers.
-        let frames_per_clip = geometry.frames_per_clip() as u64;
-        let shots_per_clip = geometry.shots_per_clip as u64;
         for i in 0..n_obj {
             if !obj_scores[i].is_empty() {
                 let score = scoring.h_object(&obj_scores[i]);
@@ -190,13 +147,7 @@ pub fn ingest(
                 }
                 obj_scores[i].clear();
             }
-            obj_trackers[i].push(
-                clip,
-                frames_per_clip,
-                obj_counts[i],
-                config,
-                &mut object_table_sweep,
-            );
+            obj_trackers[i].push(clip, obj_counts[i], config, &mut object_table_sweep);
         }
         for j in 0..n_act {
             if !act_scores[j].is_empty() {
@@ -206,13 +157,7 @@ pub fn ingest(
                 }
                 act_scores[j].clear();
             }
-            act_trackers[j].push(
-                clip,
-                shots_per_clip,
-                act_counts[j],
-                config,
-                &mut action_table_sweep,
-            );
+            act_trackers[j].push(clip, act_counts[j], config, &mut action_table_sweep);
         }
     }
 

@@ -57,8 +57,9 @@ pub struct OnlineConfig {
     /// accelerate convergence on streams whose opening is known to be
     /// signal-free.
     pub warmup_clips: u32,
-    /// Learn the object-predicate evaluation order from observed
-    /// selectivities (footnote 5) instead of using the query's order.
+    /// Learn the evaluation order of frame-only clauses (the object
+    /// predicates of a canonical query) from observed selectivities
+    /// (footnote 5) instead of using the query's order.
     /// Off by default — the paper leaves ordering to "user expertise".
     pub adaptive_order: bool,
     /// Executor knob: clip tickets a multiplexer worker pulls from a

@@ -1,25 +1,25 @@
-//! Clip indicator evaluation — Algorithm 2.
+//! Clip indicator evaluation — Algorithm 2 over a CNF query.
 //!
-//! For each object predicate, count the clip's frames with a positive
-//! thresholded detection (`Σ 𝟙_{o_i}^{(v)}`) and compare against
-//! `k_crit_{o_i}` (Eq. 1); for the action predicate, count positive shots
-//! against `k_crit_a` (Eq. 2); conjoin (Eq. 3). Predicates are evaluated in
-//! query order and evaluation short-circuits on the first negative
-//! predicate (Algorithm 2 lines 6-8), skipping the remaining predicates'
-//! inference — which is where the online algorithms save model cost.
+//! For each predicate, count the clip's occurrence units with a positive
+//! thresholded prediction — frames for objects and relationships
+//! (`Σ 𝟙_{o_i}^{(v)}`, Eq. 1), shots for actions (Eq. 2) — and compare the
+//! count against the predicate's critical value. A clause holds when one of
+//! its predicates does; the clip holds when every clause does (Eq. 3, and
+//! footnotes 2–4 for the extended predicates).
+//!
+//! Evaluation short-circuits (Algorithm 2 lines 6-8): clauses that read only
+//! frames go first, and the first one that fails skips every remaining
+//! predicate — in particular the action recognizer, which is where the
+//! online algorithms save model cost. Within a clause the first predicate
+//! that holds ends the clause. The clip's frames and shots are each charged
+//! at most once.
 
 use super::config::OnlineConfig;
-use svq_types::{ActionQuery, ClipId};
+use super::ordering::SelectivityOrderer;
+use crate::expr::CnfQuery;
+use svq_types::{ClipId, ObjectClass, Predicate, TrackedDetection};
 use svq_vision::stream::ClipAccess;
-
-/// Per-predicate critical values for one query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CriticalValues {
-    /// `k_crit_{o_i}` per object predicate, in query order (units: frames).
-    pub objects: Vec<u32>,
-    /// `k_crit_a` (units: shots).
-    pub action: u32,
-}
+use svq_vision::Rows;
 
 /// The trace of one clip's evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,232 +27,176 @@ pub struct ClipEvaluation {
     pub clip: ClipId,
     /// `𝟙_q^(c)` — Eq. 3.
     pub positive: bool,
-    /// Positive-frame count per object predicate; `None` where evaluation
-    /// short-circuited before reaching the predicate.
-    pub object_counts: Vec<Option<u32>>,
-    /// Positive-shot count for the action; `None` if short-circuited.
-    pub action_count: Option<u32>,
-    /// Critical values used for this clip (SVAQD varies them over time).
-    pub criticals: CriticalValues,
+    /// Positive-unit count per distinct predicate, in the engine's
+    /// predicate order; `None` where evaluation short-circuited before
+    /// reaching the predicate.
+    pub counts: Vec<Option<u32>>,
+    /// Critical values used for this clip, matching `counts` positionally
+    /// (SVAQD varies them over time).
+    pub criticals: Vec<u32>,
 }
 
-impl ClipEvaluation {
-    /// Indicator of object predicate `i` on this clip, if evaluated.
-    pub fn object_indicator(&self, i: usize) -> Option<bool> {
-        self.object_counts[i].map(|c| c >= self.criticals.objects[i])
-    }
-
-    /// Indicator of the action predicate, if evaluated.
-    pub fn action_indicator(&self) -> Option<bool> {
-        self.action_count.map(|c| c >= self.criticals.action)
-    }
+/// Index of a predicate's occurrence unit: `0` for frames, `1` for shots.
+pub(crate) fn unit(p: &Predicate) -> usize {
+    usize::from(matches!(p, Predicate::Action(_)))
 }
 
-/// Evaluate Algorithm 2 on one clip (predicates in query order).
-///
-/// Object predicates are evaluated first, in query order, then the action —
-/// matching the listing. The clip's frames are charged once, before the
-/// first object predicate (real detectors emit all classes in one pass;
-/// subsequent predicates reuse the same detections at zero extra
-/// inference). The action predicate charges the recognizer over the clip's
-/// shots only if every object predicate held. Counts are read from the
-/// oracle's occurrence memo through [`svq_vision::ClipFrames::count`] and
-/// [`svq_vision::ClipShots::count`].
-pub fn evaluate_clip<C: ClipAccess>(
-    view: &mut C,
-    query: &ActionQuery,
-    criticals: &CriticalValues,
-    config: &OnlineConfig,
-) -> ClipEvaluation {
-    evaluate(view, query, criticals, config, 0..query.objects.len())
+/// A [`CnfQuery`] compiled for Algorithm 2: distinct predicates, and each
+/// clause as indices into them, split by the units the clause reads.
+#[derive(Debug, Clone)]
+pub(crate) struct Clauses {
+    /// Distinct predicates, in first-appearance order.
+    pub(crate) predicates: Vec<Predicate>,
+    /// Clauses over frames only, in query order — the ones footnote 5
+    /// reorders.
+    pub(crate) frame: Vec<Vec<usize>>,
+    /// Clauses holding an action predicate, in query order.
+    rest: Vec<Vec<usize>>,
+    /// Whether any predicate reads frames.
+    reads_frames: bool,
 }
 
-/// Evaluate Algorithm 2 with an explicit object-predicate evaluation order
-/// (indices into `query.objects`) — the footnote 5 knob, driven adaptively
-/// by [`super::ordering::SelectivityOrderer`]. Counts land at their
-/// *original* indices regardless of the order.
-pub fn evaluate_clip_ordered<C: ClipAccess>(
-    view: &mut C,
-    query: &ActionQuery,
-    criticals: &CriticalValues,
-    config: &OnlineConfig,
-    order: &[usize],
-) -> ClipEvaluation {
-    debug_assert_eq!(order.len(), query.objects.len());
-    evaluate(view, query, criticals, config, order.iter().copied())
-}
-
-fn evaluate<C: ClipAccess>(
-    view: &mut C,
-    query: &ActionQuery,
-    criticals: &CriticalValues,
-    config: &OnlineConfig,
-    order: impl Iterator<Item = usize>,
-) -> ClipEvaluation {
-    debug_assert_eq!(criticals.objects.len(), query.objects.len());
-    let clip = view.clip();
-    let mut object_counts: Vec<Option<u32>> = vec![None; query.objects.len()];
-
-    if !query.objects.is_empty() {
-        // One detector pass yields every class's detections for the clip.
-        let frames = view.frames();
-        for i in order {
-            // Σ_{v ∈ V(c)} 𝟙_{o_i}^{(v)} with 𝟙 = [maxS ≥ T_obj].
-            let count = frames.count(query.objects[i], config.t_obj);
-            object_counts[i] = Some(count);
-            if count < criticals.objects[i] {
-                // Short-circuit: remaining predicates unevaluated.
-                return ClipEvaluation {
-                    clip,
-                    positive: false,
-                    object_counts,
-                    action_count: None,
-                    criticals: criticals.clone(),
-                };
+impl Clauses {
+    /// Compile `query`. A predicate repeated inside a clause, or a clause
+    /// repeated in the query, is kept once: neither changes the indicator.
+    pub(crate) fn new(query: &CnfQuery) -> Self {
+        let predicates = query.predicates();
+        let (mut frame, mut rest) = (Vec::new(), Vec::new());
+        for clause in &query.clauses {
+            let mut indices: Vec<usize> = Vec::with_capacity(clause.len());
+            for p in clause {
+                let i = predicates
+                    .iter()
+                    .position(|q| q == p)
+                    .expect("predicates() lists every clause predicate");
+                if !indices.contains(&i) {
+                    indices.push(i);
+                }
+            }
+            let side = if indices.iter().all(|&i| unit(&predicates[i]) == 0) {
+                &mut frame
+            } else {
+                &mut rest
+            };
+            if !side.contains(&indices) {
+                side.push(indices);
             }
         }
+        Self {
+            reads_frames: predicates.iter().any(|p| unit(p) == 0),
+            predicates,
+            frame,
+            rest,
+        }
     }
 
-    // All object predicates held — run the action recognizer.
-    let action_count = view.shots().count(query.action, config.t_act);
-    let positive = action_count >= criticals.action;
-    ClipEvaluation {
-        clip,
-        positive,
-        object_counts,
-        action_count: Some(action_count),
-        criticals: criticals.clone(),
+    /// Evaluate Algorithm 2 on one clip against `criticals` (one per
+    /// distinct predicate). With an `orderer`, frame-only clauses run in its
+    /// learned order and their outcomes are recorded into it.
+    pub(crate) fn evaluate<C: ClipAccess>(
+        &self,
+        view: &mut C,
+        criticals: Vec<u32>,
+        config: &OnlineConfig,
+        orderer: Option<&mut SelectivityOrderer>,
+    ) -> ClipEvaluation {
+        let mut counts = vec![None; self.predicates.len()];
+        let positive = self.indicate(view, &criticals, config, orderer, &mut counts);
+        ClipEvaluation {
+            clip: view.clip(),
+            positive,
+            counts,
+            criticals,
+        }
+    }
+
+    fn indicate<C: ClipAccess>(
+        &self,
+        view: &mut C,
+        criticals: &[u32],
+        config: &OnlineConfig,
+        orderer: Option<&mut SelectivityOrderer>,
+        counts: &mut [Option<u32>],
+    ) -> bool {
+        if self.reads_frames {
+            // One detector pass yields every frame predicate's count.
+            let frames = view.frames();
+            let mut holds = |i: usize| {
+                let count = *counts[i].get_or_insert_with(|| match self.predicates[i] {
+                    Predicate::Object(class) => frames.count(class, config.t_obj),
+                    Predicate::LeftOf(left, right) => {
+                        count_left_of(frames.rows(), left, right, config.t_obj)
+                    }
+                    Predicate::Action(_) => unreachable!("actions read shots"),
+                });
+                count >= criticals[i]
+            };
+            let held = match orderer {
+                None => self.frame.iter().all(|c| c.iter().any(|&i| holds(i))),
+                Some(orderer) => {
+                    let mut outcomes = vec![None; self.frame.len()];
+                    let held = orderer.order().iter().all(|&j| {
+                        let held = self.frame[j].iter().any(|&i| holds(i));
+                        outcomes[j] = Some(held);
+                        held
+                    });
+                    orderer.record(&outcomes);
+                    held
+                }
+            };
+            if !held {
+                return false;
+            }
+            // A clause mixing units tries its frame predicates first: the
+            // detector pass is already paid for.
+            for clause in &self.rest {
+                let _ = clause
+                    .iter()
+                    .any(|&i| unit(&self.predicates[i]) == 0 && holds(i));
+            }
+        }
+        let satisfied = |counts: &[Option<u32>], clause: &[usize]| {
+            clause
+                .iter()
+                .any(|&i| counts[i].is_some_and(|c| c >= criticals[i]))
+        };
+        if self.rest.iter().all(|clause| satisfied(counts, clause)) {
+            return true;
+        }
+        let shots = view.shots();
+        self.rest.iter().all(|clause| {
+            satisfied(counts, clause)
+                || clause.iter().any(|&i| match self.predicates[i] {
+                    Predicate::Action(class) => {
+                        let count =
+                            *counts[i].get_or_insert_with(|| shots.count(class, config.t_act));
+                        count >= criticals[i]
+                    }
+                    _ => false,
+                })
+        })
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-    use svq_types::{ActionClass, FrameId, Interval, ObjectClass, TrackId, VideoGeometry, VideoId};
-    use svq_vision::models::{DetectionOracle, ModelSuite, SceneConfusion};
-    use svq_vision::truth::{ActionSpan, GroundTruth, ObjectTrack};
-    use svq_vision::VideoStream;
-
-    /// 4 clips (200 frames): car on clip 1-2, jumping on clip 2 only.
-    fn oracle() -> DetectionOracle {
-        let mut gt = GroundTruth::new(VideoId::new(0), VideoGeometry::default(), 200);
-        gt.tracks.push(ObjectTrack {
-            class: ObjectClass::named("car"),
-            track: TrackId::new(1),
-            frames: Interval::new(FrameId::new(50), FrameId::new(149)),
-            visibility: 1.0,
-            bbox: svq_types::BBox::FULL,
-        });
-        gt.actions.push(ActionSpan {
-            class: ActionClass::named("jumping"),
-            frames: Interval::new(FrameId::new(100), FrameId::new(149)),
-            salience: 1.0,
-        });
-        DetectionOracle::new(
-            Arc::new(gt),
-            ModelSuite::ideal(),
-            &SceneConfusion::default(),
-            0,
-        )
-    }
-
-    fn crits(obj: u32, act: u32, n_obj: usize) -> CriticalValues {
-        CriticalValues {
-            objects: vec![obj; n_obj],
-            action: act,
-        }
-    }
-
-    #[test]
-    fn indicator_conjunction_with_ideal_models() {
-        let oracle = oracle();
-        let mut stream = VideoStream::new(&oracle);
-        let query = ActionQuery::named("jumping", &["car"]);
-        let config = OnlineConfig::default();
-        let criticals = crits(5, 2, 1);
-        let mut outcomes = Vec::new();
-        while let Some(mut view) = stream.next_clip() {
-            outcomes.push(evaluate_clip(&mut view, &query, &criticals, &config));
-        }
-        assert_eq!(outcomes.len(), 4);
-        // Clip 0: no car — negative, action never evaluated.
-        assert!(!outcomes[0].positive);
-        assert_eq!(outcomes[0].object_counts[0], Some(0));
-        assert_eq!(outcomes[0].action_count, None);
-        // Clip 1: car but no action.
-        assert!(!outcomes[1].positive);
-        assert_eq!(outcomes[1].object_counts[0], Some(50));
-        assert_eq!(outcomes[1].action_count, Some(0));
-        // Clip 2: car + jumping.
-        assert!(outcomes[2].positive);
-        assert_eq!(outcomes[2].action_count, Some(5));
-        // Clip 3: nothing.
-        assert!(!outcomes[3].positive);
-    }
-
-    #[test]
-    fn short_circuit_saves_action_inference() {
-        let oracle = oracle();
-        let mut stream = VideoStream::new(&oracle);
-        let query = ActionQuery::named("jumping", &["car"]);
-        let config = OnlineConfig::default();
-        let criticals = crits(5, 2, 1);
-        while let Some(mut view) = stream.next_clip() {
-            evaluate_clip(&mut view, &query, &criticals, &config);
-        }
-        // Object inference on all 4 clips (200 frames); action only on the
-        // two clips whose object predicate held (clips 1 and 2 -> 10 shots).
-        assert_eq!(stream.ledger().object_frames, 200);
-        assert_eq!(stream.ledger().action_shots, 10);
-    }
-
-    #[test]
-    fn action_only_query_skips_object_detection() {
-        let oracle = oracle();
-        let mut stream = VideoStream::new(&oracle);
-        let query = ActionQuery::named("jumping", &[]);
-        let config = OnlineConfig::default();
-        let criticals = crits(0, 2, 0);
-        let mut positives = 0;
-        while let Some(mut view) = stream.next_clip() {
-            positives += evaluate_clip(&mut view, &query, &criticals, &config).positive as u32;
-        }
-        assert_eq!(positives, 1);
-        assert_eq!(stream.ledger().object_frames, 0);
-        assert_eq!(stream.ledger().action_shots, 20);
-    }
-
-    #[test]
-    fn critical_value_gates_the_count() {
-        let oracle = oracle();
-        let query = ActionQuery::named("jumping", &["car"]);
-        let config = OnlineConfig::default();
-        // Demand more positive frames than the clip holds: clip 2 has 50.
-        let strict = crits(51, 1, 1);
-        let mut stream = VideoStream::new(&oracle);
-        let mut any_positive = false;
-        while let Some(mut view) = stream.next_clip() {
-            any_positive |= evaluate_clip(&mut view, &query, &strict, &config).positive;
-        }
-        assert!(!any_positive);
-    }
-
-    #[test]
-    fn indicators_reflect_criticals() {
-        let oracle = oracle();
-        let mut stream = VideoStream::new(&oracle);
-        let query = ActionQuery::named("jumping", &["car"]);
-        let config = OnlineConfig::default();
-        let criticals = crits(5, 2, 1);
-        let mut v = stream.next_clip().unwrap();
-        let e0 = evaluate_clip(&mut v, &query, &criticals, &config);
-        assert_eq!(e0.object_indicator(0), Some(false));
-        assert_eq!(e0.action_indicator(), None);
-        let _ = stream.next_clip().unwrap();
-        let mut v2 = stream.next_clip().unwrap();
-        let e2 = evaluate_clip(&mut v2, &query, &criticals, &config);
-        assert_eq!(e2.object_indicator(0), Some(true));
-        assert_eq!(e2.action_indicator(), Some(true));
-    }
+/// Frames of one clip holding `left` left of `right`, both at
+/// `score ≥ t_obj` — the one predicate that reads boxes, so rows.
+fn count_left_of(
+    frames: Rows<'_, TrackedDetection>,
+    left: ObjectClass,
+    right: ObjectClass,
+    t_obj: f64,
+) -> u32 {
+    frames
+        .filter(|detections| {
+            detections.iter().any(|l| {
+                l.detection.class == left
+                    && l.detection.score >= t_obj
+                    && detections.iter().any(|r| {
+                        r.detection.class == right
+                            && r.detection.score >= t_obj
+                            && l.detection.bbox.left_of(&r.detection.bbox)
+                    })
+            })
+        })
+        .count() as u32
 }

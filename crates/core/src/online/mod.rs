@@ -1,31 +1,33 @@
 //! The online (streaming) case — §3 of the paper.
 //!
-//! A query `q : {o_1 … o_I; a}` is processed one clip at a time as the
-//! stream arrives. For each clip, Algorithm 2 ([`evaluate_clip`]) counts
-//! positive per-frame object predictions and per-shot action predictions,
-//! compares each count against its scan-statistic critical value, and
-//! conjoins the per-predicate indicators (Eq. 3). Positive clips are merged
-//! into maximal result sequences (Eq. 4, [`SequenceMerger`]).
+//! A query — the canonical `q : {o_1 … o_I; a}`, or any
+//! [`crate::expr::CnfQuery`] of the footnote 2–4 extensions — is processed
+//! one clip at a time as the stream arrives. For each clip, Algorithm 2
+//! counts positive per-frame predictions (objects, relationships) and
+//! per-shot action predictions, compares each count against its
+//! scan-statistic critical value, and combines the per-predicate
+//! indicators (Eq. 3; OR within a clause, AND across clauses), recording a
+//! [`ClipEvaluation`]. Positive clips are merged into maximal result
+//! sequences (Eq. 4, [`SequenceMerger`]).
 //!
-//! [`Svaq`] derives the critical values once from an a-priori background
-//! probability `p0`; [`Svaqd`] estimates each predicate's background
-//! dynamically with the exponential-kernel estimator and re-derives the
-//! critical values as the estimate moves, which removes the `p0`
-//! sensitivity Figure 2 demonstrates.
+//! One engine, [`Svaqd`], runs every statement. [`Svaqd::new`] estimates
+//! each predicate's background dynamically with the exponential-kernel
+//! estimator and re-derives the critical values as the estimate moves
+//! (Algorithm 3), which removes the `p0` sensitivity Figure 2
+//! demonstrates; [`Svaqd::svaq`] derives them once from an a-priori
+//! background probability `p0` (Algorithm 1).
 
 mod config;
 mod indicator;
 mod merger;
 pub mod ordering;
-mod svaq;
 mod svaqd;
 
 pub use config::{BackgroundUpdate, OnlineConfig, OnlineConfigBuilder};
-pub use indicator::{evaluate_clip, evaluate_clip_ordered, ClipEvaluation, CriticalValues};
+pub use indicator::ClipEvaluation;
 pub use merger::SequenceMerger;
 pub use ordering::SelectivityOrderer;
-pub use svaq::Svaq;
-pub(crate) use svaqd::censor;
+pub(crate) use svaqd::PredicateState;
 pub use svaqd::Svaqd;
 
 use svq_types::ClipInterval;

@@ -6,9 +6,9 @@
 //! predicate evaluations per clip (and, in deployments where predicates
 //! bind to separate specialised models, the inference those evaluations
 //! trigger). The paper leaves the order "based on user expertise";
-//! [`SelectivityOrderer`] learns it instead, tracking each object
-//! predicate's observed pass rate with exponential decay and proposing the
-//! ascending-pass-rate order.
+//! [`SelectivityOrderer`] learns it instead, tracking each frame-only
+//! clause's (for a canonical query: each object predicate's) observed pass
+//! rate with exponential decay and proposing the ascending-pass-rate order.
 //!
 //! The expected evaluation count under independence is
 //! `1 + p_(1) + p_(1)p_(2) + …` for pass rates in evaluation order —

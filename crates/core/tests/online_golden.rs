@@ -1,12 +1,12 @@
 //! Golden matrix of the online engines over svqbench-style videos.
 //!
-//! Pins `Svaq`, `Svaqd` (query order and learned order), `ExprSvaqd` and
-//! `svq_query::execute_online` on the four svqbench online statements plus
-//! one `leftOf` statement, at the default thresholds and at
-//! `t_obj 0.6 / t_act 0.55`: result sequences, ledger unit counts, the
-//! `f64::to_bits` of every ledger millisecond field, and a digest of every
-//! clip's evaluation (counts, criticals; for `ExprSvaqd` its per-clip
-//! criticals and background estimates). Each oracle is queried at the
+//! Pins the one online engine — as SVAQ (`Svaqd::svaq`), as SVAQD in
+//! query order and in learned order — and `svq_query::execute_online` on
+//! the four svqbench online statements plus one `leftOf` statement, at the
+//! default thresholds and at `t_obj 0.6 / t_act 0.55`: result sequences,
+//! ledger unit counts, the `f64::to_bits` of every ledger millisecond
+//! field, and a digest of every clip's evaluation (counts, criticals).
+//! Each oracle is queried at the
 //! default thresholds first, so the second threshold pair reads a video
 //! whose occurrence counts were already asked for at another threshold.
 //! `algorithm_ms` is pinned only where a `ManualClock` drives it;
@@ -16,13 +16,11 @@
 
 use std::fmt::Write as _;
 use std::time::Duration;
-use svq_core::expr::{CnfQuery, ExprSvaqd};
-use svq_core::online::{ClipEvaluation, OnlineConfig, OnlineResult, Svaq, Svaqd};
-use svq_query::plan::PlannedPredicate;
+use svq_core::online::{ClipEvaluation, OnlineConfig, OnlineResult, Svaqd};
 use svq_query::{execute_online, parse, LogicalPlan, QueryResults};
 use svq_types::{ActionClass, ClipInterval, ManualClock, ObjectClass, VideoId};
 use svq_vision::models::{DetectionOracle, ModelSuite};
-use svq_vision::synth::{ObjectSpec, ScenarioSpec};
+use svq_vision::synth::{ObjectSpec, ScenarioSpec, SyntheticVideo};
 use svq_vision::{CostLedger, VideoStream};
 
 /// svqbench's corpus seed (`crates/svqbench/src/gen.rs`).
@@ -84,14 +82,12 @@ fn evaluations(evals: &[ClipEvaluation]) -> String {
     for e in evals {
         d.mix(e.clip.raw());
         d.mix(u64::from(e.positive));
-        for &c in &e.object_counts {
+        for &c in &e.counts {
             d.mix(count(c));
         }
-        d.mix(count(e.action_count));
-        for &k in &e.criticals.objects {
+        for &k in &e.criticals {
             d.mix(u64::from(k));
         }
-        d.mix(u64::from(e.criticals.action));
     }
     format!("{}:{:016x}", evals.len(), d.0)
 }
@@ -109,47 +105,28 @@ fn online_line(result: &OnlineResult) -> String {
     )
 }
 
-/// `ExprSvaqd` clip by clip, digesting each clip's closed sequence,
-/// criticals and background estimates.
-fn expr_line(oracle: &DetectionOracle, query: CnfQuery, config: OnlineConfig) -> String {
-    let mut stream = VideoStream::new(oracle);
-    let mut engine = ExprSvaqd::new(query, stream.geometry(), config, 1e-4, 1e-4);
-    let mut d = Digest::new();
-    while let Some(mut view) = stream.next_clip() {
-        let closed = engine.push_clip(&mut view);
-        d.mix(closed.map_or(u64::MAX, |s| s.start.raw() << 32 | s.end.raw()));
-        for k in engine.criticals() {
-            d.mix(u64::from(k));
-        }
-        for b in engine.backgrounds() {
-            d.mix(b.to_bits());
-        }
-    }
-    let seqs = engine.finish();
-    format!(
-        "seqs={} | {} | clips={:016x}",
-        sequences(&seqs),
-        ledger(stream.ledger(), false),
-        d.0
-    )
-}
-
-fn render_matrix() -> String {
-    let suites = [
+fn suites() -> [(&'static str, ModelSuite); 2] {
+    [
         ("accurate", ModelSuite::accurate()),
         ("ideal", ModelSuite::ideal()),
-    ];
-    let configs = [
+    ]
+}
+
+fn configs() -> [(&'static str, OnlineConfig); 2] {
+    [
         ("default", OnlineConfig::default()),
         (
             "t0.6/0.55",
             OnlineConfig::default().with_thresholds(0.6, 0.55),
         ),
-    ];
-    let mut out = String::new();
-    for (frames, videos) in CORPUS {
-        for v in 0..videos {
-            let truth = ScenarioSpec::activitynet(
+    ]
+}
+
+/// Every corpus video as `(frames, v, video)`.
+fn corpus() -> impl Iterator<Item = (u64, u64, SyntheticVideo)> {
+    CORPUS.into_iter().flat_map(|(frames, videos)| {
+        (0..videos).map(move |v| {
+            let video = ScenarioSpec::activitynet(
                 VideoId::new(v),
                 frames,
                 ActionClass::named("jumping"),
@@ -160,76 +137,74 @@ fn render_matrix() -> String {
                 CORPUS_SEED + v,
             )
             .generate();
-            for (suite_name, suite) in suites {
-                let oracle = truth.oracle(suite);
-                for (config_name, config) in configs {
-                    for (stmt, predicate) in PREDICATES.iter().enumerate() {
-                        let sql = format!(
-                            "SELECT MERGE(clipID) AS Sequence \
-                             FROM (PROCESS inputVideo PRODUCE clipID, obj USING ObjectDetector, \
-                             act USING ActionRecognizer) \
-                             WHERE act='jumping' AND {predicate}"
-                        );
-                        let plan = LogicalPlan::from_statement(&parse(&sql).expect("parse"))
-                            .expect("plan");
-                        let mut lines: Vec<(&str, String)> = Vec::new();
+            (frames, v, video)
+        })
+    })
+}
 
-                        let outcome = execute_online(&plan, &mut VideoStream::new(&oracle), config)
-                            .expect("execute_online");
-                        let QueryResults::Online {
-                            sequences: seqs,
-                            cost,
-                        } = &outcome.results
-                        else {
-                            panic!("online plan returned an offline payload");
-                        };
-                        lines.push((
-                            "execute_online",
-                            format!("seqs={} | {}", sequences(seqs), ledger(cost, false)),
-                        ));
+fn plan(predicate: &str) -> LogicalPlan {
+    let sql = format!(
+        "SELECT MERGE(clipID) AS Sequence \
+         FROM (PROCESS inputVideo PRODUCE clipID, obj USING ObjectDetector, \
+         act USING ActionRecognizer) \
+         WHERE {predicate}"
+    );
+    LogicalPlan::from_statement(&parse(&sql).expect("parse")).expect("plan")
+}
 
-                        let cnf = match &plan.predicate {
-                            PlannedPredicate::Simple(q) => {
-                                let r = Svaq::run_with_clock(
-                                    q.clone(),
-                                    &mut VideoStream::new(&oracle),
-                                    config,
-                                    1e-2,
-                                    1e-2,
-                                    &clock(),
-                                );
-                                lines.push(("svaq", online_line(&r)));
-                                let r = Svaqd::run_with_clock(
-                                    q.clone(),
-                                    &mut VideoStream::new(&oracle),
-                                    config,
-                                    1e-4,
-                                    1e-4,
-                                    &clock(),
-                                );
-                                lines.push(("svaqd", online_line(&r)));
-                                let r = Svaqd::run_with_clock(
-                                    q.clone(),
-                                    &mut VideoStream::new(&oracle),
-                                    config.with_adaptive_order(),
-                                    1e-4,
-                                    1e-4,
-                                    &clock(),
-                                );
-                                lines.push(("svaqd-adaptive", online_line(&r)));
-                                CnfQuery::from_action_query(q)
-                            }
-                            PlannedPredicate::Cnf(q) => q.clone(),
-                        };
-                        lines.push(("expr-svaqd", expr_line(&oracle, cnf, config)));
+/// `execute_online`'s sequences and ledger.
+fn served(
+    plan: &LogicalPlan,
+    oracle: &DetectionOracle,
+    config: OnlineConfig,
+) -> (Vec<ClipInterval>, CostLedger) {
+    let outcome =
+        execute_online(plan, &mut VideoStream::new(oracle), config).expect("execute_online");
+    let QueryResults::Online { sequences, cost } = outcome.results else {
+        panic!("online plan returned an offline payload");
+    };
+    (sequences, cost)
+}
 
-                        for (method, line) in lines {
-                            writeln!(
-                                out,
-                                "frames={frames} v={v} suite={suite_name} cfg={config_name} stmt={stmt} method={method} | {line}"
-                            )
-                            .expect("write to String");
-                        }
+fn render_matrix() -> String {
+    let mut out = String::new();
+    for (frames, v, truth) in corpus() {
+        for (suite_name, suite) in suites() {
+            let oracle = truth.oracle(suite);
+            for (config_name, config) in configs() {
+                for (stmt, predicate) in PREDICATES.iter().enumerate() {
+                    let plan = plan(&format!("act='jumping' AND {predicate}"));
+                    let (seqs, cost) = served(&plan, &oracle, config);
+                    let mut lines = vec![(
+                        "execute_online",
+                        format!("seqs={} | {}", sequences(&seqs), ledger(&cost, false)),
+                    )];
+                    let geometry = oracle.truth().geometry;
+                    let adaptive = config.with_adaptive_order();
+                    let engines = [
+                        (
+                            "svaq",
+                            Svaqd::svaq(&plan.predicate, geometry, config, 1e-2, 1e-2),
+                        ),
+                        (
+                            "svaqd",
+                            Svaqd::new(&plan.predicate, geometry, config, 1e-4, 1e-4),
+                        ),
+                        (
+                            "svaqd-adaptive",
+                            Svaqd::new(&plan.predicate, geometry, adaptive, 1e-4, 1e-4),
+                        ),
+                    ];
+                    for (method, engine) in engines {
+                        let r = engine.run_over(&mut VideoStream::new(&oracle), &clock());
+                        lines.push((method, online_line(&r)));
+                    }
+                    for (method, line) in lines {
+                        writeln!(
+                            out,
+                            "frames={frames} v={v} suite={suite_name} cfg={config_name} stmt={stmt} method={method} | {line}"
+                        )
+                        .expect("write to String");
                     }
                 }
             }
@@ -252,4 +227,68 @@ fn online_matrix_matches_the_golden() {
 #[ignore = "prints the matrix for re-rendering golden/online_matrix.txt"]
 fn print_online_matrix() {
     print!("{}", render_matrix());
+}
+
+/// Equivalent spellings of one statement answer alike on the served path:
+/// equal sequences and equal ledger unit counts over the whole corpus, with
+/// both model suites and both threshold configs. Covered: `A` against
+/// `(A OR A)`, a repeated object, an `obj.include` list against its
+/// conjunction, and the action clause written first or last. Predicate
+/// order inside one AND or one OR is Algorithm 2's evaluation order
+/// (footnote 5) — it decides which estimators a short-circuited clip
+/// feeds — so it stays outside the property.
+#[test]
+fn equivalent_spellings_answer_alike() {
+    let car = "obj.include('car')";
+    let car_or_person = "(obj.include('car') OR obj.include('person'))";
+    let pairs = [
+        (
+            format!("act='jumping' AND {car}"),
+            format!("act='jumping' AND ({car} OR {car})"),
+        ),
+        (
+            "act='jumping' AND obj.include('person')".into(),
+            "(act='jumping' OR act='jumping') AND obj.include('person')".into(),
+        ),
+        (
+            "act='jumping' AND leftOf('car', 'person')".into(),
+            "act='jumping' AND (leftOf('car', 'person') OR leftOf('car', 'person'))".into(),
+        ),
+        (
+            format!("act='jumping' AND {car}"),
+            "act='jumping' AND obj.include('car', 'car')".into(),
+        ),
+        (
+            "act='jumping' AND obj.include('car', 'person')".into(),
+            format!("act='jumping' AND {car} AND obj.include('person')"),
+        ),
+        (
+            format!("act='jumping' AND {car}"),
+            format!("{car} AND act='jumping'"),
+        ),
+        (
+            format!("act='jumping' AND {car_or_person}"),
+            format!("{car_or_person} AND act='jumping'"),
+        ),
+    ];
+    for (frames, v, truth) in corpus() {
+        for (suite_name, suite) in suites() {
+            let oracle = truth.oracle(suite);
+            for (config_name, config) in configs() {
+                for (a, b) in &pairs {
+                    let ((seqs_a, cost_a), (seqs_b, cost_b)) = (
+                        served(&plan(a), &oracle, config),
+                        served(&plan(b), &oracle, config),
+                    );
+                    let at = format!("frames={frames} v={v} suite={suite_name} cfg={config_name}");
+                    assert_eq!(seqs_a, seqs_b, "`{a}` vs `{b}` at {at}");
+                    assert_eq!(
+                        (cost_a.object_frames, cost_a.action_shots),
+                        (cost_b.object_frames, cost_b.action_shots),
+                        "`{a}` vs `{b}` at {at}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -3,11 +3,11 @@
 
 use crate::metrics::{clips_to_frames, frame_counts, match_counts, MatchCounts};
 use crate::workloads::QuerySet;
-use svq_core::online::{OnlineConfig, Svaq, Svaqd};
+use svq_core::online::{OnlineConfig, Svaqd};
 use svq_types::ActionQuery;
 use svq_vision::models::ModelSuite;
 use svq_vision::synth::SyntheticVideo;
-use svq_vision::{CostLedger, VideoStream};
+use svq_vision::{CostLedger, VideoStream, WallClock};
 
 /// Which online algorithm to run, with its background initialisation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,11 +58,12 @@ pub fn run_video(
 ) -> EvalOutcome {
     let oracle = video.oracle(suite);
     let mut stream = VideoStream::new(&oracle);
-    let result = match algorithm {
-        OnlineAlgorithm::Svaq { p0 } => Svaq::run(query.clone(), &mut stream, config, p0, p0),
-        OnlineAlgorithm::Svaqd { p0 } => Svaqd::run(query.clone(), &mut stream, config, p0, p0),
-    };
     let geometry = video.truth.geometry;
+    let engine = match algorithm {
+        OnlineAlgorithm::Svaq { p0 } => Svaqd::svaq(query.clone(), geometry, config, p0, p0),
+        OnlineAlgorithm::Svaqd { p0 } => Svaqd::new(query.clone(), geometry, config, p0, p0),
+    };
+    let result = engine.run_over(&mut stream, &WallClock::new());
     let predicted = clips_to_frames(&result.sequences, geometry);
     let truth = video.truth.query_truth(query);
     EvalOutcome {

@@ -63,7 +63,6 @@ mod thread_safety {
     const _: () = {
         // Online engine state: owned by one session, handed between workers.
         assert_send::<svq_core::Svaqd>();
-        assert_send::<svq_core::expr::ExprSvaqd>();
         assert_send::<crate::mux::SessionEngine>();
         // Clip inputs: the oracle is shared read-only across sessions; an
         // owned view travels into whichever worker evaluates the clip.

@@ -1,7 +1,8 @@
 //! Concurrent session multiplexer.
 //!
-//! A *session* pairs one parsed query's online engine ([`Svaqd`] or
-//! [`ExprSvaqd`]) with one video stream, identified by the oracle it reads.
+//! A *session* pairs one parsed query's online engine ([`Svaqd`], which
+//! runs every online statement shape) with one video stream, identified by
+//! the oracle it reads.
 //! The multiplexer runs many sessions over one [`WorkerPool`]: the accept
 //! path enqueues lightweight clip tickets into per-shard ingress queues
 //! (see [`crate::ingress`]), shard feeder threads move them into
@@ -43,7 +44,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use svq_core::expr::ExprSvaqd;
 use svq_core::online::{ClipEvaluation, Svaqd};
 use svq_types::{ClipId, ClipInterval};
 use svq_vision::models::DetectionOracle;
@@ -66,14 +66,13 @@ pub enum Backpressure {
 /// name a real clip: every geometry computation overflows long before.
 pub const POISON_CLIP: ClipId = ClipId::new(u64::MAX);
 
-/// The per-session online engine.
-// Variant sizes differ (~576 vs ~360 bytes) but a value is moved exactly
-// once, into its session, so boxing would only add indirection to push_clip.
-#[allow(clippy::large_enum_variant)]
+/// The per-session online engine. Both variants hold the one engine.
 #[derive(Debug)]
 pub enum SessionEngine {
     Svaqd(Svaqd),
-    Expr(ExprSvaqd),
+    /// The same engine under its former CNF name; kept only until the
+    /// benchmark stops naming it (ROADMAP item 2).
+    Expr(Svaqd),
 }
 
 impl SessionEngine {
@@ -83,31 +82,23 @@ impl SessionEngine {
             "poison clip evaluated (injected worker fault)"
         );
         match self {
-            SessionEngine::Svaqd(e) => e.push_clip(view),
-            SessionEngine::Expr(e) => e.push_clip(view),
+            SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => e.push_clip(view),
         }
     }
 
     fn finish(self) -> (Vec<ClipInterval>, Vec<ClipEvaluation>) {
         match self {
-            SessionEngine::Svaqd(e) => e.finish(),
-            SessionEngine::Expr(e) => (e.finish(), Vec::new()),
+            SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => e.finish(),
         }
     }
 
     /// The dynamic p(t) estimator's current drift surface: per-predicate
     /// background activation estimates and the matching critical run
-    /// lengths, positionally aligned (objects in query order, then the
-    /// action; distinct-predicate order for CNF engines).
+    /// lengths, positionally aligned in the engine's distinct-predicate
+    /// order (a canonical query's objects in query order, then the action).
     fn drift(&self) -> (Vec<f64>, Vec<u32>) {
         match self {
-            SessionEngine::Svaqd(e) => {
-                let crit = e.criticals();
-                let mut criticals = crit.objects.clone();
-                criticals.push(crit.action);
-                (e.backgrounds(), criticals)
-            }
-            SessionEngine::Expr(e) => (e.backgrounds(), e.criticals()),
+            SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => (e.backgrounds(), e.criticals()),
         }
     }
 }
@@ -123,8 +114,9 @@ pub struct ClipNotice {
     /// Clips the session has evaluated so far, this one included (a
     /// 1-based position in the session's feed order).
     pub clips_processed: u64,
-    /// Per-predicate background activation estimates (objects in query
-    /// order then the action; distinct-predicate order for CNF).
+    /// Per-predicate background activation estimates, in the engine's
+    /// distinct-predicate order (a canonical query's objects in query
+    /// order, then the action).
     pub backgrounds: Vec<f64>,
     /// Critical run lengths matching `backgrounds` positionally.
     pub criticals: Vec<u32>,
@@ -143,7 +135,7 @@ pub struct SessionId(usize);
 pub struct SessionResult {
     /// Result sequences, as the engine's `finish` reports them.
     pub sequences: Vec<ClipInterval>,
-    /// Per-clip evaluation trace (empty for [`SessionEngine::Expr`]).
+    /// Per-clip evaluation trace.
     pub evaluations: Vec<ClipEvaluation>,
     /// Inference cost charged by this session's clip evaluations.
     pub cost: CostLedger,

@@ -1,7 +1,8 @@
 //! Plan execution: bind a [`LogicalPlan`] to the engines.
 //!
-//! Online plans run SVAQD (or the CNF engine for extended predicates) over
-//! a [`VideoStream`]; offline plans run RVAQ over an [`IngestedVideo`].
+//! Online plans run SVAQD over a [`VideoStream`] — one engine for the
+//! canonical conjunction and every extended (CNF) predicate; offline plans
+//! run RVAQ over an [`IngestedVideo`].
 //! Both entry points return the same [`QueryOutcome`] envelope — mode
 //! payload, disk-access delta, and wall time — so the CLI and the bench
 //! harness report either mode through one code path.
@@ -10,7 +11,6 @@ use crate::cluster::{self, ClusterTopK};
 use crate::plan::{LogicalPlan, PlannedPredicate, QueryMode};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::time::Instant;
-use svq_core::expr::ExprSvaqd;
 use svq_core::offline::{Rvaq, RvaqOptions, TopKResult};
 use svq_core::online::{OnlineConfig, OnlineResult, Svaqd};
 use svq_storage::{DiskStats, IngestedVideo, VideoRepository};
@@ -20,8 +20,8 @@ use svq_vision::{CostLedger, VideoStream};
 /// Mode-specific payload of a statement execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResults {
-    /// Online (SVAQD / CNF) output: result sequences plus the simulated
-    /// inference cost the stream accumulated.
+    /// Online (SVAQD, any predicate shape) output: result sequences plus
+    /// the simulated inference cost the stream accumulated.
     Online {
         sequences: Vec<ClipInterval>,
         cost: CostLedger,
@@ -200,13 +200,7 @@ pub fn execute_online(
         }
     }
     let started = Instant::now();
-    let sequences = match &plan.predicate {
-        PlannedPredicate::Simple(q) => {
-            let OnlineResult { sequences, .. } = Svaqd::run(q.clone(), stream, config, 1e-4, 1e-4);
-            sequences
-        }
-        PlannedPredicate::Cnf(q) => ExprSvaqd::run(q.clone(), stream, config, 1e-4, 1e-4),
-    };
+    let OnlineResult { sequences, .. } = Svaqd::run(&plan.predicate, stream, config, 1e-4, 1e-4);
     Ok(QueryOutcome {
         results: QueryResults::Online {
             sequences,

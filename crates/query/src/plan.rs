@@ -30,6 +30,16 @@ pub enum PlannedPredicate {
     Cnf(CnfQuery),
 }
 
+/// The online engine runs either shape as CNF.
+impl From<&PlannedPredicate> for CnfQuery {
+    fn from(p: &PlannedPredicate) -> Self {
+        match p {
+            PlannedPredicate::Simple(q) => q.clone().into(),
+            PlannedPredicate::Cnf(q) => q.clone(),
+        }
+    }
+}
+
 /// A validated, executable plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogicalPlan {

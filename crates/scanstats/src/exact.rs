@@ -8,8 +8,7 @@
 //!
 //! Cost is `O(N · 2^w)`, so this is only practical for `w ≲ 18` — which is
 //! exactly its purpose: a ground-truth oracle against which the test-suite
-//! validates the Naus closed-form approximation (`crate::naus`) and the
-//! Markov extension (`crate::markov`).
+//! validates the Naus closed-form approximation (`crate::naus`).
 
 /// Exact `P(S_w(N) ≥ k)` for i.i.d. Bernoulli(p) trials.
 ///

@@ -23,17 +23,13 @@
 //!   second line of defence in validation;
 //! * [`kernel`] — the exponential-kernel background-probability estimator
 //!   with edge correction (Eq. 6) that powers SVAQD's dynamic parameter
-//!   updates;
-//! * [`markov`] — the footnote-7 extension: scan statistics over
-//!   Markov-dependent Bernoulli trials via a finite-Markov-chain-embedding
-//!   style approximation.
+//!   updates.
 
 #![forbid(unsafe_code)]
 
 pub mod binomial;
 pub mod exact;
 pub mod kernel;
-pub mod markov;
 pub mod montecarlo;
 pub mod naus;
 

@@ -49,10 +49,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
-use svq_core::expr::ExprSvaqd;
 use svq_core::online::{OnlineConfig, Svaqd};
 use svq_exec::{Backpressure, ClipNotice, ExecMetrics, SessionEngine, SessionId};
-use svq_query::plan::PlannedPredicate;
 use svq_query::QueryMode;
 use svq_types::{
     ActionClass, ClipId, ObjectClass, RejectReason, SvqError, SvqResult, VideoId, Vocabulary,
@@ -423,22 +421,13 @@ impl SubscriptionRegistry {
             ));
         }
         let geometry = source.oracle.truth().geometry;
-        let engine = match &plan.predicate {
-            PlannedPredicate::Simple(q) => SessionEngine::Svaqd(Svaqd::new(
-                q.clone(),
-                geometry,
-                OnlineConfig::default(),
-                1e-4,
-                1e-4,
-            )),
-            PlannedPredicate::Cnf(q) => SessionEngine::Expr(ExprSvaqd::new(
-                q.clone(),
-                geometry,
-                OnlineConfig::default(),
-                1e-4,
-                1e-4,
-            )),
-        };
+        let engine = SessionEngine::Svaqd(Svaqd::new(
+            &plan.predicate,
+            geometry,
+            OnlineConfig::default(),
+            1e-4,
+            1e-4,
+        ));
         let session = backend.mux.register(
             format!("standing/{sql}"),
             source.oracle.clone(),

@@ -129,6 +129,7 @@ fn wire_results_are_byte_identical_to_in_process_execution() {
         canonical_json(&local),
         "served online result must be byte-identical to in-process"
     );
+    let served_car = canonical_json(&served);
 
     // Stats reflect the two answered requests (the stats frame is built
     // before its own request is counted).
@@ -145,12 +146,14 @@ fn wire_results_are_byte_identical_to_in_process_execution() {
         other => panic!("expected stats, got {other:?}"),
     }
 
-    // Every other online statement shape: two objects, a CNF disjunction
-    // (the expression engine), and a spatial relationship.
+    // Every other online statement shape: two objects, a CNF disjunction,
+    // a spatial relationship, and `A OR A`, which must answer exactly as `A`.
+    let car_or_car = "(obj.include('car') OR obj.include('car'))";
     for predicate in [
         "obj.include('car', 'person')",
         "(obj.include('car') OR obj.include('person'))",
         "leftOf('car','person')",
+        car_or_car,
     ] {
         let sql = format!(
             "SELECT MERGE(clipID) AS Sequence FROM (PROCESS inputVideo PRODUCE clipID) \
@@ -170,6 +173,13 @@ fn wire_results_are_byte_identical_to_in_process_execution() {
             canonical_json(&local),
             "served `{predicate}` result must be byte-identical to in-process"
         );
+        if predicate == car_or_car {
+            assert_eq!(
+                canonical_json(&served),
+                served_car,
+                "served `{predicate}` must answer byte-identically to `obj.include('car')`"
+            );
+        }
     }
 
     // Wire shutdown: acknowledged, then the server drains.
@@ -183,7 +193,7 @@ fn wire_results_are_byte_identical_to_in_process_execution() {
     let report = handle.wait();
     assert!(report.drained_in_deadline);
     assert_eq!(report.forced_closes, 0);
-    assert_eq!(report.requests, 7);
+    assert_eq!(report.requests, 8);
     // wait() is idempotent: the same latched report.
     assert_eq!(handle.wait(), report);
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use svq_types::{ActionClass, ActionScore, ClipId, ObjectClass, TrackedDetection};
 
 /// Cost-charging access to one clip's model outputs — the surface the
-/// online evaluators (`evaluate_clip` and the SVAQ/SVAQD push loops)
+/// online engine (`Svaqd`'s Algorithm 2 evaluation)
 /// actually consume. Implemented by the borrowing [`ClipView`]
 /// (single-threaded streaming) and the owning [`OwnedClipView`] (clip
 /// tickets handed across threads by the exec layer, standing queries).

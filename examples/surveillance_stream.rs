@@ -67,14 +67,14 @@ fn main() {
         let found_this_hour = closed.len();
         total_found += found_this_hour;
 
+        // One background and critical value per predicate: car, then
+        // jumping.
         let backgrounds = engine.backgrounds();
+        let criticals = engine.criticals();
         println!(
             "[{label}] done: {found_this_hour} sequences; adapted backgrounds: \
-             car={:.4}/frame, jumping={:.4}/shot; k_crit = {:?}/{}\n",
-            backgrounds[0],
-            backgrounds[1],
-            engine.criticals().objects,
-            engine.criticals().action,
+             car={:.4}/frame, jumping={:.4}/shot; k_crit = {}/{}\n",
+            backgrounds[0], backgrounds[1], criticals[0], criticals[1],
         );
     }
     println!("shift complete: {total_found} alerts over 3 h of footage");

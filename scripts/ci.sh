@@ -128,15 +128,27 @@ done
 [ -s "$SUB_DIR/addr" ] || { echo "source serve never bound"; kill "$SUB_SERVE_PID"; exit 1; }
 SADDR=$(cat "$SUB_DIR/addr")
 # Subscribe, take one pushed event, unsubscribe; the printed frames must
-# include the event and the terminal accounting.
+# include the event and the terminal accounting. A standing CNF statement
+# subscribes alongside, over the same replay.
+cargo run -q --release -p svqact -- subscribe --addr "$SADDR" --events 1 \
+  --sql "SELECT MERGE(clipID) AS Sequence \
+         FROM (PROCESS inputVideo PRODUCE clipID, obj USING ObjectDetector, \
+         act USING ActionRecognizer) \
+         WHERE act='jumping' AND (obj.include('car') OR obj.include('car'))" \
+  > "$SUB_DIR/cnf-frames.jsonl" &
+CNF_SUB_PID=$!
 cargo run -q --release -p svqact -- subscribe --addr "$SADDR" --events 1 \
   --sql "SELECT MERGE(clipID) AS Sequence \
          FROM (PROCESS inputVideo PRODUCE clipID, obj USING ObjectDetector, \
          act USING ActionRecognizer) \
          WHERE act='jumping' AND obj.include('car')" \
   | tee "$SUB_DIR/frames.jsonl"
-grep -q '"kind": *"event"' "$SUB_DIR/frames.jsonl"
-grep -q '"kind": *"unsubscribed"' "$SUB_DIR/frames.jsonl"
+wait "$CNF_SUB_PID"
+cat "$SUB_DIR/cnf-frames.jsonl"
+for FRAMES in frames.jsonl cnf-frames.jsonl; do
+  grep -q '"kind": *"event"' "$SUB_DIR/$FRAMES"
+  grep -q '"kind": *"unsubscribed"' "$SUB_DIR/$FRAMES"
+done
 cargo run -q --release -p svqact -- request --addr "$SADDR" --kind shutdown
 wait "$SUB_SERVE_PID"
 

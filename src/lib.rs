@@ -53,7 +53,7 @@ pub use svq_vision as vision;
 /// The most common imports in one place.
 pub mod prelude {
     pub use svq_core::offline::{ingest, FaTopK, PqTraverse, Rvaq, RvaqOptions};
-    pub use svq_core::online::{OnlineConfig, Svaq, Svaqd};
+    pub use svq_core::online::{OnlineConfig, Svaqd};
     pub use svq_query::{
         execute_offline, execute_online, parse, LogicalPlan, QueryOutcome, QueryResults,
     };

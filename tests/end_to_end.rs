@@ -255,12 +255,6 @@ fn disjunctive_sql_statement_end_to_end() {
         1e-4,
         1e-4,
     );
-    // The engines differ in estimator diets (ExprSvaqd evaluates every
-    // predicate; Svaqd short-circuits), so boundary clips may differ by one.
-    assert_eq!(via_or.len(), plain.sequences.len());
-    for (a, b) in via_or.iter().zip(&plain.sequences) {
-        let sym_diff = a.len() + b.len() - 2 * a.overlap_len(b);
-        assert!(sym_diff <= 2, "{a:?} vs {b:?}");
-    }
+    assert_eq!(via_or, plain.sequences);
     assert!(!via_or.is_empty());
 }
