@@ -17,24 +17,9 @@
 use super::config::OnlineConfig;
 use super::ordering::SelectivityOrderer;
 use crate::expr::CnfQuery;
-use svq_types::{ClipId, ObjectClass, Predicate, TrackedDetection};
+use svq_types::{ObjectClass, Predicate, TrackedDetection};
 use svq_vision::stream::ClipAccess;
 use svq_vision::Rows;
-
-/// The trace of one clip's evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClipEvaluation {
-    pub clip: ClipId,
-    /// `𝟙_q^(c)` — Eq. 3.
-    pub positive: bool,
-    /// Positive-unit count per distinct predicate, in the engine's
-    /// predicate order; `None` where evaluation short-circuited before
-    /// reaching the predicate.
-    pub counts: Vec<Option<u32>>,
-    /// Critical values used for this clip, matching `counts` positionally
-    /// (SVAQD varies them over time).
-    pub criticals: Vec<u32>,
-}
 
 /// Index of a predicate's occurrence unit: `0` for frames, `1` for shots.
 pub(crate) fn unit(p: &Predicate) -> usize {
@@ -91,26 +76,11 @@ impl Clauses {
     }
 
     /// Evaluate Algorithm 2 on one clip against `criticals` (one per
-    /// distinct predicate). With an `orderer`, frame-only clauses run in its
-    /// learned order and their outcomes are recorded into it.
-    pub(crate) fn evaluate<C: ClipAccess>(
-        &self,
-        view: &mut C,
-        criticals: Vec<u32>,
-        config: &OnlineConfig,
-        orderer: Option<&mut SelectivityOrderer>,
-    ) -> ClipEvaluation {
-        let mut counts = vec![None; self.predicates.len()];
-        let positive = self.indicate(view, &criticals, config, orderer, &mut counts);
-        ClipEvaluation {
-            clip: view.clip(),
-            positive,
-            counts,
-            criticals,
-        }
-    }
-
-    fn indicate<C: ClipAccess>(
+    /// distinct predicate), filling `counts` (all `None` on entry) as far
+    /// as evaluation reaches, and return the clip's indicator. With an
+    /// `orderer`, frame-only clauses run in its learned order and their
+    /// outcomes are recorded into it.
+    pub(crate) fn indicate<C: ClipAccess>(
         &self,
         view: &mut C,
         criticals: &[u32],

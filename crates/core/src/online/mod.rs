@@ -6,9 +6,9 @@
 //! counts positive per-frame predictions (objects, relationships) and
 //! per-shot action predictions, compares each count against its
 //! scan-statistic critical value, and combines the per-predicate
-//! indicators (Eq. 3; OR within a clause, AND across clauses), recording a
-//! [`ClipEvaluation`]. Positive clips are merged into maximal result
-//! sequences (Eq. 4, [`SequenceMerger`]).
+//! indicators (Eq. 3; OR within a clause, AND across clauses), recording
+//! the clip as a row of an [`EvaluationTrace`]. Positive clips are merged
+//! into maximal result sequences (Eq. 4, [`SequenceMerger`]).
 //!
 //! One engine, [`Svaqd`], runs every statement. [`Svaqd::new`] estimates
 //! each predicate's background dynamically with the exponential-kernel
@@ -22,13 +22,14 @@ mod indicator;
 mod merger;
 pub mod ordering;
 mod svaqd;
+mod trace;
 
 pub use config::{BackgroundUpdate, OnlineConfig, OnlineConfigBuilder};
-pub use indicator::ClipEvaluation;
 pub use merger::SequenceMerger;
 pub use ordering::SelectivityOrderer;
 pub(crate) use svaqd::PredicateState;
 pub use svaqd::Svaqd;
+pub use trace::{ClipEvaluation, EvaluationTrace};
 
 use svq_types::ClipInterval;
 use svq_vision::CostLedger;
@@ -41,8 +42,11 @@ pub struct OnlineResult {
     /// Inference + algorithm cost.
     pub cost: CostLedger,
     /// Per-clip evaluation trace (used by the evaluation metrics and the
-    /// FPR analysis of Table 5).
-    pub evaluations: Vec<ClipEvaluation>,
+    /// FPR analysis of Table 5): flat columns of clip ids, indicators,
+    /// counts and critical values, read one clip at a time as a borrowed
+    /// [`ClipEvaluation`] through [`EvaluationTrace::get`] and
+    /// [`EvaluationTrace::iter`].
+    pub evaluations: EvaluationTrace,
 }
 
 impl OnlineResult {

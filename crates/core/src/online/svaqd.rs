@@ -15,9 +15,10 @@
 //! per-predicate state.
 
 use super::config::{BackgroundUpdate, OnlineConfig};
-use super::indicator::{unit, Clauses, ClipEvaluation};
+use super::indicator::{unit, Clauses};
 use super::merger::SequenceMerger;
 use super::ordering::SelectivityOrderer;
+use super::trace::EvaluationTrace;
 use super::OnlineResult;
 use crate::expr::CnfQuery;
 use std::time::Duration;
@@ -139,7 +140,7 @@ pub struct Svaqd {
     /// critical values never move.
     tables: Option<[CriticalValueTable; 2]>,
     merger: SequenceMerger,
-    evaluations: Vec<ClipEvaluation>,
+    trace: EvaluationTrace,
     clips_seen: u32,
     /// Learned frame-clause evaluation order (footnote 5), active when
     /// [`OnlineConfig::adaptive_order`] is set.
@@ -204,12 +205,12 @@ impl Svaqd {
             .collect();
         Self {
             orderer: SelectivityOrderer::new(clauses.frame.len()),
+            trace: EvaluationTrace::new(clauses.predicates.len()),
             clauses,
             states,
             config,
             tables: dynamic.then_some(tables),
             merger: SequenceMerger::new(),
-            evaluations: Vec::new(),
             clips_seen: 0,
         }
     }
@@ -217,7 +218,8 @@ impl Svaqd {
     /// The critical values currently in force, per distinct predicate in
     /// first-appearance order ([`CnfQuery::predicates`]; a canonical
     /// query's objects in query order, then the action) — the order of
-    /// [`Svaqd::backgrounds`] and of every [`ClipEvaluation`].
+    /// [`Svaqd::backgrounds`] and of every
+    /// [`ClipEvaluation`](super::ClipEvaluation).
     pub fn criticals(&self) -> Vec<u32> {
         self.states.iter().map(PredicateState::critical).collect()
     }
@@ -230,11 +232,17 @@ impl Svaqd {
     /// Process the next clip; returns a result sequence if this clip closed
     /// one (results stream out with bounded delay).
     pub fn push_clip<C: ClipAccess>(&mut self, view: &mut C) -> Option<ClipInterval> {
-        let criticals = self.criticals();
         let orderer = self.config.adaptive_order.then_some(&mut self.orderer);
-        let eval = self
-            .clauses
-            .evaluate(view, criticals, &self.config, orderer);
+        // Algorithm 2 writes its counts straight into the clip's trace row,
+        // against the critical values in force.
+        let eval = self.trace.record(
+            view.clip(),
+            self.states.iter().map(PredicateState::critical),
+            |criticals, counts| {
+                self.clauses
+                    .indicate(view, criticals, &self.config, orderer, counts)
+            },
+        );
         // Update background estimators with this clip's observations and
         // re-derive their critical values (Algorithm 3 lines 7-9). The
         // memoised table makes this cheap when estimates are stable.
@@ -243,7 +251,7 @@ impl Svaqd {
             for ((state, &count), p) in self
                 .states
                 .iter_mut()
-                .zip(&eval.counts)
+                .zip(eval.counts)
                 .zip(&self.clauses.predicates)
             {
                 let table = &mut tables[unit(p)];
@@ -251,14 +259,12 @@ impl Svaqd {
             }
         }
         self.clips_seen += 1;
-        let closed = self.merger.push(eval.clip, eval.positive);
-        self.evaluations.push(eval);
-        closed
+        self.merger.push(eval.clip, eval.positive)
     }
 
     /// End of stream: all result sequences plus the evaluation trace.
-    pub fn finish(self) -> (Vec<ClipInterval>, Vec<ClipEvaluation>) {
-        (self.merger.finish(), self.evaluations)
+    pub fn finish(self) -> (Vec<ClipInterval>, EvaluationTrace) {
+        (self.merger.finish(), self.trace)
     }
 
     /// Advance to the next video of a multi-video stream (e.g. a query
@@ -268,13 +274,14 @@ impl Svaqd {
     /// detector is a property of the model and the scene distribution, not
     /// of one file, so a set-long stream should not re-learn it per video.
     /// Returns the finished video's sequences and evaluations.
-    pub fn next_video(&mut self) -> (Vec<ClipInterval>, Vec<ClipEvaluation>) {
+    pub fn next_video(&mut self) -> (Vec<ClipInterval>, EvaluationTrace) {
         let merger = std::mem::take(&mut self.merger);
-        let evaluations = std::mem::take(&mut self.evaluations);
+        let fresh = EvaluationTrace::new(self.states.len());
+        let trace = std::mem::replace(&mut self.trace, fresh);
         for state in &mut self.states {
             state.after_positive = false;
         }
-        (merger.finish(), evaluations)
+        (merger.finish(), trace)
     }
 
     /// Run this engine over the rest of `stream`, charging algorithm time
@@ -651,22 +658,19 @@ mod tests {
     #[test]
     fn indicator_conjunction_short_circuits_action_inference() {
         let result = tiny_run(query());
-        let e = &result.evaluations;
+        let e: Vec<_> = result.evaluations.iter().collect();
         assert_eq!(e.len(), 4);
         // Clip 0: no car — negative, action never evaluated.
-        assert_eq!(
-            (e[0].positive, e[0].counts.clone()),
-            (false, vec![Some(0), None])
-        );
+        assert_eq!((e[0].positive, e[0].counts), (false, &[Some(0), None][..]));
         // Clip 1: car but no action.
         assert_eq!(
-            (e[1].positive, e[1].counts.clone()),
-            (false, vec![Some(50), Some(0)])
+            (e[1].positive, e[1].counts),
+            (false, &[Some(50), Some(0)][..])
         );
         // Clip 2: car + jumping.
         assert_eq!(
-            (e[2].positive, e[2].counts.clone()),
-            (true, vec![Some(50), Some(5)])
+            (e[2].positive, e[2].counts),
+            (true, &[Some(50), Some(5)][..])
         );
         assert!(!e[3].positive);
         // Object inference on all 4 clips; action only on the two clips
@@ -699,7 +703,7 @@ mod tests {
             (result.cost.object_frames, result.cost.action_shots),
             (200, 10)
         );
-        assert_eq!(result.evaluations[1].counts, vec![None, Some(50)]);
+        assert_eq!(result.evaluations.get(1).unwrap().counts, [None, Some(50)]);
     }
 
     #[test]

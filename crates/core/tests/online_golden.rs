@@ -16,7 +16,7 @@
 
 use std::fmt::Write as _;
 use std::time::Duration;
-use svq_core::online::{ClipEvaluation, OnlineConfig, OnlineResult, Svaqd};
+use svq_core::online::{EvaluationTrace, OnlineConfig, OnlineResult, Svaqd};
 use svq_query::{execute_online, parse, LogicalPlan, QueryResults};
 use svq_types::{ActionClass, ClipInterval, ManualClock, ObjectClass, VideoId};
 use svq_vision::models::{DetectionOracle, ModelSuite};
@@ -76,16 +76,16 @@ fn ledger(cost: &CostLedger, with_algorithm: bool) -> String {
     out
 }
 
-fn evaluations(evals: &[ClipEvaluation]) -> String {
+fn evaluations(evals: &EvaluationTrace) -> String {
     let mut d = Digest::new();
     let count = |c: Option<u32>| c.map_or(u64::MAX, u64::from);
-    for e in evals {
+    for e in evals.iter() {
         d.mix(e.clip.raw());
         d.mix(u64::from(e.positive));
-        for &c in &e.counts {
+        for &c in e.counts {
             d.mix(count(c));
         }
-        for &k in &e.criticals {
+        for &k in e.criticals {
             d.mix(u64::from(k));
         }
     }

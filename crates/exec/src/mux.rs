@@ -44,7 +44,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use svq_core::online::{ClipEvaluation, Svaqd};
+use svq_core::online::{EvaluationTrace, Svaqd};
 use svq_types::{ClipId, ClipInterval};
 use svq_vision::models::DetectionOracle;
 use svq_vision::{ClipAccess, CostLedger, OwnedClipView};
@@ -86,7 +86,7 @@ impl SessionEngine {
         }
     }
 
-    fn finish(self) -> (Vec<ClipInterval>, Vec<ClipEvaluation>) {
+    fn finish(self) -> (Vec<ClipInterval>, EvaluationTrace) {
         match self {
             SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => e.finish(),
         }
@@ -136,7 +136,7 @@ pub struct SessionResult {
     /// Result sequences, as the engine's `finish` reports them.
     pub sequences: Vec<ClipInterval>,
     /// Per-clip evaluation trace.
-    pub evaluations: Vec<ClipEvaluation>,
+    pub evaluations: EvaluationTrace,
     /// Inference cost charged by this session's clip evaluations.
     pub cost: CostLedger,
     /// Clips evaluated (excludes dropped tickets).
@@ -825,9 +825,7 @@ mod tests {
     }
 
     /// Reference: the same engine run single-threaded over a VideoStream.
-    fn sequential(
-        oracle: &DetectionOracle,
-    ) -> (Vec<ClipInterval>, Vec<ClipEvaluation>, CostLedger) {
+    fn sequential(oracle: &DetectionOracle) -> (Vec<ClipInterval>, EvaluationTrace, CostLedger) {
         let mut stream = VideoStream::new(oracle);
         let mut engine = Svaqd::new(
             ActionQuery::named("jumping", &["car"]),

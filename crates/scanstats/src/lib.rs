@@ -17,20 +17,22 @@
 //! * [`binomial`] — numerically stable binomial pmf/cdf in log space;
 //! * [`naus`] — the Naus (1982) `Q2`/`Q3` approximation of the scan-statistic
 //!   tail (the paper's footnote 6) and the critical-value search of Eq. 5;
-//! * [`exact`] — an exact sliding-window bitmask DP, usable for small `w`,
-//!   which the test-suite uses as ground truth for the approximation;
-//! * [`montecarlo`] — a seeded Monte-Carlo estimator of the same tail, the
-//!   second line of defence in validation;
 //! * [`kernel`] — the exponential-kernel background-probability estimator
 //!   with edge correction (Eq. 6) that powers SVAQD's dynamic parameter
 //!   updates.
+//!
+//! Two test-only modules validate the approximation: `exact`, a
+//! sliding-window bitmask DP usable for small `w`, and `montecarlo`, a
+//! seeded simulation of the same tail for windows beyond the DP's reach.
 
 #![forbid(unsafe_code)]
 
 pub mod binomial;
-pub mod exact;
+#[cfg(test)]
+mod exact;
 pub mod kernel;
-pub mod montecarlo;
+#[cfg(test)]
+mod montecarlo;
 pub mod naus;
 
 pub use kernel::KernelEstimator;

@@ -1,9 +1,7 @@
 //! Seeded Monte-Carlo estimation of the scan-statistic tail.
 //!
 //! Used by the test-suite as a second, approximation-free reference for
-//! window lengths beyond the exact DP's reach, and exposed publicly so
-//! downstream users can sanity-check critical values for their own
-//! geometries.
+//! window lengths beyond the exact DP's reach.
 
 /// Estimate `P(S_w(N) ≥ k)` for i.i.d. Bernoulli(p) trials by simulation.
 ///

@@ -22,12 +22,14 @@
 //! A4 = Σ_{r=2}^{k−1} b(2k−r)·b(r)·(r−1)·F(r−2)
 //! ```
 //!
-//! The test-suite validates this implementation against the exact bitmask
-//! DP ([`crate::exact`]) and a Monte-Carlo estimator ([`crate::montecarlo`])
-//! over a grid of `(w, p, L, k)`.
+//! The test-suite validates this implementation against an exact bitmask
+//! DP and a Monte-Carlo estimator (the test-only `exact` and `montecarlo`
+//! modules) over a grid of `(w, p, L, k)`.
 
 use crate::binomial::BinomialTable;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Configuration of one scan-statistic test: window length `w` (the clip
 /// length in occurrence units), horizon factor `L = N/w`, and significance
@@ -168,79 +170,101 @@ pub fn critical_value(p: f64, w: u32, horizon_windows: f64, alpha: f64) -> u32 {
 /// (`ln 1.01 ≈ 0.00995`).
 const GRID_LN_STEP: f64 = 0.00995;
 
-/// Process-wide memo of resolved critical values, shared by every
-/// [`CriticalValueTable`] instance. Keyed by `(w, L-bits, α-bits, cell)`;
-/// each entry is evaluated at the cell's canonical probability, so the map
-/// is a pure function of its key — safe to share across threads, queries,
-/// and serve requests without affecting determinism.
-type SharedKey = (u32, u64, u64, i32);
-static SHARED_CRITICALS: std::sync::OnceLock<
-    std::sync::Mutex<std::collections::HashMap<SharedKey, u32>>,
-> = std::sync::OnceLock::new();
+/// Grid cells for `p ∈ [1e-12, 1]`: keys `-2777 ..= 0`.
+const CELLS: usize = 2_778;
 
-fn shared_criticals() -> &'static std::sync::Mutex<std::collections::HashMap<SharedKey, u32>> {
-    SHARED_CRITICALS.get_or_init(Default::default)
+/// Scan configurations the process-wide registry shares a table for. A
+/// table for a configuration past it owns a private array instead.
+const REGISTRY_CAPACITY: usize = 64;
+
+/// One configuration's resolved critical values, one slot per grid cell:
+/// `0` while unresolved (a critical value is at least 1), the cell's
+/// critical value once resolved.
+type Cells = [AtomicU32; CELLS];
+
+/// A registry key: `(w, L-bits, α-bits)`.
+type ConfigKey = (u32, u64, u64);
+
+/// The shared tables, at most [`REGISTRY_CAPACITY`] of them, never evicted.
+/// Locked only by [`CriticalValueTable::new`].
+static REGISTRY: Mutex<Vec<(ConfigKey, Arc<Cells>)>> = Mutex::new(Vec::new());
+
+fn unresolved() -> Arc<Cells> {
+    Arc::new(std::array::from_fn(|_| AtomicU32::new(0)))
 }
 
-/// Resolve one grid cell through the shared memo. The Naus evaluation runs
-/// outside the lock: a racing thread may compute the same cell twice, but
-/// both arrive at the identical value (pure function of the cell), so the
-/// lock is only ever held for a map probe or insert.
-fn shared_critical_value(window: u32, horizon: f64, alpha: f64, cell: i32) -> u32 {
-    let key = (window, horizon.to_bits(), alpha.to_bits(), cell);
-    {
-        let memo = shared_criticals()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(&k) = memo.get(&key) {
-            return k;
-        }
-    }
-    let k = critical_value(CriticalValueTable::cell_p(cell), window, horizon, alpha);
-    shared_criticals()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(key, k);
-    k
-}
-
-/// A memoised critical-value table.
+/// A memoised critical-value table: a handle to one dense array of
+/// resolved critical values per scan configuration `(w, L, α)`.
 ///
 /// SVAQD recomputes critical values every time a background probability is
-/// refreshed (Algorithm 3, line 9). Probabilities are quantised onto a log
-/// grid so repeated lookups for near-identical backgrounds hit the cache;
-/// the quantisation (1% relative) is far below the estimator's own noise.
+/// refreshed (Algorithm 3, line 9). Probabilities are quantised onto a 1 %
+/// log grid (2 778 cells over `[1e-12, 1]`; the quantisation is far below
+/// the estimator's own noise) and each slot is evaluated at the *canonical
+/// probability of its cell*, not the first probability that landed there,
+/// so a resolved value is a pure function of `(w, L, α, cell)`.
 ///
-/// Each entry is evaluated at the *canonical probability of its grid cell*
-/// (not the first probability that happened to land there), which makes a
-/// resolved value a pure function of `(w, L, α, cell)`. That purity lets
-/// every table in the process share one memo behind the scenes: a cold
-/// Naus evaluation costs tens of microseconds and a drifting background
-/// estimate crosses dozens of cells per stream, so without sharing, every
-/// freshly-constructed SVAQD run (one per `stream` request on the serve
-/// path) would re-pay the entire warm-up.
-#[derive(Debug, Clone)]
+/// That purity lets every table of one configuration share its array
+/// through a process-wide registry: a cold Naus evaluation costs tens of
+/// microseconds and a drifting background crosses dozens of cells per
+/// stream, so without sharing every freshly built SVAQD run (one per
+/// `stream` request) would re-pay the warm-up. A lookup is one `Relaxed`
+/// load; a miss evaluates and stores the value. Racing writers store the
+/// same value, and the slot publishes nothing else, so no ordering is
+/// needed. The registry holds at most 64 configurations and never evicts;
+/// a table for any further configuration resolves into a private array of
+/// its own, with the same values. Clones share their array.
+#[derive(Clone)]
 pub struct CriticalValueTable {
     window: u32,
     horizon_windows: f64,
     alpha: f64,
-    cache: std::collections::HashMap<i32, u32>,
+    cells: Arc<Cells>,
+}
+
+impl std::fmt::Debug for CriticalValueTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CriticalValueTable")
+            .field("window", &self.window)
+            .field("horizon_windows", &self.horizon_windows)
+            .field("alpha", &self.alpha)
+            .finish_non_exhaustive()
+    }
 }
 
 impl CriticalValueTable {
-    /// Create a table for a fixed `(w, L, α)`.
+    /// Create a table for a fixed `(w, L, α)`: the registry's array for
+    /// that configuration, registering it while there is room.
     pub fn new(config: ScanConfig) -> Self {
+        let key = (
+            config.window,
+            config.horizon_windows.to_bits(),
+            config.alpha.to_bits(),
+        );
+        // Every update is one push, so a poisoned registry is still whole.
+        let mut registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+        let cells = match registry.iter().find(|(k, _)| *k == key) {
+            Some((_, cells)) => Arc::clone(cells),
+            None if registry.len() < REGISTRY_CAPACITY => {
+                let cells = unresolved();
+                registry.push((key, Arc::clone(&cells)));
+                cells
+            }
+            None => unresolved(),
+        };
+        drop(registry);
         Self {
             window: config.window,
             horizon_windows: config.horizon_windows,
             alpha: config.alpha,
-            cache: std::collections::HashMap::new(),
+            cells,
         }
     }
 
-    /// Quantisation key: index of `p` on a 1%-relative log grid.
+    /// Quantisation key: index of `p` on a 1%-relative log grid, clamped
+    /// to `[-2777, 0]` (`NaN` and `p < 1e-12` land on the lowest cell,
+    /// `p > 1` on cell 0, whose canonical probability is 1).
     fn key(p: f64) -> i32 {
-        (p.max(1e-12).ln() / GRID_LN_STEP).round() as i32
+        ((p.max(1e-12).ln() / GRID_LN_STEP).round() as i32).min(0)
     }
 
     /// Canonical probability of a grid cell (its log-space centre).
@@ -251,23 +275,27 @@ impl CriticalValueTable {
     /// The critical value for background probability `p` (cached).
     pub fn critical_value(&mut self, p: f64) -> u32 {
         let cell = Self::key(p);
-        if let Some(&k) = self.cache.get(&cell) {
-            return k;
+        let slot = &self.cells[cell.unsigned_abs() as usize];
+        match slot.load(Ordering::Relaxed) {
+            0 => {
+                let k = critical_value(
+                    Self::cell_p(cell),
+                    self.window,
+                    self.horizon_windows,
+                    self.alpha,
+                );
+                slot.store(k, Ordering::Relaxed);
+                k
+            }
+            k => k,
         }
-        let k = shared_critical_value(self.window, self.horizon_windows, self.alpha, cell);
-        self.cache.insert(cell, k);
-        k
-    }
-
-    /// Number of distinct backgrounds resolved so far by this table.
-    pub fn cached_entries(&self) -> usize {
-        self.cache.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn degenerate_cases() {
@@ -373,9 +401,162 @@ mod tests {
         let b = table.critical_value(1.0000001e-4); // same grid cell
         assert_eq!(a, b);
         assert_eq!(a, critical_value(1e-4, 50, 100.0, 0.05));
-        assert_eq!(table.cached_entries(), 1);
-        let _ = table.critical_value(0.3);
-        assert_eq!(table.cached_entries(), 2);
+        // A resolved cell answers again without a re-evaluation, and a
+        // second cell resolves to its own canonical value.
+        assert_eq!(table.critical_value(1e-4), a);
+        let c = CriticalValueTable::cell_p(CriticalValueTable::key(0.3));
+        assert_eq!(
+            table.critical_value(0.3),
+            critical_value(c, 50, 100.0, 0.05)
+        );
+    }
+
+    /// Reference memo: one sparse map per table, keyed by the unclamped
+    /// cell, each entry evaluated at the cell's canonical probability.
+    struct MapTable {
+        config: ScanConfig,
+        cache: std::collections::HashMap<i32, u32>,
+    }
+
+    impl MapTable {
+        fn new(config: ScanConfig) -> Self {
+            let cache = std::collections::HashMap::new();
+            Self { config, cache }
+        }
+
+        fn critical_value(&mut self, p: f64) -> u32 {
+            let cell = (p.max(1e-12).ln() / GRID_LN_STEP).round() as i32;
+            let c = self.config;
+            *self.cache.entry(cell).or_insert_with(|| {
+                let p = CriticalValueTable::cell_p(cell);
+                critical_value(p, c.window, c.horizon_windows, c.alpha)
+            })
+        }
+    }
+
+    fn registered(config: ScanConfig) -> bool {
+        let key = (
+            config.window,
+            config.horizon_windows.to_bits(),
+            config.alpha.to_bits(),
+        );
+        let registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(registry.len() <= REGISTRY_CAPACITY, "registry overran");
+        registry.iter().any(|(k, _)| *k == key)
+    }
+
+    /// Probabilities outside `(1e-12, 1)` that must still answer like the
+    /// map memo: zero, `NaN`, one, above one, infinities, negatives.
+    const EDGE_PS: [f64; 8] = [0.0, f64::NAN, 1.0, 1.5, f64::INFINITY, -0.5, 1e-13, 1e-12];
+
+    /// Every probe of `table` answers its cell's canonical value, as the
+    /// map memo does; two tables of one configuration share their array
+    /// exactly when the registry holds that configuration.
+    fn check_table(config: ScanConfig, ps: &[f64]) {
+        let mut table = CriticalValueTable::new(config);
+        let mut twin = CriticalValueTable::new(config);
+        assert_eq!(Arc::ptr_eq(&table.cells, &twin.cells), registered(config));
+        let mut map = MapTable::new(config);
+        for &p in ps.iter().chain(&EDGE_PS) {
+            let cell = CriticalValueTable::key(p);
+            let canonical = critical_value(
+                CriticalValueTable::cell_p(cell),
+                config.window,
+                config.horizon_windows,
+                config.alpha,
+            );
+            let k = table.critical_value(p);
+            assert_eq!(k, canonical, "p={p} config={config:?}");
+            assert_eq!(k, map.critical_value(p), "p={p} config={config:?}");
+            assert_eq!(twin.critical_value(p), k, "p={p} config={config:?}");
+        }
+    }
+
+    /// A hostile horizon `L ≥ 1`: ordinary, boundary, huge or infinite.
+    fn hostile_horizon() -> impl Strategy<Value = f64> {
+        let edges = [1.0, 1.0 + f64::EPSILON, f64::MAX, f64::INFINITY];
+        (0usize..8, 1.0f64..1e6).prop_map(move |(i, l)| edges.get(i).copied().unwrap_or(l))
+    }
+
+    /// A hostile significance level `α ∈ (0, 1)`: ordinary, subnormal or
+    /// just below one.
+    fn hostile_alpha() -> impl Strategy<Value = f64> {
+        let edges = [f64::MIN_POSITIVE, 5e-324, 1.0 - f64::EPSILON / 2.0];
+        (0usize..6, -300.0f64..0.0)
+            .prop_map(move |(i, e)| edges.get(i).copied().unwrap_or(10f64.powf(e).min(0.5)))
+    }
+
+    proptest! {
+        #[test]
+        fn registry_is_bounded_and_answers_like_the_map_memo(
+            configs in prop::collection::vec(
+                (1u32..65, hostile_horizon(), hostile_alpha()),
+                1..9,
+            ),
+            exponents in prop::collection::vec(-13.0f64..0.5, 0..9),
+        ) {
+            let ps: Vec<f64> = exponents.iter().map(|&e| 10f64.powf(e)).collect();
+            for (w, l, alpha) in configs {
+                check_table(ScanConfig::new(w, l, alpha), &ps);
+            }
+        }
+    }
+
+    #[test]
+    fn registry_overflow_tables_are_private_and_answer_alike() {
+        // More fresh configurations than the registry holds: it fills and
+        // stops, and the tables past it still answer every probe.
+        for i in 0..REGISTRY_CAPACITY + 8 {
+            let config = ScanConfig::new(3, 7_000.0 + i as f64, 0.05);
+            check_table(config, &[1e-4, 0.02, 0.3]);
+        }
+        let full = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(full.len(), REGISTRY_CAPACITY);
+        drop(full);
+        let late = ScanConfig::new(3, 7_000.5, 0.05);
+        assert!(!registered(late));
+        check_table(late, &[1e-4, 0.02, 0.3]);
+    }
+
+    #[test]
+    fn registry_racing_threads_resolve_identical_values() {
+        // Four threads resolve every cell of one shared array, two walking
+        // the grid upwards and two downwards, so most cells race.
+        let (w, l, alpha) = (12, 321.0, 0.0125);
+        let table = CriticalValueTable::new(ScanConfig::new(w, l, alpha));
+        let cells: Vec<i32> = (1 - CELLS as i32..=0).collect();
+        let start = std::sync::Barrier::new(4);
+        let runs: Vec<Vec<u32>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    let (mut table, cells, start) = (table.clone(), &cells, &start);
+                    s.spawn(move || {
+                        let mut ks = vec![0; cells.len()];
+                        let mut order: Vec<usize> = (0..cells.len()).collect();
+                        if t % 2 == 1 {
+                            order.reverse();
+                        }
+                        start.wait();
+                        for i in order {
+                            let p = CriticalValueTable::cell_p(cells[i]);
+                            ks[i] = table.critical_value(p);
+                        }
+                        ks
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let expected: Vec<u32> = cells
+            .iter()
+            .map(|&c| {
+                assert_eq!(CriticalValueTable::key(CriticalValueTable::cell_p(c)), c);
+                critical_value(CriticalValueTable::cell_p(c), w, l, alpha)
+            })
+            .collect();
+        for run in &runs {
+            assert_eq!(run, &expected);
+        }
     }
 
     #[test]

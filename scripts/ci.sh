@@ -23,13 +23,16 @@ PROPTEST_CASES=2000 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
   CARGO_TARGET_DIR=target/debug-assertions \
   cargo test --release -q -p svq-core --test tbclip_differential
 
-echo "== occurrence memo and censoring cap, deep (PROPTEST_CASES=2000)"
+echo "== occurrence memo, censoring cap and critical-value registry, deep (PROPTEST_CASES=2000)"
 # The online engines read Algorithm 2's counts from the oracle's per-class
-# memo and SVAQD stops its censoring quantile at ceil(count/2); both are
-# correct only while they equal their definitions (the row scan, the
-# capped quantile), so run both properties far past the default 64 cases.
+# memo, SVAQD stops its censoring quantile at ceil(count/2), and its
+# critical values come from a capped process-wide registry of dense
+# per-config tables; each is correct only while it equals its definition
+# (the row scan, the capped quantile, the per-table map memo) and the
+# registry stays within its capacity under hostile configs, so run the
+# properties far past the default 64 cases.
 PROPTEST_CASES=2000 cargo test --release -q -p svq-vision --test occurrence_memo
-PROPTEST_CASES=2000 cargo test --release -q -p svq-scanstats --lib quantile_at_most
+PROPTEST_CASES=2000 cargo test --release -q -p svq-scanstats --lib -- quantile_at_most registry
 
 echo "== movie_topk example (ingest, persist, top-K queries reading each run's own accesses)"
 cargo run -q --release --example movie_topk
