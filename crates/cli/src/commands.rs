@@ -5,12 +5,14 @@ use svq_core::offline::ingest as run_ingest;
 use svq_core::online::OnlineConfig;
 use svq_query::plan::{LogicalPlan, QueryMode};
 use svq_storage::IngestedVideo;
-use svq_types::{ActionClass, ObjectClass, PaperScoring, VideoGeometry, VideoId, Vocabulary};
+use svq_types::{
+    ActionClass, ObjectClass, PaperScoring, SvqError, VideoGeometry, VideoId, Vocabulary,
+};
 use svq_vision::models::ModelSuite;
 use svq_vision::synth::{ObjectSpec, ScenarioSpec, SyntheticVideo};
 use svq_vision::VideoStream;
 
-type CliResult = Result<(), Box<dyn std::error::Error>>;
+pub type CliResult = Result<(), Box<dyn std::error::Error>>;
 
 fn load_scene(path: &str) -> Result<SyntheticVideo, Box<dyn std::error::Error>> {
     let json = std::fs::read_to_string(path)?;
@@ -45,6 +47,9 @@ fn suite_named(name: &str) -> Result<ModelSuite, String> {
         )),
     }
 }
+
+/// The flags `svqact synth` reads; any other is refused.
+pub const SYNTH_FLAGS: &str = "minutes action objects seed occupancy out";
 
 /// `svqact synth` — generate a synthetic scene.
 pub fn synth(flags: &Flags) -> CliResult {
@@ -83,6 +88,9 @@ pub fn synth(flags: &Flags) -> CliResult {
     Ok(())
 }
 
+/// The flags `svqact ingest` reads; any other is refused.
+pub const INGEST_FLAGS: &str = "scene scenes models workers sink out";
+
 /// `svqact ingest` — simulate models over one or more scenes and
 /// materialise catalogs.
 ///
@@ -117,7 +125,7 @@ pub fn ingest(flags: &Flags) -> CliResult {
     if scene_paths.is_empty() {
         return Err("--scenes holds no scene path".into());
     }
-    let config = OnlineConfig::builder().build()?;
+    let config = OnlineConfig::default();
     let started = std::time::Instant::now();
 
     // Classic path: one scene, sequential, single catalog file.
@@ -182,6 +190,9 @@ pub fn ingest(flags: &Flags) -> CliResult {
     Ok(())
 }
 
+/// The flags `svqact query` reads; any other is refused.
+pub const QUERY_FLAGS: &str = "sql scene catalog models";
+
 /// `svqact query` — run a SQL statement online (against a scene) or
 /// offline (against a catalog).
 pub fn query(flags: &Flags) -> CliResult {
@@ -198,8 +209,7 @@ pub fn query(flags: &Flags) -> CliResult {
             let suite = suite_named(flags.get("models").unwrap_or("accurate"))?;
             let oracle = video.oracle(suite);
             let mut stream = VideoStream::new(&oracle);
-            let outcome =
-                svq_query::execute_online(&plan, &mut stream, OnlineConfig::builder().build()?)?;
+            let outcome = svq_query::execute_online(&plan, &mut stream, OnlineConfig::default())?;
             let (sequences, cost) = outcome.online().expect("online plan yields online results");
             println!("{} result sequences:", sequences.len());
             let geometry = video.truth.geometry;
@@ -244,6 +254,10 @@ pub fn query(flags: &Flags) -> CliResult {
     Ok(())
 }
 
+/// The flags `svqact mux` reads; any other is refused.
+pub const MUX_FLAGS: &str = "sql streams workers shards pacing mailbox policy minutes seed models \
+    action objects metrics-every";
+
 /// `svqact mux` — run Q online queries over K synthetic streams
 /// concurrently on the svq-exec session multiplexer.
 pub fn mux(flags: &Flags) -> CliResult {
@@ -256,12 +270,19 @@ pub fn mux(flags: &Flags) -> CliResult {
     let minutes: f64 = flags.get_parsed("minutes", 2.0)?;
     let seed: u64 = flags.get_parsed("seed", 42)?;
     let mailbox: usize = flags.get_parsed("mailbox", 64)?;
-    // Executor knobs (ingress shard count, per-lock drain batch, pacing)
-    // ride on OnlineConfig; the validating builder below rejects degenerate
-    // values with the field named.
-    let shards: u32 = flags.get_parsed("shards", 1)?;
-    let drain_batch: u32 = flags.get_parsed("drain-batch", 1)?;
+    // Executor knobs go straight to the multiplexer; they are outside
+    // input, so degenerate values are refused here with the flag named.
+    let shards: usize = flags.get_parsed("shards", 1)?;
+    if shards == 0 {
+        return Err(SvqError::InvalidConfig("--shards must be at least 1".into()).into());
+    }
     let pacing: f64 = flags.get_parsed("pacing", 0.0)?;
+    if !pacing.is_finite() || pacing < 0.0 {
+        return Err(SvqError::InvalidConfig(format!(
+            "--pacing must be finite and non-negative, got {pacing}"
+        ))
+        .into());
+    }
     // Periodic progress snapshots to stderr every N seconds (0 = off).
     let metrics_every: f64 = flags.get_parsed("metrics-every", 0.0)?;
     if metrics_every < 0.0 {
@@ -322,15 +343,9 @@ pub fn mux(flags: &Flags) -> CliResult {
 
     // K × Q sessions over one pool behind a sharded ingress.
     let started = std::time::Instant::now();
-    let config = OnlineConfig::builder()
-        .drain_batch(drain_batch)
-        .shards(shards)
-        .pacing(pacing)
-        .build()?;
+    let config = OnlineConfig::default();
     let mux = SessionMux::with_options(
-        MuxOptions::new(workers)
-            .with_shards(config.shards as usize)
-            .with_drain_batch(config.drain_batch as usize),
+        MuxOptions::new(workers).with_shards(shards),
         ExecMetrics::new(),
     );
     let mut ids = Vec::new();
@@ -345,7 +360,7 @@ pub fn mux(flags: &Flags) -> CliResult {
                 policy,
                 mailbox,
             );
-            mux.set_pacing(id, config.pacing);
+            mux.set_pacing(id, pacing)?;
             ids.push(id);
         }
     }
@@ -384,6 +399,11 @@ pub fn mux(flags: &Flags) -> CliResult {
     );
     Ok(())
 }
+
+/// The flags `svqact serve` reads; any other is refused.
+pub const SERVE_FLAGS: &str = "catalog scene scenes models source addr addr-file max-conns \
+    read-timeout-ms write-timeout-ms drain-timeout-ms max-line workers shards mailbox \
+    pipeline-depth catalog-cache shard-index shard-count metrics-every";
 
 /// `svqact serve` — run the TCP query service until a wire `shutdown`.
 ///
@@ -536,6 +556,10 @@ fn print_serve_report(report: &svq_serve::ServeReport) {
     );
 }
 
+/// The flags `svqact route` reads; any other is refused.
+pub const ROUTE_FLAGS: &str = "shards addr addr-file max-conns read-timeout-ms write-timeout-ms \
+    drain-timeout-ms max-line pipeline-depth upstream-timeout-ms connect-attempts metrics-every";
+
 /// `svqact route` — run the cluster front door until a wire `shutdown`.
 ///
 /// `--shards` lists the shard servers in placement order: the shard at
@@ -608,6 +632,9 @@ pub fn route(flags: &Flags) -> CliResult {
     print_serve_report(&report);
     Ok(())
 }
+
+/// The flags `svqact request` reads; any other is refused.
+pub const REQUEST_FLAGS: &str = "addr kind sql video repeat retries retry-backoff-ms timeout-ms";
 
 /// `svqact request` — request/response exchanges against a running
 /// `svqact serve`. Response frames are printed to stdout verbatim (one
@@ -723,6 +750,9 @@ pub fn request(flags: &Flags) -> CliResult {
     Ok(())
 }
 
+/// The flags `svqact subscribe` reads; any other is refused.
+pub const SUBSCRIBE_FLAGS: &str = "addr sql video drift-every events timeout-ms";
+
 /// `svqact subscribe` — open a standing query against a `serve --source`
 /// server and stream its pushed frames.
 ///
@@ -770,6 +800,9 @@ pub fn subscribe(flags: &Flags) -> CliResult {
     Ok(())
 }
 
+/// The flags `svqact explain` reads; any other is refused.
+pub const EXPLAIN_FLAGS: &str = "sql";
+
 /// `svqact explain` — print the logical plan.
 pub fn explain(flags: &Flags) -> CliResult {
     let stmt = svq_query::parse(flags.require("sql")?)?;
@@ -777,6 +810,9 @@ pub fn explain(flags: &Flags) -> CliResult {
     print!("{}", plan.explain());
     Ok(())
 }
+
+/// The flags `svqact sim` reads; any other is refused.
+pub const SIM_FLAGS: &str = "scenario seed size faults trace schedules corpus";
 
 /// `svqact sim` — run deterministic simulation schedules.
 ///
@@ -944,12 +980,12 @@ pub fn labels(rest: &[String]) -> CliResult {
 mod tests {
     use super::*;
 
-    fn flags(pairs: &[(&str, &str)]) -> Flags {
+    fn flags(known: &'static str, pairs: &[(&str, &str)]) -> Flags {
         let argv: Vec<String> = pairs
             .iter()
             .flat_map(|(k, v)| [format!("--{k}"), v.to_string()])
             .collect();
-        Flags::parse(&argv).unwrap()
+        Flags::parse(&argv, known).unwrap()
     }
 
     #[test]
@@ -959,45 +995,57 @@ mod tests {
         let scene = dir.join("scene.json");
         let catalog = dir.join("catalog.svqc");
 
-        synth(&flags(&[
-            ("minutes", "2"),
-            ("action", "archery"),
-            ("objects", "person"),
-            ("seed", "5"),
-            ("out", scene.to_str().unwrap()),
-        ]))
+        synth(&flags(
+            SYNTH_FLAGS,
+            &[
+                ("minutes", "2"),
+                ("action", "archery"),
+                ("objects", "person"),
+                ("seed", "5"),
+                ("out", scene.to_str().unwrap()),
+            ],
+        ))
         .expect("synth");
         assert!(scene.exists());
 
-        ingest(&flags(&[
-            ("scene", scene.to_str().unwrap()),
-            ("models", "ideal"),
-            ("out", catalog.to_str().unwrap()),
-        ]))
+        ingest(&flags(
+            INGEST_FLAGS,
+            &[
+                ("scene", scene.to_str().unwrap()),
+                ("models", "ideal"),
+                ("out", catalog.to_str().unwrap()),
+            ],
+        ))
         .expect("ingest");
         assert!(catalog.exists());
 
         // Offline statement against the catalog.
-        query(&flags(&[
-            ("catalog", catalog.to_str().unwrap()),
-            (
-                "sql",
-                "SELECT MERGE(clipID), RANK(act,obj) FROM (PROCESS v PRODUCE clipID) \
+        query(&flags(
+            QUERY_FLAGS,
+            &[
+                ("catalog", catalog.to_str().unwrap()),
+                (
+                    "sql",
+                    "SELECT MERGE(clipID), RANK(act,obj) FROM (PROCESS v PRODUCE clipID) \
                  WHERE act='archery' AND obj.include('person') \
                  ORDER BY RANK(act,obj) LIMIT 2",
-            ),
-        ]))
+                ),
+            ],
+        ))
         .expect("offline query");
 
         // Online statement against the scene.
-        query(&flags(&[
-            ("scene", scene.to_str().unwrap()),
-            (
-                "sql",
-                "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
+        query(&flags(
+            QUERY_FLAGS,
+            &[
+                ("scene", scene.to_str().unwrap()),
+                (
+                    "sql",
+                    "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
                  WHERE act='archery' AND obj.include('person')",
-            ),
-        ]))
+                ),
+            ],
+        ))
         .expect("online query");
 
         std::fs::remove_dir_all(&dir).ok();
@@ -1011,13 +1059,16 @@ mod tests {
         let mut scenes = Vec::new();
         for i in 0..3 {
             let scene = dir.join(format!("scene{i}.json"));
-            synth(&flags(&[
-                ("minutes", "0.5"),
-                ("action", "archery"),
-                ("objects", "person"),
-                ("seed", &format!("{}", 20 + i)),
-                ("out", scene.to_str().unwrap()),
-            ]))
+            synth(&flags(
+                SYNTH_FLAGS,
+                &[
+                    ("minutes", "0.5"),
+                    ("action", "archery"),
+                    ("objects", "person"),
+                    ("seed", &format!("{}", 20 + i)),
+                    ("out", scene.to_str().unwrap()),
+                ],
+            ))
             .expect("synth");
             scenes.push(scene.to_str().unwrap().to_string());
         }
@@ -1025,13 +1076,16 @@ mod tests {
         let spill = dir.join("spill");
         let mem = dir.join("mem");
         for (sink, out) in [("spill", &spill), ("mem", &mem)] {
-            ingest(&flags(&[
-                ("scenes", &scenes),
-                ("models", "ideal"),
-                ("workers", "2"),
-                ("sink", sink),
-                ("out", out.to_str().unwrap()),
-            ]))
+            ingest(&flags(
+                INGEST_FLAGS,
+                &[
+                    ("scenes", &scenes),
+                    ("models", "ideal"),
+                    ("workers", "2"),
+                    ("sink", sink),
+                    ("out", out.to_str().unwrap()),
+                ],
+            ))
             .expect(sink);
         }
         // Both sinks spell the same bytes onto disk.
@@ -1052,11 +1106,14 @@ mod tests {
                 == 3
         );
         // Degenerate worker counts are rejected up front.
-        let err = ingest(&flags(&[
-            ("scenes", &scenes),
-            ("workers", "0"),
-            ("out", spill.to_str().unwrap()),
-        ]))
+        let err = ingest(&flags(
+            INGEST_FLAGS,
+            &[
+                ("scenes", &scenes),
+                ("workers", "0"),
+                ("out", spill.to_str().unwrap()),
+            ],
+        ))
         .unwrap_err();
         assert!(err.to_string().contains("workers"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
@@ -1066,54 +1123,64 @@ mod tests {
     fn mux_runs_multiple_streams() {
         // A sub-interval --metrics-every exercises reporter start/stop even
         // when the run finishes before the first periodic snapshot fires.
-        mux(&flags(&[
-            ("streams", "2"),
-            ("workers", "2"),
-            ("minutes", "0.5"),
-            ("shards", "2"),
-            ("drain-batch", "4"),
-            ("metrics-every", "0.01"),
-            (
-                "sql",
-                "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
-                 WHERE act='jumping' AND obj.include('car')",
-            ),
-        ]))
-        .expect("mux");
-        // Degenerate ingress configurations are rejected up front by the
-        // OnlineConfig builder, which names the offending field.
-        for (flag, value) in [("shards", "0"), ("drain-batch", "0"), ("pacing", "-1")] {
-            let err = mux(&flags(&[
-                (flag, value),
+        mux(&flags(
+            MUX_FLAGS,
+            &[
+                ("streams", "2"),
+                ("workers", "2"),
+                ("minutes", "0.5"),
+                ("shards", "2"),
+                ("pacing", "0"),
+                ("metrics-every", "0.01"),
                 (
                     "sql",
                     "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
-                     WHERE act='jumping' AND obj.include('car')",
+                 WHERE act='jumping' AND obj.include('car')",
                 ),
-            ]))
+            ],
+        ))
+        .expect("mux");
+        // Degenerate executor knobs are rejected up front, naming the flag.
+        for (flag, value) in [("shards", "0"), ("pacing", "-1"), ("pacing", "inf")] {
+            let err = mux(&flags(
+                MUX_FLAGS,
+                &[
+                    (flag, value),
+                    (
+                        "sql",
+                        "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
+                     WHERE act='jumping' AND obj.include('car')",
+                    ),
+                ],
+            ))
             .unwrap_err();
-            let field = flag.replace('-', "_");
-            assert!(err.to_string().contains(&field), "{err}");
+            assert!(err.to_string().contains(&format!("--{flag}")), "{err}");
             assert!(err.to_string().contains("invalid config"), "{err}");
         }
         // Negative interval is rejected up front.
-        let err = mux(&flags(&[
-            ("metrics-every", "-1"),
-            (
-                "sql",
-                "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
+        let err = mux(&flags(
+            MUX_FLAGS,
+            &[
+                ("metrics-every", "-1"),
+                (
+                    "sql",
+                    "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
                  WHERE act='jumping' AND obj.include('car')",
-            ),
-        ]))
+                ),
+            ],
+        ))
         .unwrap_err();
         assert!(err.to_string().contains("metrics-every"));
         // Offline statements are rejected with a pointer to the right mode.
-        let err = mux(&flags(&[(
-            "sql",
-            "SELECT MERGE(clipID), RANK(act,obj) FROM (PROCESS v PRODUCE clipID) \
+        let err = mux(&flags(
+            MUX_FLAGS,
+            &[(
+                "sql",
+                "SELECT MERGE(clipID), RANK(act,obj) FROM (PROCESS v PRODUCE clipID) \
              WHERE act='jumping' AND obj.include('car') \
              ORDER BY RANK(act,obj) LIMIT 2",
-        )]))
+            )],
+        ))
         .unwrap_err();
         assert!(err.to_string().contains("online"), "{err}");
     }
@@ -1125,33 +1192,42 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let scene = dir.join("scene.json");
         let catalog = dir.join("catalog.svqc");
-        synth(&flags(&[
-            ("minutes", "0.5"),
-            ("action", "archery"),
-            ("objects", "person"),
-            ("seed", "5"),
-            ("out", scene.to_str().unwrap()),
-        ]))
+        synth(&flags(
+            SYNTH_FLAGS,
+            &[
+                ("minutes", "0.5"),
+                ("action", "archery"),
+                ("objects", "person"),
+                ("seed", "5"),
+                ("out", scene.to_str().unwrap()),
+            ],
+        ))
         .expect("synth");
-        ingest(&flags(&[
-            ("scene", scene.to_str().unwrap()),
-            ("models", "ideal"),
-            ("out", catalog.to_str().unwrap()),
-        ]))
+        ingest(&flags(
+            INGEST_FLAGS,
+            &[
+                ("scene", scene.to_str().unwrap()),
+                ("models", "ideal"),
+                ("out", catalog.to_str().unwrap()),
+            ],
+        ))
         .expect("ingest");
 
         // The server blocks until a wire shutdown, so it runs on its own
         // thread and publishes its ephemeral port through --addr-file.
         let addr_file = dir.join("addr");
-        let serve_flags = flags(&[
-            ("catalog", catalog.to_str().unwrap()),
-            ("scene", scene.to_str().unwrap()),
-            ("models", "ideal"),
-            ("addr-file", addr_file.to_str().unwrap()),
-            ("drain-timeout-ms", "10000"),
-            ("pipeline-depth", "8"),
-            ("catalog-cache", "1"),
-        ]);
+        let serve_flags = flags(
+            SERVE_FLAGS,
+            &[
+                ("catalog", catalog.to_str().unwrap()),
+                ("scene", scene.to_str().unwrap()),
+                ("models", "ideal"),
+                ("addr-file", addr_file.to_str().unwrap()),
+                ("drain-timeout-ms", "10000"),
+                ("pipeline-depth", "8"),
+                ("catalog-cache", "1"),
+            ],
+        );
         let server = std::thread::spawn(move || serve(&serve_flags).map_err(|e| e.to_string()));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let addr = loop {
@@ -1163,56 +1239,72 @@ mod tests {
         };
 
         // One exchange of every kind; video is inferred (one of each served).
-        request(&flags(&[("addr", &addr), ("kind", "stats")])).expect("stats");
-        request(&flags(&[
-            ("addr", &addr),
-            ("kind", "query"),
-            (
-                "sql",
-                "SELECT MERGE(clipID), RANK(act,obj) FROM (PROCESS v PRODUCE clipID) \
+        request(&flags(REQUEST_FLAGS, &[("addr", &addr), ("kind", "stats")])).expect("stats");
+        request(&flags(
+            REQUEST_FLAGS,
+            &[
+                ("addr", &addr),
+                ("kind", "query"),
+                (
+                    "sql",
+                    "SELECT MERGE(clipID), RANK(act,obj) FROM (PROCESS v PRODUCE clipID) \
                  WHERE act='archery' AND obj.include('person') \
                  ORDER BY RANK(act,obj) LIMIT 2",
-            ),
-        ]))
+                ),
+            ],
+        ))
         .expect("offline query over the wire");
-        request(&flags(&[
-            ("addr", &addr),
-            ("kind", "stream"),
-            (
-                "sql",
-                "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
+        request(&flags(
+            REQUEST_FLAGS,
+            &[
+                ("addr", &addr),
+                ("kind", "stream"),
+                (
+                    "sql",
+                    "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
                  WHERE act='archery' AND obj.include('person')",
-            ),
-        ]))
+                ),
+            ],
+        ))
         .expect("online stream over the wire");
 
         // Pipelined repeats over one connection (protocol v2 ids).
-        request(&flags(&[
-            ("addr", &addr),
-            ("kind", "query"),
-            ("repeat", "3"),
-            (
-                "sql",
-                "SELECT MERGE(clipID), RANK(act,obj) FROM (PROCESS v PRODUCE clipID) \
+        request(&flags(
+            REQUEST_FLAGS,
+            &[
+                ("addr", &addr),
+                ("kind", "query"),
+                ("repeat", "3"),
+                (
+                    "sql",
+                    "SELECT MERGE(clipID), RANK(act,obj) FROM (PROCESS v PRODUCE clipID) \
                  WHERE act='archery' AND obj.include('person') \
                  ORDER BY RANK(act,obj) LIMIT 2",
-            ),
-        ]))
+                ),
+            ],
+        ))
         .expect("pipelined queries over the wire");
 
         // An error frame also fails the process so scripts can branch.
-        let err = request(&flags(&[
-            ("addr", &addr),
-            ("kind", "query"),
-            ("sql", "SELECT nonsense"),
-        ]))
+        let err = request(&flags(
+            REQUEST_FLAGS,
+            &[
+                ("addr", &addr),
+                ("kind", "query"),
+                ("sql", "SELECT nonsense"),
+            ],
+        ))
         .unwrap_err();
         assert!(err.to_string().contains("server refused"), "{err}");
-        let err = request(&flags(&[("addr", &addr), ("kind", "warp")])).unwrap_err();
+        let err = request(&flags(REQUEST_FLAGS, &[("addr", &addr), ("kind", "warp")])).unwrap_err();
         assert!(err.to_string().contains("unknown request kind"), "{err}");
 
         // A wire shutdown drains the server and unblocks `serve`.
-        request(&flags(&[("addr", &addr), ("kind", "shutdown")])).expect("shutdown");
+        request(&flags(
+            REQUEST_FLAGS,
+            &[("addr", &addr), ("kind", "shutdown")],
+        ))
+        .expect("shutdown");
         server
             .join()
             .expect("serve thread")
@@ -1222,25 +1314,36 @@ mod tests {
 
     #[test]
     fn serve_rejects_degenerate_flags() {
-        let err = serve(&flags(&[])).unwrap_err();
+        let err = serve(&flags(SERVE_FLAGS, &[])).unwrap_err();
         assert!(err.to_string().contains("--catalog"), "{err}");
-        let err = serve(&flags(&[("metrics-every", "-1")])).unwrap_err();
+        let err = serve(&flags(SERVE_FLAGS, &[("metrics-every", "-1")])).unwrap_err();
         assert!(err.to_string().contains("metrics-every"), "{err}");
-        let err = serve(&flags(&[("pipeline-depth", "0")])).unwrap_err();
+        let err = serve(&flags(SERVE_FLAGS, &[("pipeline-depth", "0")])).unwrap_err();
         assert!(err.to_string().contains("pipeline-depth"), "{err}");
-        let err = request(&flags(&[("addr", "127.0.0.1:1"), ("repeat", "0")])).unwrap_err();
+        let err = request(&flags(
+            REQUEST_FLAGS,
+            &[("addr", "127.0.0.1:1"), ("repeat", "0")],
+        ))
+        .unwrap_err();
         assert!(err.to_string().contains("repeat"), "{err}");
     }
 
     #[test]
     fn helpful_errors() {
         // Unknown labels are caught at synth time.
-        assert!(synth(&flags(&[("action", "not an action"), ("out", "/dev/null")])).is_err());
+        assert!(synth(&flags(
+            SYNTH_FLAGS,
+            &[("action", "not an action"), ("out", "/dev/null")]
+        ))
+        .is_err());
         // Mode/flag mismatches are explained.
-        let err = query(&flags(&[(
-            "sql",
-            "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) WHERE act='archery'",
-        )]))
+        let err = query(&flags(
+            QUERY_FLAGS,
+            &[(
+                "sql",
+                "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) WHERE act='archery'",
+            )],
+        ))
         .unwrap_err();
         assert!(err.to_string().contains("--scene"), "{err}");
         assert!(suite_named("nonsense").is_err());

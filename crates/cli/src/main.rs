@@ -44,24 +44,25 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     };
     let rest = &argv[1..];
-    match command.as_str() {
-        "synth" => commands::synth(&args::Flags::parse(rest)?),
-        "ingest" => commands::ingest(&args::Flags::parse(rest)?),
-        "query" => commands::query(&args::Flags::parse(rest)?),
-        "mux" => commands::mux(&args::Flags::parse(rest)?),
-        "serve" => commands::serve(&args::Flags::parse(rest)?),
-        "route" => commands::route(&args::Flags::parse(rest)?),
-        "request" => commands::request(&args::Flags::parse(rest)?),
-        "subscribe" => commands::subscribe(&args::Flags::parse(rest)?),
-        "explain" => commands::explain(&args::Flags::parse(rest)?),
-        "sim" => commands::sim(&args::Flags::parse(rest)?),
-        "labels" => commands::labels(rest),
+    let (command, known): (fn(&args::Flags) -> commands::CliResult, _) = match command.as_str() {
+        "synth" => (commands::synth, commands::SYNTH_FLAGS),
+        "ingest" => (commands::ingest, commands::INGEST_FLAGS),
+        "query" => (commands::query, commands::QUERY_FLAGS),
+        "mux" => (commands::mux, commands::MUX_FLAGS),
+        "serve" => (commands::serve, commands::SERVE_FLAGS),
+        "route" => (commands::route, commands::ROUTE_FLAGS),
+        "request" => (commands::request, commands::REQUEST_FLAGS),
+        "subscribe" => (commands::subscribe, commands::SUBSCRIBE_FLAGS),
+        "explain" => (commands::explain, commands::EXPLAIN_FLAGS),
+        "sim" => (commands::sim, commands::SIM_FLAGS),
+        "labels" => return commands::labels(rest),
         "help" | "--help" | "-h" => {
             print_usage();
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command {other:?}; try `svqact help`").into()),
-    }
+        other => return Err(format!("unknown command {other:?}; try `svqact help`").into()),
+    };
+    command(&args::Flags::parse(rest, known)?)
 }
 
 fn print_usage() {
@@ -75,7 +76,7 @@ fn print_usage() {
          [--models …] --out DIR\n\
          \u{20}  query   (--catalog catalog.svqc | --scene scene.json) --sql STATEMENT\n\
          \u{20}  mux     --sql \"STMT[; STMT…]\" [--streams K] [--workers N] \
-         [--shards S] [--drain-batch B] [--minutes M] \
+         [--shards S] [--pacing F] [--mailbox N] [--minutes M] \
          [--policy block|drop-oldest] [--metrics-every SECS]\n\
          \u{20}  serve   [--catalog FILE|DIR] [--scene scene.json | --scenes a,b,…] \
          [--addr HOST:PORT] [--addr-file PATH] [--max-conns N] \
@@ -96,4 +97,36 @@ fn print_usage() {
          --corpus true\n\
          \u{20}  labels  objects|actions"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// A flag the command does not read fails the whole invocation with
+    /// the flag named (`main` exits 1), before the command does any work:
+    /// a typo must not fall back silently to the default it meant to
+    /// override.
+    #[test]
+    fn commands_reject_flags_they_do_not_read() {
+        let err = run(&argv(&["serve", "--scene", "s.json", "--max-conn", "8"])).unwrap_err();
+        assert!(err.to_string().contains("unknown flag --max-conn"), "{err}");
+        // `serve`'s admission limit means nothing to `mux`.
+        let err = run(&argv(&[
+            "mux",
+            "--max-conns",
+            "4",
+            "--sql",
+            "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) WHERE act='jumping'",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("unknown flag --max-conns"),
+            "{err}"
+        );
+    }
 }

@@ -24,7 +24,7 @@ pub mod ordering;
 mod svaqd;
 mod trace;
 
-pub use config::{BackgroundUpdate, OnlineConfig, OnlineConfigBuilder};
+pub use config::{BackgroundUpdate, OnlineConfig};
 pub use merger::SequenceMerger;
 pub use ordering::SelectivityOrderer;
 pub(crate) use svaqd::PredicateState;

@@ -1,14 +1,11 @@
 //! Sharded asynchronous ingress for the session multiplexer.
 //!
-//! The accept path ([`crate::SessionMux::feed`]) used to apply backpressure
-//! inline: one full [`Block`](crate::Backpressure::Block) mailbox stalled
-//! the caller — and, through `feed_streams`' round-robin loop, every other
-//! live stream behind it. This module decouples the two sides. Each
-//! session's stream hashes by `VideoId` to one of N *shards*; a shard is an
-//! unbounded FIFO queue of ingress events plus one feeder thread that moves
-//! tickets into session mailboxes, applying the backpressure policy there.
-//! `feed` becomes a non-blocking enqueue, and a stalled mailbox blocks only
-//! its shard's feeder.
+//! Each session's stream hashes by `VideoId` to one of N *shards*; a shard
+//! is an unbounded FIFO queue of ingress events plus one feeder thread that
+//! moves tickets into session mailboxes, applying the backpressure policy
+//! there. The accept path ([`crate::SessionMux::feed`]) is therefore a
+//! non-blocking enqueue, and a full [`Block`](crate::Backpressure::Block)
+//! mailbox stalls only its shard's feeder.
 //!
 //! Ordering: all events for a session traverse the same shard queue in
 //! accept order, and a shard delivers FIFO, so per-session feed order — the
@@ -63,11 +60,6 @@ impl Ingress {
             })
             .collect();
         Self { shards }
-    }
-
-    /// Number of shards (and feeder threads).
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard a stream's tickets route through.

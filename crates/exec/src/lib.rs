@@ -12,7 +12,7 @@
 //!   pair owns its engine and a FIFO mailbox with a configurable
 //!   backpressure policy; an atomic scheduled flag makes each session an
 //!   actor, so results are byte-identical to sequential runs at any worker
-//!   count, shard count, or drain batch size.
+//!   or shard count.
 //! * [`ingress::Ingress`] — the sharded asynchronous ingress behind
 //!   [`mux::SessionMux::feed`]: streams hash by `VideoId` to per-shard
 //!   queues with one feeder thread each, so the accept path never blocks

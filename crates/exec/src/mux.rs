@@ -7,17 +7,16 @@
 //! path enqueues lightweight clip tickets into per-shard ingress queues
 //! (see [`crate::ingress`]), shard feeder threads move them into
 //! per-session mailboxes (bounded crossbeam channels), and workers perform
-//! the heavy per-clip model reads and engine evaluation, pulling up to
-//! [`MuxOptions::drain_batch`] tickets per state-lock acquisition.
+//! the heavy per-clip model reads and engine evaluation, one ticket per
+//! state-lock acquisition.
 //!
 //! Three properties anchor the design:
 //!
 //! * **Determinism.** A session is an actor: at most one worker drains a
 //!   given mailbox at a time (an atomic `scheduled` flag arbitrates), and a
 //!   mailbox is FIFO, so each engine consumes its clips in exactly feed
-//!   order regardless of worker count, shard count, or drain batch size. A
-//!   multiplexed run is therefore byte-identical to running its sessions
-//!   sequentially.
+//!   order regardless of worker count or shard count. A multiplexed run is
+//!   therefore byte-identical to running its sessions sequentially.
 //! * **Isolation.** A panic while evaluating a clip poisons only the owning
 //!   session — its remaining tickets are discarded and [`SessionMux::wait`]
 //!   reports [`SessionError::Poisoned`] — while every other session and the
@@ -43,9 +42,9 @@ use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use svq_core::online::{EvaluationTrace, Svaqd};
-use svq_types::{ClipId, ClipInterval};
+use svq_types::{ClipId, ClipInterval, SvqError, SvqResult};
 use svq_vision::models::DetectionOracle;
 use svq_vision::{ClipAccess, CostLedger, OwnedClipView};
 
@@ -195,31 +194,17 @@ pub struct MuxOptions {
     /// Ingress shards (feeder threads); streams hash to shards by
     /// `VideoId`, so a blocked mailbox stalls only its shard.
     pub shards: usize,
-    /// Clip tickets a worker pulls from a session mailbox per state-lock
-    /// acquisition; batching amortises mailbox and metrics overhead for
-    /// short clips. `1` evaluates ticket-at-a-time.
-    pub drain_batch: usize,
 }
 
 impl MuxOptions {
-    /// Defaults: one ingress shard, unbatched drains.
+    /// Defaults: one ingress shard.
     pub fn new(workers: usize) -> Self {
-        Self {
-            workers,
-            shards: 1,
-            drain_batch: 1,
-        }
+        Self { workers, shards: 1 }
     }
 
     /// Builder-style override of the ingress shard count (min 1).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Builder-style override of the drain batch size (min 1).
-    pub fn with_drain_batch(mut self, drain_batch: usize) -> Self {
-        self.drain_batch = drain_batch.max(1);
         self
     }
 }
@@ -262,8 +247,6 @@ pub(crate) struct Session {
     /// entanglement with `state`.
     observer: std::sync::OnceLock<ClipObserver>,
     policy: Backpressure,
-    /// Mailbox pulls per state-lock acquisition (from [`MuxOptions`]).
-    drain_batch: usize,
     /// The ingress shard this session's stream hashes to.
     shard: usize,
     counters: Arc<SessionCounters>,
@@ -287,7 +270,6 @@ pub(crate) struct MuxCore {
     /// the table (and the ids it hands out) bounded by its concurrency,
     /// not its uptime.
     sessions: Mutex<Vec<Option<Arc<Session>>>>,
-    drain_batch: usize,
 }
 
 /// Multiplexes many query sessions over one worker pool behind a sharded
@@ -301,17 +283,16 @@ pub struct SessionMux {
 
 impl SessionMux {
     /// A multiplexer over `workers` threads reporting into `metrics`, with
-    /// a single ingress shard and unbatched drains.
+    /// a single ingress shard.
     pub fn new(workers: usize, metrics: ExecMetrics) -> Self {
         Self::with_options(MuxOptions::new(workers), metrics)
     }
 
-    /// A multiplexer with explicit shard and drain-batch configuration.
+    /// A multiplexer with an explicit ingress shard count.
     pub fn with_options(options: MuxOptions, metrics: ExecMetrics) -> Self {
         let core = Arc::new(MuxCore {
             pool: WorkerPool::new(options.workers, 1024, metrics),
             sessions: Mutex::new(Vec::new()),
-            drain_batch: options.drain_batch.max(1),
         });
         let ingress = Ingress::new(options.shards.max(1), core.clone());
         Self { ingress, core }
@@ -320,11 +301,6 @@ impl SessionMux {
     /// The metrics registry shared with the pool.
     pub fn metrics(&self) -> &ExecMetrics {
         self.core.pool.metrics()
-    }
-
-    /// Number of ingress shards.
-    pub fn shard_count(&self) -> usize {
-        self.ingress.shard_count()
     }
 
     /// Register a session: one engine consuming one oracle's clip stream.
@@ -360,7 +336,6 @@ impl SessionMux {
             pacing: AtomicU64::new(0f64.to_bits()),
             observer: std::sync::OnceLock::new(),
             policy,
-            drain_batch: self.core.drain_batch,
             shard,
             counters,
         });
@@ -412,16 +387,23 @@ impl SessionMux {
 
     /// Pace a session to its simulated inference cost: after each clip the
     /// worker sleeps `factor` wall seconds per simulated inference second
-    /// charged by that clip (accumulated per drain batch, outside every
-    /// lock). The simulator's clip evaluation is microseconds of table
-    /// lookups, but deployed SVAQD spends >98 % of its time waiting on
-    /// model inference (§5.2) — pacing restores that wait so
-    /// executor-level concurrency measurements carry over. `0.0` (the
-    /// default) disables pacing.
-    pub fn set_pacing(&self, id: SessionId, factor: f64) {
+    /// charged by that clip, outside every lock (a sleep too long for a
+    /// [`Duration`] saturates). The simulator's clip evaluation is
+    /// microseconds of table lookups, but deployed SVAQD spends >98 % of
+    /// its time waiting on model inference (§5.2) — pacing restores that
+    /// wait so executor-level concurrency measurements carry over. `0.0` (the default) disables pacing; a negative or non-finite
+    /// `factor` is refused with [`SvqError::InvalidConfig`] and leaves the
+    /// session's pacing unchanged.
+    pub fn set_pacing(&self, id: SessionId, factor: f64) -> SvqResult<()> {
+        if !factor.is_finite() || factor < 0.0 {
+            return Err(SvqError::InvalidConfig(format!(
+                "pacing must be finite and non-negative, got {factor}"
+            )));
+        }
         self.session(id)
             .pacing
-            .store(factor.max(0.0).to_bits(), Ordering::Relaxed);
+            .store(factor.to_bits(), Ordering::Relaxed);
+        Ok(())
     }
 
     /// Attach a per-clip observer to a session: `observer` runs on the
@@ -600,99 +582,16 @@ fn schedule(pool: &WorkerPool, session: &Arc<Session>) {
     }
 }
 
-/// Worker side: serially process a session's mailbox in batches of up to
-/// `drain_batch` tickets per state-lock acquisition, then finalise if the
-/// feeder delivered end-of-stream. The `scheduled` flag guarantees only one
-/// worker runs this per session; the hand-off re-check closes the race
-/// between draining the last ticket and a feeder enqueueing a new one.
+/// Worker side: serially process a session's mailbox one ticket per
+/// state-lock acquisition, then finalise if the feeder delivered
+/// end-of-stream. The `scheduled` flag guarantees only one worker runs this
+/// per session; the hand-off re-check closes the race between draining the
+/// last ticket and a feeder enqueueing a new one.
 fn drain(session: &Session) {
-    let batch_cap = session.drain_batch.max(1);
-    let mut batch: Vec<ClipId> = Vec::with_capacity(batch_cap);
     loop {
-        // Pull a batch off the mailbox before touching the state lock.
-        while batch.len() < batch_cap {
-            match session.rx.try_recv() {
-                Ok(clip) => {
-                    session.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    batch.push(clip);
-                }
-                Err(_) => break,
-            }
-        }
-        if !batch.is_empty() {
-            // One lock acquisition per batch; the pacing sleep accumulates
-            // here and runs after the guard drops, so feeders reading
-            // stream metadata and metrics observers are never blocked on a
-            // simulated-inference wait.
-            let mut sleep_secs = 0.0f64;
-            // Notices accumulate under the state lock (they read the
-            // engine) and fire after it drops, like the pacing sleep.
-            let observing = session.observer.get().is_some();
-            let mut notices: Vec<ClipNotice> = Vec::new();
-            let mut state = session.state.lock();
-            for clip in batch.drain(..) {
-                if state.poisoned {
-                    continue;
-                }
-                let started = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut view = OwnedClipView::new(session.oracle.clone(), clip);
-                    let closed = state
-                        .engine
-                        .as_mut()
-                        .expect("engine present until finish")
-                        .push_clip(&mut view);
-                    (*view.ledger(), closed)
-                }));
-                SessionCounters::add(
-                    &session.counters.eval_nanos,
-                    started.elapsed().as_nanos() as u64,
-                );
-                match outcome {
-                    Ok((ledger, closed)) => {
-                        state.ledger.merge(&ledger);
-                        state.clips_processed += 1;
-                        session
-                            .counters
-                            .clips_processed
-                            .fetch_add(1, Ordering::Relaxed);
-                        if observing {
-                            if let Some(engine) = state.engine.as_ref() {
-                                let (backgrounds, criticals) = engine.drift();
-                                notices.push(ClipNotice {
-                                    clip,
-                                    closed,
-                                    clips_processed: state.clips_processed,
-                                    backgrounds,
-                                    criticals,
-                                });
-                            }
-                        }
-                        let pacing = f64::from_bits(session.pacing.load(Ordering::Relaxed));
-                        if pacing > 0.0 {
-                            sleep_secs += ledger.inference_ms() / 1e3 * pacing;
-                        }
-                    }
-                    Err(_) => {
-                        state.poisoned = true;
-                    }
-                }
-            }
-            drop(state);
-            if let Some(observer) = session.observer.get() {
-                for notice in notices {
-                    observer(notice);
-                }
-            }
-            if sleep_secs > 0.0 {
-                #[cfg(feature = "lock-audit")]
-                assert_eq!(
-                    parking_lot::lock_audit::held_count(),
-                    0,
-                    "pacing sleep must not hold any audited lock"
-                );
-                parking_lot::rt::sleep(std::time::Duration::from_secs_f64(sleep_secs));
-            }
+        if let Ok(clip) = session.rx.try_recv() {
+            session.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            evaluate(session, clip);
             continue;
         }
         // End-of-stream: finalise exactly once, after the mailbox drained.
@@ -746,10 +645,70 @@ fn drain(session: &Session) {
     }
 }
 
+/// Evaluate one clip under the state lock. The observer notice and the
+/// pacing sleep run after the guard drops, so feeders reading stream
+/// metadata and metrics observers are never blocked on either.
+fn evaluate(session: &Session, clip: ClipId) {
+    let mut state = session.state.lock();
+    if state.poisoned {
+        return;
+    }
+    let started = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut view = OwnedClipView::new(session.oracle.clone(), clip);
+        let closed = state
+            .engine
+            .as_mut()
+            .expect("engine present until finish")
+            .push_clip(&mut view);
+        (*view.ledger(), closed)
+    }));
+    SessionCounters::add(
+        &session.counters.eval_nanos,
+        started.elapsed().as_nanos() as u64,
+    );
+    let Ok((ledger, closed)) = outcome else {
+        state.poisoned = true;
+        return;
+    };
+    state.ledger.merge(&ledger);
+    state.clips_processed += 1;
+    session
+        .counters
+        .clips_processed
+        .fetch_add(1, Ordering::Relaxed);
+    let observer = session.observer.get();
+    // The notice reads the engine, so it is built under the lock.
+    let notice = observer.and(state.engine.as_ref()).map(|engine| {
+        let (backgrounds, criticals) = engine.drift();
+        ClipNotice {
+            clip,
+            closed,
+            clips_processed: state.clips_processed,
+            backgrounds,
+            criticals,
+        }
+    });
+    drop(state);
+    if let (Some(observer), Some(notice)) = (observer, notice) {
+        observer(notice);
+    }
+    let pacing = f64::from_bits(session.pacing.load(Ordering::Relaxed));
+    let sleep_secs = ledger.inference_ms() / 1e3 * pacing;
+    if sleep_secs > 0.0 {
+        #[cfg(feature = "lock-audit")]
+        assert_eq!(
+            parking_lot::lock_audit::held_count(),
+            0,
+            "pacing sleep must not hold any audited lock"
+        );
+        parking_lot::rt::sleep(Duration::try_from_secs_f64(sleep_secs).unwrap_or(Duration::MAX));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
     use svq_core::online::OnlineConfig;
     use svq_types::{
         ActionClass, ActionQuery, BBox, FrameId, Interval, ObjectClass, TrackId, VideoGeometry,
@@ -843,59 +802,51 @@ mod tests {
 
     #[test]
     fn multiplexed_sessions_match_sequential_runs() {
-        // The determinism contract must survive every ingress/batch shape:
-        // sharded feeders and batched drains may reorder *work*, never
-        // *results*.
+        // The determinism contract must survive every ingress shape:
+        // sharded feeders may reorder *work*, never *results*.
         for shards in [1usize, 2, 4] {
-            for drain_batch in [1usize, 4, 16] {
-                let mux = SessionMux::with_options(
-                    MuxOptions::new(4)
-                        .with_shards(shards)
-                        .with_drain_batch(drain_batch),
-                    ExecMetrics::new(),
-                );
-                let oracles: Vec<_> = (0..6).map(|i| oracle(i, 100 + i)).collect();
-                let ids: Vec<SessionId> = oracles
-                    .iter()
-                    .enumerate()
-                    .map(|(i, o)| {
-                        mux.register(
-                            format!("s{i}"),
-                            o.clone(),
-                            svaqd_engine(o),
-                            Backpressure::Block,
-                            16,
-                        )
-                    })
-                    .collect();
-                for &id in &ids {
-                    mux.feed_stream(id);
-                }
-                for (id, o) in ids.iter().zip(&oracles) {
-                    let got = mux.wait(*id).unwrap();
-                    let (seqs, evals, cost) = sequential(o);
-                    assert_eq!(
-                        got.sequences, seqs,
-                        "drifted at {shards} shards, batch {drain_batch}"
-                    );
-                    assert_eq!(got.evaluations, evals);
-                    assert_eq!(got.clips_processed, 40);
-                    assert_eq!(got.dropped, 0);
-                    // Same clips evaluated in the same order: identical
-                    // inference charge (algorithm wall-clock is not charged
-                    // by either path here).
-                    assert_eq!(got.cost.object_frames, cost.object_frames);
-                    assert_eq!(got.cost.action_shots, cost.action_shots);
-                }
-                let snap = mux.metrics().snapshot();
-                assert_eq!(snap.total_clips, 240);
-                assert_eq!(snap.jobs_panicked, 0);
-                assert_eq!(snap.shards.len(), shards);
-                let delivered: u64 = snap.shards.iter().map(|s| s.delivered).sum();
-                assert_eq!(delivered, 240, "every ticket crosses an ingress shard");
-                assert_eq!(snap.shards.iter().map(|s| s.ingress_depth).sum::<u64>(), 0);
-                mux.shutdown();
+            let mux = SessionMux::with_options(
+                MuxOptions::new(4).with_shards(shards),
+                ExecMetrics::new(),
+            );
+            let oracles: Vec<_> = (0..6).map(|i| oracle(i, 100 + i)).collect();
+            let ids: Vec<SessionId> = oracles
+                .iter()
+                .enumerate()
+                .map(|(i, o)| {
+                    mux.register(
+                        format!("s{i}"),
+                        o.clone(),
+                        svaqd_engine(o),
+                        Backpressure::Block,
+                        16,
+                    )
+                })
+                .collect();
+            for &id in &ids {
+                mux.feed_stream(id);
             }
+            for (id, o) in ids.iter().zip(&oracles) {
+                let got = mux.wait(*id).unwrap();
+                let (seqs, evals, cost) = sequential(o);
+                assert_eq!(got.sequences, seqs, "drifted at {shards} shards");
+                assert_eq!(got.evaluations, evals);
+                assert_eq!(got.clips_processed, 40);
+                assert_eq!(got.dropped, 0);
+                // Same clips evaluated in the same order: identical
+                // inference charge (algorithm wall-clock is not charged
+                // by either path here).
+                assert_eq!(got.cost.object_frames, cost.object_frames);
+                assert_eq!(got.cost.action_shots, cost.action_shots);
+            }
+            let snap = mux.metrics().snapshot();
+            assert_eq!(snap.total_clips, 240);
+            assert_eq!(snap.jobs_panicked, 0);
+            assert_eq!(snap.shards.len(), shards);
+            let delivered: u64 = snap.shards.iter().map(|s| s.delivered).sum();
+            assert_eq!(delivered, 240, "every ticket crosses an ingress shard");
+            assert_eq!(snap.shards.iter().map(|s| s.ingress_depth).sum::<u64>(), 0);
+            mux.shutdown();
         }
     }
 
@@ -956,12 +907,12 @@ mod tests {
     /// Queue-depth accounting under the feeder/worker `try_recv` race: the
     /// gauge must never wrap below zero, and every fed ticket must end up
     /// either processed or counted as dropped — across worker counts and a
-    /// sharded, batched ingress.
+    /// sharded ingress.
     #[test]
     fn drop_oldest_queue_depth_never_underflows() {
         for workers in [1usize, 2, 4] {
             let mux = Arc::new(SessionMux::with_options(
-                MuxOptions::new(workers).with_shards(2).with_drain_batch(4),
+                MuxOptions::new(workers).with_shards(2),
                 ExecMetrics::new(),
             ));
             let oracles: Vec<_> = (0..4).map(|i| long_oracle(i, 50 + i)).collect();
@@ -1110,6 +1061,49 @@ mod tests {
         let first = first.expect("healthy session");
         assert_eq!(first.clips_processed, 40);
         assert_eq!(Ok(first), second, "second wait saw a different result");
+        Arc::try_unwrap(mux).ok().expect("waiter joined").shutdown();
+    }
+
+    /// Regression: `set_pacing` stored any factor, and an infinite one made
+    /// the post-clip sleep panic outside the evaluation `catch_unwind`: the
+    /// pool swallowed the panic, the session stayed scheduled, and `wait`
+    /// never returned. Degenerate factors are now refused and the session
+    /// runs unpaced — verified under a 30 s watchdog.
+    #[test]
+    fn degenerate_pacing_is_refused_and_the_session_finishes() {
+        let mux = Arc::new(SessionMux::new(1, ExecMetrics::new()));
+        let o = oracle(0, 13);
+        let id = mux.register(
+            "paced".into(),
+            o.clone(),
+            svaqd_engine(&o),
+            Backpressure::Block,
+            8,
+        );
+        for factor in [f64::INFINITY, f64::NAN, -1.0, f64::NEG_INFINITY] {
+            let err = mux.set_pacing(id, factor).expect_err("degenerate factor");
+            assert!(err.to_string().contains("pacing"), "{err}");
+        }
+        mux.set_pacing(id, 0.0).expect("zero disables pacing");
+        let waiter = {
+            let mux = mux.clone();
+            std::thread::spawn(move || {
+                let _ = mux.set_pacing(id, f64::INFINITY);
+                mux.feed_stream(id);
+                mux.wait(id)
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !waiter.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "wait() never returned after set_pacing(INFINITY) (watchdog fired)"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let result = waiter.join().expect("waiter thread").expect("healthy");
+        assert_eq!(result.clips_processed, 40);
+        assert_eq!(mux.metrics().snapshot().jobs_panicked, 0);
         Arc::try_unwrap(mux).ok().expect("waiter joined").shutdown();
     }
 

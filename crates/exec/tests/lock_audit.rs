@@ -59,10 +59,7 @@ fn engine(oracle: &DetectionOracle) -> SessionEngine {
 fn mux_workload_has_no_lock_order_inversions() {
     parking_lot::lock_audit::reset();
 
-    let mux = SessionMux::with_options(
-        MuxOptions::new(4).with_shards(2).with_drain_batch(4),
-        ExecMetrics::new(),
-    );
+    let mux = SessionMux::with_options(MuxOptions::new(4).with_shards(2), ExecMetrics::new());
     let oracles: Vec<_> = (0..6).map(|i| oracle(i, 100 + i)).collect();
     let ids: Vec<_> = oracles
         .iter()
@@ -107,10 +104,7 @@ fn mux_workload_has_no_lock_order_inversions() {
 /// which poisons the session and fails this wait.
 #[test]
 fn pacing_sleep_runs_outside_all_audited_locks() {
-    let mux = SessionMux::with_options(
-        MuxOptions::new(2).with_shards(2).with_drain_batch(4),
-        ExecMetrics::new(),
-    );
+    let mux = SessionMux::with_options(MuxOptions::new(2).with_shards(2), ExecMetrics::new());
     let oracles: Vec<_> = (0..2).map(|i| oracle(10 + i, 70 + i)).collect();
     let ids: Vec<_> = oracles
         .iter()
@@ -123,8 +117,8 @@ fn pacing_sleep_runs_outside_all_audited_locks() {
                 Backpressure::Block,
                 4,
             );
-            // Large enough that every drain batch actually sleeps.
-            mux.set_pacing(id, 1e-6);
+            // Large enough that every evaluated clip actually sleeps.
+            mux.set_pacing(id, 1e-6).expect("valid pacing");
             id
         })
         .collect();

@@ -65,10 +65,7 @@ fn runtime_lock_edges_are_covered_by_the_static_graph() {
 
     // The same mux workload the inversion audit drives: many sessions,
     // shared worker pool, backpressure, metrics, pacing.
-    let mux = SessionMux::with_options(
-        MuxOptions::new(4).with_shards(2).with_drain_batch(4),
-        ExecMetrics::new(),
-    );
+    let mux = SessionMux::with_options(MuxOptions::new(4).with_shards(2), ExecMetrics::new());
     // The reporter thread snapshots under its stop guard — the executor's
     // nested first-party acquisitions (`stop` → `sessions`/`shards`).
     let reporter = mux
@@ -87,7 +84,7 @@ fn runtime_lock_edges_are_covered_by_the_static_graph() {
                 8,
             );
             if i % 2 == 0 {
-                mux.set_pacing(id, 1e-6);
+                mux.set_pacing(id, 1e-6).expect("valid pacing");
             }
             id
         })

@@ -39,7 +39,9 @@
 
 use crate::client::Caller;
 use crate::protocol::{Request, Response, VideoScope};
-use crate::server::{base_stats, Backend, Pending, ServeConfig, Server, ServerHandle};
+use crate::server::{
+    base_stats, Backend, Pending, ServeConfig, ServeConfigBuilder, Server, ServerHandle,
+};
 use crate::transport::{Conn, TcpTransport, Transport};
 use parking_lot::{rt, Mutex};
 use std::io;
@@ -121,8 +123,11 @@ impl Default for RouteConfig {
 impl RouteConfig {
     /// Start building a config from the defaults.
     pub fn builder() -> RouteConfigBuilder {
+        let defaults = RouteConfig::default();
         RouteConfigBuilder {
-            config: RouteConfig::default(),
+            serve: ServeConfig::builder(),
+            upstream_timeout: defaults.upstream_timeout,
+            connect_attempts: defaults.connect_attempts,
         }
     }
 
@@ -143,123 +148,99 @@ impl RouteConfig {
     }
 }
 
-/// Validating builder for [`RouteConfig`].
+/// Validating builder for [`RouteConfig`]. The front-door setters delegate
+/// to a [`ServeConfigBuilder`], so both entry points validate the serving
+/// half with the same code.
 #[derive(Debug, Clone)]
 pub struct RouteConfigBuilder {
-    config: RouteConfig,
+    serve: ServeConfigBuilder,
+    upstream_timeout: Duration,
+    connect_attempts: u32,
 }
 
 impl RouteConfigBuilder {
     /// Front-door bind address (`host:port`; port 0 picks ephemeral).
     pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.config.serve.addr = addr.into();
+        self.serve = self.serve.addr(addr);
         self
     }
 
     /// Admission limit on front-door connections.
     pub fn max_conns(mut self, max_conns: usize) -> Self {
-        self.config.serve.max_conns = max_conns;
+        self.serve = self.serve.max_conns(max_conns);
         self
     }
 
     /// Per-connection front-door read deadline.
     pub fn read_timeout(mut self, read_timeout: Duration) -> Self {
-        self.config.serve.read_timeout = read_timeout;
+        self.serve = self.serve.read_timeout(read_timeout);
         self
     }
 
     /// Per-connection front-door write deadline.
     pub fn write_timeout(mut self, write_timeout: Duration) -> Self {
-        self.config.serve.write_timeout = write_timeout;
+        self.serve = self.serve.write_timeout(write_timeout);
         self
     }
 
     /// Drain deadline before stragglers are force-closed.
     pub fn drain_timeout(mut self, drain_timeout: Duration) -> Self {
-        self.config.serve.drain_timeout = drain_timeout;
+        self.serve = self.serve.drain_timeout(drain_timeout);
         self
     }
 
     /// Frame-size cap (bytes, newline included).
     pub fn max_line(mut self, max_line: usize) -> Self {
-        self.config.serve.max_line = max_line;
+        self.serve = self.serve.max_line(max_line);
         self
     }
 
     /// Requests one front-door connection may have in flight.
     pub fn pipeline_depth(mut self, pipeline_depth: usize) -> Self {
-        self.config.serve.pipeline_depth = pipeline_depth;
+        self.serve = self.serve.pipeline_depth(pipeline_depth);
         self
     }
 
     /// Read/write deadline on upstream shard connections.
     pub fn upstream_timeout(mut self, upstream_timeout: Duration) -> Self {
-        self.config.upstream_timeout = upstream_timeout;
+        self.upstream_timeout = upstream_timeout;
         self
     }
 
     /// Dial attempts (with backoff) before a dead link reports
     /// `shard_unavailable`.
     pub fn connect_attempts(mut self, connect_attempts: u32) -> Self {
-        self.config.connect_attempts = connect_attempts;
+        self.connect_attempts = connect_attempts;
         self
     }
 
     /// Validate and produce the config. Every failure is a typed
-    /// [`SvqError::InvalidConfig`] naming the offending field.
+    /// [`SvqError::InvalidConfig`] naming the offending field, prefixed
+    /// `route:`.
     pub fn build(self) -> SvqResult<RouteConfig> {
-        let RouteConfig {
-            serve,
-            upstream_timeout,
-            connect_attempts,
-        } = self.config;
-        if upstream_timeout.is_zero() {
+        if self.upstream_timeout.is_zero() {
             return Err(SvqError::InvalidConfig(
                 "route: upstream_timeout must be positive".into(),
             ));
         }
-        if connect_attempts == 0 {
+        if self.connect_attempts == 0 {
             return Err(SvqError::InvalidConfig(
                 "route: connect_attempts must be at least 1".into(),
             ));
         }
-        // The front-door half revalidates through the serve builder so the
-        // two entry points can never drift.
-        let serve = ServeConfigBuilderProxy(serve).validate()?;
+        let serve = self.serve.build().map_err(|e| match e {
+            // Keep the field name, but attribute it to the route entry
+            // point the caller actually used.
+            SvqError::InvalidConfig(msg) => {
+                SvqError::InvalidConfig(msg.replacen("serve:", "route:", 1))
+            }
+            other => other,
+        })?;
         Ok(RouteConfig {
             serve,
-            upstream_timeout,
-            connect_attempts,
+            upstream_timeout: self.upstream_timeout,
+            connect_attempts: self.connect_attempts,
         })
-    }
-}
-
-/// Revalidate an already-populated [`ServeConfig`] through its builder.
-struct ServeConfigBuilderProxy(ServeConfig);
-
-impl ServeConfigBuilderProxy {
-    fn validate(self) -> SvqResult<ServeConfig> {
-        let c = self.0;
-        ServeConfig::builder()
-            .addr(c.addr.clone())
-            .max_conns(c.max_conns)
-            .read_timeout(c.read_timeout)
-            .write_timeout(c.write_timeout)
-            .drain_timeout(c.drain_timeout)
-            .max_line(c.max_line)
-            .workers(c.workers)
-            .shards(c.shards)
-            .mailbox(c.mailbox)
-            .pipeline_depth(c.pipeline_depth)
-            .build()
-            .map_err(|e| match e {
-                // Keep the field name, but attribute it to the route entry
-                // point the caller actually used.
-                SvqError::InvalidConfig(msg) => {
-                    SvqError::InvalidConfig(msg.replacen("serve:", "route:", 1))
-                }
-                other => other,
-            })
     }
 }
 

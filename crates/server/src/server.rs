@@ -190,7 +190,10 @@ impl ServeConfig {
     }
 }
 
-/// Validating builder for [`ServeConfig`]; mirrors `OnlineConfig::builder`.
+/// Validating builder for [`ServeConfig`]: setters only record values, and
+/// [`Self::build`] returns one [`SvqError::InvalidConfig`] naming the first
+/// invalid field. [`crate::RouteConfigBuilder`] delegates its front-door half
+/// here.
 #[derive(Debug, Clone)]
 pub struct ServeConfigBuilder {
     config: ServeConfig,

@@ -373,3 +373,34 @@ fn pipelined_callers_fan_out_through_the_router() {
 
     shutdown_all(router, shards);
 }
+
+/// The route builder validates its front-door half through the serve
+/// builder, yet names the entry point the caller used: every refusal reads
+/// `route: <field>`, for a delegated serve field and a route-only one alike.
+#[test]
+fn route_config_refusals_name_the_route_field() {
+    use std::time::Duration;
+    let cases = [
+        ("max_conns", RouteConfig::builder().max_conns(0).build()),
+        (
+            "upstream_timeout",
+            RouteConfig::builder()
+                .upstream_timeout(Duration::ZERO)
+                .build(),
+        ),
+    ];
+    for (field, result) in cases {
+        let err = result.expect_err(field).to_string();
+        assert!(err.contains(&format!("route: {field}")), "{field}: {err}");
+    }
+    let config = RouteConfig::builder()
+        .max_conns(3)
+        .pipeline_depth(5)
+        .build()
+        .expect("valid");
+    assert_eq!(
+        (config.serve().max_conns(), config.serve().pipeline_depth()),
+        (3, 5),
+        "front-door setters reach the serving half"
+    );
+}

@@ -390,15 +390,13 @@ fn reference(video: u64, clips: u64) -> Arc<String> {
 // mux_pipeline
 // ---------------------------------------------------------------------------
 
-/// Three sessions over a sharded, batched mux; round-robin interleaved
-/// feeds; optional worker-panic fault into session 0 at a seeded offset.
+/// Three sessions over a sharded mux; round-robin interleaved feeds;
+/// optional worker-panic fault into session 0 at a seeded offset.
 fn mux_pipeline(ctx: ScenarioCtx) {
     let mut rng = ctx.rng();
     let clips = ctx.size.max(2);
     let sessions = 3u64;
-    let options = MuxOptions::new(1 + rng.below(3))
-        .with_shards(1 + rng.below(2))
-        .with_drain_batch([1, 2, 4][rng.below(3)]);
+    let options = MuxOptions::new(1 + rng.below(3)).with_shards(1 + rng.below(2));
     let mux = SessionMux::with_options(options, ExecMetrics::new());
 
     let oracles: Vec<Arc<DetectionOracle>> = (0..sessions).map(|v| oracle(v, clips)).collect();

@@ -83,6 +83,18 @@ cargo run -q --release -p svqact -- sim --schedules "$SIM_SCHEDULES" \
 cargo run -q --release -p svqact -- sim --schedules "$SIM_SCHEDULES" \
   --scenario all --seed 48879 --faults all
 
+echo "== svqact mux (2 streams over a 2-shard ingress; degenerate and unknown flags exit 1)"
+MUX_SQL="SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
+         WHERE act='jumping' AND obj.include('car')"
+cargo run -q --release -p svqact -- mux --streams 2 --workers 2 --shards 2 \
+  --minutes 0.5 --sql "$MUX_SQL"
+for BAD in "--shards 0" "--pacing -1" "--drain-batch 4"; do
+  STATUS=0
+  # shellcheck disable=SC2086 # BAD is a flag and its value
+  cargo run -q --release -p svqact -- mux $BAD --sql "$MUX_SQL" || STATUS=$?
+  [ "$STATUS" -eq 1 ] || { echo "svqact mux $BAD exited $STATUS, expected 1"; exit 1; }
+done
+
 echo "== svqact serve round trip (ephemeral port, wire shutdown)"
 SERVE_DIR=target/ci-serve
 rm -rf "$SERVE_DIR" && mkdir -p "$SERVE_DIR"

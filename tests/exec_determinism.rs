@@ -90,21 +90,18 @@ fn multiplexer_is_worker_count_invariant() {
     }
 }
 
-/// The sharded ingress and drain batching are likewise invisible: every
-/// shard-count × drain-batch combination reproduces the sequential runs
-/// byte for byte. Shards only change *which feeder thread* delivers a
-/// session's clips, and batching only changes how many tickets a worker
-/// pulls per state-lock acquisition — never the per-session clip order.
+/// The sharded ingress is likewise invisible: every worker-count ×
+/// shard-count combination reproduces the sequential runs byte for byte.
+/// Shards only change *which feeder thread* delivers a session's clips,
+/// never the per-session clip order.
 #[test]
-fn multiplexer_is_shard_and_batch_invariant() {
+fn multiplexer_is_worker_and_shard_invariant() {
     let oracles = oracles(3);
     let expected: Vec<Vec<ClipInterval>> = oracles.iter().map(|o| sequential_run(o)).collect();
-    for shards in [1, 2, 4] {
-        for drain_batch in [1, 4, 16] {
+    for workers in [1, 2, 4] {
+        for shards in [1, 2, 4] {
             let mux = SessionMux::with_options(
-                MuxOptions::new(4)
-                    .with_shards(shards)
-                    .with_drain_batch(drain_batch),
+                MuxOptions::new(workers).with_shards(shards),
                 ExecMetrics::new(),
             );
             let ids: Vec<_> = oracles
@@ -114,7 +111,7 @@ fn multiplexer_is_shard_and_batch_invariant() {
                     let engine = SessionEngine::Svaqd(Svaqd::new(
                         query(),
                         oracle.truth().geometry,
-                        OnlineConfig::default().with_drain_batch(drain_batch as u32),
+                        OnlineConfig::default(),
                         1e-4,
                         1e-4,
                     ));
@@ -132,7 +129,7 @@ fn multiplexer_is_shard_and_batch_invariant() {
                 let result = mux.wait(*id).expect("healthy session");
                 assert_eq!(
                     &result.sequences, expected,
-                    "results drifted at {shards} shards, drain batch {drain_batch}"
+                    "results drifted at {workers} workers, {shards} shards"
                 );
             }
             mux.shutdown();
