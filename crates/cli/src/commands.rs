@@ -727,10 +727,10 @@ pub fn request(flags: &Flags) -> CliResult {
         }
         return Ok(());
     }
-    // Pipelined mode rides the typed `Caller`: ids are allocated by the
-    // handle and responses matched out of order; printing happens in
-    // completion order, so the output doubles as a visible record of
-    // reordering.
+    // Pipelined mode rides the typed `Caller`: every request goes out
+    // before the first wait, ids are allocated by the handle and responses
+    // matched out of order. Printing waits on each handle in turn, so lines
+    // come out in submission order, each tagged with its id.
     let mut pending = Vec::with_capacity(repeat as usize);
     for _ in 0..repeat {
         pending.push(caller.call(&request)?);

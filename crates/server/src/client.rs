@@ -106,24 +106,7 @@ impl Client {
 
     /// Read the next response frame off the connection.
     pub fn read_response(&mut self) -> SvqResult<Response> {
-        match read_bounded_line(&mut self.reader, MAX_LINE_BYTES) {
-            LineEvent::Line(line) => {
-                let text = std::str::from_utf8(&line)
-                    .map_err(|e| SvqError::Storage(format!("response not UTF-8: {e}")))?;
-                serde_json::from_str(text)
-                    .map_err(|e| SvqError::Storage(format!("response not a frame: {e}")))
-            }
-            LineEvent::Eof => Err(SvqError::Storage(
-                "connection closed before a response frame arrived".into(),
-            )),
-            LineEvent::Oversize { .. } => Err(SvqError::Storage(
-                "response frame exceeded the line cap".into(),
-            )),
-            LineEvent::TimedOut => Err(SvqError::Storage(
-                "timed out waiting for a response frame".into(),
-            )),
-            LineEvent::Failed(e) => Err(SvqError::Io(e)),
-        }
+        self.read_tagged().map(|(_, response)| response)
     }
 
     /// Convenience: a `query`/`stream` exchange that insists on an
@@ -319,6 +302,12 @@ impl CallerInner {
     }
 }
 
+const WRITE_FAILED: &str = "a request write failed; connection abandoned";
+
+fn dead() -> SvqError {
+    SvqError::Storage("caller connection is dead; open a fresh one".into())
+}
+
 /// Bounded retry for [`Caller::call_retrying`]: how many times to re-issue
 /// a request refused with `shard_unavailable`, and the initial backoff
 /// (doubled per retry). The default is [`RetryPolicy::none`] — retries are
@@ -432,36 +421,37 @@ impl Caller {
     }
 
     fn submit(&self, request: &Request, sink: Sink) -> SvqResult<u64> {
-        if !self.is_alive() {
-            return Err(SvqError::Storage(
-                "caller connection is dead; open a fresh one".into(),
-            ));
-        }
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_id()?;
         self.inner.slots.lock().insert(id, sink);
-        let line = encode_request_line(request, Some(id));
-        let write_result = {
-            let mut write = self.inner.write.lock();
-            match write.as_mut() {
-                // A short frame onto an established socket under the write
-                // deadline; the lock is what keeps concurrent frames from
-                // interleaving mid-line.
-                // svq-lint: allow(blocking-under-lock)
-                Some(conn) => conn.write_all(line.as_bytes()).map_err(SvqError::Io),
-                None => Err(SvqError::Storage(
-                    "caller connection is dead; open a fresh one".into(),
-                )),
-            }
-        };
-        if let Err(e) = write_result {
+        if let Err(e) = self.write_frame(request, id) {
             // Unregister before failing the rest so this call reports the
             // precise write error rather than the generic teardown one.
             self.inner.slots.lock().remove(&id);
-            self.inner
-                .fail_all("a request write failed; connection abandoned");
+            self.inner.fail_all(WRITE_FAILED);
             return Err(e);
         }
         Ok(id)
+    }
+
+    /// Allocate a request id, refusing once the connection is dead.
+    fn next_id(&self) -> SvqResult<u64> {
+        if !self.is_alive() {
+            return Err(dead());
+        }
+        Ok(self.inner.next_id.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Write one frame tagged `id`. The write lock is what keeps
+    /// concurrent frames from interleaving mid-line.
+    fn write_frame(&self, request: &Request, id: u64) -> SvqResult<()> {
+        let line = encode_request_line(request, Some(id));
+        let mut write = self.inner.write.lock();
+        match write.as_mut() {
+            // A short frame onto an established socket under the write
+            // deadline. svq-lint: allow(blocking-under-lock)
+            Some(conn) => conn.write_all(line.as_bytes()).map_err(SvqError::Io),
+            None => Err(dead()),
+        }
     }
 
     /// Like [`Caller::call`] + [`Pending::wait`], but re-issuing the
@@ -501,35 +491,17 @@ impl Caller {
         video: Option<u64>,
         drift_every: u64,
     ) -> SvqResult<Subscription> {
-        if !self.is_alive() {
-            return Err(SvqError::Storage(
-                "caller connection is dead; open a fresh one".into(),
-            ));
-        }
+        let id = self.next_id()?;
         let shared = SubShared::new();
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         self.inner.subs.lock().insert(id, shared.clone());
         let request = Request::Subscribe {
             sql: sql.to_string(),
             video,
             drift_every,
         };
-        let line = encode_request_line(&request, Some(id));
-        let write_result = {
-            let mut write = self.inner.write.lock();
-            match write.as_mut() {
-                // Same short-frame-under-the-serializing-lock shape as
-                // `submit`. svq-lint: allow(blocking-under-lock)
-                Some(conn) => conn.write_all(line.as_bytes()).map_err(SvqError::Io),
-                None => Err(SvqError::Storage(
-                    "caller connection is dead; open a fresh one".into(),
-                )),
-            }
-        };
-        if let Err(e) = write_result {
+        if let Err(e) = self.write_frame(&request, id) {
             self.inner.subs.lock().remove(&id);
-            self.inner
-                .fail_all("a request write failed; connection abandoned");
+            self.inner.fail_all(WRITE_FAILED);
             return Err(e);
         }
         // The ack is the first frame demuxed to the mailbox.

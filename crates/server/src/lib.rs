@@ -17,7 +17,9 @@
 //! * **Pipelining.** Protocol v2 frames carry a client-chosen `id`; a
 //!   connection may keep many requests in flight (executed on the shared
 //!   `svq-exec` worker pool) and responses echo the id, completing out of
-//!   order. Id-less v1 frames keep strict request→response ordering.
+//!   order. An id-less v1 frame is dispatched only after every earlier
+//!   request on its connection completed, so v1 keeps strict
+//!   request→response order.
 //! * **Admission control.** Bounded connection slots; over-limit connects
 //!   are answered with a typed `busy` frame and a clean close, never a
 //!   silent drop — not even when the listener fails or a handler thread

@@ -46,7 +46,6 @@ use crate::transport::{Conn, TcpTransport, Transport};
 use parking_lot::{rt, Mutex};
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use svq_exec::{shard_index, ExecMetrics};
@@ -521,10 +520,12 @@ impl RouterBackend {
         let n = self.links.len();
         let state = Arc::new(ScatterState {
             backend: self.clone(),
-            pending: Mutex::new(Some(pending)),
-            results: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: AtomicUsize::new(n),
-            finish: Mutex::new(Some(Box::new(finish))),
+            fold: Mutex::new(Some(Fold {
+                results: (0..n).map(|_| None).collect(),
+                remaining: n,
+                finish: Box::new(finish),
+                pending,
+            })),
         });
         for shard in 0..n {
             let sent: Result<(), String> = (|| {
@@ -667,26 +668,36 @@ impl RouterBackend {
 /// Shared state of one in-flight scatter; see [`RouterBackend::scatter`].
 struct ScatterState {
     backend: Arc<RouterBackend>,
-    pending: Mutex<Option<Pending>>,
-    results: Mutex<Vec<Option<SvqResult<Response>>>>,
-    remaining: AtomicUsize,
-    finish: Mutex<Option<FinishFn>>,
+    /// Taken by the last delivery, which runs the fold.
+    fold: Mutex<Option<Fold>>,
+}
+
+struct Fold {
+    results: Vec<Option<SvqResult<Response>>>,
+    remaining: usize,
+    finish: FinishFn,
+    pending: Pending,
 }
 
 type FinishFn = Box<dyn FnOnce(&Arc<RouterBackend>, Vec<SvqResult<Response>>, Pending) + Send>;
 
 impl ScatterState {
     fn deliver(self: &Arc<Self>, shard: usize, result: SvqResult<Response>) {
-        self.results.lock()[shard] = Some(result);
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return;
-        }
-        // Last one in folds. The lock scopes are disjoint so a `finish`
-        // that issues new calls can never deadlock back into this state.
-        let finish = self.finish.lock().take();
-        let pending = self.pending.lock().take();
-        if let (Some(finish), Some(pending)) = (finish, pending) {
-            let results: Vec<SvqResult<Response>> = std::mem::take(&mut *self.results.lock())
+        let done = {
+            let mut slot = self.fold.lock();
+            let Some(fold) = slot.as_mut() else { return };
+            fold.results[shard] = Some(result);
+            fold.remaining -= 1;
+            if fold.remaining > 0 {
+                return;
+            }
+            slot.take()
+        };
+        // Last one in folds, with no lock held, so a `finish` that issues
+        // new calls can never deadlock back into this state.
+        if let Some(fold) = done {
+            let results = fold
+                .results
                 .into_iter()
                 .map(|slot| {
                     slot.unwrap_or_else(|| {
@@ -694,7 +705,7 @@ impl ScatterState {
                     })
                 })
                 .collect();
-            finish(&self.backend, results, pending);
+            (fold.finish)(&self.backend, results, fold.pending);
         }
     }
 }

@@ -20,9 +20,10 @@
 //!   answer `timeout`, let the in-flight responses flush, and close.
 //! * A per-connection **writer** thread is the single owner of the write
 //!   half: completions enqueue encoded frames and the writer flushes them
-//!   — immediately for v2 (id-carrying) requests, in strict request order
-//!   for v1 (id-less) ones via a reorder buffer, so pipelined execution
-//!   never reorders a v1 client's responses.
+//!   in completion order. One dispatch rule keeps v1 (id-less) responses
+//!   in request order: an id-less frame, like every error frame the
+//!   reader makes itself, is dispatched only once every earlier request
+//!   on the connection has completed.
 //! * The **phase** cell (`running → draining → stopped`) is the drain
 //!   state machine. [`ServerHandle::shutdown`] (or a wire `shutdown`
 //!   request) flips it to draining: idle connections are closed
@@ -414,11 +415,11 @@ pub(crate) struct Shared {
     metrics: ExecMetrics,
     phase: Mutex<Phase>,
     phase_cv: Condvar,
-    /// Admitted-connection count; the condvar signals every close so the
-    /// drain can wait for zero.
-    admitted: Mutex<usize>,
-    admitted_cv: Condvar,
+    /// The admitted connections: admission is `len() < max_conns` under
+    /// this lock, and the condvar signals every removal so teardown can
+    /// wait for the registry to empty.
     conns: Mutex<Vec<ConnEntry>>,
+    conns_cv: Condvar,
     next_conn: AtomicU64,
     /// Remaining injected spawn failures ([`ServeConfig::debug_fail_spawns`]).
     spawn_faults: AtomicU64,
@@ -447,21 +448,20 @@ impl Shared {
             *phase = Phase::Draining;
             self.phase_cv.notify_all();
         }
-        self.close_idle_conns();
+        close_idle(&self.conns.lock());
     }
+}
 
-    /// Close connections observed idle so their blocked reads return now
-    /// rather than at the read deadline. A connection whose request is
-    /// racing this scan at most loses that request — the same outcome as
-    /// arriving one instant after the drain began. The teardown loop
-    /// re-runs this scan: a pipelined connection may only *become* idle
-    /// (its last response flushed) after the drain began, with its reader
-    /// already parked in a blocked read.
-    fn close_idle_conns(&self) {
-        for conn in self.conns.lock().iter() {
-            if conn.in_flight.load(Ordering::Acquire) == 0 {
-                let _ = conn.stream.shutdown_both();
-            }
+/// Close connections observed idle so their blocked reads return now
+/// rather than at the read deadline. A connection whose request is racing
+/// this scan at most loses that request — the same outcome as arriving one
+/// instant after the drain began. The teardown loop re-runs this scan: a
+/// pipelined connection may only *become* idle (its last response flushed)
+/// after the drain began, with its reader already parked in a blocked read.
+fn close_idle(conns: &[ConnEntry]) {
+    for conn in conns {
+        if conn.in_flight.load(Ordering::Acquire) == 0 {
+            let _ = conn.stream.shutdown_both();
         }
     }
 }
@@ -575,9 +575,8 @@ impl Server {
             metrics,
             phase: Mutex::new(Phase::Running),
             phase_cv: Condvar::new(),
-            admitted: Mutex::new(0),
-            admitted_cv: Condvar::new(),
             conns: Mutex::new(Vec::new()),
+            conns_cv: Condvar::new(),
             next_conn: AtomicU64::new(0),
             spawn_faults,
             local_addr,
@@ -646,45 +645,37 @@ impl ServerHandle {
         // consumes virtual time, not wall time.
         let deadline =
             rt::monotonic_nanos().saturating_add(shared.config.drain_timeout.as_nanos() as u64);
-        let mut drained_in_deadline = true;
-        loop {
-            {
-                let mut active = shared.admitted.lock();
-                if *active == 0 {
-                    break;
-                }
+        let mut forced_closes = 0u64;
+        {
+            let mut conns = shared.conns.lock();
+            while !conns.is_empty() {
                 let now = rt::monotonic_nanos();
                 if now >= deadline {
-                    drained_in_deadline = false;
                     break;
                 }
                 // Tick so the idle re-scan below runs even while nothing
                 // deregisters: a connection may become idle only after the
                 // `begin_drain` scan, with its reader parked in a read.
                 let tick = Duration::from_nanos((deadline - now).min(25_000_000));
-                shared.admitted_cv.wait_for(&mut active, tick);
-                if *active == 0 {
-                    break;
+                shared.conns_cv.wait_for(&mut conns, tick);
+                close_idle(&conns);
+            }
+            if !conns.is_empty() {
+                for conn in conns.iter() {
+                    let _ = conn.stream.shutdown_both();
+                }
+                forced_closes = conns.len() as u64;
+                // The sockets are dead; handlers unwind on their next read
+                // or write. Give them a bounded grace to deregister.
+                let grace = rt::monotonic_nanos().saturating_add(5_000_000_000);
+                while !conns.is_empty() && rt::monotonic_nanos() < grace {
+                    shared
+                        .conns_cv
+                        .wait_for(&mut conns, Duration::from_millis(50));
                 }
             }
-            shared.close_idle_conns();
         }
-        let mut forced_closes = 0u64;
-        if !drained_in_deadline {
-            for conn in shared.conns.lock().iter() {
-                let _ = conn.stream.shutdown_both();
-                forced_closes += 1;
-            }
-            // The sockets are dead; handlers unwind on their next read or
-            // write. Give them a bounded grace to deregister.
-            let grace = rt::monotonic_nanos().saturating_add(5_000_000_000);
-            let mut active = shared.admitted.lock();
-            while *active > 0 && rt::monotonic_nanos() < grace {
-                shared
-                    .admitted_cv
-                    .wait_for(&mut active, Duration::from_millis(50));
-            }
-        }
+        let drained_in_deadline = forced_closes == 0;
         // The drain settled (or stragglers were force-closed): stop
         // backend-owned machinery — for a router, the upstream shard links
         // and their reconnect loops.
@@ -775,16 +766,9 @@ fn accept_loop(shared: &Arc<Shared>) {
             }
             Phase::Running => {}
         }
-        let admitted = {
-            let mut active = shared.admitted.lock();
-            if *active >= shared.config.max_conns {
-                false
-            } else {
-                *active += 1;
-                true
-            }
-        };
-        if !admitted {
+        let mut conns = shared.conns.lock();
+        if conns.len() >= shared.config.max_conns {
+            drop(conns);
             shared
                 .metrics
                 .server()
@@ -800,7 +784,6 @@ fn accept_loop(shared: &Arc<Shared>) {
         }
         shared.metrics.server().conn_opened();
         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        let in_flight = Arc::new(AtomicU64::new(0));
         // Register *before* spawning: a connection that cannot enter the
         // registry would be invisible to drain (neither closed idle nor
         // force-closed at the deadline), so a clone failure refuses the
@@ -808,21 +791,24 @@ fn accept_loop(shared: &Arc<Shared>) {
         let clone = match stream.try_clone_conn() {
             Ok(clone) => clone,
             Err(e) => {
+                drop(conns);
+                shared.metrics.server().conn_closed();
                 refuse(
                     stream,
                     shared,
                     RejectReason::Internal,
                     &format!("connection setup failed: {e}"),
                 );
-                release_slot(shared);
                 continue;
             }
         };
-        shared.conns.lock().push(ConnEntry {
+        let in_flight = Arc::new(AtomicU64::new(0));
+        conns.push(ConnEntry {
             id: conn_id,
             stream: clone,
             in_flight: in_flight.clone(),
         });
+        drop(conns);
         let in_thread = shared.clone();
         let spawned = if shared.take_spawn_fault() {
             Err(std::io::Error::other("injected handler-spawn failure"))
@@ -837,7 +823,6 @@ fn accept_loop(shared: &Arc<Shared>) {
             // the registry clone still shares it: answer a typed frame
             // and close cleanly — never a silent drop.
             answer_spawn_failure(shared, conn_id);
-            release_slot(shared);
         }
     }
 }
@@ -858,14 +843,7 @@ fn refuse(mut stream: Box<dyn Conn>, shared: &Shared, reason: RejectReason, mess
 /// typed `internal` frame on its clone. The write happens after the entry
 /// leaves the registry, outside the `conns` lock.
 fn answer_spawn_failure(shared: &Shared, conn_id: u64) {
-    let entry = {
-        let mut conns = shared.conns.lock();
-        conns
-            .iter()
-            .position(|c| c.id == conn_id)
-            .map(|at| conns.remove(at))
-    };
-    if let Some(mut entry) = entry {
+    if let Some(mut entry) = deregister(shared, conn_id) {
         let _ = entry
             .stream
             .set_write_timeout(Some(shared.config.write_timeout));
@@ -878,29 +856,17 @@ fn answer_spawn_failure(shared: &Shared, conn_id: u64) {
     }
 }
 
-/// Remove a finished connection from the registry and release its slot.
-fn deregister(shared: &Shared, conn_id: u64) {
-    shared.conns.lock().retain(|c| c.id != conn_id);
-    release_slot(shared);
-}
-
-/// Release one admission slot (registry entry already absent or removed).
-fn release_slot(shared: &Shared) {
+/// Take a finished connection out of the registry, which frees its
+/// admission slot, and wake a teardown waiting for the registry to empty.
+fn deregister(shared: &Shared, conn_id: u64) -> Option<ConnEntry> {
+    let mut conns = shared.conns.lock();
+    let entry = conns
+        .iter()
+        .position(|c| c.id == conn_id)
+        .map(|at| conns.remove(at));
     shared.metrics.server().conn_closed();
-    let mut active = shared.admitted.lock();
-    *active = active.saturating_sub(1);
-    shared.admitted_cv.notify_all();
-}
-
-/// Where one response slots into the connection's flush order.
-#[derive(Debug, Clone, Copy)]
-enum Ticket {
-    /// v1 (id-less) request: flush in exactly this per-connection sequence
-    /// position, holding it back until every earlier ordered response
-    /// flushed.
-    Ordered(u64),
-    /// v2 (id-carrying) request: flush as soon as it completes.
-    Unordered,
+    shared.conns_cv.notify_all();
+    entry
 }
 
 /// One line in a connection writer's flush queue, with the counter its
@@ -916,12 +882,10 @@ struct OutLine {
 }
 
 struct WriterState {
-    /// Encoded lines ready to flush, in flush order.
+    /// Encoded lines ready to flush, in completion order.
     ready: VecDeque<OutLine>,
-    /// Ordered responses completed early, waiting for their turn.
-    held: BTreeMap<u64, String>,
-    /// The next ordered sequence number allowed to flush.
-    next_ordered: u64,
+    /// Dispatched requests whose responses are not in `ready` yet.
+    executing: u64,
     /// Reader finished; exit once everything in flight has flushed.
     closed: bool,
     /// A write failed; remaining lines are consumed without writing so
@@ -931,7 +895,7 @@ struct WriterState {
 
 /// The per-connection response writer: reader-side dispatch acquires an
 /// in-flight slot per request, completions enqueue encoded frames, and
-/// one writer thread flushes them (see [`Ticket`] for ordering).
+/// one writer thread flushes them first in, first out.
 pub(crate) struct ConnWriter {
     state: Mutex<WriterState>,
     /// Signals enqueued lines, in-flight decrements, and close.
@@ -958,8 +922,7 @@ impl ConnWriter {
         let writer = Arc::new(ConnWriter {
             state: Mutex::new(WriterState {
                 ready: VecDeque::new(),
-                held: BTreeMap::new(),
-                next_ordered: 0,
+                executing: 0,
                 closed: false,
                 failed: false,
             }),
@@ -974,36 +937,33 @@ impl ConnWriter {
     }
 
     /// Reader side: block until the connection is below `depth` in-flight
-    /// responses, then claim a slot. Every claimed slot must be paired
-    /// with exactly one later [`ConnWriter::enqueue`].
-    fn acquire(&self, depth: u64) {
+    /// responses and, for an id-less frame (`ordered`), until every
+    /// earlier request has completed; then claim a slot. Every claimed
+    /// slot must be paired with exactly one later [`ConnWriter::enqueue`].
+    fn acquire(&self, depth: u64, ordered: bool) {
         let mut state = self.state.lock();
-        while self.in_flight.load(Ordering::Acquire) >= depth && !state.failed {
+        while !state.failed
+            && (self.in_flight.load(Ordering::Acquire) >= depth || (ordered && state.executing > 0))
+        {
             self.cv.wait(&mut state);
         }
+        state.executing += 1;
         self.in_flight.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Completion side: hand one encoded response line to the writer.
-    fn enqueue(&self, ticket: Ticket, line: String) {
+    fn enqueue(&self, line: String) {
         let mut state = self.state.lock();
-        match ticket {
-            Ticket::Unordered => state.ready.push_back(OutLine { line, push: None }),
-            Ticket::Ordered(seq) => {
-                state.held.insert(seq, line);
-                loop {
-                    let turn = state.next_ordered;
-                    match state.held.remove(&turn) {
-                        Some(line) => {
-                            state.ready.push_back(OutLine { line, push: None });
-                            state.next_ordered += 1;
-                        }
-                        None => break,
-                    }
-                }
-            }
-        }
+        state.executing -= 1;
+        state.ready.push_back(OutLine { line, push: None });
         self.cv.notify_all();
+    }
+
+    /// Reader side: answer a frame the reader made itself (malformed,
+    /// oversize, timeout) in its id-less turn.
+    fn answer(&self, depth: u64, response: &Response) {
+        self.acquire(depth, true);
+        self.enqueue(encode_response_line(response, None));
     }
 
     /// Push side (standing queries): hand one server-initiated frame to
@@ -1088,7 +1048,6 @@ fn writer_loop(writer: &ConnWriter, mut stream: Box<dyn Conn>) {
 pub(crate) struct Pending {
     shared: Arc<Shared>,
     writer: Arc<ConnWriter>,
-    ticket: Ticket,
     id: Option<u64>,
     kind: &'static str,
     started: Instant,
@@ -1098,7 +1057,7 @@ impl Pending {
     pub(crate) fn complete(self, response: Response) {
         record_request(&self.shared, self.kind, self.started.elapsed());
         self.writer
-            .enqueue(self.ticket, encode_response_line(&response, self.id));
+            .enqueue(encode_response_line(&response, self.id));
     }
 }
 
@@ -1140,12 +1099,7 @@ fn handle_conn(
         }
     };
     let depth = shared.config.pipeline_depth.max(1) as u64;
-    let mut ordered_seq = 0u64;
-    let ordered = |seq: &mut u64| {
-        let ticket = Ticket::Ordered(*seq);
-        *seq += 1;
-        ticket
-    };
+    let srv = shared.metrics.server();
     let mut reqno = 0u64;
     loop {
         if shared.phase() != Phase::Running {
@@ -1154,89 +1108,66 @@ fn handle_conn(
         match read_bounded_line(&mut reader, shared.config.max_line) {
             LineEvent::Line(line) => {
                 let started = Instant::now();
-                match parse_request_frame(&line) {
+                let frame = match parse_request_frame(&line) {
+                    Ok(frame) => frame,
                     Err((reason, message)) => {
-                        shared
-                            .metrics
-                            .server()
-                            .malformed
-                            .fetch_add(1, Ordering::Relaxed);
-                        let ticket = ordered(&mut ordered_seq);
-                        writer.writer.acquire(depth);
-                        writer.writer.enqueue(
-                            ticket,
-                            encode_response_line(&Response::Error { reason, message }, None),
-                        );
+                        srv.malformed.fetch_add(1, Ordering::Relaxed);
+                        writer
+                            .writer
+                            .answer(depth, &Response::Error { reason, message });
+                        continue;
                     }
-                    Ok(frame) => {
-                        reqno += 1;
-                        let ticket = match frame.id {
-                            None => ordered(&mut ordered_seq),
-                            Some(_) => Ticket::Unordered,
-                        };
-                        writer.writer.acquire(depth);
-                        let pending = Pending {
-                            shared: shared.clone(),
-                            writer: writer.writer.clone(),
-                            ticket,
-                            id: frame.id,
-                            kind: frame.request.kind(),
-                            started,
-                        };
-                        match frame.request {
-                            Request::Shutdown => {
-                                pending.complete(Response::Bye);
-                                shared.begin_drain();
-                                // Stop reading; the writer flushes the bye
-                                // (and everything still in flight) first.
-                                break;
-                            }
-                            request => shared
-                                .backend
-                                .clone()
-                                .dispatch(conn_id, reqno, request, pending),
-                        }
+                };
+                reqno += 1;
+                writer.writer.acquire(depth, frame.id.is_none());
+                let pending = Pending {
+                    shared: shared.clone(),
+                    writer: writer.writer.clone(),
+                    id: frame.id,
+                    kind: frame.request.kind(),
+                    started,
+                };
+                match frame.request {
+                    Request::Shutdown => {
+                        pending.complete(Response::Bye);
+                        shared.begin_drain();
+                        // Stop reading; the writer flushes the bye (and
+                        // everything still in flight) first.
+                        break;
                     }
+                    request => shared
+                        .backend
+                        .clone()
+                        .dispatch(conn_id, reqno, request, pending),
                 }
             }
             LineEvent::Oversize { eof } => {
-                shared
-                    .metrics
-                    .server()
-                    .malformed
-                    .fetch_add(1, Ordering::Relaxed);
-                let ticket = ordered(&mut ordered_seq);
-                writer.writer.acquire(depth);
-                let frame = Response::Error {
-                    reason: RejectReason::Oversize,
-                    message: format!(
-                        "request line exceeded {} bytes; frame discarded",
-                        shared.config.max_line
-                    ),
-                };
-                writer
-                    .writer
-                    .enqueue(ticket, encode_response_line(&frame, None));
+                srv.malformed.fetch_add(1, Ordering::Relaxed);
+                let message = format!(
+                    "request line exceeded {} bytes; frame discarded",
+                    shared.config.max_line
+                );
+                writer.writer.answer(
+                    depth,
+                    &Response::Error {
+                        reason: RejectReason::Oversize,
+                        message,
+                    },
+                );
                 if eof {
                     break;
                 }
             }
             LineEvent::TimedOut => {
                 if shared.phase() == Phase::Running {
-                    shared
-                        .metrics
-                        .server()
-                        .timed_out
-                        .fetch_add(1, Ordering::Relaxed);
-                    let ticket = ordered(&mut ordered_seq);
-                    writer.writer.acquire(depth);
-                    let frame = Response::Error {
-                        reason: RejectReason::Timeout,
-                        message: "read deadline expired; closing".into(),
-                    };
-                    writer
-                        .writer
-                        .enqueue(ticket, encode_response_line(&frame, None));
+                    srv.timed_out.fetch_add(1, Ordering::Relaxed);
+                    writer.writer.answer(
+                        depth,
+                        &Response::Error {
+                            reason: RejectReason::Timeout,
+                            message: "read deadline expired; closing".into(),
+                        },
+                    );
                 }
                 break;
             }

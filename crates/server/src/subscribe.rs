@@ -16,9 +16,10 @@
 //!   the current source clip, a per-clip observer
 //!   ([`svq_exec::SessionMux::set_observer`]) fans the resulting
 //!   [`ClipNotice`] out to that statement's subscribers, and each push
-//!   rides the subscriber's existing per-connection writer thread as an
-//!   unordered line. Ten thousand subscribers to one statement cost one
-//!   engine, not ten thousand.
+//!   rides the subscriber's existing per-connection writer thread as one
+//!   more line in its first-in, first-out queue, holding no pipeline slot.
+//!   Ten thousand subscribers to one statement cost one engine, not ten
+//!   thousand.
 //! * **Bounded push queues, counted losses.** Each subscription owns a
 //!   `queued` gauge shared with its connection writer; an event arriving
 //!   while `queued` is at the budget is *dropped and counted*, and the

@@ -303,6 +303,95 @@ fn v2_responses_complete_out_of_order_while_v1_keeps_strict_order() {
     assert!(report.drained_in_deadline, "{report:?}");
 }
 
+/// One dispatch rule orders v1 frames: an id-less frame is dispatched only
+/// after every earlier request on the connection, tagged or not, has
+/// completed. So it is answered after all of them, and a burst of id-less
+/// frames is answered in request order.
+#[test]
+fn id_less_frame_is_answered_after_every_earlier_request() {
+    const FRAMES: u64 = 150_000;
+    let handle = start(ServeConfig::default(), FRAMES);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+
+    // A slow tagged stream, then an instant id-less stats: the stats may
+    // not overtake the stream, because the stream came first.
+    client
+        .send(
+            &Request::Stream {
+                sql: ONLINE_SQL.into(),
+                video: Some(0),
+            },
+            Some(1),
+        )
+        .expect("send stream");
+    client.send(&Request::Stats, None).expect("send stats");
+    let (first, response) = client.read_tagged().expect("first response");
+    assert_eq!(
+        first,
+        Some(1),
+        "the id-less stats overtook the earlier tagged stream: {response:?}"
+    );
+    assert!(
+        matches!(&response, Response::Outcome(outcome) if outcome.online().is_some()),
+        "the stream answers online results, got {response:?}"
+    );
+    let (second, response) = client.read_tagged().expect("second response");
+    assert_eq!(second, None, "v1 responses carry no id");
+    assert!(matches!(response, Response::Stats(_)), "got {response:?}");
+
+    // A burst of id-less frames written before any read: slow and instant
+    // kinds interleaved, answered strictly in request order.
+    let reference_oracle = oracle(0, 42, FRAMES);
+    let catalog = ingest(&reference_oracle, &PaperScoring, &OnlineConfig::default());
+    let offline = LogicalPlan::from_statement(&parse(OFFLINE_SQL).expect("parses")).expect("plans");
+    let online = LogicalPlan::from_statement(&parse(ONLINE_SQL).expect("parses")).expect("plans");
+    let expected = [
+        canonical_json(&execute_offline(&offline, &catalog, &PaperScoring).expect("executes")),
+        canonical_json(
+            &execute_online(
+                &online,
+                &mut VideoStream::new(&reference_oracle),
+                OnlineConfig::default(),
+            )
+            .expect("executes"),
+        ),
+    ];
+    // Kinds: 0 query, 1 stream, 2 stats.
+    let burst = [1usize, 2, 0, 2, 1, 0];
+    for &kind in &burst {
+        let request = match kind {
+            0 => Request::Query {
+                sql: OFFLINE_SQL.into(),
+                video: VideoScope::One(0),
+            },
+            1 => Request::Stream {
+                sql: ONLINE_SQL.into(),
+                video: Some(0),
+            },
+            _ => Request::Stats,
+        };
+        client.send(&request, None).expect("send burst frame");
+    }
+    for (at, &kind) in burst.iter().enumerate() {
+        let (id, response) = client.read_tagged().expect("burst response");
+        assert_eq!(id, None, "v1 responses carry no id");
+        match (kind, response) {
+            (0 | 1, Response::Outcome(outcome)) => assert_eq!(
+                canonical_json(&outcome),
+                expected[kind],
+                "burst frame {at} (kind {kind}) diverged from in-process execution"
+            ),
+            (2, Response::Stats(_)) => {}
+            (_, other) => panic!("burst frame {at} (kind {kind}) answered out of order: {other:?}"),
+        }
+    }
+
+    handle.shutdown();
+    let report = handle.wait();
+    assert_eq!(report.requests, 2 + burst.len() as u64);
+    assert!(report.drained_in_deadline, "{report:?}");
+}
+
 /// Round `r` of every client: the kind cycles `query`/`stream`/`stats` and
 /// the video shifts each cycle, so each client issues every (kind, video)
 /// pair once, each in its own order.

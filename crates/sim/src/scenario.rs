@@ -234,9 +234,10 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "serve_pipeline",
         about: "protocol-v2 pipelining over the loopback serve stack: clients burst \
-                id-tagged requests, every response matches its request id with a \
-                byte-identical outcome, dropped and stalled connections fail in \
-                isolation, and drain terminates",
+                id-tagged requests and every response matches its request id with a \
+                byte-identical outcome; a client bursting id-less frames gets them \
+                answered in request order, byte-identical too; dropped and stalled \
+                connections fail in isolation, and drain terminates",
         default_size: 6,
         prepare: serve_mem_prepare,
         run: serve_pipeline,
@@ -863,12 +864,14 @@ fn serve_mem(ctx: ScenarioCtx) {
 /// Protocol-v2 pipelining under the simulated scheduler: clients burst
 /// id-tagged `query`/`stream`/`stats` frames without waiting, then match
 /// every response back to its request id and check outcomes byte-for-byte
-/// against the in-process reference. Optional faults: a connection aborted
+/// against the in-process reference. One more client bursts id-less frames
+/// of random kinds before reading any, and must get them answered in
+/// request order, byte-identical too. Optional faults: a connection aborted
 /// with a complete frame answered and a second frame torn mid-line
 /// (`drop_conn`), and a client silent past the read deadline
 /// (`stall_client`). Invariants: per-id matching (each id answered exactly
-/// once, with the outcome its kind demands), fault isolation, and a drain
-/// that terminates with nothing force-closed.
+/// once, with the outcome its kind demands), v1 request order, fault
+/// isolation, and a drain that terminates with nothing force-closed.
 fn serve_pipeline(ctx: ScenarioCtx) {
     let mut rng = ctx.rng();
     let clips = ctx.size.max(2);
@@ -971,6 +974,57 @@ fn serve_pipeline(ctx: ScenarioCtx) {
         );
     }
 
+    // An id-less burst: every frame goes out before the first read, so
+    // only the server's dispatch rule keeps the responses in request order.
+    let kinds: Vec<usize> = (0..4 + rng.below(3)).map(|_| rng.below(3)).collect();
+    data_requests += kinds.len() as u64;
+    {
+        let transport = transport.clone();
+        let reference = reference.clone();
+        tasks.push(
+            rt::spawn("v1burst", move || {
+                let mut client =
+                    Client::over(Box::new(transport.connect()), Duration::from_secs(5))
+                        .expect("loopback connect");
+                for &kind in &kinds {
+                    let request = match kind {
+                        0 => Request::Query {
+                            sql: OFFLINE_SQL.into(),
+                            video: VideoScope::One(0),
+                        },
+                        1 => Request::Stream {
+                            sql: ONLINE_SQL.into(),
+                            video: Some(0),
+                        },
+                        _ => Request::Stats,
+                    };
+                    client.send(&request, None).expect("id-less send");
+                }
+                for (at, &kind) in kinds.iter().enumerate() {
+                    let (id, response) = client.read_tagged().expect("v1 response");
+                    assert!(id.is_none(), "v1 response {at} carries an id: {id:?}");
+                    match (kind, response) {
+                        (0, Response::Outcome(outcome)) => assert_eq!(
+                            canonical_json(&outcome),
+                            reference.0,
+                            "id-less query {at} drifted from in-process execution"
+                        ),
+                        (1, Response::Outcome(outcome)) => assert_eq!(
+                            canonical_json(&outcome),
+                            reference.1,
+                            "id-less stream {at} drifted from in-process execution"
+                        ),
+                        (2, Response::Stats(_)) => {}
+                        (kind, other) => unreachable!(
+                            "id-less frame {at} (kind {kind}) answered out of order: {other:?}"
+                        ),
+                    }
+                }
+            })
+            .expect("sim spawn cannot fail"),
+        );
+    }
+
     // Fault: an id-tagged connection aborted mid-pipeline — one complete
     // frame on the wire, a second torn mid-line, then an abortive close.
     // The complete frame may or may not be answered (the abort races the
@@ -1028,7 +1082,7 @@ fn serve_pipeline(ctx: ScenarioCtx) {
         handle.shutdown();
     }
     let report = handle.wait();
-    assert!(report.accepted >= 2, "both pipelined clients admitted");
+    assert!(report.accepted >= 3, "every pipelining client admitted");
     assert!(
         report.requests >= data_requests,
         "every pipelined request answered: {report:?}"
