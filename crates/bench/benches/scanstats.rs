@@ -30,7 +30,21 @@ fn bench_critical_value(c: &mut Criterion) {
 fn bench_kernel(c: &mut Criterion) {
     c.bench_function("kernel_observe_clip_of_50", |b| {
         let mut est = KernelEstimator::new(20_000.0, 0.01);
-        b.iter(|| est.observe_run(black_box(50), black_box(7)))
+        b.iter(|| black_box(&mut est).observe_run(black_box(50), black_box(7)))
+    });
+    // The common feed: a clip with no positive unit.
+    c.bench_function("kernel_observe_quiet_clip_of_50", |b| {
+        let mut est = KernelEstimator::new(20_000.0, 0.01);
+        b.iter(|| black_box(&mut est).observe_run(black_box(50), black_box(0)))
+    });
+    // A long-lived standing query: 2e7 quiet units in, past the point
+    // where the prior's mass leaves the normal range.
+    c.bench_function("kernel_observe_quiet_clip_of_50_after_2e7_units", |b| {
+        let mut est = KernelEstimator::new(20_000.0, 0.01);
+        for _ in 0..400_000 {
+            est.observe_run(50, 0);
+        }
+        b.iter(|| black_box(&mut est).observe_run(black_box(50), black_box(0)))
     });
     c.bench_function("binomial_quantile_w50", |b| {
         b.iter(|| svq_scanstats::binomial::quantile(black_box(0.99), 50, black_box(0.05)))
