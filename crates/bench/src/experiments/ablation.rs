@@ -111,14 +111,10 @@ pub fn run(ctx: &ExpContext) {
                 1e-4,
             );
             while let Some(mut view) = stream.next_clip() {
-                engine.push_clip(&mut view);
+                let e = engine.push_clip(&mut view);
+                clips += 1;
+                evaluated += e.counts[..objects].iter().flatten().count() as u64;
             }
-            let (_, evals) = engine.finish();
-            clips += evals.len() as u64;
-            evaluated += evals
-                .iter()
-                .map(|e| e.counts[..objects].iter().flatten().count() as u64)
-                .sum::<u64>();
         }
         t.row(vec![
             name.to_string(),

@@ -6,9 +6,9 @@
 //! counts positive per-frame predictions (objects, relationships) and
 //! per-shot action predictions, compares each count against its
 //! scan-statistic critical value, and combines the per-predicate
-//! indicators (Eq. 3; OR within a clause, AND across clauses), recording
-//! the clip as a row of an [`EvaluationTrace`]. Positive clips are merged
-//! into maximal result sequences (Eq. 4, [`SequenceMerger`]).
+//! indicators (Eq. 3; OR within a clause, AND across clauses). Positive
+//! clips are merged into maximal result sequences (Eq. 4,
+//! [`SequenceMerger`]).
 //!
 //! One engine, [`Svaqd`], runs every statement. [`Svaqd::new`] estimates
 //! each predicate's background dynamically with the exponential-kernel
@@ -16,20 +16,25 @@
 //! (Algorithm 3), which removes the `p0` sensitivity Figure 2
 //! demonstrates; [`Svaqd::svaq`] derives them once from an a-priori
 //! background probability `p0` (Algorithm 1).
+//!
+//! The engine is a step function: [`Svaqd::push_clip`] returns the clip's
+//! row as a borrowed [`ClipEvaluation`] — counts and critical values, one
+//! per distinct predicate, in one row the engine reuses — together with
+//! the sequence the clip closed. A step allocates nothing, and the engine
+//! holds O(predicates) state plus the merger's closed sequences however
+//! long the stream runs; a caller that reads per-clip history keeps it.
 
 mod config;
 mod indicator;
 mod merger;
 pub mod ordering;
 mod svaqd;
-mod trace;
 
 pub use config::{BackgroundUpdate, OnlineConfig};
 pub use merger::SequenceMerger;
 pub use ordering::SelectivityOrderer;
 pub(crate) use svaqd::PredicateState;
-pub use svaqd::Svaqd;
-pub use trace::{ClipEvaluation, EvaluationTrace};
+pub use svaqd::{ClipEvaluation, Svaqd};
 
 use svq_types::ClipInterval;
 use svq_vision::CostLedger;
@@ -41,17 +46,4 @@ pub struct OnlineResult {
     pub sequences: Vec<ClipInterval>,
     /// Inference + algorithm cost.
     pub cost: CostLedger,
-    /// Per-clip evaluation trace (used by the evaluation metrics and the
-    /// FPR analysis of Table 5): flat columns of clip ids, indicators,
-    /// counts and critical values, read one clip at a time as a borrowed
-    /// [`ClipEvaluation`] through [`EvaluationTrace::get`] and
-    /// [`EvaluationTrace::iter`].
-    pub evaluations: EvaluationTrace,
-}
-
-impl OnlineResult {
-    /// Number of clips that satisfied the query.
-    pub fn positive_clips(&self) -> usize {
-        self.evaluations.iter().filter(|e| e.positive).count()
-    }
 }

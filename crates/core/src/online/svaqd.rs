@@ -18,14 +18,31 @@ use super::config::{BackgroundUpdate, OnlineConfig};
 use super::indicator::{unit, Clauses};
 use super::merger::SequenceMerger;
 use super::ordering::SelectivityOrderer;
-use super::trace::EvaluationTrace;
 use super::OnlineResult;
 use crate::expr::CnfQuery;
 use std::time::Duration;
 use svq_scanstats::{critical_value, CriticalValueTable, KernelEstimator, ScanConfig};
-use svq_types::{ClipInterval, Clock, VideoGeometry};
+use svq_types::{ClipId, ClipInterval, Clock, VideoGeometry};
 use svq_vision::stream::ClipAccess;
 use svq_vision::{VideoStream, WallClock};
+
+/// One clip's step of [`Svaqd::push_clip`]: its row, borrowed from the
+/// engine until the next step, and the sequence it closed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClipEvaluation<'a> {
+    pub clip: ClipId,
+    /// `𝟙_q^(c)` — Eq. 3.
+    pub positive: bool,
+    /// Positive-unit count per distinct predicate, in the engine's
+    /// predicate order; `None` where evaluation short-circuited before
+    /// reaching the predicate.
+    pub counts: &'a [Option<u32>],
+    /// Critical values used for this clip, matching `counts` positionally
+    /// (SVAQD varies them over time).
+    pub criticals: &'a [u32],
+    /// The result sequence this clip closed, if any.
+    pub closed: Option<ClipInterval>,
+}
 
 /// One predicate's SVAQD state: its background estimator, the critical
 /// value in force, and the vicinity guard.
@@ -140,7 +157,10 @@ pub struct Svaqd {
     /// critical values never move.
     tables: Option<[CriticalValueTable; 2]>,
     merger: SequenceMerger,
-    trace: EvaluationTrace,
+    /// The last clip's row, reused every clip: the critical values it was
+    /// evaluated against and its counts, one entry per distinct predicate.
+    row_criticals: Vec<u32>,
+    row_counts: Vec<Option<u32>>,
     clips_seen: u32,
     /// Learned frame-clause evaluation order (footnote 5), active when
     /// [`OnlineConfig::adaptive_order`] is set.
@@ -205,7 +225,8 @@ impl Svaqd {
             .collect();
         Self {
             orderer: SelectivityOrderer::new(clauses.frame.len()),
-            trace: EvaluationTrace::new(clauses.predicates.len()),
+            row_criticals: vec![0; clauses.predicates.len()],
+            row_counts: vec![None; clauses.predicates.len()],
             clauses,
             states,
             config,
@@ -218,8 +239,7 @@ impl Svaqd {
     /// The critical values currently in force, per distinct predicate in
     /// first-appearance order ([`CnfQuery::predicates`]; a canonical
     /// query's objects in query order, then the action) — the order of
-    /// [`Svaqd::backgrounds`] and of every
-    /// [`ClipEvaluation`](super::ClipEvaluation).
+    /// [`Svaqd::backgrounds`] and of every [`ClipEvaluation`].
     pub fn criticals(&self) -> Vec<u32> {
         self.states.iter().map(PredicateState::critical).collect()
     }
@@ -229,19 +249,26 @@ impl Svaqd {
         self.states.iter().map(|s| s.estimator.estimate()).collect()
     }
 
-    /// Process the next clip; returns a result sequence if this clip closed
-    /// one (results stream out with bounded delay).
-    pub fn push_clip<C: ClipAccess>(&mut self, view: &mut C) -> Option<ClipInterval> {
+    /// Process the next clip: evaluate it (Algorithm 2), update the
+    /// estimators and merge it. Returns the clip's row, borrowed until the
+    /// next step, with the result sequence the clip closed (results stream
+    /// out with bounded delay). The engine keeps nothing per clip: a
+    /// caller that wants a history collects it from the rows.
+    pub fn push_clip<C: ClipAccess>(&mut self, view: &mut C) -> ClipEvaluation<'_> {
         let orderer = self.config.adaptive_order.then_some(&mut self.orderer);
-        // Algorithm 2 writes its counts straight into the clip's trace row,
-        // against the critical values in force.
-        let eval = self.trace.record(
-            view.clip(),
-            self.states.iter().map(PredicateState::critical),
-            |criticals, counts| {
-                self.clauses
-                    .indicate(view, criticals, &self.config, orderer, counts)
-            },
+        // Algorithm 2 fills the counts against the critical values in
+        // force; `observe` reads them, so no count may survive a clip.
+        for (k, state) in self.row_criticals.iter_mut().zip(&self.states) {
+            *k = state.critical();
+        }
+        self.row_counts.fill(None);
+        let clip = view.clip();
+        let positive = self.clauses.indicate(
+            view,
+            &self.row_criticals,
+            &self.config,
+            orderer,
+            &mut self.row_counts,
         );
         // Update background estimators with this clip's observations and
         // re-derive their critical values (Algorithm 3 lines 7-9). The
@@ -251,37 +278,40 @@ impl Svaqd {
             for ((state, &count), p) in self
                 .states
                 .iter_mut()
-                .zip(eval.counts)
+                .zip(&self.row_counts)
                 .zip(&self.clauses.predicates)
             {
                 let table = &mut tables[unit(p)];
-                state.observe(count, eval.positive, in_warmup, &self.config, table);
+                state.observe(count, positive, in_warmup, &self.config, table);
             }
         }
         self.clips_seen += 1;
-        self.merger.push(eval.clip, eval.positive)
+        ClipEvaluation {
+            clip,
+            positive,
+            counts: &self.row_counts,
+            criticals: &self.row_criticals,
+            closed: self.merger.push(clip, positive),
+        }
     }
 
-    /// End of stream: all result sequences plus the evaluation trace.
-    pub fn finish(self) -> (Vec<ClipInterval>, EvaluationTrace) {
-        (self.merger.finish(), self.trace)
+    /// End of stream: all result sequences.
+    pub fn finish(self) -> Vec<ClipInterval> {
+        self.merger.finish()
     }
 
     /// Advance to the next video of a multi-video stream (e.g. a query
-    /// set): per-video state — open sequences, the evaluation trace, clip
-    /// numbering, the vicinity guard — resets, while the background
-    /// estimators and critical values persist: the noise floor of a
-    /// detector is a property of the model and the scene distribution, not
-    /// of one file, so a set-long stream should not re-learn it per video.
-    /// Returns the finished video's sequences and evaluations.
-    pub fn next_video(&mut self) -> (Vec<ClipInterval>, EvaluationTrace) {
-        let merger = std::mem::take(&mut self.merger);
-        let fresh = EvaluationTrace::new(self.states.len());
-        let trace = std::mem::replace(&mut self.trace, fresh);
+    /// set): per-video state — open sequences, clip numbering, the
+    /// vicinity guard — resets, while the background estimators and
+    /// critical values persist: the noise floor of a detector is a property
+    /// of the model and the scene distribution, not of one file, so a
+    /// set-long stream should not re-learn it per video. Returns the
+    /// finished video's sequences.
+    pub fn next_video(&mut self) -> Vec<ClipInterval> {
         for state in &mut self.states {
             state.after_positive = false;
         }
-        (merger.finish(), trace)
+        std::mem::take(&mut self.merger).finish()
     }
 
     /// Run this engine over the rest of `stream`, charging algorithm time
@@ -296,11 +326,9 @@ impl Svaqd {
         stream
             .ledger_mut()
             .charge_algorithm(Duration::from_nanos(clock.nanos_since(start)));
-        let (sequences, evaluations) = self.finish();
         OnlineResult {
-            sequences,
+            sequences: self.finish(),
             cost: *stream.ledger(),
-            evaluations,
         }
     }
 
@@ -388,14 +416,37 @@ mod tests {
         Interval::new(ClipId::new(s), ClipId::new(e))
     }
 
+    fn svaq(p0: f64) -> Svaqd {
+        let geometry = VideoGeometry::default();
+        Svaqd::svaq(query(), geometry, OnlineConfig::default(), p0, p0)
+    }
+
+    fn svaqd(config: OnlineConfig, p0: f64) -> Svaqd {
+        Svaqd::new(query(), VideoGeometry::default(), config, p0, p0)
+    }
+
     fn svaq_run(oracle: &DetectionOracle, p0: f64) -> OnlineResult {
-        let mut stream = VideoStream::new(oracle);
-        Svaqd::svaq(query(), stream.geometry(), OnlineConfig::default(), p0, p0)
-            .run_over(&mut stream, &WallClock::new())
+        svaq(p0).run_over(&mut VideoStream::new(oracle), &WallClock::new())
     }
 
     fn svaqd_run(oracle: &DetectionOracle, config: OnlineConfig, p0: f64) -> OnlineResult {
         Svaqd::run(query(), &mut VideoStream::new(oracle), config, p0, p0)
+    }
+
+    /// Every clip's `(clip, positive, counts)`, collected from `engine`'s
+    /// steps over `oracle`'s stream.
+    fn rows(mut engine: Svaqd, oracle: &DetectionOracle) -> Vec<(ClipId, bool, Vec<Option<u32>>)> {
+        let mut stream = VideoStream::new(oracle);
+        let mut rows = Vec::new();
+        while let Some(mut view) = stream.next_clip() {
+            let e = engine.push_clip(&mut view);
+            rows.push((e.clip, e.positive, e.counts.to_vec()));
+        }
+        rows
+    }
+
+    fn positive_clips(engine: Svaqd, oracle: &DetectionOracle) -> usize {
+        rows(engine, oracle).iter().filter(|r| r.1).count()
     }
 
     /// Fraction of truth clips (60..=79) covered by found sequences.
@@ -466,30 +517,28 @@ mod tests {
     #[test]
     fn fewer_false_positive_clips_than_svaq_with_bad_p0() {
         let oracle = long(ModelSuite::accurate(), 11);
-        let svaq = svaq_run(&oracle, 1e-6);
-        let svaqd = svaqd_run(&oracle, OnlineConfig::default(), 1e-6);
-        let spurious = |r: &OnlineResult| {
-            r.evaluations
+        let spurious = |engine| {
+            rows(engine, &oracle)
                 .iter()
-                .filter(|e| e.positive && !iv(60, 79).contains(e.clip))
+                .filter(|&&(clip, positive, _)| positive && !iv(60, 79).contains(clip))
                 .count()
         };
-        assert!(
-            spurious(&svaqd) < spurious(&svaq),
-            "svaqd {} vs svaq {}",
-            spurious(&svaqd),
-            spurious(&svaq)
+        let (fixed, dynamic) = (
+            spurious(svaq(1e-6)),
+            spurious(svaqd(OnlineConfig::default(), 1e-6)),
         );
-        assert!(f1_proxy(&svaqd.sequences));
+        assert!(dynamic < fixed, "svaqd {dynamic} vs svaq {fixed}");
+        let result = svaqd_run(&oracle, OnlineConfig::default(), 1e-6);
+        assert!(f1_proxy(&result.sequences));
     }
 
     #[test]
     fn ideal_models_still_exact() {
         let result = svaqd_run(&long(ModelSuite::ideal(), 3), OnlineConfig::default(), 1e-4);
         assert_eq!(result.sequences, vec![iv(60, 79)]);
-        let result = svaq_run(&short(ModelSuite::ideal(), 21), 1e-4);
-        assert_eq!(result.sequences, vec![iv(5, 9)]);
-        assert_eq!(result.positive_clips(), 5);
+        let oracle = short(ModelSuite::ideal(), 21);
+        assert_eq!(svaq_run(&oracle, 1e-4).sequences, vec![iv(5, 9)]);
+        assert_eq!(positive_clips(svaq(1e-4), &oracle), 5);
     }
 
     #[test]
@@ -561,11 +610,10 @@ mod tests {
         // confusable noise (FPR ~0.2) then satisfies predicates everywhere.
         // Seed chosen so the noise realization produces clearly-extra
         // positives rather than sitting at the 5 genuine clips.
-        let result = svaq_run(&short(ModelSuite::accurate(), 4), 1e-6);
+        let positives = positive_clips(svaq(1e-6), &short(ModelSuite::accurate(), 4));
         assert!(
-            result.positive_clips() > 5,
-            "expected noise-driven positives, got {}",
-            result.positive_clips()
+            positives > 5,
+            "expected noise-driven positives, got {positives}"
         );
     }
 
@@ -574,20 +622,12 @@ mod tests {
         let oracle = short(ModelSuite::accurate(), 21);
         let batch = svaq_run(&oracle, 0.05);
         let mut stream = VideoStream::new(&oracle);
-        let mut svaq = Svaqd::svaq(
-            query(),
-            stream.geometry(),
-            OnlineConfig::default(),
-            0.05,
-            0.05,
-        );
+        let mut engine = svaq(0.05);
         let mut streamed = Vec::new();
         while let Some(mut view) = stream.next_clip() {
-            if let Some(seq) = svaq.push_clip(&mut view) {
-                streamed.push(seq);
-            }
+            streamed.extend(engine.push_clip(&mut view).closed);
         }
-        let (all, _) = svaq.finish();
+        let all = engine.finish();
         assert_eq!(all, batch.sequences);
         // Every streamed (early-emitted) sequence is a prefix of the final.
         assert_eq!(&all[..streamed.len()], &streamed[..]);
@@ -597,16 +637,8 @@ mod tests {
     fn manual_clock_makes_algorithm_cost_deterministic() {
         let oracle = short(ModelSuite::accurate(), 21);
         let run = |step_ms: u64| {
-            let mut stream = VideoStream::new(&oracle);
             let clock = ManualClock::stepping(Duration::from_millis(step_ms));
-            Svaqd::svaq(
-                query(),
-                stream.geometry(),
-                OnlineConfig::default(),
-                0.05,
-                0.05,
-            )
-            .run_over(&mut stream, &clock)
+            svaq(0.05).run_over(&mut VideoStream::new(&oracle), &clock)
         };
         // The clock is read exactly twice (start and elapsed), so the
         // charged algorithm time is exactly one step — reproducibly.
@@ -675,32 +707,28 @@ mod tests {
         )
     }
 
+    fn tiny_engine(query: impl Into<CnfQuery>) -> Svaqd {
+        let geometry = VideoGeometry::default();
+        Svaqd::svaq(query, geometry, OnlineConfig::default(), 1e-4, 1e-4)
+    }
+
     fn tiny_run(query: impl Into<CnfQuery>) -> OnlineResult {
-        let oracle = tiny();
-        let mut stream = VideoStream::new(&oracle);
-        let config = OnlineConfig::default();
         let clock = ManualClock::stepping(Duration::from_millis(1));
-        Svaqd::svaq(query, stream.geometry(), config, 1e-4, 1e-4).run_over(&mut stream, &clock)
+        tiny_engine(query).run_over(&mut VideoStream::new(&tiny()), &clock)
     }
 
     #[test]
     fn indicator_conjunction_short_circuits_action_inference() {
         let result = tiny_run(query());
-        let e: Vec<_> = result.evaluations.iter().collect();
+        let e = rows(tiny_engine(query()), &tiny());
         assert_eq!(e.len(), 4);
         // Clip 0: no car — negative, action never evaluated.
-        assert_eq!((e[0].positive, e[0].counts), (false, &[Some(0), None][..]));
+        assert_eq!((e[0].1, &e[0].2[..]), (false, &[Some(0), None][..]));
         // Clip 1: car but no action.
-        assert_eq!(
-            (e[1].positive, e[1].counts),
-            (false, &[Some(50), Some(0)][..])
-        );
+        assert_eq!((e[1].1, &e[1].2[..]), (false, &[Some(50), Some(0)][..]));
         // Clip 2: car + jumping.
-        assert_eq!(
-            (e[2].positive, e[2].counts),
-            (true, &[Some(50), Some(5)][..])
-        );
-        assert!(!e[3].positive);
+        assert_eq!((e[2].1, &e[2].2[..]), (true, &[Some(50), Some(5)][..]));
+        assert!(!e[3].1);
         // Object inference on all 4 clips; action only on the two clips
         // whose object predicate held.
         assert_eq!(
@@ -711,8 +739,9 @@ mod tests {
 
     #[test]
     fn action_only_query_skips_object_detection() {
-        let result = tiny_run(ActionQuery::named("jumping", &[]));
-        assert_eq!(result.positive_clips(), 1);
+        let jumping = ActionQuery::named("jumping", &[]);
+        assert_eq!(positive_clips(tiny_engine(jumping.clone()), &tiny()), 1);
+        let result = tiny_run(jumping);
         assert_eq!(
             (result.cost.object_frames, result.cost.action_shots),
             (0, 20)
@@ -725,13 +754,14 @@ mod tests {
         let kissing = Predicate::Action(ActionClass::named("kissing"));
         // (kissing OR car): car holds on clips 1-2, so only clips 0 and 3
         // run the recognizer, and kissing never holds.
-        let result = tiny_run(CnfQuery::new(vec![vec![kissing, car]]));
+        let query = CnfQuery::new(vec![vec![kissing, car]]);
+        let result = tiny_run(query.clone());
         assert_eq!(result.sequences, vec![iv(1, 2)]);
         assert_eq!(
             (result.cost.object_frames, result.cost.action_shots),
             (200, 10)
         );
-        assert_eq!(result.evaluations.get(1).unwrap().counts, [None, Some(50)]);
+        assert_eq!(rows(tiny_engine(query), &tiny())[1].2, [None, Some(50)]);
     }
 
     #[test]

@@ -8,21 +8,19 @@
 //! videos ([`Svaqd::next_video`]), under the default `NegativeClips` policy
 //! and under `AllClips`, which feeds every clip's count (positive clips
 //! included) to the estimators. Each line holds a digest of the result
-//! sequences and of every clip's evaluation (counts, criticals). Ingestion
-//! runs the same per-predicate state once per class, so every class's
-//! individual sequence set is pinned too. To re-render after a
-//! *deliberate* semantic change:
+//! sequences and of every clip's evaluation (counts, criticals), collected
+//! from the rows the engine's steps return. Ingestion runs the same
+//! per-predicate state once per class, so every class's individual
+//! sequence set is pinned too. To re-render after a *deliberate* semantic
+//! change:
 //! `cargo test --release -p svq-core --test long_stream_golden -- --ignored --nocapture`.
 
 use std::fmt::Write as _;
-use std::time::Duration;
 use svq_core::offline::ingest;
-use svq_core::online::{BackgroundUpdate, EvaluationTrace, OnlineConfig, Svaqd};
+use svq_core::online::{BackgroundUpdate, OnlineConfig, Svaqd};
 use svq_query::{parse, LogicalPlan};
 use svq_storage::SequenceSet;
-use svq_types::{
-    ActionClass, ClipInterval, ManualClock, ObjectClass, PaperScoring, VideoId, Vocabulary,
-};
+use svq_types::{ActionClass, ClipInterval, ObjectClass, PaperScoring, VideoId, Vocabulary};
 use svq_vision::models::{DetectionOracle, ModelSuite};
 use svq_vision::synth::{ObjectSpec, ScenarioSpec};
 use svq_vision::VideoStream;
@@ -72,9 +70,12 @@ fn sequences(seqs: &[ClipInterval]) -> String {
     format!("{}:{:016x}", seqs.len(), d.0)
 }
 
-fn evaluations(evals: &EvaluationTrace) -> String {
-    let mut d = Digest::new();
-    for e in evals.iter() {
+/// Step `engine` over `oracle`'s stream: every clip's row digested as
+/// `clips:digest`, the caller's own record of the evaluations.
+fn evaluations(engine: &mut Svaqd, oracle: &DetectionOracle) -> String {
+    let (mut stream, mut d, mut clips) = (VideoStream::new(oracle), Digest::new(), 0);
+    while let Some(mut view) = stream.next_clip() {
+        let e = engine.push_clip(&mut view);
         d.mix(e.clip.raw());
         d.mix(u64::from(e.positive));
         for &c in e.counts {
@@ -83,8 +84,9 @@ fn evaluations(evals: &EvaluationTrace) -> String {
         for &k in e.criticals {
             d.mix(u64::from(k));
         }
+        clips += 1;
     }
-    format!("{}:{:016x}", evals.len(), d.0)
+    format!("{clips}:{:016x}", d.0)
 }
 
 /// Every class's sequence set, in class-index order: total intervals and
@@ -140,39 +142,29 @@ fn plan(predicate: &str) -> LogicalPlan {
     LogicalPlan::from_statement(&parse(&sql).expect("parse")).expect("plan")
 }
 
-fn line(out: &mut String, at: &str, seqs: &[ClipInterval], evals: &EvaluationTrace) {
-    writeln!(
-        out,
-        "{at} | seqs={} | evals={}",
-        sequences(seqs),
-        evaluations(evals)
-    )
-    .expect("write to String");
+fn line(out: &mut String, at: &str, seqs: &[ClipInterval], evals: &str) {
+    writeln!(out, "{at} | seqs={} | evals={evals}", sequences(seqs)).expect("write to String");
 }
 
 fn render_matrix() -> String {
     let oracles = oracles();
     let geometry = oracles[0].truth().geometry;
-    let clock = ManualClock::stepping(Duration::from_micros(1_250));
     let mut out = String::new();
     for (config_name, config) in configs() {
         for (stmt, predicate) in PREDICATES.iter().enumerate() {
             let plan = plan(predicate);
             for (v, oracle) in oracles.iter().enumerate() {
-                let engine = Svaqd::new(&plan.predicate, geometry, config, P0, P0);
-                let r = engine.run_over(&mut VideoStream::new(oracle), &clock);
+                let mut engine = Svaqd::new(&plan.predicate, geometry, config, P0, P0);
+                let evals = evaluations(&mut engine, oracle);
                 let at = format!("cfg={config_name} stmt={stmt} video={v} method=svaqd");
-                line(&mut out, &at, &r.sequences, &r.evaluations);
+                line(&mut out, &at, &engine.finish(), &evals);
             }
             // One engine over the whole set: the estimators carry 4800
             // clips of history into the last video.
             let mut engine = Svaqd::new(&plan.predicate, geometry, config, P0, P0);
             for (v, oracle) in oracles.iter().enumerate() {
-                let mut stream = VideoStream::new(oracle);
-                while let Some(mut view) = stream.next_clip() {
-                    engine.push_clip(&mut view);
-                }
-                let (seqs, evals) = engine.next_video();
+                let evals = evaluations(&mut engine, oracle);
+                let seqs = engine.next_video();
                 let at = format!("cfg={config_name} stmt={stmt} video={v} method=svaqd-set");
                 line(&mut out, &at, &seqs, &evals);
             }

@@ -5,7 +5,8 @@
 //! the four svqbench online statements plus one `leftOf` statement, at the
 //! default thresholds and at `t_obj 0.6 / t_act 0.55`: result sequences,
 //! ledger unit counts, the `f64::to_bits` of every ledger millisecond
-//! field, and a digest of every clip's evaluation (counts, criticals).
+//! field, and a digest of every clip's evaluation (counts, criticals),
+//! collected from the rows the engine's steps return.
 //! Each oracle is queried at the
 //! default thresholds first, so the second threshold pair reads a video
 //! whose occurrence counts were already asked for at another threshold.
@@ -16,9 +17,9 @@
 
 use std::fmt::Write as _;
 use std::time::Duration;
-use svq_core::online::{EvaluationTrace, OnlineConfig, OnlineResult, Svaqd};
+use svq_core::online::{OnlineConfig, Svaqd};
 use svq_query::{execute_online, parse, LogicalPlan, QueryResults};
-use svq_types::{ActionClass, ClipInterval, ManualClock, ObjectClass, VideoId};
+use svq_types::{ActionClass, ClipInterval, Clock, ManualClock, ObjectClass, VideoId};
 use svq_vision::models::{DetectionOracle, ModelSuite};
 use svq_vision::synth::{ObjectSpec, ScenarioSpec, SyntheticVideo};
 use svq_vision::{CostLedger, VideoStream};
@@ -76,32 +77,36 @@ fn ledger(cost: &CostLedger, with_algorithm: bool) -> String {
     out
 }
 
-fn evaluations(evals: &EvaluationTrace) -> String {
-    let mut d = Digest::new();
-    let count = |c: Option<u32>| c.map_or(u64::MAX, u64::from);
-    for e in evals.iter() {
-        d.mix(e.clip.raw());
-        d.mix(u64::from(e.positive));
-        for &c in e.counts {
-            d.mix(count(c));
-        }
-        for &k in e.criticals {
-            d.mix(u64::from(k));
-        }
-    }
-    format!("{}:{:016x}", evals.len(), d.0)
-}
-
 fn clock() -> ManualClock {
     ManualClock::stepping(Duration::from_micros(1_250))
 }
 
-fn online_line(result: &OnlineResult) -> String {
+/// Run `engine` over `oracle`'s stream as `Svaqd::run_over` does — one
+/// clock reading before the first clip and one after the last, charged
+/// as algorithm time — digesting every clip's row as the step returns it.
+fn online_line(mut engine: Svaqd, oracle: &DetectionOracle) -> String {
+    let (mut stream, clock) = (VideoStream::new(oracle), clock());
+    let (mut rows, mut d) = (0, Digest::new());
+    let start = clock.now_nanos();
+    while let Some(mut view) = stream.next_clip() {
+        let e = engine.push_clip(&mut view);
+        d.mix(e.clip.raw());
+        d.mix(u64::from(e.positive));
+        for &c in e.counts {
+            d.mix(c.map_or(u64::MAX, u64::from));
+        }
+        for &k in e.criticals {
+            d.mix(u64::from(k));
+        }
+        rows += 1;
+    }
+    let elapsed = Duration::from_nanos(clock.nanos_since(start));
+    stream.ledger_mut().charge_algorithm(elapsed);
     format!(
-        "seqs={} | {} | evals={}",
-        sequences(&result.sequences),
-        ledger(&result.cost, true),
-        evaluations(&result.evaluations)
+        "seqs={} | {} | evals={rows}:{:016x}",
+        sequences(&engine.finish()),
+        ledger(stream.ledger(), true),
+        d.0
     )
 }
 
@@ -196,8 +201,7 @@ fn render_matrix() -> String {
                         ),
                     ];
                     for (method, engine) in engines {
-                        let r = engine.run_over(&mut VideoStream::new(&oracle), &clock());
-                        lines.push((method, online_line(&r)));
+                        lines.push((method, online_line(engine, &oracle)));
                     }
                     for (method, line) in lines {
                         writeln!(

@@ -67,21 +67,19 @@ pub fn measure_fpr(
     for video in videos {
         let oracle = video.oracle(suite);
         let mut stream = VideoStream::new(&oracle);
-        let result = Svaqd::run(query.clone(), &mut stream, config, 1e-4, 1e-4);
         let truth = &video.truth;
         let geometry = truth.geometry;
 
-        // Clip-level pass/fail from the evaluation trace.
-        let positive_clip = |c: u64| {
-            result
-                .evaluations
-                .get(c as usize)
-                .is_some_and(|e| e.positive)
-        };
+        // Clip-level pass/fail, one indicator per evaluated clip.
+        let mut engine = Svaqd::new(query.clone(), geometry, config, 1e-4, 1e-4);
+        let mut kept_clips = Vec::new();
+        while let Some(mut view) = stream.next_clip() {
+            kept_clips.push(engine.push_clip(&mut view).positive);
+        }
 
         let clip_count = geometry.clip_count(truth.total_frames);
         for c in 0..clip_count {
-            let kept = positive_clip(c);
+            let kept = kept_clips.get(c as usize).copied().unwrap_or(false);
             // Frames: object predicates.
             for f in geometry.frames_of_clip(svq_types::ClipId::new(c)) {
                 let frame = FrameId::new(f);

@@ -43,7 +43,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use svq_core::online::{EvaluationTrace, Svaqd};
+use svq_core::online::Svaqd;
 use svq_types::{ClipId, ClipInterval, SvqError, SvqResult};
 use svq_vision::models::DetectionOracle;
 use svq_vision::{ClipAccess, CostLedger, OwnedClipView};
@@ -81,11 +81,11 @@ impl SessionEngine {
             "poison clip evaluated (injected worker fault)"
         );
         match self {
-            SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => e.push_clip(view),
+            SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => e.push_clip(view).closed,
         }
     }
 
-    fn finish(self) -> (Vec<ClipInterval>, EvaluationTrace) {
+    fn finish(self) -> Vec<ClipInterval> {
         match self {
             SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => e.finish(),
         }
@@ -134,8 +134,6 @@ pub struct SessionId(usize);
 pub struct SessionResult {
     /// Result sequences, as the engine's `finish` reports them.
     pub sequences: Vec<ClipInterval>,
-    /// Per-clip evaluation trace.
-    pub evaluations: EvaluationTrace,
     /// Inference cost charged by this session's clip evaluations.
     pub cost: CostLedger,
     /// Clips evaluated (excludes dropped tickets).
@@ -603,10 +601,8 @@ fn drain(session: &Session) {
                     Err(SessionError::Poisoned)
                 } else {
                     let engine = state.engine.take().expect("finalised once");
-                    let (sequences, evaluations) = engine.finish();
                     Ok(SessionResult {
-                        sequences,
-                        evaluations,
+                        sequences: engine.finish(),
                         cost: state.ledger,
                         clips_processed: state.clips_processed,
                         dropped: session.counters.dropped.load(Ordering::Relaxed),
@@ -783,8 +779,24 @@ mod tests {
         ))
     }
 
-    /// Reference: the same engine run single-threaded over a VideoStream.
-    fn sequential(oracle: &DetectionOracle) -> (Vec<ClipInterval>, EvaluationTrace, CostLedger) {
+    /// One clip as a [`ClipNotice`] reports it, backgrounds by bits.
+    #[derive(Debug, PartialEq)]
+    struct Step {
+        clip: ClipId,
+        closed: Option<ClipInterval>,
+        clips_processed: u64,
+        criticals: Vec<u32>,
+        backgrounds: Vec<u64>,
+    }
+
+    fn bits(backgrounds: &[f64]) -> Vec<u64> {
+        backgrounds.iter().map(|b| b.to_bits()).collect()
+    }
+
+    /// Reference: the same engine run single-threaded over a VideoStream —
+    /// its sequences, each `push_clip` step with the engine's drift after
+    /// it, and the inference ledger.
+    fn sequential(oracle: &DetectionOracle) -> (Vec<ClipInterval>, Vec<Step>, CostLedger) {
         let mut stream = VideoStream::new(oracle);
         let mut engine = Svaqd::new(
             ActionQuery::named("jumping", &["car"]),
@@ -793,44 +805,68 @@ mod tests {
             1e-4,
             1e-4,
         );
+        let mut steps = Vec::new();
         while let Some(mut view) = stream.next_clip() {
-            engine.push_clip(&mut view);
+            let e = engine.push_clip(&mut view);
+            let (clip, closed) = (e.clip, e.closed);
+            steps.push(Step {
+                clip,
+                closed,
+                clips_processed: steps.len() as u64 + 1,
+                criticals: engine.criticals(),
+                backgrounds: bits(&engine.backgrounds()),
+            });
         }
-        let (seqs, evals) = engine.finish();
-        (seqs, evals, *stream.ledger())
+        (engine.finish(), steps, *stream.ledger())
     }
 
     #[test]
     fn multiplexed_sessions_match_sequential_runs() {
         // The determinism contract must survive every ingress shape:
-        // sharded feeders may reorder *work*, never *results*.
+        // sharded feeders may reorder *work*, never *results*. Clip by
+        // clip, each session's engine must step exactly as the sequential
+        // engine does: same clip, same closed sequence, same critical
+        // values and background bits after the step.
         for shards in [1usize, 2, 4] {
             let mux = SessionMux::with_options(
                 MuxOptions::new(4).with_shards(shards),
                 ExecMetrics::new(),
             );
             let oracles: Vec<_> = (0..6).map(|i| oracle(i, 100 + i)).collect();
-            let ids: Vec<SessionId> = oracles
+            let sessions: Vec<_> = oracles
                 .iter()
                 .enumerate()
                 .map(|(i, o)| {
-                    mux.register(
+                    let id = mux.register(
                         format!("s{i}"),
                         o.clone(),
                         svaqd_engine(o),
                         Backpressure::Block,
                         16,
-                    )
+                    );
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    mux.set_observer(id, move |n: ClipNotice| {
+                        let _ = tx.send(Step {
+                            clip: n.clip,
+                            closed: n.closed,
+                            clips_processed: n.clips_processed,
+                            criticals: n.criticals,
+                            backgrounds: bits(&n.backgrounds),
+                        });
+                    });
+                    (id, rx)
                 })
                 .collect();
-            for &id in &ids {
-                mux.feed_stream(id);
+            for (id, _) in &sessions {
+                mux.feed_stream(*id);
             }
-            for (id, o) in ids.iter().zip(&oracles) {
+            for ((id, notices), o) in sessions.iter().zip(&oracles) {
                 let got = mux.wait(*id).unwrap();
-                let (seqs, evals, cost) = sequential(o);
+                let (seqs, steps, cost) = sequential(o);
                 assert_eq!(got.sequences, seqs, "drifted at {shards} shards");
-                assert_eq!(got.evaluations, evals);
+                // A clip's notice is sent before its session can finish.
+                let noticed: Vec<Step> = notices.try_iter().collect();
+                assert_eq!(noticed, steps, "a step drifted at {shards} shards");
                 assert_eq!(got.clips_processed, 40);
                 assert_eq!(got.dropped, 0);
                 // Same clips evaluated in the same order: identical

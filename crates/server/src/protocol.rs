@@ -511,7 +511,13 @@ fn id_of(value: &Value) -> Result<Option<u64>, (RejectReason, String)> {
 
 /// Encode any frame as one newline-terminated line.
 pub fn encode_line<T: Serialize>(frame: &T) -> String {
-    let mut line = serde_json::to_string(frame).unwrap_or_else(|e| {
+    encode_value_line(&frame.to_value())
+}
+
+/// Encode a frame's [`Value`] as one newline-terminated line; the tree is
+/// written in place, never cloned.
+fn encode_value_line(value: &Value) -> String {
+    let mut line = serde_json::value_to_string(value).unwrap_or_else(|e| {
         // The Value tree is built by infallible `to_value`s; the codec has
         // no failure mode for it. Answer something parseable regardless.
         format!(
@@ -525,12 +531,12 @@ pub fn encode_line<T: Serialize>(frame: &T) -> String {
 
 /// Encode a request with a pipeline `id` as one newline-terminated line.
 pub fn encode_request_line(request: &Request, id: Option<u64>) -> String {
-    encode_line(&with_id(request.to_value(), id))
+    encode_value_line(&with_id(request.to_value(), id))
 }
 
 /// Encode a response, echoing the request's pipeline `id` when present.
 pub fn encode_response_line(response: &Response, id: Option<u64>) -> String {
-    encode_line(&with_id(response.to_value(), id))
+    encode_value_line(&with_id(response.to_value(), id))
 }
 
 /// One decoded response line: the response plus the echoed pipeline `id`

@@ -334,14 +334,9 @@ fn engine(oracle: &DetectionOracle) -> SessionEngine {
 
 /// Canonical byte encoding of a session outcome, for exact comparisons
 /// between the multiplexed run and the single-threaded reference.
-fn canon(
-    sequences: &[svq_types::ClipInterval],
-    evals_len: usize,
-    clips: u64,
-    cost: (u64, u64),
-) -> String {
+fn canon(sequences: &[svq_types::ClipInterval], clips: u64, cost: (u64, u64)) -> String {
     format!(
-        "seqs={sequences:?} evals={evals_len} clips={clips} object_frames={} action_shots={}",
+        "seqs={sequences:?} clips={clips} object_frames={} action_shots={}",
         cost.0, cost.1
     )
 }
@@ -372,11 +367,10 @@ fn reference(video: u64, clips: u64) -> Arc<String> {
     while let Some(mut view) = stream.next_clip() {
         reference_engine.push_clip(&mut view);
     }
-    let (seqs, evals) = reference_engine.finish();
+    let seqs = reference_engine.finish();
     let ledger = *stream.ledger();
     let canonical = Arc::new(canon(
         &seqs,
-        evals.len(),
         clips,
         (ledger.object_frames, ledger.action_shots),
     ));
@@ -447,7 +441,6 @@ fn mux_pipeline(ctx: ScenarioCtx) {
                 );
                 let got = canon(
                     &result.sequences,
-                    result.evaluations.len(),
                     result.clips_processed,
                     (result.cost.object_frames, result.cost.action_shots),
                 );
@@ -595,7 +588,6 @@ fn double_wait(ctx: ScenarioCtx) {
         let result = waiter.join().expect("waiter does not panic");
         outcomes.push(canon(
             &result.sequences,
-            result.evaluations.len(),
             result.clips_processed,
             (result.cost.object_frames, result.cost.action_shots),
         ));

@@ -51,7 +51,7 @@ fn main() {
         while let Some(mut view) = stream.next_clip() {
             // Sequences are emitted the moment they close — the streaming
             // contract: an operator sees the alert while the feed plays.
-            if let Some(seq) = engine.push_clip(&mut view) {
+            if let Some(seq) = engine.push_clip(&mut view).closed {
                 let t0 = seq.start.raw() * geometry.frames_per_clip() as u64 / geometry.fps as u64;
                 println!(
                     "  [{label}] ALERT at +{:>4}s: clips {}..{}",
@@ -63,7 +63,7 @@ fn main() {
         }
         // End of the hour's file: flush per-video state (the background
         // estimators persist across the shift).
-        let (closed, _) = engine.next_video();
+        let closed = engine.next_video();
         let found_this_hour = closed.len();
         total_found += found_this_hour;
 

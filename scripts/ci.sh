@@ -38,6 +38,9 @@ PROPTEST_CASES=2000 cargo test --release -q -p svq-scanstats --lib -- quantile_a
 echo "== movie_topk example (ingest, persist, top-K queries reading each run's own accesses)"
 cargo run -q --release --example movie_topk
 
+echo "== surveillance_stream example (one engine stepped over three videos, next_video between them)"
+cargo run -q --release --example surveillance_stream
+
 echo "== svq-lint --check (workspace invariants + static lock graph vs lint-baseline.txt)"
 # Hard gate: token rules plus the workspace concurrency passes
 # (lock-cycle, blocking-under-lock). Any finding beyond the committed

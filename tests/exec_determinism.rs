@@ -47,7 +47,7 @@ fn sequential_run(oracle: &DetectionOracle) -> Vec<ClipInterval> {
     while let Some(mut view) = stream.next_clip() {
         engine.push_clip(&mut view);
     }
-    engine.finish().0
+    engine.finish()
 }
 
 /// N multiplexed sessions equal N sequential engine runs, at several
