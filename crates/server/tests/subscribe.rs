@@ -8,8 +8,17 @@
 //! report more than `missed`. The server's `stats` counters must agree
 //! with the client-side tallies, and the closing drain must be clean.
 
+use std::sync::Arc;
 use std::time::Duration;
-use svq_serve::{Caller, LiveSourceConfig, Request, Response, ServeConfig, Server, Subscription};
+use svq_core::online::{OnlineConfig, Svaqd};
+use svq_query::{parse, LogicalPlan};
+use svq_serve::{
+    Caller, LiveSourceConfig, Request, Response, ServeConfig, Server, ServerHandle, Subscription,
+};
+use svq_types::{ActionClass, ClipId, ObjectClass, VideoId};
+use svq_vision::models::ModelSuite;
+use svq_vision::synth::{ObjectSpec, ScenarioSpec};
+use svq_vision::OwnedClipView;
 
 const SQL: &str = "SELECT MERGE(clipID) AS Sequence \
      FROM (PROCESS inputVideo PRODUCE clipID, obj USING ObjectDetector, \
@@ -145,4 +154,158 @@ fn every_subscription_closes_its_books_and_the_server_agrees() {
         assert!(report.drained_in_deadline, "fleet {fleet}: {report:?}");
         assert_eq!(report.forced_closes, 0, "fleet {fleet}: {report:?}");
     }
+}
+
+/// A one-connection server over `spec`'s live source.
+fn serve_source(spec: &str) -> ServerHandle {
+    let source = LiveSourceConfig::parse(spec).expect("source spec parses");
+    Server::start_with_source(
+        ServeConfig::builder()
+            .read_timeout(TIMEOUT)
+            .write_timeout(TIMEOUT)
+            .build()
+            .expect("config is valid"),
+        None,
+        Vec::new(),
+        Some(source),
+        svq_exec::ExecMetrics::new(),
+    )
+    .expect("server starts with a live source")
+}
+
+#[test]
+fn a_join_after_the_last_clip_is_acked_then_closed_empty() {
+    // 30 clips at 1000 clips/s: the replay ends within ~40 ms.
+    let handle = serve_source("action=jumping,objects=car,minutes=1,seed=42,rate=1000");
+    let caller = Caller::connect(handle.local_addr(), TIMEOUT).expect("caller connects");
+    // A probe's terminal arrives only once the source has ended, so the
+    // next subscription joins a finished replay.
+    let probe = caller.subscribe(SQL, None, 0).expect("probe subscribes");
+    drain(&probe);
+
+    // `subscribe` fails unless `subscribed` is the first frame.
+    let late = caller.subscribe(SQL, None, 0).expect("late join acks");
+    assert_eq!(late.from_seq(), 30, "a late join starts past the last clip");
+    match late.next().expect("the stream stays healthy") {
+        Some(Response::Unsubscribed {
+            delivered,
+            missed,
+            total,
+            ..
+        }) => assert_eq!((delivered, missed, total), (0, 0, 0)),
+        other => panic!("expected the empty terminal frame, got {other:?}"),
+    }
+    assert!(late.next().expect("closed cleanly").is_none());
+    caller.close();
+    handle.shutdown();
+    assert!(handle.wait().drained_in_deadline);
+}
+
+/// One pushed frame as the engine predicts it, backgrounds by bits.
+#[derive(Debug, PartialEq)]
+enum Pushed {
+    Event {
+        seq: u64,
+        clip: u64,
+        first: u64,
+        last: u64,
+    },
+    Drift {
+        backgrounds: Vec<u64>,
+        criticals: Vec<u32>,
+    },
+}
+
+#[test]
+fn served_pushes_equal_the_engine_stepped_from_the_join() {
+    const DRIFT_EVERY: u64 = 5;
+    let spec = "action=jumping,objects=car,minutes=10,seed=42,rate=400";
+    let handle = serve_source(spec);
+    let caller = Caller::connect(handle.local_addr(), TIMEOUT).expect("caller connects");
+    let sub = caller
+        .subscribe(SQL, None, DRIFT_EVERY)
+        .expect("subscribe acks");
+    let from = sub.from_seq();
+    let mut served = Vec::new();
+    while let Some(frame) = sub.next().expect("the stream stays healthy") {
+        match frame {
+            Response::Event {
+                seq,
+                clip,
+                first,
+                last,
+                ..
+            } => served.push(Pushed::Event {
+                seq,
+                clip,
+                first,
+                last,
+            }),
+            Response::Drift {
+                backgrounds,
+                criticals,
+                ..
+            } => served.push(Pushed::Drift {
+                backgrounds: backgrounds.iter().map(|b| b.to_bits()).collect(),
+                criticals,
+            }),
+            Response::Unsubscribed { missed, .. } => assert_eq!(missed, 0, "nothing was shed"),
+            other => panic!("unexpected pushed frame: {other:?}"),
+        }
+    }
+    caller.close();
+    handle.shutdown();
+    handle.wait();
+
+    // The same scenario, stepped in process from the join position: the
+    // subscription's statement was created by this subscriber.
+    let source = LiveSourceConfig::parse(spec).expect("source spec parses");
+    let oracle = Arc::new(
+        ScenarioSpec::activitynet(
+            VideoId::new(source.video),
+            source.minutes * 60 * 25,
+            ActionClass::named(&source.action),
+            source
+                .objects
+                .iter()
+                .map(|o| ObjectSpec::correlated(ObjectClass::named(o)))
+                .collect(),
+            source.seed,
+        )
+        .generate()
+        .oracle(ModelSuite::accurate()),
+    );
+    let plan = LogicalPlan::from_statement(&parse(SQL).expect("SQL parses")).expect("SQL plans");
+    let mut engine = Svaqd::new(
+        &plan.predicate,
+        oracle.truth().geometry,
+        OnlineConfig::default(),
+        1e-4,
+        1e-4,
+    );
+    let mut expected = Vec::new();
+    for clip in from..oracle.clip_count() {
+        let seq = clip + 1;
+        let mut view = OwnedClipView::new(oracle.clone(), ClipId::new(clip));
+        if let Some(closed) = engine.push_clip(&mut view).closed {
+            expected.push(Pushed::Event {
+                seq,
+                clip,
+                first: closed.start.raw(),
+                last: closed.end.raw(),
+            });
+        }
+        if seq.is_multiple_of(DRIFT_EVERY) {
+            expected.push(Pushed::Drift {
+                backgrounds: engine.backgrounds().iter().map(|b| b.to_bits()).collect(),
+                criticals: engine.criticals(),
+            });
+        }
+    }
+    let events = expected
+        .iter()
+        .filter(|p| matches!(p, Pushed::Event { .. }))
+        .count();
+    assert!(events > 0, "the replay after clip {from} closes sequences");
+    assert_eq!(served, expected, "served pushes from clip {from}");
 }
