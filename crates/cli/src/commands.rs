@@ -402,8 +402,8 @@ pub fn mux(flags: &Flags) -> CliResult {
 
 /// The flags `svqact serve` reads; any other is refused.
 pub const SERVE_FLAGS: &str = "catalog scene scenes models source addr addr-file max-conns \
-    read-timeout-ms write-timeout-ms drain-timeout-ms max-line workers shards mailbox \
-    pipeline-depth catalog-cache shard-index shard-count metrics-every";
+    read-timeout-ms write-timeout-ms drain-timeout-ms max-line workers pipeline-depth \
+    catalog-cache shard-index shard-count metrics-every";
 
 /// `svqact serve` — run the TCP query service until a wire `shutdown`.
 ///
@@ -438,8 +438,6 @@ pub fn serve(flags: &Flags) -> CliResult {
         ))
         .max_line(flags.get_parsed("max-line", svq_serve::MAX_LINE_BYTES)?)
         .workers(flags.get_parsed("workers", 2)?)
-        .shards(flags.get_parsed("shards", 1)?)
-        .mailbox(flags.get_parsed("mailbox", 64)?)
         .pipeline_depth(flags.get_parsed("pipeline-depth", 64)?)
         .catalog_cache(match flags.get_parsed("catalog-cache", 0usize)? {
             0 => None,

@@ -81,7 +81,7 @@ fn print_usage() {
          \u{20}  serve   [--catalog FILE|DIR] [--scene scene.json | --scenes a,b,…] \
          [--addr HOST:PORT] [--addr-file PATH] [--max-conns N] \
          [--read-timeout-ms MS] [--write-timeout-ms MS] [--drain-timeout-ms MS] \
-         [--workers N] [--shards S] [--pipeline-depth N] [--catalog-cache N] \
+         [--workers N] [--pipeline-depth N] [--catalog-cache N] \
          [--shard-index I --shard-count N] [--source KEY=VAL,…] [--metrics-every SECS]\n\
          \u{20}  route   --shards HOST:PORT,… [--addr HOST:PORT] [--addr-file PATH] \
          [--max-conns N] [--pipeline-depth N] [--upstream-timeout-ms MS] \

@@ -207,19 +207,12 @@ impl MuxOptions {
     }
 }
 
-/// Completion hook registered by [`SessionMux::on_result`]; runs on the
-/// worker that finalises the session (or inline when already finished).
-type ResultCallback = Box<dyn FnOnce(Result<SessionResult, SessionError>) + Send>;
-
 pub(crate) struct SessionState {
     engine: Option<SessionEngine>,
     ledger: CostLedger,
     clips_processed: u64,
     poisoned: bool,
     result: Option<Result<SessionResult, SessionError>>,
-    /// Hooks to run once `result` latches, invoked after the state guard
-    /// drops so a callback may call back into the mux.
-    callbacks: Vec<ResultCallback>,
 }
 
 pub(crate) struct Session {
@@ -325,7 +318,6 @@ impl SessionMux {
                 clips_processed: 0,
                 poisoned: false,
                 result: None,
-                callbacks: Vec::new(),
             }),
             done: Condvar::new(),
             scheduled: AtomicBool::new(false),
@@ -408,8 +400,7 @@ impl SessionMux {
     /// draining worker after every successfully evaluated clip, outside
     /// every mux lock, carrying the clip, any closed result interval, and
     /// the engine's current drift surface. Set-once (a second call
-    /// panics), before the first feed — the standing-query fan-out hooks
-    /// its pushes here.
+    /// panics), before the first feed.
     pub fn set_observer<F>(&self, id: SessionId, observer: F)
     where
         F: Fn(ClipNotice) + Send + Sync + 'static,
@@ -440,36 +431,6 @@ impl SessionMux {
             Some(result) => result.clone(),
             None => unreachable!("wait loop exits only once a result is latched"),
         }
-    }
-
-    /// Register a completion hook: `callback` runs exactly once with the
-    /// session's result, on the worker that finalises the session — or
-    /// inline, right here, when the result is already latched. The
-    /// asynchronous alternative to [`SessionMux::wait`]: nothing blocks,
-    /// so a serving thread can hand off a `stream` request and move on.
-    /// The callback runs outside every mux lock and may call back into the
-    /// mux (e.g. [`SessionMux::release`]).
-    pub fn on_result<F>(&self, id: SessionId, callback: F)
-    where
-        F: FnOnce(Result<SessionResult, SessionError>) + Send + 'static,
-    {
-        let session = self.session(id);
-        let mut state = session.state.lock();
-        match state.result.clone() {
-            Some(result) => {
-                drop(state);
-                callback(result);
-            }
-            None => state.callbacks.push(Box::new(callback)),
-        }
-    }
-
-    /// Run an arbitrary job on the shared worker pool. Blocks while the
-    /// pool's (bounded) job queue is full — the backpressure a serving
-    /// reader thread wants when clients pipeline faster than workers
-    /// execute.
-    pub fn submit(&self, job: crate::pool::Job) {
-        self.core.pool.submit(job);
     }
 
     /// Convenience: feed every clip of the session's oracle in stream order
@@ -595,7 +556,6 @@ fn drain(session: &Session) {
         // End-of-stream: finalise exactly once, after the mailbox drained.
         if session.finishing.load(Ordering::Acquire) && session.rx.is_empty() {
             let mut state = session.state.lock();
-            let mut ready: Vec<ResultCallback> = Vec::new();
             if state.result.is_none() && session.rx.is_empty() {
                 let result = if state.poisoned {
                     Err(SessionError::Poisoned)
@@ -609,17 +569,7 @@ fn drain(session: &Session) {
                     })
                 };
                 state.result = Some(result);
-                // Callbacks registered before the latch run now; later
-                // registrations run inline in `on_result`.
-                ready = std::mem::take(&mut state.callbacks);
                 session.done.notify_all();
-            }
-            let latched = state.result.clone();
-            drop(state);
-            if let Some(result) = latched {
-                for callback in ready {
-                    callback(result.clone());
-                }
             }
         }
 

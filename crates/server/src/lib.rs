@@ -37,10 +37,11 @@
 //!   and a dead shard surfaces as a typed `shard_unavailable` frame after
 //!   a bounded reconnect — never a hang (see [`router`]).
 //! * **Standing queries.** `subscribe` registers a continuous query
-//!   against a server-side paced live source; the server *pushes* `event`
-//!   frames as clip indicators fire, `drift` estimator snapshots on a
-//!   configurable cadence, and typed `lagged` notices when a slow
-//!   subscriber's bounded push queue overflows (see [`subscribe`]).
+//!   against a server-side paced live source. One driver thread steps
+//!   each distinct statement's SVAQD engine once per source clip and
+//!   *pushes* `event` frames as clip indicators fire, `drift` estimator
+//!   snapshots on a configurable cadence, and typed `lagged` notices when
+//!   a slow subscriber's bounded push queue overflows (see [`subscribe`]).
 //!
 //! This crate is a stderr-only daemon: nothing in it may write to stdout
 //! (enforced by `svq-lint`), which belongs to whatever launched it.

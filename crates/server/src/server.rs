@@ -39,8 +39,9 @@
 //! pool job too: the whole stream runs to completion through
 //! [`execute_online`], the in-process reference path, so wire results are
 //! the exact in-process [`QueryOutcome`] envelopes (see `protocol`) by
-//! construction. The [`SessionMux`]'s per-clip sessions serve standing
-//! queries (`subscribe`), whose clips arrive over time.
+//! construction. Standing queries (`subscribe`), whose clips arrive over
+//! time, are stepped clip by clip on the live source's driver thread (see
+//! `subscribe`), not on the pool.
 
 use crate::protocol::{
     encode_line, encode_response_line, parse_request_frame, read_bounded_line, LineEvent, Request,
@@ -57,7 +58,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use svq_core::online::OnlineConfig;
-use svq_exec::{ExecMetrics, MuxOptions, SessionMux};
+use svq_exec::{ExecMetrics, WorkerPool};
 use svq_query::{
     execute_offline, execute_offline_all_with, execute_online, parse, LogicalPlan, QueryMode,
     QueryOutcome,
@@ -85,8 +86,6 @@ pub struct ServeConfig {
     pub(crate) drain_timeout: Duration,
     pub(crate) max_line: usize,
     pub(crate) workers: usize,
-    pub(crate) shards: usize,
-    pub(crate) mailbox: usize,
     pub(crate) pipeline_depth: usize,
     pub(crate) catalog_cache: Option<usize>,
     pub(crate) shard_index: usize,
@@ -104,8 +103,6 @@ impl Default for ServeConfig {
             drain_timeout: Duration::from_secs(5),
             max_line: MAX_LINE_BYTES,
             workers: 2,
-            shards: 1,
-            mailbox: 64,
             pipeline_depth: 64,
             catalog_cache: None,
             shard_index: 0,
@@ -157,17 +154,6 @@ impl ServeConfig {
     /// Worker threads in the shared execution pool.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Ingress shards in the multiplexer.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Per-session mailbox capacity for standing-query (`subscribe`)
-    /// sessions. `stream` requests run as single pool jobs and use none.
-    pub fn mailbox(&self) -> usize {
-        self.mailbox
     }
 
     /// Requests one connection may have in flight.
@@ -243,16 +229,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Ingress shards in the multiplexer.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Per-session mailbox capacity for standing-query (`subscribe`)
-    /// sessions; `stream` requests run as single pool jobs and use none.
-    pub fn mailbox(mut self, mailbox: usize) -> Self {
-        self.config.mailbox = mailbox;
+    /// Accepted and ignored: the server has no ingress shards. Kept only
+    /// until the benchmark's `serve_config` stops calling it.
+    #[doc(hidden)]
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -316,12 +296,6 @@ impl ServeConfigBuilder {
         }
         if c.workers == 0 {
             return fail("serve: workers must be at least 1".into());
-        }
-        if c.shards == 0 {
-            return fail("serve: shards must be at least 1".into());
-        }
-        if c.mailbox == 0 {
-            return fail("serve: mailbox must be at least 1".into());
         }
         if c.pipeline_depth == 0 {
             return fail("serve: pipeline_depth must be at least 1".into());
@@ -532,24 +506,21 @@ impl Server {
         source: Option<LiveSourceConfig>,
         metrics: ExecMetrics,
     ) -> SvqResult<ServerHandle> {
-        let mux = SessionMux::with_options(
-            MuxOptions::new(config.workers.max(1)).with_shards(config.shards.max(1)),
-            metrics.clone(),
-        );
+        let pool = WorkerPool::new(config.workers.max(1), 1024, metrics.clone());
         let oracles = oracles.into_iter().map(|o| (o.truth().video, o)).collect();
         let live = match source {
             Some(config) => Some(config.build()?),
             None => None,
         };
-        let subs = SubscriptionRegistry::new(live, metrics.clone(), config.mailbox.max(1));
+        let subs = SubscriptionRegistry::new(live, metrics.clone());
         let backend = Arc::new(LocalBackend {
             repo,
             oracles,
-            mux,
+            pool,
             subs,
             metrics: metrics.clone(),
         });
-        backend.subs.start_driver(&backend)?;
+        backend.subs.start_driver()?;
         Self::start_with_backend(transport, config, backend, metrics)
     }
 
@@ -601,7 +572,8 @@ impl ServerHandle {
         self.shared.local_addr
     }
 
-    /// The shared metrics registry (server block + mux sessions).
+    /// The shared metrics registry: the server block, the pool, and one
+    /// session line per running `stream` request and standing statement.
     pub fn metrics(&self) -> &ExecMetrics {
         &self.shared.metrics
     }
@@ -1194,9 +1166,10 @@ fn handle_conn(
 pub(crate) struct LocalBackend {
     repo: Option<Arc<VideoRepository>>,
     oracles: BTreeMap<VideoId, Arc<DetectionOracle>>,
-    pub(crate) mux: SessionMux,
+    /// Runs `query` and `stream` requests, one job each.
+    pool: WorkerPool,
     /// Standing-query registry (empty, but answerable, without a source).
-    pub(crate) subs: SubscriptionRegistry,
+    subs: SubscriptionRegistry,
     metrics: ExecMetrics,
 }
 
@@ -1233,7 +1206,7 @@ impl LocalBackend {
     /// through the connection's writer whenever it completes.
     fn dispatch_query(self: Arc<Self>, pending: Pending, sql: String, video: VideoScope) {
         let me = self.clone();
-        self.mux.submit(Box::new(move || {
+        self.pool.submit(Box::new(move || {
             pending.complete(guarded("query", || me.do_query(&sql, video)));
         }));
     }
@@ -1258,7 +1231,7 @@ impl LocalBackend {
             }
         };
         let metrics = self.metrics.clone();
-        self.mux.submit(Box::new(move || {
+        self.pool.submit(Box::new(move || {
             let session = metrics.register_session(format!("conn{conn_id}/r{reqno}"));
             let response = guarded("stream", || {
                 execute_online(
@@ -1282,7 +1255,7 @@ impl LocalBackend {
     /// The registry completes `pending` itself (the ack must flush before
     /// the subscription becomes visible to the event fan-out).
     fn dispatch_subscribe(
-        self: Arc<Self>,
+        &self,
         conn_id: u64,
         sql: String,
         video: Option<u64>,
@@ -1298,16 +1271,8 @@ impl LocalBackend {
             });
         };
         let writer = pending.writer.clone();
-        self.subs.subscribe(
-            &self,
-            conn_id,
-            req_id,
-            &sql,
-            video,
-            drift_every,
-            writer,
-            pending,
-        );
+        self.subs
+            .subscribe(conn_id, req_id, &sql, video, drift_every, writer, pending);
     }
 
     fn do_query(

@@ -11,15 +11,15 @@
 //!
 //! Shape of the fan-out:
 //!
-//! * **One mux session per distinct statement.** Every subscriber with the
-//!   same SQL shares one engine: the driver feeds each registered session
-//!   the current source clip, a per-clip observer
-//!   ([`svq_exec::SessionMux::set_observer`]) fans the resulting
-//!   [`ClipNotice`] out to that statement's subscribers, and each push
-//!   rides the subscriber's existing per-connection writer thread as one
-//!   more line in its first-in, first-out queue, holding no pipeline slot.
-//!   Ten thousand subscribers to one statement cost one engine, not ten
-//!   thousand.
+//! * **One engine per distinct statement, stepped on its source.** Every
+//!   subscriber with the same SQL shares one [`Svaqd`], held beside the
+//!   statement's subscriber map. For each source clip the driver steps
+//!   every standing statement's engine once and fans the result out
+//!   inline: each push rides the subscriber's existing per-connection
+//!   writer thread as one more line in its first-in, first-out queue,
+//!   holding no pipeline slot. Ten thousand subscribers to one statement
+//!   cost one engine step per clip, not ten thousand. A step that panics
+//!   retires its own statement and no other.
 //! * **Bounded push queues, counted losses.** Each subscription owns a
 //!   `queued` gauge shared with its connection writer; an event arriving
 //!   while `queued` is at the budget is *dropped and counted*, and the
@@ -37,27 +37,31 @@
 //! frame under the subscription's original id, then the same frame as the
 //! ack of the `unsubscribe` request itself); a closing connection tears
 //! its subscriptions down via [`SubscriptionRegistry::conn_closed`]
-//! without pushing (the peer is gone); source exhaustion finishes every
-//! statement's session and fans the terminal frame to the survivors; a
-//! drain closes subscriber connections (pushes never hold an in-flight
-//! slot, so subscription connections count as idle) and stops the driver
-//! once the drain settles.
+//! without pushing (the peer is gone); at source exhaustion the driver
+//! finishes every statement and pushes the terminal frame to the
+//! survivors; a drain closes subscriber connections (pushes never hold an
+//! in-flight slot, so subscription connections count as idle) and stops
+//! the driver once the drain settles.
 
 use crate::protocol::{encode_response_line, Response};
-use crate::server::{plan_of, ConnWriter, LocalBackend, Pending};
+use crate::server::{plan_of, ConnWriter, Pending};
 use parking_lot::{rt, Mutex};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use svq_core::online::{OnlineConfig, Svaqd};
-use svq_exec::{Backpressure, ClipNotice, ExecMetrics, SessionEngine, SessionId};
+use svq_exec::metrics::SessionCounters;
+use svq_exec::{ExecMetrics, ServerCounters};
 use svq_query::QueryMode;
 use svq_types::{
-    ActionClass, ClipId, ObjectClass, RejectReason, SvqError, SvqResult, VideoId, Vocabulary,
+    ActionClass, ClipId, ClipInterval, ObjectClass, RejectReason, SvqError, SvqResult, VideoId,
+    Vocabulary,
 };
 use svq_vision::models::{DetectionOracle, ModelSuite};
 use svq_vision::synth::{ObjectSpec, ScenarioSpec};
+use svq_vision::OwnedClipView;
 
 /// Frames pushed to one subscription that may be queued in its connection
 /// writer at once (events + lagged notices; the terminal frame is exempt
@@ -160,10 +164,21 @@ impl LiveSourceConfig {
         if self.minutes == 0 {
             return fail("source: minutes must be at least 1".into());
         }
+        if self.frames().is_none() {
+            return fail(format!(
+                "source: minutes={} overflows the frame count",
+                self.minutes
+            ));
+        }
         if self.rate == 0 {
             return fail("source: rate must be at least 1 clip/s".into());
         }
         Ok(())
+    }
+
+    /// Source footage in frames (25 fps); `None` if it overflows.
+    fn frames(&self) -> Option<u64> {
+        self.minutes.checked_mul(60 * 25)
     }
 
     /// Materialise the source: generate the scenario once and wrap its
@@ -172,7 +187,7 @@ impl LiveSourceConfig {
         self.validate()?;
         let spec = ScenarioSpec::activitynet(
             VideoId::new(self.video),
-            self.minutes * 60 * 25,
+            self.frames().expect("validated"),
             ActionClass::named(&self.action),
             self.objects
                 .iter()
@@ -198,26 +213,26 @@ pub(crate) struct LiveSource {
     pub(crate) config: LiveSourceConfig,
     pub(crate) oracle: Arc<DetectionOracle>,
     interval_nanos: u64,
-    /// Source clips fed to statement sessions so far; a subscription's
+    /// Source clips the driver has ticked so far; a subscription's
     /// `from_seq`. Written under the `queries` lock so joins serialize
-    /// against the driver's feed tick.
+    /// against the driver's clip tick.
     position: AtomicU64,
-    /// The replay reached its last clip; later subscriptions register a
-    /// session and finish it immediately.
+    /// The replay reached its last clip; a later subscription builds its
+    /// statement and finishes it right after the ack.
     exhausted: AtomicBool,
 }
 
-/// One standing statement: the shared mux session every subscriber with
-/// this SQL fans out from.
+/// One standing statement: the engine every subscriber with this SQL
+/// shares, beside the subscribers it fans out to.
 struct Query {
-    session: SessionId,
     state: Mutex<QueryState>,
-    /// Subscribers with `drift_every > 0` — lets the observer skip
-    /// event-less clips without taking `state`.
-    drift_subs: AtomicUsize,
+    /// The statement's metrics line: clips stepped and time spent stepping.
+    counters: Arc<SessionCounters>,
 }
 
 struct QueryState {
+    /// `None` once the statement finished or a step panicked.
+    engine: Option<Svaqd>,
     subs: BTreeMap<u64, Arc<Sub>>,
 }
 
@@ -254,8 +269,6 @@ type SubEntry = (Arc<Query>, Arc<Sub>);
 struct RegistryInner {
     source: Option<LiveSource>,
     metrics: ExecMetrics,
-    /// Per-statement mailbox capacity for the shared sessions.
-    mailbox: usize,
     /// Standing statements by SQL text; outermost lock.
     queries: Mutex<BTreeMap<String, Arc<Query>>>,
     /// Every live subscription by handle, for `unsubscribe`/`conn_closed`
@@ -266,19 +279,19 @@ struct RegistryInner {
     driver: Mutex<Option<rt::JoinHandle<()>>>,
 }
 
-/// The subscription registry a [`LocalBackend`] owns. Present (empty) even
-/// without a live source so `unsubscribe` stays answerable.
+/// The subscription registry a [`LocalBackend`](crate::server::LocalBackend)
+/// owns. Present (empty) even without a live source so `unsubscribe` stays
+/// answerable.
 pub(crate) struct SubscriptionRegistry {
     inner: Arc<RegistryInner>,
 }
 
 impl SubscriptionRegistry {
-    pub(crate) fn new(source: Option<LiveSource>, metrics: ExecMetrics, mailbox: usize) -> Self {
+    pub(crate) fn new(source: Option<LiveSource>, metrics: ExecMetrics) -> Self {
         Self {
             inner: Arc::new(RegistryInner {
                 source,
                 metrics,
-                mailbox: mailbox.max(1),
                 queries: Mutex::new(BTreeMap::new()),
                 subs: Mutex::new(BTreeMap::new()),
                 next_sub: AtomicU64::new(1),
@@ -291,18 +304,18 @@ impl SubscriptionRegistry {
     /// Spawn the paced replay driver. Called once, right after the owning
     /// backend is constructed; a registry without a source never starts
     /// one.
-    pub(crate) fn start_driver(&self, backend: &Arc<LocalBackend>) -> SvqResult<()> {
+    pub(crate) fn start_driver(&self) -> SvqResult<()> {
         if self.inner.source.is_none() {
             return Ok(());
         }
-        let backend = backend.clone();
-        let handle = rt::spawn("svq-subscribe-driver", move || driver_loop(&backend))
-            .map_err(SvqError::Io)?;
+        let inner = self.inner.clone();
+        let handle =
+            rt::spawn("svq-subscribe-driver", move || driver_loop(&inner)).map_err(SvqError::Io)?;
         *self.inner.driver.lock() = Some(handle);
         Ok(())
     }
 
-    /// Stop the driver and join it. Called from [`LocalBackend`]'s
+    /// Stop the driver and join it. Called from the owning backend's
     /// teardown hook after the drain settled.
     pub(crate) fn stop(&self) {
         self.inner.stopping.store(true, Ordering::Release);
@@ -319,7 +332,6 @@ impl SubscriptionRegistry {
     #[allow(clippy::too_many_arguments)] // the subscribe frame's fields 1:1
     pub(crate) fn subscribe(
         &self,
-        backend: &Arc<LocalBackend>,
         conn_id: u64,
         req_id: u64,
         sql: &str,
@@ -352,16 +364,20 @@ impl SubscriptionRegistry {
             }
         }
         // Everything below holds the `queries` lock: joins serialize
-        // against each other, against the driver's feed tick (so
+        // against each other, against the driver's clip tick (so
         // `from_seq` is exact), and against source exhaustion.
         let mut queries = inner.queries.lock();
         let exhausted = source.exhausted.load(Ordering::Acquire);
-        let (query, finish_now) = match queries.get(sql) {
-            Some(query) => (query.clone(), false),
-            None => match self.register_query(backend, sql, source) {
+        let query = match queries.get(sql) {
+            Some(query) => query.clone(),
+            None => match self.register_query(sql, source) {
                 Ok(query) => {
-                    queries.insert(sql.to_string(), query.clone());
-                    (query, exhausted)
+                    // After the replay the statement never reaches the
+                    // map: it finishes below, right after the ack.
+                    if !exhausted {
+                        queries.insert(sql.to_string(), query.clone());
+                    }
+                    query
                 }
                 Err((reason, message)) => return reject(pending, reason, message),
             },
@@ -384,7 +400,7 @@ impl SubscriptionRegistry {
         {
             let mut state = query.state.lock();
             // Ack while the subscription is still invisible to the
-            // observer: a short frame enqueue onto this connection's own
+            // fan-out: a short frame enqueue onto this connection's own
             // writer. svq-lint: allow(blocking-under-lock)
             pending.complete(Response::Subscribed {
                 sub: sub_id,
@@ -392,25 +408,21 @@ impl SubscriptionRegistry {
             });
             state.subs.insert(sub_id, sub.clone());
         }
-        if drift_every > 0 {
-            query.drift_subs.fetch_add(1, Ordering::Relaxed);
-        }
         inner.subs.lock().insert(sub_id, (query.clone(), sub));
         inner.metrics.server().sub_opened();
         drop(queries);
-        if finish_now {
-            // Joined after the replay ended: the fresh session finishes
+        if exhausted {
+            // Joined after the replay ended: the fresh statement finishes
             // with zero clips and the terminal frame follows the ack.
-            backend.mux.finish_session(query.session);
+            finish_statement(inner, &query);
         }
     }
 
-    /// Create the shared session for a statement seen for the first time.
-    /// The caller holds the `queries` lock and inserts the returned entry
-    /// itself, so the driver's next tick feeds the session.
+    /// Build the engine for a statement seen for the first time. The
+    /// caller holds the `queries` lock and inserts the returned entry
+    /// itself, so the driver's next tick steps it.
     fn register_query(
         &self,
-        backend: &Arc<LocalBackend>,
         sql: &str,
         source: &LiveSource,
     ) -> Result<Arc<Query>, (RejectReason, String)> {
@@ -421,40 +433,23 @@ impl SubscriptionRegistry {
                 "statement plans offline (top-K); standing queries are online predicates".into(),
             ));
         }
-        let geometry = source.oracle.truth().geometry;
-        let engine = SessionEngine::Svaqd(Svaqd::new(
+        let engine = Svaqd::new(
             &plan.predicate,
-            geometry,
+            source.oracle.truth().geometry,
             OnlineConfig::default(),
             1e-4,
             1e-4,
-        ));
-        let session = backend.mux.register(
-            format!("standing/{sql}"),
-            source.oracle.clone(),
-            engine,
-            Backpressure::Block,
-            self.inner.mailbox,
         );
-        let query = Arc::new(Query {
-            session,
+        Ok(Arc::new(Query {
             state: Mutex::new(QueryState {
+                engine: Some(engine),
                 subs: BTreeMap::new(),
             }),
-            drift_subs: AtomicUsize::new(0),
-        });
-        let observer_inner = self.inner.clone();
-        let observer_query = query.clone();
-        backend.mux.set_observer(session, move |notice| {
-            on_notice(&observer_inner, &observer_query, &notice);
-        });
-        let result_inner = self.inner.clone();
-        let result_backend = Arc::downgrade(backend);
-        let result_sql = sql.to_string();
-        backend.mux.on_result(session, move |_result| {
-            finish_query(&result_inner, &result_backend, &result_sql);
-        });
-        Ok(query)
+            counters: self
+                .inner
+                .metrics
+                .register_session(format!("standing/{sql}")),
+        }))
     }
 
     /// Answer one `unsubscribe` frame: terminal push under the
@@ -484,7 +479,7 @@ impl SubscriptionRegistry {
                 let terminal = {
                     let mut state = query.state.lock();
                     state.subs.remove(&sub_id);
-                    self.retire(&query, &sub, sub_id, true)
+                    close_books(self.inner.metrics.server(), sub_id, &sub)
                 };
                 match terminal {
                     Some(terminal) => pending.complete(terminal),
@@ -515,43 +510,9 @@ impl SubscriptionRegistry {
             state.subs.remove(&sub_id);
             drop(state);
             if !sub.closed.swap(true, Ordering::AcqRel) {
-                if sub.drift_every > 0 {
-                    query.drift_subs.fetch_sub(1, Ordering::Relaxed);
-                }
                 self.inner.metrics.server().sub_closed();
             }
         }
-    }
-
-    /// Close one subscription's books (caller removed it from the maps):
-    /// claim the terminal, push it under the subscription's id, return the
-    /// frame for reuse as an ack. `None` if another path already closed it.
-    fn retire(
-        &self,
-        query: &Query,
-        sub: &Arc<Sub>,
-        sub_id: u64,
-        push_terminal: bool,
-    ) -> Option<Response> {
-        if sub.closed.swap(true, Ordering::AcqRel) {
-            return None;
-        }
-        if sub.drift_every > 0 {
-            query.drift_subs.fetch_sub(1, Ordering::Relaxed);
-        }
-        let terminal = unsubscribed_frame(sub_id, sub);
-        if push_terminal {
-            // Terminal frames are exempt from the budget so accounting
-            // always reaches the client; the gauge is still claimed so the
-            // writer's decrement balances.
-            sub.queued.fetch_add(1, Ordering::AcqRel);
-            sub.writer.enqueue_push(
-                encode_response_line(&terminal, Some(sub.req_id)),
-                sub.queued.clone(),
-            );
-        }
-        self.inner.metrics.server().sub_closed();
-        Some(terminal)
     }
 
     /// Sum of pushed lines currently resident in connection writers, for
@@ -581,22 +542,84 @@ fn unsubscribed_frame(sub_id: u64, sub: &Sub) -> Response {
     }
 }
 
-/// The per-clip fan-out: runs on the draining worker, outside every mux
-/// lock, once per evaluated source clip of one statement's session.
-fn on_notice(inner: &Arc<RegistryInner>, query: &Arc<Query>, notice: &ClipNotice) {
-    let seq = notice.clip.raw() + 1;
-    let drift_due = query.drift_subs.load(Ordering::Relaxed) > 0;
-    if notice.closed.is_none() && !drift_due {
-        return;
+/// Close one subscription's books (the caller removed it from the maps):
+/// claim the terminal, push it under the subscription's id, and return it
+/// for reuse as an ack. `None` if another path already closed it.
+fn close_books(srv: &ServerCounters, sub_id: u64, sub: &Sub) -> Option<Response> {
+    if sub.closed.swap(true, Ordering::AcqRel) {
+        return None;
     }
+    // Counted before the push: a client holding the terminal never reads
+    // the subscription as still active in `stats`.
+    srv.sub_closed();
+    let terminal = unsubscribed_frame(sub_id, sub);
+    // Terminal frames are exempt from the budget so accounting always
+    // reaches the client; the gauge is still claimed so the writer's
+    // decrement balances.
+    sub.queued.fetch_add(1, Ordering::AcqRel);
+    sub.writer.enqueue_push(
+        encode_response_line(&terminal, Some(sub.req_id)),
+        sub.queued.clone(),
+    );
+    Some(terminal)
+}
+
+/// Step one statement's engine on a source clip and fan the result out.
+/// Runs on the driver thread under `Query::state`. `false` if the step
+/// panicked: the engine's state is then unknown and the caller retires
+/// the statement.
+fn step(srv: &ServerCounters, source: &LiveSource, query: &Query, clip: ClipId) -> bool {
+    let mut state = query.state.lock();
+    let QueryState { engine, subs } = &mut *state;
+    let Some(engine) = engine.as_mut() else {
+        return true;
+    };
+    let started = Instant::now();
+    let stepped = catch_unwind(AssertUnwindSafe(|| {
+        engine
+            .push_clip(&mut OwnedClipView::new(source.oracle.clone(), clip))
+            .closed
+    }));
+    let nanos = started.elapsed().as_nanos() as u64;
+    query
+        .counters
+        .eval_nanos
+        .fetch_add(nanos, Ordering::Relaxed);
+    let Ok(closed) = stepped else {
+        return false;
+    };
+    query
+        .counters
+        .clips_processed
+        .fetch_add(1, Ordering::Relaxed);
+    let seq = clip.raw() + 1;
+    let drift_due = subs
+        .values()
+        .any(|sub| sub.drift_every > 0 && seq.is_multiple_of(sub.drift_every));
+    if closed.is_none() && !drift_due {
+        return true;
+    }
+    let drift = drift_due.then(|| (engine.backgrounds(), engine.criticals()));
+    fan_out(srv, subs, seq, closed, drift);
+    true
+}
+
+/// Push one stepped clip to a statement's subscribers: the sequence it
+/// closed (counted against each push budget) and any drift frame due.
+/// Caller holds `Query::state`.
+fn fan_out(
+    srv: &ServerCounters,
+    subs: &BTreeMap<u64, Arc<Sub>>,
+    seq: u64,
+    closed: Option<ClipInterval>,
+    drift: Option<(Vec<f64>, Vec<u32>)>,
+) {
     let at = rt::monotonic_nanos();
-    let srv = inner.metrics.server();
-    let state = query.state.lock();
-    for (&sub_id, sub) in &state.subs {
+    for (&sub_id, sub) in subs {
         if sub.closed.load(Ordering::Acquire) || seq <= sub.from_seq {
             continue;
         }
-        if let Some(interval) = notice.closed {
+        if let Some(interval) = closed {
             sub.total.fetch_add(1, Ordering::Relaxed);
             // A pending gap notice takes the first free slot, so the gap
             // is reported before anything newer.
@@ -617,7 +640,7 @@ fn on_notice(inner: &Arc<RegistryInner>, query: &Arc<Query>, notice: &ClipNotice
                     &Response::Event {
                         sub: sub_id,
                         seq,
-                        clip: notice.clip.raw(),
+                        clip: seq - 1,
                         first: interval.start.raw(),
                         last: interval.end.raw(),
                         at,
@@ -631,19 +654,21 @@ fn on_notice(inner: &Arc<RegistryInner>, query: &Arc<Query>, notice: &ClipNotice
                 srv.subs_missed.fetch_add(1, Ordering::Relaxed);
             }
         }
-        if sub.drift_every > 0 && seq.is_multiple_of(sub.drift_every) && claim_slot(&sub.queued) {
-            // Best-effort: skipped at budget, never counted as missed.
-            push_line(
-                sub,
-                &Response::Drift {
-                    sub: sub_id,
-                    backgrounds: notice.backgrounds.clone(),
-                    criticals: notice.criticals.clone(),
-                },
-            );
+        if let Some((backgrounds, criticals)) = &drift {
+            if sub.drift_every > 0 && seq.is_multiple_of(sub.drift_every) && claim_slot(&sub.queued)
+            {
+                // Best-effort: skipped at budget, never counted as missed.
+                push_line(
+                    sub,
+                    &Response::Drift {
+                        sub: sub_id,
+                        backgrounds: backgrounds.clone(),
+                        criticals: criticals.clone(),
+                    },
+                );
+            }
         }
     }
-    drop(state);
 }
 
 /// Claim one push slot against the budget; the writer thread releases it
@@ -667,88 +692,87 @@ fn push_line(sub: &Sub, response: &Response) {
     );
 }
 
-/// Statement session finished (source exhausted, or a post-exhaustion
-/// join): fan the terminal frame to the surviving subscribers, drop the
-/// statement, and retire the session.
-fn finish_query(inner: &Arc<RegistryInner>, backend: &Weak<LocalBackend>, sql: &str) {
-    let query = inner.queries.lock().remove(sql);
-    let Some(query) = query else { return };
-    let survivors: Vec<(u64, Arc<Sub>)> = {
+/// Finish a statement (source end, a join after it, or a panicked step):
+/// drop its engine, push the terminal frame to every surviving
+/// subscriber, and retire its metrics line. The caller already took it
+/// out of the `queries` map.
+fn finish_statement(inner: &RegistryInner, query: &Query) {
+    let survivors = {
         let mut state = query.state.lock();
-        std::mem::take(&mut state.subs).into_iter().collect()
+        state.engine = None;
+        std::mem::take(&mut state.subs)
     };
     let srv = inner.metrics.server();
     for (sub_id, sub) in survivors {
         inner.subs.lock().remove(&sub_id);
-        if sub.closed.swap(true, Ordering::AcqRel) {
-            continue;
-        }
-        if sub.drift_every > 0 {
-            query.drift_subs.fetch_sub(1, Ordering::Relaxed);
-        }
-        sub.queued.fetch_add(1, Ordering::AcqRel);
-        sub.writer.enqueue_push(
-            encode_response_line(&unsubscribed_frame(sub_id, &sub), Some(sub.req_id)),
-            sub.queued.clone(),
-        );
-        srv.sub_closed();
+        close_books(srv, sub_id, &sub);
     }
-    if let Some(backend) = backend.upgrade() {
-        backend.mux.release(query.session);
-    }
+    inner.metrics.retire_session(&query.counters);
 }
 
-/// The paced replay: feed each source clip to every standing statement's
-/// session, bump the join position, sleep one jittered inter-clip gap.
-/// Runs until the source is exhausted or the registry is stopping.
-fn driver_loop(backend: &Arc<LocalBackend>) {
-    let inner = &backend.subs.inner;
+/// The paced replay: step every standing statement on each source clip,
+/// then sleep to the next clip's jittered due time — the work comes out
+/// of the gap, so it does not slow the source. At the end every statement
+/// finishes. Runs until the source is exhausted or the registry is
+/// stopping.
+fn driver_loop(inner: &RegistryInner) {
     let Some(source) = inner.source.as_ref() else {
         return;
     };
     let clips = source.oracle.clip_count();
     let mut jitter = source.config.seed | 1;
+    let mut due = rt::monotonic_nanos();
+    let mut statements: Vec<Arc<Query>> = Vec::new();
     for c in 0..clips {
         if inner.stopping.load(Ordering::Acquire) {
             return;
         }
+        // Advancing the join cursor and listing the statements share one
+        // critical section: a join before it sees this clip, one after it
+        // starts past it (and a statement it creates is stepped from the
+        // next clip on).
         {
             let queries = inner.queries.lock();
-            for query in queries.values() {
-                // Non-blocking: the ticket lands on an ingress shard.
-                // svq-lint: allow(blocking-under-lock)
-                let _ = backend.mux.feed(query.session, ClipId::new(c));
-            }
+            statements.extend(queries.values().cloned());
             source.position.store(c + 1, Ordering::Release);
         }
-        // Seeded ±25% jitter around the nominal inter-clip gap, chunked so
-        // a stop request is honoured promptly even at slow rates.
+        for query in statements.drain(..) {
+            if !step(inner.metrics.server(), source, &query, ClipId::new(c)) {
+                // Retire this statement and no other.
+                inner.queries.lock().retain(|_, q| !Arc::ptr_eq(q, &query));
+                finish_statement(inner, &query);
+            }
+        }
+        // Seeded ±25% jitter around the nominal inter-clip gap.
         jitter ^= jitter << 13;
         jitter ^= jitter >> 7;
         jitter ^= jitter << 17;
         let base = source.interval_nanos;
-        let nanos = base * 3 / 4 + jitter % (base / 2).max(1);
-        sleep_unless_stopping(inner, nanos);
+        due += base * 3 / 4 + jitter % (base / 2).max(1);
+        sleep_until(inner, due);
     }
-    // Exhaustion and the final statement collection share one critical
-    // section: a join that observes `exhausted` finishes its own fresh
-    // session, one that does not is in the list finished here.
-    let sessions: Vec<SessionId> = {
-        let queries = inner.queries.lock();
+    // Exhaustion and taking the statements share one critical section: a
+    // join that observes `exhausted` finishes its own fresh statement, one
+    // that does not is finished here.
+    let statements = {
+        let mut queries = inner.queries.lock();
         source.exhausted.store(true, Ordering::Release);
-        queries.values().map(|q| q.session).collect()
+        std::mem::take(&mut *queries)
     };
-    for session in sessions {
-        backend.mux.finish_session(session);
+    for query in statements.values() {
+        finish_statement(inner, query);
     }
 }
 
-fn sleep_unless_stopping(inner: &RegistryInner, nanos: u64) {
-    let mut remaining = nanos;
-    while remaining > 0 && !inner.stopping.load(Ordering::Acquire) {
-        let chunk = remaining.min(50_000_000);
-        rt::sleep(Duration::from_nanos(chunk));
-        remaining -= chunk;
+/// Sleep until the monotonic clock reaches `due`, in chunks so a stop
+/// request is honoured promptly even at slow rates.
+fn sleep_until(inner: &RegistryInner, due: u64) {
+    loop {
+        let now = rt::monotonic_nanos();
+        if now >= due || inner.stopping.load(Ordering::Acquire) {
+            return;
+        }
+        rt::sleep(Duration::from_nanos((due - now).min(50_000_000)));
     }
 }
 
@@ -779,6 +803,7 @@ mod tests {
             ("rate=fast", "integer"),
             ("rate=0", "rate"),
             ("minutes=0", "minutes"),
+            ("minutes=18446744073709551615", "minutes"),
             ("action=definitely_not_a_class", "action class"),
             ("objects=car+not_a_thing", "object class"),
         ] {
@@ -797,5 +822,36 @@ mod tests {
         // 1 minute at 25 fps, 50-frame clips: 30 clips.
         assert_eq!(source.oracle.clip_count(), 30);
         assert!(!source.exhausted.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn a_panicking_step_is_caught_and_other_statements_keep_stepping() {
+        let source = LiveSourceConfig::parse("minutes=1")
+            .unwrap()
+            .build()
+            .unwrap();
+        let registry = SubscriptionRegistry::new(Some(source), ExecMetrics::new());
+        let inner = &registry.inner;
+        let source = inner.source.as_ref().unwrap();
+        let sql = "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
+                   WHERE act='jumping' AND obj.include('car')";
+        let bad = registry.register_query(sql, source).unwrap();
+        let good = registry.register_query(sql, source).unwrap();
+        let srv = inner.metrics.server();
+        // Clip 10 000 is far past the 30-clip source: reading it panics
+        // inside the oracle, and the step reports it instead of unwinding.
+        assert!(!step(srv, source, &bad, ClipId::new(10_000)));
+        for c in 0..30 {
+            assert!(step(srv, source, &good, ClipId::new(c)));
+        }
+        finish_statement(inner, &bad);
+        assert!(bad.state.lock().engine.is_none());
+        let snap = inner.metrics.snapshot();
+        assert_eq!(
+            snap.sessions.len(),
+            1,
+            "the retired statement's line is gone"
+        );
+        assert_eq!(snap.total_clips, 30, "only the healthy statement stepped");
     }
 }

@@ -704,7 +704,7 @@ fn serve_mem_prepare(ctx: ScenarioCtx) {
 }
 
 /// The full `svq-serve` stack — acceptor, admission, per-connection
-/// handlers, the shared mux — over [`MemTransport`], with concurrent
+/// handlers, the shared worker pool — over [`MemTransport`], with concurrent
 /// protocol clients as sim tasks. Optional faults: a connection dropped
 /// abortively mid-frame (`drop_conn`) and a client that stalls past the
 /// server's read deadline (`stall_client`). Invariants: every well-behaved
@@ -730,7 +730,6 @@ fn serve_mem(ctx: ScenarioCtx) {
         .write_timeout(Duration::from_millis(200))
         .drain_timeout(Duration::from_millis(200))
         .workers(1 + rng.below(2))
-        .mailbox(4 + rng.below(8))
         .build()
         .expect("config is valid");
     let handle = Server::start_on(
@@ -883,7 +882,6 @@ fn serve_pipeline(ctx: ScenarioCtx) {
         .write_timeout(Duration::from_millis(200))
         .drain_timeout(Duration::from_millis(400))
         .workers(1 + rng.below(2))
-        .mailbox(4 + rng.below(8))
         // Depth 2 forces the reader to park at the in-flight bound under
         // some schedules; deeper depths keep the whole burst in flight.
         .pipeline_depth(2 + rng.below(4))
@@ -1130,7 +1128,6 @@ fn subscribe_fanout(ctx: ScenarioCtx) {
         .write_timeout(Duration::from_millis(500))
         .drain_timeout(Duration::from_secs(2))
         .workers(1 + rng.below(2))
-        .mailbox(4 + rng.below(8))
         .build()
         .expect("config is valid");
     let handle = Server::start_on_with_source(

@@ -136,6 +136,15 @@ wait "$SERVE_PID"
 echo "== svqact subscribe round trip (live source, one event, explicit unsubscribe, wire shutdown)"
 SUB_DIR=target/ci-subscribe
 rm -rf "$SUB_DIR" && mkdir -p "$SUB_DIR"
+# Serve has no mailbox or ingress-shard knob, and a source whose frame
+# count overflows is refused up front; each exits 1 instead of serving.
+for BAD in "--mailbox 4" "--shards 2" "--source minutes=18446744073709551615"; do
+  STATUS=0
+  # shellcheck disable=SC2086 # BAD is a flag and its value
+  timeout 60 cargo run -q --release -p svqact -- serve $BAD \
+    --addr-file "$SUB_DIR/refused.addr" || STATUS=$?
+  [ "$STATUS" -eq 1 ] || { echo "svqact serve $BAD exited $STATUS, expected 1"; exit 1; }
+done
 cargo run -q --release -p svqact -- serve \
   --source action=jumping,objects=car,minutes=10,seed=42,rate=400 \
   --addr-file "$SUB_DIR/addr" --drain-timeout-ms 10000 &
