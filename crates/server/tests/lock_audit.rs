@@ -73,7 +73,6 @@ fn serving_workload_has_no_lock_order_inversions() {
         ServeConfig::builder()
             .max_conns(4)
             .workers(4)
-            .shards(2)
             .drain_timeout(Duration::from_secs(30))
             .build()
             .expect("config is valid"),

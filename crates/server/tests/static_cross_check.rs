@@ -119,7 +119,6 @@ fn runtime_lock_edges_are_covered_by_the_static_graph() {
         ServeConfig::builder()
             .max_conns(4)
             .workers(4)
-            .shards(2)
             .drain_timeout(Duration::from_secs(30))
             .build()
             .expect("config is valid"),
@@ -227,7 +226,6 @@ fn router_runtime_lock_edges_are_covered_by_the_static_graph() {
                 ServeConfig::builder()
                     .max_conns(8)
                     .workers(2)
-                    .shards(2)
                     .drain_timeout(Duration::from_secs(30))
                     .build()
                     .expect("config is valid"),

@@ -89,7 +89,6 @@ fn every_subscription_closes_its_books_and_the_server_agrees() {
             ServeConfig::builder()
                 .max_conns(conns + 4)
                 .workers(4)
-                .shards(2)
                 .read_timeout(TIMEOUT)
                 .write_timeout(TIMEOUT)
                 .drain_timeout(Duration::from_secs(30))
