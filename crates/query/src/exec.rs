@@ -9,7 +9,7 @@
 
 use crate::cluster::{self, ClusterTopK};
 use crate::plan::{LogicalPlan, PlannedPredicate, QueryMode};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{json, DeError, Deserialize, EncodeError, Serialize, Value};
 use std::time::Instant;
 use svq_core::offline::{Rvaq, RvaqOptions, TopKResult};
 use svq_core::online::{OnlineConfig, OnlineResult, Svaqd};
@@ -102,7 +102,8 @@ impl QueryOutcome {
 }
 
 // The serde stand-in's derive does not support struct variants, so the
-// externally-tagged-by-`mode` wire shape of `QueryResults` is hand-written:
+// externally-tagged-by-`mode` wire shape of `QueryResults` is hand-written,
+// in both the tree (`to_value`) and the text (`write_json`) form:
 // `{"mode": "online", "sequences": [...], "cost": {...}}` or
 // `{"mode": "offline", "topk": {...}}`.
 impl Serialize for QueryResults {
@@ -122,6 +123,25 @@ impl Serialize for QueryResults {
                 ("topk".into(), topk.to_value()),
             ]),
         }
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), EncodeError> {
+        let mut object = json::Object::begin(out);
+        match self {
+            QueryResults::Online { sequences, cost } => {
+                object
+                    .field("mode", "online")?
+                    .field("sequences", sequences)?
+                    .field("cost", cost)?;
+            }
+            QueryResults::Offline(topk) => {
+                object.field("mode", "offline")?.field("topk", topk)?;
+            }
+            QueryResults::Cluster(topk) => {
+                object.field("mode", "cluster")?.field("topk", topk)?;
+            }
+        }
+        object.end()
     }
 }
 
@@ -166,6 +186,15 @@ impl Serialize for QueryOutcome {
             ("disk".into(), self.disk.to_value()),
             ("wall_ms".into(), self.wall_ms.to_value()),
         ])
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), EncodeError> {
+        let mut object = json::Object::begin(out);
+        object
+            .field("results", &self.results)?
+            .field("disk", &self.disk)?
+            .field("wall_ms", &self.wall_ms)?;
+        object.end()
     }
 }
 

@@ -66,7 +66,7 @@
 //! frame and leave the connection usable (the reader resynchronises on the
 //! next newline).
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{json, DeError, Deserialize, EncodeError, Serialize, Value};
 use std::io::{BufRead, ErrorKind, Read};
 use svq_query::QueryOutcome;
 use svq_types::RejectReason;
@@ -323,6 +323,10 @@ impl Serialize for Request {
             Request::Shutdown => tagged("shutdown", vec![]),
         }
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), EncodeError> {
+        self.write_frame(None, out)
+    }
 }
 
 impl Deserialize for Request {
@@ -331,6 +335,45 @@ impl Deserialize for Request {
             Ok(req) => Ok(req),
             Err((reason, message)) => Err(DeError(format!("{reason}: {message}"))),
         }
+    }
+}
+
+impl Request {
+    /// Write the frame's JSON text: `kind`, the variant's fields in
+    /// [`Serialize::to_value`]'s order, then the pipeline `id` when given.
+    fn write_frame(&self, id: Option<u64>, out: &mut String) -> Result<(), EncodeError> {
+        let mut object = json::Object::begin(out);
+        object.field("kind", self.kind())?;
+        match self {
+            Request::Query { sql, video } => {
+                object.field("sql", sql)?;
+                match video {
+                    VideoScope::All => object.field("video", "all")?,
+                    scope => object.field("video", &scope.one())?,
+                };
+            }
+            Request::Stream { sql, video } => {
+                object.field("sql", sql)?.field("video", video)?;
+            }
+            Request::Subscribe {
+                sql,
+                video,
+                drift_every,
+            } => {
+                object
+                    .field("sql", sql)?
+                    .field("video", video)?
+                    .field("drift_every", drift_every)?;
+            }
+            Request::Unsubscribe { sub } => {
+                object.field("sub", sub)?;
+            }
+            Request::Stats | Request::Shutdown => {}
+        }
+        if let Some(id) = id {
+            object.field("id", &id)?;
+        }
+        object.end()
     }
 }
 
@@ -409,6 +452,92 @@ impl Serialize for Response {
             ),
         }
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), EncodeError> {
+        self.write_frame(None, out)
+    }
+}
+
+impl Response {
+    /// Write the frame's JSON text: `kind`, the variant's fields in
+    /// [`Serialize::to_value`]'s order, then the pipeline `id` when given.
+    fn write_frame(&self, id: Option<u64>, out: &mut String) -> Result<(), EncodeError> {
+        let mut object = json::Object::begin(out);
+        match self {
+            Response::Outcome(outcome) => {
+                object.field("kind", "outcome")?.field("outcome", outcome)?;
+            }
+            Response::Stats(stats) => {
+                object.field("kind", "stats")?.field("stats", stats)?;
+            }
+            Response::Subscribed { sub, from_seq } => {
+                object
+                    .field("kind", "subscribed")?
+                    .field("sub", sub)?
+                    .field("from_seq", from_seq)?;
+            }
+            Response::Event {
+                sub,
+                seq,
+                clip,
+                first,
+                last,
+                at,
+            } => {
+                object
+                    .field("kind", "event")?
+                    .field("sub", sub)?
+                    .field("seq", seq)?
+                    .field("clip", clip)?
+                    .field("first", first)?
+                    .field("last", last)?
+                    .field("at", at)?;
+            }
+            Response::Drift {
+                sub,
+                backgrounds,
+                criticals,
+            } => {
+                object
+                    .field("kind", "drift")?
+                    .field("sub", sub)?
+                    .field("backgrounds", backgrounds)?
+                    .field("criticals", criticals)?;
+            }
+            Response::Lagged { sub, missed } => {
+                object
+                    .field("kind", "lagged")?
+                    .field("sub", sub)?
+                    .field("missed", missed)?;
+            }
+            Response::Unsubscribed {
+                sub,
+                delivered,
+                missed,
+                total,
+            } => {
+                object
+                    .field("kind", "unsubscribed")?
+                    .field("sub", sub)?
+                    .field("delivered", delivered)?
+                    .field("missed", missed)?
+                    .field("total", total)?;
+            }
+            Response::Bye => {
+                object.field("kind", "bye")?;
+            }
+            Response::Error { reason, message } => {
+                object
+                    .field("kind", "error")?
+                    .field("code", reason.code())?
+                    .field("message", message)?;
+            }
+        }
+        if let Some(id) = id {
+            object.field("id", &id)?;
+        }
+        object.end()
+    }
 }
 
 impl Deserialize for Response {
@@ -485,17 +614,6 @@ fn tagged(kind: &str, mut fields: Vec<(String, Value)>) -> Value {
     Value::Object(all)
 }
 
-/// Append the pipeline `id` to an already-tagged frame value.
-fn with_id(value: Value, id: Option<u64>) -> Value {
-    match (value, id) {
-        (Value::Object(mut fields), Some(id)) => {
-            fields.push(("id".to_string(), Value::UInt(id)));
-            Value::Object(fields)
-        }
-        (value, _) => value,
-    }
-}
-
 /// Read an optional `id` field off a frame value.
 fn id_of(value: &Value) -> Result<Option<u64>, (RejectReason, String)> {
     match value.get("id") {
@@ -510,33 +628,36 @@ fn id_of(value: &Value) -> Result<Option<u64>, (RejectReason, String)> {
 }
 
 /// Encode any frame as one newline-terminated line.
-pub fn encode_line<T: Serialize>(frame: &T) -> String {
-    encode_value_line(&frame.to_value())
-}
-
-/// Encode a frame's [`Value`] as one newline-terminated line; the tree is
-/// written in place, never cloned.
-fn encode_value_line(value: &Value) -> String {
-    let mut line = serde_json::value_to_string(value).unwrap_or_else(|e| {
-        // The Value tree is built by infallible `to_value`s; the codec has
-        // no failure mode for it. Answer something parseable regardless.
-        format!(
-            "{{\"kind\": \"error\", \"code\": \"internal\", \"message\": {:?}}}",
-            e.to_string()
-        )
-    });
-    line.push('\n');
-    line
+pub fn encode_line<T: Serialize + ?Sized>(frame: &T) -> String {
+    encode_with(|line| frame.write_json(line))
 }
 
 /// Encode a request with a pipeline `id` as one newline-terminated line.
 pub fn encode_request_line(request: &Request, id: Option<u64>) -> String {
-    encode_value_line(&with_id(request.to_value(), id))
+    encode_with(|line| request.write_frame(id, line))
 }
 
 /// Encode a response, echoing the request's pipeline `id` when present.
 pub fn encode_response_line(response: &Response, id: Option<u64>) -> String {
-    encode_value_line(&with_id(response.to_value(), id))
+    encode_with(|line| response.write_frame(id, line))
+}
+
+/// Run one frame writer and terminate its line. Every encode writes the
+/// text straight from the typed frame; no [`Value`] is built.
+fn encode_with(write: impl FnOnce(&mut String) -> Result<(), EncodeError>) -> String {
+    serde_json::write_to_string(|line| {
+        write(line)?;
+        line.push('\n');
+        Ok(())
+    })
+    .unwrap_or_else(|e| {
+        // Only a non-finite float fails, and no frame should hold one.
+        // Answer something parseable regardless.
+        format!(
+            "{{\"kind\": \"error\", \"code\": \"internal\", \"message\": {:?}}}\n",
+            e.to_string()
+        )
+    })
 }
 
 /// One decoded response line: the response plus the echoed pipeline `id`

@@ -108,6 +108,31 @@ fn an_unterminated_final_frame_is_still_parsed() {
     handle.wait();
 }
 
+#[test]
+fn a_line_of_openers_is_bad_json_and_the_connection_survives() {
+    // As many `[` as the line cap admits: the parser stops at its nesting
+    // limit instead of recursing once per opener off the reader thread's
+    // stack, which would abort the whole server.
+    let handle = start_bare(MAX_LINE_BYTES);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let openers = vec![b'['; MAX_LINE_BYTES - 1];
+    match client.send_raw(&openers).expect("nested line answered") {
+        Response::Error { reason, message } => {
+            assert_eq!(reason, RejectReason::BadJson, "{message}")
+        }
+        other => panic!("expected bad_json, got {other:?}"),
+    }
+    match client.request(&Request::Stats).expect("stats answers") {
+        Response::Stats(stats) => {
+            assert_eq!(stats.malformed, 1);
+            assert_eq!(stats.active_conns, 1, "connection survived");
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
+    handle.shutdown();
+    assert_eq!(handle.wait().malformed, 1);
+}
+
 proptest! {
     #[test]
     fn request_frames_round_trip_arbitrary_content(

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,8 +19,8 @@ use svq_core::offline::ingest;
 use svq_core::online::OnlineConfig;
 use svq_query::{execute_offline, execute_online, parse, LogicalPlan, QueryOutcome};
 use svq_serve::{
-    Client, Conn, MemTransport, Request, Response, ServeConfig, Server, ServerHandle, Transport,
-    VideoScope,
+    encode_request_line, Client, Conn, MemTransport, Request, Response, ServeConfig, Server,
+    ServerHandle, Transport, VideoScope,
 };
 use svq_storage::VideoRepository;
 use svq_types::{
@@ -238,22 +238,35 @@ fn pipelined_same_video_burst_matches_in_process_execution_by_id() {
 
 #[test]
 fn v2_responses_complete_out_of_order_while_v1_keeps_strict_order() {
-    let handle = start(ServeConfig::default(), 150_000);
-    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    // 12 000 clips and no catalog, so nothing has read the video before the
+    // first stream: it runs cold, for milliseconds.
+    let handle = Server::start(
+        ServeConfig::default(),
+        None,
+        vec![oracle(0, 42, 600_000)],
+        svq_exec::ExecMetrics::new(),
+    )
+    .expect("server binds an ephemeral port");
+    let socket = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut writer = socket.try_clone().expect("clone the socket");
+    let mut client = Client::over(Box::new(socket), Duration::from_secs(30)).expect("client");
+    let stream = Request::Stream {
+        sql: ONLINE_SQL.into(),
+        video: Some(0),
+    };
+    // Both frames go out in one write, so the reader takes them from one
+    // buffer: it answers the stats microseconds after dispatching the
+    // stream, with no second packet or wakeup to wait for in between.
+    let both = |stream_id, stats_id| {
+        encode_request_line(&stream, stream_id) + &encode_request_line(&Request::Stats, stats_id)
+    };
 
     // A slow stream first, then an instant stats — both id-tagged. The
     // stats response must overtake the stream's: out-of-order completion
     // is the whole point of v2.
-    client
-        .send(
-            &Request::Stream {
-                sql: ONLINE_SQL.into(),
-                video: Some(0),
-            },
-            Some(1),
-        )
-        .expect("send stream");
-    client.send(&Request::Stats, Some(2)).expect("send stats");
+    writer
+        .write_all(both(Some(1), Some(2)).as_bytes())
+        .expect("send stream and stats");
     let (first, response) = client.read_tagged().expect("first response");
     assert_eq!(
         first,
@@ -272,16 +285,9 @@ fn v2_responses_complete_out_of_order_while_v1_keeps_strict_order() {
 
     // The same shape, id-less: v1 ordering must hold even though the
     // stats completes long before the stream does.
-    client
-        .send(
-            &Request::Stream {
-                sql: ONLINE_SQL.into(),
-                video: Some(0),
-            },
-            None,
-        )
-        .expect("send stream");
-    client.send(&Request::Stats, None).expect("send stats");
+    writer
+        .write_all(both(None, None).as_bytes())
+        .expect("send stream and stats");
     let (first, response) = client.read_tagged().expect("first response");
     assert_eq!(first, None, "v1 responses carry no id");
     match response {

@@ -35,6 +35,15 @@ echo "== occurrence memo, censoring cap, critical-value registry and kernel esti
 PROPTEST_CASES=2000 cargo test --release -q -p svq-vision --test occurrence_memo
 PROPTEST_CASES=2000 cargo test --release -q -p svq-scanstats --lib -- quantile_at_most registry observe_run
 
+echo "== JSON encode and parse, deep (PROPTEST_CASES=2000)"
+# Every frame is written straight from its typed value (write_json), never
+# through the Value tree; it is correct only while the bytes equal the
+# tree's for every protocol type, non-finite floats fail both ways, the
+# text decodes back to the value, and the parser's nesting limit holds at
+# every depth.
+PROPTEST_CASES=2000 cargo test --release -q -p svq-serve --test encode
+PROPTEST_CASES=2000 cargo test --release -q -p serde_json --test text
+
 echo "== movie_topk example (ingest, persist, top-K queries reading each run's own accesses)"
 cargo run -q --release --example movie_topk
 
