@@ -103,7 +103,8 @@ impl QueryOutcome {
 
 // The serde stand-in's derive does not support struct variants, so the
 // externally-tagged-by-`mode` wire shape of `QueryResults` is hand-written,
-// in both the tree (`to_value`) and the text (`write_json`) form:
+// in the tree (`to_value`, `from_value`) and the text (`write_json`,
+// `read_json`) forms:
 // `{"mode": "online", "sequences": [...], "cost": {...}}` or
 // `{"mode": "offline", "topk": {...}}`.
 impl Serialize for QueryResults {
@@ -177,6 +178,34 @@ impl Deserialize for QueryResults {
             other => Err(DeError(format!("unknown QueryResults mode {other:?}"))),
         }
     }
+
+    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
+        let Some(mode) = reader.tagged("mode")? else {
+            return reader.fallback();
+        };
+        let mut first = false;
+        match &*mode {
+            "online" => {
+                let (mut sequences, mut cost) = (None, None);
+                while let Some(key) = reader.key(&mut first)? {
+                    match &*key {
+                        "sequences" => json::read_member(reader, &mut sequences)?,
+                        "cost" => json::read_member(reader, &mut cost)?,
+                        _ => reader.skip()?,
+                    }
+                }
+                Ok(QueryResults::Online {
+                    sequences: json::required(sequences, "QueryResults", "sequences")?,
+                    cost: json::required(cost, "QueryResults", "cost")?,
+                })
+            }
+            "offline" => json::only_member(reader, &mut first, "QueryResults", "topk")
+                .map(QueryResults::Offline),
+            "cluster" => json::only_member(reader, &mut first, "QueryResults", "topk")
+                .map(QueryResults::Cluster),
+            other => Err(DeError(format!("unknown QueryResults mode {other:?}")).into()),
+        }
+    }
 }
 
 impl Serialize for QueryOutcome {
@@ -209,6 +238,28 @@ impl Deserialize for QueryOutcome {
             results: Deserialize::from_value(field("results")?)?,
             disk: Deserialize::from_value(field("disk")?)?,
             wall_ms: Deserialize::from_value(field("wall_ms")?)?,
+        })
+    }
+
+    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
+        if reader.peek()? != b'{' {
+            return reader.fallback();
+        }
+        reader.begin_object()?;
+        let (mut results, mut disk, mut wall_ms) = (None, None, None);
+        let mut first = true;
+        while let Some(key) = reader.key(&mut first)? {
+            match &*key {
+                "results" => json::read_member(reader, &mut results)?,
+                "disk" => json::read_member(reader, &mut disk)?,
+                "wall_ms" => json::read_member(reader, &mut wall_ms)?,
+                _ => reader.skip()?,
+            }
+        }
+        Ok(QueryOutcome {
+            results: json::required(results, "QueryOutcome", "results")?,
+            disk: json::required(disk, "QueryOutcome", "disk")?,
+            wall_ms: json::required(wall_ms, "QueryOutcome", "wall_ms")?,
         })
     }
 }

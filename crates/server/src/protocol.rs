@@ -331,10 +331,22 @@ impl Serialize for Request {
 
 impl Deserialize for Request {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        match decode_request(value) {
-            Ok(req) => Ok(req),
-            Err((reason, message)) => Err(DeError(format!("{reason}: {message}"))),
-        }
+        RequestMembers::of(value).frame().map(|frame| frame.request)
+    }
+
+    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
+        let frame = RequestMembers::read(reader)?.frame()?;
+        Ok(frame.request)
+    }
+}
+
+impl Deserialize for RequestFrame {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        RequestMembers::of(value).frame()
+    }
+
+    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
+        Ok(RequestMembers::read(reader)?.frame()?)
     }
 }
 
@@ -606,25 +618,114 @@ impl Deserialize for Response {
             other => Err(DeError(format!("unknown response kind {other:?}"))),
         }
     }
+
+    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
+        match read_response(reader, false)? {
+            Some((_, response)) => Ok(response),
+            None => reader.fallback(),
+        }
+    }
+}
+
+/// The integer members each response `kind` reads, in its field order.
+fn integer_members(kind: &str) -> &'static [&'static str] {
+    match kind {
+        "subscribed" => &["sub", "from_seq"],
+        "event" => &["sub", "seq", "clip", "first", "last", "at"],
+        "drift" => &["sub"],
+        "lagged" => &["sub", "missed"],
+        "unsubscribed" => &["sub", "delivered", "missed", "total"],
+        _ => &[],
+    }
+}
+
+/// Read a response frame (and its `id`, when `with_id`) straight from the
+/// text: the `kind` member first, then the members that kind reads, in any
+/// order, the first of a repeated key winning and every other member
+/// skipped. `None` when the next value is not an object whose first member
+/// is a string `kind`; the caller reads that one as a tree.
+fn read_response(
+    reader: &mut json::Reader<'_>,
+    with_id: bool,
+) -> Result<Option<(Option<u64>, Response)>, json::ReadError> {
+    let Some(kind) = reader.tagged("kind")? else {
+        return Ok(None);
+    };
+    let mut first = false;
+    let kind = match &*kind {
+        "outcome" | "stats" | "subscribed" | "event" | "drift" | "lagged" | "unsubscribed"
+        | "bye" | "error" => kind,
+        other => return Err(DeError(format!("unknown response kind {other:?}")).into()),
+    };
+    let integers = integer_members(&kind);
+    let mut ints = [None; 6];
+    let (mut outcome, mut stats, mut backgrounds, mut criticals) = (None, None, None, None);
+    let (mut code, mut message, mut id) = (None::<String>, None, None::<Option<u64>>);
+    while let Some(key) = reader.key(&mut first)? {
+        if let Some(i) = integers.iter().position(|&name| name == key) {
+            json::read_member(reader, &mut ints[i])?;
+            continue;
+        }
+        match (&*kind, &*key) {
+            ("outcome", "outcome") => json::read_member(reader, &mut outcome)?,
+            ("stats", "stats") => json::read_member(reader, &mut stats)?,
+            ("drift", "backgrounds") => json::read_member(reader, &mut backgrounds)?,
+            ("drift", "criticals") => json::read_member(reader, &mut criticals)?,
+            ("error", "code") => json::read_member(reader, &mut code)?,
+            ("error", "message") => json::read_member(reader, &mut message)?,
+            (_, "id") if with_id => json::read_member(reader, &mut id)?,
+            _ => reader.skip()?,
+        }
+    }
+    let int = |i: usize| json::required(ints[i], "Response", integers[i]);
+    let response = match &*kind {
+        "outcome" => Response::Outcome(json::required(outcome, "Response", "outcome")?),
+        "stats" => Response::Stats(json::required(stats, "Response", "stats")?),
+        "subscribed" => Response::Subscribed {
+            sub: int(0)?,
+            from_seq: int(1)?,
+        },
+        "event" => Response::Event {
+            sub: int(0)?,
+            seq: int(1)?,
+            clip: int(2)?,
+            first: int(3)?,
+            last: int(4)?,
+            at: int(5)?,
+        },
+        "drift" => Response::Drift {
+            sub: int(0)?,
+            backgrounds: json::required(backgrounds, "Response", "backgrounds")?,
+            criticals: json::required(criticals, "Response", "criticals")?,
+        },
+        "lagged" => Response::Lagged {
+            sub: int(0)?,
+            missed: int(1)?,
+        },
+        "unsubscribed" => Response::Unsubscribed {
+            sub: int(0)?,
+            delivered: int(1)?,
+            missed: int(2)?,
+            total: int(3)?,
+        },
+        "bye" => Response::Bye,
+        _ => {
+            let code = json::required(code, "Response", "code")?;
+            let reason = RejectReason::from_code(&code)
+                .ok_or_else(|| DeError(format!("unknown error code {code:?}")))?;
+            Response::Error {
+                reason,
+                message: json::required(message, "Response", "message")?,
+            }
+        }
+    };
+    Ok(Some((id.flatten(), response)))
 }
 
 fn tagged(kind: &str, mut fields: Vec<(String, Value)>) -> Value {
     let mut all = vec![("kind".to_string(), Value::Str(kind.to_string()))];
     all.append(&mut fields);
     Value::Object(all)
-}
-
-/// Read an optional `id` field off a frame value.
-fn id_of(value: &Value) -> Result<Option<u64>, (RejectReason, String)> {
-    match value.get("id") {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => u64::from_value(v).map(Some).map_err(|e| {
-            (
-                RejectReason::BadRequest,
-                format!("`id` must be a non-negative integer: {e}"),
-            )
-        }),
-    }
 }
 
 /// Encode any frame as one newline-terminated line.
@@ -679,122 +780,214 @@ impl Deserialize for ResponseFrame {
             response: Response::from_value(value)?,
         })
     }
+
+    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
+        match read_response(reader, true)? {
+            Some((id, response)) => Ok(ResponseFrame { id, response }),
+            None => reader.fallback(),
+        }
+    }
 }
 
-fn decode_request(value: &Value) -> Result<Request, (RejectReason, String)> {
-    let kind = match value.get("kind") {
-        Some(Value::Str(k)) => k.clone(),
-        Some(other) => {
-            return Err((
-                RejectReason::BadRequest,
-                format!("`kind` must be a string, got {}", other.kind()),
-            ))
+/// The members a request frame is decoded from: each the first of its key,
+/// as [`Value::get`] returns it, read as a tree (a request member is a
+/// scalar); every other member is only checked as JSON.
+#[derive(Debug, Default)]
+struct RequestMembers {
+    kind: Option<Value>,
+    sql: Option<Value>,
+    video: Option<Value>,
+    drift_every: Option<Value>,
+    sub: Option<Value>,
+    id: Option<Value>,
+}
+
+impl RequestMembers {
+    fn slot(&mut self, key: &str) -> Option<&mut Option<Value>> {
+        match key {
+            "kind" => Some(&mut self.kind),
+            "sql" => Some(&mut self.sql),
+            "video" => Some(&mut self.video),
+            "drift_every" => Some(&mut self.drift_every),
+            "sub" => Some(&mut self.sub),
+            "id" => Some(&mut self.id),
+            _ => None,
         }
-        None => {
-            return Err((
-                RejectReason::BadRequest,
-                "request frame without a `kind` field".into(),
-            ))
+    }
+
+    /// The members of a frame's tree (none, if it is not an object).
+    fn of(value: &Value) -> Self {
+        let member = |key| value.get(key).cloned();
+        RequestMembers {
+            kind: member("kind"),
+            sql: member("sql"),
+            video: member("video"),
+            drift_every: member("drift_every"),
+            sub: member("sub"),
+            id: member("id"),
         }
-    };
-    let sql = |reason: &str| -> Result<String, (RejectReason, String)> {
-        match value.get("sql") {
-            Some(Value::Str(s)) => Ok(s.clone()),
-            Some(other) => Err((
-                RejectReason::BadRequest,
-                format!("`sql` must be a string, got {}", other.kind()),
-            )),
-            None => Err((
-                RejectReason::BadRequest,
-                format!("`{reason}` requests need a `sql` field"),
-            )),
+    }
+
+    /// The members read straight from the text (none, if the next value is
+    /// not an object). Fails only on text that is not JSON.
+    fn read(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
+        let mut members = RequestMembers::default();
+        if reader.peek()? != b'{' {
+            reader.skip()?;
+            return Ok(members);
         }
-    };
-    let scope = || -> Result<VideoScope, (RejectReason, String)> {
-        match value.get("video") {
-            None | Some(Value::Null) => Ok(VideoScope::Sole),
-            Some(Value::Str(s)) if s == "all" => Ok(VideoScope::All),
-            Some(Value::Str(s)) => Err((
-                RejectReason::BadRequest,
-                format!("`video` must be a video id or \"all\", got {s:?}"),
-            )),
-            Some(v) => u64::from_value(v).map(VideoScope::One).map_err(|e| {
+        reader.begin_object()?;
+        let mut first = true;
+        while let Some(key) = reader.key(&mut first)? {
+            match members.slot(&key) {
+                Some(slot @ None) => *slot = Some(reader.value()?),
+                _ => reader.skip()?,
+            }
+        }
+        Ok(members)
+    }
+
+    /// [`RequestMembers::decode`] for `Deserialize`: the category becomes
+    /// the error's prefix.
+    fn frame(self) -> Result<RequestFrame, DeError> {
+        self.decode()
+            .map_err(|(reason, message)| DeError(format!("{reason}: {message}")))
+    }
+
+    /// The request these members spell, or the wire category of the first
+    /// thing wrong with it: the `kind`, then the kind's fields, then the
+    /// pipeline `id`.
+    fn decode(self) -> Result<RequestFrame, (RejectReason, String)> {
+        let kind = match self.kind {
+            Some(Value::Str(k)) => k,
+            Some(other) => {
+                return Err((
+                    RejectReason::BadRequest,
+                    format!("`kind` must be a string, got {}", other.kind()),
+                ))
+            }
+            None => {
+                return Err((
+                    RejectReason::BadRequest,
+                    "request frame without a `kind` field".into(),
+                ))
+            }
+        };
+        let request = match kind.as_str() {
+            "query" => Request::Query {
+                sql: sql(self.sql, "query")?,
+                video: scope(self.video)?,
+            },
+            "stream" => Request::Stream {
+                sql: sql(self.sql, "stream")?,
+                video: match scope(self.video)? {
+                    VideoScope::Sole => None,
+                    VideoScope::One(v) => Some(v),
+                    VideoScope::All => {
+                        return Err((
+                            RejectReason::BadRequest,
+                            "`stream` requests target a single video; \
+                             `\"all\"` is only valid for `query`"
+                                .into(),
+                        ))
+                    }
+                },
+            },
+            "subscribe" => Request::Subscribe {
+                sql: sql(self.sql, "subscribe")?,
+                video: match scope(self.video)? {
+                    VideoScope::Sole => None,
+                    VideoScope::One(v) => Some(v),
+                    VideoScope::All => {
+                        return Err((
+                            RejectReason::BadRequest,
+                            "`subscribe` requests target a single live source; \
+                             `\"all\"` is only valid for `query`"
+                                .into(),
+                        ))
+                    }
+                },
+                drift_every: match self.drift_every {
+                    None | Some(Value::Null) => 0,
+                    Some(v) => u64::from_value(&v).map_err(|e| {
+                        (
+                            RejectReason::BadRequest,
+                            format!("`drift_every` must be a non-negative integer: {e}"),
+                        )
+                    })?,
+                },
+            },
+            "unsubscribe" => Request::Unsubscribe {
+                sub: match self.sub {
+                    Some(v) => u64::from_value(&v).map_err(|e| {
+                        (
+                            RejectReason::BadRequest,
+                            format!("`sub` must be a subscription handle: {e}"),
+                        )
+                    })?,
+                    None => {
+                        return Err((
+                            RejectReason::BadRequest,
+                            "`unsubscribe` requests need a `sub` field".into(),
+                        ))
+                    }
+                },
+            },
+            "stats" => Request::Stats,
+            "shutdown" => Request::Shutdown,
+            other => {
+                return Err((
+                    RejectReason::UnknownKind,
+                    format!(
+                        "unknown request kind {other:?} \
+                         (query|stream|subscribe|unsubscribe|stats|shutdown)"
+                    ),
+                ))
+            }
+        };
+        let id = match self.id {
+            None | Some(Value::Null) => None,
+            Some(v) => Some(u64::from_value(&v).map_err(|e| {
                 (
                     RejectReason::BadRequest,
-                    format!("`video` must be a video id: {e}"),
+                    format!("`id` must be a non-negative integer: {e}"),
                 )
-            }),
-        }
-    };
-    match kind.as_str() {
-        "query" => Ok(Request::Query {
-            sql: sql("query")?,
-            video: scope()?,
-        }),
-        "stream" => Ok(Request::Stream {
-            sql: sql("stream")?,
-            video: match scope()? {
-                VideoScope::Sole => None,
-                VideoScope::One(v) => Some(v),
-                VideoScope::All => {
-                    return Err((
-                        RejectReason::BadRequest,
-                        "`stream` requests target a single video; \
-                         `\"all\"` is only valid for `query`"
-                            .into(),
-                    ))
-                }
-            },
-        }),
-        "subscribe" => Ok(Request::Subscribe {
-            sql: sql("subscribe")?,
-            video: match scope()? {
-                VideoScope::Sole => None,
-                VideoScope::One(v) => Some(v),
-                VideoScope::All => {
-                    return Err((
-                        RejectReason::BadRequest,
-                        "`subscribe` requests target a single live source; \
-                         `\"all\"` is only valid for `query`"
-                            .into(),
-                    ))
-                }
-            },
-            drift_every: match value.get("drift_every") {
-                None | Some(Value::Null) => 0,
-                Some(v) => u64::from_value(v).map_err(|e| {
-                    (
-                        RejectReason::BadRequest,
-                        format!("`drift_every` must be a non-negative integer: {e}"),
-                    )
-                })?,
-            },
-        }),
-        "unsubscribe" => Ok(Request::Unsubscribe {
-            sub: match value.get("sub") {
-                Some(v) => u64::from_value(v).map_err(|e| {
-                    (
-                        RejectReason::BadRequest,
-                        format!("`sub` must be a subscription handle: {e}"),
-                    )
-                })?,
-                None => {
-                    return Err((
-                        RejectReason::BadRequest,
-                        "`unsubscribe` requests need a `sub` field".into(),
-                    ))
-                }
-            },
-        }),
-        "stats" => Ok(Request::Stats),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err((
-            RejectReason::UnknownKind,
-            format!(
-                "unknown request kind {other:?} \
-                 (query|stream|subscribe|unsubscribe|stats|shutdown)"
-            ),
+            })?),
+        };
+        Ok(RequestFrame { id, request })
+    }
+}
+
+/// A request's `sql` member.
+fn sql(member: Option<Value>, kind: &str) -> Result<String, (RejectReason, String)> {
+    match member {
+        Some(Value::Str(s)) => Ok(s),
+        Some(other) => Err((
+            RejectReason::BadRequest,
+            format!("`sql` must be a string, got {}", other.kind()),
         )),
+        None => Err((
+            RejectReason::BadRequest,
+            format!("`{kind}` requests need a `sql` field"),
+        )),
+    }
+}
+
+/// A request's `video` member.
+fn scope(member: Option<Value>) -> Result<VideoScope, (RejectReason, String)> {
+    match member {
+        None | Some(Value::Null) => Ok(VideoScope::Sole),
+        Some(Value::Str(s)) if s == "all" => Ok(VideoScope::All),
+        Some(Value::Str(s)) => Err((
+            RejectReason::BadRequest,
+            format!("`video` must be a video id or \"all\", got {s:?}"),
+        )),
+        Some(v) => u64::from_value(&v).map(VideoScope::One).map_err(|e| {
+            (
+                RejectReason::BadRequest,
+                format!("`video` must be a video id: {e}"),
+            )
+        }),
     }
 }
 
@@ -807,14 +1000,24 @@ pub fn parse_request(line: &[u8]) -> Result<Request, (RejectReason, String)> {
 
 /// Decode one raw request line into a [`RequestFrame`] (request plus
 /// optional pipeline `id`), mapping each failure mode to its wire category.
+///
+/// Reads the frame straight from the text, building no tree: text that is
+/// not JSON anywhere on the line is `bad_json`, whatever its members hold;
+/// then the `kind`, the kind's fields and the `id` are judged in that
+/// order, as the frame's tree would be.
 pub fn parse_request_frame(line: &[u8]) -> Result<RequestFrame, (RejectReason, String)> {
     let text = std::str::from_utf8(line)
         .map_err(|e| (RejectReason::BadUtf8, format!("request line: {e}")))?;
-    let value: Value = serde_json::from_str(text)
-        .map_err(|e| (RejectReason::BadJson, format!("request line: {e}")))?;
-    let request = decode_request(&value)?;
-    let id = id_of(&value)?;
-    Ok(RequestFrame { id, request })
+    let mut reader = json::Reader::new(text);
+    let members = RequestMembers::read(&mut reader)
+        .and_then(|members| reader.finish().map(|()| members))
+        .map_err(|e| {
+            (
+                RejectReason::BadJson,
+                format!("request line: json error: {e}"),
+            )
+        })?;
+    members.decode()
 }
 
 /// What one bounded line read produced.

@@ -133,6 +133,47 @@ fn a_line_of_openers_is_bad_json_and_the_connection_survives() {
     assert_eq!(handle.wait().malformed, 1);
 }
 
+/// Numbers and strings that RFC 8259 forbids are `bad_json`, not a
+/// lenient reading: `01` is not the id 1. Each frame is answered with its
+/// typed error, and a `stats` on the same connection still answers.
+#[test]
+fn numbers_and_strings_json_forbids_are_bad_json_and_the_connection_survives() {
+    let handle = start_bare(1_024);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let forbidden: [&[u8]; 8] = [
+        b"{\"kind\":\"stats\",\"id\":01}",
+        b"{\"kind\":\"stats\",\"id\":-01}",
+        b"{\"kind\":\"stats\",\"id\":00}",
+        b"{\"kind\":\"stats\",\"id\":1.}",
+        b"{\"kind\":\"stats\",\"id\":1.e5}",
+        b"{\"kind\":\"stats\",\"x\":\"a\x00b\"}",
+        b"{\"kind\":\"stats\",\"x\":\"tab\there\"}",
+        b"{\"kind\":\"st\x1fats\"}",
+    ];
+    for (i, raw) in forbidden.into_iter().enumerate() {
+        match client.send_raw(raw).expect("typed error arrives") {
+            Response::Error { reason, message } => {
+                assert_eq!(reason, RejectReason::BadJson, "{message}")
+            }
+            other => panic!("expected bad_json, got {other:?}"),
+        }
+        match client.request(&Request::Stats).expect("stats answers") {
+            Response::Stats(stats) => {
+                assert_eq!(stats.malformed, i as u64 + 1);
+                assert_eq!(stats.active_conns, 1, "connection survived");
+            }
+            other => panic!("expected stats, got {other:?}"),
+        }
+    }
+    // The forms JSON allows still read: `-0` is the id 0.
+    match client.send_raw(b"{\"kind\":\"stats\",\"id\":-0}") {
+        Ok(Response::Stats(_)) => {}
+        other => panic!("expected stats, got {other:?}"),
+    }
+    handle.shutdown();
+    assert_eq!(handle.wait().malformed, forbidden.len() as u64);
+}
+
 proptest! {
     #[test]
     fn request_frames_round_trip_arbitrary_content(

@@ -7,6 +7,12 @@
 //! simulated costs of the profiled models, and [`CostLedger`] accumulates
 //! them alongside real algorithm wall-clock, letting the runtime experiment
 //! reproduce the decomposition.
+//!
+//! A clip's units are charged in one step ([`CostLedger::charge_object_frames`],
+//! [`CostLedger::charge_action_shots`]), and the result is bit for bit the
+//! ledger `n` one-unit charges leave, for every [`CostModel`]: the step is
+//! one multiply-add only when that is exact, and the per-unit loop
+//! otherwise (see [`add_units`]).
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -58,6 +64,20 @@ impl CostLedger {
         self.action_ms += model.action_ms_per_shot;
     }
 
+    /// Charge object-detection passes over `n` frames: the ledger `n`
+    /// calls of [`CostLedger::charge_object_frame`] leave, bit for bit.
+    pub fn charge_object_frames(&mut self, model: &CostModel, n: u64) {
+        self.object_frames += n;
+        self.object_ms = add_units(self.object_ms, model.object_ms_per_frame, n);
+    }
+
+    /// Charge action-recognition passes over `n` shots: the ledger `n`
+    /// calls of [`CostLedger::charge_action_shot`] leave, bit for bit.
+    pub fn charge_action_shots(&mut self, model: &CostModel, n: u64) {
+        self.action_shots += n;
+        self.action_ms = add_units(self.action_ms, model.action_ms_per_shot, n);
+    }
+
     /// Record algorithm wall-clock.
     pub fn charge_algorithm(&mut self, elapsed: Duration) {
         self.algorithm_ms += elapsed.as_secs_f64() * 1e3;
@@ -92,6 +112,45 @@ impl CostLedger {
         self.action_ms += other.action_ms;
         self.algorithm_ms += other.algorithm_ms;
     }
+}
+
+/// 2^53: every integer of at most this magnitude is an `f64`.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
+/// `sum` after `n` repeated `sum += unit`, bit for bit.
+///
+/// One multiply-add when every partial sum is an integer of at most 2^53 in
+/// magnitude, which holds for every profile's integral millisecond costs:
+/// each repeated add is then exact, and so are the product and the sum.
+/// The partial sums run monotonically from `sum` to the total, so bounding
+/// the two ends bounds them all; rounding is monotone too, so a computed
+/// product or total below 2^53 means the exact one is. A zero total takes
+/// the same sign both ways (`-0.0` only when `sum` and `unit` are both
+/// `-0.0`). Any other model, a fractional cost say, takes the loop; `n = 0`
+/// returns `sum` untouched, sign included.
+fn add_units(sum: f64, unit: f64, n: u64) -> f64 {
+    if n == 0 {
+        return sum;
+    }
+    // An integer of at most 2^53 in magnitude survives the round trip
+    // through `i64` exactly; a fraction, a larger magnitude or a non-finite
+    // value fails the bound or the round trip. (Casts, not `fract`, which
+    // is a libm call on baseline x86-64.)
+    let integral = |x: f64| x.abs() <= EXACT_INTEGERS && (x as i64) as f64 == x;
+    let step = n as f64 * unit;
+    let total = sum + step;
+    let exact = integral(unit)
+        && integral(sum)
+        && step.abs() < EXACT_INTEGERS
+        && total.abs() < EXACT_INTEGERS;
+    if exact {
+        return total;
+    }
+    let mut sum = sum;
+    for _ in 0..n {
+        sum += unit;
+    }
+    sum
 }
 
 #[cfg(test)]
@@ -144,5 +203,28 @@ mod tests {
         assert_eq!(a.object_frames, 1);
         assert_eq!(a.action_shots, 1);
         assert!((a.inference_ms() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_step_charges_take_the_loop_when_the_product_is_not_exact() {
+        let per_unit = |sum: f64, unit: f64, n: u64| (0..n).fold(sum, |s, _| s + unit);
+        for (sum, unit, n) in [
+            (0.0, 93.0, 50),
+            (-0.0, -0.0, 3),
+            (-0.0, 0.0, 3),
+            (-0.0, 7.0, 0),
+            (0.1, 93.0, 50),
+            (0.0, 0.1, 50),
+            (EXACT_INTEGERS - 2.0, 1.0, 4),
+            (EXACT_INTEGERS, -1.0, 3),
+            (-5.0, 1.0, 5),
+            (1e300, 1e300, 4),
+        ] {
+            assert_eq!(
+                add_units(sum, unit, n).to_bits(),
+                per_unit(sum, unit, n).to_bits(),
+                "{sum:e} + {n} x {unit:e}"
+            );
+        }
     }
 }

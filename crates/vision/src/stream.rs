@@ -8,9 +8,11 @@
 //!
 //! A consumer requests a clip's frames or shots through [`ClipAccess`] and
 //! gets a [`ClipFrames`] / [`ClipShots`] handle back. Requesting is what
-//! costs: one detector pass per frame, one recognizer pass per shot,
-//! charged one unit at a time in the order requested, so the ledger's
-//! millisecond fields are the same repeated sums whatever the handle is
+//! costs: one detector pass per frame, one recognizer pass per shot. A
+//! request charges the clip's units in one step
+//! ([`CostLedger::charge_object_frames`] / `charge_action_shots`), and the
+//! ledger it leaves is bit for bit the one a per-unit charge in the order
+//! requested would leave, for every cost model — whatever the handle is
 //! then asked. A handle answers Algorithm 2's occurrence counts from the
 //! oracle's per-class memo ([`DetectionOracle::object_count`]) and lends
 //! the rows themselves, borrowed from the oracle, for predicates a count
@@ -83,9 +85,8 @@ fn frames<'o>(
     ledger: &mut CostLedger,
     clip: ClipId,
 ) -> ClipFrames<'o> {
-    for _ in oracle.truth().geometry.frames_of_clip(clip) {
-        ledger.charge_object_frame(cost_model);
-    }
+    let frames = oracle.truth().geometry.frames_per_clip();
+    ledger.charge_object_frames(cost_model, u64::from(frames));
     ClipFrames { oracle, clip }
 }
 
@@ -96,9 +97,8 @@ fn shots<'o>(
     ledger: &mut CostLedger,
     clip: ClipId,
 ) -> ClipShots<'o> {
-    for _ in oracle.truth().geometry.shots_of_clip(clip) {
-        ledger.charge_action_shot(cost_model);
-    }
+    let shots = oracle.truth().geometry.shots_per_clip;
+    ledger.charge_action_shots(cost_model, u64::from(shots));
     ClipShots { oracle, clip }
 }
 

@@ -23,25 +23,29 @@ PROPTEST_CASES=2000 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
   CARGO_TARGET_DIR=target/debug-assertions \
   cargo test --release -q -p svq-core --test tbclip_differential
 
-echo "== occurrence memo, censoring cap, critical-value registry and kernel estimator, deep (PROPTEST_CASES=2000)"
+echo "== occurrence memo, one-step clip charge, censoring cap, critical-value registry and kernel estimator, deep (PROPTEST_CASES=2000)"
 # The online engines read Algorithm 2's counts from the oracle's per-class
-# memo, SVAQD stops its censoring quantile at ceil(count/2), its critical
+# memo, a clip's inference cost is charged in one step, SVAQD stops its censoring quantile at ceil(count/2), its critical
 # values come from a capped process-wide registry of dense per-config
 # tables, and its background estimator advances a clip's units in one
 # closed-form step; each is correct only while it equals its definition
-# (the row scan, the capped quantile, the per-table map memo, the per-unit
-# recurrence) and the registry stays within its capacity under hostile
+# (the row scan, the per-unit charge loop bit for bit, the capped quantile,
+# the per-table map memo, the per-unit recurrence) and the registry stays within its capacity under hostile
 # configs, so run the properties far past the default 64 cases.
-PROPTEST_CASES=2000 cargo test --release -q -p svq-vision --test occurrence_memo
+PROPTEST_CASES=2000 cargo test --release -q -p svq-vision --test occurrence_memo --test ledger
 PROPTEST_CASES=2000 cargo test --release -q -p svq-scanstats --lib -- quantile_at_most registry observe_run
 
-echo "== JSON encode and parse, deep (PROPTEST_CASES=2000)"
-# Every frame is written straight from its typed value (write_json), never
-# through the Value tree; it is correct only while the bytes equal the
-# tree's for every protocol type, non-finite floats fail both ways, the
-# text decodes back to the value, and the parser's nesting limit holds at
+echo "== JSON encode, decode and parse, deep (PROPTEST_CASES=2000)"
+# Every frame is written straight from its typed value (write_json) and
+# read straight from its text (read_json), never through the Value tree;
+# it is correct only while the bytes equal the tree's for every protocol
+# type, non-finite floats fail both ways, the text decodes back to the
+# value, every text (shuffled, repeated, unknown or escaped keys, wrong
+# types, truncated) reads as its tree does and a request line gets the
+# tree decoder's reject reason, and the parser's nesting limit holds at
 # every depth.
 PROPTEST_CASES=2000 cargo test --release -q -p svq-serve --test encode
+PROPTEST_CASES=2000 cargo test --release -q -p svq-serve --test decode
 PROPTEST_CASES=2000 cargo test --release -q -p serde_json --test text
 
 echo "== movie_topk example (ingest, persist, top-K queries reading each run's own accesses)"
