@@ -5,9 +5,7 @@ use svq_core::offline::ingest as run_ingest;
 use svq_core::online::OnlineConfig;
 use svq_query::plan::{LogicalPlan, QueryMode};
 use svq_storage::IngestedVideo;
-use svq_types::{
-    ActionClass, ObjectClass, PaperScoring, SvqError, VideoGeometry, VideoId, Vocabulary,
-};
+use svq_types::{ActionClass, ObjectClass, PaperScoring, VideoGeometry, VideoId, Vocabulary};
 use svq_vision::models::ModelSuite;
 use svq_vision::synth::{ObjectSpec, ScenarioSpec, SyntheticVideo};
 use svq_vision::VideoStream;
@@ -255,45 +253,31 @@ pub fn query(flags: &Flags) -> CliResult {
 }
 
 /// The flags `svqact mux` reads; any other is refused.
-pub const MUX_FLAGS: &str = "sql streams workers shards pacing mailbox policy minutes seed models \
-    action objects metrics-every";
+pub const MUX_FLAGS: &str = "sql streams workers minutes seed models action objects metrics-every";
 
-/// `svqact mux` — run Q online queries over K synthetic streams
-/// concurrently on the svq-exec session multiplexer.
+/// `svqact mux` — run Q online statements over K synthetic streams
+/// concurrently. Each (statement, stream) pair is one worker-pool job
+/// running [`svq_query::execute_online`], the path a served `stream`
+/// request takes, under a metrics session line while it runs.
 pub fn mux(flags: &Flags) -> CliResult {
-    use std::sync::Arc;
-    use svq_core::online::Svaqd;
-    use svq_exec::{Backpressure, ExecMetrics, MuxOptions, SessionEngine, SessionMux};
+    use std::sync::atomic::Ordering;
+    use std::sync::{mpsc, Arc};
+    use svq_exec::{ExecMetrics, WorkerPool};
+    use svq_query::{execute_online, QueryResults};
 
     let streams: u64 = flags.get_parsed("streams", 4)?;
     let workers: usize = flags.get_parsed("workers", 4)?;
+    if workers == 0 {
+        return Err("--workers must be at least 1".into());
+    }
     let minutes: f64 = flags.get_parsed("minutes", 2.0)?;
     let seed: u64 = flags.get_parsed("seed", 42)?;
-    let mailbox: usize = flags.get_parsed("mailbox", 64)?;
-    // Executor knobs go straight to the multiplexer; they are outside
-    // input, so degenerate values are refused here with the flag named.
-    let shards: usize = flags.get_parsed("shards", 1)?;
-    if shards == 0 {
-        return Err(SvqError::InvalidConfig("--shards must be at least 1".into()).into());
-    }
-    let pacing: f64 = flags.get_parsed("pacing", 0.0)?;
-    if !pacing.is_finite() || pacing < 0.0 {
-        return Err(SvqError::InvalidConfig(format!(
-            "--pacing must be finite and non-negative, got {pacing}"
-        ))
-        .into());
-    }
     // Periodic progress snapshots to stderr every N seconds (0 = off).
     let metrics_every: f64 = flags.get_parsed("metrics-every", 0.0)?;
     if metrics_every < 0.0 {
         return Err("--metrics-every must be non-negative".into());
     }
     let suite = suite_named(flags.get("models").unwrap_or("accurate"))?;
-    let policy = match flags.get("policy").unwrap_or("block") {
-        "block" => Backpressure::Block,
-        "drop-oldest" => Backpressure::DropOldest,
-        other => return Err(format!("unknown policy {other:?} (block|drop-oldest)").into()),
-    };
 
     // One or more online statements, semicolon-separated.
     let mut plans = Vec::new();
@@ -306,7 +290,7 @@ pub fn mux(flags: &Flags) -> CliResult {
         if !matches!(plan.mode, QueryMode::Online) {
             return Err("mux runs online statements only (no ORDER BY RANK … LIMIT)".into());
         }
-        plans.push(plan);
+        plans.push(Arc::new(plan));
     }
     if plans.is_empty() {
         return Err("--sql holds no statement".into());
@@ -341,58 +325,71 @@ pub fn mux(flags: &Flags) -> CliResult {
         })
         .collect();
 
-    // K × Q sessions over one pool behind a sharded ingress.
+    // K × Q jobs over one pool; each reports its slot's outcome.
     let started = std::time::Instant::now();
-    let config = OnlineConfig::default();
-    let mux = SessionMux::with_options(
-        MuxOptions::new(workers).with_shards(shards),
-        ExecMetrics::new(),
-    );
-    let mut ids = Vec::new();
-    for (i, oracle) in oracles.iter().enumerate() {
-        for (j, plan) in plans.iter().enumerate() {
-            let engine =
-                SessionEngine::Svaqd(Svaqd::new(&plan.predicate, geometry, config, 1e-4, 1e-4));
-            let id = mux.register(
-                format!("q{j}/v{i}"),
-                oracle.clone(),
-                engine,
-                policy,
-                mailbox,
-            );
-            mux.set_pacing(id, pacing)?;
-            ids.push(id);
-        }
-    }
+    let metrics = ExecMetrics::new();
+    let labels: Vec<String> = (0..oracles.len())
+        .flat_map(|i| (0..plans.len()).map(move |j| format!("q{j}/v{i}")))
+        .collect();
+    let pool = WorkerPool::new(workers, labels.len(), metrics.clone());
     // Progress to stderr so stdout stays the final report.
     let reporter = (metrics_every > 0.0).then(|| {
-        mux.metrics()
-            .spawn_reporter(std::time::Duration::from_secs_f64(metrics_every), |snap| {
-                eprint!("{snap}")
-            })
+        metrics.spawn_reporter(std::time::Duration::from_secs_f64(metrics_every), |snap| {
+            eprint!("{snap}")
+        })
     });
-    mux.feed_streams(&ids);
-    let mut total_sequences = 0usize;
-    let mut inference_ms = 0.0;
-    for &id in &ids {
-        match mux.wait(id) {
-            Ok(result) => {
-                total_sequences += result.sequences.len();
-                inference_ms += result.cost.inference_ms();
+    let (tx, rx) = mpsc::channel();
+    for (slot, label) in labels.iter().enumerate() {
+        let (oracle, plan) = (
+            oracles[slot / plans.len()].clone(),
+            plans[slot % plans.len()].clone(),
+        );
+        let (tx, metrics, label) = (tx.clone(), metrics.clone(), label.clone());
+        pool.submit(Box::new(move || {
+            let session = metrics.register_session(label);
+            let outcome = execute_online(
+                &plan,
+                &mut VideoStream::new(&oracle),
+                OnlineConfig::default(),
+            );
+            if outcome.is_ok() {
+                session
+                    .clips_processed
+                    .fetch_add(oracle.clip_count(), Ordering::Relaxed);
             }
-            Err(e) => eprintln!("session failed: {e}"),
-        }
+            metrics.retire_session(&session);
+            let _ = tx.send((slot, outcome));
+        }));
     }
+    drop(tx);
+    // A panicking job drops its sender unsent, so its slot stays empty.
+    let mut outcomes: Vec<Option<_>> = labels.iter().map(|_| None).collect();
+    for (slot, outcome) in rx {
+        outcomes[slot] = Some(outcome);
+    }
+    pool.shutdown();
     if let Some(reporter) = reporter {
         reporter.stop();
     }
-    let snapshot = mux.metrics().snapshot();
-    mux.shutdown();
-    print!("{snapshot}");
+    let mut total_sequences = 0usize;
+    let mut inference_ms = 0.0;
+    for (label, outcome) in labels.iter().zip(outcomes) {
+        match outcome {
+            Some(Ok(outcome)) => {
+                if let QueryResults::Online { sequences, cost } = outcome.results {
+                    total_sequences += sequences.len();
+                    inference_ms += cost.inference_ms();
+                }
+            }
+            Some(Err(e)) => eprintln!("{label} failed: {e}"),
+            None => eprintln!("{label} failed: its job panicked"),
+        }
+    }
+    print!("{}", metrics.snapshot());
     println!(
-        "{} sessions ({streams} streams x {} queries): {total_sequences} result \
+        "{} jobs ({streams} streams x {} queries): {total_sequences} result \
          sequences, {:.1}s simulated inference, {:.2}s wall clock",
-        ids.len(),
+        labels.len(),
         plans.len(),
         inference_ms / 1e3,
         started.elapsed().as_secs_f64()
@@ -1127,8 +1124,6 @@ mod tests {
                 ("streams", "2"),
                 ("workers", "2"),
                 ("minutes", "0.5"),
-                ("shards", "2"),
-                ("pacing", "0"),
                 ("metrics-every", "0.01"),
                 (
                     "sql",
@@ -1138,22 +1133,24 @@ mod tests {
             ],
         ))
         .expect("mux");
-        // Degenerate executor knobs are rejected up front, naming the flag.
-        for (flag, value) in [("shards", "0"), ("pacing", "-1"), ("pacing", "inf")] {
-            let err = mux(&flags(
-                MUX_FLAGS,
-                &[
-                    (flag, value),
-                    (
-                        "sql",
-                        "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
-                     WHERE act='jumping' AND obj.include('car')",
-                    ),
-                ],
-            ))
-            .unwrap_err();
-            assert!(err.to_string().contains(&format!("--{flag}")), "{err}");
-            assert!(err.to_string().contains("invalid config"), "{err}");
+        // A pool needs a worker: zero is refused, naming the flag.
+        let err = mux(&flags(
+            MUX_FLAGS,
+            &[
+                ("workers", "0"),
+                (
+                    "sql",
+                    "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
+                 WHERE act='jumping' AND obj.include('car')",
+                ),
+            ],
+        ))
+        .unwrap_err();
+        assert_eq!(err.to_string(), "--workers must be at least 1");
+        // The former multiplexer knobs are unknown flags now.
+        for gone in ["shards", "pacing", "mailbox", "policy"] {
+            let argv = [format!("--{gone}"), "1".to_string()];
+            assert!(Flags::parse(&argv, MUX_FLAGS).is_err(), "--{gone}");
         }
         // Negative interval is rejected up front.
         let err = mux(&flags(

@@ -76,8 +76,8 @@ fn print_usage() {
          [--models …] --out DIR\n\
          \u{20}  query   (--catalog catalog.svqc | --scene scene.json) --sql STATEMENT\n\
          \u{20}  mux     --sql \"STMT[; STMT…]\" [--streams K] [--workers N] \
-         [--shards S] [--pacing F] [--mailbox N] [--minutes M] \
-         [--policy block|drop-oldest] [--metrics-every SECS]\n\
+         [--minutes M] [--seed N] [--models …] [--action NAME] [--objects a,b] \
+         [--metrics-every SECS]\n\
          \u{20}  serve   [--catalog FILE|DIR] [--scene scene.json | --scenes a,b,…] \
          [--addr HOST:PORT] [--addr-file PATH] [--max-conns N] \
          [--read-timeout-ms MS] [--write-timeout-ms MS] [--drain-timeout-ms MS] \

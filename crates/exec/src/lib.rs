@@ -9,8 +9,8 @@
 //!   queue, with per-job panic isolation and graceful drain-then-join
 //!   shutdown.
 //! * [`mux::SessionMux`] — the session multiplexer: each (query, stream)
-//!   pair owns its engine and a FIFO mailbox with a configurable
-//!   backpressure policy; an atomic scheduled flag makes each session an
+//!   pair owns its engine and a bounded FIFO mailbox that blocks its
+//!   feeder when full; an atomic scheduled flag makes each session an
 //!   actor, so results are byte-identical to sequential runs at any worker
 //!   or shard count.
 //! * [`ingress::Ingress`] — the sharded asynchronous ingress behind

@@ -17,8 +17,6 @@ use std::time::{Duration, Instant};
 pub struct SessionCounters {
     /// Clips fully evaluated through the session's engine.
     pub clips_processed: AtomicU64,
-    /// Tickets discarded by the drop-oldest backpressure policy.
-    pub dropped: AtomicU64,
     /// Current mailbox depth (tickets enqueued and not yet consumed).
     pub queue_depth: AtomicU64,
     /// Nanoseconds feeders spent blocked on a full mailbox.
@@ -360,7 +358,6 @@ impl ExecMetrics {
                     label: label.clone(),
                     clips_processed: clips,
                     clips_per_sec: clips as f64 / elapsed,
-                    dropped: c.dropped.load(Ordering::Relaxed),
                     queue_depth: c.queue_depth.load(Ordering::Relaxed),
                     feed_block_ms: c.feed_block_nanos.load(Ordering::Relaxed) as f64 / 1e6,
                     eval_ms: c.eval_nanos.load(Ordering::Relaxed) as f64 / 1e6,
@@ -520,7 +517,6 @@ pub struct SessionSnapshot {
     pub label: String,
     pub clips_processed: u64,
     pub clips_per_sec: f64,
-    pub dropped: u64,
     pub queue_depth: u64,
     /// Total feeder time blocked on this session's mailbox.
     pub feed_block_ms: f64,
@@ -746,12 +742,11 @@ impl fmt::Display for MetricsSnapshot {
         for s in &self.sessions {
             writeln!(
                 f,
-                "  {:<28} {:>8} clips ({:>8.0}/s)  dropped {:>5}  queue {:>4}  \
+                "  {:<28} {:>8} clips ({:>8.0}/s)  queue {:>4}  \
                  eval {:>9.1} ms  feed-block {:>8.1} ms",
                 s.label,
                 s.clips_processed,
                 s.clips_per_sec,
-                s.dropped,
                 s.queue_depth,
                 s.eval_ms,
                 s.feed_block_ms,
@@ -782,12 +777,12 @@ mod tests {
         let b = metrics.register_session("q1/v0".into());
         a.clips_processed.store(30, Ordering::Relaxed);
         b.clips_processed.store(12, Ordering::Relaxed);
-        b.dropped.store(3, Ordering::Relaxed);
+        b.queue_depth.store(3, Ordering::Relaxed);
         let snap = metrics.snapshot();
         assert_eq!(snap.workers, 4);
         assert_eq!(snap.total_clips, 42);
         assert_eq!(snap.sessions.len(), 2);
-        assert_eq!(snap.sessions[1].dropped, 3);
+        assert_eq!(snap.sessions[1].queue_depth, 3);
         assert!(snap.total_clips_per_sec > 0.0);
         let text = snap.to_string();
         assert!(text.contains("q0/v0"));

@@ -23,16 +23,12 @@
 //!   pool keep running. Likewise a session stalled on a full
 //!   [`Backpressure::Block`] mailbox stalls only its shard's feeder, never
 //!   the accept path and never other shards.
-//! * **Liveness.** [`SessionMux::feed`] never blocks the caller,
+//! * **Liveness.** [`SessionMux::feed`] never blocks the caller, and
 //!   [`SessionMux::wait`] is idempotent (a condvar-guarded result latch, so
-//!   repeated waits return the same result instead of deadlocking), and the
-//!   pacing sleep that simulates model-inference wait runs outside every
-//!   lock.
+//!   repeated waits return the same result instead of deadlocking).
 //!
-//! Backpressure on a full mailbox is per session: [`Backpressure::Block`]
-//! stalls the shard feeder (lossless, what query sessions want) while
-//! [`Backpressure::DropOldest`] sheds the oldest waiting clip and counts it
-//! (what live monitoring dashboards want).
+//! A full mailbox stalls the session's shard feeder until a worker catches
+//! up: no clip is ever lost.
 
 use crate::ingress::Ingress;
 use crate::metrics::{ExecMetrics, SessionCounters, ShardCounters};
@@ -40,22 +36,21 @@ use crate::pool::WorkerPool;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use svq_core::online::Svaqd;
-use svq_types::{ClipId, ClipInterval, SvqError, SvqResult};
+use svq_types::{ClipId, ClipInterval};
 use svq_vision::models::DetectionOracle;
 use svq_vision::{ClipAccess, CostLedger, OwnedClipView};
 
-/// Mailbox policy when a session's queue is full.
+/// Mailbox policy when a session's queue is full. Its one variant stays
+/// only until the benchmark stops naming it (ROADMAP item 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backpressure {
     /// Block the shard feeder until the worker catches up (lossless).
     #[default]
     Block,
-    /// Drop the oldest waiting clip and count it in the session metrics.
-    DropOldest,
 }
 
 /// Sentinel clip id whose evaluation deterministically panics the worker —
@@ -136,10 +131,8 @@ pub struct SessionResult {
     pub sequences: Vec<ClipInterval>,
     /// Inference cost charged by this session's clip evaluations.
     pub cost: CostLedger,
-    /// Clips evaluated (excludes dropped tickets).
+    /// Clips evaluated.
     pub clips_processed: u64,
-    /// Tickets shed by [`Backpressure::DropOldest`].
-    pub dropped: u64,
 }
 
 /// Why a session failed.
@@ -231,13 +224,10 @@ pub(crate) struct Session {
     closed: AtomicBool,
     /// Drain-side: set once the shard feeder delivered end-of-stream.
     finishing: AtomicBool,
-    /// Wall seconds slept per *simulated* inference second (bits of `f64`).
-    pacing: AtomicU64,
     /// Set-once per-clip observer ([`SessionMux::set_observer`]); a
     /// `OnceLock` so the drain loop reads it without any lock-order
     /// entanglement with `state`.
     observer: std::sync::OnceLock<ClipObserver>,
-    policy: Backpressure,
     /// The ingress shard this session's stream hashes to.
     shard: usize,
     counters: Arc<SessionCounters>,
@@ -296,13 +286,14 @@ impl SessionMux {
 
     /// Register a session: one engine consuming one oracle's clip stream.
     /// `mailbox_cap` bounds the ticket queue; `label` names the session in
-    /// metrics snapshots.
+    /// metrics snapshots. A full mailbox always blocks (see
+    /// [`Backpressure`]).
     pub fn register(
         &self,
         label: String,
         oracle: Arc<DetectionOracle>,
         engine: SessionEngine,
-        policy: Backpressure,
+        _policy: Backpressure,
         mailbox_cap: usize,
     ) -> SessionId {
         let (tx, rx) = bounded(mailbox_cap.max(1));
@@ -323,9 +314,7 @@ impl SessionMux {
             scheduled: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             finishing: AtomicBool::new(false),
-            pacing: AtomicU64::new(0f64.to_bits()),
             observer: std::sync::OnceLock::new(),
-            policy,
             shard,
             counters,
         });
@@ -372,27 +361,6 @@ impl SessionMux {
         let shard = session.shard;
         self.ingress
             .enqueue(shard, IngressEvent::Feed(session, clip));
-        Ok(())
-    }
-
-    /// Pace a session to its simulated inference cost: after each clip the
-    /// worker sleeps `factor` wall seconds per simulated inference second
-    /// charged by that clip, outside every lock (a sleep too long for a
-    /// [`Duration`] saturates). The simulator's clip evaluation is
-    /// microseconds of table lookups, but deployed SVAQD spends >98 % of
-    /// its time waiting on model inference (§5.2) — pacing restores that
-    /// wait so executor-level concurrency measurements carry over. `0.0` (the default) disables pacing; a negative or non-finite
-    /// `factor` is refused with [`SvqError::InvalidConfig`] and leaves the
-    /// session's pacing unchanged.
-    pub fn set_pacing(&self, id: SessionId, factor: f64) -> SvqResult<()> {
-        if !factor.is_finite() || factor < 0.0 {
-            return Err(SvqError::InvalidConfig(format!(
-                "pacing must be finite and non-negative, got {factor}"
-            )));
-        }
-        self.session(id)
-            .pacing
-            .store(factor.to_bits(), Ordering::Relaxed);
         Ok(())
     }
 
@@ -492,40 +460,19 @@ pub(crate) fn deliver(core: &MuxCore, event: IngressEvent, shard: &ShardCounters
     }
 }
 
-/// Apply the session's backpressure policy to one ticket.
+/// Put one ticket in the session's mailbox, blocking the feeder while it
+/// is full.
 fn deliver_clip(session: &Session, clip: ClipId, shard: &ShardCounters) {
     // Count the ticket before it becomes visible to workers: a racing
     // drain's decrement then always pairs with an earlier increment, so the
     // queue-depth gauge can never transiently wrap below zero.
     session.counters.queue_depth.fetch_add(1, Ordering::Relaxed);
-    match session.policy {
-        Backpressure::Block => {
-            if let Err(TrySendError::Full(clip)) = session.tx.try_send(clip) {
-                let blocked = Instant::now();
-                session.tx.send(clip).expect("session mailbox open");
-                let nanos = blocked.elapsed().as_nanos() as u64;
-                SessionCounters::add(&session.counters.feed_block_nanos, nanos);
-                SessionCounters::add(&shard.feed_block_nanos, nanos);
-            }
-        }
-        Backpressure::DropOldest => {
-            let mut clip = clip;
-            loop {
-                match session.tx.try_send(clip) {
-                    Ok(()) => break,
-                    Err(TrySendError::Full(returned)) => {
-                        clip = returned;
-                        if session.rx.try_recv().is_ok() {
-                            session.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                            session.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        unreachable!("session mailbox open")
-                    }
-                }
-            }
-        }
+    if let Err(TrySendError::Full(clip)) = session.tx.try_send(clip) {
+        let blocked = Instant::now();
+        session.tx.send(clip).expect("session mailbox open");
+        let nanos = blocked.elapsed().as_nanos() as u64;
+        SessionCounters::add(&session.counters.feed_block_nanos, nanos);
+        SessionCounters::add(&shard.feed_block_nanos, nanos);
     }
 }
 
@@ -565,7 +512,6 @@ fn drain(session: &Session) {
                         sequences: engine.finish(),
                         cost: state.ledger,
                         clips_processed: state.clips_processed,
-                        dropped: session.counters.dropped.load(Ordering::Relaxed),
                     })
                 };
                 state.result = Some(result);
@@ -591,9 +537,9 @@ fn drain(session: &Session) {
     }
 }
 
-/// Evaluate one clip under the state lock. The observer notice and the
-/// pacing sleep run after the guard drops, so feeders reading stream
-/// metadata and metrics observers are never blocked on either.
+/// Evaluate one clip under the state lock. The observer notice runs after
+/// the guard drops, so feeders reading stream metadata and metrics
+/// observers are never blocked on it.
 fn evaluate(session: &Session, clip: ClipId) {
     let mut state = session.state.lock();
     if state.poisoned {
@@ -639,22 +585,12 @@ fn evaluate(session: &Session, clip: ClipId) {
     if let (Some(observer), Some(notice)) = (observer, notice) {
         observer(notice);
     }
-    let pacing = f64::from_bits(session.pacing.load(Ordering::Relaxed));
-    let sleep_secs = ledger.inference_ms() / 1e3 * pacing;
-    if sleep_secs > 0.0 {
-        #[cfg(feature = "lock-audit")]
-        assert_eq!(
-            parking_lot::lock_audit::held_count(),
-            0,
-            "pacing sleep must not hold any audited lock"
-        );
-        parking_lot::rt::sleep(Duration::try_from_secs_f64(sleep_secs).unwrap_or(Duration::MAX));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use svq_core::online::OnlineConfig;
     use svq_types::{
         ActionClass, ActionQuery, BBox, FrameId, Interval, ObjectClass, TrackId, VideoGeometry,
@@ -667,34 +603,6 @@ mod tests {
     /// 40 clips (2000 frames); car & jumping on clips 12..=19.
     fn oracle(video: u64, seed: u64) -> Arc<DetectionOracle> {
         let mut gt = GroundTruth::new(VideoId::new(video), VideoGeometry::default(), 2_000);
-        gt.tracks.push(ObjectTrack {
-            class: ObjectClass::named("car"),
-            track: TrackId::new(1),
-            frames: Interval::new(FrameId::new(600), FrameId::new(999)),
-            visibility: 1.0,
-            bbox: BBox::FULL,
-        });
-        gt.actions.push(ActionSpan {
-            class: ActionClass::named("jumping"),
-            frames: Interval::new(FrameId::new(600), FrameId::new(999)),
-            salience: 1.0,
-        });
-        let confusion = SceneConfusion {
-            objects: vec![(ObjectClass::named("car"), 1.0)],
-            actions: vec![(ActionClass::named("jumping"), 1.0)],
-        };
-        Arc::new(DetectionOracle::new(
-            Arc::new(gt),
-            ModelSuite::accurate(),
-            &confusion,
-            seed,
-        ))
-    }
-
-    /// Like [`oracle`] but 300 clips (15 000 frames), for stress tests that
-    /// need long in-order streams.
-    fn long_oracle(video: u64, seed: u64) -> Arc<DetectionOracle> {
-        let mut gt = GroundTruth::new(VideoId::new(video), VideoGeometry::default(), 15_000);
         gt.tracks.push(ObjectTrack {
             class: ObjectClass::named("car"),
             track: TrackId::new(1),
@@ -818,7 +726,6 @@ mod tests {
                 let noticed: Vec<Step> = notices.try_iter().collect();
                 assert_eq!(noticed, steps, "a step drifted at {shards} shards");
                 assert_eq!(got.clips_processed, 40);
-                assert_eq!(got.dropped, 0);
                 // Same clips evaluated in the same order: identical
                 // inference charge (algorithm wall-clock is not charged
                 // by either path here).
@@ -833,137 +740,6 @@ mod tests {
             assert_eq!(delivered, 240, "every ticket crosses an ingress shard");
             assert_eq!(snap.shards.iter().map(|s| s.ingress_depth).sum::<u64>(), 0);
             mux.shutdown();
-        }
-    }
-
-    #[test]
-    fn drop_oldest_sheds_and_counts() {
-        // One worker and a mailbox of 2. The consumer holds on a gate after
-        // clip 0, so the other 39 clips all reach a full mailbox: exactly
-        // the 37 oldest are shed and counted, and the session still
-        // finishes cleanly on the two that survive.
-        let mux = SessionMux::new(1, ExecMetrics::new());
-        let o = oracle(0, 7);
-        let clips = o.clip_count();
-        let id = mux.register(
-            "lossy".into(),
-            o.clone(),
-            svaqd_engine(&o),
-            Backpressure::DropOldest,
-            2,
-        );
-        let gate = Arc::new(std::sync::RwLock::new(()));
-        let closed = gate.write().expect("gate starts closed");
-        let (held_tx, held_rx) = std::sync::mpsc::channel();
-        let observer_gate = gate.clone();
-        mux.set_observer(id, move |notice| {
-            let _ = held_tx.send(notice.clips_processed);
-            // A poisoned gate means the test already failed: let the
-            // worker through either way.
-            let _held = observer_gate.read();
-        });
-        mux.feed(id, ClipId::new(0)).unwrap();
-        assert_eq!(
-            held_rx.recv_timeout(Duration::from_secs(30)),
-            Ok(1),
-            "the worker evaluates clip 0, then holds"
-        );
-        for c in 1..clips {
-            mux.feed(id, ClipId::new(c)).unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while mux.metrics().snapshot().shards[0].delivered < clips {
-            assert!(Instant::now() < deadline, "the feeder never delivered");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let shed = clips - 1 - 2;
-        assert_eq!(mux.metrics().snapshot().sessions[0].dropped, shed);
-
-        drop(closed);
-        mux.finish_session(id);
-        let result = mux.wait(id).unwrap();
-        assert_eq!(result.dropped, shed);
-        assert_eq!(result.clips_processed, 3, "clip 0 and the last two");
-        let snap = mux.metrics().snapshot();
-        assert_eq!(snap.sessions[0].dropped, shed);
-        assert_eq!(snap.sessions[0].queue_depth, 0);
-        mux.shutdown();
-    }
-
-    /// Queue-depth accounting under the feeder/worker `try_recv` race: the
-    /// gauge must never wrap below zero, and every fed ticket must end up
-    /// either processed or counted as dropped — across worker counts and a
-    /// sharded ingress.
-    #[test]
-    fn drop_oldest_queue_depth_never_underflows() {
-        for workers in [1usize, 2, 4] {
-            let mux = Arc::new(SessionMux::with_options(
-                MuxOptions::new(workers).with_shards(2),
-                ExecMetrics::new(),
-            ));
-            let oracles: Vec<_> = (0..4).map(|i| long_oracle(i, 50 + i)).collect();
-            let ids: Vec<SessionId> = oracles
-                .iter()
-                .enumerate()
-                .map(|(i, o)| {
-                    mux.register(
-                        format!("under{i}"),
-                        o.clone(),
-                        svaqd_engine(o),
-                        Backpressure::DropOldest,
-                        1 + i % 2,
-                    )
-                })
-                .collect();
-            // Concurrent observer: sample the gauge while feeders and
-            // workers race. An underflow shows up as a value near u64::MAX.
-            let stop = Arc::new(AtomicBool::new(false));
-            let observer = {
-                let mux = mux.clone();
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    let mut max_seen = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        for s in mux.metrics().snapshot().sessions {
-                            max_seen = max_seen.max(s.queue_depth);
-                        }
-                        std::thread::yield_now();
-                    }
-                    max_seen
-                })
-            };
-            // Clip ids must be strictly increasing per session — the engines
-            // require stream order even when DropOldest sheds some of them.
-            const FED: u64 = 300;
-            for c in 0..FED {
-                for &id in &ids {
-                    mux.feed(id, ClipId::new(c)).unwrap();
-                }
-            }
-            for &id in &ids {
-                mux.finish_session(id);
-            }
-            for &id in &ids {
-                let result = mux.wait(id).unwrap();
-                assert_eq!(
-                    result.clips_processed + result.dropped,
-                    FED,
-                    "ticket lost at {workers} workers"
-                );
-            }
-            stop.store(true, Ordering::Relaxed);
-            let max_seen = observer.join().expect("observer");
-            assert!(
-                max_seen < u64::MAX / 2,
-                "queue_depth underflowed (saw {max_seen}) at {workers} workers"
-            );
-            for s in mux.metrics().snapshot().sessions {
-                assert_eq!(s.queue_depth, 0, "gauge must settle at zero");
-            }
-            Arc::try_unwrap(mux)
-                .ok()
-                .expect("observer joined")
-                .shutdown();
         }
     }
 
@@ -1047,49 +823,6 @@ mod tests {
         let first = first.expect("healthy session");
         assert_eq!(first.clips_processed, 40);
         assert_eq!(Ok(first), second, "second wait saw a different result");
-        Arc::try_unwrap(mux).ok().expect("waiter joined").shutdown();
-    }
-
-    /// Regression: `set_pacing` stored any factor, and an infinite one made
-    /// the post-clip sleep panic outside the evaluation `catch_unwind`: the
-    /// pool swallowed the panic, the session stayed scheduled, and `wait`
-    /// never returned. Degenerate factors are now refused and the session
-    /// runs unpaced — verified under a 30 s watchdog.
-    #[test]
-    fn degenerate_pacing_is_refused_and_the_session_finishes() {
-        let mux = Arc::new(SessionMux::new(1, ExecMetrics::new()));
-        let o = oracle(0, 13);
-        let id = mux.register(
-            "paced".into(),
-            o.clone(),
-            svaqd_engine(&o),
-            Backpressure::Block,
-            8,
-        );
-        for factor in [f64::INFINITY, f64::NAN, -1.0, f64::NEG_INFINITY] {
-            let err = mux.set_pacing(id, factor).expect_err("degenerate factor");
-            assert!(err.to_string().contains("pacing"), "{err}");
-        }
-        mux.set_pacing(id, 0.0).expect("zero disables pacing");
-        let waiter = {
-            let mux = mux.clone();
-            std::thread::spawn(move || {
-                let _ = mux.set_pacing(id, f64::INFINITY);
-                mux.feed_stream(id);
-                mux.wait(id)
-            })
-        };
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !waiter.is_finished() {
-            assert!(
-                Instant::now() < deadline,
-                "wait() never returned after set_pacing(INFINITY) (watchdog fired)"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let result = waiter.join().expect("waiter thread").expect("healthy");
-        assert_eq!(result.clips_processed, 40);
-        assert_eq!(mux.metrics().snapshot().jobs_panicked, 0);
         Arc::try_unwrap(mux).ok().expect("waiter joined").shutdown();
     }
 

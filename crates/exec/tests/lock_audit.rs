@@ -96,38 +96,3 @@ fn mux_workload_has_no_lock_order_inversions() {
             .join("\n")
     );
 }
-
-/// Regression for the pacing sleep that used to run inside the session
-/// state lock: the drain loop now asserts — via the auditor's per-thread
-/// held stack — that no audited lock is held when it sleeps. If the sleep
-/// ever moves back under a guard, the assertion panics in the worker,
-/// which poisons the session and fails this wait.
-#[test]
-fn pacing_sleep_runs_outside_all_audited_locks() {
-    let mux = SessionMux::with_options(MuxOptions::new(2).with_shards(2), ExecMetrics::new());
-    let oracles: Vec<_> = (0..2).map(|i| oracle(10 + i, 70 + i)).collect();
-    let ids: Vec<_> = oracles
-        .iter()
-        .enumerate()
-        .map(|(i, o)| {
-            let id = mux.register(
-                format!("paced-{i}"),
-                o.clone(),
-                engine(o),
-                Backpressure::Block,
-                4,
-            );
-            // Large enough that every evaluated clip actually sleeps.
-            mux.set_pacing(id, 1e-6).expect("valid pacing");
-            id
-        })
-        .collect();
-    mux.feed_streams(&ids);
-    for &id in &ids {
-        let result = mux
-            .wait(id)
-            .expect("a guard held across the pacing sleep would poison this session");
-        assert_eq!(result.clips_processed, 40);
-    }
-    mux.shutdown();
-}

@@ -64,7 +64,7 @@ fn runtime_lock_edges_are_covered_by_the_static_graph() {
     parking_lot::lock_audit::reset();
 
     // The same mux workload the inversion audit drives: many sessions,
-    // shared worker pool, backpressure, metrics, pacing.
+    // shared worker pool, backpressure, metrics.
     let mux = SessionMux::with_options(MuxOptions::new(4).with_shards(2), ExecMetrics::new());
     // The reporter thread snapshots under its stop guard — the executor's
     // nested first-party acquisitions (`stop` → `sessions`/`shards`).
@@ -76,17 +76,13 @@ fn runtime_lock_edges_are_covered_by_the_static_graph() {
         .iter()
         .enumerate()
         .map(|(i, o)| {
-            let id = mux.register(
+            mux.register(
                 format!("cross-{i}"),
                 o.clone(),
                 engine(o),
                 Backpressure::Block,
                 8,
-            );
-            if i % 2 == 0 {
-                mux.set_pacing(id, 1e-6).expect("valid pacing");
-            }
-            id
+            )
         })
         .collect();
     mux.feed_streams(&ids);

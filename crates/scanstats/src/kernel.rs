@@ -90,13 +90,6 @@ impl KernelEstimator {
         self
     }
 
-    /// Override the clamp range.
-    pub fn with_clamp(mut self, floor: f64, ceil: f64) -> Self {
-        assert!(0.0 < floor && floor < ceil && ceil <= 1.0);
-        self.clamp = (floor, ceil);
-        self
-    }
-
     /// Observe one occurrence unit; `event` is whether the unit carried a
     /// positive prediction.
     pub fn observe(&mut self, event: bool) {

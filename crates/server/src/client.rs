@@ -182,19 +182,6 @@ impl Pending {
             }
         }
     }
-
-    /// Like [`Pending::wait`] but insisting on an `outcome` frame.
-    pub fn wait_outcome(self) -> SvqResult<QueryOutcome> {
-        match self.wait()? {
-            Response::Outcome(outcome) => Ok(outcome),
-            Response::Error { reason, message } => Err(SvqError::Storage(format!(
-                "server refused ({reason}): {message}"
-            ))),
-            other => Err(SvqError::Storage(format!(
-                "expected an outcome frame, got {other:?}"
-            ))),
-        }
-    }
 }
 
 /// Push-frame mailbox shared between a [`Subscription`] handle and the

@@ -174,6 +174,34 @@ fn numbers_and_strings_json_forbids_are_bad_json_and_the_connection_survives() {
     assert_eq!(handle.wait().malformed, forbidden.len() as u64);
 }
 
+/// A number past f64's range is `bad_json`, not a field of the wrong
+/// type: no writer could encode it back, so no reader takes it.
+#[test]
+fn numbers_past_f64_range_are_bad_json() {
+    let handle = start_bare(1_024);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let digits = format!("{{\"kind\":\"stats\",\"id\":{}}}", "9".repeat(400));
+    let lines = [
+        "{\"kind\":\"stats\",\"id\":1e400}".to_string(),
+        "{\"kind\":\"stream\",\"sql\":\"s\",\"video\":-1e400}".to_string(),
+        digits,
+    ];
+    for line in &lines {
+        match client
+            .send_raw(line.as_bytes())
+            .expect("typed error arrives")
+        {
+            Response::Error { reason, message } => {
+                assert_eq!(reason, RejectReason::BadJson, "{line}: {message}");
+                assert!(message.contains("number out of range"), "{message}");
+            }
+            other => panic!("expected bad_json, got {other:?}"),
+        }
+    }
+    handle.shutdown();
+    assert_eq!(handle.wait().malformed, lines.len() as u64);
+}
+
 proptest! {
     #[test]
     fn request_frames_round_trip_arbitrary_content(

@@ -2,13 +2,15 @@
 //! concurrency bugs this repo has shipped and fixed, each proven to be
 //! *caught* by the simulation harness within a small seed sweep — and the
 //! corrected pattern proven to sweep clean. This is the evidence behind
-//! the corpus header's claim that re-introducing any of these bugs turns
-//! a corpus line red.
+//! the corpus header's claim that re-introducing the first or third bug
+//! turns a corpus line red.
 //!
 //! 1. **v3 `wait()` lost-notify deadlock** — the first waiter *consumed*
 //!    the latched result, so the second waiter parked forever.
-//! 2. **v3 DropOldest gauge underflow** — a queue-depth gauge decremented
-//!    before the matching increment landed, wrapping to `u64::MAX`.
+//! 2. **v3 mailbox gauge underflow** — a queue-depth gauge decremented
+//!    before the matching increment landed, wrapping to `u64::MAX`. No
+//!    corpus scenario samples a session's gauge mid-drain, so this
+//!    chamber alone guards the pattern.
 //! 3. **v5 reporter lost-wakeup** — the reporter parked without first
 //!    re-checking its stop flag, so a stop that landed early waited out a
 //!    whole reporting interval.

@@ -2,7 +2,9 @@
 //! simulated world — reproducibility, fault isolation, corpus health, and
 //! randomized sweeps.
 
-use svq_sim::{find, persist_trace, run_corpus_line, run_one, sweep, FaultPlan, RunSpec, CORPUS};
+use svq_sim::{
+    find, persist_trace, run_corpus_line, run_one, sweep, FaultPlan, RunSpec, CORPUS, SCENARIOS,
+};
 
 fn scenario(name: &str) -> &'static svq_sim::Scenario {
     find(name).expect("registered scenario")
@@ -12,17 +14,11 @@ fn scenario(name: &str) -> &'static svq_sim::Scenario {
 /// not merely equal hashes.
 #[test]
 fn same_seed_replays_byte_identically() {
-    for name in [
-        "mux_pipeline",
-        "drop_oldest",
-        "double_wait",
-        "reporter",
-        "serve_mem",
-        "ingest_crash",
-    ] {
+    for scenario in SCENARIOS {
+        let name = scenario.name;
         let spec = RunSpec {
             keep_trace: true,
-            ..RunSpec::new(scenario(name), 0xDECAF)
+            ..RunSpec::new(scenario, 0xDECAF)
         };
         let a = run_one(&spec);
         let b = run_one(&spec);
@@ -153,7 +149,6 @@ fn corpus_stays_green() {
 fn randomized_sweeps_find_no_violations() {
     for (name, schedules, size) in [
         ("mux_pipeline", 12u64, 6u64),
-        ("drop_oldest", 12, 12),
         ("double_wait", 12, 4),
         ("reporter", 12, 3),
         ("serve_mem", 8, 4),

@@ -100,12 +100,12 @@ cargo run -q --release -p svqact -- sim --schedules "$SIM_SCHEDULES" \
 cargo run -q --release -p svqact -- sim --schedules "$SIM_SCHEDULES" \
   --scenario all --seed 48879 --faults all
 
-echo "== svqact mux (2 streams over a 2-shard ingress; degenerate and unknown flags exit 1)"
+echo "== svqact mux (2 streams on 2 workers; degenerate and unknown flags exit 1)"
 MUX_SQL="SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
          WHERE act='jumping' AND obj.include('car')"
-cargo run -q --release -p svqact -- mux --streams 2 --workers 2 --shards 2 \
+cargo run -q --release -p svqact -- mux --streams 2 --workers 2 \
   --minutes 0.5 --sql "$MUX_SQL"
-for BAD in "--shards 0" "--pacing -1" "--drain-batch 4"; do
+for BAD in "--workers 0" "--drain-batch 4"; do
   STATUS=0
   # shellcheck disable=SC2086 # BAD is a flag and its value
   cargo run -q --release -p svqact -- mux $BAD --sql "$MUX_SQL" || STATUS=$?
