@@ -46,12 +46,28 @@ fn suite_named(name: &str) -> Result<ModelSuite, String> {
     }
 }
 
+/// `--minutes` of footage as a frame count at `geometry`'s rate. A value
+/// that is not positive, not finite, or past a `u64` frame count is
+/// refused, as `serve --source minutes=…` refuses one.
+fn footage_frames(minutes: f64, geometry: VideoGeometry) -> Result<u64, String> {
+    let frames = (minutes * 60.0 * f64::from(geometry.fps)).round();
+    // 2^64, the first float past `u64::MAX`; NaN fails both tests.
+    if (1.0..18_446_744_073_709_551_616.0).contains(&frames) {
+        Ok(frames as u64)
+    } else {
+        Err(format!(
+            "--minutes must be positive and fit a frame count, got {minutes}"
+        ))
+    }
+}
+
 /// The flags `svqact synth` reads; any other is refused.
 pub const SYNTH_FLAGS: &str = "minutes action objects seed occupancy out";
 
 /// `svqact synth` — generate a synthetic scene.
 pub fn synth(flags: &Flags) -> CliResult {
-    let minutes: f64 = flags.get_parsed("minutes", 5.0)?;
+    let geometry = VideoGeometry::default();
+    let frames = footage_frames(flags.get_parsed("minutes", 5.0)?, geometry)?;
     let action = ActionClass::lookup(flags.require("action")?)
         .ok_or("unknown action label (try `svqact labels actions`)")?;
     let objects: Vec<ObjectSpec> = flags
@@ -71,8 +87,6 @@ pub fn synth(flags: &Flags) -> CliResult {
     let occupancy: f64 = flags.get_parsed("occupancy", 0.35)?;
     let out = flags.require("out")?;
 
-    let geometry = VideoGeometry::default();
-    let frames = (minutes * 60.0 * geometry.fps as f64).round() as u64;
     let mut spec = ScenarioSpec::activitynet(VideoId::new(seed), frames, action, objects, seed);
     spec.action_occupancy = occupancy;
     let video = spec.generate();
@@ -270,7 +284,8 @@ pub fn mux(flags: &Flags) -> CliResult {
     if workers == 0 {
         return Err("--workers must be at least 1".into());
     }
-    let minutes: f64 = flags.get_parsed("minutes", 2.0)?;
+    let geometry = VideoGeometry::default();
+    let frames = footage_frames(flags.get_parsed("minutes", 2.0)?, geometry)?;
     let seed: u64 = flags.get_parsed("seed", 42)?;
     // Periodic progress snapshots to stderr every N seconds (0 = off).
     let metrics_every: f64 = flags.get_parsed("metrics-every", 0.0)?;
@@ -310,8 +325,6 @@ pub fn mux(flags: &Flags) -> CliResult {
                 .ok_or_else(|| format!("unknown object label {o:?}"))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let geometry = VideoGeometry::default();
-    let frames = (minutes * 60.0 * geometry.fps as f64).round() as u64;
     let oracles: Vec<Arc<_>> = (0..streams)
         .map(|i| {
             let spec = ScenarioSpec::activitynet(
@@ -1342,5 +1355,22 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("--scene"), "{err}");
         assert!(suite_named("nonsense").is_err());
+        // A length of footage that is not positive, not finite or past a
+        // frame count is refused before any scene is generated.
+        let sql = "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) WHERE act='jumping'";
+        for minutes in ["-1", "0", "NaN", "inf", "-inf", "1e300"] {
+            let err = synth(&flags(
+                SYNTH_FLAGS,
+                &[
+                    ("minutes", minutes),
+                    ("action", "jumping"),
+                    ("out", "/dev/null"),
+                ],
+            ))
+            .unwrap_err();
+            assert!(err.to_string().contains("--minutes"), "{minutes}: {err}");
+            let err = mux(&flags(MUX_FLAGS, &[("minutes", minutes), ("sql", sql)])).unwrap_err();
+            assert!(err.to_string().contains("--minutes"), "{minutes}: {err}");
+        }
     }
 }

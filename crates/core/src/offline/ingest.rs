@@ -15,19 +15,22 @@
 //! The output [`IngestedVideo`] is all the offline engine ever touches at
 //! query time.
 
-use crate::online::{OnlineConfig, PredicateState, SequenceMerger};
+use crate::online::{
+    OnlineConfig, PredicateState, SequenceMerger, BANDWIDTH_FRAMES, BANDWIDTH_SHOTS,
+};
 use svq_scanstats::{CriticalValueTable, ScanConfig};
 use svq_storage::{ClipScoreTable, IngestedVideo, SequenceSet};
-use svq_types::{ActionClass, ClipId, ObjectClass, ScoringFunctions, Vocabulary};
+use svq_types::{ActionClass, ClipId, ClipInterval, ObjectClass, ScoringFunctions, Vocabulary};
 use svq_vision::models::DetectionOracle;
 
 /// One class's individual sequences: the online engine's per-predicate
-/// state (clamp, vicinity guard, censoring, warm-up) with the class as its
-/// own one-predicate query, fed with per-clip counts.
+/// state (clamp, vicinity guard, censoring) with the class as its own
+/// one-predicate query, fed with per-clip counts.
 #[derive(Clone)]
 struct ClassTracker {
     state: PredicateState,
     merger: SequenceMerger,
+    sequences: Vec<ClipInterval>,
 }
 
 impl ClassTracker {
@@ -35,6 +38,7 @@ impl ClassTracker {
         Self {
             state: PredicateState::new(bandwidth, prior, window, table),
             merger: SequenceMerger::new(),
+            sequences: Vec::new(),
         }
     }
 
@@ -46,14 +50,15 @@ impl ClassTracker {
         t: &mut CriticalValueTable,
     ) {
         let positive = count >= self.state.critical();
-        let in_warmup = clip.raw() < u64::from(config.warmup_clips);
-        self.state
-            .observe(Some(count), positive, in_warmup, config, t);
-        self.merger.push(clip, positive);
+        self.state.observe(Some(count), positive, config, t);
+        if let Some(closed) = self.merger.push(clip, positive) {
+            self.sequences.push(closed);
+        }
     }
 
-    fn finish(self) -> SequenceSet {
-        SequenceSet::from_sorted(self.merger.finish())
+    fn finish(mut self) -> SequenceSet {
+        self.sequences.extend(self.merger.finish());
+        SequenceSet::from_sorted(self.sequences)
     }
 }
 
@@ -83,18 +88,8 @@ pub fn ingest(
     // noise rate, so every class starts from the same uninformative prior.
     let prior = 0.01;
     let (w_obj, w_act) = (geometry.frames_per_clip(), geometry.shots_per_clip);
-    let obj_tracker = ClassTracker::new(
-        config.bandwidth_frames,
-        prior,
-        w_obj,
-        &mut object_table_sweep,
-    );
-    let act_tracker = ClassTracker::new(
-        config.bandwidth_shots,
-        prior,
-        w_act,
-        &mut action_table_sweep,
-    );
+    let obj_tracker = ClassTracker::new(BANDWIDTH_FRAMES, prior, w_obj, &mut object_table_sweep);
+    let act_tracker = ClassTracker::new(BANDWIDTH_SHOTS, prior, w_act, &mut action_table_sweep);
     let mut obj_trackers = vec![obj_tracker; n_obj];
     let mut act_trackers = vec![act_tracker; n_act];
 

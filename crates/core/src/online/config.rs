@@ -28,6 +28,20 @@ pub enum BackgroundUpdate {
     PositiveClips,
 }
 
+/// Reference horizon `L = N/w` used when deriving critical values, and
+/// [`OnlineConfig::horizon_windows`]'s default. The scan-statistic tail
+/// grows with the number of windows scanned; a fixed reference horizon
+/// (200 clips ≈ 7 minutes at the default geometry) keeps the test
+/// calibrated for "bursts an operator would flag within minutes" rather
+/// than drifting with stream length.
+pub const HORIZON_WINDOWS: f64 = 200.0;
+
+/// SVAQD kernel bandwidth for object (frame-level) estimators, in frames.
+pub const BANDWIDTH_FRAMES: f64 = 20_000.0;
+
+/// SVAQD kernel bandwidth for action estimators, in shots.
+pub const BANDWIDTH_SHOTS: f64 = 3_000.0;
+
 /// Knobs of the online algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OnlineConfig {
@@ -37,30 +51,12 @@ pub struct OnlineConfig {
     pub t_act: f64,
     /// Significance level `α` of Eq. 5.
     pub alpha: f64,
-    /// Reference horizon `L = N/w` used when deriving critical values. The
-    /// scan-statistic tail grows with the number of windows scanned; a
-    /// fixed reference horizon (default: 200 clips ≈ 7 minutes at the
-    /// default geometry) keeps the test calibrated for "bursts an operator
-    /// would flag within minutes" rather than drifting with stream length.
+    /// Reference horizon `L = N/w`. Every caller leaves it at
+    /// [`HORIZON_WINDOWS`]; it stays a field only while svqbench reads it
+    /// from a config.
     pub horizon_windows: f64,
     /// SVAQD background-update policy.
     pub update: BackgroundUpdate,
-    /// SVAQD kernel bandwidth for object estimators, in frames.
-    pub bandwidth_frames: f64,
-    /// SVAQD kernel bandwidth for the action estimator, in shots.
-    pub bandwidth_shots: f64,
-    /// Optional burn-in: for the first this-many clips, SVAQD estimators
-    /// observe every evaluated clip regardless of the update policy.
-    /// Default 0 — the critical-value floor and censored feeding make the
-    /// estimate↔threshold ratchet self-starting — but a burn-in can
-    /// accelerate convergence on streams whose opening is known to be
-    /// signal-free.
-    pub warmup_clips: u32,
-    /// Learn the evaluation order of frame-only clauses (the object
-    /// predicates of a canonical query) from observed selectivities
-    /// (footnote 5) instead of using the query's order.
-    /// Off by default — the paper leaves ordering to "user expertise".
-    pub adaptive_order: bool,
 }
 
 impl Default for OnlineConfig {
@@ -69,12 +65,8 @@ impl Default for OnlineConfig {
             t_obj: 0.5,
             t_act: 0.45,
             alpha: 0.05,
-            horizon_windows: 200.0,
+            horizon_windows: HORIZON_WINDOWS,
             update: BackgroundUpdate::default(),
-            bandwidth_frames: 20_000.0,
-            bandwidth_shots: 3_000.0,
-            warmup_clips: 0,
-            adaptive_order: false,
         }
     }
 }
@@ -90,12 +82,6 @@ impl OnlineConfig {
     /// Builder-style override of the update policy.
     pub fn with_update(mut self, update: BackgroundUpdate) -> Self {
         self.update = update;
-        self
-    }
-
-    /// Builder-style toggle for adaptive predicate ordering.
-    pub fn with_adaptive_order(mut self) -> Self {
-        self.adaptive_order = true;
         self
     }
 

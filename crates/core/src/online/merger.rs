@@ -4,14 +4,15 @@
 //! `(c_l, c_r)`; a negative clip closes the open sequence. The merger is
 //! incremental so results are emitted *as the stream plays* — a closed
 //! sequence is final the moment the first negative clip after it arrives.
+//! It holds only the open sequence: every closed one is handed to the
+//! caller by the push that closed it.
 
 use svq_types::{ClipId, ClipInterval, Interval};
 
 /// Incremental merger of per-clip indicators into maximal sequences.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SequenceMerger {
     open: Option<ClipInterval>,
-    closed: Vec<ClipInterval>,
 }
 
 impl SequenceMerger {
@@ -26,50 +27,28 @@ impl SequenceMerger {
         if let Some(open) = &mut self.open {
             debug_assert!(clip > open.end, "clips must arrive in order");
         }
-        if positive {
-            match &mut self.open {
-                Some(open) if open.end.next() == clip => {
-                    open.end = clip;
-                    None
-                }
-                Some(open) => {
-                    // A gap in clip ids (clip skipped as negative elsewhere)
-                    // closes the open run and starts a new one.
-                    let closed = *open;
-                    *open = Interval::point(clip);
-                    self.closed.push(closed);
-                    Some(closed)
-                }
-                None => {
-                    self.open = Some(Interval::point(clip));
-                    None
-                }
+        if !positive {
+            return self.open.take();
+        }
+        match &mut self.open {
+            Some(open) if open.end.next() == clip => {
+                open.end = clip;
+                None
             }
-        } else {
-            let closed = self.open.take();
-            if let Some(c) = closed {
-                self.closed.push(c);
+            // A gap in clip ids (clip skipped as negative elsewhere) closes
+            // the open run and starts a new one.
+            Some(open) => Some(std::mem::replace(open, Interval::point(clip))),
+            None => {
+                self.open = Some(Interval::point(clip));
+                None
             }
-            closed
         }
     }
 
-    /// Sequences closed so far (stream order).
-    pub fn closed(&self) -> &[ClipInterval] {
-        &self.closed
-    }
-
-    /// The currently open sequence, if the last clip was positive.
-    pub fn open(&self) -> Option<ClipInterval> {
+    /// End of stream: the sequence still open, if the last clip was
+    /// positive — the last result.
+    pub fn finish(self) -> Option<ClipInterval> {
         self.open
-    }
-
-    /// End of stream: close any open sequence and return all results.
-    pub fn finish(mut self) -> Vec<ClipInterval> {
-        if let Some(open) = self.open.take() {
-            self.closed.push(open);
-        }
-        self.closed
     }
 }
 
@@ -91,11 +70,11 @@ mod tests {
         assert_eq!(m.push(c(0), false), None);
         assert_eq!(m.push(c(1), true), None);
         assert_eq!(m.push(c(2), true), None);
-        assert_eq!(m.open(), Some(iv(1, 2)));
+        // The merger is `Copy`: finishing a copy reads the open run.
+        assert_eq!(m.finish(), Some(iv(1, 2)));
         assert_eq!(m.push(c(3), false), Some(iv(1, 2)));
         assert_eq!(m.push(c(4), true), None);
-        let all = m.finish();
-        assert_eq!(all, vec![iv(1, 2), iv(4, 4)]);
+        assert_eq!(m.finish(), Some(iv(4, 4)));
     }
 
     #[test]
@@ -104,27 +83,26 @@ mod tests {
         for i in 0..10 {
             assert_eq!(m.push(c(i), false), None);
         }
-        assert!(m.finish().is_empty());
+        assert_eq!(m.finish(), None);
     }
 
     #[test]
     fn all_positive_yields_single_sequence() {
         let mut m = SequenceMerger::new();
         for i in 0..10 {
-            m.push(c(i), true);
+            assert_eq!(m.push(c(i), true), None);
         }
-        assert_eq!(m.finish(), vec![iv(0, 9)]);
+        assert_eq!(m.finish(), Some(iv(0, 9)));
     }
 
     #[test]
     fn open_sequence_closed_at_finish() {
         let mut m = SequenceMerger::new();
         m.push(c(0), true);
-        m.push(c(1), false);
+        assert_eq!(m.push(c(1), false), Some(iv(0, 0)));
         m.push(c(2), true);
         m.push(c(3), true);
-        assert_eq!(m.closed(), &[iv(0, 0)]);
-        assert_eq!(m.finish(), vec![iv(0, 0), iv(2, 3)]);
+        assert_eq!(m.finish(), Some(iv(2, 3)));
     }
 
     #[test]
@@ -134,6 +112,6 @@ mod tests {
         // Clip 1 never pushed (e.g. filtered upstream); clip 2 arrives.
         let closed = m.push(c(2), true);
         assert_eq!(closed, Some(iv(0, 0)));
-        assert_eq!(m.finish(), vec![iv(0, 0), iv(2, 2)]);
+        assert_eq!(m.finish(), Some(iv(2, 2)));
     }
 }

@@ -70,12 +70,15 @@ fn sequences(seqs: &[ClipInterval]) -> String {
     format!("{}:{:016x}", seqs.len(), d.0)
 }
 
-/// Step `engine` over `oracle`'s stream: every clip's row digested as
-/// `clips:digest`, the caller's own record of the evaluations.
-fn evaluations(engine: &mut Svaqd, oracle: &DetectionOracle) -> String {
+/// Step `engine` over `oracle`'s stream: the sequences its steps closed,
+/// and every clip's row digested as `clips:digest`, the caller's own
+/// record of the evaluations.
+fn evaluations(engine: &mut Svaqd, oracle: &DetectionOracle) -> (Vec<ClipInterval>, String) {
     let (mut stream, mut d, mut clips) = (VideoStream::new(oracle), Digest::new(), 0);
+    let mut seqs = Vec::new();
     while let Some(mut view) = stream.next_clip() {
         let e = engine.push_clip(&mut view);
+        seqs.extend(e.closed);
         d.mix(e.clip.raw());
         d.mix(u64::from(e.positive));
         for &c in e.counts {
@@ -86,7 +89,7 @@ fn evaluations(engine: &mut Svaqd, oracle: &DetectionOracle) -> String {
         }
         clips += 1;
     }
-    format!("{clips}:{:016x}", d.0)
+    (seqs, format!("{clips}:{:016x}", d.0))
 }
 
 /// Every class's sequence set, in class-index order: total intervals and
@@ -155,16 +158,17 @@ fn render_matrix() -> String {
             let plan = plan(predicate);
             for (v, oracle) in oracles.iter().enumerate() {
                 let mut engine = Svaqd::new(&plan.predicate, geometry, config, P0, P0);
-                let evals = evaluations(&mut engine, oracle);
+                let (mut seqs, evals) = evaluations(&mut engine, oracle);
+                seqs.extend(engine.finish());
                 let at = format!("cfg={config_name} stmt={stmt} video={v} method=svaqd");
-                line(&mut out, &at, &engine.finish(), &evals);
+                line(&mut out, &at, &seqs, &evals);
             }
             // One engine over the whole set: the estimators carry 4800
             // clips of history into the last video.
             let mut engine = Svaqd::new(&plan.predicate, geometry, config, P0, P0);
             for (v, oracle) in oracles.iter().enumerate() {
-                let evals = evaluations(&mut engine, oracle);
-                let seqs = engine.next_video();
+                let (mut seqs, evals) = evaluations(&mut engine, oracle);
+                seqs.extend(engine.next_video());
                 let at = format!("cfg={config_name} stmt={stmt} video={v} method=svaqd-set");
                 line(&mut out, &at, &seqs, &evals);
             }

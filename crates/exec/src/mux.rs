@@ -80,7 +80,7 @@ impl SessionEngine {
         }
     }
 
-    fn finish(self) -> Vec<ClipInterval> {
+    fn finish(self) -> Option<ClipInterval> {
         match self {
             SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => e.finish(),
         }
@@ -202,6 +202,8 @@ impl MuxOptions {
 
 pub(crate) struct SessionState {
     engine: Option<SessionEngine>,
+    /// Result sequences closed so far, in stream order.
+    sequences: Vec<ClipInterval>,
     ledger: CostLedger,
     clips_processed: u64,
     poisoned: bool,
@@ -305,6 +307,7 @@ impl SessionMux {
             oracle,
             state: Mutex::new(SessionState {
                 engine: Some(engine),
+                sequences: Vec::new(),
                 ledger: CostLedger::default(),
                 clips_processed: 0,
                 poisoned: false,
@@ -508,8 +511,10 @@ fn drain(session: &Session) {
                     Err(SessionError::Poisoned)
                 } else {
                     let engine = state.engine.take().expect("finalised once");
+                    let mut sequences = std::mem::take(&mut state.sequences);
+                    sequences.extend(engine.finish());
                     Ok(SessionResult {
-                        sequences: engine.finish(),
+                        sequences,
                         cost: state.ledger,
                         clips_processed: state.clips_processed,
                     })
@@ -564,6 +569,7 @@ fn evaluate(session: &Session, clip: ClipId) {
         return;
     };
     state.ledger.merge(&ledger);
+    state.sequences.extend(closed);
     state.clips_processed += 1;
     session
         .counters
@@ -663,10 +669,11 @@ mod tests {
             1e-4,
             1e-4,
         );
-        let mut steps = Vec::new();
+        let (mut sequences, mut steps) = (Vec::new(), Vec::new());
         while let Some(mut view) = stream.next_clip() {
             let e = engine.push_clip(&mut view);
             let (clip, closed) = (e.clip, e.closed);
+            sequences.extend(closed);
             steps.push(Step {
                 clip,
                 closed,
@@ -675,7 +682,8 @@ mod tests {
                 backgrounds: bits(&engine.backgrounds()),
             });
         }
-        (engine.finish(), steps, *stream.ledger())
+        sequences.extend(engine.finish());
+        (sequences, steps, *stream.ledger())
     }
 
     #[test]

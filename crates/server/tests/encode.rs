@@ -275,10 +275,6 @@ fn config(rng: &mut TestRng) -> OnlineConfig {
             BackgroundUpdate::AllClips,
             BackgroundUpdate::PositiveClips,
         ][below(rng, 3) as usize],
-        bandwidth_frames: float(rng),
-        bandwidth_shots: float(rng),
-        warmup_clips: int(rng) as u32,
-        adaptive_order: below(rng, 2) == 1,
     }
 }
 

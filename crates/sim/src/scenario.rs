@@ -356,10 +356,11 @@ fn reference(video: u64, clips: u64) -> Arc<String> {
         1e-4,
         1e-4,
     );
+    let mut seqs = Vec::new();
     while let Some(mut view) = stream.next_clip() {
-        reference_engine.push_clip(&mut view);
+        seqs.extend(reference_engine.push_clip(&mut view).closed);
     }
-    let seqs = reference_engine.finish();
+    seqs.extend(reference_engine.finish());
     let ledger = *stream.ledger();
     let canonical = Arc::new(canon(
         &seqs,

@@ -48,6 +48,7 @@ fn main() {
 
         let oracle = video.oracle(ModelSuite::accurate());
         let mut stream = VideoStream::new(&oracle);
+        let mut found_this_hour = 0usize;
         while let Some(mut view) = stream.next_clip() {
             // Sequences are emitted the moment they close — the streaming
             // contract: an operator sees the alert while the feed plays.
@@ -59,12 +60,13 @@ fn main() {
                     seq.start.raw(),
                     seq.end.raw()
                 );
+                found_this_hour += 1;
             }
         }
         // End of the hour's file: flush per-video state (the background
-        // estimators persist across the shift).
-        let closed = engine.next_video();
-        let found_this_hour = closed.len();
+        // estimators persist across the shift), closing a sequence still
+        // open at the cut.
+        found_this_hour += usize::from(engine.next_video().is_some());
         total_found += found_this_hour;
 
         // One background and critical value per predicate: car, then

@@ -61,6 +61,9 @@ echo "== svq-lint --check (workspace invariants + static lock graph vs lint-base
 cargo run -p svq-lint -q -- --check
 cargo run -p svq-lint -q -- --format json >/dev/null  # results/lint-report.json
 
+echo "== cargo clippy -p parking_lot --features lock-audit -D warnings (the audited build's own lints)"
+cargo clippy -p parking_lot --features lock-audit -- -D warnings
+
 echo "== cargo test --features lock-audit (lock-order deadlock auditor)"
 cargo test --workspace --features lock-audit -q
 

@@ -44,10 +44,12 @@ fn sequential_run(oracle: &DetectionOracle) -> Vec<ClipInterval> {
         1e-4,
         1e-4,
     );
+    let mut sequences = Vec::new();
     while let Some(mut view) = stream.next_clip() {
-        engine.push_clip(&mut view);
+        sequences.extend(engine.push_clip(&mut view).closed);
     }
-    engine.finish()
+    sequences.extend(engine.finish());
+    sequences
 }
 
 /// N multiplexed sessions equal N sequential engine runs, at several

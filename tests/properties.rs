@@ -51,10 +51,11 @@ proptest! {
     #[test]
     fn sequence_merger_equals_reference(bits in prop::collection::vec(any::<bool>(), 0..200)) {
         let mut merger = svq_core::online::SequenceMerger::new();
+        let mut got = Vec::new();
         for (i, &b) in bits.iter().enumerate() {
-            merger.push(ClipId::new(i as u64), b);
+            got.extend(merger.push(ClipId::new(i as u64), b));
         }
-        let got = merger.finish();
+        got.extend(merger.finish());
         // Reference: group maximal true runs.
         let mut expect = Vec::new();
         let mut run: Option<(u64, u64)> = None;
