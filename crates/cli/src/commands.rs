@@ -35,6 +35,17 @@ fn flag_named(err: svq_types::SvqError) -> Box<dyn std::error::Error> {
     }
 }
 
+/// `--metrics-every <secs>`: the interval between metrics snapshots on
+/// stderr, `None` when 0 (off, the default). A negative, NaN, infinite or
+/// out-of-range interval is refused.
+fn metrics_interval(flags: &Flags) -> Result<Option<std::time::Duration>, String> {
+    let secs: f64 = flags.get_parsed("metrics-every", 0.0)?;
+    let every = std::time::Duration::try_from_secs_f64(secs).map_err(|_| {
+        format!("--metrics-every must be a non-negative, finite number of seconds, got {secs}")
+    })?;
+    Ok((!every.is_zero()).then_some(every))
+}
+
 fn suite_named(name: &str) -> Result<ModelSuite, String> {
     match name {
         "accurate" => Ok(ModelSuite::accurate()),
@@ -287,11 +298,7 @@ pub fn mux(flags: &Flags) -> CliResult {
     let geometry = VideoGeometry::default();
     let frames = footage_frames(flags.get_parsed("minutes", 2.0)?, geometry)?;
     let seed: u64 = flags.get_parsed("seed", 42)?;
-    // Periodic progress snapshots to stderr every N seconds (0 = off).
-    let metrics_every: f64 = flags.get_parsed("metrics-every", 0.0)?;
-    if metrics_every < 0.0 {
-        return Err("--metrics-every must be non-negative".into());
-    }
+    let metrics_every = metrics_interval(flags)?;
     let suite = suite_named(flags.get("models").unwrap_or("accurate"))?;
 
     // One or more online statements, semicolon-separated.
@@ -346,11 +353,8 @@ pub fn mux(flags: &Flags) -> CliResult {
         .collect();
     let pool = WorkerPool::new(workers, labels.len(), metrics.clone());
     // Progress to stderr so stdout stays the final report.
-    let reporter = (metrics_every > 0.0).then(|| {
-        metrics.spawn_reporter(std::time::Duration::from_secs_f64(metrics_every), |snap| {
-            eprint!("{snap}")
-        })
-    });
+    let reporter =
+        metrics_every.map(|every| metrics.spawn_reporter(every, |snap| eprint!("{snap}")));
     let (tx, rx) = mpsc::channel();
     for (slot, label) in labels.iter().enumerate() {
         let (oracle, plan) = (
@@ -430,10 +434,7 @@ pub fn serve(flags: &Flags) -> CliResult {
     use svq_serve::{ServeConfig, Server};
     use svq_storage::VideoRepository;
 
-    let metrics_every: f64 = flags.get_parsed("metrics-every", 0.0)?;
-    if metrics_every < 0.0 {
-        return Err("--metrics-every must be non-negative".into());
-    }
+    let metrics_every = metrics_interval(flags)?;
     let config = ServeConfig::builder()
         .addr(flags.get("addr").unwrap_or("127.0.0.1:0").to_string())
         .max_conns(flags.get_parsed("max-conns", 64)?)
@@ -527,12 +528,10 @@ pub fn serve(flags: &Flags) -> CliResult {
     if let Some(path) = flags.get("addr-file") {
         std::fs::write(path, addr.to_string())?;
     }
-    let reporter = (metrics_every > 0.0).then(|| {
+    let reporter = metrics_every.map(|every| {
         handle
             .metrics()
-            .spawn_reporter(Duration::from_secs_f64(metrics_every), |snap| {
-                eprint!("{snap}")
-            })
+            .spawn_reporter(every, |snap| eprint!("{snap}"))
     });
     let report = handle.wait();
     if let Some(reporter) = reporter {
@@ -582,10 +581,7 @@ pub fn route(flags: &Flags) -> CliResult {
     use svq_exec::ExecMetrics;
     use svq_serve::{RouteConfig, Router};
 
-    let metrics_every: f64 = flags.get_parsed("metrics-every", 0.0)?;
-    if metrics_every < 0.0 {
-        return Err("--metrics-every must be non-negative".into());
-    }
+    let metrics_every = metrics_interval(flags)?;
     let shards: Vec<String> = flags
         .require("shards")?
         .split(',')
@@ -626,12 +622,10 @@ pub fn route(flags: &Flags) -> CliResult {
     if let Some(path) = flags.get("addr-file") {
         std::fs::write(path, addr.to_string())?;
     }
-    let reporter = (metrics_every > 0.0).then(|| {
+    let reporter = metrics_every.map(|every| {
         handle
             .metrics()
-            .spawn_reporter(Duration::from_secs_f64(metrics_every), |snap| {
-                eprint!("{snap}")
-            })
+            .spawn_reporter(every, |snap| eprint!("{snap}"))
     });
     let report = handle.wait();
     if let Some(reporter) = reporter {
@@ -1371,6 +1365,25 @@ mod tests {
             assert!(err.to_string().contains("--minutes"), "{minutes}: {err}");
             let err = mux(&flags(MUX_FLAGS, &[("minutes", minutes), ("sql", sql)])).unwrap_err();
             assert!(err.to_string().contains("--minutes"), "{minutes}: {err}");
+        }
+        // A snapshot interval that is negative, NaN, infinite or past a
+        // `Duration` is refused by every command that reports, before it
+        // starts anything.
+        for every in ["-1", "NaN", "inf", "1e30"] {
+            for err in [
+                mux(&flags(MUX_FLAGS, &[("metrics-every", every), ("sql", sql)])),
+                serve(&flags(SERVE_FLAGS, &[("metrics-every", every)])),
+                route(&flags(
+                    ROUTE_FLAGS,
+                    &[("metrics-every", every), ("shards", "127.0.0.1:1")],
+                )),
+            ] {
+                let err = err.unwrap_err();
+                assert!(
+                    err.to_string().contains("--metrics-every"),
+                    "{every}: {err}"
+                );
+            }
         }
     }
 }

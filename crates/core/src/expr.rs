@@ -69,7 +69,7 @@ impl From<ActionQuery> for CnfQuery {
 }
 
 /// The CNF engine's former name: [`Svaqd`] runs every [`CnfQuery`].
-/// Kept only until the benchmark stops naming it (ROADMAP item 2).
+/// Kept only until the benchmark stops naming it (ROADMAP item 19).
 pub type ExprSvaqd = Svaqd;
 
 #[cfg(test)]

@@ -7,16 +7,12 @@
 //!
 //! * [`pool::WorkerPool`] — fixed worker threads behind a bounded job
 //!   queue, with per-job panic isolation and graceful drain-then-join
-//!   shutdown.
-//! * [`mux::SessionMux`] — the session multiplexer: each (query, stream)
-//!   pair owns its engine and a bounded FIFO mailbox that blocks its
-//!   feeder when full; an atomic scheduled flag makes each session an
-//!   actor, so results are byte-identical to sequential runs at any worker
-//!   or shard count.
-//! * [`ingress::Ingress`] — the sharded asynchronous ingress behind
-//!   [`mux::SessionMux::feed`]: streams hash by `VideoId` to per-shard
-//!   queues with one feeder thread each, so the accept path never blocks
-//!   on a full mailbox and a stalled session stalls only its shard.
+//!   shutdown. A served `stream` request and each `svqact mux` stream are
+//!   one pool job running `execute_online`.
+//! * [`mux::SessionMux`] — the same shape behind a session handle: feeds
+//!   append clip ids to the session's list, and end-of-stream submits one
+//!   job that steps the engine over them in feed order, so results are
+//!   byte-identical to sequential runs at any worker count.
 //! * [`ingest::parallel_ingest_into`] — one job per video fanning into a
 //!   pluggable [`svq_storage::CatalogSink`] through a bounded hand-off (at
 //!   most `workers + 1` finished catalogs resident): `MemorySink` keeps
@@ -33,13 +29,11 @@
 #![forbid(unsafe_code)]
 
 pub mod ingest;
-pub mod ingress;
 pub mod metrics;
 pub mod mux;
 pub mod pool;
 
 pub use ingest::{parallel_ingest, parallel_ingest_into};
-pub use ingress::shard_index;
 pub use metrics::{
     ExecMetrics, IngestCounters, IngestSnapshot, LatencyHistogram, MetricsSnapshot, ServerCounters,
     ServerSnapshot, SessionSnapshot, ShardSnapshot,
@@ -49,6 +43,8 @@ pub use mux::{
     SessionMux, SessionResult, POISON_CLIP,
 };
 pub use pool::{Job, WorkerPool};
+/// Re-exported from `svq-types` so callers keep the `svq_exec` path.
+pub use svq_types::shard_index;
 
 /// Compile-time thread-safety proofs for everything the executor moves
 /// across threads. The engines were written single-threaded; these

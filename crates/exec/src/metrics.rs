@@ -1,10 +1,11 @@
 //! Execution metrics registry.
 //!
 //! Lock-free counters (atomics; `parking_lot` only to guard the session
-//! list) updated by feeders and workers, exposed through [`ExecMetrics::snapshot`]
-//! as a plain data [`MetricsSnapshot`] that `svqact mux` and `svq-bench`
-//! print. Rates are computed at snapshot time from a monotonic start
-//! instant, so reading metrics never perturbs the hot path.
+//! list) updated by workers and the service layer, exposed through
+//! [`ExecMetrics::snapshot`] as a plain data [`MetricsSnapshot`] that
+//! `svqact mux` and `svq-bench` print. Rates are computed at snapshot time
+//! from a monotonic start instant, so reading metrics never perturbs the
+//! hot path.
 
 use parking_lot::{rt, Condvar, Mutex, RwLock};
 use std::fmt;
@@ -17,11 +18,7 @@ use std::time::{Duration, Instant};
 pub struct SessionCounters {
     /// Clips fully evaluated through the session's engine.
     pub clips_processed: AtomicU64,
-    /// Current mailbox depth (tickets enqueued and not yet consumed).
-    pub queue_depth: AtomicU64,
-    /// Nanoseconds feeders spent blocked on a full mailbox.
-    pub feed_block_nanos: AtomicU64,
-    /// Nanoseconds workers spent inside engine evaluation for this session.
+    /// Nanoseconds workers spent running this session's stream.
     pub eval_nanos: AtomicU64,
 }
 
@@ -29,19 +26,6 @@ impl SessionCounters {
     pub(crate) fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
-}
-
-/// Counters for one ingress shard (see `svq_exec::ingress`).
-#[derive(Debug, Default)]
-pub struct ShardCounters {
-    /// Events accepted into the shard's ingress queue (feeds + finishes).
-    pub enqueued: AtomicU64,
-    /// Clip tickets the shard feeder moved into session mailboxes.
-    pub delivered: AtomicU64,
-    /// Current ingress queue depth (events enqueued and not yet delivered).
-    pub ingress_depth: AtomicU64,
-    /// Nanoseconds the shard feeder spent blocked on full `Block` mailboxes.
-    pub feed_block_nanos: AtomicU64,
 }
 
 /// Counters for the parallel-ingest fan-in (see `svq_exec::ingest`).
@@ -247,7 +231,7 @@ impl ServerCounters {
 pub struct PoolCounters {
     /// Jobs executed to completion (including panicked ones).
     pub jobs_executed: AtomicU64,
-    /// Jobs that panicked (each poisons only its own session).
+    /// Jobs that panicked.
     pub jobs_panicked: AtomicU64,
     /// Current depth of the pool's job queue.
     pub queue_depth: AtomicU64,
@@ -272,7 +256,6 @@ struct MetricsInner {
     /// in so `total_clips` stays monotonic across session churn.
     retired_clips: AtomicU64,
     sessions: RwLock<Vec<(String, Arc<SessionCounters>)>>,
-    shards: RwLock<Vec<Arc<ShardCounters>>>,
 }
 
 impl Default for MetricsInner {
@@ -285,7 +268,6 @@ impl Default for MetricsInner {
             server: ServerCounters::default(),
             retired_clips: AtomicU64::new(0),
             sessions: RwLock::new(Vec::new()),
-            shards: RwLock::new(Vec::new()),
         }
     }
 }
@@ -336,14 +318,6 @@ impl ExecMetrics {
         }
     }
 
-    /// Register one counter block per ingress shard.
-    pub fn register_shards(&self, n: usize) -> Vec<Arc<ShardCounters>> {
-        let counters: Vec<Arc<ShardCounters>> =
-            (0..n).map(|_| Arc::new(ShardCounters::default())).collect();
-        self.inner.shards.write().extend(counters.iter().cloned());
-        counters
-    }
-
     /// Point-in-time view of every counter plus derived rates.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let elapsed = self.inner.started.elapsed().as_secs_f64().max(1e-9);
@@ -358,28 +332,12 @@ impl ExecMetrics {
                     label: label.clone(),
                     clips_processed: clips,
                     clips_per_sec: clips as f64 / elapsed,
-                    queue_depth: c.queue_depth.load(Ordering::Relaxed),
-                    feed_block_ms: c.feed_block_nanos.load(Ordering::Relaxed) as f64 / 1e6,
                     eval_ms: c.eval_nanos.load(Ordering::Relaxed) as f64 / 1e6,
                 }
             })
             .collect();
         let total_clips: u64 = sessions.iter().map(|s| s.clips_processed).sum::<u64>()
             + self.inner.retired_clips.load(Ordering::Relaxed);
-        let shards: Vec<ShardSnapshot> = self
-            .inner
-            .shards
-            .read()
-            .iter()
-            .enumerate()
-            .map(|(shard, c)| ShardSnapshot {
-                shard,
-                enqueued: c.enqueued.load(Ordering::Relaxed),
-                delivered: c.delivered.load(Ordering::Relaxed),
-                ingress_depth: c.ingress_depth.load(Ordering::Relaxed),
-                feed_block_ms: c.feed_block_nanos.load(Ordering::Relaxed) as f64 / 1e6,
-            })
-            .collect();
         let ing = &self.inner.ingest;
         let srv = &self.inner.server;
         let requests = srv.req_query.load(Ordering::Relaxed)
@@ -435,7 +393,7 @@ impl ExecMetrics {
                 buffered_high_water: ing.buffered_high_water.load(Ordering::Relaxed),
             },
             server,
-            shards,
+            shards: Vec::new(),
             sessions,
             lock_holds: lock_hold_snapshots(),
         }
@@ -517,22 +475,18 @@ pub struct SessionSnapshot {
     pub label: String,
     pub clips_processed: u64,
     pub clips_per_sec: f64,
-    pub queue_depth: u64,
-    /// Total feeder time blocked on this session's mailbox.
-    pub feed_block_ms: f64,
-    /// Total worker time inside engine evaluation.
+    /// Total worker time running the session's stream.
     pub eval_ms: f64,
 }
 
-/// One ingress shard's metrics at snapshot time.
+/// Accepted and ignored; kept only until the benchmark stops naming it
+/// (ROADMAP item 19).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSnapshot {
     pub shard: usize,
     pub enqueued: u64,
     pub delivered: u64,
-    /// Events waiting in the shard's ingress queue right now.
     pub ingress_depth: u64,
-    /// Total feeder time blocked on full session mailboxes in this shard.
     pub feed_block_ms: f64,
 }
 
@@ -629,6 +583,8 @@ pub struct MetricsSnapshot {
     pub total_clips_per_sec: f64,
     pub ingest: IngestSnapshot,
     pub server: ServerSnapshot,
+    /// Always empty; kept only until the benchmark stops naming it
+    /// (ROADMAP item 19).
     pub shards: Vec<ShardSnapshot>,
     pub sessions: Vec<SessionSnapshot>,
     /// Longest-held lock guards per acquisition site (lock-audit builds
@@ -731,25 +687,11 @@ impl fmt::Display for MetricsSnapshot {
                 self.ingest.buffered_high_water,
             )?;
         }
-        for s in &self.shards {
-            writeln!(
-                f,
-                "  shard {:<2} {:>8} enqueued  {:>8} delivered  ingress {:>4}  \
-                 feed-block {:>8.1} ms",
-                s.shard, s.enqueued, s.delivered, s.ingress_depth, s.feed_block_ms,
-            )?;
-        }
         for s in &self.sessions {
             writeln!(
                 f,
-                "  {:<28} {:>8} clips ({:>8.0}/s)  queue {:>4}  \
-                 eval {:>9.1} ms  feed-block {:>8.1} ms",
-                s.label,
-                s.clips_processed,
-                s.clips_per_sec,
-                s.queue_depth,
-                s.eval_ms,
-                s.feed_block_ms,
+                "  {:<28} {:>8} clips ({:>8.0}/s)  eval {:>9.1} ms",
+                s.label, s.clips_processed, s.clips_per_sec, s.eval_ms,
             )?;
         }
         // Top guard-hold sites (lock-audit builds only; the list is empty
@@ -777,38 +719,15 @@ mod tests {
         let b = metrics.register_session("q1/v0".into());
         a.clips_processed.store(30, Ordering::Relaxed);
         b.clips_processed.store(12, Ordering::Relaxed);
-        b.queue_depth.store(3, Ordering::Relaxed);
         let snap = metrics.snapshot();
         assert_eq!(snap.workers, 4);
         assert_eq!(snap.total_clips, 42);
         assert_eq!(snap.sessions.len(), 2);
-        assert_eq!(snap.sessions[1].queue_depth, 3);
+        assert_eq!(snap.sessions[1].clips_processed, 12);
         assert!(snap.total_clips_per_sec > 0.0);
         let text = snap.to_string();
         assert!(text.contains("q0/v0"));
         assert!(text.contains("42 clips"));
-    }
-
-    #[test]
-    fn shard_counters_appear_in_snapshots() {
-        let metrics = ExecMetrics::new();
-        let shards = metrics.register_shards(2);
-        shards[0].enqueued.store(41, Ordering::Relaxed);
-        shards[0].delivered.store(40, Ordering::Relaxed);
-        shards[0].ingress_depth.store(1, Ordering::Relaxed);
-        shards[1]
-            .feed_block_nanos
-            .store(2_000_000, Ordering::Relaxed);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.shards.len(), 2);
-        assert_eq!(snap.shards[0].shard, 0);
-        assert_eq!(snap.shards[0].enqueued, 41);
-        assert_eq!(snap.shards[0].delivered, 40);
-        assert_eq!(snap.shards[0].ingress_depth, 1);
-        assert!((snap.shards[1].feed_block_ms - 2.0).abs() < 1e-9);
-        let text = snap.to_string();
-        assert!(text.contains("shard 0"), "{text}");
-        assert!(text.contains("41 enqueued"), "{text}");
     }
 
     #[test]

@@ -2,53 +2,40 @@
 //!
 //! A *session* pairs one parsed query's online engine ([`Svaqd`], which
 //! runs every online statement shape) with one video stream, identified by
-//! the oracle it reads.
-//! The multiplexer runs many sessions over one [`WorkerPool`]: the accept
-//! path enqueues lightweight clip tickets into per-shard ingress queues
-//! (see [`crate::ingress`]), shard feeder threads move them into
-//! per-session mailboxes (bounded crossbeam channels), and workers perform
-//! the heavy per-clip model reads and engine evaluation, one ticket per
-//! state-lock acquisition.
+//! the oracle it reads. [`SessionMux::feed`] appends clip ids to the
+//! session's list; [`SessionMux::finish_session`] hands the engine and the
+//! list to one [`WorkerPool`] job, which steps the engine over the clips in
+//! feed order — the shape a served `stream` request and `svqact mux`
+//! already take (one pool job running `execute_online`).
 //!
-//! Three properties anchor the design:
-//!
-//! * **Determinism.** A session is an actor: at most one worker drains a
-//!   given mailbox at a time (an atomic `scheduled` flag arbitrates), and a
-//!   mailbox is FIFO, so each engine consumes its clips in exactly feed
-//!   order regardless of worker count or shard count. A multiplexed run is
-//!   therefore byte-identical to running its sessions sequentially.
-//! * **Isolation.** A panic while evaluating a clip poisons only the owning
-//!   session — its remaining tickets are discarded and [`SessionMux::wait`]
-//!   reports [`SessionError::Poisoned`] — while every other session and the
-//!   pool keep running. Likewise a session stalled on a full
-//!   [`Backpressure::Block`] mailbox stalls only its shard's feeder, never
-//!   the accept path and never other shards.
-//! * **Liveness.** [`SessionMux::feed`] never blocks the caller, and
+//! * **Determinism.** One job owns the engine and consumes its clips in
+//!   feed order, so a multiplexed run is byte-identical to running its
+//!   sessions sequentially at any worker count.
+//! * **Isolation.** A panic anywhere in a session's run poisons only that
+//!   session — [`SessionMux::wait`] reports [`SessionError::Poisoned`] —
+//!   while every other session and the pool keep running.
+//! * **Liveness.** [`SessionMux::feed`] never waits on evaluation, and
 //!   [`SessionMux::wait`] is idempotent (a condvar-guarded result latch, so
 //!   repeated waits return the same result instead of deadlocking).
-//!
-//! A full mailbox stalls the session's shard feeder until a worker catches
-//! up: no clip is ever lost.
 
-use crate::ingress::Ingress;
-use crate::metrics::{ExecMetrics, SessionCounters, ShardCounters};
+use crate::metrics::{ExecMetrics, SessionCounters};
 use crate::pool::WorkerPool;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use svq_core::online::Svaqd;
 use svq_types::{ClipId, ClipInterval};
 use svq_vision::models::DetectionOracle;
-use svq_vision::{ClipAccess, CostLedger, OwnedClipView};
+use svq_vision::{CostLedger, OwnedClipView};
 
-/// Mailbox policy when a session's queue is full. Its one variant stays
-/// only until the benchmark stops naming it (ROADMAP item 2).
+/// Accepted and ignored; kept only until the benchmark stops naming it
+/// (ROADMAP item 19).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backpressure {
-    /// Block the shard feeder until the worker catches up (lossless).
+    /// Accepted and ignored; kept only until the benchmark stops naming it
+    /// (ROADMAP item 19).
     #[default]
     Block,
 }
@@ -65,34 +52,14 @@ pub const POISON_CLIP: ClipId = ClipId::new(u64::MAX);
 pub enum SessionEngine {
     Svaqd(Svaqd),
     /// The same engine under its former CNF name; kept only until the
-    /// benchmark stops naming it (ROADMAP item 2).
+    /// benchmark stops naming it (ROADMAP item 19).
     Expr(Svaqd),
 }
 
 impl SessionEngine {
-    fn push_clip(&mut self, view: &mut OwnedClipView) -> Option<ClipInterval> {
-        assert!(
-            view.clip() != POISON_CLIP,
-            "poison clip evaluated (injected worker fault)"
-        );
+    fn into_svaqd(self) -> Svaqd {
         match self {
-            SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => e.push_clip(view).closed,
-        }
-    }
-
-    fn finish(self) -> Option<ClipInterval> {
-        match self {
-            SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => e.finish(),
-        }
-    }
-
-    /// The dynamic p(t) estimator's current drift surface: per-predicate
-    /// background activation estimates and the matching critical run
-    /// lengths, positionally aligned in the engine's distinct-predicate
-    /// order (a canonical query's objects in query order, then the action).
-    fn drift(&self) -> (Vec<f64>, Vec<u32>) {
-        match self {
-            SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => (e.backgrounds(), e.criticals()),
+            SessionEngine::Svaqd(e) | SessionEngine::Expr(e) => e,
         }
     }
 }
@@ -116,7 +83,7 @@ pub struct ClipNotice {
     pub criticals: Vec<u32>,
 }
 
-/// Per-clip observer hook; runs on the draining worker, outside every mux
+/// Per-clip observer hook; runs on the session's worker, outside every mux
 /// lock.
 type ClipObserver = Box<dyn Fn(ClipNotice) + Send + Sync>;
 
@@ -158,10 +125,9 @@ impl std::error::Error for SessionError {}
 /// Why a [`SessionMux::feed`] was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeedError {
-    /// [`SessionMux::finish_session`] was already called for the session. A
-    /// late ticket would race finalisation and be silently dropped with the
-    /// queue-depth gauge left skewed, so it is a hard error in every build
-    /// profile.
+    /// [`SessionMux::finish_session`] was already called for the session;
+    /// its clip list went to the worker, so a late clip would be silently
+    /// lost. A hard error in every build profile.
     SessionClosed,
 }
 
@@ -180,148 +146,99 @@ impl std::error::Error for FeedError {}
 /// Construction knobs for [`SessionMux`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MuxOptions {
-    /// Worker threads evaluating clips.
+    /// Worker threads running sessions.
     pub workers: usize,
-    /// Ingress shards (feeder threads); streams hash to shards by
-    /// `VideoId`, so a blocked mailbox stalls only its shard.
+    /// Accepted and ignored; kept only until the benchmark stops naming it
+    /// (ROADMAP item 19).
     pub shards: usize,
 }
 
 impl MuxOptions {
-    /// Defaults: one ingress shard.
+    /// `workers` worker threads.
     pub fn new(workers: usize) -> Self {
         Self { workers, shards: 1 }
     }
 
-    /// Builder-style override of the ingress shard count (min 1).
+    /// Accepted and ignored; kept only until the benchmark stops naming it
+    /// (ROADMAP item 19).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
     }
 }
 
-pub(crate) struct SessionState {
+struct SessionState {
+    /// `Some` until [`SessionMux::finish_session`] hands it to the job.
     engine: Option<SessionEngine>,
-    /// Result sequences closed so far, in stream order.
-    sequences: Vec<ClipInterval>,
-    ledger: CostLedger,
-    clips_processed: u64,
-    poisoned: bool,
+    /// Clips fed so far, in feed order.
+    clips: Vec<ClipId>,
     result: Option<Result<SessionResult, SessionError>>,
 }
 
-pub(crate) struct Session {
-    tx: Sender<ClipId>,
-    rx: Receiver<ClipId>,
-    /// Shared read-only clip source; outside the state mutex so feeders can
-    /// read stream metadata (e.g. [`DetectionOracle::clip_count`]) without
-    /// contending with evaluation.
+struct Session {
     oracle: Arc<DetectionOracle>,
     state: Mutex<SessionState>,
     /// Signalled once `state.result` is latched; makes `wait` idempotent.
     done: Condvar,
-    /// True while a worker owns (or is committed to owning) the drain loop.
-    scheduled: AtomicBool,
-    /// Accept-side: set by `finish_session`; later feeds are hard errors.
-    closed: AtomicBool,
-    /// Drain-side: set once the shard feeder delivered end-of-stream.
-    finishing: AtomicBool,
-    /// Set-once per-clip observer ([`SessionMux::set_observer`]); a
-    /// `OnceLock` so the drain loop reads it without any lock-order
-    /// entanglement with `state`.
-    observer: std::sync::OnceLock<ClipObserver>,
-    /// The ingress shard this session's stream hashes to.
-    shard: usize,
+    /// Set-once per-clip observer ([`SessionMux::set_observer`]).
+    observer: OnceLock<ClipObserver>,
     counters: Arc<SessionCounters>,
 }
 
-/// What the accept path hands a shard feeder.
-pub(crate) enum IngressEvent {
-    /// Deliver one clip ticket into the session's mailbox.
-    Feed(Arc<Session>, ClipId),
-    /// Deliver the end-of-stream marker (ordered behind prior feeds).
-    Finish(Arc<Session>),
-}
-
-/// Everything shared between the accept path, the shard feeders, and the
-/// worker pool. Feeders hold an `Arc` so they can schedule drains after the
-/// `SessionMux` handle itself is consumed by `shutdown`.
-pub(crate) struct MuxCore {
-    pub(crate) pool: WorkerPool,
+/// Multiplexes many query sessions over one worker pool, one job per
+/// session.
+pub struct SessionMux {
+    pool: WorkerPool,
     /// Slot table: `None` marks a released slot awaiting reuse, so a
-    /// long-lived server registering a session per `stream` request keeps
-    /// the table (and the ids it hands out) bounded by its concurrency,
-    /// not its uptime.
+    /// long-lived caller registering a session per stream keeps the table
+    /// (and the ids it hands out) bounded by its concurrency, not its
+    /// uptime.
     sessions: Mutex<Vec<Option<Arc<Session>>>>,
 }
 
-/// Multiplexes many query sessions over one worker pool behind a sharded
-/// asynchronous ingress.
-pub struct SessionMux {
-    // Declared before `core`: dropping the mux joins the shard feeders
-    // (draining every queued ticket) before the pool shuts down.
-    ingress: Ingress,
-    core: Arc<MuxCore>,
-}
-
 impl SessionMux {
-    /// A multiplexer over `workers` threads reporting into `metrics`, with
-    /// a single ingress shard.
+    /// A multiplexer over `workers` threads reporting into `metrics`.
     pub fn new(workers: usize, metrics: ExecMetrics) -> Self {
         Self::with_options(MuxOptions::new(workers), metrics)
     }
 
-    /// A multiplexer with an explicit ingress shard count.
+    /// A multiplexer built from `options`.
     pub fn with_options(options: MuxOptions, metrics: ExecMetrics) -> Self {
-        let core = Arc::new(MuxCore {
+        Self {
             pool: WorkerPool::new(options.workers, 1024, metrics),
             sessions: Mutex::new(Vec::new()),
-        });
-        let ingress = Ingress::new(options.shards.max(1), core.clone());
-        Self { ingress, core }
+        }
     }
 
     /// The metrics registry shared with the pool.
     pub fn metrics(&self) -> &ExecMetrics {
-        self.core.pool.metrics()
+        self.pool.metrics()
     }
 
     /// Register a session: one engine consuming one oracle's clip stream.
-    /// `mailbox_cap` bounds the ticket queue; `label` names the session in
-    /// metrics snapshots. A full mailbox always blocks (see
-    /// [`Backpressure`]).
+    /// `label` names the session in metrics snapshots. `_policy` and
+    /// `_mailbox_cap` are accepted and ignored; kept only until the
+    /// benchmark stops naming them (ROADMAP item 19).
     pub fn register(
         &self,
         label: String,
         oracle: Arc<DetectionOracle>,
         engine: SessionEngine,
         _policy: Backpressure,
-        mailbox_cap: usize,
+        _mailbox_cap: usize,
     ) -> SessionId {
-        let (tx, rx) = bounded(mailbox_cap.max(1));
-        let counters = self.metrics().register_session(label);
-        let shard = self.ingress.shard_of(oracle.truth().video);
         let session = Arc::new(Session {
-            tx,
-            rx,
             oracle,
             state: Mutex::new(SessionState {
                 engine: Some(engine),
-                sequences: Vec::new(),
-                ledger: CostLedger::default(),
-                clips_processed: 0,
-                poisoned: false,
+                clips: Vec::new(),
                 result: None,
             }),
             done: Condvar::new(),
-            scheduled: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
-            finishing: AtomicBool::new(false),
-            observer: std::sync::OnceLock::new(),
-            shard,
-            counters,
+            observer: OnceLock::new(),
+            counters: self.metrics().register_session(label),
         });
-        let mut sessions = self.core.sessions.lock();
+        let mut sessions = self.sessions.lock();
         match sessions.iter().position(Option::is_none) {
             Some(free) => {
                 sessions[free] = Some(session);
@@ -335,7 +252,7 @@ impl SessionMux {
     }
 
     fn session(&self, id: SessionId) -> Arc<Session> {
-        self.core.sessions.lock()[id.0]
+        self.sessions.lock()[id.0]
             .clone()
             .expect("session id used after release")
     }
@@ -345,33 +262,30 @@ impl SessionMux {
     /// residue). Call after [`SessionMux::wait`]; the id is dead afterwards
     /// and may be handed out again by a later [`SessionMux::register`].
     pub fn release(&self, id: SessionId) {
-        let taken = self.core.sessions.lock()[id.0]
+        let taken = self.sessions.lock()[id.0]
             .take()
             .expect("session id released twice");
         self.metrics().retire_session(&taken.counters);
     }
 
-    /// Enqueue one clip for a session. Never blocks: the ticket lands on
-    /// the session's ingress shard and a feeder thread applies the
-    /// backpressure policy, so a full mailbox stalls only that shard.
+    /// Append one clip to a session's stream. Never waits on evaluation.
     /// Feeding a session whose end-of-stream was already declared is a
     /// hard error in every build profile.
     pub fn feed(&self, id: SessionId, clip: ClipId) -> Result<(), FeedError> {
         let session = self.session(id);
-        if session.closed.load(Ordering::Acquire) {
+        let mut state = session.state.lock();
+        if state.engine.is_none() {
             return Err(FeedError::SessionClosed);
         }
-        let shard = session.shard;
-        self.ingress
-            .enqueue(shard, IngressEvent::Feed(session, clip));
+        state.clips.push(clip);
         Ok(())
     }
 
     /// Attach a per-clip observer to a session: `observer` runs on the
-    /// draining worker after every successfully evaluated clip, outside
+    /// session's worker after every successfully evaluated clip, outside
     /// every mux lock, carrying the clip, any closed result interval, and
     /// the engine's current drift surface. Set-once (a second call
-    /// panics), before the first feed.
+    /// panics), before [`SessionMux::finish_session`].
     pub fn set_observer<F>(&self, id: SessionId, observer: F)
     where
         F: Fn(ClipNotice) + Send + Sync + 'static,
@@ -380,14 +294,20 @@ impl SessionMux {
         assert!(set.is_ok(), "session observer set twice");
     }
 
-    /// Declare end-of-stream for a session. Must be called after the last
-    /// [`SessionMux::feed`] for it; the engine finalises once the mailbox
-    /// drains. Later feeds fail with [`FeedError::SessionClosed`].
+    /// Declare end-of-stream for a session: submit the job that steps its
+    /// engine over every fed clip in feed order, then finalises it. Later
+    /// feeds fail with [`FeedError::SessionClosed`]; a second call does
+    /// nothing.
     pub fn finish_session(&self, id: SessionId) {
         let session = self.session(id);
-        session.closed.store(true, Ordering::Release);
-        let shard = session.shard;
-        self.ingress.enqueue(shard, IngressEvent::Finish(session));
+        let mut state = session.state.lock();
+        let Some(engine) = state.engine.take() else {
+            return;
+        };
+        let clips = std::mem::take(&mut state.clips);
+        drop(state);
+        self.pool
+            .submit(Box::new(move || run(&session, engine, clips)));
     }
 
     /// Block until a finished session's result is available. Idempotent:
@@ -395,12 +315,11 @@ impl SessionMux {
     pub fn wait(&self, id: SessionId) -> Result<SessionResult, SessionError> {
         let session = self.session(id);
         let mut state = session.state.lock();
-        while state.result.is_none() {
+        loop {
+            if let Some(result) = &state.result {
+                return result.clone();
+            }
             session.done.wait(&mut state);
-        }
-        match &state.result {
-            Some(result) => result.clone(),
-            None => unreachable!("wait loop exits only once a result is latched"),
         }
     }
 
@@ -410,187 +329,71 @@ impl SessionMux {
         self.feed_streams(&[id]);
     }
 
-    /// Feed several sessions their oracles' clips interleaved round-robin —
-    /// the arrival order of concurrent live streams — then declare
-    /// end-of-stream on each. The enqueue is non-blocking, so this returns
-    /// as soon as every ticket is on its ingress shard.
+    /// Feed each session every clip of its oracle in stream order, then
+    /// declare its end-of-stream.
     pub fn feed_streams(&self, ids: &[SessionId]) {
-        let clip_counts: Vec<u64> = ids
-            .iter()
-            .map(|&id| self.session(id).oracle.clip_count())
-            .collect();
-        let longest = clip_counts.iter().copied().max().unwrap_or(0);
-        for c in 0..longest {
-            for (&id, &count) in ids.iter().zip(&clip_counts) {
-                if c < count {
-                    self.feed(id, ClipId::new(c))
-                        .expect("feed_streams feeds before declaring end-of-stream");
-                }
-            }
-        }
         for &id in ids {
+            for c in 0..self.session(id).oracle.clip_count() {
+                self.feed(id, ClipId::new(c))
+                    .expect("feed_streams feeds before declaring end-of-stream");
+            }
             self.finish_session(id);
         }
     }
 
-    /// Shut down after all sessions were waited on: join the shard feeders
-    /// (delivering everything still queued), then drain and join the pool.
+    /// Shut down after all sessions were waited on: drain and join the
+    /// pool.
     pub fn shutdown(self) {
-        let Self { ingress, core } = self;
-        drop(ingress);
-        match Arc::try_unwrap(core) {
-            Ok(MuxCore { pool, .. }) => pool.shutdown(),
-            // A feeder clone outliving the join is impossible, but dropping
-            // still drains and joins the pool via its Drop impl.
-            Err(core) => drop(core),
-        }
+        self.pool.shutdown();
     }
 }
 
-/// Feeder side: move one ingress event into its session, then make sure a
-/// worker is scheduled to react to it. Runs on the shard feeder threads.
-pub(crate) fn deliver(core: &MuxCore, event: IngressEvent, shard: &ShardCounters) {
-    match event {
-        IngressEvent::Feed(session, clip) => {
-            deliver_clip(&session, clip, shard);
-            shard.delivered.fetch_add(1, Ordering::Relaxed);
-            schedule(&core.pool, &session);
-        }
-        IngressEvent::Finish(session) => {
-            session.finishing.store(true, Ordering::Release);
-            schedule(&core.pool, &session);
-        }
-    }
-}
-
-/// Put one ticket in the session's mailbox, blocking the feeder while it
-/// is full.
-fn deliver_clip(session: &Session, clip: ClipId, shard: &ShardCounters) {
-    // Count the ticket before it becomes visible to workers: a racing
-    // drain's decrement then always pairs with an earlier increment, so the
-    // queue-depth gauge can never transiently wrap below zero.
-    session.counters.queue_depth.fetch_add(1, Ordering::Relaxed);
-    if let Err(TrySendError::Full(clip)) = session.tx.try_send(clip) {
-        let blocked = Instant::now();
-        session.tx.send(clip).expect("session mailbox open");
-        let nanos = blocked.elapsed().as_nanos() as u64;
-        SessionCounters::add(&session.counters.feed_block_nanos, nanos);
-        SessionCounters::add(&shard.feed_block_nanos, nanos);
-    }
-}
-
-/// Hand a drain job to the pool unless one is already scheduled.
-fn schedule(pool: &WorkerPool, session: &Arc<Session>) {
-    if session
-        .scheduled
-        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-        .is_ok()
-    {
-        let session = session.clone();
-        pool.submit(Box::new(move || drain(&session)));
-    }
-}
-
-/// Worker side: serially process a session's mailbox one ticket per
-/// state-lock acquisition, then finalise if the feeder delivered
-/// end-of-stream. The `scheduled` flag guarantees only one worker runs this
-/// per session; the hand-off re-check closes the race between draining the
-/// last ticket and a feeder enqueueing a new one.
-fn drain(session: &Session) {
-    loop {
-        if let Ok(clip) = session.rx.try_recv() {
-            session.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            evaluate(session, clip);
-            continue;
-        }
-        // End-of-stream: finalise exactly once, after the mailbox drained.
-        if session.finishing.load(Ordering::Acquire) && session.rx.is_empty() {
-            let mut state = session.state.lock();
-            if state.result.is_none() && session.rx.is_empty() {
-                let result = if state.poisoned {
-                    Err(SessionError::Poisoned)
-                } else {
-                    let engine = state.engine.take().expect("finalised once");
-                    let mut sequences = std::mem::take(&mut state.sequences);
-                    sequences.extend(engine.finish());
-                    Ok(SessionResult {
-                        sequences,
-                        cost: state.ledger,
-                        clips_processed: state.clips_processed,
-                    })
-                };
-                state.result = Some(result);
-                session.done.notify_all();
-            }
-        }
-
-        session.scheduled.store(false, Ordering::Release);
-        let more_work = !session.rx.is_empty()
-            || (session.finishing.load(Ordering::Acquire) && session.state.lock().result.is_none());
-        if !more_work {
-            return;
-        }
-        // New tickets (or the finish marker) arrived between the drain and
-        // the flag clear — reclaim ownership or leave it to the scheduler.
-        if session
-            .scheduled
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
-/// Evaluate one clip under the state lock. The observer notice runs after
-/// the guard drops, so feeders reading stream metadata and metrics
-/// observers are never blocked on it.
-fn evaluate(session: &Session, clip: ClipId) {
-    let mut state = session.state.lock();
-    if state.poisoned {
-        return;
-    }
+/// The session's job: step `engine` over `clips` in order, notify the
+/// observer after each, finalise, and latch the result. A panic anywhere
+/// in the run latches [`SessionError::Poisoned`] instead.
+fn run(session: &Session, engine: SessionEngine, clips: Vec<ClipId>) {
     let started = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut view = OwnedClipView::new(session.oracle.clone(), clip);
-        let closed = state
-            .engine
-            .as_mut()
-            .expect("engine present until finish")
-            .push_clip(&mut view);
-        (*view.ledger(), closed)
+        let mut engine = engine.into_svaqd();
+        let mut result = SessionResult {
+            sequences: Vec::new(),
+            cost: CostLedger::default(),
+            clips_processed: 0,
+        };
+        for clip in clips {
+            assert!(
+                clip != POISON_CLIP,
+                "poison clip evaluated (injected worker fault)"
+            );
+            let mut view = OwnedClipView::new(session.oracle.clone(), clip);
+            let closed = engine.push_clip(&mut view).closed;
+            result.cost.merge(view.ledger());
+            result.sequences.extend(closed);
+            result.clips_processed += 1;
+            session
+                .counters
+                .clips_processed
+                .fetch_add(1, Ordering::Relaxed);
+            if let Some(observer) = session.observer.get() {
+                observer(ClipNotice {
+                    clip,
+                    closed,
+                    clips_processed: result.clips_processed,
+                    backgrounds: engine.backgrounds(),
+                    criticals: engine.criticals(),
+                });
+            }
+        }
+        result.sequences.extend(engine.finish());
+        result
     }));
     SessionCounters::add(
         &session.counters.eval_nanos,
         started.elapsed().as_nanos() as u64,
     );
-    let Ok((ledger, closed)) = outcome else {
-        state.poisoned = true;
-        return;
-    };
-    state.ledger.merge(&ledger);
-    state.sequences.extend(closed);
-    state.clips_processed += 1;
-    session
-        .counters
-        .clips_processed
-        .fetch_add(1, Ordering::Relaxed);
-    let observer = session.observer.get();
-    // The notice reads the engine, so it is built under the lock.
-    let notice = observer.and(state.engine.as_ref()).map(|engine| {
-        let (backgrounds, criticals) = engine.drift();
-        ClipNotice {
-            clip,
-            closed,
-            clips_processed: state.clips_processed,
-            backgrounds,
-            criticals,
-        }
-    });
-    drop(state);
-    if let (Some(observer), Some(notice)) = (observer, notice) {
-        observer(notice);
-    }
+    let mut state = session.state.lock();
+    state.result = Some(outcome.map_err(|_| SessionError::Poisoned));
+    session.done.notify_all();
 }
 
 #[cfg(test)]
@@ -743,10 +546,6 @@ mod tests {
             let snap = mux.metrics().snapshot();
             assert_eq!(snap.total_clips, 240);
             assert_eq!(snap.jobs_panicked, 0);
-            assert_eq!(snap.shards.len(), shards);
-            let delivered: u64 = snap.shards.iter().map(|s| s.delivered).sum();
-            assert_eq!(delivered, 240, "every ticket crosses an ingress shard");
-            assert_eq!(snap.shards.iter().map(|s| s.ingress_depth).sum::<u64>(), 0);
             mux.shutdown();
         }
     }
@@ -908,8 +707,6 @@ mod tests {
         assert_eq!(mux.feed(id, ClipId::new(2)), Err(FeedError::SessionClosed));
         let result = mux.wait(id).unwrap();
         assert_eq!(result.clips_processed, 2, "late ticket must not slip in");
-        let snap = mux.metrics().snapshot();
-        assert_eq!(snap.sessions[0].queue_depth, 0, "gauge must stay balanced");
         mux.shutdown();
     }
 }

@@ -1,9 +1,9 @@
 //! Panic-isolated worker pool over bounded crossbeam channels.
 //!
 //! Workers pull boxed jobs from one bounded MPMC channel. A panicking job is
-//! caught at the worker (the submitting subsystem additionally marks the
-//! owning session poisoned — see `mux`), so one bad clip never takes the
-//! pool down. Shutdown is graceful: closing the job channel lets every
+//! caught at the worker, so one bad job never takes the pool down (a
+//! `mux` session also catches its own run's panic, to latch it as
+//! poisoned). Shutdown is graceful: closing the job channel lets every
 //! worker drain what it already accepted, then the pool joins them.
 
 use crate::metrics::ExecMetrics;

@@ -67,7 +67,7 @@ fn runtime_lock_edges_are_covered_by_the_static_graph() {
     // shared worker pool, backpressure, metrics.
     let mux = SessionMux::with_options(MuxOptions::new(4).with_shards(2), ExecMetrics::new());
     // The reporter thread snapshots under its stop guard — the executor's
-    // nested first-party acquisitions (`stop` → `sessions`/`shards`).
+    // nested first-party acquisitions (`stop` → `sessions`).
     let reporter = mux
         .metrics()
         .spawn_reporter(std::time::Duration::from_millis(1), |_snap| {});

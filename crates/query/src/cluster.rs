@@ -2,7 +2,7 @@
 //!
 //! A cluster query (`video: "all"` on the wire) runs the offline plan over
 //! every video of a catalog that has been hash-partitioned across shards
-//! (`svq_exec::shard_index`). Each shard answers with its *local* top-K —
+//! (`svq_types::shard_index`). Each shard answers with its *local* top-K —
 //! the merge of its videos' per-video RVAQ results — and the router merges
 //! shard answers into the global top-K. This module defines the merge and
 //! the invariant everything downstream leans on:
@@ -250,7 +250,7 @@ pub fn merge_cluster(k: usize, parts: Vec<ClusterPart>) -> (ClusterTopK, MergeSt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svq_types::{ClipId, Interval};
+    use svq_types::{shard_index, ClipId, Interval};
 
     fn entry(video: u64, start: u64, score: f64) -> ClusterRanked {
         ClusterRanked {
@@ -428,19 +428,6 @@ mod tests {
         assert_eq!(part_of_video(VideoId::new(3), &full).tail_bound, None);
     }
 
-    /// Mirror of `svq_exec::shard_index` (splitmix64 finaliser), restated
-    /// here because the query layer sits below the exec layer. The router
-    /// tests in `svq-serve` pin the two implementations together end to
-    /// end; this copy lets the property below group videos exactly the way
-    /// a deployed cluster does.
-    fn shard_of(video: u64, shards: usize) -> usize {
-        let mut x = video.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        (x % shards.max(1) as u64) as usize
-    }
-
     use proptest::prelude::*;
 
     proptest! {
@@ -496,8 +483,7 @@ mod tests {
             for shards in [1usize, 2, 4] {
                 let mut groups: Vec<Vec<ClusterPart>> = vec![Vec::new(); shards];
                 for part in &per_video {
-                    let video = part.ranked[0].video.raw();
-                    groups[shard_of(video, shards)].push(part.clone());
+                    groups[shard_index(part.ranked[0].video, shards)].push(part.clone());
                 }
                 let shard_answers: Vec<ClusterPart> = groups
                     .into_iter()

@@ -1,12 +1,11 @@
 //! The cluster shard router: one front door over N `svq-serve` shards.
 //!
-//! A cluster partitions the catalog by `svq_exec::shard_index(video, n)` —
-//! the same splitmix placement the ingress multiplexer uses — so every
-//! video has exactly one owning shard. The router listens on the ordinary
-//! line protocol (clients talk to it exactly as to a single server) and
-//! reuses the whole serving core — acceptor, admission, pipelined
-//! per-connection I/O, drain — behind the `Backend` seam; only request
-//! *execution* differs:
+//! A cluster partitions the catalog by `svq_exec::shard_index(video, n)`
+//! (a splitmix placement), so every video has exactly one owning shard.
+//! The router listens on the ordinary line protocol (clients talk to it
+//! exactly as to a single server) and reuses the whole serving core —
+//! acceptor, admission, pipelined per-connection I/O, drain — behind the
+//! `Backend` seam; only request *execution* differs:
 //!
 //! * `query`/`stream` naming a video forward verbatim to the owning shard
 //!   over that shard's one persistent pipelined upstream connection (a

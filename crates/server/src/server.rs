@@ -229,8 +229,8 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Accepted and ignored: the server has no ingress shards. Kept only
-    /// until the benchmark's `serve_config` stops calling it.
+    /// Accepted and ignored; kept only until the benchmark stops naming it
+    /// (ROADMAP item 19).
     #[doc(hidden)]
     pub fn shards(self, _shards: usize) -> Self {
         self

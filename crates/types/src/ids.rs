@@ -106,9 +106,47 @@ id_newtype!(
     "v"
 );
 
+/// Deterministic `VideoId` → shard placement: the one of `shards` shards
+/// (at least one) that owns `video` in a hash-sliced cluster. The splitmix64
+/// finaliser avalanches the raw id so the consecutive ids synthetic
+/// workloads use spread across shards instead of marching through them in
+/// lockstep.
+pub fn shard_index(video: VideoId, shards: usize) -> usize {
+    let mut x = video.raw().wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    (x % shards.max(1) as u64) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shard_index_is_stable_and_in_range() {
+        for shards in [1usize, 2, 4, 7] {
+            for v in 0..64u64 {
+                let s = shard_index(VideoId::new(v), shards);
+                assert!(s < shards);
+                assert_eq!(s, shard_index(VideoId::new(v), shards), "deterministic");
+            }
+        }
+        assert_eq!(shard_index(VideoId::new(9), 0), 0, "zero shards means one");
+    }
+
+    #[test]
+    fn shard_index_spreads_consecutive_ids() {
+        // 100 consecutive ids over 4 shards: every shard gets a fair share
+        // (raw modulo would too, but this pins the avalanche in case the
+        // hash changes).
+        let shards = 4;
+        let mut hit = vec![0usize; shards];
+        for v in 100..200u64 {
+            hit[shard_index(VideoId::new(v), shards)] += 1;
+        }
+        assert!(hit.iter().all(|&h| h >= 10), "unbalanced: {hit:?}");
+    }
 
     #[test]
     fn display_uses_prefix() {

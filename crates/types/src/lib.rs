@@ -39,7 +39,7 @@ pub use clock::{Clock, ManualClock, SimClock};
 pub use detection::{ActionScore, BBox, Detection, TrackedDetection};
 pub use error::{RejectReason, SvqError, SvqResult};
 pub use geometry::VideoGeometry;
-pub use ids::{ClipId, FrameId, ShotId, TrackId, VideoId};
+pub use ids::{shard_index, ClipId, FrameId, ShotId, TrackId, VideoId};
 pub use interval::{ClipInterval, FrameInterval, Interval};
 pub use labels::{ActionClass, ObjectClass, Vocabulary};
 pub use query::{ActionQuery, Predicate};

@@ -78,11 +78,12 @@ echo "== repro ingest-spill smoke (workers {1,2}, byte-identity + hand-off bound
 cargo run -q --release -p svq-bench --bin repro -- ingest-spill \
   --scale 0.02 --out target/ci-results
 
-echo "== svqbench --quick (the four gated workloads: every response verified, none failed)"
+echo "== svqbench --quick (the four gated workloads and fanout_push: every response verified, none failed)"
 # Each run builds its system, drives it for about a second and checks every
 # response against in-process execution; the last stdout line is the
 # result. A wrong answer or a failed operation fails CI, not just the gate.
-for WORKLOAD in topk_hot topk_cold routed_burst stream_online; do
+# fanout_push is ungated; its reference events come from SessionMux.
+for WORKLOAD in topk_hot topk_cold routed_burst stream_online fanout_push; do
   RESULT=$(cargo run -q --release -p svqbench -- --workload "$WORKLOAD" --quick --trace 0 | tail -n 1)
   case "$RESULT" in
     *'"correct": true'*'"failed": 0,'*) echo "   $WORKLOAD: correct, 0 failed" ;;
@@ -108,7 +109,7 @@ MUX_SQL="SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
          WHERE act='jumping' AND obj.include('car')"
 cargo run -q --release -p svqact -- mux --streams 2 --workers 2 \
   --minutes 0.5 --sql "$MUX_SQL"
-for BAD in "--workers 0" "--drain-batch 4"; do
+for BAD in "--workers 0" "--metrics-every inf" "--drain-batch 4"; do
   STATUS=0
   # shellcheck disable=SC2086 # BAD is a flag and its value
   cargo run -q --release -p svqact -- mux $BAD --sql "$MUX_SQL" || STATUS=$?

@@ -1,15 +1,18 @@
 //! Determinism of the svq-exec concurrency layer.
 //!
 //! The executor's contract is that concurrency is *invisible* in results:
-//! a multiplexed session produces byte-for-byte what a sequential engine
-//! run over the same stream produces, and a parallel ingest produces the
-//! same repository as a sequential one, at any worker count.
+//! an online run on a pool worker produces byte-for-byte what a sequential
+//! engine run over the same stream produces, and a parallel ingest produces
+//! the same repository as a sequential one, at any worker count.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use svq_core::offline::ingest;
 use svq_core::online::{OnlineConfig, Svaqd};
 use svq_core::{PaperScoring, ScoringFunctions};
-use svq_exec::{parallel_ingest, Backpressure, ExecMetrics, MuxOptions, SessionEngine, SessionMux};
+use svq_exec::{
+    parallel_ingest, Backpressure, ExecMetrics, MuxOptions, SessionEngine, SessionMux, WorkerPool,
+};
+use svq_query::{execute_online, parse, LogicalPlan, QueryResults};
 use svq_storage::VideoRepository;
 use svq_types::{ActionClass, ActionQuery, ClipInterval, ObjectClass, VideoId};
 use svq_vision::models::{DetectionOracle, ModelSuite};
@@ -135,6 +138,57 @@ fn multiplexer_is_worker_and_shard_invariant() {
                 );
             }
             mux.shutdown();
+        }
+    }
+}
+
+/// One `execute_online` run's results as wire bytes, with the one
+/// wall-clock field (the algorithm's own time) zeroed.
+fn online_bytes(plan: &LogicalPlan, oracle: &DetectionOracle) -> String {
+    let outcome = execute_online(plan, &mut VideoStream::new(oracle), OnlineConfig::default())
+        .expect("online plan");
+    let QueryResults::Online {
+        sequences,
+        mut cost,
+    } = outcome.results
+    else {
+        panic!("online plan answered offline")
+    };
+    cost.algorithm_ms = 0.0;
+    serde_json::to_string(&QueryResults::Online { sequences, cost }).expect("encodes")
+}
+
+/// N `execute_online` pool jobs equal N sequential runs byte for byte, at
+/// several worker counts — the shape a served `stream` request and
+/// `svqact mux` take.
+#[test]
+fn execute_online_pool_jobs_match_sequential_runs() {
+    let sql = "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID) \
+               WHERE act='jumping' AND obj.include('car')";
+    let plan = Arc::new(LogicalPlan::from_statement(&parse(sql).unwrap()).unwrap());
+    let oracles = oracles(3);
+    let expected: Vec<String> = oracles.iter().map(|o| online_bytes(&plan, o)).collect();
+    for workers in [1, 2, 4] {
+        let pool = WorkerPool::new(workers, oracles.len(), ExecMetrics::new());
+        let (tx, rx) = mpsc::channel();
+        for (slot, oracle) in oracles.iter().enumerate() {
+            let (plan, oracle, tx) = (plan.clone(), oracle.clone(), tx.clone());
+            pool.submit(Box::new(move || {
+                let _ = tx.send((slot, online_bytes(&plan, &oracle)));
+            }));
+        }
+        drop(tx);
+        let mut got: Vec<Option<String>> = vec![None; oracles.len()];
+        for (slot, bytes) in rx {
+            got[slot] = Some(bytes);
+        }
+        pool.shutdown();
+        for (got, expected) in got.into_iter().zip(&expected) {
+            assert_eq!(
+                got.as_ref(),
+                Some(expected),
+                "results drifted at {workers} workers"
+            );
         }
     }
 }
