@@ -450,24 +450,30 @@ pub fn serve(flags: &Flags) -> CliResult {
         .max_line(flags.get_parsed("max-line", svq_serve::MAX_LINE_BYTES)?)
         .workers(flags.get_parsed("workers", 2)?)
         .pipeline_depth(flags.get_parsed("pipeline-depth", 64)?)
-        .catalog_cache(match flags.get_parsed("catalog-cache", 0usize)? {
-            0 => None,
-            slots => Some(slots),
-        })
-        .shard_slice(
-            flags.get_parsed("shard-index", 0)?,
-            flags.get_parsed("shard-count", 1)?,
-        )
         .build()
         .map_err(flag_named)?;
+    // This process's slice of a hash-partitioned catalog: only the videos
+    // with `shard_index(v, shard_count) == shard_index`.
+    let shard_index: usize = flags.get_parsed("shard-index", 0)?;
+    let shard_count: usize = flags.get_parsed("shard-count", 1)?;
+    if shard_count == 0 {
+        return Err("--shard-count must be at least 1".into());
+    }
+    if shard_index >= shard_count {
+        return Err(format!(
+            "--shard-index must be below --shard-count, got {shard_index}/{shard_count}"
+        )
+        .into());
+    }
+    // 0 slots leaves the catalog cache unbounded.
+    let catalog_cache: usize = flags.get_parsed("catalog-cache", 0)?;
     let suite = suite_named(flags.get("models").unwrap_or("accurate"))?;
-    let (shard_index, shard_count) = config.shard_slice();
     let repo = flags
         .get("catalog")
         .map(VideoRepository::open_path)
         .transpose()?
         .map(|repo| {
-            let mut repo = repo.with_cache_capacity(config.catalog_cache().unwrap_or(0));
+            let mut repo = repo.with_cache_capacity(catalog_cache);
             if shard_count > 1 {
                 repo.retain_videos(|v| svq_exec::shard_index(v, shard_count) == shard_index);
             }
@@ -1322,6 +1328,14 @@ mod tests {
         assert!(err.to_string().contains("metrics-every"), "{err}");
         let err = serve(&flags(SERVE_FLAGS, &[("pipeline-depth", "0")])).unwrap_err();
         assert!(err.to_string().contains("pipeline-depth"), "{err}");
+        let err = serve(&flags(SERVE_FLAGS, &[("shard-count", "0")])).unwrap_err();
+        assert!(err.to_string().contains("--shard-count"), "{err}");
+        let err = serve(&flags(
+            SERVE_FLAGS,
+            &[("shard-index", "2"), ("shard-count", "2")],
+        ))
+        .unwrap_err();
+        assert!(err.to_string().contains("--shard-index"), "{err}");
         let err = request(&flags(
             REQUEST_FLAGS,
             &[("addr", "127.0.0.1:1"), ("repeat", "0")],

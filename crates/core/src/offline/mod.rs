@@ -15,7 +15,6 @@
 mod baselines;
 mod bounds;
 pub mod ingest;
-pub mod repository;
 pub mod rvaq;
 mod skip;
 pub mod tbclip;
@@ -23,7 +22,6 @@ pub mod tbclip;
 pub use baselines::{FaTopK, PqTraverse, RvaqNoSkip};
 pub use bounds::SequenceBounds;
 pub use ingest::ingest;
-pub use repository::{GlobalRankedSequence, RepositoryRvaq, RepositoryTopK};
 pub use rvaq::{RankedSequence, Rvaq, RvaqOptions, TopKResult};
 pub use skip::SkipSet;
 pub use tbclip::{TbClip, TbClipStep};

@@ -30,10 +30,10 @@
 //! part of the wire payload) records how often it fired.
 //!
 //! The per-video reduction itself — global top-K ⊆ union of per-video
-//! top-Ks, because scores are per-sequence and videos are disjoint — is the
-//! same one `svq_core::offline::RepositoryRvaq` uses in-process; this
-//! module adds the truncation bounds and the wire-stable payload that let
-//! the reduction span processes.
+//! top-Ks, because scores are per-sequence and videos are disjoint — is
+//! what [`crate::execute_offline_all`] runs in-process, one part per video;
+//! this module adds the truncation bounds and the wire-stable payload that
+//! let the reduction span processes.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;

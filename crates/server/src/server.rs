@@ -87,9 +87,6 @@ pub struct ServeConfig {
     pub(crate) max_line: usize,
     pub(crate) workers: usize,
     pub(crate) pipeline_depth: usize,
-    pub(crate) catalog_cache: Option<usize>,
-    pub(crate) shard_index: usize,
-    pub(crate) shard_count: usize,
     pub(crate) debug_fail_spawns: u64,
 }
 
@@ -104,9 +101,6 @@ impl Default for ServeConfig {
             max_line: MAX_LINE_BYTES,
             workers: 2,
             pipeline_depth: 64,
-            catalog_cache: None,
-            shard_index: 0,
-            shard_count: 1,
             debug_fail_spawns: 0,
         }
     }
@@ -159,21 +153,6 @@ impl ServeConfig {
     /// Requests one connection may have in flight.
     pub fn pipeline_depth(&self) -> usize {
         self.pipeline_depth
-    }
-
-    /// Residency bound for the served catalog repository (`None` =
-    /// unbounded). Consumed by the catalog-opening layer (`svqact serve`)
-    /// via [`VideoRepository::with_cache_capacity`]; the server itself
-    /// serves whatever repository it is given.
-    pub fn catalog_cache(&self) -> Option<usize> {
-        self.catalog_cache
-    }
-
-    /// This process's slice of a hash-partitioned catalog: serve only the
-    /// videos with `svq_exec::shard_index(v, shard_count) == shard_index`.
-    /// Consumed by the catalog-opening layer; `(0, 1)` means "everything".
-    pub fn shard_slice(&self) -> (usize, usize) {
-        (self.shard_index, self.shard_count)
     }
 }
 
@@ -243,21 +222,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Residency bound for the served catalog (`None` = unbounded).
-    pub fn catalog_cache(mut self, catalog_cache: Option<usize>) -> Self {
-        self.config.catalog_cache = catalog_cache;
-        self
-    }
-
-    /// Serve only this slice of a hash-partitioned catalog:
-    /// `shard_index` of `shard_count` (placement by
-    /// `svq_exec::shard_index`). `(0, 1)` serves everything.
-    pub fn shard_slice(mut self, shard_index: usize, shard_count: usize) -> Self {
-        self.config.shard_index = shard_index;
-        self.config.shard_count = shard_count;
-        self
-    }
-
     /// Test hook: fail this many handler spawns artificially (exercises
     /// the spawn-failure answer path, which real resource exhaustion makes
     /// impractical to reach deterministically). Production configs leave
@@ -299,20 +263,6 @@ impl ServeConfigBuilder {
         }
         if c.pipeline_depth == 0 {
             return fail("serve: pipeline_depth must be at least 1".into());
-        }
-        if c.catalog_cache == Some(0) {
-            return fail(
-                "serve: catalog_cache must be at least 1 slot (omit it for unbounded)".into(),
-            );
-        }
-        if c.shard_count == 0 {
-            return fail("serve: shard_count must be at least 1".into());
-        }
-        if c.shard_index >= c.shard_count {
-            return fail(format!(
-                "serve: shard_index must be below shard_count, got {}/{}",
-                c.shard_index, c.shard_count
-            ));
         }
         Ok(self.config)
     }

@@ -9,7 +9,7 @@
 //! (`crates/sim/corpus/seeds.txt`).
 
 use crate::rng;
-use crate::scenario::{self, FaultPlan, Scenario, ScenarioCtx};
+use crate::scenario::{self, FaultPlan, Scenario, ScenarioCtx, INJECTORS};
 use crate::world::{run_world, ScheduleOutcome, WorldConfig};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -100,18 +100,9 @@ pub fn shrink(failing: &RunSpec) -> (RunSpec, ScheduleOutcome) {
             break;
         }
     }
-    const CLEARERS: &[fn(&mut FaultPlan)] = &[
-        |f| f.worker_panic = false,
-        |f| f.drop_conn = false,
-        |f| f.stall_client = false,
-        |f| f.crash_sink = false,
-        |f| f.torn_manifest = false,
-        |f| f.stall_shard = false,
-    ];
-    for clear in CLEARERS {
+    for (_, flag) in INJECTORS {
         let mut candidate = best;
-        clear(&mut candidate.faults);
-        if candidate.faults == best.faults {
+        if !std::mem::take(flag(&mut candidate.faults)) {
             continue;
         }
         let outcome = run_one(&candidate);

@@ -24,7 +24,7 @@ use crate::rng::{self, SimRng};
 use parking_lot::rt;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Duration;
 use svq_core::offline::ingest;
 use svq_core::online::{OnlineConfig, Svaqd};
@@ -37,8 +37,8 @@ use svq_query::{
 };
 use svq_serve::{
     encode_line, encode_request_line, Caller, Client, Conn, Connector, LiveSourceConfig,
-    MemTransport, Request, Response, RouteConfig, Router, ServeConfig, Server, Transport,
-    VideoScope,
+    MemTransport, Request, Response, RouteConfig, Router, ServeConfig, Server, ServerHandle,
+    Transport, VideoScope,
 };
 use svq_storage::{DirSink, FailingSink, VideoRepository};
 use svq_types::{
@@ -72,6 +72,21 @@ pub struct FaultPlan {
     pub stall_shard: bool,
 }
 
+/// The flag of one fault injector within a plan.
+type Injector = fn(&mut FaultPlan) -> &mut bool;
+
+/// Every fault injector: its spelling in a plan and its flag, in canonical
+/// order (the order [`FaultPlan::label`] lists them and the shrinker drops
+/// them).
+pub(crate) const INJECTORS: [(&str, Injector); 6] = [
+    ("worker-panic", |f| &mut f.worker_panic),
+    ("drop-conn", |f| &mut f.drop_conn),
+    ("stall-client", |f| &mut f.stall_client),
+    ("crash-sink", |f| &mut f.crash_sink),
+    ("torn-manifest", |f| &mut f.torn_manifest),
+    ("stall-shard", |f| &mut f.stall_shard),
+];
+
 impl FaultPlan {
     /// No faults: the reference-behaviour plan.
     pub fn none() -> Self {
@@ -80,14 +95,11 @@ impl FaultPlan {
 
     /// Every fault injector armed.
     pub fn all() -> Self {
-        Self {
-            worker_panic: true,
-            drop_conn: true,
-            stall_client: true,
-            crash_sink: true,
-            torn_manifest: true,
-            stall_shard: true,
+        let mut plan = Self::none();
+        for (_, flag) in INJECTORS {
+            *flag(&mut plan) = true;
         }
+        plan
     }
 
     /// Parse `none`, `all`, or a comma-separated subset of
@@ -100,46 +112,27 @@ impl FaultPlan {
         }
         let mut plan = Self::none();
         for part in spec.split(',') {
-            match part.trim() {
-                "worker-panic" => plan.worker_panic = true,
-                "drop-conn" => plan.drop_conn = true,
-                "stall-client" => plan.stall_client = true,
-                "crash-sink" => plan.crash_sink = true,
-                "torn-manifest" => plan.torn_manifest = true,
-                "stall-shard" => plan.stall_shard = true,
-                other => {
-                    return Err(format!(
-                        "unknown fault {other:?}; expected none, all, or a comma list of \
-                         worker-panic, drop-conn, stall-client, crash-sink, torn-manifest, \
-                         stall-shard"
-                    ))
-                }
-            }
+            let Some((_, flag)) = INJECTORS.iter().find(|(name, _)| *name == part.trim()) else {
+                let names: Vec<&str> = INJECTORS.iter().map(|(name, _)| *name).collect();
+                return Err(format!(
+                    "unknown fault {:?}; expected none, all, or a comma list of {}",
+                    part.trim(),
+                    names.join(", ")
+                ));
+            };
+            *flag(&mut plan) = true;
         }
         Ok(plan)
     }
 
     /// Canonical spelling accepted back by [`FaultPlan::parse`].
     pub fn label(&self) -> String {
-        let mut parts = Vec::new();
-        if self.worker_panic {
-            parts.push("worker-panic");
-        }
-        if self.drop_conn {
-            parts.push("drop-conn");
-        }
-        if self.stall_client {
-            parts.push("stall-client");
-        }
-        if self.crash_sink {
-            parts.push("crash-sink");
-        }
-        if self.torn_manifest {
-            parts.push("torn-manifest");
-        }
-        if self.stall_shard {
-            parts.push("stall-shard");
-        }
+        let mut plan = *self;
+        let parts: Vec<&str> = INJECTORS
+            .iter()
+            .filter(|(_, flag)| *flag(&mut plan))
+            .map(|(name, _)| *name)
+            .collect();
         if parts.is_empty() {
             "none".to_string()
         } else {
@@ -333,45 +326,42 @@ fn canon(sequences: &[svq_types::ClipInterval], clips: u64, cost: (u64, u64)) ->
     )
 }
 
-/// Single-threaded reference for [`oracle`]`(video, clips)`, cached across
-/// schedules. The computation is pure (no locks, no scheduler events), so
-/// a cache hit and a miss leave identical traces.
-fn reference(video: u64, clips: u64) -> Arc<String> {
-    type Cache = OnceLock<StdMutex<BTreeMap<(u64, u64), Arc<String>>>>;
-    static CACHE: Cache = OnceLock::new();
-    let cache = CACHE.get_or_init(|| StdMutex::new(BTreeMap::new()));
-    if let Some(hit) = cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .get(&(video, clips))
-    {
-        return hit.clone();
-    }
-    let oracle = oracle(video, clips);
-    let mut stream = VideoStream::new(&oracle);
-    let mut reference_engine = Svaqd::new(
-        query(),
-        stream.geometry(),
-        OnlineConfig::default(),
-        1e-4,
-        1e-4,
-    );
-    let mut seqs = Vec::new();
-    while let Some(mut view) = stream.next_clip() {
-        seqs.extend(reference_engine.push_clip(&mut view).closed);
-    }
-    seqs.extend(reference_engine.finish());
-    let ledger = *stream.ledger();
-    let canonical = Arc::new(canon(
-        &seqs,
-        clips,
-        (ledger.object_frames, ledger.action_shots),
-    ));
+/// A cache of reference outcomes shared by every schedule in the process.
+type Memo<K, V> = StdMutex<BTreeMap<K, Arc<V>>>;
+
+/// `compute()` for `key`, computed once per process. Every reference
+/// computation is pure (no instrumented locks, no scheduler events), so a
+/// cache hit and a miss leave identical traces.
+fn memo<K: Ord, V>(cache: &Memo<K, V>, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
+    let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
     cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert((video, clips), canonical.clone());
-    canonical
+        .entry(key)
+        .or_insert_with(|| Arc::new(compute()))
+        .clone()
+}
+
+/// Single-threaded reference for [`oracle`]`(video, clips)`, cached across
+/// schedules.
+fn reference(video: u64, clips: u64) -> Arc<String> {
+    static CACHE: Memo<(u64, u64), String> = StdMutex::new(BTreeMap::new());
+    memo(&CACHE, (video, clips), || {
+        let oracle = oracle(video, clips);
+        let mut stream = VideoStream::new(&oracle);
+        let mut reference_engine = Svaqd::new(
+            query(),
+            stream.geometry(),
+            OnlineConfig::default(),
+            1e-4,
+            1e-4,
+        );
+        let mut seqs = Vec::new();
+        while let Some(mut view) = stream.next_clip() {
+            seqs.extend(reference_engine.push_clip(&mut view).closed);
+        }
+        seqs.extend(reference_engine.finish());
+        let ledger = *stream.ledger();
+        canon(&seqs, clips, (ledger.object_frames, ledger.action_shots))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -594,37 +584,175 @@ fn canonical_json(outcome: &QueryOutcome) -> String {
 }
 
 /// In-process reference executions for [`oracle`]`(0, clips)`:
-/// `(offline, online)` canonical outcome JSON. Pure computation, cached
-/// across schedules (same reasoning as [`reference`]).
+/// `(offline, online)` canonical outcome JSON, cached across schedules.
 fn serve_reference(clips: u64) -> Arc<(String, String)> {
-    type Cache = OnceLock<StdMutex<BTreeMap<u64, Arc<(String, String)>>>>;
-    static CACHE: Cache = OnceLock::new();
-    let cache = CACHE.get_or_init(|| StdMutex::new(BTreeMap::new()));
-    if let Some(hit) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(&clips) {
-        return hit.clone();
-    }
-    let o = oracle(0, clips);
-    let statement = parse(OFFLINE_SQL).expect("fixture SQL parses");
-    let plan = LogicalPlan::from_statement(&statement).expect("fixture SQL plans");
-    let catalog = ingest(&o, &PaperScoring, &OnlineConfig::default());
-    let offline = execute_offline(&plan, &catalog, &PaperScoring).expect("offline reference runs");
-    let statement = parse(ONLINE_SQL).expect("fixture SQL parses");
-    let plan = LogicalPlan::from_statement(&statement).expect("fixture SQL plans");
-    let mut stream = VideoStream::new(&o);
-    let online =
-        execute_online(&plan, &mut stream, OnlineConfig::default()).expect("online reference runs");
-    let pair = Arc::new((canonical_json(&offline), canonical_json(&online)));
-    cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(clips, pair.clone());
-    pair
+    static CACHE: Memo<u64, (String, String)> = StdMutex::new(BTreeMap::new());
+    memo(&CACHE, clips, || {
+        let o = oracle(0, clips);
+        let statement = parse(OFFLINE_SQL).expect("fixture SQL parses");
+        let plan = LogicalPlan::from_statement(&statement).expect("fixture SQL plans");
+        let catalog = ingest(&o, &PaperScoring, &OnlineConfig::default());
+        let offline =
+            execute_offline(&plan, &catalog, &PaperScoring).expect("offline reference runs");
+        let statement = parse(ONLINE_SQL).expect("fixture SQL parses");
+        let plan = LogicalPlan::from_statement(&statement).expect("fixture SQL plans");
+        let mut stream = VideoStream::new(&o);
+        let online = execute_online(&plan, &mut stream, OnlineConfig::default())
+            .expect("online reference runs");
+        (canonical_json(&offline), canonical_json(&online))
+    })
 }
 
 /// [`Scenario::prepare`] for [`serve_mem`]: compute the reference outcomes
 /// outside the world so a cache miss never shows up in a trace.
 fn serve_mem_prepare(ctx: ScenarioCtx) {
     serve_reference(ctx.size.max(2));
+}
+
+/// The read deadline of every loopback client but the cluster's.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A protocol client over a fresh loopback connection.
+fn connect(transport: &MemTransport, timeout: Duration) -> Client {
+    Client::over(Box::new(transport.connect()), timeout).expect("loopback connect")
+}
+
+/// An in-memory server over `transport`, serving the catalog and the live
+/// stream of [`oracle`]`(video, clips)` when `video` is given and standing
+/// queries over `source` when one is.
+fn start_server(
+    transport: &Arc<MemTransport>,
+    config: ServeConfig,
+    video: Option<(u64, u64)>,
+    source: Option<LiveSourceConfig>,
+) -> ServerHandle {
+    let (repo, oracles) = match video {
+        Some((video, clips)) => {
+            let o = oracle(video, clips);
+            let catalog = ingest(&o, &PaperScoring, &OnlineConfig::default());
+            let repo = Arc::new(VideoRepository::from_catalogs([catalog]));
+            (Some(repo), vec![o])
+        }
+        None => (None, Vec::new()),
+    };
+    Server::start_on_with_source(
+        transport.clone(),
+        config,
+        repo,
+        oracles,
+        source,
+        ExecMetrics::new(),
+    )
+    .expect("in-memory server starts")
+}
+
+/// Fault: a connection that writes the complete frames `whole`, then
+/// `torn` (a frame cut mid-line), and closes abortively. The server may
+/// see a truncated line or a bare EOF (schedule-dependent); either way
+/// nobody else notices.
+fn spawn_dropper(
+    transport: &Arc<MemTransport>,
+    whole: Option<String>,
+    torn: &[u8],
+) -> rt::JoinHandle<()> {
+    let transport = transport.clone();
+    let torn = torn.to_vec();
+    rt::spawn("dropper", move || {
+        let mut conn = transport.connect();
+        if let Some(whole) = whole {
+            let _ = std::io::Write::write_all(&mut conn, whole.as_bytes());
+        }
+        let _ = std::io::Write::write_all(&mut conn, &torn);
+        let _ = conn.shutdown_both();
+    })
+    .expect("sim spawn cannot fail")
+}
+
+/// Fault: a client that goes silent past the read deadline. It must be
+/// answered with a typed `timeout` frame and a close, never hold its slot
+/// forever. With `closing`, a connection the drain closes first is legal
+/// too, once the drain has begun.
+fn spawn_staller(
+    transport: &Arc<MemTransport>,
+    read_timeout: Duration,
+    closing: Option<Arc<AtomicBool>>,
+) -> rt::JoinHandle<()> {
+    let transport = transport.clone();
+    rt::spawn("staller", move || {
+        let mut client = connect(&transport, CLIENT_TIMEOUT);
+        rt::sleep(read_timeout * 2);
+        match (client.read_response(), closing) {
+            (Ok(Response::Error { reason, .. }), _) => {
+                assert_eq!(reason, RejectReason::Timeout, "stall answered with timeout");
+            }
+            (Err(e), Some(closing)) => assert!(
+                closing.load(Ordering::SeqCst),
+                "stalled connection died outside the drain: {e}"
+            ),
+            (other, _) => unreachable!("stalled client expected a timeout frame: {other:?}"),
+        }
+    })
+    .expect("sim spawn cannot fail")
+}
+
+/// Drain over the wire — a `shutdown` frame on `wire`, acknowledged with
+/// `bye` — or, without a wire client, through `handle_shutdown`.
+fn shut_down(wire: Option<&mut Client>, handle_shutdown: impl FnOnce()) {
+    match wire {
+        Some(client) => {
+            let bye = client
+                .request(&Request::Shutdown)
+                .expect("shutdown answered");
+            assert_eq!(bye, Response::Bye, "wire shutdown acknowledged");
+        }
+        None => handle_shutdown(),
+    }
+}
+
+/// Wait for `handle`'s drain, which must terminate within its deadline
+/// with nothing force-closed.
+fn drained(handle: &ServerHandle) -> svq_serve::ServeReport {
+    let report = handle.wait();
+    assert!(
+        report.drained_in_deadline && report.forced_closes == 0,
+        "drain terminates with nothing force-closed: {report:?}"
+    );
+    report
+}
+
+/// The data request of `kind`: 0 the offline `query`, 1 the online
+/// `stream`, 2 `stats`.
+fn data_request(kind: usize) -> Request {
+    match kind {
+        0 => Request::Query {
+            sql: OFFLINE_SQL.into(),
+            video: VideoScope::One(0),
+        },
+        1 => Request::Stream {
+            sql: ONLINE_SQL.into(),
+            video: Some(0),
+        },
+        _ => Request::Stats,
+    }
+}
+
+/// Check the answer to [`data_request`]`(kind)`: outcomes byte-identical
+/// (canonically) to the in-process `reference`, stats as stats.
+fn check_answer(kind: usize, response: Response, reference: &(String, String), what: &str) {
+    match (kind, response) {
+        (0, Response::Outcome(outcome)) => assert_eq!(
+            canonical_json(&outcome),
+            reference.0,
+            "{what}: served offline outcome drifted from in-process execution"
+        ),
+        (1, Response::Outcome(outcome)) => assert_eq!(
+            canonical_json(&outcome),
+            reference.1,
+            "{what}: served online outcome drifted from in-process execution"
+        ),
+        (2, Response::Stats(_)) => {}
+        (kind, other) => unreachable!("{what} (kind {kind}) answered with {other:?}"),
+    }
 }
 
 /// The full `svq-serve` stack — acceptor, admission, per-connection
@@ -640,12 +768,6 @@ fn serve_mem(ctx: ScenarioCtx) {
     let clips = ctx.size.max(2);
     let reference = serve_reference(clips);
 
-    let o = oracle(0, clips);
-    let repo = Arc::new(VideoRepository::from_catalogs([ingest(
-        &o,
-        &PaperScoring,
-        &OnlineConfig::default(),
-    )]));
     let transport = MemTransport::new();
     let read_timeout = Duration::from_millis(50 + rng.below(4) as u64 * 25);
     let config = ServeConfig::builder()
@@ -656,14 +778,7 @@ fn serve_mem(ctx: ScenarioCtx) {
         .workers(1 + rng.below(2))
         .build()
         .expect("config is valid");
-    let handle = Server::start_on(
-        transport.clone(),
-        config,
-        Some(repo),
-        vec![o],
-        ExecMetrics::new(),
-    )
-    .expect("in-memory server starts");
+    let handle = start_server(&transport, config, Some((0, clips)), None);
 
     let mut tasks = Vec::new();
 
@@ -674,73 +789,25 @@ fn serve_mem(ctx: ScenarioCtx) {
         let reference = reference.clone();
         tasks.push(
             rt::spawn(&format!("client{c}"), move || {
-                let mut client =
-                    Client::over(Box::new(transport.connect()), Duration::from_secs(5))
-                        .expect("loopback connect");
-                let served = client
-                    .expect_outcome(&Request::Query {
-                        sql: OFFLINE_SQL.into(),
-                        video: VideoScope::One(0),
-                    })
-                    .expect("query answered");
-                assert_eq!(
-                    canonical_json(&served),
-                    reference.0,
-                    "served offline outcome drifted from in-process execution"
-                );
-                let served = client
-                    .expect_outcome(&Request::Stream {
-                        sql: ONLINE_SQL.into(),
-                        video: Some(0),
-                    })
-                    .expect("stream answered");
-                assert_eq!(
-                    canonical_json(&served),
-                    reference.1,
-                    "served online outcome drifted from in-process execution"
-                );
-            })
-            .expect("sim spawn cannot fail"),
-        );
-    }
-
-    // Fault: a connection abortively closed with half a request frame on
-    // the wire. The server may see a truncated line or a bare EOF
-    // (schedule-dependent); either way nobody else notices.
-    if ctx.faults.drop_conn {
-        let transport = transport.clone();
-        let cut = 1 + rng.below(encode_line(&Request::Stats).len() - 2);
-        tasks.push(
-            rt::spawn("dropper", move || {
-                let mut conn = transport.connect();
-                let line = encode_line(&Request::Stats);
-                let _ = std::io::Write::write_all(&mut conn, &line.as_bytes()[..cut]);
-                let _ = conn.shutdown_both();
-            })
-            .expect("sim spawn cannot fail"),
-        );
-    }
-
-    // Fault: a client that goes silent past the read deadline. It must be
-    // answered with a typed `timeout` frame and a close — never hold its
-    // slot forever.
-    if ctx.faults.stall_client {
-        let transport = transport.clone();
-        tasks.push(
-            rt::spawn("staller", move || {
-                let mut client =
-                    Client::over(Box::new(transport.connect()), Duration::from_secs(5))
-                        .expect("loopback connect");
-                rt::sleep(read_timeout * 2);
-                match client.read_response() {
-                    Ok(Response::Error { reason, .. }) => {
-                        assert_eq!(reason, RejectReason::Timeout, "stall answered with timeout");
-                    }
-                    other => unreachable!("stalled client expected a timeout frame: {other:?}"),
+                let mut client = connect(&transport, CLIENT_TIMEOUT);
+                for kind in 0..2 {
+                    let served = client
+                        .expect_outcome(&data_request(kind))
+                        .expect("data request answered");
+                    check_answer(kind, Response::Outcome(served), &reference, "client");
                 }
             })
             .expect("sim spawn cannot fail"),
         );
+    }
+
+    if ctx.faults.drop_conn {
+        let line = encode_line(&Request::Stats);
+        let cut = 1 + rng.below(line.len() - 2);
+        tasks.push(spawn_dropper(&transport, None, &line.as_bytes()[..cut]));
+    }
+    if ctx.faults.stall_client {
+        tasks.push(spawn_staller(&transport, read_timeout, None));
     }
 
     for task in tasks {
@@ -748,23 +815,16 @@ fn serve_mem(ctx: ScenarioCtx) {
     }
 
     // Shut down over the wire or via the handle — both paths must drain.
-    if rng.chance(1, 2) {
-        let mut client = Client::over(Box::new(transport.connect()), Duration::from_secs(5))
-            .expect("loopback connect");
-        let bye = client
-            .request(&Request::Shutdown)
-            .expect("shutdown answered");
-        assert_eq!(bye, Response::Bye, "wire shutdown acknowledged");
-    } else {
-        handle.shutdown();
-    }
-    let report = handle.wait();
+    let by_wire = rng.chance(1, 2);
+    shut_down(
+        by_wire
+            .then(|| connect(&transport, CLIENT_TIMEOUT))
+            .as_mut(),
+        || handle.shutdown(),
+    );
+    let report = drained(&handle);
     assert!(report.accepted >= 2, "both well-behaved clients admitted");
     assert!(report.requests >= 4, "four data requests served");
-    assert!(
-        report.drained_in_deadline && report.forced_closes == 0,
-        "drain terminates with nothing force-closed: {report:?}"
-    );
     let expected_timeouts = u64::from(ctx.faults.stall_client);
     assert_eq!(
         report.timed_out, expected_timeouts,
@@ -792,12 +852,6 @@ fn serve_pipeline(ctx: ScenarioCtx) {
     let clips = ctx.size.max(2);
     let reference = serve_reference(clips);
 
-    let o = oracle(0, clips);
-    let repo = Arc::new(VideoRepository::from_catalogs([ingest(
-        &o,
-        &PaperScoring,
-        &OnlineConfig::default(),
-    )]));
     let transport = MemTransport::new();
     let read_timeout = Duration::from_millis(50 + rng.below(4) as u64 * 25);
     let config = ServeConfig::builder()
@@ -811,14 +865,7 @@ fn serve_pipeline(ctx: ScenarioCtx) {
         .pipeline_depth(2 + rng.below(4))
         .build()
         .expect("config is valid");
-    let handle = Server::start_on(
-        transport.clone(),
-        config,
-        Some(repo),
-        vec![o],
-        ExecMetrics::new(),
-    )
-    .expect("in-memory server starts");
+    let handle = start_server(&transport, config, Some((0, clips)), None);
 
     let mut tasks = Vec::new();
 
@@ -832,24 +879,11 @@ fn serve_pipeline(ctx: ScenarioCtx) {
         data_requests += burst;
         tasks.push(
             rt::spawn(&format!("pipeliner{c}"), move || {
-                let kind_of = |id: u64| (id + c) % 3;
-                let request_of = |id: u64| match kind_of(id) {
-                    0 => Request::Query {
-                        sql: OFFLINE_SQL.into(),
-                        video: VideoScope::One(0),
-                    },
-                    1 => Request::Stream {
-                        sql: ONLINE_SQL.into(),
-                        video: Some(0),
-                    },
-                    _ => Request::Stats,
-                };
-                let mut client =
-                    Client::over(Box::new(transport.connect()), Duration::from_secs(5))
-                        .expect("loopback connect");
+                let kind_of = |id: u64| ((id + c) % 3) as usize;
+                let mut client = connect(&transport, CLIENT_TIMEOUT);
                 for id in 0..burst {
                     client
-                        .send(&request_of(id), Some(id))
+                        .send(&data_request(kind_of(id)), Some(id))
                         .expect("pipelined send");
                 }
                 let mut answered = BTreeMap::new();
@@ -861,22 +895,12 @@ fn serve_pipeline(ctx: ScenarioCtx) {
                         answered.insert(id, ()).is_none(),
                         "response id {id} answered twice"
                     );
-                    match (kind_of(id), response) {
-                        (0, Response::Outcome(outcome)) => assert_eq!(
-                            canonical_json(&outcome),
-                            reference.0,
-                            "pipelined query {id} drifted from in-process execution"
-                        ),
-                        (1, Response::Outcome(outcome)) => assert_eq!(
-                            canonical_json(&outcome),
-                            reference.1,
-                            "pipelined stream {id} drifted from in-process execution"
-                        ),
-                        (2, Response::Stats(_)) => {}
-                        (kind, other) => {
-                            unreachable!("id {id} (kind {kind}) answered with {other:?}")
-                        }
-                    }
+                    check_answer(
+                        kind_of(id),
+                        response,
+                        &reference,
+                        &format!("pipelined id {id}"),
+                    );
                 }
                 assert_eq!(
                     answered.len() as u64,
@@ -897,42 +921,16 @@ fn serve_pipeline(ctx: ScenarioCtx) {
         let reference = reference.clone();
         tasks.push(
             rt::spawn("v1burst", move || {
-                let mut client =
-                    Client::over(Box::new(transport.connect()), Duration::from_secs(5))
-                        .expect("loopback connect");
+                let mut client = connect(&transport, CLIENT_TIMEOUT);
                 for &kind in &kinds {
-                    let request = match kind {
-                        0 => Request::Query {
-                            sql: OFFLINE_SQL.into(),
-                            video: VideoScope::One(0),
-                        },
-                        1 => Request::Stream {
-                            sql: ONLINE_SQL.into(),
-                            video: Some(0),
-                        },
-                        _ => Request::Stats,
-                    };
-                    client.send(&request, None).expect("id-less send");
+                    client
+                        .send(&data_request(kind), None)
+                        .expect("id-less send");
                 }
                 for (at, &kind) in kinds.iter().enumerate() {
                     let (id, response) = client.read_tagged().expect("v1 response");
                     assert!(id.is_none(), "v1 response {at} carries an id: {id:?}");
-                    match (kind, response) {
-                        (0, Response::Outcome(outcome)) => assert_eq!(
-                            canonical_json(&outcome),
-                            reference.0,
-                            "id-less query {at} drifted from in-process execution"
-                        ),
-                        (1, Response::Outcome(outcome)) => assert_eq!(
-                            canonical_json(&outcome),
-                            reference.1,
-                            "id-less stream {at} drifted from in-process execution"
-                        ),
-                        (2, Response::Stats(_)) => {}
-                        (kind, other) => unreachable!(
-                            "id-less frame {at} (kind {kind}) answered out of order: {other:?}"
-                        ),
-                    }
+                    check_answer(kind, response, &reference, &format!("id-less frame {at}"));
                 }
             })
             .expect("sim spawn cannot fail"),
@@ -944,66 +942,36 @@ fn serve_pipeline(ctx: ScenarioCtx) {
     // The complete frame may or may not be answered (the abort races the
     // writer); nobody else's ids are disturbed either way.
     if ctx.faults.drop_conn {
-        let transport = transport.clone();
         let line = encode_request_line(&Request::Stats, Some(7));
         let cut = 1 + rng.below(line.len() - 2);
-        tasks.push(
-            rt::spawn("dropper", move || {
-                let mut conn = transport.connect();
-                let whole = encode_request_line(&Request::Stats, Some(3));
-                let _ = std::io::Write::write_all(&mut conn, whole.as_bytes());
-                let _ = std::io::Write::write_all(&mut conn, &line.as_bytes()[..cut]);
-                let _ = conn.shutdown_both();
-            })
-            .expect("sim spawn cannot fail"),
-        );
+        let whole = encode_request_line(&Request::Stats, Some(3));
+        tasks.push(spawn_dropper(
+            &transport,
+            Some(whole),
+            &line.as_bytes()[..cut],
+        ));
     }
-
-    // Fault: a client silent past the read deadline must get a typed
-    // `timeout` frame and a close, exactly as under v1 — pipelining never
-    // lets an idle connection hold its slot.
+    // Pipelining never lets an idle connection hold its slot.
     if ctx.faults.stall_client {
-        let transport = transport.clone();
-        tasks.push(
-            rt::spawn("staller", move || {
-                let mut client =
-                    Client::over(Box::new(transport.connect()), Duration::from_secs(5))
-                        .expect("loopback connect");
-                rt::sleep(read_timeout * 2);
-                match client.read_response() {
-                    Ok(Response::Error { reason, .. }) => {
-                        assert_eq!(reason, RejectReason::Timeout, "stall answered with timeout");
-                    }
-                    other => unreachable!("stalled client expected a timeout frame: {other:?}"),
-                }
-            })
-            .expect("sim spawn cannot fail"),
-        );
+        tasks.push(spawn_staller(&transport, read_timeout, None));
     }
 
     for task in tasks {
         task.join().expect("client task does not panic");
     }
 
-    if rng.chance(1, 2) {
-        let mut client = Client::over(Box::new(transport.connect()), Duration::from_secs(5))
-            .expect("loopback connect");
-        let bye = client
-            .request(&Request::Shutdown)
-            .expect("shutdown answered");
-        assert_eq!(bye, Response::Bye, "wire shutdown acknowledged");
-    } else {
-        handle.shutdown();
-    }
-    let report = handle.wait();
+    let by_wire = rng.chance(1, 2);
+    shut_down(
+        by_wire
+            .then(|| connect(&transport, CLIENT_TIMEOUT))
+            .as_mut(),
+        || handle.shutdown(),
+    );
+    let report = drained(&handle);
     assert!(report.accepted >= 3, "every pipelining client admitted");
     assert!(
         report.requests >= data_requests,
         "every pipelined request answered: {report:?}"
-    );
-    assert!(
-        report.drained_in_deadline && report.forced_closes == 0,
-        "drain terminates with nothing force-closed: {report:?}"
     );
     let expected_timeouts = u64::from(ctx.faults.stall_client);
     assert_eq!(
@@ -1054,15 +1022,7 @@ fn subscribe_fanout(ctx: ScenarioCtx) {
         .workers(1 + rng.below(2))
         .build()
         .expect("config is valid");
-    let handle = Server::start_on_with_source(
-        transport.clone(),
-        config,
-        None,
-        vec![],
-        Some(source),
-        ExecMetrics::new(),
-    )
-    .expect("in-memory server starts with a live source");
+    let handle = start_server(&transport, config, None, Some(source));
 
     // Set before the shutdown is initiated: losing a subscription stream
     // without its terminal frame is legal only once this is true.
@@ -1175,7 +1135,6 @@ fn subscribe_fanout(ctx: ScenarioCtx) {
     // frame onto the wire, and aborts. `conn_closed` retires its
     // subscription without a push; nobody else's stream is disturbed.
     if ctx.faults.drop_conn {
-        let transport = transport.clone();
         let whole = encode_request_line(
             &Request::Subscribe {
                 sql: ONLINE_SQL.into(),
@@ -1186,43 +1145,22 @@ fn subscribe_fanout(ctx: ScenarioCtx) {
         );
         let torn = encode_request_line(&Request::Unsubscribe { sub: 1 }, Some(2));
         let cut = 1 + rng.below(torn.len() - 2);
-        tasks.push(
-            rt::spawn("dropper", move || {
-                let mut conn = transport.connect();
-                let _ = std::io::Write::write_all(&mut conn, whole.as_bytes());
-                let _ = std::io::Write::write_all(&mut conn, &torn.as_bytes()[..cut]);
-                let _ = conn.shutdown_both();
-            })
-            .expect("sim spawn cannot fail"),
-        );
+        tasks.push(spawn_dropper(
+            &transport,
+            Some(whole),
+            &torn.as_bytes()[..cut],
+        ));
     }
 
-    // Fault: a silent client. It gets the usual typed `timeout` frame —
-    // unless this schedule's drain closes the connection first (the
-    // scenario shuts down while subscriptions are live, so both endings
-    // are legal here, unlike in `serve_mem`).
+    // Fault: a silent client. The scenario shuts down while subscriptions
+    // are live, so a drain that closes the connection before the `timeout`
+    // frame is legal here, unlike in `serve_mem`.
     if ctx.faults.stall_client {
-        let transport = transport.clone();
-        let closing = closing.clone();
-        tasks.push(
-            rt::spawn("staller", move || {
-                let mut client =
-                    Client::over(Box::new(transport.connect()), Duration::from_secs(5))
-                        .expect("loopback connect");
-                rt::sleep(read_timeout * 2);
-                match client.read_response() {
-                    Ok(Response::Error { reason, .. }) => {
-                        assert_eq!(reason, RejectReason::Timeout, "stall answered with timeout");
-                    }
-                    Ok(other) => unreachable!("stalled client expected a timeout frame: {other:?}"),
-                    Err(e) => assert!(
-                        closing.load(Ordering::SeqCst),
-                        "stalled connection died outside the drain: {e}"
-                    ),
-                }
-            })
-            .expect("sim spawn cannot fail"),
-        );
+        tasks.push(spawn_staller(
+            &transport,
+            read_timeout,
+            Some(closing.clone()),
+        ));
     }
 
     // Every subscription is live before the shutdown decision, so the
@@ -1237,27 +1175,20 @@ fn subscribe_fanout(ctx: ScenarioCtx) {
         rt::sleep(Duration::from_millis(rng.below(150) as u64));
     }
     closing.store(true, Ordering::SeqCst);
-    if rng.chance(1, 2) {
-        let mut client = Client::over(Box::new(transport.connect()), Duration::from_secs(5))
-            .expect("loopback connect");
-        let bye = client
-            .request(&Request::Shutdown)
-            .expect("shutdown answered");
-        assert_eq!(bye, Response::Bye, "wire shutdown acknowledged");
-    } else {
-        handle.shutdown();
-    }
+    let by_wire = rng.chance(1, 2);
+    shut_down(
+        by_wire
+            .then(|| connect(&transport, CLIENT_TIMEOUT))
+            .as_mut(),
+        || handle.shutdown(),
+    );
     for task in tasks {
         task.join().expect("subscriber task does not panic");
     }
-    let report = handle.wait();
+    let report = drained(&handle);
     assert!(
         report.accepted >= subs as u64,
         "every subscriber connection admitted"
-    );
-    assert!(
-        report.drained_in_deadline && report.forced_closes == 0,
-        "drain terminates with nothing force-closed: {report:?}"
     );
     if exhaust_first {
         assert_eq!(
@@ -1292,32 +1223,25 @@ fn cluster_videos() -> (u64, u64) {
 /// canonical offline outcome JSON per video, plus the cross-catalog
 /// (`video: "all"`) outcome over the combined repository.
 fn cluster_reference(clips: u64) -> Arc<(BTreeMap<u64, String>, String)> {
-    type Cache = OnceLock<StdMutex<BTreeMap<u64, Arc<(BTreeMap<u64, String>, String)>>>>;
-    static CACHE: Cache = OnceLock::new();
-    let cache = CACHE.get_or_init(|| StdMutex::new(BTreeMap::new()));
-    if let Some(hit) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(&clips) {
-        return hit.clone();
-    }
-    let (va, vb) = cluster_videos();
-    let statement = parse(OFFLINE_SQL).expect("fixture SQL parses");
-    let plan = LogicalPlan::from_statement(&statement).expect("fixture SQL plans");
-    let mut per_video = BTreeMap::new();
-    let mut catalogs = Vec::new();
-    for v in [va, vb] {
-        let catalog = ingest(&oracle(v, clips), &PaperScoring, &OnlineConfig::default());
-        let outcome =
-            execute_offline(&plan, &catalog, &PaperScoring).expect("offline reference runs");
-        per_video.insert(v, canonical_json(&outcome));
-        catalogs.push(catalog);
-    }
-    let combined = VideoRepository::from_catalogs(catalogs);
-    let all = execute_offline_all(&plan, &combined, &PaperScoring).expect("cluster reference runs");
-    let entry = Arc::new((per_video, canonical_json(&all)));
-    cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(clips, entry.clone());
-    entry
+    static CACHE: Memo<u64, (BTreeMap<u64, String>, String)> = StdMutex::new(BTreeMap::new());
+    memo(&CACHE, clips, || {
+        let (va, vb) = cluster_videos();
+        let statement = parse(OFFLINE_SQL).expect("fixture SQL parses");
+        let plan = LogicalPlan::from_statement(&statement).expect("fixture SQL plans");
+        let mut per_video = BTreeMap::new();
+        let mut catalogs = Vec::new();
+        for v in [va, vb] {
+            let catalog = ingest(&oracle(v, clips), &PaperScoring, &OnlineConfig::default());
+            let outcome =
+                execute_offline(&plan, &catalog, &PaperScoring).expect("offline reference runs");
+            per_video.insert(v, canonical_json(&outcome));
+            catalogs.push(catalog);
+        }
+        let combined = VideoRepository::from_catalogs(catalogs);
+        let all =
+            execute_offline_all(&plan, &combined, &PaperScoring).expect("cluster reference runs");
+        (per_video, canonical_json(&all))
+    })
 }
 
 /// [`Scenario::prepare`] for [`cluster_router`].
@@ -1326,17 +1250,7 @@ fn cluster_router_prepare(ctx: ScenarioCtx) {
 }
 
 /// One shard server owning exactly `video`, over its own [`MemTransport`].
-fn start_mem_shard(
-    transport: Arc<MemTransport>,
-    video: u64,
-    clips: u64,
-) -> svq_serve::ServerHandle {
-    let o = oracle(video, clips);
-    let repo = Arc::new(VideoRepository::from_catalogs([ingest(
-        &o,
-        &PaperScoring,
-        &OnlineConfig::default(),
-    )]));
+fn start_mem_shard(transport: &Arc<MemTransport>, video: u64, clips: u64) -> ServerHandle {
     let config = ServeConfig::builder()
         .max_conns(8)
         .read_timeout(Duration::from_secs(2))
@@ -1345,8 +1259,7 @@ fn start_mem_shard(
         .workers(1)
         .build()
         .expect("config is valid");
-    Server::start_on(transport, config, Some(repo), vec![o], ExecMetrics::new())
-        .expect("in-memory shard starts")
+    start_server(transport, config, Some((video, clips)), None)
 }
 
 /// A router fronting two in-memory shard servers, with faults at both
@@ -1366,7 +1279,7 @@ fn cluster_router(ctx: ScenarioCtx) {
 
     let shard_a = MemTransport::new();
     let shard_b = MemTransport::new();
-    let server_a = start_mem_shard(shard_a.clone(), va, clips);
+    let server_a = start_mem_shard(&shard_a, va, clips);
 
     // Shard 1: a real server, or — under the stall fault — an acceptor
     // that parks every connection unanswered until told to stop.
@@ -1391,7 +1304,7 @@ fn cluster_router(ctx: ScenarioCtx) {
             .expect("sim spawn cannot fail"),
         );
     } else {
-        server_b = Some(start_mem_shard(shard_b.clone(), vb, clips));
+        server_b = Some(start_mem_shard(&shard_b, vb, clips));
     }
 
     // The router: upstream deadlines far below the client's read timeout,
@@ -1411,21 +1324,14 @@ fn cluster_router(ctx: ScenarioCtx) {
     let router = Router::start_on(front.clone(), config, connectors, ExecMetrics::new())
         .expect("in-memory router starts");
 
-    let mut client =
-        Client::over(Box::new(front.connect()), Duration::from_secs(10)).expect("loopback connect");
+    let mut client = connect(&front, Duration::from_secs(10));
 
     // Fault: a front-door connection aborted mid-frame. The router's own
     // protocol hardening answers it; nobody else notices.
     let dropper = ctx.faults.drop_conn.then(|| {
-        let transport = front.clone();
-        let cut = 1 + rng.below(encode_line(&Request::Stats).len() - 2);
-        rt::spawn("dropper", move || {
-            let mut conn = transport.connect();
-            let line = encode_line(&Request::Stats);
-            let _ = std::io::Write::write_all(&mut conn, &line.as_bytes()[..cut]);
-            let _ = conn.shutdown_both();
-        })
-        .expect("sim spawn cannot fail")
+        let line = encode_line(&Request::Stats);
+        let cut = 1 + rng.below(line.len() - 2);
+        spawn_dropper(&front, None, &line.as_bytes()[..cut])
     });
 
     let query_one = |v: u64| Request::Query {
@@ -1534,20 +1440,11 @@ fn cluster_router(ctx: ScenarioCtx) {
 
     // Drain the router — over the wire or via the handle — and the
     // surviving shard. Both must terminate with nothing force-closed.
-    if rng.chance(1, 2) {
-        let bye = client
-            .request(&Request::Shutdown)
-            .expect("shutdown answered");
-        assert_eq!(bye, Response::Bye, "wire shutdown acknowledged");
-    } else {
-        router.shutdown();
-    }
+    shut_down(rng.chance(1, 2).then_some(&mut client), || {
+        router.shutdown()
+    });
     drop(client);
-    let report = router.wait();
-    assert!(
-        report.drained_in_deadline && report.forced_closes == 0,
-        "router drain terminates with nothing force-closed: {report:?}"
-    );
+    drained(&router);
 
     if let Some(staller) = staller {
         stall_stop.store(true, Ordering::Release);
@@ -1555,11 +1452,7 @@ fn cluster_router(ctx: ScenarioCtx) {
         staller.join().expect("stalled shard acceptor exits");
     }
     server_a.shutdown();
-    let report = server_a.wait();
-    assert!(
-        report.drained_in_deadline,
-        "shard drain terminates: {report:?}"
-    );
+    drained(&server_a);
 }
 
 // ---------------------------------------------------------------------------

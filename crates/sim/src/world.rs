@@ -4,13 +4,15 @@
 //!
 //! Every thread the system under test creates (via `parking_lot::rt::spawn`)
 //! becomes a *task* backed by a real OS thread, but **exactly one task runs
-//! at any moment**: all others are parked on the world's condvar. At every
-//! instrumented point — lock acquire, guard drop, condvar wait/notify,
-//! channel block, sleep, spawn, join — the running task calls back into the
-//! scheduler, which picks the next task to run with the schedule's seeded
-//! RNG. Determinism therefore does not depend on OS wakeup order: the OS
-//! may wake parked threads in any order, but only the one whose id matches
-//! `current` proceeds; the rest re-park.
+//! at any moment**: every other task waits on its own condvar under the
+//! world's mutex. At every instrumented point — lock acquire, guard drop,
+//! condvar wait/notify, channel block, sleep, spawn, join — the running
+//! task calls back into the scheduler, which picks the next task to run
+//! with the schedule's seeded RNG, and the scheduler wakes exactly the task
+//! it picked. Determinism therefore does not depend on OS wakeup order: no
+//! other thread is woken, and a spurious wakeup re-checks `current` and
+//! parks again. The runner thread is woken only once the world has
+//! finished or failed.
 //!
 //! # Time
 //!
@@ -214,6 +216,8 @@ impl TaskState {
 struct Task {
     name: String,
     state: TaskState,
+    /// The task's own wake-up; only its OS thread ever waits on it.
+    wake: Arc<StdCondvar>,
     /// Last scheduler label this task passed — the "where is it stuck"
     /// answer in deadlock reports.
     last_label: &'static str,
@@ -344,7 +348,8 @@ impl Sched {
 
 struct Shared {
     sched: StdMutex<Sched>,
-    cv: StdCondvar,
+    /// The runner's wake-up: notified once the world has finished or failed.
+    done: StdCondvar,
 }
 
 impl Shared {
@@ -354,8 +359,14 @@ impl Shared {
         self.sched.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn wait<'a>(&self, guard: StdGuard<'a, Sched>) -> StdGuard<'a, Sched> {
-        self.cv.wait(guard).unwrap_or_else(|e| e.into_inner())
+    /// Wake whoever acts after a scheduling decision: the task `pick_next`
+    /// chose, or the runner when no task was chosen because the world has
+    /// finished or failed.
+    fn wake_next(&self, sched: &Sched) {
+        match sched.current {
+            Some(next) => sched.tasks[next].wake.notify_one(),
+            None => self.done.notify_one(),
+        }
     }
 }
 
@@ -371,6 +382,7 @@ enum Park {
 struct TaskOps {
     shared: Arc<Shared>,
     id: usize,
+    wake: Arc<StdCondvar>,
 }
 
 impl TaskOps {
@@ -381,8 +393,11 @@ impl TaskOps {
     fn switch(&self, park: Park, label: &'static str, announce_progress: bool) {
         let me = self.id;
         let mut sched = self.shared.lock();
-        while sched.frozen {
-            sched = self.shared.wait(sched);
+        if sched.frozen {
+            // Only the runner's watchdog freezes a world with a task
+            // running; that task parks for good like every other.
+            self.park(sched);
+            return;
         }
         sched.record(me, label);
         sched.tasks[me].last_label = label;
@@ -416,29 +431,18 @@ impl TaskOps {
             // svq-lint: allow(blocking-under-lock)
             sched.pick_next();
         }
-        self.shared.cv.notify_all();
-        loop {
-            if !sched.frozen && sched.current == Some(me) {
-                break;
-            }
-            // A frozen world never unfreezes: failed schedules park their
-            // tasks here forever and leak the threads by design.
-            sched = self.shared.wait(sched);
-        }
-        sched.tasks[me].state = TaskState::Running;
+        self.shared.wake_next(&sched);
+        self.park(sched);
     }
 
-    /// First-run gate for a freshly spawned task's OS thread.
-    fn wait_first(&self) {
-        let me = self.id;
-        let mut sched = self.shared.lock();
-        loop {
-            if !sched.frozen && sched.current == Some(me) {
-                break;
-            }
-            sched = self.shared.wait(sched);
+    /// Wait on this task's own condvar until the scheduler picks it, then
+    /// mark it running. A frozen world never unfreezes: failed schedules
+    /// park their tasks here forever and leak the threads by design.
+    fn park(&self, mut sched: StdGuard<'_, Sched>) {
+        while sched.frozen || sched.current != Some(self.id) {
+            sched = self.wake.wait(sched).unwrap_or_else(|e| e.into_inner());
         }
-        sched.tasks[me].state = TaskState::Running;
+        sched.tasks[self.id].state = TaskState::Running;
     }
 
     /// Task exit: mark done (a progress event — joiners wake), hand the
@@ -459,7 +463,7 @@ impl TaskOps {
         // primitive, and an exiting task holds nothing else.
         // svq-lint: allow(blocking-under-lock)
         sched.pick_next();
-        self.shared.cv.notify_all();
+        self.shared.wake_next(&sched);
     }
 }
 
@@ -527,12 +531,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Register a task and start its backing OS thread (parked until first
 /// scheduled). Shared by [`SimOps::spawn`] and the root bootstrap.
 fn spawn_task(shared: &Arc<Shared>, name: &str, f: Box<dyn FnOnce() + Send>) -> usize {
+    let wake = Arc::new(StdCondvar::new());
     let id = {
         let mut sched = shared.lock();
         let id = sched.tasks.len();
         sched.tasks.push(Task {
             name: name.to_string(),
             state: TaskState::Ready,
+            wake: wake.clone(),
             last_label: "task.start",
             panic_msg: None,
         });
@@ -542,12 +548,13 @@ fn spawn_task(shared: &Arc<Shared>, name: &str, f: Box<dyn FnOnce() + Send>) -> 
     let ops = Arc::new(TaskOps {
         shared: shared.clone(),
         id,
+        wake,
     });
     std::thread::Builder::new()
         .name(format!("sim-{name}"))
         .spawn(move || {
             sim::install(ops.clone());
-            ops.wait_first();
+            ops.park(ops.shared.lock());
             let result = catch_unwind(AssertUnwindSafe(f));
             let (panicked, msg) = match result {
                 Ok(()) => (false, None),
@@ -584,21 +591,17 @@ where
             failure: None,
             frozen: false,
         }),
-        cv: StdCondvar::new(),
+        done: StdCondvar::new(),
     });
 
     spawn_task(&shared, "root", Box::new(root));
-    {
-        let mut sched = shared.lock();
-        // Scheduler guard is the parking primitive (see `switch`); the
-        // bootstrap thread holds nothing else here.
-        // svq-lint: allow(blocking-under-lock)
-        sched.pick_next();
-    }
-    shared.cv.notify_all();
-
     let deadline = Instant::now() + config.wall_limit;
     let mut sched = shared.lock();
+    // Scheduler guard is the parking primitive (see `switch`); the
+    // bootstrap thread holds nothing else here.
+    // svq-lint: allow(blocking-under-lock)
+    sched.pick_next();
+    shared.wake_next(&sched);
     loop {
         if sched.failure.is_some() || sched.all_done() {
             break;
@@ -610,11 +613,10 @@ where
                 FailureKind::WallClockTimeout,
                 format!("runner watchdog fired after {limit:?} of wall time"),
             );
-            shared.cv.notify_all();
             break;
         }
         let (guard, _) = shared
-            .cv
+            .done
             .wait_timeout(sched, deadline - now)
             .unwrap_or_else(|e| e.into_inner());
         sched = guard;
@@ -796,6 +798,19 @@ mod tests {
         });
         let failure = out.failure.expect("livelock must be detected");
         assert_eq!(failure.kind, FailureKind::Livelock);
+    }
+
+    #[test]
+    fn wall_clock_watchdog_fails_a_root_blocked_outside_the_scheduler() {
+        // A real sleep is invisible to the scheduler: no task switch ever
+        // comes, so only the runner's wall-clock watchdog can end the run.
+        let config = WorldConfig {
+            wall_limit: Duration::from_millis(50),
+            ..cfg(10)
+        };
+        let out = run_world(&config, || std::thread::sleep(Duration::from_millis(500)));
+        let failure = out.failure.expect("the watchdog must fire");
+        assert_eq!(failure.kind, FailureKind::WallClockTimeout);
     }
 
     #[test]

@@ -91,13 +91,15 @@ for WORKLOAD in topk_hot topk_cold routed_burst stream_online fanout_push; do
   esac
 done
 
-echo "== sim smoke (deterministic simulation, \${SIM_SCHEDULES:-40} schedules/scenario)"
-# Fixed base seed + bounded schedule count keeps this slice to seconds of
-# wall time (virtual time does the waiting). A failing schedule prints a
-# one-line `svqact sim --scenario … --seed …` repro command. Raise
-# SIM_SCHEDULES for a deeper nightly sweep; `repro -- sim` at full scale
-# runs the ≥1000-schedule verification sweep.
-SIM_SCHEDULES="${SIM_SCHEDULES:-40}"
+echo "== sim sweep (deterministic simulation, \${SIM_SCHEDULES:-200} schedules/scenario)"
+# Fixed base seed + bounded schedule count: the corpus and both 200-schedule
+# sweeps take about a minute and a half of wall time on two cores (virtual
+# time does the waiting; a task switch wakes only the task the scheduler
+# picked). A failing schedule prints a one-line
+# `svqact sim --scenario … --seed …` repro command. Raise SIM_SCHEDULES for
+# a deeper nightly sweep; `repro -- sim` at full scale runs the
+# ≥1000-schedule verification sweep.
+SIM_SCHEDULES="${SIM_SCHEDULES:-200}"
 cargo run -q --release -p svqact -- sim --corpus true
 cargo run -q --release -p svqact -- sim --schedules "$SIM_SCHEDULES" \
   --scenario all --seed 48879

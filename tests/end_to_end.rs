@@ -195,9 +195,15 @@ fn alternative_scoring_algebra_works_offline() {
 
 #[test]
 fn repository_global_topk_end_to_end() {
-    use svq_core::offline::RepositoryRvaq;
+    use svq_query::execute_offline_all;
     use svq_storage::VideoRepository;
-    let query = ActionQuery::named("archery", &["person"]);
+    let top_k = |k: usize| {
+        let sql = format!(
+            "SELECT MERGE(clipID), RANK(act,obj) FROM (PROCESS v PRODUCE clipID) \
+             WHERE act='archery' AND obj.include('person') ORDER BY RANK(act,obj) LIMIT {k}"
+        );
+        LogicalPlan::from_statement(&parse(&sql).unwrap()).unwrap()
+    };
     let mut repo = VideoRepository::new();
     for seed in [31u64, 32, 33] {
         let mut video = scene(seed);
@@ -206,23 +212,49 @@ fn repository_global_topk_end_to_end() {
         truth.video = VideoId::new(seed);
         video.truth = std::sync::Arc::new(truth);
         let oracle = video.oracle(ModelSuite::accurate());
-        repo.add(svq_core::offline::ingest(
-            &oracle,
-            &PaperScoring,
-            &OnlineConfig::default(),
-        ));
+        repo.add(ingest(&oracle, &PaperScoring, &OnlineConfig::default()));
     }
-    let top = RepositoryRvaq::run(&repo, &query, &PaperScoring, 4).unwrap();
+    let outcome = execute_offline_all(&top_k(4), &repo, &PaperScoring).unwrap();
+    let top = outcome.cluster().unwrap();
     assert!(!top.ranked.is_empty());
     for w in top.ranked.windows(2) {
-        assert!(w[0].score >= w[1].score);
+        assert!(w[0].score >= w[1].score, "results come best-first");
     }
+
+    // The global winner equals the best per-video winner.
+    let mut best = None::<(f64, VideoId, ClipInterval)>;
+    for catalog in repo.catalogs() {
+        let catalog = catalog.unwrap();
+        let local = execute_offline(&top_k(1), &catalog, &PaperScoring).unwrap();
+        if let Some(r) = local.offline().unwrap().ranked.first() {
+            let score = r.exact.unwrap();
+            if best.is_none_or(|(s, _, _)| score > s) {
+                best = Some((score, catalog.video, r.interval));
+            }
+        }
+    }
+    let (score, video, interval) = best.unwrap();
+    assert_eq!(
+        (top.ranked[0].video, top.ranked[0].interval),
+        (video, interval)
+    );
+    assert!((top.ranked[0].score - score).abs() < 1e-9 * score.abs().max(1.0));
+
+    // A k at or above every sequence returns all of them, from more than
+    // one video.
+    let huge = execute_offline_all(&top_k(1_000), &repo, &PaperScoring).unwrap();
+    let huge = huge.cluster().unwrap();
+    assert_eq!(huge.ranked.len(), huge.total_sequences);
+    let videos: std::collections::BTreeSet<VideoId> = huge.ranked.iter().map(|r| r.video).collect();
+    assert!(videos.len() > 1, "{videos:?}");
+
     // Persist the repository and re-query.
     let dir = std::env::temp_dir().join("svq_e2e_repo");
     repo.save_dir(&dir).unwrap();
     let reloaded = VideoRepository::open_dir(&dir).unwrap();
-    let again = RepositoryRvaq::run(&reloaded, &query, &PaperScoring, 4).unwrap();
+    let again = execute_offline_all(&top_k(4), &reloaded, &PaperScoring).unwrap();
     std::fs::remove_dir_all(&dir).ok();
+    let again = again.cluster().unwrap();
     assert_eq!(top.ranked.len(), again.ranked.len());
     for (a, b) in top.ranked.iter().zip(&again.ranked) {
         assert_eq!((a.video, a.interval), (b.video, b.interval));
