@@ -1,6 +1,7 @@
 //! Offline-path benchmarks: ingestion, the Eq. 12 interval intersection,
 //! RVAQ versus the baselines on a movie catalog, RVAQ at K = 3 and K = 10 on
-//! 1200- and 2400-clip catalogs of the svqbench corpus, and the catalog
+//! 1200- and 2400-clip catalogs of the svqbench corpus, the served mix of
+//! svqbench's nine exact-score statements on its video 0, and the catalog
 //! file codec on the 360-clip catalogs svqbench's `topk_cold` decodes once
 //! per cache miss. TBClip's bookkeeping must stay close to linear in its
 //! table accesses, so the larger sizes must not cost much more per access
@@ -10,7 +11,7 @@
 //! key back) — on svqbench's `topk_hot`, 11.7 clips keyed per call where
 //! bounding every live clip was 126.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use svq_core::offline::{ingest, FaTopK, PqTraverse, Rvaq, RvaqOptions};
 use svq_core::online::OnlineConfig;
 use svq_eval::workloads::movies_workload;
@@ -66,6 +67,30 @@ fn bench_offline(c: &mut Criterion) {
         for k in [3, 10] {
             c.bench_function(&format!("rvaq_top{k}_{clips}_clips"), |b| {
                 b.iter(|| Rvaq::run(&catalog, &query, &PaperScoring, RvaqOptions::new(k)))
+            });
+        }
+        if clips == 1200 {
+            // The served shape: svqbench's statements on video 0, its three
+            // object shapes at K = 1, 3 and 10, with exact scores as
+            // `execute_offline` asks for them. One iteration runs all nine.
+            let served: Vec<(ActionQuery, RvaqOptions)> =
+                [&["car"][..], &["person"][..], &["car", "person"][..]]
+                    .into_iter()
+                    .flat_map(|objects| {
+                        [1, 3, 10].map(|k| {
+                            (
+                                ActionQuery::named("jumping", objects),
+                                RvaqOptions::new(k).with_exact_scores(),
+                            )
+                        })
+                    })
+                    .collect();
+            c.bench_function("rvaq_served_mix_1200_clips", |b| {
+                b.iter(|| {
+                    for (query, options) in &served {
+                        black_box(Rvaq::run(&catalog, query, &PaperScoring, *options));
+                    }
+                })
             });
         }
     }

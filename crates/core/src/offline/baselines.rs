@@ -19,6 +19,7 @@
 //!   [`super::rvaq::RvaqOptions::without_skip`]; [`RvaqNoSkip::run`] is a
 //!   convenience wrapper.
 
+use super::column::{query_tables, ScoreColumn};
 use super::rvaq::{RankedSequence, RvaqOptions, TopKResult};
 use super::tbclip::SeenClips;
 use super::Rvaq;
@@ -31,20 +32,20 @@ pub struct PqTraverse;
 
 impl PqTraverse {
     /// Score every clip of every result sequence; return the top K.
-    pub fn run(
+    pub fn run<S: ScoringFunctions + ?Sized>(
         catalog: &IngestedVideo,
         query: &ActionQuery,
-        scoring: &dyn ScoringFunctions,
+        scoring: &S,
         k: usize,
     ) -> TopKResult {
         Self::run_with_clock(catalog, query, scoring, k, &WallClock::new())
     }
 
     /// [`PqTraverse::run`] with an injected [`Clock`] charging `wall_ms`.
-    pub fn run_with_clock(
+    pub fn run_with_clock<S: ScoringFunctions + ?Sized>(
         catalog: &IngestedVideo,
         query: &ActionQuery,
-        scoring: &dyn ScoringFunctions,
+        scoring: &S,
         k: usize,
         clock: &dyn Clock,
     ) -> TopKResult {
@@ -52,12 +53,10 @@ impl PqTraverse {
         let mut disk = DiskStats::default();
         let pq = catalog.result_sequences(query);
 
-        let object_tables: Vec<_> = query
-            .objects
-            .iter()
-            .map(|&o| catalog.object_table(o))
-            .collect();
-        let action_table = catalog.action_table(query.action);
+        let tables = query_tables(catalog, query);
+        let column = ScoreColumn::new(&tables, catalog.clip_count as usize);
+        let mut coords = vec![0.0; tables.len()];
+        let n_objects = query.objects.len();
 
         let mut scored: Vec<RankedSequence> = pq
             .intervals()
@@ -65,12 +64,9 @@ impl PqTraverse {
             .map(|iv| {
                 let mut acc = scoring.f_identity();
                 for clip in iv.iter() {
-                    let object_scores: Vec<f64> = object_tables
-                        .iter()
-                        .map(|t| t.random_score(clip, &mut disk))
-                        .collect();
-                    let action_score = action_table.random_score(clip, &mut disk);
-                    acc = scoring.f_combine(acc, scoring.g(&object_scores, action_score));
+                    column.read(clip, &mut coords, &mut disk);
+                    let s = scoring.g(&coords[..n_objects], coords[n_objects]);
+                    acc = scoring.f_combine(acc, s);
                 }
                 RankedSequence {
                     interval: *iv,
@@ -106,20 +102,20 @@ pub struct FaTopK;
 impl FaTopK {
     /// Produce top-ranked clips FA-style until every `P_q` sequence's score
     /// is complete; return the top-K sequences.
-    pub fn run(
+    pub fn run<S: ScoringFunctions + ?Sized>(
         catalog: &IngestedVideo,
         query: &ActionQuery,
-        scoring: &dyn ScoringFunctions,
+        scoring: &S,
         k: usize,
     ) -> TopKResult {
         Self::run_with_clock(catalog, query, scoring, k, &WallClock::new())
     }
 
     /// [`FaTopK::run`] with an injected [`Clock`] charging `wall_ms`.
-    pub fn run_with_clock(
+    pub fn run_with_clock<S: ScoringFunctions + ?Sized>(
         catalog: &IngestedVideo,
         query: &ActionQuery,
-        scoring: &dyn ScoringFunctions,
+        scoring: &S,
         k: usize,
         clock: &dyn Clock,
     ) -> TopKResult {
@@ -127,12 +123,9 @@ impl FaTopK {
         let mut disk = DiskStats::default();
         let pq = catalog.result_sequences(query);
 
-        let mut tables: Vec<_> = query
-            .objects
-            .iter()
-            .map(|&o| catalog.object_table(o))
-            .collect();
-        tables.push(catalog.action_table(query.action));
+        let tables = query_tables(catalog, query);
+        let column = ScoreColumn::new(&tables, catalog.clip_count as usize);
+        let mut coords = vec![0.0; tables.len()];
         let n_objects = query.objects.len();
 
         // Remaining P_q clips to produce, and per-sequence accumulators.
@@ -141,7 +134,7 @@ impl FaTopK {
 
         // Winners among score ties are chosen by clip id, never by the
         // order clips became candidates.
-        let mut seen = SeenClips::new(tables.len(), catalog.clip_count as usize);
+        let mut seen = SeenClips::new(tables.len(), column.span());
         let mut stamp = 0usize;
         let mut iterations = 0u64;
 
@@ -174,12 +167,8 @@ impl FaTopK {
             seen.for_each_fresh(
                 |_| false,
                 |c| {
-                    let object_scores: Vec<f64> = tables[..n_objects]
-                        .iter()
-                        .map(|t| t.random_score(c, &mut disk))
-                        .collect();
-                    let action_score = tables[n_objects].random_score(c, &mut disk);
-                    let s = scoring.g(&object_scores, action_score);
+                    column.read(c, &mut coords, &mut disk);
+                    let s = scoring.g(&coords[..n_objects], coords[n_objects]);
                     if candidate.is_none_or(|(bc, best)| s > best || (s == best && c < bc)) {
                         candidate = Some((c, s));
                     }
@@ -229,10 +218,10 @@ pub struct RvaqNoSkip;
 
 impl RvaqNoSkip {
     /// Run RVAQ without skipping.
-    pub fn run(
+    pub fn run<S: ScoringFunctions + ?Sized>(
         catalog: &IngestedVideo,
         query: &ActionQuery,
-        scoring: &dyn ScoringFunctions,
+        scoring: &S,
         k: usize,
     ) -> TopKResult {
         Rvaq::run(catalog, query, scoring, RvaqOptions::new(k).without_skip())

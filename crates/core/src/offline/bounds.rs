@@ -44,7 +44,7 @@ pub struct SequenceBounds {
 
 impl SequenceBounds {
     /// Fresh bounds for a sequence (Algorithm 4 lines 5-6).
-    pub fn new(interval: ClipInterval, scoring: &dyn ScoringFunctions) -> Self {
+    pub fn new<S: ScoringFunctions + ?Sized>(interval: ClipInterval, scoring: &S) -> Self {
         Self {
             interval,
             remaining: interval.len(),
@@ -62,7 +62,7 @@ impl SequenceBounds {
     }
 
     /// Absorb a clip whose exact score became known.
-    pub fn absorb(&mut self, score: f64, scoring: &dyn ScoringFunctions) {
+    pub fn absorb<S: ScoringFunctions + ?Sized>(&mut self, score: f64, scoring: &S) {
         debug_assert!(
             self.remaining > 0,
             "absorbed more clips than the sequence holds"
@@ -74,13 +74,13 @@ impl SequenceBounds {
     /// Re-estimate the upper bound against the current `c_top` score
     /// (Eq. 13). Pass `0.0` once the top side is exhausted (then
     /// `remaining == 0` for active sequences and the bound is exact).
-    pub fn refresh_upper(&mut self, top_score: f64, scoring: &dyn ScoringFunctions) {
+    pub fn refresh_upper<S: ScoringFunctions + ?Sized>(&mut self, top_score: f64, scoring: &S) {
         self.b_up = scoring.f_combine(scoring.f_repeat(top_score, self.remaining), self.s_known);
     }
 
     /// Re-estimate the lower bound against the current `c_btm` score
     /// (Eq. 14).
-    pub fn refresh_lower(&mut self, btm_score: f64, scoring: &dyn ScoringFunctions) {
+    pub fn refresh_lower<S: ScoringFunctions + ?Sized>(&mut self, btm_score: f64, scoring: &S) {
         self.b_lo = scoring.f_combine(scoring.f_repeat(btm_score, self.remaining), self.s_known);
     }
 

@@ -14,6 +14,7 @@
 
 mod baselines;
 mod bounds;
+mod column;
 pub mod ingest;
 pub mod rvaq;
 mod skip;

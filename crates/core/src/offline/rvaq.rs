@@ -38,13 +38,17 @@
 //! advances, so incremental heaps would be rebuilt wholesale each
 //! iteration anyway; we keep the PQ
 //! *semantics* (top-K by lower bound, max of the rest by upper bound) with
-//! a sort per iteration of one reused `order` buffer, whose first K entries
-//! are `PQ_lo^K` — result-sequence counts are tens, not millions.
+//! one selection per iteration (`select_nth_unstable_by`) over a reused
+//! `order` buffer, whose first K entries are then `PQ_lo^K` — the split
+//! needs the K-set and the K-th lower bound, not an order, and
+//! result-sequence counts are tens, not millions. Only the final selection
+//! sorts.
 
 use super::bounds::SequenceBounds;
 use super::skip::SkipSet;
 use super::tbclip::TbClip;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use svq_storage::{DiskCostProfile, DiskStats, IngestedVideo};
 use svq_types::{ActionQuery, ClipId, ClipInterval, Clock, ScoringFunctions};
 use svq_vision::WallClock;
@@ -126,20 +130,25 @@ pub struct Rvaq;
 
 impl Rvaq {
     /// Run a top-K query against one ingested video.
-    pub fn run(
+    ///
+    /// Generic over the scoring functions: a concrete `S` (the server's
+    /// `PaperScoring`) has `g` and `f` inlined into the iterator and the
+    /// bound refreshes, and a `&dyn ScoringFunctions` is one instance of
+    /// the same code.
+    pub fn run<S: ScoringFunctions + ?Sized>(
         catalog: &IngestedVideo,
         query: &ActionQuery,
-        scoring: &dyn ScoringFunctions,
+        scoring: &S,
         options: RvaqOptions,
     ) -> TopKResult {
         Self::run_with_clock(catalog, query, scoring, options, &WallClock::new())
     }
 
     /// [`Rvaq::run`] with an injected [`Clock`] charging `wall_ms`.
-    pub fn run_with_clock(
+    pub fn run_with_clock<S: ScoringFunctions + ?Sized>(
         catalog: &IngestedVideo,
         query: &ActionQuery,
-        scoring: &dyn ScoringFunctions,
+        scoring: &S,
         options: RvaqOptions,
         clock: &dyn Clock,
     ) -> TopKResult {
@@ -158,7 +167,7 @@ impl Rvaq {
         } else {
             SkipSet::disabled(pq)
         };
-        let mut tb = TbClip::new(catalog, query, scoring);
+        let mut tb = TbClip::open(catalog, query, scoring);
         let mut absorbed = vec![false; catalog.clip_count as usize];
         let mut order: Vec<usize> = Vec::with_capacity(bounds.len());
         let mut iterations = 0u64;
@@ -193,15 +202,7 @@ impl Rvaq {
                 // bound; the first `k` of `order` are PQ_lo^K.
                 order.clear();
                 order.extend((0..bounds.len()).filter(|&i| !bounds[i].resolved_out));
-                order.sort_by(|&a, &b| bounds[b].b_lo.total_cmp(&bounds[a].b_lo).then(a.cmp(&b)));
-                let b_lo_k = order
-                    .get(k - 1)
-                    .map_or(f64::NEG_INFINITY, |&i| bounds[i].b_lo);
-                let b_up_not_k = order
-                    .iter()
-                    .skip(k)
-                    .map(|&i| bounds[i].b_up)
-                    .fold(f64::NEG_INFINITY, f64::max);
+                let (b_lo_k, b_up_not_k) = split_at_k(&mut order, &bounds, k);
 
                 // Conclusive exclusion (Algorithm 4 lines 13-14).
                 for (i, bound) in bounds.iter_mut().enumerate() {
@@ -229,10 +230,10 @@ impl Rvaq {
             }
         }
 
-        // Select the final top-K by lower bound.
+        // Select the final top-K by lower bound, best first.
         order.clear();
         order.extend((0..bounds.len()).filter(|&i| !bounds[i].resolved_out));
-        order.sort_by(|&a, &b| bounds[b].b_lo.total_cmp(&bounds[a].b_lo).then(a.cmp(&b)));
+        order.sort_by(by_lower(&bounds));
         order.truncate(k);
 
         // Optional exact-score pass over the winners.
@@ -279,6 +280,30 @@ impl Rvaq {
     }
 }
 
+/// Best-first order of sequences (indices into `bounds`) by lower bound,
+/// ties to the smaller index: a total order.
+fn by_lower(bounds: &[SequenceBounds]) -> impl Fn(&usize, &usize) -> Ordering + '_ {
+    |&a, &b| bounds[b].b_lo.total_cmp(&bounds[a].b_lo).then(a.cmp(&b))
+}
+
+/// Split `order` (`k ≥ 1`) by lower bound: afterwards its first `k`
+/// entries are `PQ_lo^K`, in no particular order, and the rest are
+/// `PQ_up^¬K`. Returns `(B_lo^K, B_up^¬K)`, the K-th best lower bound and
+/// the largest upper bound of the rest, each `-∞` when its set is short.
+/// One selection rather than a sort: [`by_lower`] is a total order, so the
+/// K-set and the K-th entry are the ones a full sort puts there.
+fn split_at_k(order: &mut [usize], bounds: &[SequenceBounds], k: usize) -> (f64, f64) {
+    if order.len() < k {
+        return (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    }
+    order.select_nth_unstable_by(k - 1, by_lower(bounds));
+    let b_up_not_k = order[k..]
+        .iter()
+        .map(|&i| bounds[i].b_up)
+        .fold(f64::NEG_INFINITY, f64::max);
+    (bounds[order[k - 1]].b_lo, b_up_not_k)
+}
+
 /// Mark a clip absorbed into its sequence's bounds; `false` if it already
 /// was. Dense by clip id, like `SeenClips`; ids past the catalog (hand-built
 /// `P_q`s may reach them) grow the array.
@@ -294,6 +319,7 @@ fn absorb_once(absorbed: &mut Vec<bool>, clip: ClipId) -> bool {
 pub(crate) mod tests {
     use super::*;
     use crate::offline::tbclip::tests::catalog;
+    use proptest::prelude::*;
     use svq_types::{Interval, PaperScoring};
 
     fn iv(s: u64, e: u64) -> ClipInterval {
@@ -423,6 +449,62 @@ pub(crate) mod tests {
             with_skip.disk.random_accesses,
             no_skip.disk.random_accesses
         );
+    }
+
+    /// Bounds whose lower bounds come from a handful of values half the
+    /// time, so many sequences tie on `b_lo`; some are resolved out. Up to
+    /// 47 of them: on short slices selection is an insertion sort, which
+    /// keeps tied entries in index order whatever the comparator says
+    /// about ties.
+    fn random_bounds() -> impl Strategy<Value = Vec<SequenceBounds>> {
+        prop::collection::vec((0u32..4, 0.0f64..10.0, 0.0f64..5.0, 0u32..5), 0..48).prop_map(
+            |rows| {
+                rows.into_iter()
+                    .enumerate()
+                    .map(|(i, (tie, lo, width, out))| {
+                        let b_lo = if tie < 2 { f64::from(tie) } else { lo };
+                        let start = ClipId::new(2 * i as u64);
+                        let mut b = SequenceBounds::new(Interval::new(start, start), &PaperScoring);
+                        b.b_lo = b_lo;
+                        b.b_up = b_lo + width;
+                        b.resolved_out = out == 0;
+                        b
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest::proptest! {
+        /// `split_at_k` against the full sort it replaced, at every `k`
+        /// from 1 to one past the number of live sequences.
+        #[test]
+        fn selection_split_matches_the_full_sort(bounds in random_bounds()) {
+            let live: Vec<usize> = (0..bounds.len()).filter(|&i| !bounds[i].resolved_out).collect();
+            let mut sorted = live.clone();
+            sorted.sort_by(by_lower(&bounds));
+            for k in 1..=live.len() + 1 {
+                let b_lo_k = sorted.get(k - 1).map_or(f64::NEG_INFINITY, |&i| bounds[i].b_lo);
+                let b_up_not_k = sorted
+                    .iter()
+                    .skip(k)
+                    .map(|&i| bounds[i].b_up)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let mut order = live.clone();
+                let (lo, up) = split_at_k(&mut order, &bounds, k);
+                assert_eq!(
+                    (lo.to_bits(), up.to_bits()),
+                    (b_lo_k.to_bits(), b_up_not_k.to_bits()),
+                    "k = {k} over {} live",
+                    live.len()
+                );
+                let mut k_set = order[..k.min(order.len())].to_vec();
+                k_set.sort_unstable();
+                let mut want = sorted[..k.min(sorted.len())].to_vec();
+                want.sort_unstable();
+                assert_eq!(k_set, want, "k = {k} over {} live", live.len());
+            }
+        }
     }
 
     #[test]

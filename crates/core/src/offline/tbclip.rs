@@ -71,7 +71,8 @@
 //!
 //! Step 2's candidates come from a queue per side holding each live clip
 //! — seen in any table, still deliverable — once, under the
-//! `(key, moved, clip)` tuple last computed for it. A call re-keys only
+//! `(key, moved, clip)` tuple last computed for it, packed into one `u128`
+//! ([`Place`]) so the queue compares integers. A call re-keys only
 //! the clips that can still lead, not every live clip. This is exact
 //! because of one invariant: **a clip's tuple never ranks ahead of its
 //! stored one**. Keys only get worse between calls:
@@ -83,14 +84,16 @@
 //! - the bottom side mirrors both, and its memoised key
 //!   `max(bound, score)` is never below the bound.
 //!
-//! So a popped clip whose current tuple still ranks ahead of the next
-//! stored one is the true next candidate, and any other goes back in. The
-//! first memoised candidate sets the cut, and popping stops once the next
+//! So the queue's top is re-keyed in place: its entry is overwritten with
+//! the current tuple and sifts down, and a clip still on top afterwards
+//! ranks ahead of every stored tuple, hence of every clip's current one,
+//! so it is the true next candidate and leaves the queue. The first
+//! memoised candidate sets the cut, and the walk stops once the top's
 //! stored key is beaten by it. The queue thus yields, in walk order, the
 //! same candidates a pass bounding every live clip would keep. Newly seen
 //! clips are keyed once when they arrive. A delivered or skipped clip is
-//! dropped when it is popped, never searched for. That is sound because
-//! of two more monotonicity invariants:
+//! dropped when it reaches the top, never searched for. That is sound
+//! because of two more monotonicity invariants:
 //!
 //! 1. a side's processed set only grows — a delivered clip is never
 //!    un-delivered;
@@ -107,10 +110,17 @@
 //! every choice among candidates is made by an explicit
 //! `(key, moved, clip)` or `(bound, clip)` comparison, so results do not
 //! depend on either structure's layout.
+//!
+//! Random access reads one dense row per clip from the run's column of
+//! the queried tables (`column.rs`), built when the iterator opens, instead
+//! of binary-searching each table; the ledger is charged one random access
+//! per table, as before. The iterator is generic over the scoring
+//! functions, so `g` inlines where the caller names a concrete algebra.
 
+use super::column::{query_tables, ScoreColumn};
 use super::skip::SkipSet;
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use svq_storage::{ClipScoreTable, DiskStats, IngestedVideo};
 use svq_types::{ActionQuery, ClipId, ScoringFunctions};
 
@@ -141,8 +151,8 @@ pub(super) struct SeenClips {
 }
 
 impl SeenClips {
-    /// Empty state for `tables` tables over clip ids `0..clips`; ids past
-    /// that (hand-built catalogs) grow the arrays on first sight.
+    /// Empty state for `tables` tables over clip ids `0..clips`, which must
+    /// cover every id the tables hold ([`ScoreColumn::span`]).
     pub(super) fn new(tables: usize, clips: usize) -> Self {
         Self {
             tables,
@@ -157,11 +167,6 @@ impl SeenClips {
     /// `true` if no table had shown the clip before.
     pub(super) fn observe(&mut self, table: usize, clip: ClipId, score: f64) -> bool {
         let c = clip.index();
-        if c >= self.retired.len() {
-            self.scores.resize((c + 1) * self.tables, f64::NAN);
-            self.seen_in.resize(c + 1, 0);
-            self.retired.resize(c + 1, false);
-        }
         let cell = &mut self.scores[c * self.tables + table];
         let first_sight = cell.is_nan();
         *cell = score;
@@ -302,24 +307,34 @@ impl Candidate {
     }
 }
 
-/// A clip's place in its side's walk order, as plain integers so the queue
-/// compares them cheaply: key best-first ([`End::merit`]), then a moved key
-/// ahead of the rest, then the smaller clip id. The greatest place walks
-/// first, and no two clips share one.
+/// The largest clip id a [`Place`] holds: its low 63 bits.
+const MAX_CLIP: u64 = (1 << 63) - 1;
+
+/// A clip's place in its side's walk order, packed into one integer so the
+/// queue compares places with one `u128` comparison:
+/// `merit << 64 | moved << 63 | (MAX_CLIP - clip)`. It orders exactly as
+/// the tuple `(merit, moved, Reverse(clip))`: key best-first
+/// ([`End::merit`]), then a moved key ahead of the rest, then the smaller
+/// clip id. The greatest place walks first, and no two clips share one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Place {
-    merit: u64,
-    moved: bool,
-    clip: Reverse<ClipId>,
-}
+struct Place(u128);
 
 impl Place {
+    fn new(merit: u64, moved: bool, clip: ClipId) -> Self {
+        debug_assert!(clip.raw() <= MAX_CLIP, "clip id past a place's 63 bits");
+        Self(u128::from(merit) << 64 | u128::from(moved) << 63 | u128::from(MAX_CLIP - clip.raw()))
+    }
+
     fn of(end: End, c: &Candidate) -> Self {
-        Self {
-            merit: end.merit(c.key),
-            moved: c.moved(),
-            clip: Reverse(c.clip),
-        }
+        Self::new(end.merit(c.key), c.moved(), c.clip)
+    }
+
+    fn merit(self) -> u64 {
+        (self.0 >> 64) as u64
+    }
+
+    fn clip(self) -> ClipId {
+        ClipId::new(MAX_CLIP - (self.0 as u64 & MAX_CLIP))
     }
 }
 
@@ -403,16 +418,17 @@ impl Side {
     /// pass the best memoised clip, so nothing ranked after it could be
     /// scored or win.
     ///
-    /// Candidates come off [`Self::queue`] re-keyed: a popped clip whose
-    /// current tuple still ranks ahead of the next stored one is the true
-    /// next candidate, as no stored tuple ranks behind its clip's current
-    /// one; any other goes back in. The first memoised candidate sets the
-    /// cut, and popping stops once the next stored key is beaten by it.
-    /// `coords` is scratch with one slot per table.
-    fn rank_candidates(
+    /// Candidates come off [`Self::queue`] re-keyed in place: the top's
+    /// entry takes its clip's current tuple and sifts down, and a clip
+    /// still on top afterwards is the true next candidate, as no stored
+    /// tuple ranks behind its clip's current one; any other stays queued
+    /// under its new tuple. The first memoised candidate sets the cut, and
+    /// the walk stops once the top's stored key is beaten by it. `coords`
+    /// is scratch with one slot per table.
+    fn rank_candidates<S: ScoringFunctions + ?Sized>(
         &mut self,
         skip: &SkipSet,
-        scoring: &dyn ScoringFunctions,
+        scoring: &S,
         n_objects: usize,
         memo: &[Option<f64>],
         coords: &mut [f64],
@@ -448,13 +464,17 @@ impl Side {
         }
         candidates.clear();
         let mut cut: Option<f64> = None;
-        while let Some(&stored) = queue.peek() {
-            if cut.is_some_and(|cut| end.beats(cut, end.key_of(stored.merit))) {
+        loop {
+            let Some(mut top) = queue.peek_mut() else {
+                break;
+            };
+            let stored = *top;
+            if cut.is_some_and(|cut| end.beats(cut, end.key_of(stored.merit()))) {
                 break;
             }
-            queue.pop();
-            let clip = stored.clip.0;
+            let clip = stored.clip();
             if seen.is_retired(clip) || skip.contains(clip) {
+                PeekMut::pop(top);
                 continue;
             }
             let current = rekey(clip);
@@ -463,11 +483,23 @@ impl Side {
                 place <= stored,
                 "a re-keyed clip ranks ahead of its stored place: {place:?} > {stored:?}"
             );
-            let leads = queue.peek().is_none_or(|next| place > *next);
-            if !leads || cut.is_some_and(|cut| end.beats(cut, current.key)) {
-                queue.push(place);
-                continue;
+            // Re-key in place: a changed entry sifts down when `top` drops,
+            // and the clip leads exactly when it is still on top afterwards
+            // (no two clips share a place).
+            let top = if place == stored {
+                top
+            } else {
+                *top = place;
+                drop(top);
+                match queue.peek_mut() {
+                    Some(top) if *top == place => top,
+                    _ => continue,
+                }
+            };
+            if cut.is_some_and(|cut| end.beats(cut, current.key)) {
+                break;
             }
+            PeekMut::pop(top);
             if cut.is_none() && memoised(clip) {
                 cut = Some(current.key);
             }
@@ -494,9 +526,15 @@ impl Side {
 ///
 /// Drive one iterator with one [`SkipSet`]: the lazy pruning relies on
 /// `C_skip` only growing between calls.
-pub struct TbClip<'a> {
+///
+/// Generic over the scoring functions, so a caller holding a concrete one
+/// (the server's [`svq_types::PaperScoring`]) gets `g` inlined; a
+/// `&dyn ScoringFunctions` is one instance of the same code.
+pub struct TbClip<'a, S: ScoringFunctions + ?Sized = dyn ScoringFunctions + 'a> {
     tables: Vec<&'a ClipScoreTable>,
-    scoring: &'a dyn ScoringFunctions,
+    /// The queried tables, laid out for random access.
+    column: ScoreColumn,
+    scoring: &'a S,
     /// How many object tables precede the action table in `tables`.
     n_objects: usize,
     top: Side,
@@ -511,22 +549,39 @@ pub struct TbClip<'a> {
 }
 
 impl<'a> TbClip<'a> {
-    /// Open the iterator over a catalog for one query.
+    /// Open the iterator over a catalog for one query, scoring through a
+    /// trait object: [`TbClip::open`] with `S = dyn ScoringFunctions`.
     pub fn new(
         catalog: &'a IngestedVideo,
         query: &ActionQuery,
         scoring: &'a dyn ScoringFunctions,
     ) -> Self {
-        let mut tables: Vec<&'a ClipScoreTable> = query
-            .objects
-            .iter()
-            .map(|&o| catalog.object_table(o))
-            .collect();
-        tables.push(catalog.action_table(query.action));
+        Self::open(catalog, query, scoring)
+    }
+}
+
+impl<'a, S: ScoringFunctions + ?Sized> TbClip<'a, S> {
+    /// Open the iterator over a catalog for one query.
+    ///
+    /// # Panics
+    ///
+    /// If a queried table holds a clip id past 2⁶³ − 1, which a queue
+    /// [`Place`] cannot hold.
+    pub fn open(catalog: &'a IngestedVideo, query: &ActionQuery, scoring: &'a S) -> Self {
+        let tables = query_tables(catalog, query);
+        if let Some(clip) = tables.iter().filter_map(|t| t.max_clip()).max() {
+            assert!(
+                clip.raw() <= MAX_CLIP,
+                "clip id {} does not fit TBClip's 63-bit queue key",
+                clip.raw()
+            );
+        }
         let n = tables.len();
-        let clips = catalog.clip_count as usize;
+        let column = ScoreColumn::new(&tables, catalog.clip_count as usize);
+        let clips = column.span();
         Self {
             tables,
+            column,
             scoring,
             n_objects: query.objects.len(),
             top: Side::new(End::Top, n, clips),
@@ -550,9 +605,7 @@ impl<'a> TbClip<'a> {
             return s;
         }
         // Object tables first, then the action table.
-        for (slot, t) in self.coords.iter_mut().zip(&self.tables) {
-            *slot = t.random_score(clip, &mut self.disk);
-        }
+        self.column.read(clip, &mut self.coords, &mut self.disk);
         let s = self
             .scoring
             .g(&self.coords[..self.n_objects], self.coords[self.n_objects]);
@@ -642,6 +695,8 @@ impl<'a> TbClip<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
     use std::collections::BTreeSet;
     use svq_storage::SequenceSet;
     use svq_types::{
@@ -799,6 +854,84 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// Keys where `f64` bit patterns are easy to get wrong: both zeros,
+    /// both infinities, subnormals, the extremes and neighbours of 1.
+    const SPECIAL_KEYS: [f64; 12] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 2.0,
+        -f64::MIN_POSITIVE / 2.0,
+        f64::MAX,
+        f64::MIN,
+        1.0,
+        1.0 + f64::EPSILON,
+    ];
+
+    /// Clip ids at both ends of what a place holds.
+    const SPECIAL_CLIPS: [u64; 4] = [0, 1, MAX_CLIP - 1, MAX_CLIP];
+
+    /// A special key half the time, any bit pattern otherwise.
+    fn key() -> impl Strategy<Value = f64> {
+        (0..2 * SPECIAL_KEYS.len(), any::<u64>())
+            .prop_map(|(i, bits)| SPECIAL_KEYS.get(i).copied().unwrap_or(f64::from_bits(bits)))
+    }
+
+    /// A special clip id half the time, any 63-bit id otherwise.
+    fn clip() -> impl Strategy<Value = ClipId> {
+        (0..2 * SPECIAL_CLIPS.len(), any::<u64>()).prop_map(|(i, raw)| {
+            ClipId::new(SPECIAL_CLIPS.get(i).copied().unwrap_or(raw & MAX_CLIP))
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn packed_place_orders_as_the_tuple(
+            a in (key(), any::<bool>(), clip()),
+            b in (key(), any::<bool>(), clip()),
+            same_key in any::<bool>(),
+        ) {
+            // Half the pairs share a key, so `moved` and the clip id decide.
+            let b = if same_key { (a.0, b.1, b.2) } else { b };
+            for end in [End::Top, End::Bottom] {
+                let place = |(key, moved, clip): (f64, bool, ClipId)| {
+                    let p = Place::new(end.merit(key), moved, clip);
+                    assert_eq!((p.merit(), p.clip()), (end.merit(key), clip));
+                    (p, (end.merit(key), moved, Reverse(clip)))
+                };
+                let (pa, ta) = place(a);
+                let (pb, tb) = place(b);
+                assert_eq!(pa.cmp(&pb), ta.cmp(&tb), "{a:?} vs {b:?} from {end:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit TBClip's 63-bit queue key")]
+    fn open_refuses_a_clip_id_past_the_queue_key() {
+        let query = ActionQuery::named("jumping", &["car"]);
+        let mut object_tables: Vec<_> = (0..ObjectClass::cardinality())
+            .map(|_| svq_storage::ClipScoreTable::new(vec![]))
+            .collect();
+        object_tables[ObjectClass::named("car").index()] =
+            svq_storage::ClipScoreTable::new(vec![(ClipId::new(MAX_CLIP + 1), 1.0)]);
+        let cat = IngestedVideo::new(
+            VideoId::new(0),
+            VideoGeometry::default(),
+            10,
+            object_tables,
+            (0..ActionClass::cardinality())
+                .map(|_| svq_storage::ClipScoreTable::new(vec![]))
+                .collect(),
+            vec![SequenceSet::empty(); ObjectClass::cardinality()],
+            vec![SequenceSet::empty(); ActionClass::cardinality()],
+        );
+        TbClip::open(&cat, &query, &PaperScoring);
     }
 
     #[test]

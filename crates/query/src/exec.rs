@@ -292,10 +292,14 @@ pub fn execute_online(
 }
 
 /// Execute an offline plan against an ingested catalog with exact scores.
-pub fn execute_offline(
+///
+/// Generic over the scoring functions, like [`Rvaq::run`]: a concrete `S`
+/// runs RVAQ with `g` and `f` inlined, a `&dyn ScoringFunctions` through
+/// the trait object.
+pub fn execute_offline<S: ScoringFunctions + ?Sized>(
     plan: &LogicalPlan,
     catalog: &IngestedVideo,
-    scoring: &dyn ScoringFunctions,
+    scoring: &S,
 ) -> SvqResult<QueryOutcome> {
     let k = match plan.mode {
         QueryMode::Offline { k } => k,
@@ -333,10 +337,10 @@ pub fn execute_offline(
 /// outcome) is a pure function of the catalog contents. The cluster router
 /// reproduces exactly this result by merging shard-local answers; see
 /// [`crate::cluster`] for why the grouping cannot change a byte.
-pub fn execute_offline_all(
+pub fn execute_offline_all<S: ScoringFunctions + ?Sized>(
     plan: &LogicalPlan,
     repo: &VideoRepository,
-    scoring: &dyn ScoringFunctions,
+    scoring: &S,
 ) -> SvqResult<QueryOutcome> {
     execute_offline_all_with(plan, repo, scoring, |_, _| ())
 }
@@ -345,10 +349,10 @@ pub fn execute_offline_all(
 /// catalog fetch with `(video, cache_hit)`. `svq-serve` hooks its hit/miss
 /// counters in here, so the served cluster path *is* the library path —
 /// byte identity by construction rather than by parallel implementation.
-pub fn execute_offline_all_with(
+pub fn execute_offline_all_with<S: ScoringFunctions + ?Sized>(
     plan: &LogicalPlan,
     repo: &VideoRepository,
-    scoring: &dyn ScoringFunctions,
+    scoring: &S,
     mut per_video: impl FnMut(VideoId, bool),
 ) -> SvqResult<QueryOutcome> {
     let k = match plan.mode {

@@ -75,18 +75,22 @@ impl ScoringFunctions for PaperScoring {
         scores.iter().sum()
     }
 
+    #[inline]
     fn g(&self, object_scores: &[f64], action_score: f64) -> f64 {
         action_score * object_scores.iter().sum::<f64>()
     }
 
+    #[inline]
     fn f_identity(&self) -> f64 {
         0.0
     }
 
+    #[inline]
     fn f_combine(&self, a: f64, b: f64) -> f64 {
         a + b
     }
 
+    #[inline]
     fn f_repeat(&self, clip_score: f64, n: u64) -> f64 {
         clip_score * n as f64
     }
@@ -105,18 +109,22 @@ impl ScoringFunctions for MaxScoring {
         scores.iter().copied().fold(0.0, f64::max)
     }
 
+    #[inline]
     fn g(&self, object_scores: &[f64], action_score: f64) -> f64 {
         action_score * object_scores.iter().copied().fold(0.0, f64::max)
     }
 
+    #[inline]
     fn f_identity(&self) -> f64 {
         0.0
     }
 
+    #[inline]
     fn f_combine(&self, a: f64, b: f64) -> f64 {
         a.max(b)
     }
 
+    #[inline]
     fn f_repeat(&self, clip_score: f64, n: u64) -> f64 {
         if n == 0 {
             0.0

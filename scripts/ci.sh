@@ -12,16 +12,24 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q"
 cargo test --workspace -q
 
-echo "== TBClip differential oracle, deep (PROPTEST_CASES=2000, debug assertions on)"
+echo "== TBClip differential oracle, packed queue key and RVAQ's K-split, deep (PROPTEST_CASES=2000, debug assertions on)"
 # TBClip ranks step 2 / 4 candidates by memoised-score keys with two tie
-# rules, re-keying lazily off a queue whose stored keys must never rank
+# rules, re-keying in place off a queue whose stored keys must never rank
 # ahead of a clip's current one; it is correct only while it matches the
 # bound-ordered BTree reference step for step, so run the oracle far past
-# the default 64 cases with that invariant's debug_assert compiled in. Its
-# own target directory keeps the plain release build from being rebuilt.
+# the default 64 cases with that invariant's debug_assert compiled in. The
+# queue's key is one packed u128 that must order exactly as its
+# (merit, moved, Reverse(clip)) tuple, and RVAQ splits PQ_lo^K off by
+# selection, which must give the full sort's K-set and bounds; both are
+# properties of their own. Its own target directory keeps the plain
+# release build from being rebuilt.
 PROPTEST_CASES=2000 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
   CARGO_TARGET_DIR=target/debug-assertions \
   cargo test --release -q -p svq-core --test tbclip_differential
+PROPTEST_CASES=2000 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
+  CARGO_TARGET_DIR=target/debug-assertions \
+  cargo test --release -q -p svq-core --lib -- \
+  packed_place_orders_as_the_tuple selection_split_matches_the_full_sort
 
 echo "== occurrence memo, one-step clip charge, censoring cap, critical-value registry and kernel estimator, deep (PROPTEST_CASES=2000)"
 # The online engines read Algorithm 2's counts from the oracle's per-class
