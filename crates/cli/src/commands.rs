@@ -524,6 +524,7 @@ pub fn serve(flags: &Flags) -> CliResult {
     };
     let catalog_videos = repo.as_ref().map_or(0, |r| r.len());
     let streams = oracles.len();
+    let served_repo = repo.clone();
 
     let handle = Server::start_with_source(config, repo, oracles, source, ExecMetrics::new())?;
     let addr = handle.local_addr();
@@ -534,10 +535,17 @@ pub fn serve(flags: &Flags) -> CliResult {
     if let Some(path) = flags.get("addr-file") {
         std::fs::write(path, addr.to_string())?;
     }
+    // The registry leaves catalog residency to the repository that counts
+    // it; fill it in so the report shows catalog hits and misses.
     let reporter = metrics_every.map(|every| {
-        handle
-            .metrics()
-            .spawn_reporter(every, |snap| eprint!("{snap}"))
+        handle.metrics().spawn_reporter(every, move |mut snap| {
+            if let Some(repo) = &served_repo {
+                let cache = repo.cache_stats();
+                snap.server.catalog_hits = cache.hits;
+                snap.server.catalog_misses = cache.misses;
+            }
+            eprint!("{snap}");
+        })
     });
     let report = handle.wait();
     if let Some(reporter) = reporter {

@@ -21,10 +21,11 @@
 //!   [`ingest::parallel_ingest`] is the memory-sink shorthand.
 //! * [`metrics::ExecMetrics`] — atomics-only counter registry (clips/sec
 //!   per session and pool-wide, queue depths, stage latencies) snapshotted
-//!   by `svqact mux` and `svq-bench`.
+//!   by `svqact mux` and `svq-bench`. Its server part is the `stats` wire
+//!   frame, [`metrics::StatsFrame`], declared here once.
 //!
-//! Everything is built on `crossbeam` channels and `parking_lot` locks —
-//! no other dependencies.
+//! Everything is built on `crossbeam` channels and `parking_lot` locks;
+//! `serde` only derives `StatsFrame`'s wire encoding.
 
 #![forbid(unsafe_code)]
 
@@ -36,7 +37,7 @@ pub mod pool;
 pub use ingest::{parallel_ingest, parallel_ingest_into};
 pub use metrics::{
     ExecMetrics, IngestCounters, IngestSnapshot, LatencyHistogram, MetricsSnapshot, ServerCounters,
-    ServerSnapshot, SessionSnapshot, ShardSnapshot,
+    SessionSnapshot, ShardSnapshot, StatsFrame,
 };
 pub use mux::{
     Backpressure, ClipNotice, FeedError, MuxOptions, SessionEngine, SessionError, SessionId,

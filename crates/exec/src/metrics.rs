@@ -8,6 +8,7 @@
 //! hot path.
 
 use parking_lot::{rt, Condvar, Mutex, RwLock};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,21 +80,10 @@ const LATENCY_BUCKETS: usize = 32;
 /// tails. Quantiles are read at snapshot time and report the *upper* edge
 /// of the bucket holding the requested rank (a conservative estimate:
 /// reported p99 is never below the true p99's bucket).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
     count: AtomicU64,
-    sum_nanos: AtomicU64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_nanos: AtomicU64::new(0),
-        }
-    }
 }
 
 impl LatencyHistogram {
@@ -103,24 +93,11 @@ impl LatencyHistogram {
         let idx = (micros.max(1).ilog2() as usize).min(LATENCY_BUCKETS - 1);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_nanos.fetch_add(
-            u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
     }
 
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// Mean latency in milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e6 / n as f64
     }
 
     /// The `q`-quantile (`0 < q <= 1`) in milliseconds: the upper edge of
@@ -166,10 +143,6 @@ pub struct ServerCounters {
     pub malformed: AtomicU64,
     /// Acceptor `accept` failures survived with backoff (e.g. EMFILE).
     pub accept_errors: AtomicU64,
-    /// Offline `query` requests whose catalog was already resident.
-    pub catalog_hits: AtomicU64,
-    /// Offline `query` requests that had to (re)load their catalog.
-    pub catalog_misses: AtomicU64,
     /// `query` requests answered.
     pub req_query: AtomicU64,
     /// `stream` requests answered.
@@ -346,7 +319,7 @@ impl ExecMetrics {
             + srv.req_unsubscribe.load(Ordering::Relaxed)
             + srv.req_stats.load(Ordering::Relaxed)
             + srv.req_shutdown.load(Ordering::Relaxed);
-        let server = ServerSnapshot {
+        let server = StatsFrame {
             active_conns: srv.active_conns.load(Ordering::Relaxed),
             peak_conns: srv.peak_conns.load(Ordering::Relaxed),
             accepted: srv.accepted.load(Ordering::Relaxed),
@@ -355,8 +328,6 @@ impl ExecMetrics {
             timed_out: srv.timed_out.load(Ordering::Relaxed),
             malformed: srv.malformed.load(Ordering::Relaxed),
             accept_errors: srv.accept_errors.load(Ordering::Relaxed),
-            catalog_hits: srv.catalog_hits.load(Ordering::Relaxed),
-            catalog_misses: srv.catalog_misses.load(Ordering::Relaxed),
             req_query: srv.req_query.load(Ordering::Relaxed),
             req_stream: srv.req_stream.load(Ordering::Relaxed),
             req_subscribe: srv.req_subscribe.load(Ordering::Relaxed),
@@ -370,11 +341,11 @@ impl ExecMetrics {
             subs_lagged: srv.subs_lagged.load(Ordering::Relaxed),
             subs_missed: srv.subs_missed.load(Ordering::Relaxed),
             requests,
-            requests_per_sec: requests as f64 / elapsed,
-            latency_mean_ms: srv.latency.mean_ms(),
             latency_p50_ms: srv.latency.quantile_ms(0.50),
             latency_p95_ms: srv.latency.quantile_ms(0.95),
             latency_p99_ms: srv.latency.quantile_ms(0.99),
+            total_clips,
+            ..StatsFrame::default()
         };
         MetricsSnapshot {
             elapsed_sec: elapsed,
@@ -504,9 +475,23 @@ pub struct IngestSnapshot {
     pub buffered_high_water: u64,
 }
 
-/// The `svq-serve` service layer at snapshot time.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ServerSnapshot {
+/// The `svq-serve` service layer at snapshot time — also the `stats` wire
+/// frame, flattened to wire-stable scalars (`svq_serve` re-exports it).
+///
+/// [`ExecMetrics::snapshot`] fills what the registry counts: connections,
+/// requests, subscriptions, latency and `total_clips`. The rest is left 0
+/// for whoever serves the frame to fill from what only it knows: a server
+/// takes `catalog_hits`/`catalog_misses` from its repository's
+/// `cache_stats()` and adds its inventory (`catalog_videos`,
+/// `live_streams`) and `subs_queue_depth`. A router answers with the
+/// *cluster view*: its own front-door counters and latency (the service
+/// the client talks to), the execution counters and inventory
+/// (`catalog_hits`/`catalog_misses`, `catalog_videos`, `live_streams`,
+/// `total_clips`) summed over every reachable shard, and
+/// `shards`/`shards_up` for the fan-out. A plain server reports
+/// `shards = 0`.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct StatsFrame {
     /// Connections currently admitted.
     pub active_conns: u64,
     /// Peak simultaneous admitted connections.
@@ -521,38 +506,47 @@ pub struct ServerSnapshot {
     pub timed_out: u64,
     /// Malformed frames answered with typed errors.
     pub malformed: u64,
-    /// Acceptor `accept` failures survived with backoff.
+    /// Listener `accept` failures survived with backoff.
     pub accept_errors: u64,
-    /// Offline queries served from an already-resident catalog.
+    /// Offline catalog fetches answered from resident memory.
     pub catalog_hits: u64,
-    /// Offline queries that (re)loaded their catalog from disk.
+    /// Offline catalog fetches that had to (re)load from disk.
     pub catalog_misses: u64,
+    /// Videos the served catalog repository holds.
+    pub catalog_videos: u64,
+    /// Live streams (detection oracles) the server exposes.
+    pub live_streams: u64,
     pub req_query: u64,
     pub req_stream: u64,
     pub req_subscribe: u64,
     pub req_unsubscribe: u64,
     pub req_stats: u64,
     pub req_shutdown: u64,
-    /// Standing-query subscriptions currently registered.
-    pub subs_active: u64,
-    /// Peak simultaneous subscriptions.
-    pub subs_peak: u64,
-    /// Subscriptions ever opened.
-    pub subs_opened: u64,
-    /// `event` frames pushed to subscribers.
-    pub subs_events: u64,
-    /// `lagged` notices pushed when a push queue overflowed.
-    pub subs_lagged: u64,
-    /// Events dropped (and accounted) across all lagged subscribers.
-    pub subs_missed: u64,
     /// All requests answered.
     pub requests: u64,
-    /// Answered-request throughput since registry start.
-    pub requests_per_sec: f64,
-    pub latency_mean_ms: f64,
+    /// Standing subscriptions currently registered.
+    pub subs_active: u64,
+    /// High-water mark of concurrently registered subscriptions.
+    pub subs_peak: u64,
+    /// Subscriptions ever registered.
+    pub subs_opened: u64,
+    /// `event` frames delivered to subscription push queues.
+    pub subs_events: u64,
+    /// `lagged` gap notices pushed after queue overflow.
+    pub subs_lagged: u64,
+    /// Events dropped (and counted) because a push queue was at budget.
+    pub subs_missed: u64,
+    /// Pushed lines currently resident in connection writers.
+    pub subs_queue_depth: u64,
     pub latency_p50_ms: f64,
     pub latency_p95_ms: f64,
     pub latency_p99_ms: f64,
+    /// Clips evaluated by stream sessions since the server started.
+    pub total_clips: u64,
+    /// Upstream shards configured (0 on a non-router server).
+    pub shards: u64,
+    /// Upstream shards that answered the aggregation sweep.
+    pub shards_up: u64,
 }
 
 /// Guard-lifetime statistics for one lock-acquisition site, from the
@@ -582,7 +576,7 @@ pub struct MetricsSnapshot {
     /// Pool-wide throughput across all sessions.
     pub total_clips_per_sec: f64,
     pub ingest: IngestSnapshot,
-    pub server: ServerSnapshot,
+    pub server: StatsFrame,
     /// Always empty; kept only until the benchmark stops naming it
     /// (ROADMAP item 19).
     pub shards: Vec<ShardSnapshot>,
@@ -651,7 +645,7 @@ impl fmt::Display for MetricsSnapshot {
                 "  requests {:>6} ({:>6.0}/s)  query {:>5}  stream {:>5}  stats {:>5}  \
                  shutdown {:>2}  p50 {:>7.2} ms  p95 {:>7.2} ms  p99 {:>7.2} ms",
                 self.server.requests,
-                self.server.requests_per_sec,
+                self.server.requests as f64 / self.elapsed_sec,
                 self.server.req_query,
                 self.server.req_stream,
                 self.server.req_stats,
@@ -759,7 +753,6 @@ mod tests {
     fn histogram_quantiles_bound_observations() {
         let h = LatencyHistogram::default();
         assert_eq!(h.quantile_ms(0.5), 0.0, "empty histogram reads 0");
-        assert_eq!(h.mean_ms(), 0.0);
         // 99 fast observations (~100 µs) and one slow outlier (~50 ms).
         for _ in 0..99 {
             h.record(Duration::from_micros(100));
@@ -773,7 +766,6 @@ mod tests {
         assert!((0.1..=0.26).contains(&p50), "p50 = {p50}");
         assert!(p99 <= p100, "quantiles are monotonic");
         assert!((50.0..=140.0).contains(&p100), "p100 = {p100}");
-        assert!(h.mean_ms() > 0.0);
     }
 
     #[test]
@@ -793,7 +785,6 @@ mod tests {
         assert_eq!(snap.accepted, 2);
         assert_eq!(snap.rejected_busy, 1);
         assert_eq!(snap.requests, 4);
-        assert!(snap.requests_per_sec > 0.0);
         assert!(snap.latency_p99_ms > 0.0);
         let text = metrics.snapshot().to_string();
         assert!(text.contains("serve"), "{text}");
@@ -854,5 +845,100 @@ mod tests {
         // The condvar wakes the thread immediately; nothing close to the
         // hour-long interval.
         assert!(started.elapsed() < Duration::from_secs(60));
+    }
+    /// A snapshot with a distinct value in every printed counter.
+    fn fixed_snapshot() -> MetricsSnapshot {
+        MetricsSnapshot {
+            elapsed_sec: 12.5,
+            workers: 3,
+            jobs_executed: 40,
+            jobs_panicked: 1,
+            pool_queue_depth: 2,
+            total_clips: 900,
+            total_clips_per_sec: 72.0,
+            ingest: IngestSnapshot {
+                catalogs_built: 4,
+                catalogs_sunk: 3,
+                bytes_written: 65_536,
+                sink_ms: 7.25,
+                buffered: 1,
+                buffered_high_water: 2,
+            },
+            server: StatsFrame {
+                active_conns: 1,
+                peak_conns: 2,
+                accepted: 3,
+                rejected_busy: 4,
+                rejected_draining: 5,
+                timed_out: 6,
+                malformed: 7,
+                accept_errors: 8,
+                catalog_hits: 9,
+                catalog_misses: 10,
+                req_query: 13,
+                req_stream: 14,
+                req_subscribe: 15,
+                req_unsubscribe: 16,
+                req_stats: 17,
+                req_shutdown: 18,
+                requests: 19,
+                subs_active: 20,
+                subs_peak: 21,
+                subs_opened: 22,
+                subs_events: 23,
+                subs_lagged: 24,
+                subs_missed: 25,
+                latency_p50_ms: 27.5,
+                latency_p95_ms: 28.25,
+                latency_p99_ms: 29.125,
+                ..StatsFrame::default()
+            },
+            shards: Vec::new(),
+            sessions: vec![SessionSnapshot {
+                label: "conn4/r2".into(),
+                clips_processed: 600,
+                clips_per_sec: 48.0,
+                eval_ms: 31.5,
+            }],
+            lock_holds: vec![LockHoldSnapshot {
+                site: "crates/exec/src/pool.rs:10:5".into(),
+                count: 11,
+                total_ms: 2.5,
+                max_ms: 0.125,
+            }],
+        }
+    }
+
+    #[test]
+    fn display_text_is_stable() {
+        let head =
+            "exec: 3 workers, 12.50s elapsed, 900 clips (72 clips/s), 40 jobs (1 panicked), \
+                    pool queue 2\n  \
+                    serve       1 active (peak 2)       3 accepted  busy    4  draining    5  \
+                    timeout    6  malformed    7\n";
+        let catalog = "  accept errors    8  catalog hits      9  misses     10\n";
+        let requests = "  requests     19 (     2/s)  query    13  stream    14  stats    17  \
+                        shutdown 18  p50   27.50 ms  p95   28.25 ms  p99   29.12 ms\n";
+        let subs =
+            "  subs       20 active (peak 21)      22 opened  events       23  lagged   24  \
+                    missed     25\n";
+        let tail = "  ingest          4 built         3 sunk       65536 bytes  sink      7.2 ms  \
+                    buffered 1 (peak 2)\n  \
+                    conn4/r2                          600 clips (      48/s)  eval      31.5 ms\n  \
+                    hold     crates/exec/src/pool.rs:10:5                   11 holds  max    \
+                    0.125 ms  total      2.5 ms\n";
+        let snap = fixed_snapshot();
+        assert_eq!(
+            snap.to_string(),
+            [head, catalog, requests, subs, tail].concat()
+        );
+        // Without accept errors, catalog traffic or subscriptions, those
+        // two lines are left out.
+        let mut quiet = snap;
+        quiet.server.accept_errors = 0;
+        quiet.server.catalog_hits = 0;
+        quiet.server.catalog_misses = 0;
+        quiet.server.subs_opened = 0;
+        assert_eq!(quiet.to_string(), [head, requests, tail].concat());
     }
 }

@@ -14,7 +14,7 @@ use std::time::Instant;
 use svq_core::offline::{Rvaq, RvaqOptions, TopKResult};
 use svq_core::online::{OnlineConfig, OnlineResult, Svaqd};
 use svq_storage::{DiskStats, IngestedVideo, VideoRepository};
-use svq_types::{ClipInterval, ScoringFunctions, SvqError, SvqResult, VideoId};
+use svq_types::{ClipInterval, ScoringFunctions, SvqError, SvqResult};
 use svq_vision::{CostLedger, VideoStream};
 
 /// Mode-specific payload of a statement execution.
@@ -342,19 +342,6 @@ pub fn execute_offline_all<S: ScoringFunctions + ?Sized>(
     repo: &VideoRepository,
     scoring: &S,
 ) -> SvqResult<QueryOutcome> {
-    execute_offline_all_with(plan, repo, scoring, |_, _| ())
-}
-
-/// [`execute_offline_all`] with a per-video hook, called after each
-/// catalog fetch with `(video, cache_hit)`. `svq-serve` hooks its hit/miss
-/// counters in here, so the served cluster path *is* the library path —
-/// byte identity by construction rather than by parallel implementation.
-pub fn execute_offline_all_with<S: ScoringFunctions + ?Sized>(
-    plan: &LogicalPlan,
-    repo: &VideoRepository,
-    scoring: &S,
-    mut per_video: impl FnMut(VideoId, bool),
-) -> SvqResult<QueryOutcome> {
     let k = match plan.mode {
         QueryMode::Offline { k } => k,
         QueryMode::Online => {
@@ -366,11 +353,10 @@ pub fn execute_offline_all_with<S: ScoringFunctions + ?Sized>(
     let started = Instant::now();
     let mut parts = Vec::new();
     let mut disk = DiskStats::default();
-    for video in repo.video_ids().collect::<Vec<_>>() {
-        let Some((catalog, hit)) = repo.fetch(video)? else {
+    for video in repo.video_ids() {
+        let Some(catalog) = repo.get(video)? else {
             continue;
         };
-        per_video(video, hit);
         let outcome = execute_offline(plan, &catalog, scoring)?;
         let topk = outcome
             .offline()

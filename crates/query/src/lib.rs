@@ -44,9 +44,6 @@ pub mod parser;
 pub mod plan;
 
 pub use cluster::{merge_cluster, ClusterPart, ClusterRanked, ClusterTopK, MergeStats};
-pub use exec::{
-    execute_offline, execute_offline_all, execute_offline_all_with, execute_online, QueryOutcome,
-    QueryResults,
-};
+pub use exec::{execute_offline, execute_offline_all, execute_online, QueryOutcome, QueryResults};
 pub use parser::parse;
 pub use plan::{LogicalPlan, QueryMode};

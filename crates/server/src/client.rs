@@ -76,13 +76,7 @@ impl Client {
     /// answers (`None` for v1 responses and server-initiated frames).
     pub fn read_tagged(&mut self) -> SvqResult<(Option<u64>, Response)> {
         match read_bounded_line(&mut self.reader, MAX_LINE_BYTES) {
-            LineEvent::Line(line) => {
-                let text = std::str::from_utf8(&line)
-                    .map_err(|e| SvqError::Storage(format!("response not UTF-8: {e}")))?;
-                let frame: ResponseFrame = serde_json::from_str(text)
-                    .map_err(|e| SvqError::Storage(format!("response not a frame: {e}")))?;
-                Ok((frame.id, frame.response))
-            }
+            LineEvent::Line(line) => decode_frame(&line).map(|frame| (frame.id, frame.response)),
             LineEvent::Eof => Err(SvqError::Storage(
                 "connection closed before a response frame arrived".into(),
             )),
@@ -352,16 +346,7 @@ pub struct Caller {
 impl Caller {
     /// Connect with an explicit per-operation read/write deadline.
     pub fn connect(addr: impl ToSocketAddrs, timeout: Duration) -> SvqResult<Self> {
-        Self::over(Box::new(TcpStream::connect(addr)?), timeout)
-    }
-
-    /// Speak the pipelined protocol over an already-established connection
-    /// (e.g. a [`crate::transport::MemConn`] half in the simulation).
-    pub fn over(stream: Box<dyn Conn>, timeout: Duration) -> SvqResult<Self> {
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        let reader = BufReader::new(stream.try_clone_conn()?);
-        Self::start(stream, reader)
+        Client::connect_with_timeout(addr, timeout)?.into_caller()
     }
 
     fn start(stream: Box<dyn Conn>, reader: BufReader<Box<dyn Conn>>) -> SvqResult<Self> {
@@ -591,6 +576,14 @@ impl Drop for Subscription {
     }
 }
 
+/// Decode one response line — the framing both [`Client::read_tagged`]
+/// and a [`Caller`]'s demux loop read with.
+fn decode_frame(line: &[u8]) -> SvqResult<ResponseFrame> {
+    let text = std::str::from_utf8(line)
+        .map_err(|e| SvqError::Storage(format!("response not UTF-8: {e}")))?;
+    serde_json::from_str(text).map_err(|e| SvqError::Storage(format!("response not a frame: {e}")))
+}
+
 /// The read loop behind a [`Caller`]: route each id-tagged response to its
 /// registered sink; treat anything else as fatal for the session.
 fn demux(inner: &Arc<CallerInner>, mut reader: BufReader<Box<dyn Conn>>) {
@@ -600,10 +593,7 @@ fn demux(inner: &Arc<CallerInner>, mut reader: BufReader<Box<dyn Conn>>) {
         }
         match read_bounded_line(&mut reader, MAX_LINE_BYTES) {
             LineEvent::Line(line) => {
-                let frame: Option<ResponseFrame> = std::str::from_utf8(&line)
-                    .ok()
-                    .and_then(|text| serde_json::from_str(text).ok());
-                let Some(frame) = frame else {
+                let Ok(frame) = decode_frame(&line) else {
                     inner.fail_all("response was not a protocol frame; connection abandoned");
                     return;
                 };

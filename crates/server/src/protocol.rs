@@ -37,6 +37,10 @@
 //! Error frames carry a stable [`RejectReason`] code; prose rides
 //! separately in `message` and is never part of the contract.
 //!
+//! A `stats` frame carries a [`StatsFrame`]. It lives in `svq_exec::metrics`
+//! (it is the `server` part of every `MetricsSnapshot`, so the registry and
+//! the wire share one declaration) and is re-exported from here.
+//!
 //! **Protocol v2 — pipelining.** Any request frame may carry a
 //! client-chosen `id` (a JSON integer); the response to it echoes that
 //! `id` and may arrive out of order relative to other in-flight requests
@@ -68,6 +72,7 @@
 
 use serde::{json, DeError, Deserialize, EncodeError, Serialize, Value};
 use std::io::{BufRead, ErrorKind, Read};
+pub use svq_exec::StatsFrame;
 use svq_query::QueryOutcome;
 use svq_types::RejectReason;
 
@@ -215,66 +220,6 @@ pub enum Response {
         reason: RejectReason,
         message: String,
     },
-}
-
-/// The served metrics snapshot, flattened to wire-stable scalars.
-///
-/// A router answers `stats` with the *cluster view*: connection/request
-/// counters and latency percentiles describe its own front door (the
-/// service the client actually talks to), execution counters and
-/// inventory (`catalog_hits`/`catalog_misses`, `catalog_videos`,
-/// `live_streams`, `total_clips`) are summed over every reachable shard,
-/// and `shards`/`shards_up` describe the fan-out. A plain server reports
-/// `shards = 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct StatsFrame {
-    pub active_conns: u64,
-    pub peak_conns: u64,
-    pub accepted: u64,
-    pub rejected_busy: u64,
-    pub rejected_draining: u64,
-    pub timed_out: u64,
-    pub malformed: u64,
-    /// Listener `accept` failures survived with backoff.
-    pub accept_errors: u64,
-    /// Offline catalog fetches answered from resident memory.
-    pub catalog_hits: u64,
-    /// Offline catalog fetches that had to (re)load from disk.
-    pub catalog_misses: u64,
-    /// Videos the served catalog repository holds.
-    pub catalog_videos: u64,
-    /// Live streams (detection oracles) the server exposes.
-    pub live_streams: u64,
-    pub req_query: u64,
-    pub req_stream: u64,
-    pub req_subscribe: u64,
-    pub req_unsubscribe: u64,
-    pub req_stats: u64,
-    pub req_shutdown: u64,
-    pub requests: u64,
-    /// Standing subscriptions currently registered.
-    pub subs_active: u64,
-    /// High-water mark of concurrently registered subscriptions.
-    pub subs_peak: u64,
-    /// Subscriptions ever registered.
-    pub subs_opened: u64,
-    /// `event` frames delivered to subscription push queues.
-    pub subs_events: u64,
-    /// `lagged` gap notices pushed after queue overflow.
-    pub subs_lagged: u64,
-    /// Events dropped (and counted) because a push queue was at budget.
-    pub subs_missed: u64,
-    /// Pushed lines currently resident in connection writers.
-    pub subs_queue_depth: u64,
-    pub latency_p50_ms: f64,
-    pub latency_p95_ms: f64,
-    pub latency_p99_ms: f64,
-    /// Clips evaluated by stream sessions since the server started.
-    pub total_clips: u64,
-    /// Upstream shards configured (0 on a non-router server).
-    pub shards: u64,
-    /// Upstream shards that answered the aggregation sweep.
-    pub shards_up: u64,
 }
 
 // Externally tagged by `kind`; hand-written because the derive stand-in

@@ -36,11 +36,9 @@
 //! requesting connection's reader thread; responses complete on the shard
 //! links' demux threads. The router holds no execution pool of its own.
 
-use crate::client::Caller;
+use crate::client::{Caller, Client};
 use crate::protocol::{Request, Response, VideoScope};
-use crate::server::{
-    base_stats, Backend, Pending, ServeConfig, ServeConfigBuilder, Server, ServerHandle,
-};
+use crate::server::{Backend, Pending, ServeConfig, ServeConfigBuilder, Server, ServerHandle};
 use crate::transport::{Conn, TcpTransport, Transport};
 use parking_lot::{rt, Mutex};
 use std::io;
@@ -329,7 +327,7 @@ impl ShardLink {
                 }
             }
             match self.connector.connect() {
-                Ok(conn) => match Caller::over(conn, timeout) {
+                Ok(conn) => match Client::over(conn, timeout).and_then(Client::into_caller) {
                     Ok(fresh) => {
                         let mut slot = self.caller.lock();
                         if let Some(existing) = slot.as_ref().filter(|c| c.is_alive()) {
@@ -647,7 +645,7 @@ impl RouterBackend {
     /// the frame.
     fn stats(self: &Arc<Self>, pending: Pending) {
         self.scatter(&Request::Stats, pending, |backend, results, pending| {
-            let mut frame = base_stats(&backend.metrics);
+            let mut frame = backend.metrics.snapshot().server;
             frame.shards = backend.links.len() as u64;
             for result in results {
                 if let Ok(Response::Stats(shard)) = result {

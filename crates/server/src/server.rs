@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 use svq_core::online::OnlineConfig;
 use svq_exec::{ExecMetrics, WorkerPool};
 use svq_query::{
-    execute_offline, execute_offline_all_with, execute_online, parse, LogicalPlan, QueryMode,
+    execute_offline, execute_offline_all, execute_online, parse, LogicalPlan, QueryMode,
     QueryOutcome,
 };
 use svq_storage::VideoRepository;
@@ -1257,8 +1257,8 @@ impl LocalBackend {
         repo: &VideoRepository,
         id: VideoId,
     ) -> Result<QueryOutcome, (RejectReason, String)> {
-        let (catalog, hit) = repo
-            .fetch(id)
+        let catalog = repo
+            .get(id)
             .map_err(|e| (reject_of(&e), e.to_string()))?
             .ok_or_else(|| {
                 (
@@ -1266,31 +1266,19 @@ impl LocalBackend {
                     format!("video {id:?} is not in the served catalog"),
                 )
             })?;
-        self.count_fetch(hit);
         execute_offline(plan, &catalog, &PaperScoring).map_err(|e| (reject_of(&e), e.to_string()))
     }
 
     /// `video: "all"` — the cluster reduction over every served catalog.
-    /// Routed through [`execute_offline_all_with`] so the served path *is*
-    /// the library path (a router merging per-shard answers is therefore
-    /// byte-identical by construction); the per-video hook threads this
-    /// backend's fetch counters into the shared sweep.
+    /// Routed through [`execute_offline_all`] so the served path *is* the
+    /// library path (a router merging per-shard answers is therefore
+    /// byte-identical by construction).
     fn query_all(
         &self,
         plan: &LogicalPlan,
         repo: &VideoRepository,
     ) -> Result<QueryOutcome, (RejectReason, String)> {
-        execute_offline_all_with(plan, repo, &PaperScoring, |_, hit| self.count_fetch(hit))
-            .map_err(|e| (reject_of(&e), e.to_string()))
-    }
-
-    fn count_fetch(&self, hit: bool) {
-        let srv = self.metrics.server();
-        if hit {
-            srv.catalog_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            srv.catalog_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        execute_offline_all(plan, repo, &PaperScoring).map_err(|e| (reject_of(&e), e.to_string()))
     }
 
     /// The synchronous half of a `stream` request: validate the statement
@@ -1323,12 +1311,16 @@ impl LocalBackend {
         Ok((plan, oracle.clone()))
     }
 
+    /// The registry's server snapshot plus what only this backend knows:
+    /// catalog residency and inventory, live streams, push-queue depth.
     fn stats(&self) -> StatsFrame {
-        let mut frame = base_stats(&self.metrics);
-        frame.catalog_videos = self
-            .repo
-            .as_ref()
-            .map_or(0, |r| r.video_ids().count() as u64);
+        let mut frame = self.metrics.snapshot().server;
+        if let Some(repo) = &self.repo {
+            let cache = repo.cache_stats();
+            frame.catalog_hits = cache.hits;
+            frame.catalog_misses = cache.misses;
+            frame.catalog_videos = repo.len() as u64;
+        }
         frame.live_streams =
             self.oracles.len() as u64 + u64::from(self.subs.source_video().is_some());
         frame.subs_queue_depth = self.subs.queue_depth();
@@ -1404,48 +1396,5 @@ fn target_video(
             RejectReason::BadRequest,
             format!("{} {what}s served; name one with `video`", served.len()),
         )),
-    }
-}
-
-/// The front-door counters every server shape shares: connection and
-/// request accounting from this process's [`ExecMetrics`]. Backends add
-/// what only they know — [`LocalBackend`] its catalog/stream inventory,
-/// the router its cluster view (summed shard counters, `shards_up`).
-pub(crate) fn base_stats(metrics: &ExecMetrics) -> StatsFrame {
-    let snap = metrics.snapshot();
-    let s = snap.server;
-    StatsFrame {
-        active_conns: s.active_conns,
-        peak_conns: s.peak_conns,
-        accepted: s.accepted,
-        rejected_busy: s.rejected_busy,
-        rejected_draining: s.rejected_draining,
-        timed_out: s.timed_out,
-        malformed: s.malformed,
-        accept_errors: s.accept_errors,
-        catalog_hits: s.catalog_hits,
-        catalog_misses: s.catalog_misses,
-        catalog_videos: 0,
-        live_streams: 0,
-        req_query: s.req_query,
-        req_stream: s.req_stream,
-        req_subscribe: s.req_subscribe,
-        req_unsubscribe: s.req_unsubscribe,
-        req_stats: s.req_stats,
-        req_shutdown: s.req_shutdown,
-        requests: s.requests,
-        subs_active: s.subs_active,
-        subs_peak: s.subs_peak,
-        subs_opened: s.subs_opened,
-        subs_events: s.subs_events,
-        subs_lagged: s.subs_lagged,
-        subs_missed: s.subs_missed,
-        subs_queue_depth: 0,
-        latency_p50_ms: s.latency_p50_ms,
-        latency_p95_ms: s.latency_p95_ms,
-        latency_p99_ms: s.latency_p99_ms,
-        total_clips: snap.total_clips,
-        shards: 0,
-        shards_up: 0,
     }
 }

@@ -36,9 +36,9 @@ use svq_query::{
     execute_offline, execute_offline_all, execute_online, parse, LogicalPlan, QueryOutcome,
 };
 use svq_serve::{
-    encode_line, encode_request_line, Caller, Client, Conn, Connector, LiveSourceConfig,
-    MemTransport, Request, Response, RouteConfig, Router, ServeConfig, Server, ServerHandle,
-    Transport, VideoScope,
+    encode_line, encode_request_line, Client, Conn, Connector, LiveSourceConfig, MemTransport,
+    Request, Response, RouteConfig, Router, ServeConfig, Server, ServerHandle, Transport,
+    VideoScope,
 };
 use svq_storage::{DirSink, FailingSink, VideoRepository};
 use svq_types::{
@@ -1050,7 +1050,8 @@ fn subscribe_fanout(ctx: ScenarioCtx) {
         let drift_every = if s % 3 == 0 { 25 } else { 0 };
         tasks.push(
             rt::spawn(&format!("subscriber{s}"), move || {
-                let caller = Caller::over(Box::new(transport.connect()), Duration::from_secs(5))
+                let caller = connect(&transport, CLIENT_TIMEOUT)
+                    .into_caller()
                     .expect("loopback connect");
                 let sub = caller
                     .subscribe(ONLINE_SQL, None, drift_every)

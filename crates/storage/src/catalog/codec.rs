@@ -20,10 +20,10 @@
 //! `(score desc, clip asc)` order. A sequence list is `runs: u32`, then
 //! `runs` × (`u32` start, `u32` end). Nothing follows the last list.
 //!
-//! The clip-id-ordered mirror a table answers random accesses from is
-//! derived at load, not stored: it is a permutation of the rows, so storing
-//! it would double the file and add a second copy to cross-check. Scores
-//! travel as bits because decimal text is neither exact nor cheap.
+//! A table is stored once, in row order; nothing clip-ordered is stored or
+//! rebuilt at load. The loader sorts the clip ids alone, to refuse a clip
+//! listed twice and to find the table's largest clip id. Scores travel as
+//! bits because decimal text is neither exact nor cheap.
 //!
 //! [`decode`] is where a file enters the program. Every length is bounded
 //! by the bytes actually present before anything is allocated for it, and
@@ -345,7 +345,7 @@ mod tests {
         assert_eq!(encode(&back).unwrap(), bytes);
         assert_eq!(back.video, VideoId::new(1));
         assert_eq!(back.geometry, VideoGeometry::default());
-        // `by_clip` was derived, not read: random access answers.
+        // Scores read back from the rows alone.
         assert_eq!(
             back.object_table(ObjectClass::named("car"))
                 .peek_score(ClipId::new(7)),

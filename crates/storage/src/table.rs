@@ -20,9 +20,9 @@ pub struct ClipScoreTable {
     /// Rows ordered by score descending (ties broken by clip id for
     /// determinism).
     rows: Vec<(ClipId, f64)>,
-    /// Clip-id-ordered mirror for O(log n) random access. Derived from
-    /// `rows`, never persisted.
-    by_clip: Vec<(ClipId, f64)>,
+    /// The largest clip id any row carries. Derived from `rows`, never
+    /// persisted.
+    max_clip: Option<ClipId>,
 }
 
 /// Row order: score descending, ties broken by clip id ascending.
@@ -30,18 +30,28 @@ fn row_order(a: &(ClipId, f64), b: &(ClipId, f64)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
+/// The rows' clip ids in ascending order, or the first one listed twice.
+fn sorted_clips(rows: &[(ClipId, f64)]) -> Result<Vec<ClipId>, ClipId> {
+    let mut clips: Vec<ClipId> = rows.iter().map(|(c, _)| *c).collect();
+    clips.sort_unstable();
+    match clips.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(w[0]),
+        None => Ok(clips),
+    }
+}
+
 impl ClipScoreTable {
     /// Build from unordered `(clip, score)` pairs; zero/negative scores are
     /// dropped (absent rows mean "score 0" by convention).
     pub fn new(mut entries: Vec<(ClipId, f64)>) -> Self {
         entries.retain(|(_, s)| *s > 0.0);
-        let mut by_clip = entries.clone();
-        by_clip.sort_by_key(|(c, _)| *c);
-        by_clip.dedup_by_key(|(c, _)| *c);
-        assert_eq!(by_clip.len(), entries.len(), "duplicate clip id in table");
+        let clips = sorted_clips(&entries).expect("duplicate clip id in table");
         let mut rows = entries;
         rows.sort_by(row_order);
-        Self { rows, by_clip }
+        Self {
+            rows,
+            max_clip: clips.last().copied(),
+        }
     }
 
     /// Rebuild a table from rows read out of a catalog file. Nothing is
@@ -64,15 +74,13 @@ impl ClipScoreTable {
                 at + 1
             )));
         }
-        let mut by_clip = rows.clone();
-        by_clip.sort_unstable_by_key(|(c, _)| *c);
-        if let Some(w) = by_clip.windows(2).find(|w| w[0].0 == w[1].0) {
-            return Err(SvqError::Storage(format!(
-                "score table lists clip {} twice",
-                w[0].0.raw()
-            )));
-        }
-        Ok(Self { rows, by_clip })
+        let clips = sorted_clips(&rows).map_err(|clip| {
+            SvqError::Storage(format!("score table lists clip {} twice", clip.raw()))
+        })?;
+        Ok(Self {
+            rows,
+            max_clip: clips.last().copied(),
+        })
     }
 
     /// Number of rows.
@@ -88,7 +96,7 @@ impl ClipScoreTable {
     /// The largest clip id any row carries (unmetered: catalog validation,
     /// not query processing).
     pub fn max_clip(&self) -> Option<ClipId> {
-        self.by_clip.last().map(|(c, _)| *c)
+        self.max_clip
     }
 
     /// Sorted access: the row with the i-th highest score, charged to
@@ -113,21 +121,21 @@ impl ClipScoreTable {
 
     /// Random access: the score of `clip`, `0.0` if absent. Always charges
     /// `disk` one random access — absence is only known after looking.
+    /// A linear scan: the engines read scores through the dense column
+    /// they build per run, and only tests and reference implementations
+    /// call this.
     pub fn random_score(&self, clip: ClipId, disk: &mut DiskStats) -> f64 {
         disk.random_accesses += 1;
-        match self.by_clip.binary_search_by_key(&clip, |(c, _)| *c) {
-            Ok(i) => self.by_clip[i].1,
-            Err(_) => 0.0,
-        }
+        self.peek_score(clip)
     }
 
     /// Unmetered score lookup for ground-truth computations in tests and
     /// metrics (not for use inside query algorithms).
     pub fn peek_score(&self, clip: ClipId) -> f64 {
-        match self.by_clip.binary_search_by_key(&clip, |(c, _)| *c) {
-            Ok(i) => self.by_clip[i].1,
-            Err(_) => 0.0,
-        }
+        self.rows
+            .iter()
+            .find(|(c, _)| *c == clip)
+            .map_or(0.0, |(_, s)| *s)
     }
 
     /// Iterate rows in score order without charging (used by ingestion-side
