@@ -1006,7 +1006,7 @@ mod tests {
 
     #[test]
     fn synth_ingest_query_round_trip() {
-        let dir = std::env::temp_dir().join("svqact_cli_test");
+        let dir = std::env::temp_dir().join(format!("svqact_cli_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let scene = dir.join("scene.json");
         let catalog = dir.join("catalog.svqc");
@@ -1069,7 +1069,8 @@ mod tests {
 
     #[test]
     fn parallel_ingest_spill_and_mem_dirs_match() {
-        let dir = std::env::temp_dir().join("svqact_cli_spill_test");
+        let dir =
+            std::env::temp_dir().join(format!("svqact_cli_spill_test_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let mut scenes = Vec::new();
@@ -1203,7 +1204,8 @@ mod tests {
 
     #[test]
     fn serve_and_request_round_trip() {
-        let dir = std::env::temp_dir().join("svqact_cli_serve_test");
+        let dir =
+            std::env::temp_dir().join(format!("svqact_cli_serve_test_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let scene = dir.join("scene.json");

@@ -34,7 +34,7 @@ struct ClassTracker {
 }
 
 impl ClassTracker {
-    fn new(bandwidth: f64, prior: f64, window: u32, table: &mut CriticalValueTable) -> Self {
+    fn new(bandwidth: f64, prior: f64, window: u32, table: CriticalValueTable) -> Self {
         Self {
             state: PredicateState::new(bandwidth, prior, window, table),
             merger: SequenceMerger::new(),
@@ -42,15 +42,9 @@ impl ClassTracker {
         }
     }
 
-    fn push(
-        &mut self,
-        clip: ClipId,
-        count: u32,
-        config: &OnlineConfig,
-        t: &mut CriticalValueTable,
-    ) {
+    fn push(&mut self, clip: ClipId, count: u32, config: &OnlineConfig) {
         let positive = count >= self.state.critical();
-        self.state.observe(Some(count), positive, config, t);
+        self.state.observe(Some(count), positive, config);
         if let Some(closed) = self.merger.push(clip, positive) {
             self.sequences.push(closed);
         }
@@ -81,15 +75,13 @@ pub fn ingest(
 
     let table =
         |w| CriticalValueTable::new(ScanConfig::new(w, config.horizon_windows, config.alpha));
-    let mut object_table_sweep = table(geometry.frames_per_clip());
-    let mut action_table_sweep = table(geometry.shots_per_clip);
 
     // Ingestion is query-independent: no prior knowledge of any class's
     // noise rate, so every class starts from the same uninformative prior.
     let prior = 0.01;
     let (w_obj, w_act) = (geometry.frames_per_clip(), geometry.shots_per_clip);
-    let obj_tracker = ClassTracker::new(BANDWIDTH_FRAMES, prior, w_obj, &mut object_table_sweep);
-    let act_tracker = ClassTracker::new(BANDWIDTH_SHOTS, prior, w_act, &mut action_table_sweep);
+    let obj_tracker = ClassTracker::new(BANDWIDTH_FRAMES, prior, w_obj, table(w_obj));
+    let act_tracker = ClassTracker::new(BANDWIDTH_SHOTS, prior, w_act, table(w_act));
     let mut obj_trackers = vec![obj_tracker; n_obj];
     let mut act_trackers = vec![act_tracker; n_act];
 
@@ -142,7 +134,7 @@ pub fn ingest(
                 }
                 obj_scores[i].clear();
             }
-            obj_trackers[i].push(clip, obj_counts[i], config, &mut object_table_sweep);
+            obj_trackers[i].push(clip, obj_counts[i], config);
         }
         for j in 0..n_act {
             if !act_scores[j].is_empty() {
@@ -152,7 +144,7 @@ pub fn ingest(
                 }
                 act_scores[j].clear();
             }
-            act_trackers[j].push(clip, act_counts[j], config, &mut action_table_sweep);
+            act_trackers[j].push(clip, act_counts[j], config);
         }
     }
 

@@ -5,9 +5,12 @@
 //! evaluated, the estimators observe the clip's occurrence units (per the
 //! configured [`BackgroundUpdate`] policy) and the critical values are
 //! re-derived from the updated estimates through the memoised
-//! critical-value table. The initial probabilities `p_obj_0` / `p_act_0`
-//! only matter until roughly one kernel bandwidth of stream has been
-//! observed — the insensitivity Figure 2 demonstrates.
+//! critical-value table. A fed clip costs a constant number of
+//! multiply-adds and comparisons: the estimator steps from its window's
+//! precomputed run constants and the table walks to the estimate's cell
+//! from the predicate's last one. The initial probabilities `p_obj_0` /
+//! `p_act_0` only matter until roughly one kernel bandwidth of stream has
+//! been observed — the insensitivity Figure 2 demonstrates.
 //!
 //! One engine runs every online statement: the canonical conjunction, and
 //! the footnote 2–4 extensions (multiple actions, `OR`, `leftOf`) as a
@@ -20,7 +23,7 @@ use super::merger::SequenceMerger;
 use super::OnlineResult;
 use crate::expr::CnfQuery;
 use std::time::Duration;
-use svq_scanstats::{critical_value, CriticalValueTable, KernelEstimator, ScanConfig};
+use svq_scanstats::{critical_value, CriticalValueTable, KernelEstimator, ScanConfig, WindowRun};
 use svq_types::{ClipId, ClipInterval, Clock, VideoGeometry};
 use svq_vision::stream::ClipAccess;
 use svq_vision::{VideoStream, WallClock};
@@ -43,8 +46,10 @@ pub struct ClipEvaluation<'a> {
     pub closed: Option<ClipInterval>,
 }
 
-/// One predicate's SVAQD state: its background estimator, the critical
-/// value in force, and the vicinity guard.
+/// One predicate's SVAQD state: its background estimator with its
+/// window's run constants, its own handle on the critical-value table
+/// (its walk hint is the predicate's), the critical value in force, and
+/// the vicinity guard.
 ///
 /// Under [`BackgroundUpdate::NegativeClips`], a clip immediately following
 /// a predicate-positive clip is excluded from that predicate's background
@@ -75,6 +80,9 @@ pub struct ClipEvaluation<'a> {
 #[derive(Debug, Clone)]
 pub(crate) struct PredicateState {
     estimator: KernelEstimator,
+    /// The estimator's constants for one clip of `window` units.
+    run: WindowRun,
+    table: CriticalValueTable,
     /// Occurrence units per clip (frames or shots).
     window: u32,
     critical: u32,
@@ -83,25 +91,25 @@ pub(crate) struct PredicateState {
 }
 
 impl PredicateState {
-    /// A dynamic state starting from background `prior`.
-    pub(crate) fn new(
-        bandwidth: f64,
-        prior: f64,
-        window: u32,
-        table: &mut CriticalValueTable,
-    ) -> Self {
+    /// A dynamic state starting from background `prior`, looking its
+    /// critical values up in `table`. Clones share the run constants and
+    /// the table's array; give each predicate its own clone.
+    pub(crate) fn new(bandwidth: f64, prior: f64, window: u32, table: CriticalValueTable) -> Self {
+        let estimator = KernelEstimator::new(bandwidth, prior);
         let mut state = Self {
-            estimator: KernelEstimator::new(bandwidth, prior),
+            run: estimator.window_run(u64::from(window)),
+            estimator,
+            table,
             window,
             critical: 0,
             after_positive: false,
         };
-        state.rederive(table);
+        state.rederive();
         state
     }
 
-    fn rederive(&mut self, table: &mut CriticalValueTable) {
-        let k = table.critical_value(self.estimator.estimate());
+    fn rederive(&mut self) {
+        let k = self.table.critical_value(self.estimator.estimate());
         self.critical = k.clamp(2, (self.window - 1).max(2));
     }
 
@@ -118,7 +126,6 @@ impl PredicateState {
         count: Option<u32>,
         clip_positive: bool,
         config: &OnlineConfig,
-        table: &mut CriticalValueTable,
     ) {
         let Some(count) = count else {
             self.after_positive = false;
@@ -131,10 +138,10 @@ impl PredicateState {
             BackgroundUpdate::PositiveClips => clip_positive,
         };
         if feed {
-            let w = u64::from(self.window);
-            let censored = censor(count, w, self.estimator.estimate());
-            self.estimator.observe_run(w, u64::from(censored));
-            self.rederive(table);
+            let censored = censor(count, self.run.units(), self.estimator.estimate());
+            self.estimator
+                .observe_window(&self.run, u64::from(censored));
+            self.rederive();
         }
         self.after_positive = positive;
     }
@@ -148,9 +155,9 @@ pub struct Svaqd {
     /// One state per distinct predicate, matching `clauses.predicates`.
     states: Vec<PredicateState>,
     config: OnlineConfig,
-    /// Frame and shot critical-value tables; `None` for Algorithm 1, whose
-    /// critical values never move.
-    tables: Option<[CriticalValueTable; 2]>,
+    /// Whether the states adapt (Algorithm 3); Algorithm 1's critical
+    /// values never move.
+    dynamic: bool,
     merger: SequenceMerger,
     /// The last clip's row, reused every clip: the critical values it was
     /// evaluated against and its counts, one entry per distinct predicate.
@@ -197,16 +204,18 @@ impl Svaqd {
         let clauses = Clauses::new(&query);
         let windows = [geometry.frames_per_clip(), geometry.shots_per_clip];
         let bandwidths = [BANDWIDTH_FRAMES, BANDWIDTH_SHOTS];
-        let mut tables = windows.map(|w| {
-            CriticalValueTable::new(ScanConfig::new(w, config.horizon_windows, config.alpha))
+        // One state per unit, cloned per predicate.
+        let initial = [0, 1].map(|u| {
+            let scan = ScanConfig::new(windows[u], config.horizon_windows, config.alpha);
+            let table = CriticalValueTable::new(scan);
+            PredicateState::new(bandwidths[u], priors[u], windows[u], table)
         });
         let states = clauses
             .predicates
             .iter()
             .map(|p| {
                 let u = unit(p);
-                let mut state =
-                    PredicateState::new(bandwidths[u], priors[u], windows[u], &mut tables[u]);
+                let mut state = initial[u].clone();
                 if !dynamic {
                     state.critical =
                         critical_value(priors[u], windows[u], config.horizon_windows, config.alpha);
@@ -220,7 +229,7 @@ impl Svaqd {
             clauses,
             states,
             config,
-            tables: dynamic.then_some(tables),
+            dynamic,
             merger: SequenceMerger::new(),
         }
     }
@@ -258,17 +267,14 @@ impl Svaqd {
             &mut self.row_counts,
         );
         // Update background estimators with this clip's observations and
-        // re-derive their critical values (Algorithm 3 lines 7-9). The
-        // memoised table makes this cheap when estimates are stable.
-        if let Some(tables) = &mut self.tables {
-            for ((state, &count), p) in self
-                .states
-                .iter_mut()
-                .zip(&self.row_counts)
-                .zip(&self.clauses.predicates)
-            {
-                let table = &mut tables[unit(p)];
-                state.observe(count, positive, &self.config, table);
+        // re-derive their critical values (Algorithm 3 lines 7-9): per fed
+        // predicate a few multiply-adds from the window's run constants
+        // and a walk of the memoised table from the last clip's cell; a
+        // logarithm only when the estimate jumps cells or a count of two
+        // or more is censored.
+        if self.dynamic {
+            for (state, &count) in self.states.iter_mut().zip(&self.row_counts) {
+                state.observe(count, positive, &self.config);
             }
         }
         ClipEvaluation {
@@ -340,10 +346,13 @@ impl Svaqd {
 /// before any logarithm: the cap is never below 1. Otherwise the quantile
 /// search stops at `m = ⌈count/2⌉`, which is exact:
 /// `count.min(max(2·min(Q, m), 1)) == count.min(max(2·Q, 1))`, because
-/// `2·m ≥ count` whenever `Q > m`. Fed clips are mostly quiet: on the
-/// long-stream golden's runs over svqbench's corpus, ingest's per-class
-/// trackers included, 95 % of fed counts are 0 or 1 and take the first
-/// branch.
+/// `2·m ≥ count` whenever `Q > m`. Fed clips are mostly quiet, but how
+/// quiet depends on the path: on the long-stream golden's runs over
+/// svqbench's corpus, ingest's per-class trackers included, 95 % of fed
+/// counts are 0 or 1 and take the first branch; on `stream` requests over
+/// the same corpus (the three svqbench statement shapes) 73–92 % do. The
+/// rest pay two logarithms and up to `⌈count/2⌉` exponentials, the
+/// largest remaining cost of a fed clip.
 fn censor(count: u32, w: u64, p: f64) -> u32 {
     if count <= 1 {
         return count;

@@ -12,15 +12,17 @@
 //!   ingest no matter how workers interleaved.
 //! * **Memory.** Workers hand each finished [`svq_storage::IngestedVideo`]
 //!   through a *bounded* (capacity-1) channel to a single consumer that
-//!   feeds the sink. At most `workers + 1` finished catalogs exist at any
-//!   instant — each worker holding one on a blocked send plus the one in
-//!   the channel — instead of the unbounded buffering of the old
-//!   `Vec`-collect fan-in. The spill sink therefore ingests repositories
-//!   far larger than RAM.
+//!   feeds the sink, instead of the unbounded buffering of the old
+//!   `Vec`-collect fan-in. A worker takes one of `workers + 1` permits
+//!   before it sends, and the consumer returns it once the sink has taken
+//!   the catalog, so at most `workers + 1` finished catalogs exist at any
+//!   instant: on a blocked send, in the channel, or held by the consumer
+//!   while `CatalogSink::accept` runs. The spill sink therefore ingests
+//!   repositories far larger than RAM.
 //!
-//! The hand-off depth is tracked in [`ExecMetrics::ingest`]
-//! (`buffered_high_water`), which tests and the `ingest-spill` bench assert
-//! against the `workers + 1` bound.
+//! The permits held are the hand-off depth in [`ExecMetrics::ingest`]
+//! (`buffered`, peak `buffered_high_water`), which tests and the
+//! `ingest-spill` bench assert against the `workers + 1` bound.
 
 use crate::metrics::ExecMetrics;
 use crate::pool::WorkerPool;
@@ -53,12 +55,14 @@ pub fn parallel_ingest_into<S: CatalogSink>(
 ) -> SvqResult<S::Output> {
     let pool = WorkerPool::new(workers, oracles.len().max(1), metrics.clone());
     // Capacity 1: a worker with a finished catalog blocks until the
-    // consumer is ready, bounding resident catalogs at `workers + 1`.
+    // consumer is ready. The permits are a token per finished catalog not
+    // yet sunk; their capacity bounds resident catalogs at `workers + 1`.
     let (tx, rx) = bounded(1);
+    let (permit, permits) = bounded(workers + 1);
     for oracle in oracles {
         let oracle = oracle.clone();
         let scoring = scoring.clone();
-        let tx = tx.clone();
+        let (tx, permit) = (tx.clone(), permit.clone());
         let metrics = metrics.clone();
         let counters = pool
             .metrics()
@@ -72,32 +76,37 @@ pub fn parallel_ingest_into<S: CatalogSink>(
             counters
                 .eval_nanos
                 .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            // The gauge rises only after a permit is taken and falls before
+            // one is returned, so it never exceeds the permits' capacity.
+            let _ = permit.send(());
             metrics.ingest().enter_buffer();
             let _ = tx.send(catalog);
         }));
     }
-    drop(tx);
+    drop((tx, permit));
     // Workers drop their tx clones with the job closures; consuming until
-    // disconnect therefore drains exactly the non-panicked catalogs.
+    // disconnect therefore drains exactly the non-panicked catalogs. After
+    // a sink error the rest are dropped unsunk, so workers never block
+    // forever.
     let mut sink_error = None;
     for catalog in rx.iter() {
-        metrics.ingest().exit_buffer();
-        if sink_error.is_some() {
-            continue; // keep draining so workers never block forever
-        }
-        let accepted = std::time::Instant::now();
-        let outcome = sink.accept(catalog);
-        let ing = metrics.ingest();
-        ing.sink_nanos
-            .fetch_add(accepted.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        match outcome {
-            Ok(()) => {
-                ing.catalogs_sunk.fetch_add(1, Ordering::Relaxed);
-                ing.bytes_written
-                    .store(sink.bytes_written(), Ordering::Relaxed);
+        if sink_error.is_none() {
+            let accepted = std::time::Instant::now();
+            let outcome = sink.accept(catalog);
+            let ing = metrics.ingest();
+            ing.sink_nanos
+                .fetch_add(accepted.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            match outcome {
+                Ok(()) => {
+                    ing.catalogs_sunk.fetch_add(1, Ordering::Relaxed);
+                    ing.bytes_written
+                        .store(sink.bytes_written(), Ordering::Relaxed);
+                }
+                Err(e) => sink_error = Some(e),
             }
-            Err(e) => sink_error = Some(e),
         }
+        metrics.ingest().exit_buffer();
+        let _ = permits.recv();
     }
     pool.shutdown();
     match sink_error {
@@ -187,7 +196,8 @@ mod tests {
             ExecMetrics::new(),
         );
 
-        let dir = std::env::temp_dir().join("svq_parallel_spill_test");
+        let dir =
+            std::env::temp_dir().join(format!("svq_parallel_spill_test_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let metrics = ExecMetrics::new();
         let report = parallel_ingest_into(

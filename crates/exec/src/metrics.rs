@@ -32,11 +32,12 @@ impl SessionCounters {
 /// Counters for the parallel-ingest fan-in (see `svq_exec::ingest`).
 ///
 /// "Buffered" counts catalogs a worker has finished building that the
-/// sink consumer has not yet pulled out of the bounded hand-off. With a
-/// capacity-1 hand-off channel the high-water mark is bounded by
-/// `workers + 1` (each worker holding one finished catalog on a blocked
-/// send, plus the one in the channel) — the invariant the spill path
-/// exists to enforce, asserted by tests and the `ingest-spill` bench.
+/// sink has not yet taken: on a blocked send, in the capacity-1 hand-off
+/// channel, or held by the consumer while the sink accepts it. It counts
+/// the hand-off's permits, of which there are `workers + 1`, so the
+/// high-water mark is bounded by `workers + 1` by construction — the
+/// invariant the spill path exists to enforce, asserted by tests and the
+/// `ingest-spill` bench.
 #[derive(Debug, Default)]
 pub struct IngestCounters {
     /// Catalogs completed by workers.
@@ -48,21 +49,22 @@ pub struct IngestCounters {
     /// Nanoseconds spent inside `CatalogSink::accept` (serialisation +
     /// write + rename + manifest append for the spill sink).
     pub sink_nanos: AtomicU64,
-    /// Finished catalogs currently waiting in the hand-off (gauge).
+    /// Finished catalogs not yet sunk (gauge).
     pub buffered: AtomicU64,
     /// High-water mark of `buffered` over the run.
     pub buffered_high_water: AtomicU64,
 }
 
 impl IngestCounters {
-    /// A worker finished a catalog: it now occupies the hand-off.
+    /// A worker finished a catalog and took a hand-off permit for it.
     pub(crate) fn enter_buffer(&self) {
         self.catalogs_built.fetch_add(1, Ordering::Relaxed);
         let depth = self.buffered.fetch_add(1, Ordering::Relaxed) + 1;
         self.buffered_high_water.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// The consumer pulled a catalog out of the hand-off.
+    /// The sink took a catalog (or it was dropped after a sink error);
+    /// its permit is about to be returned.
     pub(crate) fn exit_buffer(&self) {
         self.buffered.fetch_sub(1, Ordering::Relaxed);
     }
@@ -353,7 +355,6 @@ impl ExecMetrics {
             jobs_executed: self.inner.pool.jobs_executed.load(Ordering::Relaxed),
             jobs_panicked: self.inner.pool.jobs_panicked.load(Ordering::Relaxed),
             pool_queue_depth: self.inner.pool.queue_depth.load(Ordering::Relaxed),
-            total_clips,
             total_clips_per_sec: total_clips as f64 / elapsed,
             ingest: IngestSnapshot {
                 catalogs_built: ing.catalogs_built.load(Ordering::Relaxed),
@@ -469,7 +470,7 @@ pub struct IngestSnapshot {
     pub bytes_written: u64,
     /// Total time inside `CatalogSink::accept` (spill latency).
     pub sink_ms: f64,
-    /// Finished catalogs currently waiting in the hand-off.
+    /// Finished catalogs not yet sunk.
     pub buffered: u64,
     /// Peak simultaneous waiting catalogs — bounded by `workers + 1`.
     pub buffered_high_water: u64,
@@ -572,8 +573,8 @@ pub struct MetricsSnapshot {
     pub jobs_executed: u64,
     pub jobs_panicked: u64,
     pub pool_queue_depth: u64,
-    pub total_clips: u64,
-    /// Pool-wide throughput across all sessions.
+    /// Pool-wide throughput across all sessions; the clip count itself is
+    /// `server.total_clips`.
     pub total_clips_per_sec: f64,
     pub ingest: IngestSnapshot,
     pub server: StatsFrame,
@@ -613,7 +614,7 @@ impl fmt::Display for MetricsSnapshot {
              {} jobs ({} panicked), pool queue {}",
             self.workers,
             self.elapsed_sec,
-            self.total_clips,
+            self.server.total_clips,
             self.total_clips_per_sec,
             self.jobs_executed,
             self.jobs_panicked,
@@ -715,7 +716,7 @@ mod tests {
         b.clips_processed.store(12, Ordering::Relaxed);
         let snap = metrics.snapshot();
         assert_eq!(snap.workers, 4);
-        assert_eq!(snap.total_clips, 42);
+        assert_eq!(snap.server.total_clips, 42);
         assert_eq!(snap.sessions.len(), 2);
         assert_eq!(snap.sessions[1].clips_processed, 12);
         assert!(snap.total_clips_per_sec > 0.0);
@@ -801,14 +802,14 @@ mod tests {
         let b = metrics.register_session("stream/2".into());
         a.clips_processed.store(10, Ordering::Relaxed);
         b.clips_processed.store(5, Ordering::Relaxed);
-        assert_eq!(metrics.snapshot().total_clips, 15);
+        assert_eq!(metrics.snapshot().server.total_clips, 15);
         metrics.retire_session(&a);
         let snap = metrics.snapshot();
         assert_eq!(snap.sessions.len(), 1, "retired line is gone");
-        assert_eq!(snap.total_clips, 15, "clip total stays monotonic");
+        assert_eq!(snap.server.total_clips, 15, "clip total stays monotonic");
         // Retiring twice (or an unknown block) is harmless.
         metrics.retire_session(&a);
-        assert_eq!(metrics.snapshot().total_clips, 15);
+        assert_eq!(metrics.snapshot().server.total_clips, 15);
     }
 
     #[test]
@@ -818,7 +819,7 @@ mod tests {
         let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = seen.clone();
         let reporter = metrics.spawn_reporter(Duration::from_millis(2), move |snap| {
-            sink.lock().push(snap.total_clips);
+            sink.lock().push(snap.server.total_clips);
         });
         session.clips_processed.store(7, Ordering::Relaxed);
         // Wait until at least one snapshot lands (bounded, not timing-exact).
@@ -854,7 +855,6 @@ mod tests {
             jobs_executed: 40,
             jobs_panicked: 1,
             pool_queue_depth: 2,
-            total_clips: 900,
             total_clips_per_sec: 72.0,
             ingest: IngestSnapshot {
                 catalogs_built: 4,
@@ -891,6 +891,7 @@ mod tests {
                 latency_p50_ms: 27.5,
                 latency_p95_ms: 28.25,
                 latency_p99_ms: 29.125,
+                total_clips: 900,
                 ..StatsFrame::default()
             },
             shards: Vec::new(),

@@ -544,7 +544,7 @@ mod tests {
                 assert_eq!(got.cost.action_shots, cost.action_shots);
             }
             let snap = mux.metrics().snapshot();
-            assert_eq!(snap.total_clips, 240);
+            assert_eq!(snap.server.total_clips, 240);
             assert_eq!(snap.jobs_panicked, 0);
             mux.shutdown();
         }
@@ -653,7 +653,7 @@ mod tests {
         mux.release(first);
         let snap = mux.metrics().snapshot();
         assert_eq!(snap.sessions.len(), 0, "metrics line retired");
-        assert_eq!(snap.total_clips, 40, "clips survive retirement");
+        assert_eq!(snap.server.total_clips, 40, "clips survive retirement");
 
         // The freed slot is handed out again; the session works end-to-end.
         let second = mux.register(
@@ -668,7 +668,7 @@ mod tests {
         assert_eq!(mux.wait(second).unwrap().clips_processed, 40);
         let snap = mux.metrics().snapshot();
         assert_eq!(snap.sessions.len(), 1);
-        assert_eq!(snap.total_clips, 80);
+        assert_eq!(snap.server.total_clips, 80);
 
         // Occupied slots are untouched: a live third session keeps its id.
         let third = mux.register(
@@ -683,7 +683,7 @@ mod tests {
         mux.feed_stream(third);
         assert_eq!(mux.wait(third).unwrap().clips_processed, 40);
         mux.release(third);
-        assert_eq!(mux.metrics().snapshot().total_clips, 120);
+        assert_eq!(mux.metrics().snapshot().server.total_clips, 120);
         mux.shutdown();
     }
 

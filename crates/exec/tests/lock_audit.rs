@@ -82,7 +82,7 @@ fn mux_workload_has_no_lock_order_inversions() {
         assert_eq!(result.clips_processed, 40);
     }
     let snapshot = mux.metrics().snapshot();
-    assert_eq!(snapshot.total_clips, 240);
+    assert_eq!(snapshot.server.total_clips, 240);
     mux.shutdown();
 
     let reports = parking_lot::lock_audit::reports();

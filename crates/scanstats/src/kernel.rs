@@ -25,9 +25,16 @@
 //!
 //! Because the update is multiplicative, a whole clip's run of OUs advances
 //! in one closed-form step ([`KernelEstimator::observe_run`]) whose cost
-//! grows with the run's events, not its length.
+//! grows with the run's events, not its length. A stream whose runs all
+//! have one length `w` (SVAQD's clips) keeps that length's constants in a
+//! [`WindowRun`]: `γʷ`, the geometric sum and, filled on first use, the
+//! fired mass of each event count `e ≤ w`. A clip then costs three
+//! multiply-adds and three flushes ([`KernelEstimator::observe_window`]),
+//! bit for bit the state `observe_run(w, e)` leaves.
 
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Exponential-kernel background-probability estimator with edge correction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -117,10 +124,13 @@ impl KernelEstimator {
     /// same rounded `γ` as `observe`. The fired units' sum is a Horner pass
     /// over the fire gaps, which are `⌊u/e⌋` or `⌈u/e⌉` units: `O(e)`
     /// multiply-adds. A run therefore costs `O(log u + e)`, not `O(u)`;
-    /// `units == 0` is a no-op. The estimate stays within 1e-12 of the
-    /// per-unit recurrence computed exactly, closer than a loop of
-    /// `observe` calls, which rounds up to `~ε·bandwidth` away from it near
-    /// its fixed point.
+    /// `units == 0` is a no-op. All three terms depend only on `(γ, u, e)`,
+    /// so a caller whose runs share one length precomputes them once
+    /// ([`window_run`](Self::window_run)) and steps in `O(1)` with
+    /// [`observe_window`](Self::observe_window). The estimate stays within
+    /// 1e-12 of the per-unit recurrence computed exactly, closer than a
+    /// loop of `observe` calls, which rounds up to `~ε·bandwidth` away from
+    /// it near its fixed point.
     ///
     /// A mass that decays below `f64::MIN_POSITIVE` is flushed to zero.
     /// Left alone it would sink into the subnormals, where `x·γ` rounds back
@@ -134,33 +144,54 @@ impl KernelEstimator {
         }
         let events = events.min(units);
         let (decay_run, unit_mass) = geometric(self.decay, units);
-        let fired_mass = match units.checked_div(events) {
-            None => 0.0,
-            // Fire `k` ends unit `⌈k·u/e⌉`: `q = ⌊u/e⌋` units after the
-            // previous one, plus one whenever `⌈k·r/e⌉` steps up
-            // (`r = u mod e`). `slack = ⌈k·r/e⌉·e − k·r` tracks the steps
-            // without a product. The sum starts empty, so the first gap
-            // decays nothing, and the last fire ends the run.
-            Some(q) => {
-                let r = units % events;
-                let short = geometric(self.decay, q).0;
-                let long = short * self.decay;
-                let mut slack = 0;
-                let mut mass = 0.0;
-                for _ in 0..events {
-                    let gap = if slack < r {
-                        slack += events - r;
-                        long
-                    } else {
-                        slack -= r;
-                        short
-                    };
-                    mass = mass * gap + 1.0;
-                }
-                mass
-            }
-        };
-        self.event_mass = flush(self.event_mass * decay_run + fired_mass);
+        let fired = fired_mass(self.decay, units, events);
+        self.advance(units, events, decay_run, unit_mass, fired);
+    }
+
+    /// The constants of a `units`-long run under this estimator's kernel,
+    /// for [`observe_window`](Self::observe_window).
+    pub fn window_run(&self, units: u64) -> WindowRun {
+        assert!(units > 0, "a window holds at least one OU");
+        let (decay_run, unit_mass) = geometric(self.decay, units);
+        WindowRun {
+            units,
+            decay: self.decay,
+            decay_run,
+            unit_mass,
+            fired: (0..=units)
+                .map(|_| AtomicU64::new(f64::NAN.to_bits()))
+                .collect(),
+        }
+    }
+
+    /// [`observe_run`](Self::observe_run)`(run.units(), events)` from the
+    /// run's constants, leaving every field bit for bit as it does. The
+    /// first call per event count fills that count's fired mass; every
+    /// call after costs three multiply-adds and three flushes.
+    ///
+    /// Panics unless `run` comes from [`window_run`](Self::window_run) on
+    /// an estimator of the same bandwidth.
+    #[inline]
+    pub fn observe_window(&mut self, run: &WindowRun, events: u64) {
+        assert!(
+            run.decay.to_bits() == self.decay.to_bits(),
+            "window run built for another bandwidth"
+        );
+        let events = events.min(run.units);
+        let slot = &run.fired[events as usize];
+        let mut fired = f64::from_bits(slot.load(Ordering::Relaxed));
+        if fired.is_nan() {
+            fired = fired_mass(self.decay, run.units, events);
+            slot.store(fired.to_bits(), Ordering::Relaxed);
+        }
+        self.advance(run.units, events, run.decay_run, run.unit_mass, fired);
+    }
+
+    /// The closed-form step of a run of `units` OUs holding `events`
+    /// events, from its decay `γᵘ`, unit mass `Σ_{k<u} γᵏ` and fired mass.
+    #[inline]
+    fn advance(&mut self, units: u64, events: u64, decay_run: f64, unit_mass: f64, fired: f64) {
+        self.event_mass = flush(self.event_mass * decay_run + fired);
         self.occurrence_mass = flush(self.occurrence_mass * decay_run + unit_mass);
         self.prior_mass = flush(self.prior_mass * decay_run);
         self.observed += units;
@@ -176,6 +207,7 @@ impl KernelEstimator {
     /// out within a handful of clips.
     ///
     /// [`prior_strength`]: Self::with_prior_strength
+    #[inline]
     pub fn estimate(&self) -> f64 {
         let blended = (self.event_mass + self.prior_mass * self.prior)
             / (self.occurrence_mass + self.prior_mass).max(1e-12);
@@ -206,6 +238,66 @@ impl KernelEstimator {
     pub fn bandwidth(&self) -> f64 {
         self.bandwidth
     }
+}
+
+/// One run length's constants under one kernel: see
+/// [`KernelEstimator::window_run`].
+///
+/// Clones share the fired masses, so estimators stepped by clones of one
+/// run fill each entry once between them. An entry is a pure function of
+/// `(γ, w, e)`: racing fills store the same bits, and an entry publishes
+/// nothing else, so `Relaxed` is enough.
+#[derive(Debug, Clone)]
+pub struct WindowRun {
+    /// Run length `w`, in occurrence units.
+    units: u64,
+    /// The `γ` the constants are for.
+    decay: f64,
+    /// `γʷ`.
+    decay_run: f64,
+    /// `Σ_{k<w} γᵏ`.
+    unit_mass: f64,
+    /// Fired mass per event count `0..=w` as `f64` bits, `NaN` until
+    /// first used.
+    fired: Arc<[AtomicU64]>,
+}
+
+impl WindowRun {
+    /// Run length `w`, in occurrence units.
+    #[inline]
+    pub fn units(&self) -> u64 {
+        self.units
+    }
+}
+
+/// The decayed mass `Σ_fired γ^(u−1−j)` of `events ≤ units` events fired
+/// at the evenly spread positions of a `units`-long run.
+///
+/// Fire `k` ends unit `⌈k·u/e⌉`: `q = ⌊u/e⌋` units after the previous
+/// one, plus one whenever `⌈k·r/e⌉` steps up (`r = u mod e`).
+/// `slack = ⌈k·r/e⌉·e − k·r` tracks the steps without a product. The sum
+/// starts empty, so the first gap decays nothing, and the last fire ends
+/// the run.
+fn fired_mass(decay: f64, units: u64, events: u64) -> f64 {
+    let Some(q) = units.checked_div(events) else {
+        return 0.0;
+    };
+    let r = units % events;
+    let short = geometric(decay, q).0;
+    let long = short * decay;
+    let mut slack = 0;
+    let mut mass = 0.0;
+    for _ in 0..events {
+        let gap = if slack < r {
+            slack += events - r;
+            long
+        } else {
+            slack -= r;
+            short
+        };
+        mass = mass * gap + 1.0;
+    }
+    mass
 }
 
 /// `(γⁿ, Σ_{k<n} γᵏ)` by binary powering over `n`'s bits: doubling takes
@@ -510,6 +602,71 @@ mod tests {
                     closed.estimate(),
                     exact.estimate()
                 );
+            }
+        }
+    }
+
+    /// Every field, bit for bit.
+    fn fields(est: &KernelEstimator) -> [u64; 11] {
+        [
+            est.bandwidth.to_bits(),
+            est.decay.to_bits(),
+            est.event_mass.to_bits(),
+            est.occurrence_mass.to_bits(),
+            est.observed,
+            est.events,
+            est.prior.to_bits(),
+            est.prior_strength.to_bits(),
+            est.prior_mass.to_bits(),
+            est.clamp.0.to_bits(),
+            est.clamp.1.to_bits(),
+        ]
+    }
+
+    /// A mass for a random starting state: zero, within a few thousand
+    /// ulps of the flush threshold on either side, or ordinary.
+    fn hostile_mass() -> impl Strategy<Value = f64> {
+        (0usize..4, 0u64..4096, 0.0f64..2e4).prop_map(|(kind, ulps, x)| match kind {
+            0 => 0.0,
+            1 => f64::from_bits(f64::MIN_POSITIVE.to_bits() + ulps),
+            2 => f64::from_bits(f64::MIN_POSITIVE.to_bits() - ulps.max(1)),
+            _ => x,
+        })
+    }
+
+    proptest! {
+        /// The per-window table path against `observe_run`: from a random
+        /// state (masses zero, ordinary, or at the flush threshold, just
+        /// below it included), one step of every event count `e ≤ w + 2`
+        /// for `w ∈ {5, 50}`, then a random chain of clips on one shared
+        /// table, each leaving every field bit for bit as `observe_run`
+        /// does.
+        #[test]
+        fn observe_run_window_table_is_bit_identical(
+            log_bandwidth in 0.0f64..6.0,
+            masses in (hostile_mass(), hostile_mass(), hostile_mass()),
+            counts in (0u64..1 << 40, 0u64..1 << 40),
+            window_50 in any::<bool>(),
+            chain in prop::collection::vec(0u64..60, 0..64),
+        ) {
+            let w = if window_50 { 50 } else { 5 };
+            let mut start = KernelEstimator::new(10f64.powf(log_bandwidth), 0.3);
+            (start.event_mass, start.occurrence_mass, start.prior_mass) = masses;
+            (start.observed, start.events) = (counts.0.max(counts.1), counts.0.min(counts.1));
+            let run = start.window_run(w);
+            prop_assert_eq!(run.units(), w);
+            for e in 0..=w + 2 {
+                let (mut table, mut closed) = (start.clone(), start.clone());
+                table.observe_window(&run, e);
+                closed.observe_run(w, e);
+                prop_assert_eq!(fields(&table), fields(&closed), "w {} e {}", w, e);
+            }
+            let (mut table, mut closed) = (start.clone(), start);
+            let fresh = table.window_run(w);
+            for e in chain {
+                table.observe_window(&fresh, e);
+                closed.observe_run(w, e);
+                prop_assert_eq!(fields(&table), fields(&closed), "w {} e {}", w, e);
             }
         }
     }

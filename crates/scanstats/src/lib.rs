@@ -35,5 +35,5 @@ pub mod kernel;
 mod montecarlo;
 pub mod naus;
 
-pub use kernel::KernelEstimator;
+pub use kernel::{KernelEstimator, WindowRun};
 pub use naus::{critical_value, scan_tail_probability, CriticalValueTable, ScanConfig};

@@ -29,7 +29,7 @@
 use crate::binomial::BinomialTable;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Configuration of one scan-statistic test: window length `w` (the clip
 /// length in occurrence units), horizon factor `L = N/w`, and significance
@@ -193,6 +193,35 @@ fn unresolved() -> Arc<Cells> {
     Arc::new(std::array::from_fn(|_| AtomicU32::new(0)))
 }
 
+/// Relative margin that pulls each cell's edges inward: far above the
+/// rounding of `ln` and `exp` (a few ulps, ~1e-15 relative), so every `p`
+/// between a cell's pulled-in edges has that cell as its `key`.
+const EDGE_MARGIN: f64 = 1e-9;
+
+/// Most cells a lookup walks from its hint before it falls back to `key`.
+const WALK: usize = 8;
+
+/// Per cell index `i = −cell`, the cell's edges `exp((cell ∓ ½)·step)`
+/// pulled inward by [`EDGE_MARGIN`]: `[low, high]`. Built once per
+/// process, 2 × 2 778 `f64`.
+fn cell_edges() -> &'static [[f64; 2]; CELLS] {
+    static EDGES: OnceLock<Box<[[f64; 2]; CELLS]>> = OnceLock::new();
+    EDGES.get_or_init(|| {
+        // Collected straight onto the heap: a 44 KB array built on the
+        // stack first would stay resident there.
+        let edges: Box<[[f64; 2]]> = (0..CELLS)
+            .map(|i| {
+                let cell = -(i as f64);
+                [
+                    ((cell - 0.5) * GRID_LN_STEP).exp() * (1.0 + EDGE_MARGIN),
+                    ((cell + 0.5) * GRID_LN_STEP).exp() * (1.0 - EDGE_MARGIN),
+                ]
+            })
+            .collect();
+        edges.try_into().expect("one pair per cell")
+    })
+}
+
 /// A memoised critical-value table: a handle to one dense array of
 /// resolved critical values per scan configuration `(w, L, α)`.
 ///
@@ -207,18 +236,31 @@ fn unresolved() -> Arc<Cells> {
 /// through a process-wide registry: a cold Naus evaluation costs tens of
 /// microseconds and a drifting background crosses dozens of cells per
 /// stream, so without sharing every freshly built SVAQD run (one per
-/// `stream` request) would re-pay the warm-up. A lookup is one `Relaxed`
-/// load; a miss evaluates and stores the value. Racing writers store the
-/// same value, and the slot publishes nothing else, so no ordering is
-/// needed. The registry holds at most 64 configurations and never evicts;
-/// a table for any further configuration resolves into a private array of
-/// its own, with the same values. Clones share their array.
+/// `stream` request) would re-pay the warm-up. A lookup finds its cell
+/// and does one `Relaxed` load; a miss evaluates and stores the value.
+/// Racing writers store the same value, and the slot publishes nothing
+/// else, so no ordering is needed. The registry holds at most 64
+/// configurations and never evicts; a table for any further configuration
+/// resolves into a private array of its own, with the same values.
+///
+/// Finding the cell takes no logarithm when `p` stays near the last
+/// lookup's, as an estimator's drifting background does: each table
+/// keeps the cell of its last lookup as a hint and walks up to 8 cells
+/// from it, comparing `p` with the cells' edges pulled inward by a 1e-9
+/// relative margin (a process-wide array). A `p` inside a margin, past
+/// the walk, at a grid end or `NaN` falls back to `key`'s logarithm, so
+/// the walk returns `key`'s cell by construction. Clones share their
+/// array but each walks from its own hint, so give each stream of lookups
+/// (each SVAQD predicate) its own clone.
 #[derive(Clone)]
 pub struct CriticalValueTable {
     window: u32,
     horizon_windows: f64,
     alpha: f64,
     cells: Arc<Cells>,
+    /// Cell index (`−cell`) of the last lookup, kept inside the grid's
+    /// interior `1..CELLS − 1`: where the next lookup starts its walk.
+    hint: usize,
 }
 
 impl std::fmt::Debug for CriticalValueTable {
@@ -257,6 +299,7 @@ impl CriticalValueTable {
             horizon_windows: config.horizon_windows,
             alpha: config.alpha,
             cells,
+            hint: 1,
         }
     }
 
@@ -272,12 +315,43 @@ impl CriticalValueTable {
         (cell as f64 * GRID_LN_STEP).exp().min(1.0)
     }
 
+    /// `p`'s cell index `−key(p)`, walked to by comparison from the hint
+    /// when it lies within [`WALK`] interior cells of it, from `key`
+    /// otherwise; the hint moves to it.
+    #[inline]
+    fn locate(&mut self, p: f64) -> usize {
+        let edges = cell_edges();
+        let mut i = self.hint;
+        for _ in 0..WALK {
+            let [low, high] = edges[i];
+            // A larger index is a smaller probability.
+            if p < low {
+                i += 1;
+            } else if p > high {
+                i -= 1;
+            } else if p.is_nan() {
+                break;
+            } else {
+                self.hint = i;
+                return i;
+            }
+            if i == 0 || i == CELLS - 1 {
+                break;
+            }
+        }
+        let i = Self::key(p).unsigned_abs() as usize;
+        self.hint = i.clamp(1, CELLS - 2);
+        i
+    }
+
     /// The critical value for background probability `p` (cached).
+    #[inline]
     pub fn critical_value(&mut self, p: f64) -> u32 {
-        let cell = Self::key(p);
-        let slot = &self.cells[cell.unsigned_abs() as usize];
+        let i = self.locate(p);
+        let slot = &self.cells[i];
         match slot.load(Ordering::Relaxed) {
             0 => {
+                let cell = -(i as i32);
                 let k = critical_value(
                     Self::cell_p(cell),
                     self.window,
@@ -498,6 +572,75 @@ mod tests {
             let ps: Vec<f64> = exponents.iter().map(|&e| 10f64.powf(e)).collect();
             for (w, l, alpha) in configs {
                 check_table(ScanConfig::new(w, l, alpha), &ps);
+            }
+        }
+    }
+
+    /// The cell index `table` walks to for `p` from `hint`; the hint it
+    /// leaves must stay in the grid's interior.
+    fn walked(table: &mut CriticalValueTable, hint: usize, p: f64) -> usize {
+        table.hint = hint;
+        let i = table.locate(p);
+        assert!((1..CELLS - 1).contains(&table.hint), "hint {}", table.hint);
+        i
+    }
+
+    fn key_index(p: f64) -> usize {
+        CriticalValueTable::key(p).unsigned_abs() as usize
+    }
+
+    /// Both edges of every cell, exact (`exp((cell ∓ ½)·step)`) and pulled
+    /// in by the margin, each ±64 ulps, walked from the cell and both its
+    /// neighbours: every probe lands where `key` puts it.
+    #[test]
+    fn registry_cell_walk_equals_key_at_every_edge() {
+        let mut table = CriticalValueTable::new(ScanConfig::new(5, 100.0, 0.05));
+        for (i, &inner) in cell_edges().iter().enumerate() {
+            let cell = -(i as f64);
+            let exact = [-0.5, 0.5].map(|half| ((cell + half) * GRID_LN_STEP).exp());
+            for base in exact.into_iter().chain(inner) {
+                for ulps in -64i64..=64 {
+                    let p = f64::from_bits(base.to_bits().wrapping_add_signed(ulps));
+                    let want = key_index(p);
+                    for hint in [i.saturating_sub(1), i, i + 1] {
+                        let hint = hint.clamp(1, CELLS - 2);
+                        assert_eq!(walked(&mut table, hint, p), want, "p={p:e} hint {hint}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Random `p` over the estimator's clamp range `[1e-6, 0.9]`, from
+        /// random hints and as a drifting chain of lookups from one hint,
+        /// plus the probabilities outside it and `NaN`: the walk lands on
+        /// `key`'s cell and the table answers the cell's value.
+        #[test]
+        fn registry_cell_walk_equals_key_from_random_hints(
+            probes in prop::collection::vec((-6.0f64..-0.0458, 1usize..CELLS - 1), 1..64),
+            drift in prop::collection::vec(-0.03f64..0.03, 0..256),
+            start in -6.0f64..-0.0458,
+        ) {
+            let config = ScanConfig::new(50, 100.0, 0.05);
+            let mut table = CriticalValueTable::new(config);
+            for (exponent, hint) in probes {
+                let p = 10f64.powf(exponent);
+                prop_assert_eq!(walked(&mut table, hint, p), key_index(p), "p={:e}", p);
+            }
+            for &p in &EDGE_PS {
+                for hint in [1, CELLS / 2, CELLS - 2] {
+                    prop_assert_eq!(walked(&mut table, hint, p), key_index(p), "p={:e}", p);
+                }
+            }
+            let mut map = MapTable::new(config);
+            let mut exponent = start;
+            for step in drift {
+                exponent = (exponent + step).clamp(-6.0, -0.0458);
+                let p = 10f64.powf(exponent);
+                let hint = table.hint;
+                prop_assert_eq!(walked(&mut table, hint, p), key_index(p), "p={:e}", p);
+                prop_assert_eq!(table.critical_value(p), map.critical_value(p), "p={:e}", p);
             }
         }
     }

@@ -852,6 +852,9 @@ mod tests {
             1,
             "the retired statement's line is gone"
         );
-        assert_eq!(snap.total_clips, 30, "only the healthy statement stepped");
+        assert_eq!(
+            snap.server.total_clips, 30,
+            "only the healthy statement stepped"
+        );
     }
 }

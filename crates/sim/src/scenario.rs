@@ -446,7 +446,7 @@ fn mux_pipeline(ctx: ScenarioCtx) {
     let snap = mux.metrics().snapshot();
     let discarded = poison_at.map_or(0, |at| clips + 1 - at);
     assert_eq!(
-        snap.total_clips,
+        snap.server.total_clips,
         fed - discarded,
         "every fed clip is evaluated exactly once"
     );

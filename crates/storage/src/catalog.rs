@@ -208,7 +208,8 @@ mod tests {
     #[test]
     fn save_load_round_trip() {
         let cat = sample();
-        let path = std::env::temp_dir().join("svq_catalog_test.svqc");
+        let path =
+            std::env::temp_dir().join(format!("svq_catalog_test_{}.svqc", std::process::id()));
         cat.save(&path).unwrap();
         let loaded = IngestedVideo::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -222,12 +223,14 @@ mod tests {
 
     #[test]
     fn load_names_the_file_it_refused() {
-        let path = std::env::temp_dir().join("svq_catalog_refused.svqc");
+        let dir = std::env::temp_dir().join(format!("svq_catalog_refused_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("svq_catalog_refused.svqc");
         let mut bytes = sample().encode().unwrap();
         bytes.truncate(bytes.len() - 1);
         std::fs::write(&path, bytes).unwrap();
         let err = IngestedVideo::load(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
         assert!(matches!(err, SvqError::Storage(_)), "{err}");
         let msg = err.to_string();
         assert!(

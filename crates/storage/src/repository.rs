@@ -423,7 +423,7 @@ mod tests {
         let mut repo = VideoRepository::new();
         repo.add(empty_catalog(3, 4));
         repo.add(empty_catalog(5, 9));
-        let dir = std::env::temp_dir().join("svq_repo_lazy_test");
+        let dir = std::env::temp_dir().join(format!("svq_repo_lazy_test_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         repo.save_dir(&dir).unwrap();
 
@@ -453,7 +453,7 @@ mod tests {
         for id in 1..=3 {
             repo.add(empty_catalog(id, id));
         }
-        let dir = std::env::temp_dir().join("svq_repo_cache_test");
+        let dir = std::env::temp_dir().join(format!("svq_repo_cache_test_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         repo.save_dir(&dir).unwrap();
 
@@ -503,7 +503,8 @@ mod tests {
 
         // Without a configured bound residency only grows, but the
         // hit/miss counters still answer.
-        let dir = std::env::temp_dir().join("svq_repo_unbounded_test");
+        let dir =
+            std::env::temp_dir().join(format!("svq_repo_unbounded_test_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let mut on_disk = VideoRepository::new();
         on_disk.add(empty_catalog(7, 1));
@@ -524,7 +525,8 @@ mod tests {
     fn open_dir_surfaces_missing_catalog_files() {
         let mut repo = VideoRepository::new();
         repo.add(empty_catalog(1, 2));
-        let dir = std::env::temp_dir().join("svq_repo_missing_test");
+        let dir =
+            std::env::temp_dir().join(format!("svq_repo_missing_test_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         repo.save_dir(&dir).unwrap();
         std::fs::remove_file(dir.join("video-1.svqc")).unwrap();
@@ -541,7 +543,8 @@ mod tests {
         let mut repo = VideoRepository::new();
         repo.add(empty_catalog(11, 3));
         repo.add(empty_catalog(12, 4));
-        let dir = std::env::temp_dir().join("svq_repo_open_path_test");
+        let dir =
+            std::env::temp_dir().join(format!("svq_repo_open_path_test_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         repo.save_dir(&dir).unwrap();
 
@@ -564,7 +567,7 @@ mod tests {
 
     #[test]
     fn opening_empty_dir_errors() {
-        let dir = std::env::temp_dir().join("svq_repo_empty_test");
+        let dir = std::env::temp_dir().join(format!("svq_repo_empty_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         assert!(VideoRepository::open_dir(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();

@@ -380,7 +380,7 @@ mod tests {
     }
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(name);
+        let dir = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         dir
     }

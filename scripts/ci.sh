@@ -31,15 +31,21 @@ PROPTEST_CASES=2000 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
   cargo test --release -q -p svq-core --lib -- \
   packed_place_orders_as_the_tuple selection_split_matches_the_full_sort
 
-echo "== occurrence memo, one-step clip charge, censoring cap, critical-value registry and kernel estimator, deep (PROPTEST_CASES=2000)"
+echo "== occurrence memo, one-step clip charge, censoring cap, critical-value registry and cell walk, kernel estimator and its per-window table, deep (PROPTEST_CASES=2000)"
 # The online engines read Algorithm 2's counts from the oracle's per-class
-# memo, a clip's inference cost is charged in one step, SVAQD stops its censoring quantile at ceil(count/2), its critical
-# values come from a capped process-wide registry of dense per-config
-# tables, and its background estimator advances a clip's units in one
-# closed-form step; each is correct only while it equals its definition
-# (the row scan, the per-unit charge loop bit for bit, the capped quantile,
-# the per-table map memo, the per-unit recurrence) and the registry stays within its capacity under hostile
-# configs, so run the properties far past the default 64 cases.
+# memo, a clip's inference cost is charged in one step, SVAQD stops its
+# censoring quantile at ceil(count/2), its critical values come from a
+# capped process-wide registry of dense per-config tables whose cell each
+# predicate finds by walking the cell edges from its last lookup, and its
+# background estimator advances a clip's units in one closed-form step,
+# read from a per-window table of run constants; each is correct only
+# while it equals its definition (the row scan, the per-unit charge loop
+# bit for bit, the capped quantile, the per-table map memo, key's
+# logarithm at every cell edge and from any hint, the per-unit
+# recurrence, observe_run bit for bit) and the registry stays within its
+# capacity under hostile configs, so run the properties far past the
+# default 64 cases. The `registry` filter takes the cell-walk tests, the
+# `observe_run` filter the per-window table's.
 PROPTEST_CASES=2000 cargo test --release -q -p svq-vision --test occurrence_memo --test ledger
 PROPTEST_CASES=2000 cargo test --release -q -p svq-scanstats --lib -- quantile_at_most registry observe_run
 

@@ -135,7 +135,7 @@ fn catalog_persistence_preserves_query_results() {
         RvaqOptions::new(3).with_exact_scores(),
     );
 
-    let path = std::env::temp_dir().join("svq_e2e_catalog.svqc");
+    let path = std::env::temp_dir().join(format!("svq_e2e_catalog_{}.svqc", std::process::id()));
     catalog.save(&path).unwrap();
     let reloaded = IngestedVideo::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
@@ -249,7 +249,7 @@ fn repository_global_topk_end_to_end() {
     assert!(videos.len() > 1, "{videos:?}");
 
     // Persist the repository and re-query.
-    let dir = std::env::temp_dir().join("svq_e2e_repo");
+    let dir = std::env::temp_dir().join(format!("svq_e2e_repo_{}", std::process::id()));
     repo.save_dir(&dir).unwrap();
     let reloaded = VideoRepository::open_dir(&dir).unwrap();
     let again = execute_offline_all(&top_k(4), &reloaded, &PaperScoring).unwrap();
