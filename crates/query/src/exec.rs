@@ -9,7 +9,7 @@
 
 use crate::cluster::{self, ClusterTopK};
 use crate::plan::{LogicalPlan, PlannedPredicate, QueryMode};
-use serde::{json, DeError, Deserialize, EncodeError, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use svq_core::offline::{Rvaq, RvaqOptions, TopKResult};
 use svq_core::online::{OnlineConfig, OnlineResult, Svaqd};
@@ -18,7 +18,12 @@ use svq_types::{ClipInterval, ScoringFunctions, SvqError, SvqResult};
 use svq_vision::{CostLedger, VideoStream};
 
 /// Mode-specific payload of a statement execution.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// On the wire, tagged by `mode`:
+/// `{"mode": "online", "sequences": [...], "cost": {...}}`,
+/// `{"mode": "offline", "topk": {...}}` or `{"mode": "cluster", "topk": {...}}`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "mode", rename_all = "snake_case")]
 pub enum QueryResults {
     /// Online (SVAQD, any predicate shape) output: result sequences plus
     /// the simulated inference cost the stream accumulated.
@@ -28,14 +33,16 @@ pub enum QueryResults {
     },
     /// Offline (RVAQ) output, with exact scores materialised so ranks are
     /// user-meaningful.
+    #[serde(content = "topk")]
     Offline(TopKResult),
     /// Cluster-wide offline output: the scatter-gather merge of per-video
     /// top-Ks across the whole catalog (see [`crate::cluster`]).
+    #[serde(content = "topk")]
     Cluster(ClusterTopK),
 }
 
 /// Uniform envelope returned by [`execute_online`] and [`execute_offline`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryOutcome {
     /// Mode-specific results.
     pub results: QueryResults,
@@ -98,169 +105,6 @@ impl QueryOutcome {
             QueryResults::Cluster(topk) => topk.wall_ms = 0.0,
         }
         out
-    }
-}
-
-// The serde stand-in's derive does not support struct variants, so the
-// externally-tagged-by-`mode` wire shape of `QueryResults` is hand-written,
-// in the tree (`to_value`, `from_value`) and the text (`write_json`,
-// `read_json`) forms:
-// `{"mode": "online", "sequences": [...], "cost": {...}}` or
-// `{"mode": "offline", "topk": {...}}`.
-impl Serialize for QueryResults {
-    fn to_value(&self) -> Value {
-        match self {
-            QueryResults::Online { sequences, cost } => Value::Object(vec![
-                ("mode".into(), Value::Str("online".into())),
-                ("sequences".into(), sequences.to_value()),
-                ("cost".into(), cost.to_value()),
-            ]),
-            QueryResults::Offline(topk) => Value::Object(vec![
-                ("mode".into(), Value::Str("offline".into())),
-                ("topk".into(), topk.to_value()),
-            ]),
-            QueryResults::Cluster(topk) => Value::Object(vec![
-                ("mode".into(), Value::Str("cluster".into())),
-                ("topk".into(), topk.to_value()),
-            ]),
-        }
-    }
-
-    fn write_json(&self, out: &mut String) -> Result<(), EncodeError> {
-        let mut object = json::Object::begin(out);
-        match self {
-            QueryResults::Online { sequences, cost } => {
-                object
-                    .field("mode", "online")?
-                    .field("sequences", sequences)?
-                    .field("cost", cost)?;
-            }
-            QueryResults::Offline(topk) => {
-                object.field("mode", "offline")?.field("topk", topk)?;
-            }
-            QueryResults::Cluster(topk) => {
-                object.field("mode", "cluster")?.field("topk", topk)?;
-            }
-        }
-        object.end()
-    }
-}
-
-impl Deserialize for QueryResults {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let mode = match value.get("mode") {
-            Some(Value::Str(s)) => s.as_str(),
-            Some(other) => return Err(DeError::expected("string `mode`", other)),
-            None => return Err(DeError::missing_field("QueryResults", "mode")),
-        };
-        match mode {
-            "online" => {
-                let sequences = value
-                    .get("sequences")
-                    .ok_or_else(|| DeError::missing_field("QueryResults", "sequences"))
-                    .and_then(Deserialize::from_value)?;
-                let cost = value
-                    .get("cost")
-                    .ok_or_else(|| DeError::missing_field("QueryResults", "cost"))
-                    .and_then(Deserialize::from_value)?;
-                Ok(QueryResults::Online { sequences, cost })
-            }
-            "offline" => value
-                .get("topk")
-                .ok_or_else(|| DeError::missing_field("QueryResults", "topk"))
-                .and_then(Deserialize::from_value)
-                .map(QueryResults::Offline),
-            "cluster" => value
-                .get("topk")
-                .ok_or_else(|| DeError::missing_field("QueryResults", "topk"))
-                .and_then(Deserialize::from_value)
-                .map(QueryResults::Cluster),
-            other => Err(DeError(format!("unknown QueryResults mode {other:?}"))),
-        }
-    }
-
-    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
-        let Some(mode) = reader.tagged("mode")? else {
-            return reader.fallback();
-        };
-        let mut first = false;
-        match &*mode {
-            "online" => {
-                let (mut sequences, mut cost) = (None, None);
-                while let Some(key) = reader.key(&mut first)? {
-                    match &*key {
-                        "sequences" => json::read_member(reader, &mut sequences)?,
-                        "cost" => json::read_member(reader, &mut cost)?,
-                        _ => reader.skip()?,
-                    }
-                }
-                Ok(QueryResults::Online {
-                    sequences: json::required(sequences, "QueryResults", "sequences")?,
-                    cost: json::required(cost, "QueryResults", "cost")?,
-                })
-            }
-            "offline" => json::only_member(reader, &mut first, "QueryResults", "topk")
-                .map(QueryResults::Offline),
-            "cluster" => json::only_member(reader, &mut first, "QueryResults", "topk")
-                .map(QueryResults::Cluster),
-            other => Err(DeError(format!("unknown QueryResults mode {other:?}")).into()),
-        }
-    }
-}
-
-impl Serialize for QueryOutcome {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("results".into(), self.results.to_value()),
-            ("disk".into(), self.disk.to_value()),
-            ("wall_ms".into(), self.wall_ms.to_value()),
-        ])
-    }
-
-    fn write_json(&self, out: &mut String) -> Result<(), EncodeError> {
-        let mut object = json::Object::begin(out);
-        object
-            .field("results", &self.results)?
-            .field("disk", &self.disk)?
-            .field("wall_ms", &self.wall_ms)?;
-        object.end()
-    }
-}
-
-impl Deserialize for QueryOutcome {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| DeError::missing_field("QueryOutcome", name))
-        };
-        Ok(QueryOutcome {
-            results: Deserialize::from_value(field("results")?)?,
-            disk: Deserialize::from_value(field("disk")?)?,
-            wall_ms: Deserialize::from_value(field("wall_ms")?)?,
-        })
-    }
-
-    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
-        if reader.peek()? != b'{' {
-            return reader.fallback();
-        }
-        reader.begin_object()?;
-        let (mut results, mut disk, mut wall_ms) = (None, None, None);
-        let mut first = true;
-        while let Some(key) = reader.key(&mut first)? {
-            match &*key {
-                "results" => json::read_member(reader, &mut results)?,
-                "disk" => json::read_member(reader, &mut disk)?,
-                "wall_ms" => json::read_member(reader, &mut wall_ms)?,
-                _ => reader.skip()?,
-            }
-        }
-        Ok(QueryOutcome {
-            results: json::required(results, "QueryOutcome", "results")?,
-            disk: json::required(disk, "QueryOutcome", "disk")?,
-            wall_ms: json::required(wall_ms, "QueryOutcome", "wall_ms")?,
-        })
     }
 }
 

@@ -2,7 +2,9 @@
 //!
 //! One frame per line, UTF-8 JSON, `\n`-terminated, at most
 //! [`MAX_LINE_BYTES`] bytes including the newline. Requests and responses
-//! are externally tagged by a `kind` field:
+//! are internally tagged by a `kind` member, written first (serde's
+//! internally tagged representation, derived), and a pipeline `id`, when
+//! given, is written last:
 //!
 //! ```text
 //! -> {"kind": "query",  "sql": "SELECT …", "video": 3}
@@ -110,6 +112,23 @@ impl VideoScope {
     }
 }
 
+/// On the wire: `null`, the id, or `"all"`.
+impl Serialize for VideoScope {
+    fn to_value(&self) -> Value {
+        match self {
+            VideoScope::All => "all".to_value(),
+            scope => scope.one().to_value(),
+        }
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), EncodeError> {
+        match self {
+            VideoScope::All => "all".write_json(out),
+            scope => scope.one().write_json(out),
+        }
+    }
+}
+
 impl From<Option<u64>> for VideoScope {
     fn from(video: Option<u64>) -> Self {
         video.map_or(VideoScope::Sole, VideoScope::One)
@@ -117,7 +136,8 @@ impl From<Option<u64>> for VideoScope {
 }
 
 /// A client-to-server frame.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum Request {
     /// Offline top-K query against the served catalog repository.
     Query { sql: String, video: VideoScope },
@@ -169,7 +189,8 @@ pub struct RequestFrame {
 }
 
 /// A server-to-client frame.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum Response {
     /// A `query`/`stream` result: the unified executor envelope.
     Outcome(QueryOutcome),
@@ -217,63 +238,14 @@ pub enum Response {
     /// A typed refusal. The connection survives unless the reason is
     /// connection-fatal (`busy`, `draining`, `timeout`).
     Error {
+        #[serde(rename = "code")]
         reason: RejectReason,
         message: String,
     },
 }
 
-// Externally tagged by `kind`; hand-written because the derive stand-in
-// has no struct-variant support and because decoding distinguishes
-// unknown kinds from ill-typed fields (different [`RejectReason`]s).
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        match self {
-            Request::Query { sql, video } => tagged(
-                "query",
-                vec![
-                    ("sql".into(), sql.to_value()),
-                    (
-                        "video".into(),
-                        match video {
-                            VideoScope::Sole => Value::Null,
-                            VideoScope::One(v) => v.to_value(),
-                            VideoScope::All => Value::Str("all".into()),
-                        },
-                    ),
-                ],
-            ),
-            Request::Stream { sql, video } => tagged(
-                "stream",
-                vec![
-                    ("sql".into(), sql.to_value()),
-                    ("video".into(), video.to_value()),
-                ],
-            ),
-            Request::Subscribe {
-                sql,
-                video,
-                drift_every,
-            } => tagged(
-                "subscribe",
-                vec![
-                    ("sql".into(), sql.to_value()),
-                    ("video".into(), video.to_value()),
-                    ("drift_every".into(), drift_every.to_value()),
-                ],
-            ),
-            Request::Unsubscribe { sub } => {
-                tagged("unsubscribe", vec![("sub".into(), sub.to_value())])
-            }
-            Request::Stats => tagged("stats", vec![]),
-            Request::Shutdown => tagged("shutdown", vec![]),
-        }
-    }
-
-    fn write_json(&self, out: &mut String) -> Result<(), EncodeError> {
-        self.write_frame(None, out)
-    }
-}
-
+// Request decoding stays hand-written: [`RequestMembers`] tells an unknown
+// `kind` (`unknown_kind`) from an ill-typed member (`bad_request`).
 impl Deserialize for Request {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         RequestMembers::of(value).frame().map(|frame| frame.request)
@@ -295,404 +267,35 @@ impl Deserialize for RequestFrame {
     }
 }
 
-impl Request {
-    /// Write the frame's JSON text: `kind`, the variant's fields in
-    /// [`Serialize::to_value`]'s order, then the pipeline `id` when given.
-    fn write_frame(&self, id: Option<u64>, out: &mut String) -> Result<(), EncodeError> {
-        let mut object = json::Object::begin(out);
-        object.field("kind", self.kind())?;
-        match self {
-            Request::Query { sql, video } => {
-                object.field("sql", sql)?;
-                match video {
-                    VideoScope::All => object.field("video", "all")?,
-                    scope => object.field("video", &scope.one())?,
-                };
-            }
-            Request::Stream { sql, video } => {
-                object.field("sql", sql)?.field("video", video)?;
-            }
-            Request::Subscribe {
-                sql,
-                video,
-                drift_every,
-            } => {
-                object
-                    .field("sql", sql)?
-                    .field("video", video)?
-                    .field("drift_every", drift_every)?;
-            }
-            Request::Unsubscribe { sub } => {
-                object.field("sub", sub)?;
-            }
-            Request::Stats | Request::Shutdown => {}
-        }
-        if let Some(id) = id {
-            object.field("id", &id)?;
-        }
-        object.end()
-    }
-}
-
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        match self {
-            Response::Outcome(outcome) => {
-                tagged("outcome", vec![("outcome".into(), outcome.to_value())])
-            }
-            Response::Stats(stats) => tagged("stats", vec![("stats".into(), stats.to_value())]),
-            Response::Subscribed { sub, from_seq } => tagged(
-                "subscribed",
-                vec![
-                    ("sub".into(), sub.to_value()),
-                    ("from_seq".into(), from_seq.to_value()),
-                ],
-            ),
-            Response::Event {
-                sub,
-                seq,
-                clip,
-                first,
-                last,
-                at,
-            } => tagged(
-                "event",
-                vec![
-                    ("sub".into(), sub.to_value()),
-                    ("seq".into(), seq.to_value()),
-                    ("clip".into(), clip.to_value()),
-                    ("first".into(), first.to_value()),
-                    ("last".into(), last.to_value()),
-                    ("at".into(), at.to_value()),
-                ],
-            ),
-            Response::Drift {
-                sub,
-                backgrounds,
-                criticals,
-            } => tagged(
-                "drift",
-                vec![
-                    ("sub".into(), sub.to_value()),
-                    ("backgrounds".into(), backgrounds.to_value()),
-                    ("criticals".into(), criticals.to_value()),
-                ],
-            ),
-            Response::Lagged { sub, missed } => tagged(
-                "lagged",
-                vec![
-                    ("sub".into(), sub.to_value()),
-                    ("missed".into(), missed.to_value()),
-                ],
-            ),
-            Response::Unsubscribed {
-                sub,
-                delivered,
-                missed,
-                total,
-            } => tagged(
-                "unsubscribed",
-                vec![
-                    ("sub".into(), sub.to_value()),
-                    ("delivered".into(), delivered.to_value()),
-                    ("missed".into(), missed.to_value()),
-                    ("total".into(), total.to_value()),
-                ],
-            ),
-            Response::Bye => tagged("bye", vec![]),
-            Response::Error { reason, message } => tagged(
-                "error",
-                vec![
-                    ("code".into(), Value::Str(reason.code().into())),
-                    ("message".into(), message.to_value()),
-                ],
-            ),
-        }
-    }
-
-    fn write_json(&self, out: &mut String) -> Result<(), EncodeError> {
-        self.write_frame(None, out)
-    }
-}
-
-impl Response {
-    /// Write the frame's JSON text: `kind`, the variant's fields in
-    /// [`Serialize::to_value`]'s order, then the pipeline `id` when given.
-    fn write_frame(&self, id: Option<u64>, out: &mut String) -> Result<(), EncodeError> {
-        let mut object = json::Object::begin(out);
-        match self {
-            Response::Outcome(outcome) => {
-                object.field("kind", "outcome")?.field("outcome", outcome)?;
-            }
-            Response::Stats(stats) => {
-                object.field("kind", "stats")?.field("stats", stats)?;
-            }
-            Response::Subscribed { sub, from_seq } => {
-                object
-                    .field("kind", "subscribed")?
-                    .field("sub", sub)?
-                    .field("from_seq", from_seq)?;
-            }
-            Response::Event {
-                sub,
-                seq,
-                clip,
-                first,
-                last,
-                at,
-            } => {
-                object
-                    .field("kind", "event")?
-                    .field("sub", sub)?
-                    .field("seq", seq)?
-                    .field("clip", clip)?
-                    .field("first", first)?
-                    .field("last", last)?
-                    .field("at", at)?;
-            }
-            Response::Drift {
-                sub,
-                backgrounds,
-                criticals,
-            } => {
-                object
-                    .field("kind", "drift")?
-                    .field("sub", sub)?
-                    .field("backgrounds", backgrounds)?
-                    .field("criticals", criticals)?;
-            }
-            Response::Lagged { sub, missed } => {
-                object
-                    .field("kind", "lagged")?
-                    .field("sub", sub)?
-                    .field("missed", missed)?;
-            }
-            Response::Unsubscribed {
-                sub,
-                delivered,
-                missed,
-                total,
-            } => {
-                object
-                    .field("kind", "unsubscribed")?
-                    .field("sub", sub)?
-                    .field("delivered", delivered)?
-                    .field("missed", missed)?
-                    .field("total", total)?;
-            }
-            Response::Bye => {
-                object.field("kind", "bye")?;
-            }
-            Response::Error { reason, message } => {
-                object
-                    .field("kind", "error")?
-                    .field("code", reason.code())?
-                    .field("message", message)?;
-            }
-        }
-        if let Some(id) = id {
-            object.field("id", &id)?;
-        }
-        object.end()
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let kind = match value.get("kind") {
-            Some(Value::Str(k)) => k.as_str(),
-            _ => return Err(DeError("response frame without a string `kind`".into())),
-        };
-        let field = |name: &'static str| {
-            value
-                .get(name)
-                .ok_or_else(|| DeError::missing_field("Response", name))
-        };
-        match kind {
-            "outcome" => value
-                .get("outcome")
-                .ok_or_else(|| DeError::missing_field("Response", "outcome"))
-                .and_then(Deserialize::from_value)
-                .map(Response::Outcome),
-            "stats" => value
-                .get("stats")
-                .ok_or_else(|| DeError::missing_field("Response", "stats"))
-                .and_then(Deserialize::from_value)
-                .map(Response::Stats),
-            "subscribed" => Ok(Response::Subscribed {
-                sub: field("sub").and_then(u64::from_value)?,
-                from_seq: field("from_seq").and_then(u64::from_value)?,
-            }),
-            "event" => Ok(Response::Event {
-                sub: field("sub").and_then(u64::from_value)?,
-                seq: field("seq").and_then(u64::from_value)?,
-                clip: field("clip").and_then(u64::from_value)?,
-                first: field("first").and_then(u64::from_value)?,
-                last: field("last").and_then(u64::from_value)?,
-                at: field("at").and_then(u64::from_value)?,
-            }),
-            "drift" => Ok(Response::Drift {
-                sub: field("sub").and_then(u64::from_value)?,
-                backgrounds: field("backgrounds").and_then(Deserialize::from_value)?,
-                criticals: field("criticals").and_then(Deserialize::from_value)?,
-            }),
-            "lagged" => Ok(Response::Lagged {
-                sub: field("sub").and_then(u64::from_value)?,
-                missed: field("missed").and_then(u64::from_value)?,
-            }),
-            "unsubscribed" => Ok(Response::Unsubscribed {
-                sub: field("sub").and_then(u64::from_value)?,
-                delivered: field("delivered").and_then(u64::from_value)?,
-                missed: field("missed").and_then(u64::from_value)?,
-                total: field("total").and_then(u64::from_value)?,
-            }),
-            "bye" => Ok(Response::Bye),
-            "error" => {
-                let code = match value.get("code") {
-                    Some(Value::Str(c)) => c.as_str(),
-                    _ => return Err(DeError::missing_field("Response", "code")),
-                };
-                let reason = RejectReason::from_code(code)
-                    .ok_or_else(|| DeError(format!("unknown error code {code:?}")))?;
-                let message = value
-                    .get("message")
-                    .ok_or_else(|| DeError::missing_field("Response", "message"))
-                    .and_then(Deserialize::from_value)?;
-                Ok(Response::Error { reason, message })
-            }
-            other => Err(DeError(format!("unknown response kind {other:?}"))),
-        }
-    }
-
-    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
-        match read_response(reader, false)? {
-            Some((_, response)) => Ok(response),
-            None => reader.fallback(),
-        }
-    }
-}
-
-/// The integer members each response `kind` reads, in its field order.
-fn integer_members(kind: &str) -> &'static [&'static str] {
-    match kind {
-        "subscribed" => &["sub", "from_seq"],
-        "event" => &["sub", "seq", "clip", "first", "last", "at"],
-        "drift" => &["sub"],
-        "lagged" => &["sub", "missed"],
-        "unsubscribed" => &["sub", "delivered", "missed", "total"],
-        _ => &[],
-    }
-}
-
-/// Read a response frame (and its `id`, when `with_id`) straight from the
-/// text: the `kind` member first, then the members that kind reads, in any
-/// order, the first of a repeated key winning and every other member
-/// skipped. `None` when the next value is not an object whose first member
-/// is a string `kind`; the caller reads that one as a tree.
-fn read_response(
-    reader: &mut json::Reader<'_>,
-    with_id: bool,
-) -> Result<Option<(Option<u64>, Response)>, json::ReadError> {
-    let Some(kind) = reader.tagged("kind")? else {
-        return Ok(None);
-    };
-    let mut first = false;
-    let kind = match &*kind {
-        "outcome" | "stats" | "subscribed" | "event" | "drift" | "lagged" | "unsubscribed"
-        | "bye" | "error" => kind,
-        other => return Err(DeError(format!("unknown response kind {other:?}")).into()),
-    };
-    let integers = integer_members(&kind);
-    let mut ints = [None; 6];
-    let (mut outcome, mut stats, mut backgrounds, mut criticals) = (None, None, None, None);
-    let (mut code, mut message, mut id) = (None::<String>, None, None::<Option<u64>>);
-    while let Some(key) = reader.key(&mut first)? {
-        if let Some(i) = integers.iter().position(|&name| name == key) {
-            json::read_member(reader, &mut ints[i])?;
-            continue;
-        }
-        match (&*kind, &*key) {
-            ("outcome", "outcome") => json::read_member(reader, &mut outcome)?,
-            ("stats", "stats") => json::read_member(reader, &mut stats)?,
-            ("drift", "backgrounds") => json::read_member(reader, &mut backgrounds)?,
-            ("drift", "criticals") => json::read_member(reader, &mut criticals)?,
-            ("error", "code") => json::read_member(reader, &mut code)?,
-            ("error", "message") => json::read_member(reader, &mut message)?,
-            (_, "id") if with_id => json::read_member(reader, &mut id)?,
-            _ => reader.skip()?,
-        }
-    }
-    let int = |i: usize| json::required(ints[i], "Response", integers[i]);
-    let response = match &*kind {
-        "outcome" => Response::Outcome(json::required(outcome, "Response", "outcome")?),
-        "stats" => Response::Stats(json::required(stats, "Response", "stats")?),
-        "subscribed" => Response::Subscribed {
-            sub: int(0)?,
-            from_seq: int(1)?,
-        },
-        "event" => Response::Event {
-            sub: int(0)?,
-            seq: int(1)?,
-            clip: int(2)?,
-            first: int(3)?,
-            last: int(4)?,
-            at: int(5)?,
-        },
-        "drift" => Response::Drift {
-            sub: int(0)?,
-            backgrounds: json::required(backgrounds, "Response", "backgrounds")?,
-            criticals: json::required(criticals, "Response", "criticals")?,
-        },
-        "lagged" => Response::Lagged {
-            sub: int(0)?,
-            missed: int(1)?,
-        },
-        "unsubscribed" => Response::Unsubscribed {
-            sub: int(0)?,
-            delivered: int(1)?,
-            missed: int(2)?,
-            total: int(3)?,
-        },
-        "bye" => Response::Bye,
-        _ => {
-            let code = json::required(code, "Response", "code")?;
-            let reason = RejectReason::from_code(&code)
-                .ok_or_else(|| DeError(format!("unknown error code {code:?}")))?;
-            Response::Error {
-                reason,
-                message: json::required(message, "Response", "message")?,
-            }
-        }
-    };
-    Ok(Some((id.flatten(), response)))
-}
-
-fn tagged(kind: &str, mut fields: Vec<(String, Value)>) -> Value {
-    let mut all = vec![("kind".to_string(), Value::Str(kind.to_string()))];
-    all.append(&mut fields);
-    Value::Object(all)
-}
-
 /// Encode any frame as one newline-terminated line.
 pub fn encode_line<T: Serialize + ?Sized>(frame: &T) -> String {
-    encode_with(|line| frame.write_json(line))
+    encode_with(frame, None)
 }
 
 /// Encode a request with a pipeline `id` as one newline-terminated line.
 pub fn encode_request_line(request: &Request, id: Option<u64>) -> String {
-    encode_with(|line| request.write_frame(id, line))
+    encode_with(request, id)
 }
 
 /// Encode a response, echoing the request's pipeline `id` when present.
 pub fn encode_response_line(response: &Response, id: Option<u64>) -> String {
-    encode_with(|line| response.write_frame(id, line))
+    encode_with(response, id)
 }
 
-/// Run one frame writer and terminate its line. Every encode writes the
-/// text straight from the typed frame; no [`Value`] is built.
-fn encode_with(write: impl FnOnce(&mut String) -> Result<(), EncodeError>) -> String {
+/// Write `frame` straight from its typed value (no [`Value`] is built),
+/// with the pipeline `id` as the object's last member when given, and
+/// terminate its line.
+fn encode_with<T: Serialize + ?Sized>(frame: &T, id: Option<u64>) -> String {
     serde_json::write_to_string(|line| {
-        write(line)?;
+        frame.write_json(line)?;
+        if let Some(id) = id {
+            // A frame is an object holding at least its `kind`: reopen it.
+            let close = line.pop();
+            debug_assert_eq!(close, Some('}'));
+            line.push_str(",\"id\":");
+            json::write_u64(id, line);
+            line.push('}');
+        }
         line.push('\n');
         Ok(())
     })
@@ -714,21 +317,27 @@ pub struct ResponseFrame {
     pub response: Response,
 }
 
+/// The `id` is read beside the response's members, in the same pass; the
+/// first `id` wins and `null` is none.
 impl Deserialize for ResponseFrame {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let id = match value.get("id") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(u64::from_value(v)?),
-        };
         Ok(ResponseFrame {
-            id,
+            id: Deserialize::from_value(value.get("id").unwrap_or(&Value::Null))?,
             response: Response::from_value(value)?,
         })
     }
 
     fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
-        match read_response(reader, true)? {
-            Some((id, response)) => Ok(ResponseFrame { id, response }),
+        let mut id: Option<Option<u64>> = None;
+        let response = Response::read_tagged(reader, |key, reader| match key {
+            "id" => json::read_member(reader, &mut id),
+            _ => reader.skip(),
+        })?;
+        match response {
+            Some(response) => Ok(ResponseFrame {
+                id: id.flatten(),
+                response,
+            }),
             None => reader.fallback(),
         }
     }
@@ -825,33 +434,11 @@ impl RequestMembers {
             },
             "stream" => Request::Stream {
                 sql: sql(self.sql, "stream")?,
-                video: match scope(self.video)? {
-                    VideoScope::Sole => None,
-                    VideoScope::One(v) => Some(v),
-                    VideoScope::All => {
-                        return Err((
-                            RejectReason::BadRequest,
-                            "`stream` requests target a single video; \
-                             `\"all\"` is only valid for `query`"
-                                .into(),
-                        ))
-                    }
-                },
+                video: single(self.video, "stream", "video")?,
             },
             "subscribe" => Request::Subscribe {
                 sql: sql(self.sql, "subscribe")?,
-                video: match scope(self.video)? {
-                    VideoScope::Sole => None,
-                    VideoScope::One(v) => Some(v),
-                    VideoScope::All => {
-                        return Err((
-                            RejectReason::BadRequest,
-                            "`subscribe` requests target a single live source; \
-                             `\"all\"` is only valid for `query`"
-                                .into(),
-                        ))
-                    }
-                },
+                video: single(self.video, "subscribe", "live source")?,
                 drift_every: match self.drift_every {
                     None | Some(Value::Null) => 0,
                     Some(v) => u64::from_value(&v).map_err(|e| {
@@ -933,6 +520,24 @@ fn scope(member: Option<Value>) -> Result<VideoScope, (RejectReason, String)> {
                 format!("`video` must be a video id: {e}"),
             )
         }),
+    }
+}
+
+/// A `stream` or `subscribe` request's `video` member, which names one
+/// `target` (or none, for the sole one).
+fn single(
+    member: Option<Value>,
+    kind: &str,
+    target: &str,
+) -> Result<Option<u64>, (RejectReason, String)> {
+    match scope(member)? {
+        VideoScope::All => Err((
+            RejectReason::BadRequest,
+            format!(
+                "`{kind}` requests target a single {target}; `\"all\"` is only valid for `query`"
+            ),
+        )),
+        scope => Ok(scope.one()),
     }
 }
 

@@ -1468,6 +1468,8 @@ fn cluster_router(ctx: ScenarioCtx) {
 /// Restart resumes from the manifest, re-ingests only what is not durable,
 /// and the recovered directory must be byte-identical — manifest and every
 /// catalog file — to a purely computed reference, under every schedule.
+/// Every run must also keep the hand-off's peak depth within its
+/// `workers + 1` permits.
 fn ingest_crash(ctx: ScenarioCtx) {
     let mut rng = ctx.rng();
     let clips = ctx.size.clamp(2, 12);
@@ -1476,6 +1478,15 @@ fn ingest_crash(ctx: ScenarioCtx) {
     let scoring: Arc<dyn ScoringFunctions + Send + Sync> = Arc::new(PaperScoring);
     let config = OnlineConfig::default();
     let workers = 1 + rng.below(2);
+    let metrics = ExecMetrics::new();
+    let handed_off_within_bound = || {
+        let peak = metrics.ingest().buffered_high_water.load(Ordering::Relaxed);
+        assert!(
+            peak <= workers as u64 + 1,
+            "ingest hand-off held {peak} catalogs, over its {} permits",
+            workers + 1
+        );
+    };
 
     // Reference bytes, computed without any sink or pool: per-video catalog
     // file plus the manifest `finish()` must leave behind (VideoId order).
@@ -1511,23 +1522,25 @@ fn ingest_crash(ctx: ScenarioCtx) {
             scoring.clone(),
             config,
             workers,
-            ExecMetrics::new(),
+            metrics.clone(),
             FailingSink::new(
                 DirSink::create(&dir).expect("spill dir creates"),
                 fail_after,
             ),
         );
         assert!(crashed.is_err(), "the injected sink crash surfaces");
+        handed_off_within_bound();
     } else {
         let report = parallel_ingest_into(
             &oracles,
             scoring.clone(),
             config,
             workers,
-            ExecMetrics::new(),
+            metrics.clone(),
             DirSink::create(&dir).expect("spill dir creates"),
         )
         .expect("uninterrupted ingest completes");
+        handed_off_within_bound();
         assert_eq!(report.videos, n_videos, "every video spilled");
     }
 
@@ -1557,10 +1570,11 @@ fn ingest_crash(ctx: ScenarioCtx) {
             scoring,
             config,
             workers,
-            ExecMetrics::new(),
+            metrics.clone(),
             resumed,
         )
         .expect("restarted ingest completes");
+        handed_off_within_bound();
         assert_eq!(
             report.videos, n_videos,
             "recovered + re-ingested covers every video"
