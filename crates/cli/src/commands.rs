@@ -46,6 +46,21 @@ fn metrics_interval(flags: &Flags) -> Result<Option<std::time::Duration>, String
     Ok((!every.is_zero()).then_some(every))
 }
 
+/// The scene files `--scenes a,b,…` (blank entries skipped) or `--scene`
+/// names, `--scenes` winning; `None` when neither flag is given.
+fn scene_paths(flags: &Flags) -> Option<Vec<String>> {
+    match (flags.get("scenes"), flags.get("scene")) {
+        (Some(list), _) => Some(
+            list.split(',')
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .collect(),
+        ),
+        (None, Some(one)) => Some(vec![one.to_string()]),
+        (None, None) => None,
+    }
+}
+
 fn suite_named(name: &str) -> Result<ModelSuite, String> {
     match name {
         "accurate" => Ok(ModelSuite::accurate()),
@@ -136,15 +151,8 @@ pub fn ingest(flags: &Flags) -> CliResult {
     if workers == 0 {
         return Err("--workers must be at least 1".into());
     }
-    let scene_paths: Vec<String> = match (flags.get("scenes"), flags.get("scene")) {
-        (Some(list), _) => list
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect(),
-        (None, Some(one)) => vec![one.to_string()],
-        (None, None) => return Err("ingest needs --scene <file> or --scenes <a,b,…>".into()),
-    };
+    let scene_paths =
+        scene_paths(flags).ok_or("ingest needs --scene <file> or --scenes <a,b,…>")?;
     if scene_paths.is_empty() {
         return Err("--scenes holds no scene path".into());
     }
@@ -414,6 +422,27 @@ pub fn mux(flags: &Flags) -> CliResult {
     Ok(())
 }
 
+/// Read the seven front-door flags `serve` and `route` share into either
+/// config builder (both spell the setters alike).
+macro_rules! serving_flags {
+    ($builder:expr, $flags:expr) => {{
+        let flags: &Flags = $flags;
+        let ms = |key, default: u64| {
+            flags
+                .get_parsed(key, default)
+                .map(std::time::Duration::from_millis)
+        };
+        $builder
+            .addr(flags.get("addr").unwrap_or("127.0.0.1:0").to_string())
+            .max_conns(flags.get_parsed("max-conns", 64)?)
+            .read_timeout(ms("read-timeout-ms", 30_000)?)
+            .write_timeout(ms("write-timeout-ms", 10_000)?)
+            .drain_timeout(ms("drain-timeout-ms", 5_000)?)
+            .max_line(flags.get_parsed("max-line", svq_serve::MAX_LINE_BYTES)?)
+            .pipeline_depth(flags.get_parsed("pipeline-depth", 64)?)
+    }};
+}
+
 /// The flags `svqact serve` reads; any other is refused.
 pub const SERVE_FLAGS: &str = "catalog scene scenes models source addr addr-file max-conns \
     read-timeout-ms write-timeout-ms drain-timeout-ms max-line workers pipeline-depth \
@@ -429,27 +458,13 @@ pub const SERVE_FLAGS: &str = "catalog scene scenes models source addr addr-file
 /// so stdout stays the final report.
 pub fn serve(flags: &Flags) -> CliResult {
     use std::sync::Arc;
-    use std::time::Duration;
     use svq_exec::ExecMetrics;
     use svq_serve::{ServeConfig, Server};
     use svq_storage::VideoRepository;
 
     let metrics_every = metrics_interval(flags)?;
-    let config = ServeConfig::builder()
-        .addr(flags.get("addr").unwrap_or("127.0.0.1:0").to_string())
-        .max_conns(flags.get_parsed("max-conns", 64)?)
-        .read_timeout(Duration::from_millis(
-            flags.get_parsed("read-timeout-ms", 30_000u64)?,
-        ))
-        .write_timeout(Duration::from_millis(
-            flags.get_parsed("write-timeout-ms", 10_000u64)?,
-        ))
-        .drain_timeout(Duration::from_millis(
-            flags.get_parsed("drain-timeout-ms", 5_000u64)?,
-        ))
-        .max_line(flags.get_parsed("max-line", svq_serve::MAX_LINE_BYTES)?)
+    let config = serving_flags!(ServeConfig::builder(), flags)
         .workers(flags.get_parsed("workers", 2)?)
-        .pipeline_depth(flags.get_parsed("pipeline-depth", 64)?)
         .build()
         .map_err(flag_named)?;
     // This process's slice of a hash-partitioned catalog: only the videos
@@ -479,16 +494,8 @@ pub fn serve(flags: &Flags) -> CliResult {
             }
             Arc::new(repo)
         });
-    let scene_paths: Vec<String> = match (flags.get("scenes"), flags.get("scene")) {
-        (Some(list), _) => list
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect(),
-        (None, Some(one)) => vec![one.to_string()],
-        (None, None) => Vec::new(),
-    };
-    let oracles = scene_paths
+    let oracles = scene_paths(flags)
+        .unwrap_or_default()
         .iter()
         .map(|p| load_scene(p).map(|v| Arc::new(v.oracle(suite))))
         .collect::<Result<Vec<_>, _>>()?;
@@ -532,18 +539,33 @@ pub fn serve(flags: &Flags) -> CliResult {
         "svqact serve: listening on {addr} ({catalog_videos} catalog videos, \
          {streams} live streams{source_note}); send a `shutdown` request to drain"
     );
-    if let Some(path) = flags.get("addr-file") {
-        std::fs::write(path, addr.to_string())?;
-    }
     // The registry leaves catalog residency to the repository that counts
     // it; fill it in so the report shows catalog hits and misses.
+    serve_until_drained(flags, &handle, metrics_every, move |snap| {
+        if let Some(repo) = &served_repo {
+            let cache = repo.cache_stats();
+            snap.server.catalog_hits = cache.hits;
+            snap.server.catalog_misses = cache.misses;
+        }
+    })
+}
+
+/// The tail `serve` and `route` share once listening: publish the bound
+/// address to `--addr-file`, report metrics every `metrics_every` (after
+/// `fill` completes each snapshot), wait for the drain, and print the
+/// served/drain report.
+fn serve_until_drained(
+    flags: &Flags,
+    handle: &svq_serve::ServerHandle,
+    metrics_every: Option<std::time::Duration>,
+    fill: impl Fn(&mut svq_exec::MetricsSnapshot) + Send + 'static,
+) -> CliResult {
+    if let Some(path) = flags.get("addr-file") {
+        std::fs::write(path, handle.local_addr().to_string())?;
+    }
     let reporter = metrics_every.map(|every| {
         handle.metrics().spawn_reporter(every, move |mut snap| {
-            if let Some(repo) = &served_repo {
-                let cache = repo.cache_stats();
-                snap.server.catalog_hits = cache.hits;
-                snap.server.catalog_misses = cache.misses;
-            }
+            fill(&mut snap);
             eprint!("{snap}");
         })
     });
@@ -551,11 +573,6 @@ pub fn serve(flags: &Flags) -> CliResult {
     if let Some(reporter) = reporter {
         reporter.stop();
     }
-    print_serve_report(&report);
-    Ok(())
-}
-
-fn print_serve_report(report: &svq_serve::ServeReport) {
     println!(
         "served {} requests over {} connections ({} busy, {} draining, \
          {} timed out, {} malformed)",
@@ -575,6 +592,7 @@ fn print_serve_report(report: &svq_serve::ServeReport) {
         },
         report.forced_closes
     );
+    Ok(())
 }
 
 /// The flags `svqact route` reads; any other is refused.
@@ -605,20 +623,7 @@ pub fn route(flags: &Flags) -> CliResult {
     if shards.is_empty() {
         return Err("--shards needs at least one HOST:PORT entry".into());
     }
-    let config = RouteConfig::builder()
-        .addr(flags.get("addr").unwrap_or("127.0.0.1:0").to_string())
-        .max_conns(flags.get_parsed("max-conns", 64)?)
-        .read_timeout(Duration::from_millis(
-            flags.get_parsed("read-timeout-ms", 30_000u64)?,
-        ))
-        .write_timeout(Duration::from_millis(
-            flags.get_parsed("write-timeout-ms", 10_000u64)?,
-        ))
-        .drain_timeout(Duration::from_millis(
-            flags.get_parsed("drain-timeout-ms", 5_000u64)?,
-        ))
-        .max_line(flags.get_parsed("max-line", svq_serve::MAX_LINE_BYTES)?)
-        .pipeline_depth(flags.get_parsed("pipeline-depth", 64)?)
+    let config = serving_flags!(RouteConfig::builder(), flags)
         .upstream_timeout(Duration::from_millis(
             flags.get_parsed("upstream-timeout-ms", 30_000u64)?,
         ))
@@ -633,20 +638,7 @@ pub fn route(flags: &Flags) -> CliResult {
          send a `shutdown` request to drain",
         shards.len()
     );
-    if let Some(path) = flags.get("addr-file") {
-        std::fs::write(path, addr.to_string())?;
-    }
-    let reporter = metrics_every.map(|every| {
-        handle
-            .metrics()
-            .spawn_reporter(every, |snap| eprint!("{snap}"))
-    });
-    let report = handle.wait();
-    if let Some(reporter) = reporter {
-        reporter.stop();
-    }
-    print_serve_report(&report);
-    Ok(())
+    serve_until_drained(flags, &handle, metrics_every, |_| {})
 }
 
 /// The flags `svqact request` reads; any other is refused.

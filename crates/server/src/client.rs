@@ -11,7 +11,10 @@
 //! and out-of-order matching behind a demux thread, so concurrent users
 //! share one connection without seeing ids at all. [`Caller::call`]
 //! returns a [`Pending`] handle to `wait()` on; [`Caller::call_with`]
-//! runs a completion callback instead — the router's fan-out path.
+//! runs a completion callback instead — the router's fan-out path. The
+//! demux thread hands a response to its `Pending` through a one-slot
+//! channel, and a [`Subscription`]'s pushed frames through an unbounded
+//! one whose sender it drops at the terminal frame.
 //! `svqact request --repeat` and the cluster router both sit on `Caller`.
 
 use crate::protocol::{
@@ -19,8 +22,9 @@ use crate::protocol::{
     ResponseFrame, MAX_LINE_BYTES,
 };
 use crate::transport::Conn;
-use parking_lot::{rt, Condvar, Mutex};
-use std::collections::{BTreeMap, VecDeque};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use parking_lot::{rt, Mutex};
+use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -124,37 +128,19 @@ impl Client {
     }
 }
 
-/// Where a finished [`Caller`] request delivers its result.
-enum Sink {
-    /// A [`Pending`] handle is (or will be) blocked on this slot.
-    Slot(Arc<Slot>),
-    /// Run on the demux thread the moment the response arrives.
-    Callback(Box<dyn FnOnce(SvqResult<Response>) + Send>),
-}
+/// A finished [`Caller`] request's completion, run on the demux thread.
+type Done = Box<dyn FnOnce(SvqResult<Response>) + Send>;
 
-impl Sink {
-    fn fulfill(self, result: SvqResult<Response>) {
-        match self {
-            Sink::Slot(slot) => {
-                *slot.cell.lock() = Some(result);
-                slot.cv.notify_all();
-            }
-            Sink::Callback(done) => done(result),
-        }
-    }
-}
-
-struct Slot {
-    cell: Mutex<Option<SvqResult<Response>>>,
-    cv: Condvar,
-}
+/// The receiving end of one standing query's frames: pushed frames in
+/// arrival order, then the failure that ended the session, if any.
+type Frames = Receiver<SvqResult<Response>>;
 
 /// One in-flight [`Caller::call`]: redeem with [`Pending::wait`].
 ///
 /// Dropping the handle abandons the result without disturbing the
 /// connection — the response is discarded on arrival.
 pub struct Pending {
-    slot: Arc<Slot>,
+    rx: Receiver<SvqResult<Response>>,
     id: u64,
 }
 
@@ -168,80 +154,15 @@ impl Pending {
     /// deadline: an expired deadline with requests in flight fails them
     /// all) and return it.
     pub fn wait(self) -> SvqResult<Response> {
-        let mut cell = self.slot.cell.lock();
-        loop {
-            match cell.take() {
-                Some(result) => return result,
-                None => self.slot.cv.wait(&mut cell),
-            }
-        }
+        self.rx.recv().unwrap_or_else(|_| Err(dead()))
     }
 }
 
-/// Push-frame mailbox shared between a [`Subscription`] handle and the
-/// demux thread.
-struct SubShared {
-    queue: Mutex<SubQueue>,
-    cv: Condvar,
-}
-
-struct SubQueue {
-    frames: VecDeque<Response>,
-    /// The terminal frame arrived: nothing further will be pushed.
-    done: bool,
-    /// The session died; [`Subscription::next`] surfaces this as an error
-    /// once queued frames drain.
-    failed: Option<String>,
-}
-
-impl SubShared {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            queue: Mutex::new(SubQueue {
-                frames: VecDeque::new(),
-                done: false,
-                failed: None,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Deliver one demuxed frame; `terminal` closes the mailbox.
-    fn push(&self, frame: Response, terminal: bool) {
-        let mut queue = self.queue.lock();
-        queue.frames.push_back(frame);
-        if terminal {
-            queue.done = true;
-        }
-        self.cv.notify_all();
-    }
-
-    fn fail(&self, why: &str) {
-        let mut queue = self.queue.lock();
-        if queue.failed.is_none() {
-            queue.failed = Some(why.to_string());
-        }
-        queue.done = true;
-        self.cv.notify_all();
-    }
-
-    /// Block for the next frame: queued frames first, then the failure (if
-    /// any), then `None` once the mailbox closed cleanly.
-    fn next(&self) -> SvqResult<Option<Response>> {
-        let mut queue = self.queue.lock();
-        loop {
-            if let Some(frame) = queue.frames.pop_front() {
-                return Ok(Some(frame));
-            }
-            if let Some(why) = queue.failed.as_deref() {
-                return Err(SvqError::Storage(why.to_string()));
-            }
-            if queue.done {
-                return Ok(None);
-            }
-            self.cv.wait(&mut queue);
-        }
-    }
+/// The next frame of a subscription: queued frames first, then the
+/// failure (if any), then `Ok(None)` — for every further call too — once
+/// the demux loop has dropped the sending end.
+fn next_frame(frames: &Frames) -> SvqResult<Option<Response>> {
+    frames.recv().map_or(Ok(None), |frame| frame.map(Some))
 }
 
 struct CallerInner {
@@ -249,36 +170,31 @@ struct CallerInner {
     /// also serializes frames so pipelined writers never interleave lines.
     write: Mutex<Option<Box<dyn Conn>>>,
     /// In-flight requests by id, removed when their response demuxes.
-    slots: Mutex<BTreeMap<u64, Sink>>,
+    slots: Mutex<BTreeMap<u64, Done>>,
     /// Standing subscriptions by the id their `subscribe` frame went out
     /// under — every frame tagged with that id (the ack included) routes
     /// here instead of `slots`, and the entry survives until the terminal
-    /// `unsubscribed` frame. Checked before `slots` in the demux loop.
-    subs: Mutex<BTreeMap<u64, Arc<SubShared>>>,
+    /// `unsubscribed` frame; dropping the sender ends the subscription's
+    /// channel. Checked before `slots` in the demux loop.
+    subs: Mutex<BTreeMap<u64, Sender<SvqResult<Response>>>>,
     next_id: AtomicU64,
     alive: AtomicBool,
 }
 
 impl CallerInner {
-    /// Kill the session: mark dead and fail every in-flight request with
-    /// `why`. Sinks are drained first and fulfilled outside the lock — a
-    /// callback is allowed to issue (and fail) new calls without
-    /// deadlocking on `slots`.
+    /// Kill the session: mark dead and fail every in-flight request and
+    /// subscription with `why`. Both maps are drained first and completed
+    /// outside their locks — a callback is allowed to issue (and fail) new
+    /// calls without deadlocking on `slots`.
     fn fail_all(&self, why: &str) {
         self.alive.store(false, Ordering::Release);
-        let drained: Vec<Sink> = {
-            let mut slots = self.slots.lock();
-            std::mem::take(&mut *slots).into_values().collect()
-        };
-        for sink in drained {
-            sink.fulfill(Err(SvqError::Storage(why.to_string())));
+        let drained = std::mem::take(&mut *self.slots.lock());
+        for done in drained.into_values() {
+            done(Err(SvqError::Storage(why.to_string())));
         }
-        let subs: Vec<Arc<SubShared>> = {
-            let mut subs = self.subs.lock();
-            std::mem::take(&mut *subs).into_values().collect()
-        };
-        for sub in subs {
-            sub.fail(why);
+        let subs = std::mem::take(&mut *self.subs.lock());
+        for frames in subs.into_values() {
+            let _ = frames.send(Err(SvqError::Storage(why.to_string())));
         }
     }
 }
@@ -372,12 +288,11 @@ impl Caller {
     /// with [`Pending::wait`] whenever convenient. Calls from any number
     /// of threads pipeline onto the one connection.
     pub fn call(&self, request: &Request) -> SvqResult<Pending> {
-        let slot = Arc::new(Slot {
-            cell: Mutex::new(None),
-            cv: Condvar::new(),
-        });
-        let id = self.submit(request, Sink::Slot(slot.clone()))?;
-        Ok(Pending { slot, id })
+        let (tx, rx) = bounded(1);
+        let id = self.call_with(request, move |result| {
+            let _ = tx.send(result);
+        })?;
+        Ok(Pending { rx, id })
     }
 
     /// Send `request` and run `done` with the response when it arrives.
@@ -389,12 +304,8 @@ impl Caller {
         request: &Request,
         done: impl FnOnce(SvqResult<Response>) + Send + 'static,
     ) -> SvqResult<u64> {
-        self.submit(request, Sink::Callback(Box::new(done)))
-    }
-
-    fn submit(&self, request: &Request, sink: Sink) -> SvqResult<u64> {
         let id = self.next_id()?;
-        self.inner.slots.lock().insert(id, sink);
+        self.inner.slots.lock().insert(id, Box::new(done));
         if let Err(e) = self.write_frame(request, id) {
             // Unregister before failing the rest so this call reports the
             // precise write error rather than the generic teardown one.
@@ -464,8 +375,8 @@ impl Caller {
         drift_every: u64,
     ) -> SvqResult<Subscription> {
         let id = self.next_id()?;
-        let shared = SubShared::new();
-        self.inner.subs.lock().insert(id, shared.clone());
+        let (frames_tx, frames) = unbounded();
+        self.inner.subs.lock().insert(id, frames_tx);
         let request = Request::Subscribe {
             sql: sql.to_string(),
             video,
@@ -476,11 +387,11 @@ impl Caller {
             self.inner.fail_all(WRITE_FAILED);
             return Err(e);
         }
-        // The ack is the first frame demuxed to the mailbox.
-        match shared.next()? {
+        // The ack is the first frame demuxed to the channel.
+        match next_frame(&frames)? {
             Some(Response::Subscribed { sub, from_seq }) => Ok(Subscription {
                 caller: self.clone(),
-                shared,
+                frames,
                 id,
                 sub,
                 from_seq,
@@ -527,12 +438,12 @@ impl Drop for Caller {
 /// [`Subscription::next`] blocks for pushed frames in arrival order and
 /// returns `Ok(None)` after the terminal `unsubscribed` frame (which is
 /// itself yielded first, carrying the delivery accounting). Dropping the
-/// handle detaches the mailbox — later pushes for it are discarded — but
+/// handle detaches its channel — later pushes for it are discarded — but
 /// does **not** tell the server; call [`Subscription::unsubscribe`] for a
 /// clean close.
 pub struct Subscription {
     caller: Caller,
-    shared: Arc<SubShared>,
+    frames: Frames,
     /// The id the `subscribe` frame went out under; every push echoes it.
     id: u64,
     sub: u64,
@@ -553,14 +464,15 @@ impl Subscription {
     /// Block for the next pushed frame — `event`, `drift`, or `lagged` —
     /// in arrival order. `Ok(None)` after the terminal `unsubscribed`
     /// frame; a dead connection is an error once queued frames drain.
+    /// After either end, every further call returns `Ok(None)`.
     pub fn next(&self) -> SvqResult<Option<Response>> {
-        self.shared.next()
+        next_frame(&self.frames)
     }
 
     /// Ask the server to close the subscription and return its ack (the
     /// terminal accounting frame). The same frame is also pushed into the
-    /// mailbox, so a consumer loop on [`Subscription::next`] still sees
-    /// the terminal and then `Ok(None)`.
+    /// subscription's channel, so a consumer loop on [`Subscription::next`]
+    /// still sees the terminal and then `Ok(None)`.
     pub fn unsubscribe(&self) -> SvqResult<Response> {
         self.caller
             .call(&Request::Unsubscribe { sub: self.sub })?
@@ -570,7 +482,7 @@ impl Subscription {
 
 impl Drop for Subscription {
     fn drop(&mut self) {
-        // Detach the mailbox; the demux loop discards frames for ids it
+        // Detach the channel; the demux loop discards frames for ids it
         // no longer knows.
         self.caller.inner.subs.lock().remove(&self.id);
     }
@@ -599,26 +511,30 @@ fn demux(inner: &Arc<CallerInner>, mut reader: BufReader<Box<dyn Conn>>) {
                 };
                 match frame.id {
                     Some(id) => {
-                        // A subscription id routes to its mailbox — ack,
+                        // A subscription id routes to its channel — ack,
                         // pushes, and terminal alike — and owns the id
-                        // until the terminal frame retires it.
-                        let sub = inner.subs.lock().get(&id).cloned();
-                        if let Some(sub) = sub {
+                        // until the terminal frame retires it, dropping
+                        // the sender.
+                        let mut subs = inner.subs.lock();
+                        if let Some(frames) = subs.get(&id) {
                             let terminal = matches!(
                                 frame.response,
                                 Response::Unsubscribed { .. } | Response::Error { .. }
                             );
-                            sub.push(frame.response, terminal);
+                            let _ = frames.send(Ok(frame.response));
                             if terminal {
-                                inner.subs.lock().remove(&id);
+                                subs.remove(&id);
                             }
                             continue;
                         }
-                        let sink = inner.slots.lock().remove(&id);
+                        // A completion may call back into this caller:
+                        // run it with no lock held.
+                        drop(subs);
+                        let done = inner.slots.lock().remove(&id);
                         // An unknown id is the late response of a call that
                         // already failed (e.g. its write erred): discard.
-                        if let Some(sink) = sink {
-                            sink.fulfill(Ok(frame.response));
+                        if let Some(done) = done {
+                            done(Ok(frame.response));
                         }
                     }
                     // Every request goes out id-tagged, so an untagged

@@ -13,7 +13,9 @@ use std::time::Duration;
 use svq_core::online::{OnlineConfig, Svaqd};
 use svq_query::{parse, LogicalPlan};
 use svq_serve::{
-    Caller, LiveSourceConfig, Request, Response, ServeConfig, Server, ServerHandle, Subscription,
+    encode_response_line, mem_pair, parse_request_frame, read_bounded_line, Caller, Client,
+    LineEvent, LiveSourceConfig, Request, Response, ServeConfig, Server, ServerHandle,
+    Subscription, MAX_LINE_BYTES,
 };
 use svq_types::{ActionClass, ClipId, ObjectClass, VideoId};
 use svq_vision::models::ModelSuite;
@@ -307,4 +309,65 @@ fn served_pushes_equal_the_engine_stepped_from_the_join() {
         .count();
     assert!(events > 0, "the replay after clip {from} closes sequences");
     assert_eq!(served, expected, "served pushes from clip {from}");
+}
+
+#[test]
+fn a_dead_connection_yields_the_queued_pushes_then_an_error() {
+    use std::io::{BufReader, Write};
+    let (client_end, server_end) = mem_pair();
+    // A scripted server: ack the subscription, push three events, and
+    // hang up before the client has read any of them.
+    let script = std::thread::spawn(move || {
+        let mut conn = BufReader::new(server_end);
+        let LineEvent::Line(line) = read_bounded_line(&mut conn, MAX_LINE_BYTES) else {
+            panic!("no subscribe frame arrived");
+        };
+        let frame = parse_request_frame(&line).expect("a valid request frame");
+        assert!(matches!(frame.request, Request::Subscribe { .. }));
+        let mut out = encode_response_line(
+            &Response::Subscribed {
+                sub: 7,
+                from_seq: 0,
+            },
+            frame.id,
+        );
+        for seq in 1..=3 {
+            let event = Response::Event {
+                sub: 7,
+                seq,
+                clip: seq - 1,
+                first: 0,
+                last: 24,
+                at: 0,
+            };
+            out.push_str(&encode_response_line(&event, frame.id));
+        }
+        conn.get_mut()
+            .write_all(out.as_bytes())
+            .expect("frames written");
+    });
+    let caller = Client::over(Box::new(client_end), TIMEOUT)
+        .and_then(Client::into_caller)
+        .expect("caller starts");
+    let sub = caller.subscribe(SQL, None, 0).expect("subscribe acks");
+    script.join().expect("the script runs");
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    while caller.is_alive() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the hang-up never surfaced"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for want in 1..=3 {
+        match sub.next() {
+            Ok(Some(Response::Event { seq, .. })) => assert_eq!(seq, want),
+            other => panic!("expected queued event {want}, got {other:?}"),
+        }
+    }
+    let err = sub
+        .next()
+        .expect_err("the dead connection surfaces after the queue");
+    assert!(err.to_string().contains("connection closed"), "{err}");
+    assert!(sub.next().expect("the stream stays ended").is_none());
 }

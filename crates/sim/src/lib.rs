@@ -6,9 +6,10 @@
 //! test hits once in ten thousand runs, if ever. This crate makes the
 //! interleaving a *parameter*: a seeded virtual-time scheduler
 //! ([`world::run_world`]) runs the real production code (real mutexes,
-//! real condvars, real channels — instrumented via `parking_lot`'s `sim`
-//! feature) with exactly one task running at a time and the next task
-//! chosen by a seeded RNG, so
+//! real condvars, real channels — whose block/wake points consult
+//! `parking_lot::sim` for a scheduler installed on the thread) with
+//! exactly one task running at a time and the next task chosen by a
+//! seeded RNG, so
 //!
 //! * a failing run is named by `(scenario, seed, size, faults)` and
 //!   **replays byte-identically**, every time, on every machine;

@@ -40,10 +40,10 @@ use svq_serve::{
     Request, Response, RouteConfig, Router, ServeConfig, Server, ServerHandle, Transport,
     VideoScope,
 };
-use svq_storage::{DirSink, FailingSink, VideoRepository};
+use svq_storage::{CatalogSink, DirSink, FailingSink, IngestedVideo, VideoRepository};
 use svq_types::{
     ActionClass, ActionQuery, BBox, ClipId, FrameId, Interval, ObjectClass, PaperScoring,
-    RejectReason, ScoringFunctions, TrackId, VideoGeometry, VideoId,
+    RejectReason, ScoringFunctions, SvqResult, TrackId, VideoGeometry, VideoId,
 };
 use svq_vision::models::{DetectionOracle, ModelSuite, SceneConfusion};
 use svq_vision::truth::{ActionSpan, GroundTruth, ObjectTrack};
@@ -1460,6 +1460,31 @@ fn cluster_router(ctx: ScenarioCtx) {
 // Scenario: ingest_crash
 // ---------------------------------------------------------------------------
 
+/// A sink whose every accept first spends `write_time` of virtual time, as
+/// a slow disk would, so the workers run on while the consumer still holds
+/// the catalog it is sinking.
+struct SlowSink<S> {
+    inner: S,
+    write_time: Duration,
+}
+
+impl<S: CatalogSink> CatalogSink for SlowSink<S> {
+    type Output = S::Output;
+
+    fn accept(&mut self, catalog: IngestedVideo) -> SvqResult<()> {
+        rt::sleep(self.write_time);
+        self.inner.accept(catalog)
+    }
+
+    fn finish(self) -> SvqResult<S::Output> {
+        self.inner.finish()
+    }
+
+    fn bytes_written(&self) -> u64 {
+        self.inner.bytes_written()
+    }
+}
+
 /// Parallel ingestion spilling through [`DirSink`], killed mid-stream
 /// and restarted. Faults: `crash_sink` makes the sink die after a
 /// seed-chosen number of accepts (the process "crashes" with some catalogs
@@ -1473,11 +1498,15 @@ fn cluster_router(ctx: ScenarioCtx) {
 fn ingest_crash(ctx: ScenarioCtx) {
     let mut rng = ctx.rng();
     let clips = ctx.size.clamp(2, 12);
-    let n_videos = 3u64;
+    let workers = 1 + rng.below(2);
+    // Each video past the permits' `workers + 1` is another chance for a
+    // worker to finish a catalog while the consumer is still sinking one;
+    // a disk that takes virtual time to write holds that window open.
+    let n_videos = 3 + rng.below(6) as u64;
+    let write_time = Duration::from_millis(rng.below(3) as u64);
     let oracles: Vec<Arc<DetectionOracle>> = (0..n_videos).map(|v| oracle(v, clips)).collect();
     let scoring: Arc<dyn ScoringFunctions + Send + Sync> = Arc::new(PaperScoring);
     let config = OnlineConfig::default();
-    let workers = 1 + rng.below(2);
     let metrics = ExecMetrics::new();
     let handed_off_within_bound = || {
         let peak = metrics.ingest().buffered_high_water.load(Ordering::Relaxed);
@@ -1523,10 +1552,13 @@ fn ingest_crash(ctx: ScenarioCtx) {
             config,
             workers,
             metrics.clone(),
-            FailingSink::new(
-                DirSink::create(&dir).expect("spill dir creates"),
-                fail_after,
-            ),
+            SlowSink {
+                inner: FailingSink::new(
+                    DirSink::create(&dir).expect("spill dir creates"),
+                    fail_after,
+                ),
+                write_time,
+            },
         );
         assert!(crashed.is_err(), "the injected sink crash surfaces");
         handed_off_within_bound();
@@ -1537,7 +1569,10 @@ fn ingest_crash(ctx: ScenarioCtx) {
             config,
             workers,
             metrics.clone(),
-            DirSink::create(&dir).expect("spill dir creates"),
+            SlowSink {
+                inner: DirSink::create(&dir).expect("spill dir creates"),
+                write_time,
+            },
         )
         .expect("uninterrupted ingest completes");
         handed_off_within_bound();

@@ -97,6 +97,16 @@ echo "== repro ingest-spill smoke (workers {1,2}, byte-identity + hand-off bound
 cargo run -q --release -p svq-bench --bin repro -- ingest-spill \
   --scale 0.02 --out target/ci-results
 
+echo "== one svqbench binary (the workspace build and the benchmark's -p build are one program)"
+# The benchmark runs `cargo run -p svqbench`; the layer figures it reports
+# only time the shipped program if no feature unification makes a
+# workspace build compile a different lock or channel layer into it.
+cargo build --release --workspace -q
+SVQBENCH_HASH=$(sha256sum target/release/svqbench)
+cargo build --release -q -p svqbench
+[ "$(sha256sum target/release/svqbench)" = "$SVQBENCH_HASH" ] || {
+  echo "cargo build -p svqbench rebuilt a different svqbench than --workspace"; exit 1; }
+
 echo "== svqbench --quick (the four gated workloads and fanout_push: every response verified, none failed)"
 # Each run builds its system, drives it for about a second and checks every
 # response against in-process execution; the last stdout line is the
