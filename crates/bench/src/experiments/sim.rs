@@ -35,7 +35,7 @@ pub fn run(ctx: &ExpContext) {
         "steps",
         "virtual s",
         "wall s",
-        "failures",
+        "failed",
     ]);
     let mut total_schedules = 0u64;
     let mut repro_lines = Vec::new();
@@ -61,7 +61,7 @@ pub fn run(ctx: &ExpContext) {
                 report.steps.to_string(),
                 format!("{:.3}", report.virtual_nanos as f64 / 1e9),
                 format!("{:.3}", start.elapsed().as_secs_f64()),
-                report.failures.len().to_string(),
+                format!("{} of {}", report.failed, report.schedules),
             ]);
             for failure in report.failures {
                 match &failure.trace {

@@ -531,7 +531,6 @@ pub fn serve(flags: &Flags) -> CliResult {
     };
     let catalog_videos = repo.as_ref().map_or(0, |r| r.len());
     let streams = oracles.len();
-    let served_repo = repo.clone();
 
     let handle = Server::start_with_source(config, repo, oracles, source, ExecMetrics::new())?;
     let addr = handle.local_addr();
@@ -539,36 +538,22 @@ pub fn serve(flags: &Flags) -> CliResult {
         "svqact serve: listening on {addr} ({catalog_videos} catalog videos, \
          {streams} live streams{source_note}); send a `shutdown` request to drain"
     );
-    // The registry leaves catalog residency to the repository that counts
-    // it; fill it in so the report shows catalog hits and misses.
-    serve_until_drained(flags, &handle, metrics_every, move |snap| {
-        if let Some(repo) = &served_repo {
-            let cache = repo.cache_stats();
-            snap.server.catalog_hits = cache.hits;
-            snap.server.catalog_misses = cache.misses;
-        }
-    })
+    serve_until_drained(flags, &handle, metrics_every)
 }
 
 /// The tail `serve` and `route` share once listening: publish the bound
-/// address to `--addr-file`, report metrics every `metrics_every` (after
-/// `fill` completes each snapshot), wait for the drain, and print the
-/// served/drain report.
+/// address to `--addr-file`, report the handle's completed snapshot every
+/// `metrics_every`, wait for the drain, and print the served/drain report.
 fn serve_until_drained(
     flags: &Flags,
     handle: &svq_serve::ServerHandle,
     metrics_every: Option<std::time::Duration>,
-    fill: impl Fn(&mut svq_exec::MetricsSnapshot) + Send + 'static,
 ) -> CliResult {
     if let Some(path) = flags.get("addr-file") {
         std::fs::write(path, handle.local_addr().to_string())?;
     }
-    let reporter = metrics_every.map(|every| {
-        handle.metrics().spawn_reporter(every, move |mut snap| {
-            fill(&mut snap);
-            eprint!("{snap}");
-        })
-    });
+    let reporter =
+        metrics_every.map(|every| handle.spawn_reporter(every, |snap| eprint!("{snap}")));
     let report = handle.wait();
     if let Some(reporter) = reporter {
         reporter.stop();
@@ -638,7 +623,7 @@ pub fn route(flags: &Flags) -> CliResult {
          send a `shutdown` request to drain",
         shards.len()
     );
-    serve_until_drained(flags, &handle, metrics_every, |_| {})
+    serve_until_drained(flags, &handle, metrics_every)
 }
 
 /// The flags `svqact request` reads; any other is refused.
@@ -829,7 +814,8 @@ pub const SIM_FLAGS: &str = "scenario seed size faults trace schedules corpus";
 ///   `--trace true` to print the full event trace; two runs of the same
 ///   spec print byte-identical output).
 /// * `--schedules K` sweeps K seeds (over one `--scenario` or all of
-///   them), shrinking any failure and printing its one-line repro.
+///   them), printing how many failed and, for the first three failures
+///   of each scenario, the shrunk one-line repro.
 /// * `--corpus true` replays every committed corpus schedule.
 pub fn sim(flags: &Flags) -> CliResult {
     use svq_sim::{
@@ -882,7 +868,7 @@ pub fn sim(flags: &Flags) -> CliResult {
                 .ok_or_else(|| format!("unknown scenario {name:?} (known: {})", known()))?],
         };
         let base_seed: u64 = flags.get_parsed("seed", 0xBA5E)?;
-        let mut failures = 0usize;
+        let mut failures = 0u64;
         for scenario in list {
             let size: u64 = flags.get_parsed("size", scenario.default_size)?;
             let report = sweep_persisting(
@@ -895,12 +881,12 @@ pub fn sim(flags: &Flags) -> CliResult {
                 Some(trace_dir),
             );
             println!(
-                "{}: {} schedules, {} steps, {:.3}s virtual time, {} failure(s)",
+                "{}: {} steps, {:.3}s virtual time, {} of {} failed",
                 scenario.name,
-                report.schedules,
                 report.steps,
                 report.virtual_nanos as f64 / 1e9,
-                report.failures.len()
+                report.failed,
+                report.schedules
             );
             for failure in &report.failures {
                 println!("  FAIL: {}", failure.detail);
@@ -911,7 +897,7 @@ pub fn sim(flags: &Flags) -> CliResult {
                     None => println!("  repro: {}", failure.repro),
                 }
             }
-            failures += report.failures.len();
+            failures += report.failed;
         }
         if failures > 0 {
             return Err(format!("{failures} failing schedule(s); repro lines above").into());

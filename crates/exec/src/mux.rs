@@ -387,10 +387,11 @@ fn run(session: &Session, engine: SessionEngine, clips: Vec<ClipId>) {
         result.sequences.extend(engine.finish());
         result
     }));
-    SessionCounters::add(
-        &session.counters.eval_nanos,
-        started.elapsed().as_nanos() as u64,
-    );
+    let eval_nanos = started.elapsed().as_nanos() as u64;
+    session
+        .counters
+        .eval_nanos
+        .fetch_add(eval_nanos, Ordering::Relaxed);
     let mut state = session.state.lock();
     state.result = Some(outcome.map_err(|_| SessionError::Poisoned));
     session.done.notify_all();

@@ -27,14 +27,13 @@ impl WorkerPool {
     pub fn new(workers: usize, queue_cap: usize, metrics: ExecMetrics) -> Self {
         let workers = workers.max(1);
         let (tx, rx) = bounded::<Job>(queue_cap.max(1));
-        metrics.set_workers(workers);
+        metrics.attach_pool(workers, &rx);
         let handles = (0..workers)
             .map(|i| {
                 let rx = rx.clone();
                 let metrics = metrics.clone();
                 rt::spawn(&format!("svq-exec-{i}"), move || {
                     for job in rx.iter() {
-                        metrics.pool().queue_depth.fetch_sub(1, Ordering::Relaxed);
                         let outcome = catch_unwind(AssertUnwindSafe(job));
                         metrics.pool().jobs_executed.fetch_add(1, Ordering::Relaxed);
                         if outcome.is_err() {
@@ -64,17 +63,8 @@ impl WorkerPool {
 
     /// Submit a job; blocks while the queue is full (pool backpressure).
     pub fn submit(&self, job: Job) {
-        self.metrics
-            .pool()
-            .queue_depth
-            .fetch_add(1, Ordering::Relaxed);
-        if self
-            .tx
-            .as_ref()
-            .expect("pool not shut down")
-            .send(job)
-            .is_err()
-        {
+        let tx = self.tx.as_ref().expect("pool not shut down");
+        if tx.send(job).is_err() {
             unreachable!("receiver ends held by live workers");
         }
     }
@@ -175,6 +165,59 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(metrics.snapshot().jobs_panicked, 0);
+    }
+
+    #[test]
+    fn queue_depth_never_reads_past_the_channel_capacity() {
+        // One worker parked in a job, then `CAP + 2` submitters: `CAP`
+        // fill the queue and two block in `send`. The gauge is the job
+        // channel's length, so a blocked submitter is never counted.
+        const CAP: usize = 3;
+        let metrics = ExecMetrics::new();
+        let pool = Arc::new(WorkerPool::new(1, CAP, metrics.clone()));
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        pool.submit(Box::new(move || {
+            started_tx.send(()).expect("test waits for the start");
+            let _ = release_rx.recv();
+        }));
+        started_rx.recv().expect("the worker took the parking job");
+        let entered = Arc::new(AtomicU64::new(0));
+        let submitters: Vec<_> = (0..CAP + 2)
+            .map(|_| {
+                let (pool, entered) = (pool.clone(), entered.clone());
+                std::thread::spawn(move || {
+                    entered.fetch_add(1, Ordering::SeqCst);
+                    pool.submit(Box::new(|| {}));
+                })
+            })
+            .collect();
+        let blocked = || submitters.iter().filter(|h| !h.is_finished()).count();
+        let mut depth = 0;
+        let mut settled = 0;
+        // Sample while the submitters pile up, then 200 more times once
+        // all have entered `submit` and all but two have returned.
+        while settled < 200 {
+            depth = metrics.snapshot().pool_queue_depth;
+            assert!(
+                depth <= CAP as u64,
+                "queue depth {depth} past capacity {CAP}"
+            );
+            if entered.load(Ordering::SeqCst) == (CAP + 2) as u64 && blocked() == 2 {
+                settled += 1;
+            }
+            std::thread::sleep(std::time::Duration::from_micros(500));
+        }
+        assert_eq!(depth, CAP as u64, "the full queue reads its capacity");
+        assert_eq!(blocked(), 2, "two submitters stay blocked in `send`");
+        release_tx.send(()).expect("the parked job is waiting");
+        for submitter in submitters {
+            submitter.join().expect("submitter returns");
+        }
+        drop(pool);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.pool_queue_depth, 0);
+        assert_eq!(snap.jobs_executed, CAP as u64 + 3);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! `third_party/parking_lot`. See DESIGN.md "Static analysis &
 //! concurrency auditing".
 //!
-//! Findings ratchet against a committed baseline (`lint-baseline.txt`):
-//! pre-existing violations are tracked, new ones fail `--check`. Inline
-//! escape hatch: `// svq-lint: allow(<rule>)` on or above the line.
+//! `--check` fails on any finding. Inline escape hatch:
+//! `// svq-lint: allow(<rule>)` on or above the line.
 //!
 //! The scanner is hand-rolled in the style of `svq-query`'s SQL lexer —
 //! no syn, no rustc, no dependencies — because the container this repo
@@ -23,7 +22,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod guards;
 pub mod ir;
@@ -33,7 +31,6 @@ pub mod rules;
 pub mod scanner;
 pub mod walk;
 
-pub use baseline::{Baseline, CheckResult};
 pub use lockgraph::StaticLockGraph;
 pub use rules::{FileContext, Finding, Rule};
 

@@ -2,11 +2,9 @@
 //!
 //! ```text
 //! svq-lint                     report every finding (exit 0)
-//! svq-lint --check             fail on findings beyond the baseline
-//! svq-lint --update-baseline   rewrite lint-baseline.txt from current state
+//! svq-lint --check             fail on any finding
 //!     --format human|json      json writes results/lint-report.json too
 //!     --root <dir>             workspace root (default: discovered upward)
-//!     --baseline <file>        baseline path (default: <root>/lint-baseline.txt)
 //! ```
 
 #![forbid(unsafe_code)]
@@ -14,44 +12,35 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use svq_lint::{find_workspace_root, lint_workspace_full, Baseline, Finding, StaticLockGraph};
+use svq_lint::{find_workspace_root, lint_workspace_full, Finding, StaticLockGraph};
 
 struct Args {
     check: bool,
-    update: bool,
     json: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         check: false,
-        update: false,
         json: false,
         root: None,
-        baseline: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--check" => args.check = true,
-            "--update-baseline" => args.update = true,
             "--format" => match it.next().as_deref() {
                 Some("json") => args.json = true,
                 Some("human") => args.json = false,
                 other => return Err(format!("--format expects human|json, got {other:?}")),
             },
             "--root" => args.root = Some(PathBuf::from(it.next().ok_or("--root needs a path")?)),
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?))
-            }
             "--help" | "-h" => {
                 println!(
                     "svq-lint: workspace invariant linter\n\
                      \n\
-                     USAGE: svq-lint [--check | --update-baseline] [--format human|json]\n\
-                     \x20               [--root <dir>] [--baseline <file>]\n\
+                     USAGE: svq-lint [--check] [--format human|json] [--root <dir>]\n\
                      \n\
                      Per-file rules: determinism, panic, float-eq, print, forbid-unsafe\n\
                      Workspace concurrency passes: lock-cycle (static lock-order cycles),\n\
@@ -66,9 +55,6 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
-    }
-    if args.check && args.update {
-        return Err("--check and --update-baseline are mutually exclusive".into());
     }
     Ok(args)
 }
@@ -159,10 +145,6 @@ fn run() -> Result<ExitCode, String> {
         Some(r) => r,
         None => find_workspace_root(&cwd).ok_or("no workspace root found above cwd")?,
     };
-    let baseline_path = args
-        .baseline
-        .unwrap_or_else(|| root.join("lint-baseline.txt"));
-
     let (findings, graph) = lint_workspace_full(&root).map_err(|e| e.to_string())?;
 
     if args.json {
@@ -177,69 +159,27 @@ fn run() -> Result<ExitCode, String> {
         );
     }
 
-    if args.update {
-        let base = Baseline::from_findings(&findings);
-        std::fs::write(&baseline_path, base.to_string()).map_err(|e| e.to_string())?;
-        println!(
-            "svq-lint: wrote {} ({} tracked findings)",
-            baseline_path.display(),
-            findings.len()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let stats_line = {
-        let s = &graph.stats;
-        format!(
-            "svq-lint: analyzed {} files / {} functions; call graph {} resolved, \
-             {} unresolved; lock graph {} nodes, {} edges, {} site pairs",
-            s.files,
-            s.functions,
-            s.resolved_calls,
-            s.unresolved_calls,
-            s.lock_nodes,
-            s.lock_edges,
-            s.site_pairs
-        )
-    };
-
-    if args.check {
-        let base = match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-            Err(e) => return Err(e.to_string()),
-        };
-        let result = base.check(&findings);
-        for (rule, path, allowed, current) in &result.stale {
-            println!(
-                "svq-lint: stale baseline: [{rule}] {} allows {allowed}, now {current} — \
-                 run --update-baseline to ratchet down",
-                path.display()
-            );
-        }
-        if result.is_clean() {
-            println!("{stats_line}");
-            println!(
-                "svq-lint: clean ({} findings, all within baseline)",
-                findings.len()
-            );
-            return Ok(ExitCode::SUCCESS);
-        }
-        for f in &result.new_findings {
-            print_finding(f);
-        }
-        println!(
-            "svq-lint: {} new finding(s) beyond baseline — fix them or, if \
-             deliberate, suppress inline / update the baseline",
-            result.new_findings.len()
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-
     for f in &findings {
         print_finding(f);
     }
-    println!("{stats_line}");
+    let s = &graph.stats;
+    println!(
+        "svq-lint: analyzed {} files / {} functions; call graph {} resolved, \
+         {} unresolved; lock graph {} nodes, {} edges, {} site pairs",
+        s.files,
+        s.functions,
+        s.resolved_calls,
+        s.unresolved_calls,
+        s.lock_nodes,
+        s.lock_edges,
+        s.site_pairs
+    );
     println!("svq-lint: {} finding(s)", findings.len());
+    if args.check && !findings.is_empty() {
+        println!(
+            "svq-lint: --check fails on any finding: fix it or, if deliberate, suppress it inline"
+        );
+        return Ok(ExitCode::FAILURE);
+    }
     Ok(ExitCode::SUCCESS)
 }

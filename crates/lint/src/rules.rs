@@ -73,7 +73,7 @@ impl Rule {
         Rule::BlockingUnderLock,
     ];
 
-    /// Stable name used in baselines and suppressions.
+    /// Stable name used in reports and suppressions.
     pub fn name(self) -> &'static str {
         match self {
             Rule::Determinism => "determinism",
@@ -84,11 +84,6 @@ impl Rule {
             Rule::LockCycle => "lock-cycle",
             Rule::BlockingUnderLock => "blocking-under-lock",
         }
-    }
-
-    /// Parse a baseline/suppression name.
-    pub fn from_name(name: &str) -> Option<Rule> {
-        Rule::ALL.into_iter().find(|r| r.name() == name)
     }
 }
 

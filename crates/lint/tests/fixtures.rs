@@ -1,9 +1,9 @@
 //! Fixture self-tests: every rule fires on the seeded `bad_ws` fixture,
-//! stays silent on the `clean_ws` mirror, and the real workspace checks
-//! clean against the committed baseline.
+//! stays silent on the `clean_ws` mirror, and the real workspace has no
+//! finding at all.
 
 use std::path::{Path, PathBuf};
-use svq_lint::{lint_workspace, Baseline, Rule};
+use svq_lint::{lint_workspace, Rule};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -91,25 +91,14 @@ fn lock_cycle_findings_carry_file_line_witnesses() {
 }
 
 #[test]
-fn seeded_fixture_fails_an_empty_baseline_check() {
-    // This is what `svq-lint --check` exits non-zero on: findings with no
-    // baseline budget.
+fn seeded_fixture_fails_check() {
+    // `svq-lint --check` exits non-zero on any finding, so every rule that
+    // fires on the seeded fixture fails the check.
     let findings = lint_workspace(&fixture("bad_ws")).expect("fixture walks");
-    let result = Baseline::default().check(&findings);
-    assert!(!result.is_clean());
-    let failing_rules: std::collections::BTreeSet<Rule> =
-        result.new_findings.iter().map(|f| f.rule).collect();
+    let failing_rules: std::collections::BTreeSet<Rule> = findings.iter().map(|f| f.rule).collect();
     for rule in Rule::ALL {
         assert!(failing_rules.contains(&rule), "{rule} did not fail --check");
     }
-}
-
-#[test]
-fn seeded_fixture_passes_once_baselined() {
-    let findings = lint_workspace(&fixture("bad_ws")).expect("fixture walks");
-    let base = Baseline::from_findings(&findings);
-    // Ratcheted: the same findings pass, one more would fail.
-    assert!(base.check(&findings).is_clean());
 }
 
 #[test]
@@ -119,33 +108,20 @@ fn clean_fixture_has_zero_findings() {
 }
 
 #[test]
-fn real_workspace_checks_clean_against_committed_baseline() {
+fn real_workspace_checks_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("crates/lint has a workspace two levels up")
         .to_path_buf();
     let findings = lint_workspace(&root).expect("workspace walks");
-    let baseline_text = std::fs::read_to_string(root.join("lint-baseline.txt"))
-        .expect("lint-baseline.txt is committed at the workspace root");
-    let base = Baseline::parse(&baseline_text).expect("baseline parses");
-    let result = base.check(&findings);
     assert!(
-        result.is_clean(),
-        "new lint findings beyond baseline:\n{}",
-        result
-            .new_findings
+        findings.is_empty(),
+        "lint findings in the workspace:\n{}",
+        findings
             .iter()
             .map(|f| f.to_string())
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    // The determinism contract for crates/core is fully discharged — no
-    // baselined debt there (the point of the Clock refactor).
-    assert!(
-        !findings
-            .iter()
-            .any(|f| f.rule == Rule::Determinism && f.path.starts_with("crates/core")),
-        "crates/core must carry zero determinism findings"
     );
 }

@@ -74,6 +74,8 @@
 
 use serde::{json, DeError, Deserialize, EncodeError, Serialize, Value};
 use std::io::{BufRead, ErrorKind, Read};
+use std::sync::atomic::AtomicU64;
+use svq_exec::ServerCounters;
 pub use svq_exec::StatsFrame;
 use svq_query::QueryOutcome;
 use svq_types::RejectReason;
@@ -165,15 +167,22 @@ pub enum Request {
 }
 
 impl Request {
-    /// The `kind` tag on the wire (also the per-kind metrics key).
+    /// The `kind` tag on the wire.
     pub fn kind(&self) -> &'static str {
+        self.class().0
+    }
+
+    /// The `kind` tag beside the registry counter an answer to this
+    /// request bumps. The match is exhaustive, so a new request kind
+    /// cannot be filed under another's counter.
+    pub(crate) fn class(&self) -> (&'static str, fn(&ServerCounters) -> &AtomicU64) {
         match self {
-            Request::Query { .. } => "query",
-            Request::Stream { .. } => "stream",
-            Request::Subscribe { .. } => "subscribe",
-            Request::Unsubscribe { .. } => "unsubscribe",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
+            Request::Query { .. } => ("query", |srv| &srv.req_query),
+            Request::Stream { .. } => ("stream", |srv| &srv.req_stream),
+            Request::Subscribe { .. } => ("subscribe", |srv| &srv.req_subscribe),
+            Request::Unsubscribe { .. } => ("unsubscribe", |srv| &srv.req_unsubscribe),
+            Request::Stats => ("stats", |srv| &srv.req_stats),
+            Request::Shutdown => ("shutdown", |srv| &srv.req_shutdown),
         }
     }
 }

@@ -38,7 +38,9 @@
 
 use crate::client::{Caller, Client};
 use crate::protocol::{Request, Response, VideoScope};
-use crate::server::{Backend, Pending, ServeConfig, ServeConfigBuilder, Server, ServerHandle};
+use crate::server::{
+    front_door, Backend, Pending, ServeConfig, ServeConfigBuilder, Server, ServerHandle,
+};
 use crate::transport::{Conn, TcpTransport, Transport};
 use parking_lot::{rt, Mutex};
 use std::io;
@@ -144,9 +146,9 @@ impl RouteConfig {
     }
 }
 
-/// Validating builder for [`RouteConfig`]. The front-door setters delegate
-/// to a [`ServeConfigBuilder`], so both entry points validate the serving
-/// half with the same code.
+/// Validating builder for [`RouteConfig`]. The front-door setters fill a
+/// [`ServeConfigBuilder`], so both entry points validate the serving half
+/// with the same code.
 #[derive(Debug, Clone)]
 pub struct RouteConfigBuilder {
     serve: ServeConfigBuilder,
@@ -155,46 +157,10 @@ pub struct RouteConfigBuilder {
 }
 
 impl RouteConfigBuilder {
-    /// Front-door bind address (`host:port`; port 0 picks ephemeral).
-    pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.serve = self.serve.addr(addr);
-        self
-    }
+    front_door!(setters);
 
-    /// Admission limit on front-door connections.
-    pub fn max_conns(mut self, max_conns: usize) -> Self {
-        self.serve = self.serve.max_conns(max_conns);
-        self
-    }
-
-    /// Per-connection front-door read deadline.
-    pub fn read_timeout(mut self, read_timeout: Duration) -> Self {
-        self.serve = self.serve.read_timeout(read_timeout);
-        self
-    }
-
-    /// Per-connection front-door write deadline.
-    pub fn write_timeout(mut self, write_timeout: Duration) -> Self {
-        self.serve = self.serve.write_timeout(write_timeout);
-        self
-    }
-
-    /// Drain deadline before stragglers are force-closed.
-    pub fn drain_timeout(mut self, drain_timeout: Duration) -> Self {
-        self.serve = self.serve.drain_timeout(drain_timeout);
-        self
-    }
-
-    /// Frame-size cap (bytes, newline included).
-    pub fn max_line(mut self, max_line: usize) -> Self {
-        self.serve = self.serve.max_line(max_line);
-        self
-    }
-
-    /// Requests one front-door connection may have in flight.
-    pub fn pipeline_depth(mut self, pipeline_depth: usize) -> Self {
-        self.serve = self.serve.pipeline_depth(pipeline_depth);
-        self
+    fn front_door(&mut self) -> &mut ServeConfig {
+        self.serve.front_door()
     }
 
     /// Read/write deadline on upstream shard connections.

@@ -58,7 +58,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use svq_core::online::OnlineConfig;
-use svq_exec::{ExecMetrics, WorkerPool};
+use svq_exec::metrics::MetricsReporter;
+use svq_exec::{ExecMetrics, MetricsSnapshot, ServerCounters, WorkerPool};
 use svq_query::{
     execute_offline, execute_offline_all, execute_online, parse, LogicalPlan, QueryMode,
     QueryOutcome,
@@ -106,6 +107,54 @@ impl Default for ServeConfig {
     }
 }
 
+/// The seven front-door knobs, declared once: `front_door!(getters)` reads
+/// them off a [`ServeConfig`], and `front_door!(setters)` sets them on
+/// [`ServeConfigBuilder`] and [`crate::RouteConfigBuilder`], whose
+/// `front_door()` lends the `ServeConfig` they fill.
+macro_rules! front_door {
+    ($mode:ident) => {
+        front_door! { $mode
+            /// Admission limit: connections held concurrently.
+            max_conns: usize,
+            /// Per-connection read deadline.
+            read_timeout: Duration,
+            /// Per-connection write deadline.
+            write_timeout: Duration,
+            /// Drain deadline before stragglers are force-closed.
+            drain_timeout: Duration,
+            /// Frame-size cap (bytes, newline included).
+            max_line: usize,
+            /// Requests one connection may have in flight (per-connection
+            /// backpressure bound).
+            pipeline_depth: usize,
+        }
+    };
+    (getters $($(#[doc = $doc:tt])* $field:ident: $ty:ty,)*) => {
+        /// Bind address; port 0 picks an ephemeral port (read it back via
+        /// [`ServerHandle::local_addr`]).
+        pub fn addr(&self) -> &str {
+            &self.addr
+        }
+        $($(#[doc = $doc])*
+        pub fn $field(&self) -> $ty {
+            self.$field
+        })*
+    };
+    (setters $($(#[doc = $doc:tt])* $field:ident: $ty:ty,)*) => {
+        /// Bind address (`host:port`; port 0 picks an ephemeral port).
+        pub fn addr(mut self, addr: impl Into<String>) -> Self {
+            self.front_door().addr = addr.into();
+            self
+        }
+        $($(#[doc = $doc])*
+        pub fn $field(mut self, $field: $ty) -> Self {
+            self.front_door().$field = $field;
+            self
+        })*
+    };
+}
+pub(crate) use front_door;
+
 impl ServeConfig {
     /// Start building a config from the defaults.
     pub fn builder() -> ServeConfigBuilder {
@@ -114,45 +163,11 @@ impl ServeConfig {
         }
     }
 
-    /// Bind address; port 0 picks an ephemeral port (read it back via
-    /// [`ServerHandle::local_addr`]).
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Admission limit: connections held concurrently.
-    pub fn max_conns(&self) -> usize {
-        self.max_conns
-    }
-
-    /// Per-connection read deadline.
-    pub fn read_timeout(&self) -> Duration {
-        self.read_timeout
-    }
-
-    /// Per-connection write deadline.
-    pub fn write_timeout(&self) -> Duration {
-        self.write_timeout
-    }
-
-    /// How long a drain waits before force-closing stragglers.
-    pub fn drain_timeout(&self) -> Duration {
-        self.drain_timeout
-    }
-
-    /// Frame-size cap (bytes, newline included).
-    pub fn max_line(&self) -> usize {
-        self.max_line
-    }
+    front_door!(getters);
 
     /// Worker threads in the shared execution pool.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Requests one connection may have in flight.
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth
     }
 }
 
@@ -166,40 +181,10 @@ pub struct ServeConfigBuilder {
 }
 
 impl ServeConfigBuilder {
-    /// Bind address (`host:port`; port 0 picks an ephemeral port).
-    pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.config.addr = addr.into();
-        self
-    }
+    front_door!(setters);
 
-    /// Admission limit: connections held concurrently.
-    pub fn max_conns(mut self, max_conns: usize) -> Self {
-        self.config.max_conns = max_conns;
-        self
-    }
-
-    /// Per-connection read deadline.
-    pub fn read_timeout(mut self, read_timeout: Duration) -> Self {
-        self.config.read_timeout = read_timeout;
-        self
-    }
-
-    /// Per-connection write deadline.
-    pub fn write_timeout(mut self, write_timeout: Duration) -> Self {
-        self.config.write_timeout = write_timeout;
-        self
-    }
-
-    /// Drain deadline before stragglers are force-closed.
-    pub fn drain_timeout(mut self, drain_timeout: Duration) -> Self {
-        self.config.drain_timeout = drain_timeout;
-        self
-    }
-
-    /// Frame-size cap (bytes, newline included).
-    pub fn max_line(mut self, max_line: usize) -> Self {
-        self.config.max_line = max_line;
-        self
+    pub(crate) fn front_door(&mut self) -> &mut ServeConfig {
+        &mut self.config
     }
 
     /// Worker threads in the shared execution pool.
@@ -212,13 +197,6 @@ impl ServeConfigBuilder {
     /// (ROADMAP item 19).
     #[doc(hidden)]
     pub fn shards(self, _shards: usize) -> Self {
-        self
-    }
-
-    /// Requests one connection may have in flight (per-connection
-    /// backpressure bound).
-    pub fn pipeline_depth(mut self, pipeline_depth: usize) -> Self {
-        self.config.pipeline_depth = pipeline_depth;
         self
     }
 
@@ -330,6 +308,10 @@ pub(crate) trait Backend: Send + Sync {
     /// connection's writer is told to finish, so nothing enqueues onto a
     /// retired writer.
     fn conn_closed(&self, _conn_id: u64) {}
+
+    /// Complete the registry's server frame with what only the backend
+    /// knows (the router builds its cluster view per `stats` request).
+    fn complete(&self, _frame: &mut StatsFrame) {}
 }
 
 pub(crate) struct Shared {
@@ -524,8 +506,34 @@ impl ServerHandle {
 
     /// The shared metrics registry: the server block, the pool, and one
     /// session line per running `stream` request and standing statement.
+    /// Its server frame leaves what only the backend knows at 0;
+    /// [`ServerHandle::snapshot`] fills that in.
     pub fn metrics(&self) -> &ExecMetrics {
         &self.shared.metrics
+    }
+
+    /// The registry's snapshot with its server frame completed by the
+    /// backend: for a local server, the frame a `stats` request answers
+    /// (catalog residency and inventory, live streams, push-queue depth).
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut snapshot = self.shared.metrics.snapshot();
+        self.shared.backend.complete(&mut snapshot.server);
+        snapshot
+    }
+
+    /// Deliver [`ServerHandle::snapshot`] to `sink` every `every` until the
+    /// reporter is stopped (or dropped). Backs `svqact serve --metrics-every`.
+    pub fn spawn_reporter<F>(&self, every: Duration, mut sink: F) -> MetricsReporter
+    where
+        F: FnMut(MetricsSnapshot) + Send + 'static,
+    {
+        let backend = self.shared.backend.clone();
+        self.shared
+            .metrics
+            .spawn_reporter(every, move |mut snapshot| {
+                backend.complete(&mut snapshot.server);
+                sink(snapshot)
+            })
     }
 
     /// Trigger a graceful drain and return immediately. Idempotent; also
@@ -642,6 +650,7 @@ impl ServerHandle {
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
 
 fn accept_loop(shared: &Arc<Shared>) {
+    let srv = shared.metrics.server();
     let mut backoff = Duration::ZERO;
     loop {
         let stream = match shared.transport.accept() {
@@ -657,11 +666,7 @@ fn accept_loop(shared: &Arc<Shared>) {
                 // Persistent accept failures (EMFILE, ENFILE, transport
                 // faults) must not busy-spin the acceptor at 100% CPU:
                 // back off exponentially, bounded, and count each one.
-                shared
-                    .metrics
-                    .server()
-                    .accept_errors
-                    .fetch_add(1, Ordering::Relaxed);
+                srv.accept_errors.fetch_add(1, Ordering::Relaxed);
                 backoff = (backoff * 2).clamp(Duration::from_millis(1), ACCEPT_BACKOFF_MAX);
                 rt::sleep(backoff);
                 if shared.phase() == Phase::Stopped {
@@ -673,11 +678,7 @@ fn accept_loop(shared: &Arc<Shared>) {
         match shared.phase() {
             Phase::Stopped => return,
             Phase::Draining => {
-                shared
-                    .metrics
-                    .server()
-                    .rejected_draining
-                    .fetch_add(1, Ordering::Relaxed);
+                srv.rejected_draining.fetch_add(1, Ordering::Relaxed);
                 refuse(
                     stream,
                     shared,
@@ -691,11 +692,7 @@ fn accept_loop(shared: &Arc<Shared>) {
         let mut conns = shared.conns.lock();
         if conns.len() >= shared.config.max_conns {
             drop(conns);
-            shared
-                .metrics
-                .server()
-                .rejected_busy
-                .fetch_add(1, Ordering::Relaxed);
+            srv.rejected_busy.fetch_add(1, Ordering::Relaxed);
             refuse(
                 stream,
                 shared,
@@ -704,7 +701,7 @@ fn accept_loop(shared: &Arc<Shared>) {
             );
             continue;
         }
-        shared.metrics.server().conn_opened();
+        srv.conn_opened();
         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         // Register *before* spawning: a connection that cannot enter the
         // registry would be invisible to drain (neither closed idle nor
@@ -714,7 +711,7 @@ fn accept_loop(shared: &Arc<Shared>) {
             Ok(clone) => clone,
             Err(e) => {
                 drop(conns);
-                shared.metrics.server().conn_closed();
+                srv.conn_closed();
                 refuse(
                     stream,
                     shared,
@@ -971,13 +968,16 @@ pub(crate) struct Pending {
     shared: Arc<Shared>,
     writer: Arc<ConnWriter>,
     id: Option<u64>,
-    kind: &'static str,
+    /// The request kind's counter in the registry.
+    counter: fn(&ServerCounters) -> &AtomicU64,
     started: Instant,
 }
 
 impl Pending {
     pub(crate) fn complete(self, response: Response) {
-        record_request(&self.shared, self.kind, self.started.elapsed());
+        let srv = self.shared.metrics.server();
+        (self.counter)(srv).fetch_add(1, Ordering::Relaxed);
+        srv.latency.record(self.started.elapsed());
         self.writer
             .enqueue(encode_response_line(&response, self.id));
     }
@@ -1046,7 +1046,7 @@ fn handle_conn(
                     shared: shared.clone(),
                     writer: writer.writer.clone(),
                     id: frame.id,
-                    kind: frame.request.kind(),
+                    counter: frame.request.class().1,
                     started,
                 };
                 match frame.request {
@@ -1126,7 +1126,11 @@ pub(crate) struct LocalBackend {
 impl Backend for LocalBackend {
     fn dispatch(self: Arc<Self>, conn_id: u64, reqno: u64, request: Request, pending: Pending) {
         match request {
-            Request::Stats => pending.complete(Response::Stats(self.stats())),
+            Request::Stats => {
+                let mut frame = self.metrics.snapshot().server;
+                self.complete(&mut frame);
+                pending.complete(Response::Stats(frame))
+            }
             Request::Query { sql, video } => self.dispatch_query(pending, sql, video),
             Request::Stream { sql, video } => {
                 self.dispatch_stream(conn_id, reqno, sql, video, pending)
@@ -1148,6 +1152,19 @@ impl Backend for LocalBackend {
 
     fn conn_closed(&self, conn_id: u64) {
         self.subs.conn_closed(conn_id);
+    }
+
+    /// Catalog residency and inventory, live streams, push-queue depth.
+    fn complete(&self, frame: &mut StatsFrame) {
+        if let Some(repo) = &self.repo {
+            let cache = repo.cache_stats();
+            frame.catalog_hits = cache.hits;
+            frame.catalog_misses = cache.misses;
+            frame.catalog_videos = repo.len() as u64;
+        }
+        frame.live_streams =
+            self.oracles.len() as u64 + u64::from(self.subs.source_video().is_some());
+        frame.subs_queue_depth = self.subs.queue_depth();
     }
 }
 
@@ -1310,36 +1327,6 @@ impl LocalBackend {
         })?;
         Ok((plan, oracle.clone()))
     }
-
-    /// The registry's server snapshot plus what only this backend knows:
-    /// catalog residency and inventory, live streams, push-queue depth.
-    fn stats(&self) -> StatsFrame {
-        let mut frame = self.metrics.snapshot().server;
-        if let Some(repo) = &self.repo {
-            let cache = repo.cache_stats();
-            frame.catalog_hits = cache.hits;
-            frame.catalog_misses = cache.misses;
-            frame.catalog_videos = repo.len() as u64;
-        }
-        frame.live_streams =
-            self.oracles.len() as u64 + u64::from(self.subs.source_video().is_some());
-        frame.subs_queue_depth = self.subs.queue_depth();
-        frame
-    }
-}
-
-fn record_request(shared: &Shared, kind: &'static str, elapsed: Duration) {
-    let srv = shared.metrics.server();
-    let counter = match kind {
-        "query" => &srv.req_query,
-        "stream" => &srv.req_stream,
-        "subscribe" => &srv.req_subscribe,
-        "unsubscribe" => &srv.req_unsubscribe,
-        "stats" => &srv.req_stats,
-        _ => &srv.req_shutdown,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    srv.latency.record(elapsed);
 }
 
 /// Run one pool job's execution and turn it into its response. An acquired

@@ -153,15 +153,17 @@ pub struct SweepReport {
     pub schedules: u64,
     pub steps: u64,
     pub virtual_nanos: u64,
-    /// Shrunk failures, at most one per failing seed, capped at
-    /// [`sweep`]'s `max_failures`.
+    /// Schedules that failed, out of `schedules`.
+    pub failed: u64,
+    /// The first `max_failures` failures, shrunk, one per failing seed.
     pub failures: Vec<SweepFailure>,
 }
 
-/// Run `schedules` schedules of `scenario` with seeds derived from
-/// `base_seed`, collecting (and shrinking) up to `max_failures` failures
-/// before stopping early. Per-schedule seeds are `mix(base ^ index)` so a
-/// repro line names the exact derived seed, not the sweep.
+/// Run all `schedules` schedules of `scenario` with seeds derived from
+/// `base_seed`, counting every failure but shrinking only the first
+/// `max_failures`, so the count is the sweep's catch rate. Per-schedule
+/// seeds are `mix(base ^ index)` so a repro line names the exact derived
+/// seed, not the sweep.
 pub fn sweep(
     scenario: &'static Scenario,
     base_seed: u64,
@@ -197,6 +199,7 @@ pub fn sweep_persisting(
         schedules: 0,
         steps: 0,
         virtual_nanos: 0,
+        failed: 0,
         failures: Vec::new(),
     };
     for index in 0..schedules {
@@ -211,7 +214,11 @@ pub fn sweep_persisting(
         report.schedules += 1;
         report.steps += outcome.steps;
         report.virtual_nanos += outcome.virtual_nanos;
-        if outcome.failure.is_some() {
+        if outcome.failure.is_none() {
+            continue;
+        }
+        report.failed += 1;
+        if report.failures.len() < max_failures {
             let (shrunk, shrunk_outcome) = shrink(&spec);
             let detail = shrunk_outcome
                 .failure
@@ -224,9 +231,6 @@ pub fn sweep_persisting(
                 detail,
                 trace,
             });
-            if report.failures.len() >= max_failures.max(1) {
-                break;
-            }
         }
     }
     report

@@ -73,10 +73,10 @@ cargo run -q --release --example movie_topk
 echo "== surveillance_stream example (one engine stepped over three videos, next_video between them)"
 cargo run -q --release --example surveillance_stream
 
-echo "== svq-lint --check (workspace invariants + static lock graph vs lint-baseline.txt)"
+echo "== svq-lint --check (workspace invariants + static lock graph)"
 # Hard gate: token rules plus the workspace concurrency passes
-# (lock-cycle, blocking-under-lock). Any finding beyond the committed
-# baseline fails; the baseline only ever ratchets down.
+# (lock-cycle, blocking-under-lock). Any finding fails; deliberate
+# exceptions carry an inline `// svq-lint: allow(<rule>)`.
 cargo run -p svq-lint -q -- --check
 cargo run -p svq-lint -q -- --format json >/dev/null  # results/lint-report.json
 
