@@ -620,12 +620,23 @@ impl fmt::Display for MetricsSnapshot {
                 self.server.timed_out,
                 self.server.malformed,
             )?;
-            if self.server.accept_errors + self.server.catalog_hits + self.server.catalog_misses > 0
+            let server = &self.server;
+            if server.accept_errors
+                + server.catalog_hits
+                + server.catalog_misses
+                + server.catalog_videos
+                + server.live_streams
+                > 0
             {
                 writeln!(
                     f,
-                    "  accept errors {:>4}  catalog hits {:>6}  misses {:>6}",
-                    self.server.accept_errors, self.server.catalog_hits, self.server.catalog_misses,
+                    "  accept errors {:>4}  catalog hits {:>6}  misses {:>6}  videos {:>4}  \
+                     live streams {:>2}",
+                    server.accept_errors,
+                    server.catalog_hits,
+                    server.catalog_misses,
+                    server.catalog_videos,
+                    server.live_streams,
                 )?;
             }
             writeln!(
@@ -646,13 +657,14 @@ impl fmt::Display for MetricsSnapshot {
                 writeln!(
                     f,
                     "  subs     {:>4} active (peak {})  {:>6} opened  events {:>8}  \
-                     lagged {:>4}  missed {:>6}",
+                     lagged {:>4}  missed {:>6}  queue depth {:>4}",
                     self.server.subs_active,
                     self.server.subs_peak,
                     self.server.subs_opened,
                     self.server.subs_events,
                     self.server.subs_lagged,
                     self.server.subs_missed,
+                    self.server.subs_queue_depth,
                 )?;
             }
         }
@@ -908,6 +920,8 @@ mod tests {
                 accept_errors: 8,
                 catalog_hits: 9,
                 catalog_misses: 10,
+                catalog_videos: 11,
+                live_streams: 12,
                 req_query: 13,
                 req_stream: 14,
                 req_subscribe: 15,
@@ -921,6 +935,7 @@ mod tests {
                 subs_events: 23,
                 subs_lagged: 24,
                 subs_missed: 25,
+                subs_queue_depth: 26,
                 latency_p50_ms: 27.5,
                 latency_p95_ms: 28.25,
                 latency_p99_ms: 29.125,
@@ -950,12 +965,13 @@ mod tests {
                     pool queue 2\n  \
                     serve       1 active (peak 2)       3 accepted  busy    4  draining    5  \
                     timeout    6  malformed    7\n";
-        let catalog = "  accept errors    8  catalog hits      9  misses     10\n";
+        let catalog = "  accept errors    8  catalog hits      9  misses     10  videos   11  \
+                       live streams 12\n";
         let requests = "  requests     19 (     2/s)  query    13  stream    14  stats    17  \
                         shutdown 18  p50   27.50 ms  p95   28.25 ms  p99   29.12 ms\n";
         let subs =
             "  subs       20 active (peak 21)      22 opened  events       23  lagged   24  \
-                    missed     25\n";
+                    missed     25  queue depth   26\n";
         let tail = "  ingest          4 built         3 sunk       65536 bytes  sink      7.2 ms  \
                     buffered 1 (peak 2)\n  \
                     conn4/r2                          600 clips (      48/s)  eval      31.5 ms\n  \
@@ -966,13 +982,37 @@ mod tests {
             snap.to_string(),
             [head, catalog, requests, subs, tail].concat()
         );
-        // Without accept errors, catalog traffic or subscriptions, those
-        // two lines are left out.
+        // Without accept errors, catalog traffic or inventory, or
+        // subscriptions, those two lines are left out.
         let mut quiet = snap;
         quiet.server.accept_errors = 0;
         quiet.server.catalog_hits = 0;
         quiet.server.catalog_misses = 0;
+        quiet.server.catalog_videos = 0;
+        quiet.server.live_streams = 0;
         quiet.server.subs_opened = 0;
         assert_eq!(quiet.to_string(), [head, requests, tail].concat());
+    }
+
+    #[test]
+    fn display_text_names_the_backend_inventory() {
+        // Each figure only a backend fills in shows up on its own.
+        let mut snap = fixed_snapshot();
+        snap.server = StatsFrame {
+            accepted: 1,
+            subs_opened: 1,
+            ..StatsFrame::default()
+        };
+        snap.server.catalog_videos = 3;
+        let text = snap.to_string();
+        assert!(text.contains("videos    3"), "{text}");
+        snap.server.catalog_videos = 0;
+        snap.server.live_streams = 2;
+        let text = snap.to_string();
+        assert!(text.contains("live streams  2"), "{text}");
+        snap.server.live_streams = 0;
+        snap.server.subs_queue_depth = 5;
+        let text = snap.to_string();
+        assert!(text.contains("queue depth    5"), "{text}");
     }
 }

@@ -3,8 +3,8 @@
 //! One frame per line, UTF-8 JSON, `\n`-terminated, at most
 //! [`MAX_LINE_BYTES`] bytes including the newline. Requests and responses
 //! are internally tagged by a `kind` member, written first (serde's
-//! internally tagged representation, derived), and a pipeline `id`, when
-//! given, is written last:
+//! internally tagged representation, derived both ways), and a pipeline
+//! `id`, when given, is written last:
 //!
 //! ```text
 //! -> {"kind": "query",  "sql": "SELECT …", "video": 3}
@@ -68,9 +68,13 @@
 //! unbounded buffer, never a silent drop.
 //!
 //! Malformed input is answered, not dropped: an oversize line, invalid
-//! UTF-8, truncated JSON, or an unknown `kind` each produce a typed error
-//! frame and leave the connection usable (the reader resynchronises on the
-//! next newline).
+//! UTF-8, truncated JSON, an unknown `kind` or an ill-typed member each
+//! produce a typed error frame, without an `id` even when the line carried
+//! one, and leave the connection usable (the reader resynchronises on the
+//! next newline). A request is decoded by its derived reader; only a line
+//! that fails it is judged again, on its tree, for the error's category
+//! (see [`parse_request_frame`]). Hand-written here are only
+//! [`VideoScope`]'s wire shape and the frames' shared `id` reader.
 
 use serde::{json, DeError, Deserialize, EncodeError, Serialize, Value};
 use std::io::{BufRead, ErrorKind, Read};
@@ -92,10 +96,11 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// [`Sole`]: VideoScope::Sole
 /// [`One`]: VideoScope::One
 /// [`All`]: VideoScope::All
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VideoScope {
     /// No video named: legal only when the server holds exactly one, which
     /// is then inferred (the v1 convenience contract).
+    #[default]
     Sole,
     /// One explicitly named video.
     One(u64),
@@ -131,21 +136,42 @@ impl Serialize for VideoScope {
     }
 }
 
+impl Deserialize for VideoScope {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        match value {
+            Value::Str(s) if s == "all" => Ok(VideoScope::All),
+            Value::Str(s) => Err(DeError(format!(
+                "expected a video id or \"all\", got {s:?}"
+            ))),
+            other => Option::<u64>::from_value(other).map(VideoScope::from),
+        }
+    }
+}
+
 impl From<Option<u64>> for VideoScope {
     fn from(video: Option<u64>) -> Self {
         video.map_or(VideoScope::Sole, VideoScope::One)
     }
 }
 
-/// A client-to-server frame.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// A client-to-server frame. A member marked `default` may be absent or
+/// `null`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum Request {
     /// Offline top-K query against the served catalog repository.
-    Query { sql: String, video: VideoScope },
+    Query {
+        sql: String,
+        #[serde(default)]
+        video: VideoScope,
+    },
     /// Online query over one of the served live streams. Streams always
     /// target a single (named or sole) video; `"all"` is rejected.
-    Stream { sql: String, video: Option<u64> },
+    Stream {
+        sql: String,
+        #[serde(default)]
+        video: Option<u64>,
+    },
     /// Register a standing query against the server's paced live source;
     /// the server pushes `event` frames as clip indicators fire. v2-only:
     /// the frame must carry an `id` (it tags every pushed frame).
@@ -153,9 +179,11 @@ pub enum Request {
         sql: String,
         /// The live-source video this subscription watches (absent: the
         /// sole served source is inferred).
+        #[serde(default)]
         video: Option<u64>,
         /// Push a `drift` estimator snapshot every this many source clips
         /// (0 = never).
+        #[serde(default)]
         drift_every: u64,
     },
     /// Tear one subscription down by its server-assigned handle.
@@ -253,29 +281,6 @@ pub enum Response {
     },
 }
 
-// Request decoding stays hand-written: [`RequestMembers`] tells an unknown
-// `kind` (`unknown_kind`) from an ill-typed member (`bad_request`).
-impl Deserialize for Request {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        RequestMembers::of(value).frame().map(|frame| frame.request)
-    }
-
-    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
-        let frame = RequestMembers::read(reader)?.frame()?;
-        Ok(frame.request)
-    }
-}
-
-impl Deserialize for RequestFrame {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        RequestMembers::of(value).frame()
-    }
-
-    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
-        Ok(RequestMembers::read(reader)?.frame()?)
-    }
-}
-
 /// Encode any frame as one newline-terminated line.
 pub fn encode_line<T: Serialize + ?Sized>(frame: &T) -> String {
     encode_with(frame, None)
@@ -326,229 +331,38 @@ pub struct ResponseFrame {
     pub response: Response,
 }
 
-/// The `id` is read beside the response's members, in the same pass; the
-/// first `id` wins and `null` is none.
-impl Deserialize for ResponseFrame {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(ResponseFrame {
-            id: Deserialize::from_value(value.get("id").unwrap_or(&Value::Null))?,
-            response: Response::from_value(value)?,
-        })
-    }
+/// A frame's `Deserialize`: its tagged members, with the pipeline `id`
+/// read beside them in the same pass (the first `id` wins, `null` is none).
+macro_rules! framed {
+    ($frame:ident, $field:ident: $inner:ident) => {
+        impl Deserialize for $frame {
+            fn from_value(value: &Value) -> Result<Self, DeError> {
+                Ok($frame {
+                    $field: $inner::from_value(value)?,
+                    id: value.member_or_default("id")?,
+                })
+            }
 
-    fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
-        let mut id: Option<Option<u64>> = None;
-        let response = Response::read_tagged(reader, |key, reader| match key {
-            "id" => json::read_member(reader, &mut id),
-            _ => reader.skip(),
-        })?;
-        match response {
-            Some(response) => Ok(ResponseFrame {
-                id: id.flatten(),
-                response,
-            }),
-            None => reader.fallback(),
-        }
-    }
-}
-
-/// The members a request frame is decoded from: each the first of its key,
-/// as [`Value::get`] returns it, read as a tree (a request member is a
-/// scalar); every other member is only checked as JSON.
-#[derive(Debug, Default)]
-struct RequestMembers {
-    kind: Option<Value>,
-    sql: Option<Value>,
-    video: Option<Value>,
-    drift_every: Option<Value>,
-    sub: Option<Value>,
-    id: Option<Value>,
-}
-
-impl RequestMembers {
-    fn slot(&mut self, key: &str) -> Option<&mut Option<Value>> {
-        match key {
-            "kind" => Some(&mut self.kind),
-            "sql" => Some(&mut self.sql),
-            "video" => Some(&mut self.video),
-            "drift_every" => Some(&mut self.drift_every),
-            "sub" => Some(&mut self.sub),
-            "id" => Some(&mut self.id),
-            _ => None,
-        }
-    }
-
-    /// The members of a frame's tree (none, if it is not an object).
-    fn of(value: &Value) -> Self {
-        let member = |key| value.get(key).cloned();
-        RequestMembers {
-            kind: member("kind"),
-            sql: member("sql"),
-            video: member("video"),
-            drift_every: member("drift_every"),
-            sub: member("sub"),
-            id: member("id"),
-        }
-    }
-
-    /// The members read straight from the text (none, if the next value is
-    /// not an object). Fails only on text that is not JSON.
-    fn read(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
-        let mut members = RequestMembers::default();
-        if reader.peek()? != b'{' {
-            reader.skip()?;
-            return Ok(members);
-        }
-        reader.begin_object()?;
-        let mut first = true;
-        while let Some(key) = reader.key(&mut first)? {
-            match members.slot(&key) {
-                Some(slot @ None) => *slot = Some(reader.value()?),
-                _ => reader.skip()?,
+            fn read_json(reader: &mut json::Reader<'_>) -> Result<Self, json::ReadError> {
+                let mut id: Option<Option<u64>> = None;
+                let inner = $inner::read_tagged(reader, |key, reader| match key {
+                    "id" => json::read_member(reader, &mut id, "id"),
+                    _ => reader.skip(),
+                })?;
+                match inner {
+                    Some($field) => Ok($frame {
+                        id: id.flatten(),
+                        $field,
+                    }),
+                    None => reader.fallback(),
+                }
             }
         }
-        Ok(members)
-    }
-
-    /// [`RequestMembers::decode`] for `Deserialize`: the category becomes
-    /// the error's prefix.
-    fn frame(self) -> Result<RequestFrame, DeError> {
-        self.decode()
-            .map_err(|(reason, message)| DeError(format!("{reason}: {message}")))
-    }
-
-    /// The request these members spell, or the wire category of the first
-    /// thing wrong with it: the `kind`, then the kind's fields, then the
-    /// pipeline `id`.
-    fn decode(self) -> Result<RequestFrame, (RejectReason, String)> {
-        let kind = match self.kind {
-            Some(Value::Str(k)) => k,
-            Some(other) => {
-                return Err((
-                    RejectReason::BadRequest,
-                    format!("`kind` must be a string, got {}", other.kind()),
-                ))
-            }
-            None => {
-                return Err((
-                    RejectReason::BadRequest,
-                    "request frame without a `kind` field".into(),
-                ))
-            }
-        };
-        let request = match kind.as_str() {
-            "query" => Request::Query {
-                sql: sql(self.sql, "query")?,
-                video: scope(self.video)?,
-            },
-            "stream" => Request::Stream {
-                sql: sql(self.sql, "stream")?,
-                video: single(self.video, "stream", "video")?,
-            },
-            "subscribe" => Request::Subscribe {
-                sql: sql(self.sql, "subscribe")?,
-                video: single(self.video, "subscribe", "live source")?,
-                drift_every: match self.drift_every {
-                    None | Some(Value::Null) => 0,
-                    Some(v) => u64::from_value(&v).map_err(|e| {
-                        (
-                            RejectReason::BadRequest,
-                            format!("`drift_every` must be a non-negative integer: {e}"),
-                        )
-                    })?,
-                },
-            },
-            "unsubscribe" => Request::Unsubscribe {
-                sub: match self.sub {
-                    Some(v) => u64::from_value(&v).map_err(|e| {
-                        (
-                            RejectReason::BadRequest,
-                            format!("`sub` must be a subscription handle: {e}"),
-                        )
-                    })?,
-                    None => {
-                        return Err((
-                            RejectReason::BadRequest,
-                            "`unsubscribe` requests need a `sub` field".into(),
-                        ))
-                    }
-                },
-            },
-            "stats" => Request::Stats,
-            "shutdown" => Request::Shutdown,
-            other => {
-                return Err((
-                    RejectReason::UnknownKind,
-                    format!(
-                        "unknown request kind {other:?} \
-                         (query|stream|subscribe|unsubscribe|stats|shutdown)"
-                    ),
-                ))
-            }
-        };
-        let id = match self.id {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(u64::from_value(&v).map_err(|e| {
-                (
-                    RejectReason::BadRequest,
-                    format!("`id` must be a non-negative integer: {e}"),
-                )
-            })?),
-        };
-        Ok(RequestFrame { id, request })
-    }
+    };
 }
 
-/// A request's `sql` member.
-fn sql(member: Option<Value>, kind: &str) -> Result<String, (RejectReason, String)> {
-    match member {
-        Some(Value::Str(s)) => Ok(s),
-        Some(other) => Err((
-            RejectReason::BadRequest,
-            format!("`sql` must be a string, got {}", other.kind()),
-        )),
-        None => Err((
-            RejectReason::BadRequest,
-            format!("`{kind}` requests need a `sql` field"),
-        )),
-    }
-}
-
-/// A request's `video` member.
-fn scope(member: Option<Value>) -> Result<VideoScope, (RejectReason, String)> {
-    match member {
-        None | Some(Value::Null) => Ok(VideoScope::Sole),
-        Some(Value::Str(s)) if s == "all" => Ok(VideoScope::All),
-        Some(Value::Str(s)) => Err((
-            RejectReason::BadRequest,
-            format!("`video` must be a video id or \"all\", got {s:?}"),
-        )),
-        Some(v) => u64::from_value(&v).map(VideoScope::One).map_err(|e| {
-            (
-                RejectReason::BadRequest,
-                format!("`video` must be a video id: {e}"),
-            )
-        }),
-    }
-}
-
-/// A `stream` or `subscribe` request's `video` member, which names one
-/// `target` (or none, for the sole one).
-fn single(
-    member: Option<Value>,
-    kind: &str,
-    target: &str,
-) -> Result<Option<u64>, (RejectReason, String)> {
-    match scope(member)? {
-        VideoScope::All => Err((
-            RejectReason::BadRequest,
-            format!(
-                "`{kind}` requests target a single {target}; `\"all\"` is only valid for `query`"
-            ),
-        )),
-        scope => Ok(scope.one()),
-    }
-}
+framed!(RequestFrame, request: Request);
+framed!(ResponseFrame, response: Response);
 
 /// Decode one raw request line into a [`Request`], mapping each failure
 /// mode to its wire category. Discards any pipeline `id`; servers use
@@ -560,23 +374,49 @@ pub fn parse_request(line: &[u8]) -> Result<Request, (RejectReason, String)> {
 /// Decode one raw request line into a [`RequestFrame`] (request plus
 /// optional pipeline `id`), mapping each failure mode to its wire category.
 ///
-/// Reads the frame straight from the text, building no tree: text that is
-/// not JSON anywhere on the line is `bad_json`, whatever its members hold;
-/// then the `kind`, the kind's fields and the `id` are judged in that
-/// order, as the frame's tree would be.
+/// The frame is read straight from the text by its derived reader, which
+/// builds no tree. Only a line that does not read is parsed again, as a
+/// tree, to choose its category: text that is not JSON anywhere on the
+/// line is `bad_json`, whatever its members hold; a string `kind` that no
+/// request has is `unknown_kind`; anything else is `bad_request`.
 pub fn parse_request_frame(line: &[u8]) -> Result<RequestFrame, (RejectReason, String)> {
     let text = std::str::from_utf8(line)
         .map_err(|e| (RejectReason::BadUtf8, format!("request line: {e}")))?;
     let mut reader = json::Reader::new(text);
-    let members = RequestMembers::read(&mut reader)
-        .and_then(|members| reader.finish().map(|()| members))
-        .map_err(|e| {
-            (
-                RejectReason::BadJson,
-                format!("request line: json error: {e}"),
+    RequestFrame::read_json(&mut reader)
+        .and_then(|frame| reader.finish().map(|()| frame))
+        .map_err(|e| rejection(text, e))
+}
+
+/// The category of a request line that did not read as a frame, judged on
+/// its tree, with `error`, the reader's, as the message.
+#[cold]
+fn rejection(text: &str, error: json::ReadError) -> (RejectReason, String) {
+    let tree: Value = match serde_json::from_str(text) {
+        Ok(tree) => tree,
+        Err(e) => return (RejectReason::BadJson, format!("request line: {e}")),
+    };
+    let kind = match tree.get("kind") {
+        Some(Value::Str(kind)) => kind.as_str(),
+        _ => return (RejectReason::BadRequest, error.to_string()),
+    };
+    if !Request::TAGS.contains(&kind) {
+        return (RejectReason::UnknownKind, error.to_string());
+    }
+    let target = match kind {
+        "stream" => "video",
+        "subscribe" => "live source",
+        _ => return (RejectReason::BadRequest, error.to_string()),
+    };
+    let message = match tree.get("video") {
+        Some(Value::Str(all)) if all == "all" => {
+            format!(
+                "`{kind}` requests target a single {target}; `\"all\"` is only valid for `query`"
             )
-        })?;
-    members.decode()
+        }
+        _ => error.to_string(),
+    };
+    (RejectReason::BadRequest, message)
 }
 
 /// What one bounded line read produced.

@@ -411,26 +411,14 @@ impl Server {
         metrics: ExecMetrics,
     ) -> SvqResult<ServerHandle> {
         let transport = Arc::new(TcpTransport::bind(&config.addr)?);
-        Self::start_on_with_source(transport, config, repo, oracles, source, metrics)
+        Self::start_on(transport, config, repo, oracles, source, metrics)
     }
 
     /// Serve over an explicit [`Transport`] — the seam `svq-sim` uses to
     /// run the whole service on an in-memory loopback under its
-    /// deterministic scheduler. [`Server::start`] is `start_on` with a
-    /// freshly bound [`TcpTransport`].
+    /// deterministic scheduler. [`Server::start_with_source`] is `start_on`
+    /// with a freshly bound [`TcpTransport`].
     pub fn start_on(
-        transport: Arc<dyn Transport>,
-        config: ServeConfig,
-        repo: Option<Arc<VideoRepository>>,
-        oracles: Vec<Arc<DetectionOracle>>,
-        metrics: ExecMetrics,
-    ) -> SvqResult<ServerHandle> {
-        Self::start_on_with_source(transport, config, repo, oracles, None, metrics)
-    }
-
-    /// The fully general local server: explicit transport plus an optional
-    /// live source for standing queries.
-    pub fn start_on_with_source(
         transport: Arc<dyn Transport>,
         config: ServeConfig,
         repo: Option<Arc<VideoRepository>>,

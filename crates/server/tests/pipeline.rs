@@ -566,6 +566,7 @@ fn persistent_accept_errors_back_off_instead_of_busy_spinning() {
         ServeConfig::default(),
         None,
         oracles,
+        None,
         svq_exec::ExecMetrics::new(),
     )
     .expect("server starts");
@@ -737,6 +738,7 @@ fn unregistrable_connections_are_refused_not_served_invisible_to_drain() {
         ServeConfig::default(),
         None,
         oracles,
+        None,
         metrics.clone(),
     )
     .expect("server starts");

@@ -635,7 +635,7 @@ fn start_server(
         }
         None => (None, Vec::new()),
     };
-    Server::start_on_with_source(
+    Server::start_on(
         transport.clone(),
         config,
         repo,

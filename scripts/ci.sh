@@ -49,23 +49,28 @@ echo "== occurrence memo, one-step clip charge, censoring cap, critical-value re
 PROPTEST_CASES=2000 cargo test --release -q -p svq-vision --test occurrence_memo --test ledger
 PROPTEST_CASES=2000 cargo test --release -q -p svq-scanstats --lib -- quantile_at_most registry observe_run
 
-echo "== JSON encode, decode and parse, deep (PROPTEST_CASES=2000), and the wire golden"
-# Every frame's codec is derived (serde_derive emits the text path,
-# write_json/read_json, and the tree path, to_value/from_value, from one
-# declaration); only request decoding, VideoScope's shape and the
-# pipeline id trailer are hand-written. It is correct only while the
-# bytes equal the tree's for every protocol type, non-finite floats fail
-# both ways, the text decodes back to the value, every text (shuffled,
-# repeated, unknown or escaped keys, wrong types, truncated) reads as its
-# tree does and a request line gets the tree decoder's reject reason, the
-# derive's tagged shapes read alike on both paths (serde_json's text
-# test), and the parser's nesting limit holds at every depth. One derive
-# generating both paths makes them agree by construction, so the wire
-# golden pins the literal line of every frame shape.
+echo "== JSON encode, decode and parse, deep (PROPTEST_CASES=2000), and the wire and request goldens"
+# Every frame's codec is derived both ways (serde_derive emits the text
+# path, write_json/read_json, and the tree path, to_value/from_value,
+# from one declaration); only VideoScope's shape, the pipeline id trailer
+# and the frames' shared id reader are hand-written. It is correct only
+# while the bytes equal the tree's for every protocol type, non-finite
+# floats fail both ways, the text decodes back to the value, every text
+# (shuffled, repeated, unknown or escaped keys, wrong types, truncated)
+# reads as its tree does and a request line gets the tree decoder's
+# reject reason, request frames round-trip and garbage never panics the
+# request decoder (hardening), the derive's tagged shapes and default
+# members read alike on both paths (serde_json's text test), and the
+# parser's nesting limit holds at every depth. One derive generating both
+# paths makes them agree by construction, so the wire golden pins the
+# literal line of every frame shape and the request golden the outcome
+# of hand-picked request lines.
 PROPTEST_CASES=2000 cargo test --release -q -p svq-serve --test encode
 PROPTEST_CASES=2000 cargo test --release -q -p svq-serve --test decode
+PROPTEST_CASES=2000 cargo test --release -q -p svq-serve --test hardening
 PROPTEST_CASES=2000 cargo test --release -q -p serde_json --test text
 cargo test --release -q -p svq-serve --test wire_golden
+cargo test --release -q -p svq-serve --test request_golden
 
 echo "== movie_topk example (ingest, persist, top-K queries reading each run's own accesses)"
 cargo run -q --release --example movie_topk
